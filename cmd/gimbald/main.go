@@ -5,10 +5,9 @@
 //
 //	gimbald -listen 127.0.0.1:4420 -ssds 4 -scheme gimbal -cond fragmented
 //
-// The live datapath is sharded into per-SSD reactors by default: -reactors
-// picks the shard count (-1 = min(GOMAXPROCS, ssds); 0 = the legacy
-// single-lock datapath), and SSD i runs on shard i%R. See DESIGN.md §4.1
-// "live reactor datapath".
+// The live datapath is sharded into per-SSD reactors: -reactors picks the
+// shard count (below 1 = auto, min(GOMAXPROCS, ssds)), and SSD i runs on
+// shard i%R. See DESIGN.md §4.1 "live reactor datapath".
 //
 // A second listener (-admin, default 127.0.0.1:9420) serves the
 // observability endpoint:
@@ -65,7 +64,7 @@ func main() {
 		listen    = flag.String("listen", "127.0.0.1:4420", "listen address")
 		admin     = flag.String("admin", "127.0.0.1:9420", "observability endpoint address (empty disables)")
 		ssds      = flag.Int("ssds", 4, "number of simulated SSDs")
-		reactors  = flag.Int("reactors", -1, "per-SSD reactor shards: -1 auto (min(GOMAXPROCS, ssds)), 0 legacy single-lock datapath, N explicit")
+		reactors  = flag.Int("reactors", -1, "per-SSD reactor shards: N >= 1 explicit (capped at -ssds), anything lower auto (min(GOMAXPROCS, ssds))")
 		scheme    = flag.String("scheme", "gimbal", "scheduler: gimbal|vanilla|reflex|flashfq|parda")
 		cond      = flag.String("cond", "clean", "precondition: fresh|clean|fragmented")
 		capacity  = flag.Int64("capacity", 2<<30, "per-SSD usable bytes")
@@ -80,7 +79,6 @@ func main() {
 		recovery  = flag.Bool("recovery", true, "enable fail-fast + graceful degradation on the gimbal scheme")
 		classW    = flag.String("class-weights", "", "comma-separated QoS class weights for the gimbal scheduler (e.g. 4,2,1); empty = flat single-class DRR")
 		qosFlag   = flag.String("qos-classes", "", "named QoS classes for the volume control plane and scheduler (e.g. gold=8,silver=4,besteffort=1); supersedes -class-weights")
-		eager     = flag.Bool("eager-redistribute", false, "use the O(tenants) eager vslot redistribution loop instead of the lazy epoch-stamped path (debugging/differential runs)")
 		tierFlag  = flag.String("tier", "", "fast-tier cache per SSD: a fraction of -capacity (e.g. 0.1) or a byte size (e.g. 256MiB); empty disables")
 		token     = flag.String("admin-token", "", "bearer token required on mutating volume endpoints (empty leaves them open)")
 	)
@@ -113,7 +111,6 @@ func main() {
 		}
 		tcfg.Gimbal.Sched.ClassWeights = weights
 	}
-	tcfg.Gimbal.Sched.EagerRedistribute = *eager
 	var condition ssd.Condition
 	switch *cond {
 	case "fresh":
@@ -126,80 +123,38 @@ func main() {
 		log.Fatalf("unknown condition %q", *cond)
 	}
 
-	// Datapath layout: R == 0 keeps the legacy single-lock RealScheduler;
-	// R >= 1 shards the target into per-SSD reactors (SSD i on shard i%R)
-	// with the lock-free ring datapath of internal/fabric/reactor.go.
+	// Datapath layout: the target is sharded into R per-SSD reactors (SSD i
+	// on shard i%R) with the lock-free ring datapath of
+	// internal/fabric/reactor.go.
 	R := *reactors
-	if R < 0 {
+	if R < 1 {
 		R = runtime.GOMAXPROCS(0)
 	}
 	if R > *ssds {
 		R = *ssds
 	}
-	var (
-		rs     *sim.RealScheduler
-		shards *sim.RealShards
-		lc     fabric.LockedClock
-	)
-	if R == 0 {
-		rs = sim.NewRealScheduler()
-		lc = rs
-	} else {
-		shards = sim.NewRealShards(R)
-		lc = shards
+	shards := sim.NewRealShards(R)
+	clks := make([]sim.Scheduler, *ssds)
+	for i := range clks {
+		clks[i] = shards.Shard(i % R)
 	}
-	clkFor := func(i int) sim.Scheduler {
-		if R == 0 {
-			return rs
-		}
-		return shards.Shard(i % R)
-	}
-	var tierParams tier.Params
+	params := ssd.DCT983()
+	params.UsableBytes = *capacity
+	sc := fabric.StackConfig{Params: params, Cond: condition, Target: tcfg}
 	if *tierFlag != "" {
 		tierBytes, err := parseTierSize(*tierFlag, *capacity)
 		if err != nil {
 			log.Fatalf("-tier: %v", err)
 		}
-		tierParams = tier.DefaultParams(tierBytes)
-		if err := tierParams.Validate(); err != nil {
-			log.Fatalf("-tier: %v", err)
-		}
+		tp := tier.DefaultParams(tierBytes)
+		sc.Tier = &tp
 	}
-	rng := sim.NewRNG(uint64(os.Getpid()))
-	var devs []ssd.Device
-	var ssdModels []*ssd.SSD
-	var wraps []*fault.Device
-	var tiers []*tier.Device
-	for i := 0; i < *ssds; i++ {
-		p := ssd.DCT983()
-		p.UsableBytes = *capacity
-		d := ssd.New(clkFor(i), p)
-		if *tierFlag != "" {
-			// Tag before preconditioning: tiered and untiered stacks must
-			// not share an FTL snapshot cache entry.
-			d.SetSnapshotTag(tierParams.SnapshotTag())
-		}
-		log.Printf("preconditioning ssd %d (%s, %s)...", i, p.Name, condition)
-		d.Precondition(condition, rng.Fork())
-		w := fault.Wrap(clkFor(i), d)
-		var dev ssd.Device = w
-		if *tierFlag != "" {
-			// Tier outermost, above the fault layer, so NAND faults never
-			// slow tier hits.
-			ft := tier.New(clkFor(i), w, tierParams)
-			tiers = append(tiers, ft)
-			dev = ft
-		}
-		devs = append(devs, dev)
-		ssdModels = append(ssdModels, d)
-		wraps = append(wraps, w)
+	log.Printf("preconditioning %d x %s (%s)...", *ssds, params.Name, condition)
+	st, err := fabric.BuildStack(clks, sim.NewRNG(uint64(os.Getpid())), sc)
+	if err != nil {
+		log.Fatal(err)
 	}
-	var target *fabric.Target
-	if R == 0 {
-		target = fabric.NewTarget(rs, devs, tcfg)
-	} else {
-		target = fabric.NewReactorTarget(shards, devs, tcfg)
-	}
+	target := st.Target
 	if *recovery && sch == fabric.SchemeGimbal {
 		for i := 0; i < *ssds; i++ {
 			if g := target.Pipeline(i).Gimbal; g != nil {
@@ -207,41 +162,26 @@ func main() {
 			}
 		}
 	}
-	for i, ft := range tiers {
-		if g := target.Pipeline(i).Gimbal; g != nil {
-			g.SetCostModel(ft)
-		}
-	}
-	// Telemetry: registry gathered under the scheduler lock, the span
-	// tracer, the per-tenant SLO engine, and the shared event log the
-	// fault engine and the switch's recovery transitions both feed.
+	// Telemetry: the span tracer, the per-tenant SLO engine, and the shared
+	// event log the fault engine and the switch's recovery transitions both
+	// feed.
 	mode, err := obs.ParseTraceMode(*traceMode)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// In legacy mode the one registry holds every pipeline's instruments
-	// and gathers under the one scheduler lock. In reactor mode the hub
-	// registry keeps only atomic transport gauges (no GatherLock needed)
-	// and each reactor gets its own shard registry gathered under that
-	// shard's lock; /metrics joins them through an obs.Group, so a scrape
-	// serializes with at most one reactor at a time.
+	// The hub registry keeps only atomic transport gauges (no GatherLock
+	// needed) and each reactor gets its own shard registry gathered under
+	// that shard's lock; /metrics joins them through an obs.Group, so a
+	// scrape serializes with at most one reactor at a time.
 	reg := obs.NewRegistry()
-	var shardRegs []*obs.Registry
-	var mw fabric.MetricsWriter = reg
-	var group *obs.Group
-	if R == 0 {
-		reg.GatherLock = rs
-	} else {
-		shardRegs = make([]*obs.Registry, R)
-		members := []*obs.Registry{reg}
-		for j := 0; j < R; j++ {
-			shardRegs[j] = obs.NewRegistry()
-			shardRegs[j].GatherLock = shards.Shard(j)
-			members = append(members, shardRegs[j])
-		}
-		group = obs.NewGroup(members...)
-		mw = group
+	shardRegs := make([]*obs.Registry, R)
+	members := []*obs.Registry{reg}
+	for j := range shardRegs {
+		shardRegs[j] = obs.NewRegistry()
+		shardRegs[j].GatherLock = shards.Shard(j)
+		members = append(members, shardRegs[j])
 	}
+	group := obs.NewGroup(members...)
 	hub := obs.NewHub(reg)
 	if *traceCap > 0 && mode != obs.TraceOff {
 		hub.Tracer = obs.NewTracer(obs.TracerConfig{
@@ -267,32 +207,20 @@ func main() {
 		// An engine schedules injections on one scheduler, and a device may
 		// only be mutated from its own shard's context — so the plan is
 		// partitioned per shard (event for SSD i → engine on shard i%R).
-		// Legacy mode degenerates to one engine with the whole plan.
-		engines := 1
-		if R > 0 {
-			engines = R
-		}
 		armed := 0
-		for j := 0; j < engines; j++ {
-			clk := clkFor(j)
+		for j := 0; j < R; j++ {
 			sub := &fault.Plan{Seed: plan.Seed}
 			for _, ev := range plan.Events {
-				if R == 0 || ev.SSD%R == j {
+				if ev.SSD%R == j {
 					sub.Events = append(sub.Events, ev)
 				}
 			}
 			if len(sub.Events) == 0 {
 				continue
 			}
-			eng := fault.NewEngine(clk, wraps)
-			eng.Stall = func(ssdIdx, die int, dur int64) error {
-				return ssdModels[ssdIdx].InjectDieStall(die, dur)
-			}
-			if len(tiers) > 0 {
-				eng.Tier = func(ssdIdx int, active bool) { tiers[ssdIdx].SetBypass(active) }
-			}
+			eng := st.Engine(shards.Shard(j))
 			eng.OnEvent = func(ev fault.Event, active bool) {
-				hub.Events.Append(lc.Now(), ev.Kind.String(), fmt.Sprintf("ssd=%d", ev.SSD), active)
+				hub.Events.Append(shards.Now(), ev.Kind.String(), fmt.Sprintf("ssd=%d", ev.SSD), active)
 			}
 			if err := eng.Arm(sub); err != nil {
 				log.Fatalf("fault plan: %v", err)
@@ -302,55 +230,33 @@ func main() {
 		log.Printf("armed %d fault events from %s", armed, *faults)
 	}
 
-	lc.Lock()
-	if R == 0 {
-		target.AttachObs(hub)
-	} else {
-		pregs := make([]*obs.Registry, *ssds)
-		for i := range pregs {
-			pregs[i] = shardRegs[i%R]
-		}
-		target.AttachObsSharded(hub, pregs)
+	pregs := make([]*obs.Registry, *ssds)
+	for i := range pregs {
+		pregs[i] = shardRegs[i%R]
 	}
-	lc.Unlock()
+	shards.Lock()
+	target.AttachObsSharded(hub, pregs)
+	shards.Unlock()
 	ring := hub.Ring()
 
-	var srv interface {
-		Addr() string
-		Shutdown(timeout time.Duration) error
+	srv, err := fabric.ServeTCPReactors(shards, target, *listen)
+	if err != nil {
+		log.Fatal(err)
 	}
-	var rsrv *fabric.TCPReactors
-	if R == 0 {
-		s, err := fabric.ServeTCP(rs, target, *listen)
-		if err != nil {
-			log.Fatal(err)
-		}
-		s.AttachObs(reg)
-		srv = s
-	} else {
-		s, err := fabric.ServeTCPReactors(shards, target, *listen)
-		if err != nil {
-			log.Fatal(err)
-		}
-		s.AttachObs(hub, shardRegs)
-		srv = s
-		rsrv = s
-	}
+	srv.AttachObs(hub, shardRegs)
 
 	var adminSrv *http.Server
 	var vols *volumeServer
 	if *admin != "" {
-		mux := fabric.AdminMuxMetrics(lc, target, hub, mw)
+		mux := fabric.AdminMuxMetrics(shards, target, hub, group)
 		vols = newVolumeServer(classes, *ssds, *capacity, *token)
 		vols.register(mux)
-		if rsrv != nil {
-			mux.HandleFunc("/reactors", func(w http.ResponseWriter, r *http.Request) {
-				w.Header().Set("Content-Type", "application/json")
-				enc := json.NewEncoder(w)
-				enc.SetIndent("", "  ")
-				_ = enc.Encode(rsrv.ReactorStats())
-			})
-		}
+		mux.HandleFunc("/reactors", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			_ = enc.Encode(srv.ReactorStats())
+		})
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -364,13 +270,8 @@ func main() {
 		}()
 	}
 
-	if R == 0 {
-		fmt.Printf("gimbald: %d x %s SSDs (%s) behind %q scheme, listening on %s (single-lock datapath)\n",
-			*ssds, condition, byteSize(*capacity), sch, srv.Addr())
-	} else {
-		fmt.Printf("gimbald: %d x %s SSDs (%s) behind %q scheme, listening on %s (%d reactor shards)\n",
-			*ssds, condition, byteSize(*capacity), sch, srv.Addr(), R)
-	}
+	fmt.Printf("gimbald: %d x %s SSDs (%s) behind %q scheme, listening on %s (%d reactor shards)\n",
+		*ssds, condition, byteSize(*capacity), sch, srv.Addr(), R)
 	if *admin != "" {
 		fmt.Printf("gimbald: observability on http://%s (/metrics /stats /trace /slo /volumes /snapshots /debug/pprof)\n", *admin)
 	}
@@ -395,17 +296,13 @@ func main() {
 
 	// Final telemetry snapshot so a scrape gap around shutdown loses
 	// nothing: per-tenant totals and the registry, one JSON line each.
-	lc.Lock()
+	shards.Lock()
 	stats := target.StatsSnapshot()
-	lc.Unlock()
+	shards.Unlock()
 	if b, err := json.Marshal(stats); err == nil {
 		log.Printf("final stats: %s", b)
 	}
-	snap := reg.Snapshot()
-	if group != nil {
-		snap = group.Snapshot()
-	}
-	if b, err := json.Marshal(snap); err == nil {
+	if b, err := json.Marshal(group.Snapshot()); err == nil {
 		log.Printf("final metrics: %s", b)
 	}
 	if ring != nil {

@@ -20,14 +20,19 @@ import (
 )
 
 func main() {
-	// Target: one wall-clock SSD behind the Gimbal switch.
-	rs := sim.NewRealScheduler()
+	// Target: one wall-clock SSD behind the Gimbal switch, served by one
+	// reactor (gimbald runs one per core).
+	shards := sim.NewRealShards(1)
 	params := ssd.DCT983()
 	params.UsableBytes = 512 << 20
-	dev := ssd.New(rs, params)
-	dev.Precondition(ssd.Clean, sim.NewRNG(1))
-	target := fabric.NewTarget(rs, []ssd.Device{dev}, fabric.DefaultTargetConfig(fabric.SchemeGimbal))
-	srv, err := fabric.ServeTCP(rs, target, "127.0.0.1:0")
+	st, err := fabric.BuildStack([]sim.Scheduler{shards.Shard(0)}, sim.NewRNG(1), fabric.StackConfig{
+		Params: params, Cond: ssd.Clean, Target: fabric.DefaultTargetConfig(fabric.SchemeGimbal),
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	target := st.Target
+	srv, err := fabric.ServeTCPReactors(shards, target, "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,9 +96,9 @@ func main() {
 	// The congestion controller starts conservative (400 MB/s target,
 	// worst-case write cost) and probes upward from completions, so a
 	// short run mostly shows the ramp.
-	rs.Lock()
+	shards.Lock()
 	v := target.Pipeline(0).Gimbal.View()
-	rs.Unlock()
+	shards.Unlock()
 	fmt.Printf("virtual view after run: target %.0f MB/s, write cost %.1f "+
 		"(still ramping from cold start)\n", v.TargetRateBps/1e6, v.WriteCost)
 }

@@ -201,7 +201,6 @@ type JBOF struct {
 	target   *fabric.Target
 	scheme   fabric.Scheme
 	devices  []*ssd.SSD
-	wraps    []*fault.Device
 	tiers    []*tier.Device
 	engine   *fault.Engine
 	streams  []*Stream
@@ -250,55 +249,30 @@ func (s *Sim) NewJBOF(opts ...JBOFOption) (*JBOF, error) {
 			return nil, volErr(fmt.Errorf("bad qos classes: %w", err))
 		}
 	}
-	j := &JBOF{sim: s, scheme: scheme, classes: classes}
-	var tp tier.Params
-	if cfg.FastTierBytes > 0 {
-		tp = tier.DefaultParams(cfg.FastTierBytes)
-		if err := tp.Validate(); err != nil {
-			return nil, fmt.Errorf("gimbal: %w", err)
-		}
-	}
-	var devs []ssd.Device
-	for i := 0; i < cfg.SSDs; i++ {
-		d := ssd.New(s.loop, params)
-		if cfg.FastTierBytes > 0 {
-			// Tag before preconditioning: tiered and untiered stacks must
-			// not share an FTL snapshot cache entry.
-			d.SetSnapshotTag(tp.SnapshotTag())
-		}
-		d.Precondition(cond, s.rng.Fork())
-		w := fault.Wrap(s.loop, d)
-		var dev ssd.Device = w
-		if cfg.FastTierBytes > 0 {
-			// Tier outermost, above the fault layer, so NAND brownouts
-			// never slow tier hits.
-			ft := tier.New(s.loop, w, tp)
-			j.tiers = append(j.tiers, ft)
-			dev = ft
-		}
-		devs = append(devs, dev)
-		j.devices = append(j.devices, d)
-		j.wraps = append(j.wraps, w)
-	}
 	tcfg := fabric.DefaultTargetConfig(scheme)
 	if cfg.QoSClasses != "" {
 		// Explicitly declared classes compile into the hierarchical DRR;
 		// the default menu leaves the scheduler flat (paper-identical).
 		tcfg.Gimbal.Sched.ClassWeights = classes.Compile().ClassWeights
 	}
-	j.target = fabric.NewTarget(s.loop, devs, tcfg)
-	for i, ft := range j.tiers {
-		if g := j.target.Pipeline(i).Gimbal; g != nil {
-			g.SetCostModel(ft)
-		}
+	sc := fabric.StackConfig{Params: params, Cond: cond, Target: tcfg}
+	if cfg.FastTierBytes > 0 {
+		tp := tier.DefaultParams(cfg.FastTierBytes)
+		sc.Tier = &tp
 	}
-	j.engine = fault.NewEngine(s.loop, j.wraps)
-	j.engine.Stall = func(ssdIdx, die int, dur int64) error {
-		return j.devices[ssdIdx].InjectDieStall(die, dur)
+	clks := make([]sim.Scheduler, cfg.SSDs)
+	for i := range clks {
+		clks[i] = s.loop
 	}
-	j.engine.Fabric = j.applyFabricFault
-	if len(j.tiers) > 0 {
-		j.engine.Tier = func(ssdIdx int, active bool) { j.tiers[ssdIdx].SetBypass(active) }
+	st, err := fabric.BuildStack(clks, s.rng, sc)
+	if err != nil {
+		return nil, fmt.Errorf("gimbal: %w", err)
+	}
+	j := &JBOF{sim: s, scheme: scheme, classes: classes,
+		target: st.Target, devices: st.SSDs, tiers: st.Tiers}
+	j.engine = st.Engine(s.loop)
+	j.engine.Fabric = func(ev fault.Event, active bool) {
+		j.streams[ev.Session].sess.ApplyFault(ev, active, j.planSeed)
 	}
 	return j, nil
 }
@@ -715,47 +689,6 @@ func (j *JBOF) InjectFaults(p FaultPlan) error {
 		return fmt.Errorf("%w: %v", ErrBadFaultPlan, err)
 	}
 	return nil
-}
-
-// applyFabricFault routes one armed fabric event to its stream's session.
-// LinkFaults state is created lazily with a seed derived from the plan
-// seed and the stream index, so the fault stream is deterministic
-// regardless of event order.
-func (j *JBOF) applyFabricFault(ev fault.Event, active bool) {
-	sess := j.streams[ev.Session].sess
-	if ev.Kind == fault.FabricDisconnect {
-		if active {
-			sess.Disconnect()
-		}
-		return
-	}
-	lf := sess.LinkFaults()
-	if lf == nil {
-		lf = fault.NewLinkFaults(j.planSeed ^ (uint64(ev.Session)+1)*0x9e3779b97f4a7c15)
-		sess.ArmLinkFaults(lf)
-	}
-	switch ev.Kind {
-	case fault.FabricDrop:
-		if active {
-			lf.SetDrop(ev.Prob)
-		} else {
-			lf.SetDrop(0)
-		}
-	case fault.FabricDuplicate:
-		if active {
-			lf.SetDuplicate(ev.Prob)
-		} else {
-			lf.SetDuplicate(0)
-		}
-	case fault.FabricDelay:
-		if active {
-			lf.SetDelay(ev.Extra)
-			lf.SetJitter(ev.Extra2)
-		} else {
-			lf.SetDelay(0)
-			lf.SetJitter(0)
-		}
-	}
 }
 
 // TierStats reports fast-tier counters for one SSD.

@@ -3,6 +3,7 @@ package vanilla
 import (
 	"testing"
 
+	"gimbal/internal/fault"
 	"gimbal/internal/nvme"
 	"gimbal/internal/sim"
 	"gimbal/internal/ssd"
@@ -49,7 +50,8 @@ func TestRejectsMalformed(t *testing.T) {
 
 func TestPropagatesMediaErrors(t *testing.T) {
 	loop := sim.NewLoop()
-	dev := ssd.NewFaultyDevice(ssd.NewNull(loop, 1<<30, 100), 1, 1, 0) // fail every read
+	dev := fault.Wrap(loop, ssd.NewNull(loop, 1<<30, 100))
+	dev.SetFailed(true) // every IO bounces with a media error
 	s := New(loop, dev)
 	tn := nvme.NewTenant(0, "t")
 	s.Register(tn)
@@ -60,7 +62,7 @@ func TestPropagatesMediaErrors(t *testing.T) {
 	if st != nvme.StatusInternalErr {
 		t.Fatalf("media error not propagated: %v", st)
 	}
-	if dev.ReadFails != 1 {
-		t.Fatalf("fault injector fails = %d", dev.ReadFails)
+	if dev.FailedIOs != 1 {
+		t.Fatalf("fault layer failed %d IOs, want 1", dev.FailedIOs)
 	}
 }

@@ -58,9 +58,16 @@ func TestChaosDisconnectReclaim(t *testing.T) {
 		t.Skip("runs a full disconnect timeline; skipped in -short")
 	}
 	shrinkChaosUnit(t)
-	res := runChaosDisconnectExp(NewCtx())
+	cx := NewCtx()
+	res := runChaosDisconnectExp(cx)
 	if len(res) != 1 || len(res[0].Rows) != 1 {
 		t.Fatalf("chaos-disconnect produced %d results", len(res))
+	}
+	// The run's devices sit behind fault wrappers; its observability block
+	// must still carry the NAND series (write amplification is >= 1 by
+	// definition — 0 means the model was never attached).
+	if len(cx.obsRuns) != 1 || cx.obsRuns[0].WriteAmp < 1 {
+		t.Errorf("observability block lost the NAND telemetry: %+v", cx.obsRuns)
 	}
 	row := res[0].Rows[0]
 	// Header: scheme, dead_credit_before, dead_credit_after, survivor_pre,

@@ -17,7 +17,7 @@ import (
 )
 
 func init() {
-	register("live-tcp", "Live loopback-TCP IOPS: single-lock datapath vs per-SSD reactors", runLiveTCP)
+	register("live-tcp", "Live loopback-TCP IOPS: per-SSD reactor scaling, R=1 as baseline", runLiveTCP)
 }
 
 // Live measurement windows. Unlike the simulated experiments these are
@@ -35,26 +35,11 @@ const (
 	liveTCPIO    = 4096
 )
 
-// liveTCPServer abstracts the two datapaths under test.
-type liveTCPServer interface {
-	Addr() string
-	Close() error
-}
-
 // startLiveTCP brings up a NULL-device target (zero service time,
 // synchronous completion — all measured cost is transport + scheduling)
-// on the requested datapath. reactors == 0 is the legacy single-lock
-// ServeTCP baseline.
-func startLiveTCP(reactors int) (liveTCPServer, error) {
+// on the reactor datapath with the given shard count.
+func startLiveTCP(reactors int) (*fabric.TCPReactors, error) {
 	cfg := fabric.DefaultTargetConfig(fabric.SchemeVanilla)
-	if reactors == 0 {
-		rs := sim.NewRealScheduler()
-		devs := make([]ssd.Device, liveTCPSSDs)
-		for i := range devs {
-			devs[i] = ssd.NewNull(rs, 256<<20, 0)
-		}
-		return fabric.ServeTCP(rs, fabric.NewTarget(rs, devs, cfg), "127.0.0.1:0")
-	}
 	shards := sim.NewRealShards(reactors)
 	devs := make([]ssd.Device, liveTCPSSDs)
 	for i := range devs {
@@ -137,26 +122,20 @@ func runLiveTCP(cx *Ctx) []*Result {
 	res := &Result{
 		ID:     "live-tcp",
 		Title:  "Aggregate 4KB read IOPS over loopback TCP, NULL devices (wall-clock, not deterministic)",
-		Header: []string{"datapath", "reactors", "conns", "qd", "iops", "vs_baseline"},
+		Header: []string{"reactors", "conns", "qd", "iops", "vs_r1"},
 	}
 	var baseline float64
-	for _, r := range []int{0, 1, 2, 4, 8} {
+	for _, r := range []int{1, 2, 4, 8} {
 		iops, err := measureLiveTCP(r)
 		if err != nil {
 			res.Notef("reactors=%d failed: %v", r, err)
 			continue
 		}
-		name := "reactors"
-		if r == 0 {
-			name = "single-lock"
+		if baseline == 0 {
 			baseline = iops
 		}
-		speedup := "1.00x"
-		if r != 0 && baseline > 0 {
-			speedup = fmt.Sprintf("%.2fx", iops/baseline)
-		}
-		res.AddRow(name, fmt.Sprint(r), fmt.Sprint(liveTCPConns), fmt.Sprint(liveTCPQD),
-			fmt.Sprintf("%.0f", iops), speedup)
+		res.AddRow(fmt.Sprint(r), fmt.Sprint(liveTCPConns), fmt.Sprint(liveTCPQD),
+			fmt.Sprintf("%.0f", iops), fmt.Sprintf("%.2fx", iops/baseline))
 	}
 	res.Notef("GOMAXPROCS=%d NumCPU=%d; reactor scaling needs real cores — on a single-core host "+
 		"all shards timeshare one CPU and the curve is flat by construction",

@@ -31,14 +31,12 @@ type FioConfig struct {
 	SamplePeriod int64
 	// Events fire at absolute times during the run (dynamic workloads).
 	Events []TimedEvent
-	// Faults, when set, wraps every device in a fault layer and arms the
-	// plan (chaos experiments). Session indices in the plan address
-	// r.Sessions in Spec order.
+	// Faults, when set, is armed on the stack's fault layers (chaos
+	// experiments). Session indices in the plan address r.Sessions in Spec
+	// order.
 	Faults *fault.Plan
 	// Tier, when set, interposes a fast-tier cache with these parameters in
-	// front of every NAND device (outermost, above any fault layer, so NAND
-	// brownouts never slow tier hits). Gimbal pipelines also get the tier as
-	// their write-cost modeler.
+	// front of every SSD (see fabric.BuildStack for the stack's shape).
 	Tier *tier.Params
 	// Retry, when set, arms every session with the policy (initiator-side
 	// deadlines + reissue).
@@ -78,7 +76,8 @@ type FioRun struct {
 	// Hub bundles Reg with the optional tracer, SLO engine, and event log
 	// (populated per FioConfig.Trace / FioConfig.SLO).
 	Hub *obs.Hub
-	// Wraps and Engine exist when a fault plan is armed.
+	// Wraps are the per-SSD fault layers; Engine exists when a fault plan
+	// is armed on them.
 	Wraps  []*fault.Device
 	Engine *fault.Engine
 	// Tiers exist when FioConfig.Tier was set (one per SSD, Spec order).
@@ -105,48 +104,25 @@ func NewFioRun(cfg FioConfig) *FioRun {
 	}
 	rng := sim.NewRNG(seed)
 
-	var devs []ssd.Device
-	var ssds []*ssd.SSD
-	var wraps []*fault.Device
-	var tiers []*tier.Device
-	for i := 0; i < cfg.NumSSD; i++ {
-		d := ssd.New(loop, params)
-		if cfg.Tier != nil {
-			// Tag before preconditioning: a tiered stack must not share an
-			// FTL snapshot cache entry with an untiered run of the same
-			// device params (the tier reshapes the write stream the FTL
-			// sees after the snapshot point).
-			d.SetSnapshotTag(cfg.Tier.SnapshotTag())
-		}
-		d.Precondition(cfg.Cond, rng.Fork())
-		ssds = append(ssds, d)
-		var dev ssd.Device = d
-		if cfg.Faults != nil {
-			w := fault.Wrap(loop, d)
-			wraps = append(wraps, w)
-			dev = w
-		}
-		if cfg.Tier != nil {
-			t := tier.New(loop, dev, *cfg.Tier)
-			tiers = append(tiers, t)
-			dev = t
-		}
-		devs = append(devs, dev)
-	}
 	tcfg := fabric.DefaultTargetConfig(cfg.Scheme)
 	tcfg.CPU = cfg.CPU
 	if cfg.GimbalCfg != nil {
 		cfg.GimbalCfg(&tcfg)
 	}
-	target := fabric.NewTarget(loop, devs, tcfg)
-
-	r := &FioRun{Loop: loop, Target: target, Devices: ssds, Reg: obs.NewRegistry(),
-		Wraps: wraps, Tiers: tiers, retry: cfg.Retry, seed: seed}
-	for i, t := range tiers {
-		if p := target.Pipeline(i); p.Gimbal != nil {
-			p.Gimbal.SetCostModel(t)
-		}
+	clks := make([]sim.Scheduler, cfg.NumSSD)
+	for i := range clks {
+		clks[i] = loop
 	}
+	st, err := fabric.BuildStack(clks, rng, fabric.StackConfig{
+		Params: params, Cond: cfg.Cond, Tier: cfg.Tier, Target: tcfg,
+	})
+	if err != nil {
+		panic(err) // experiment configs are code, not input
+	}
+	target := st.Target
+
+	r := &FioRun{Loop: loop, Target: target, Devices: st.SSDs, Reg: obs.NewRegistry(),
+		Wraps: st.Wraps, Tiers: st.Tiers, retry: cfg.Retry, seed: seed}
 	r.Hub = obs.NewHub(r.Reg)
 	if cfg.Trace != nil {
 		r.Hub.Tracer = obs.NewTracer(*cfg.Trace)
@@ -161,13 +137,12 @@ func NewFioRun(cfg FioConfig) *FioRun {
 		r.AddWorker(spec, rng.Fork(), fmt.Sprintf("%s-%d", spec.Name, i))
 	}
 	if cfg.Faults != nil {
-		e := fault.NewEngine(loop, wraps)
-		e.Stall = func(ssdIdx, die int, dur int64) error {
-			return ssds[ssdIdx].InjectDieStall(die, dur)
-		}
-		e.Fabric = func(ev fault.Event, active bool) { r.applyFabricFault(ev, active) }
-		if len(tiers) > 0 {
-			e.Tier = func(ssdIdx int, active bool) { tiers[ssdIdx].SetBypass(active) }
+		e := st.Engine(loop)
+		e.Fabric = func(ev fault.Event, active bool) {
+			if ev.Session < 0 || ev.Session >= len(r.Sessions) {
+				panic(fmt.Sprintf("bench: fault event %s addresses session %d of %d", ev.Kind, ev.Session, len(r.Sessions)))
+			}
+			r.Sessions[ev.Session].ApplyFault(ev, active, r.seed)
 		}
 		if r.Hub.Events != nil {
 			e.OnEvent = func(ev fault.Event, active bool) {
@@ -180,50 +155,6 @@ func NewFioRun(cfg FioConfig) *FioRun {
 		r.Engine = e
 	}
 	return r
-}
-
-// applyFabricFault routes one armed fabric event to its session. Sessions
-// are addressed by Spec order; LinkFaults state is created lazily with a
-// seed derived from the plan seed and the session index, so the fault
-// stream is deterministic regardless of event order.
-func (r *FioRun) applyFabricFault(ev fault.Event, active bool) {
-	if ev.Session < 0 || ev.Session >= len(r.Sessions) {
-		panic(fmt.Sprintf("bench: fault event %s addresses session %d of %d", ev.Kind, ev.Session, len(r.Sessions)))
-	}
-	sess := r.Sessions[ev.Session]
-	if ev.Kind == fault.FabricDisconnect {
-		if active {
-			sess.Disconnect()
-		}
-		return
-	}
-	lf := sess.LinkFaults()
-	if lf == nil {
-		lf = fault.NewLinkFaults(r.seed ^ (uint64(ev.Session)+1)*0x9e3779b97f4a7c15)
-		sess.ArmLinkFaults(lf)
-	}
-	switch ev.Kind {
-	case fault.FabricDrop:
-		if active {
-			lf.SetDrop(ev.Prob)
-		} else {
-			lf.SetDrop(0)
-		}
-	case fault.FabricDuplicate:
-		if active {
-			lf.SetDuplicate(ev.Prob)
-		} else {
-			lf.SetDuplicate(0)
-		}
-	case fault.FabricDelay:
-		if active {
-			lf.SetDelay(ev.Extra)
-			lf.SetJitter(ev.Extra2)
-		} else {
-			lf.SetDelay(0)
-			lf.SetJitter(0)
-		}
-	}
 }
 
 // AddWorker attaches one stream (usable mid-run for dynamic workloads).

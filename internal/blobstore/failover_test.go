@@ -131,12 +131,11 @@ func (w *writeFailBackend) Submit(io *nvme.IO) {
 	w.loop.After(10_000, func() { io.Done(io, nvme.Completion{Status: st}) })
 }
 
-func TestFaultyDeviceEndToEnd(t *testing.T) {
-	// The ssd.FaultyDevice wrapper must surface media errors through the
-	// nvme submitter as failed completions; exercised here via a direct
-	// scheduler stack in the fabric tests — this test checks the blobstore
-	// sees clean statuses from healthy fakes (regression guard for the
-	// status plumbing).
+func TestHealthyBackendsEndToEnd(t *testing.T) {
+	// Media errors reach the nvme submitter as failed completions through
+	// the fault layer (covered in the scheduler tests); this test checks
+	// the blobstore sees clean statuses from healthy fakes (regression
+	// guard for the status plumbing).
 	loop := sim.NewLoop()
 	bs, fbs := flakyPool(loop)
 	cfg := DefaultConfig()

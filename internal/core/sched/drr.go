@@ -11,8 +11,8 @@
 // tenants when the contender count changes (that loop is quadratic under
 // churny 100k-tenant populations) but derived lazily from an epoch-stamped
 // global share, reconciled per tenant the next time its slot state is
-// touched. The eager loop is retained behind Config.EagerRedistribute so a
-// differential test can pin the two modes to byte-identical decisions.
+// touched. The eager loop this replaced lives on as a test oracle
+// (lazy_test.go), which pins the two to byte-identical decisions.
 package sched
 
 import (
@@ -31,12 +31,6 @@ type Config struct {
 	// decision-for-decision identical to the paper's §3.5 DRR. Weights
 	// below 1 are clamped to 1.
 	ClassWeights []int
-
-	// EagerRedistribute restores the original allotment loop that walks
-	// every registered tenant on each contend/release. It exists only so
-	// the differential test can pin lazy reconciliation to byte-identical
-	// scheduling decisions; production paths leave it false.
-	EagerRedistribute bool
 }
 
 // DefaultConfig returns the paper's settings.
@@ -112,10 +106,6 @@ type tenant struct {
 
 	// class is the QoS class the tenant was registered into.
 	class *class
-
-	// allIdx is the tenant's position in DRR.all (swap-removed on
-	// Unregister so teardown is O(1) in registered tenants).
-	allIdx int
 
 	where listKind
 
@@ -310,10 +300,9 @@ type DRR struct {
 	gen uint64
 	per int
 
-	// all mirrors the tenants map as a slice. The hot path never walks
-	// it; it exists for the eager differential mode and O(1) swap-removal
-	// bookkeeping on Unregister.
-	all []*tenant
+	// afterRedistribute is a test seam, nil outside lazy_test.go, which
+	// installs the eager restamp-every-tenant loop as the oracle.
+	afterRedistribute func()
 
 	// freeTenants recycles per-tenant state across Unregister/Register so
 	// sustained tenant churn performs no steady-state allocation.
@@ -383,12 +372,10 @@ func (d *DRR) Register(t *nvme.Tenant) {
 	// the next redistribution epoch, exactly as under the eager loop
 	// (which never touched a tenant at registration either).
 	ts.allotGen = d.gen
-	ts.allIdx = len(d.all)
 	ts.where = idle
 	ts.deferStart, ts.deferAccum = 0, 0
 	ts.owner = d
 	d.tenants[t] = ts
-	d.all = append(d.all, ts)
 	// Cache the state on the tenant so per-IO lookups skip the map (flat
 	// cost regardless of the registered population). A tenant registered
 	// with several schedulers keeps only the latest cache; the others fall
@@ -459,11 +446,6 @@ func (d *DRR) Unregister(t *nvme.Tenant) []*nvme.IO {
 		d.idle_(ts) // leaves the lists and releases the slot share
 	}
 	delete(d.tenants, t)
-	last := len(d.all) - 1
-	d.all[ts.allIdx] = d.all[last]
-	d.all[ts.allIdx].allIdx = ts.allIdx
-	d.all[last] = nil
-	d.all = d.all[:last]
 	if cached, ok := t.State.(*tenant); ok && cached == ts {
 		t.State = nil
 	}
@@ -526,8 +508,7 @@ func (d *DRR) release(ts *tenant) {
 }
 
 // redistribute recomputes the global per-contender share and opens a new
-// epoch. O(1): no tenant is visited. The eager mode restores the original
-// walk over every registered tenant (differential testing only).
+// epoch. O(1): no tenant is visited.
 func (d *DRR) redistribute() {
 	n := d.activeIO
 	if n < 1 {
@@ -539,11 +520,8 @@ func (d *DRR) redistribute() {
 	}
 	d.per = per
 	d.gen++
-	if d.cfg.EagerRedistribute {
-		for _, ts := range d.all {
-			ts.slots.SetAllot(per)
-			ts.allotGen = d.gen
-		}
+	if d.afterRedistribute != nil {
+		d.afterRedistribute()
 	}
 }
 
@@ -711,7 +689,7 @@ func (d *DRR) DeferredTenants() int { return d.deferCount }
 func (d *DRR) Queued() int { return d.queuedTotal }
 
 // RegisteredTenants returns the registered-tenant population. O(1).
-func (d *DRR) RegisteredTenants() int { return len(d.all) }
+func (d *DRR) RegisteredTenants() int { return len(d.tenants) }
 
 // SlotShare returns the current per-contender virtual-slot share (the
 // lazy redistribution target every touched tenant reconciles to).

@@ -95,9 +95,22 @@ func (dr *drrDriver) snapshot() string {
 	return s
 }
 
+// eagerOracle turns d into the reference scheduler the lazy path replaced:
+// every redistribution pushes the new share to every registered tenant on
+// the spot (the original O(tenants) loop), so no read of a tenant's
+// allotment can ever be stale — mid-operation ones included.
+func eagerOracle(d *DRR) {
+	d.afterRedistribute = func() {
+		for _, ts := range d.tenants {
+			ts.slots.SetAllot(d.per)
+			ts.allotGen = d.gen
+		}
+	}
+}
+
 // TestLazyEagerDifferential pins the lazy epoch-stamped redistribution to
-// byte-identical scheduling decisions against the retained eager loop,
-// across enqueue/dispatch/complete and tenant churn, in both the flat
+// byte-identical scheduling decisions against the eager oracle, across
+// enqueue/dispatch/complete and tenant churn, in both the flat
 // configuration and a two-class hierarchy.
 func TestLazyEagerDifferential(t *testing.T) {
 	for _, tc := range []struct {
@@ -108,13 +121,11 @@ func TestLazyEagerDifferential(t *testing.T) {
 		{"two-class", []int{4, 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			lazyCfg := DefaultConfig()
-			lazyCfg.ClassWeights = tc.weights
-			eagerCfg := lazyCfg
-			eagerCfg.EagerRedistribute = true
-
-			lazy := newDriver(lazyCfg, 12)
-			eager := newDriver(eagerCfg, 12)
+			cfg := DefaultConfig()
+			cfg.ClassWeights = tc.weights
+			lazy := newDriver(cfg, 12)
+			eager := newDriver(cfg, 12)
+			eagerOracle(eager.d)
 
 			// Identical op streams: fork one seed into two identical RNGs.
 			rngL := sim.NewRNG(0xd1ffe7)
@@ -131,47 +142,6 @@ func TestLazyEagerDifferential(t *testing.T) {
 				t.Fatalf("final state diverged:\n  lazy:  %s\n  eager: %s", ls, es)
 			}
 		})
-	}
-}
-
-// TestLazyUnregisterSwapRemove exercises the O(1) swap-removal bookkeeping:
-// unregistering from the middle of the population must not corrupt the
-// index of the tenant swapped into its place.
-func TestLazyUnregisterSwapRemove(t *testing.T) {
-	d := New(DefaultConfig(), plainWeight)
-	tenants := make([]*nvme.Tenant, 64)
-	for i := range tenants {
-		tenants[i] = nvme.NewTenant(i, "t")
-		d.Register(tenants[i])
-	}
-	// Remove every even tenant, then verify the odd ones still schedule.
-	for i := 0; i < len(tenants); i += 2 {
-		d.Unregister(tenants[i])
-	}
-	if got := d.RegisteredTenants(); got != 32 {
-		t.Fatalf("registered = %d, want 32", got)
-	}
-	for i := 1; i < len(tenants); i += 2 {
-		d.Enqueue(mkIO(tenants[i], 4096, nvme.PriorityNormal))
-	}
-	n := 0
-	for {
-		io := d.Select()
-		if io == nil {
-			break
-		}
-		d.Commit(io)
-		d.Complete(io)
-		n++
-	}
-	if n != 32 {
-		t.Fatalf("dispatched %d, want 32", n)
-	}
-	// Internal slice indices must agree with positions.
-	for i, ts := range d.all {
-		if ts.allIdx != i {
-			t.Fatalf("all[%d].allIdx = %d", i, ts.allIdx)
-		}
 	}
 }
 
@@ -205,7 +175,7 @@ func TestStatsAccessorsO1Counters(t *testing.T) {
 		}
 		// Ground truth by scanning (test-only).
 		queued, activeN, deferredN := 0, 0, 0
-		for _, ts := range d.all {
+		for _, ts := range d.tenants {
 			queued += ts.queued
 			switch ts.where {
 			case active:

@@ -5,9 +5,9 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"gimbal/internal/obs"
+	"gimbal/internal/sim"
 	"gimbal/internal/ssd"
 	"gimbal/internal/stats"
 )
@@ -68,8 +68,7 @@ type TargetStats struct {
 }
 
 // StatsSnapshot builds the live telemetry snapshot. Call in scheduler
-// context (the admin handler takes the RealScheduler lock, or every shard
-// lock on a sharded target).
+// context (the admin handler takes every shard lock).
 func (t *Target) StatsSnapshot() *TargetStats {
 	now := t.clk.Now()
 	out := &TargetStats{NowNs: now, Scheme: t.cfg.Scheme.String()}
@@ -89,7 +88,7 @@ func (t *Target) StatsSnapshot() *TargetStats {
 			s.DeferredTenants = g.DRR().DeferredTenants()
 			s.Queued = g.DRR().Queued()
 		}
-		if dev, ok := p.Dev.(*ssd.SSD); ok {
+		if dev, ok := ssd.Find[*ssd.SSD](p.Dev); ok {
 			st := dev.Stats()
 			s.Device = &DeviceStatsJSON{
 				ReadBytes:    st.ReadBytes,
@@ -138,10 +137,18 @@ func (t *Target) StatsSnapshot() *TargetStats {
 	return out
 }
 
-// AdminMux builds the observability endpoint of a live target:
+// MetricsWriter renders Prometheus text exposition: a single
+// obs.Registry, or an obs.Group joining per-reactor registry shards.
+type MetricsWriter interface {
+	WritePrometheus(w io.Writer) error
+}
+
+// AdminMuxMetrics builds the observability endpoint of a live target:
 //
-//	GET /metrics  Prometheus text exposition of the hub registry
-//	GET /stats    JSON TargetStats snapshot (under the scheduler lock)
+//	GET /metrics  Prometheus text exposition from mw (gimbald joins the
+//	              per-reactor registries at gather time, each under its own
+//	              shard lock — a scrape never stops the whole datapath)
+//	GET /stats    JSON TargetStats snapshot (under every shard lock)
 //	GET /trace    captured per-IO lifecycle spans as JSONL; filters:
 //	              ?tenant=<name>   only that tenant's spans
 //	              ?phase=<name>    only spans whose dominant phase matches
@@ -151,31 +158,7 @@ func (t *Target) StatsSnapshot() *TargetStats {
 //	              rates, and correlated degrade/fault events
 //
 // The caller mounts pprof and serves the mux (cmd/gimbald does both).
-// hub.Reg should have GatherLock set to rs so scrapes serialize with the
-// pipelines.
-func AdminMux(rs LockedClock, target *Target, hub *obs.Hub) *http.ServeMux {
-	return AdminMuxMetrics(rs, target, hub, hub.Reg)
-}
-
-// LockedClock is the serialization-plus-clock surface admin snapshots
-// need: a single RealScheduler (one-lock target) or RealShards (the
-// sharded reactor target, whose Lock takes every shard in order).
-type LockedClock interface {
-	sync.Locker
-	Now() int64
-}
-
-// MetricsWriter renders Prometheus text exposition: a single
-// obs.Registry, or an obs.Group joining per-reactor registry shards.
-type MetricsWriter interface {
-	WritePrometheus(w io.Writer) error
-}
-
-// AdminMuxMetrics is AdminMux with an explicit /metrics source, for the
-// sharded target whose scrape joins per-reactor registries at gather time
-// (each under its own shard lock — a scrape never stops the whole
-// datapath).
-func AdminMuxMetrics(rs LockedClock, target *Target, hub *obs.Hub, mw MetricsWriter) *http.ServeMux {
+func AdminMuxMetrics(rs *sim.RealShards, target *Target, hub *obs.Hub, mw MetricsWriter) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")

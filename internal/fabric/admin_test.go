@@ -13,42 +13,47 @@ import (
 	"gimbal/internal/ssd"
 )
 
-// startObservedTCP builds a live Gimbal target with the full telemetry
-// stack attached, as cmd/gimbald does: registry, a full-capture tracer,
-// an SLO engine, and the shared event log.
-func startObservedTCP(t *testing.T) (*TCPTarget, string, *obs.Hub) {
+// startObservedTCP builds a live Gimbal target the way cmd/gimbald does —
+// BuildStack (so the pipeline's device is a fault wrapper over the NAND
+// model), one reactor, and the full telemetry stack attached: registry, a
+// full-capture tracer, an SLO engine, and the shared event log.
+func startObservedTCP(t *testing.T) (*TCPReactors, *obs.Hub) {
 	t.Helper()
-	rs := sim.NewRealScheduler()
+	shards := sim.NewRealShards(1)
 	p := ssd.DCT983()
 	p.UsableBytes = 256 << 20
-	dev := ssd.New(rs, p)
-	dev.Precondition(ssd.Clean, sim.NewRNG(1))
-	tgt := NewTarget(rs, []ssd.Device{dev}, DefaultTargetConfig(SchemeGimbal))
+	st, err := BuildStack([]sim.Scheduler{shards.Shard(0)}, sim.NewRNG(1), StackConfig{
+		Params: p, Cond: ssd.Clean, Target: DefaultTargetConfig(SchemeGimbal),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt := st.Target
 
 	hub := obs.NewHub(obs.NewRegistry())
-	hub.Reg.GatherLock = rs
+	hub.Reg.GatherLock = shards.Shard(0)
 	hub.Tracer = obs.NewTracer(obs.TracerConfig{Capacity: 1024, Mode: obs.TraceFull})
 	hub.Events = obs.NewEventLog(64)
 	hub.SLO = obs.NewSLOEngine(obs.SLOConfig{
 		Default: obs.SLO{LatencyTargetNs: int64(time.Second), LatencyGoal: 0.999},
 	})
 	hub.SLO.SetEventLog(hub.Events)
-	rs.Lock()
+	shards.Lock()
 	tgt.AttachObs(hub)
-	rs.Unlock()
+	shards.Unlock()
 
-	srv, err := ServeTCP(rs, tgt, "127.0.0.1:0")
+	srv, err := ServeTCPReactors(shards, tgt, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.AttachObs(hub.Reg)
+	srv.AttachObs(hub, nil)
 	t.Cleanup(func() { srv.Close() })
-	return srv, srv.Addr(), hub
+	return srv, hub
 }
 
 func TestAdminEndpointLiveTarget(t *testing.T) {
-	srv, addr, hub := startObservedTCP(t)
-	c, err := DialTCP(addr, SchemeGimbal)
+	srv, hub := startObservedTCP(t)
+	c, err := DialTCP(srv.Addr(), SchemeGimbal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,19 +73,22 @@ func TestAdminEndpointLiveTarget(t *testing.T) {
 		}
 	}
 
-	mux := AdminMux(srv.RS, srv.target, hub)
+	mux := AdminMuxMetrics(srv.shards, srv.target, hub, hub.Reg)
 
-	// /metrics: Prometheus text format with the pipeline instruments.
+	// /metrics: Prometheus text format with the pipeline instruments — the
+	// NAND families included, though the pipeline's device is the fault
+	// wrapper around the model.
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
 	for _, want := range []string{
 		"# TYPE gimbal_pacing_stalls_total counter",
 		`gimbal_submits_total{ssd="0"}`,
-		"fabric_rx_capsules_total 64",
+		`fabric_reactor_rx_capsules{reactor="0"} 64`,
 		"fabric_open_sessions 1",
 		`tenant_completed_ops_total{ssd="0",tenant=`,
 		"ssd_write_amplification",
+		`ssd_gc_invocations_total{ssd="0"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
@@ -171,8 +179,8 @@ func TestAdminEndpointLiveTarget(t *testing.T) {
 }
 
 func TestShutdownDrainsInflight(t *testing.T) {
-	srv, addr, _ := startObservedTCP(t)
-	c, err := DialTCP(addr, SchemeGimbal)
+	srv, _ := startObservedTCP(t)
+	c, err := DialTCP(srv.Addr(), SchemeGimbal)
 	if err != nil {
 		t.Fatal(err)
 	}

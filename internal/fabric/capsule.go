@@ -4,8 +4,9 @@
 // initiator sessions with the client side of the flow-control protocols.
 // Two interchangeable transports exist: an in-simulator loopback link
 // (latency + bandwidth model of the §2.1 RDMA flow) used by every
-// experiment, and a real TCP transport (tcp.go) used by the live target
-// binary and the integration tests.
+// experiment, and a real TCP transport (framing and initiator in tcp.go,
+// the per-SSD reactor target in reactor.go) used by the live target binary
+// and the integration tests.
 package fabric
 
 import (

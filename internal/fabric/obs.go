@@ -5,6 +5,7 @@ import (
 
 	"gimbal/internal/nvme"
 	"gimbal/internal/obs"
+	"gimbal/internal/ssd"
 )
 
 // tenantObs is the per-tenant accounting a target keeps when observed:
@@ -76,14 +77,10 @@ func (t *Target) attachObs(h *obs.Hub, regs []*obs.Registry) {
 			ph.Reg = reg
 			p.Gimbal.AttachObs(&ph, i)
 		}
-		// Interface assertion rather than *ssd.SSD: a fast-tier wrapper
-		// (internal/tier) exports its own instruments and chains to the
-		// NAND device underneath, while a bare fault wrapper — which has
-		// no telemetry of its own — keeps today's behavior of exporting
-		// nothing.
-		if dev, ok := p.Dev.(interface {
-			AttachObs(*obs.Registry, int)
-		}); ok {
+		// The outermost layer that exports telemetry attaches the layers
+		// below itself (tier → NAND); a bare fault wrapper has none of its
+		// own, so the walk continues to the NAND model under it.
+		if dev, ok := ssd.Find[ssd.ObsAttacher](p.Dev); ok {
 			dev.AttachObs(reg, i)
 		}
 		for _, tn := range p.tenants {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net"
 	"strconv"
 	"sync"
@@ -16,11 +17,11 @@ import (
 	"gimbal/internal/ssd"
 )
 
-// This file is the live reactor datapath (DESIGN.md §4.1): the sharded
-// alternative to ServeTCP's single-lock target. Each SSD pipeline runs on
-// one RealScheduler shard owned by one reactor goroutine — shared-nothing,
-// like the per-SSD SPDK reactors of the paper's Stingray prototype — and
-// bounded SPSC rings carry work between the transport goroutines:
+// This file is the live reactor datapath (DESIGN.md §4.1), the one TCP
+// target in the tree. Each SSD pipeline runs on one RealScheduler shard
+// owned by one reactor goroutine — shared-nothing, like the per-SSD SPDK
+// reactors of the paper's Stingray prototype — and bounded SPSC rings
+// carry work between the transport goroutines:
 //
 //	conn reader ──cmd ring──▶ reactor (shard j) ──cpl ring──▶ conn writer
 //	     ▲                                                        │
@@ -50,6 +51,14 @@ const (
 	// connSlots is the per-connection IO slot pool: the pipelining depth a
 	// single session can keep in flight inside the target.
 	connSlots = 512
+
+	// maxReadLen is the largest read whose response still fits one frame;
+	// anything longer would grow a slot's buffer to the requested size and
+	// emit a frame readFrameInto rejects.
+	maxReadLen = maxFrame - rspHeaderLen
+	// maxSLBA is the last block address whose byte offset, plus any 32-bit
+	// length, still fits the int64 the bounds check downstream adds in.
+	maxSLBA = (math.MaxInt64 - math.MaxUint32) / 4096
 )
 
 // zeroSlab backs read-response payloads. The simulated SSD stores no
@@ -168,10 +177,8 @@ type rconn struct {
 	readerExit  chan struct{}
 }
 
-// TCPReactors serves a sharded Target over TCP with per-SSD reactors. It
-// is the multi-core sibling of TCPTarget: same wire protocol, same tenant
-// bootstrap, but ingress for SSD i runs on shard i%R under that shard's
-// lock only.
+// TCPReactors serves a sharded Target over TCP with per-SSD reactors:
+// ingress for SSD i runs on shard i%R under that shard's lock only.
 type TCPReactors struct {
 	shards *sim.RealShards
 	target *Target
@@ -686,8 +693,15 @@ func (r *reactor) submit(cd *conduit, s *ioSlot) {
 	s.cid = cmd.CID
 	s.wantData = cmd.Opcode == nvme.OpRead
 	s.size = int(cmd.Length)
-	if int(cmd.NSID) >= t.target.SSDs() {
+	// Everything a hostile capsule can break above the schedulers' own
+	// bounds check (nvme.Submitter.Check: capacity, alignment, zero size)
+	// is rejected here, before the command touches a pipeline.
+	if int(cmd.NSID) >= t.target.SSDs() || cmd.Priority >= nvme.NumPriorities {
 		s.finish(nil, nvme.Completion{Status: nvme.StatusInvalidOp})
+		return
+	}
+	if cmd.SLBA > maxSLBA || (s.wantData && cmd.Length > maxReadLen) {
+		s.finish(nil, nvme.Completion{Status: nvme.StatusInvalidLBA})
 		return
 	}
 	tn := cd.tenants[cmd.NSID]

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bufio"
 	"encoding/binary"
 	"io"
 	"net"
@@ -101,27 +102,66 @@ func TestReactorRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReactorInvalidNSID(t *testing.T) {
+// TestReactorInvalidCommands: every malformed command a client can frame
+// gets an error status at the submit point, allocates nothing the size of
+// its claims, and leaves the connection serving.
+func TestReactorInvalidCommands(t *testing.T) {
 	srv, _ := startReactors(t, SchemeVanilla, 2, 2)
 	c, err := DialTCP(srv.Addr(), SchemeVanilla)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	rsp, err := c.Do(&CommandCapsule{Opcode: nvme.OpRead, NSID: 9, Length: 4096})
+	const capacity = 256 << 20 // startReactors' NULL devices
+	for _, tc := range []struct {
+		name string
+		cmd  CommandCapsule
+		want nvme.Status
+	}{
+		{"bad NSID", CommandCapsule{Opcode: nvme.OpRead, NSID: 9, Length: 4096}, nvme.StatusInvalidOp},
+		{"bad priority", CommandCapsule{Opcode: nvme.OpRead, Priority: nvme.NumPriorities, Length: 4096}, nvme.StatusInvalidOp},
+		{"bad opcode", CommandCapsule{Opcode: 0x7f, Length: 4096}, nvme.StatusInvalidOp},
+		{"LBA past capacity", CommandCapsule{Opcode: nvme.OpRead, SLBA: capacity / 4096, Length: 4096}, nvme.StatusInvalidLBA},
+		{"range straddles capacity", CommandCapsule{Opcode: nvme.OpWrite, SLBA: capacity/4096 - 1, Length: 8192}, nvme.StatusInvalidLBA},
+		// 2^52+1 blocks is byte offset 2^64+4096, which wrapped to LBA 1.
+		{"SLBA overflow", CommandCapsule{Opcode: nvme.OpRead, SLBA: 1<<52 + 1, Length: 4096}, nvme.StatusInvalidLBA},
+		{"SLBA + length overflow", CommandCapsule{Opcode: nvme.OpWrite, SLBA: maxSLBA + 1, Length: 1<<32 - 4096}, nvme.StatusInvalidLBA},
+		{"zero length", CommandCapsule{Opcode: nvme.OpRead, Length: 0}, nvme.StatusInvalidLBA},
+		{"unaligned length", CommandCapsule{Opcode: nvme.OpRead, Length: 100}, nvme.StatusInvalidLBA},
+		// In range for the device, but the response could not be framed.
+		{"oversize read", CommandCapsule{Opcode: nvme.OpRead, Length: 128 << 20}, nvme.StatusInvalidLBA},
+		{"largest unframeable read", CommandCapsule{Opcode: nvme.OpRead, Length: maxFrame}, nvme.StatusInvalidLBA},
+	} {
+		cmd := tc.cmd
+		rsp, err := c.Do(&cmd)
+		if err != nil {
+			t.Fatalf("%s: connection failed: %v", tc.name, err)
+		}
+		if rsp.Status != tc.want {
+			t.Errorf("%s: status %#x, want %#x", tc.name, uint16(rsp.Status), uint16(tc.want))
+		}
+		if len(rsp.Data) != 0 {
+			t.Errorf("%s: error reply carries %d data bytes", tc.name, len(rsp.Data))
+		}
+		// The connection must stay usable after the error reply.
+		rsp, err = c.DoIO(nvme.OpRead, 0, 0, 4096, nil)
+		if err != nil {
+			t.Fatalf("%s: follow-up read: %v", tc.name, err)
+		}
+		if rsp.Status != nvme.StatusOK || len(rsp.Data) != 4096 {
+			t.Fatalf("%s: follow-up read status %v, %d bytes", tc.name, rsp.Status, len(rsp.Data))
+		}
+	}
+	// The largest read that does fit a frame is still served.
+	rsp, err := c.Do(&CommandCapsule{Opcode: nvme.OpRead, Length: 4<<20 - 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rsp.Status == nvme.StatusOK {
-		t.Fatal("bad namespace should fail")
+	if rsp.Status != nvme.StatusOK || len(rsp.Data) != 4<<20-4096 {
+		t.Fatalf("largest framed read: status %v, %d bytes", rsp.Status, len(rsp.Data))
 	}
-	// The connection must stay usable after the error reply.
-	rsp, err = c.DoIO(nvme.OpRead, 0, 0, 4096, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rsp.Status != nvme.StatusOK {
-		t.Fatalf("follow-up read status %v", rsp.Status)
+	if n := srv.Inflight(); n != 0 {
+		t.Fatalf("inflight = %d after the table", n)
 	}
 }
 
@@ -216,6 +256,81 @@ func TestReactorShutdownDrains(t *testing.T) {
 		t.Fatalf("inflight = %d after shutdown", n)
 	}
 	c.Close()
+}
+
+// TestReactorPeerResetReclaims: clients that vanish mid-burst (RST, no
+// drain) leave nothing behind — every pipeline's tenant list empties, the
+// in-flight count and the session gauge return to zero, and once the
+// server is closed no goroutine of it survives.
+func TestReactorPeerResetReclaims(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+
+	const ssds = 2
+	srv := startReactorsSSD(t, SchemeGimbal, ssds, 2)
+	shards, tgt := srv.shards, srv.target
+	reg := obs.NewRegistry()
+	srv.AttachObs(obs.NewHub(reg), nil)
+
+	// Each client pipelines a burst of 128KB reads across both namespaces
+	// — far more than the switch admits at once, so most of it is queued
+	// in the schedulers — waits for the first reply (proof the burst is
+	// inside the target; an RST could otherwise discard it unread), then
+	// resets the connection with the rest outstanding.
+	const clients, burst = 4, 256
+	for i := 0; i < clients; i++ {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var frames []byte
+		for j := 0; j < burst; j++ {
+			frames = binary.BigEndian.AppendUint32(frames, cmdHeaderLen)
+			frames = AppendCommand(frames, &CommandCapsule{
+				Opcode: nvme.OpRead, CID: uint16(j), NSID: uint8(j % ssds),
+				SLBA: uint64(j) * 32, Length: 128 << 10,
+			})
+		}
+		if _, err := conn.Write(frames); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readFrame(bufio.NewReader(conn)); err != nil {
+			t.Fatal(err)
+		}
+		conn.(*net.TCPConn).SetLinger(0) // close sends RST
+		conn.Close()
+	}
+
+	registered := func() int {
+		shards.Lock()
+		defer shards.Unlock()
+		n := 0
+		for i := 0; i < ssds; i++ {
+			n += len(tgt.Pipeline(i).Tenants())
+		}
+		return n
+	}
+	settled := func() bool {
+		return srv.Inflight() == 0 && registered() == 0 &&
+			obs.SumMetric(reg.Snapshot(), "fabric_open_sessions") == 0
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !settled() && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !settled() {
+		t.Fatalf("after peer reset: inflight=%d registered tenants=%d open sessions=%v",
+			srv.Inflight(), registered(), obs.SumMetric(reg.Snapshot(), "fabric_open_sessions"))
+	}
+
+	srv.Close()
+	for time.Now().Before(deadline) && runtime.NumGoroutine() > baseline {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines after Close, %d before the server started:\n%s",
+			n, baseline, buf[:runtime.Stack(buf, true)])
+	}
 }
 
 // TestReactorShardedObs wires the full sharded observability stack the

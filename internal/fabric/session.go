@@ -239,6 +239,37 @@ func (s *Session) ArmLinkFaults(lf *fault.LinkFaults) {
 // LinkFaults returns the armed frame-fault state, or nil.
 func (s *Session) LinkFaults() *fault.LinkFaults { return s.lf }
 
+// ApplyFault engages (active) or reverts one fabric fault event on this
+// session — the hook a fault.Engine's Fabric callback routes to. Frame
+// faults arm LinkFaults on first use with a stream derived from seed and
+// the event's session index, so the fault stream is deterministic
+// regardless of event order; a disconnect is permanent.
+func (s *Session) ApplyFault(ev fault.Event, active bool, seed uint64) {
+	if ev.Kind == fault.FabricDisconnect {
+		if active {
+			s.Disconnect()
+		}
+		return
+	}
+	if s.lf == nil {
+		s.ArmLinkFaults(fault.NewLinkFaults(seed ^ (uint64(ev.Session)+1)*0x9e3779b97f4a7c15))
+	}
+	var prob float64
+	var delay, jitter int64
+	if active {
+		prob, delay, jitter = ev.Prob, ev.Extra, ev.Extra2
+	}
+	switch ev.Kind {
+	case fault.FabricDrop:
+		s.lf.SetDrop(prob)
+	case fault.FabricDuplicate:
+		s.lf.SetDuplicate(prob)
+	case fault.FabricDelay:
+		s.lf.SetDelay(delay)
+		s.lf.SetJitter(jitter)
+	}
+}
+
 // Closed reports whether the session has been disconnected.
 func (s *Session) Closed() bool { return s.closed }
 

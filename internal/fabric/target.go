@@ -96,9 +96,9 @@ type Pipeline struct {
 	// Gimbal is non-nil when the scheme is Gimbal (virtual-view access).
 	Gimbal *core.Switch
 
-	// clk drives this pipeline. In the simulator and the single-lock live
-	// target every pipeline shares one scheduler; in sharded live mode each
-	// pipeline runs on its reactor's shard.
+	// clk drives this pipeline. In the simulator every pipeline shares one
+	// scheduler; on the live target each pipeline runs on its reactor's
+	// shard.
 	clk sim.Scheduler
 
 	// tenants lists every tenant registered on this pipeline (stats).

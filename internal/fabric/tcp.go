@@ -3,23 +3,21 @@ package fabric
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gimbal/internal/nvme"
-	"gimbal/internal/obs"
-	"gimbal/internal/sim"
 )
 
 // The TCP transport frames capsules with a 4-byte big-endian length prefix
 // on a plain TCP stream — the NVMe-over-TCP shape of NVMe-oF (§2.1 lists
 // TCP among the supported fabrics). One TCP connection corresponds to one
-// tenant per namespace (the RDMA qpair + NVMe qpair pairing of §3.1).
+// tenant per namespace (the RDMA qpair + NVMe qpair pairing of §3.1). This
+// file holds the framing both ends share and the initiator; the target side
+// is the reactor datapath in reactor.go.
 
 const maxFrame = 4 << 20 // caps a frame at 4MB: header + 128KB data is typical
 
@@ -78,226 +76,6 @@ func (f *frameBuf) seal() {
 
 func putFrame(f *frameBuf) { framePool.Put(f) }
 
-// TCPTarget serves a Target over TCP. Devices must have been built against
-// the provided RealScheduler; all pipeline access is serialized by its
-// lock.
-type TCPTarget struct {
-	RS     *sim.RealScheduler
-	target *Target
-	ln     net.Listener
-	wg     sync.WaitGroup
-	closed atomic.Bool
-
-	tenantID atomic.Int64
-
-	// Connection tracking and in-flight accounting for graceful shutdown
-	// and the session-depth telemetry. sessions mirrors len(conns) so the
-	// /metrics gauge never takes connMu against accept/teardown.
-	connMu   sync.Mutex
-	conns    map[net.Conn]struct{}
-	sessions atomic.Int64
-	inflight atomic.Int64
-
-	// Capsule counters; nil until AttachObs.
-	rxCapsules *obs.Counter
-	txCapsules *obs.Counter
-}
-
-// AttachObs registers the transport's telemetry: per-target capsule
-// counters, the live in-flight command depth, and the open session count.
-func (t *TCPTarget) AttachObs(reg *obs.Registry) {
-	t.rxCapsules = reg.Counter("fabric_rx_capsules_total", "")
-	t.txCapsules = reg.Counter("fabric_tx_capsules_total", "")
-	reg.Help("fabric_rx_capsules_total", "command capsules received")
-	reg.Help("fabric_tx_capsules_total", "response capsules sent")
-	reg.GaugeFunc("fabric_inflight_commands", "", func() float64 { return float64(t.inflight.Load()) })
-	reg.GaugeFunc("fabric_open_sessions", "", func() float64 { return float64(t.sessions.Load()) })
-}
-
-// Inflight returns the number of commands currently inside the target.
-func (t *TCPTarget) Inflight() int64 { return t.inflight.Load() }
-
-// ServeTCP starts accepting NVMe-oF-style connections on addr. The target
-// and its devices must share rs as their scheduler.
-func ServeTCP(rs *sim.RealScheduler, target *Target, addr string) (*TCPTarget, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	t := &TCPTarget{RS: rs, target: target, ln: ln, conns: map[net.Conn]struct{}{}}
-	t.wg.Add(1)
-	go t.acceptLoop()
-	return t, nil
-}
-
-// Addr returns the listening address.
-func (t *TCPTarget) Addr() string { return t.ln.Addr().String() }
-
-// Close stops the listener and force-closes every open connection;
-// in-flight commands complete into closed sockets.
-func (t *TCPTarget) Close() error {
-	t.closed.Store(true)
-	err := t.ln.Close()
-	t.closeConns()
-	t.wg.Wait()
-	return err
-}
-
-// Shutdown is the graceful variant of Close: it stops accepting, waits up
-// to timeout for in-flight commands to drain (so their completion capsules
-// reach clients), then closes the remaining sessions.
-func (t *TCPTarget) Shutdown(timeout time.Duration) error {
-	t.closed.Store(true)
-	err := t.ln.Close()
-	deadline := time.Now().Add(timeout)
-	for t.inflight.Load() > 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.closeConns()
-	t.wg.Wait()
-	return err
-}
-
-func (t *TCPTarget) closeConns() {
-	t.connMu.Lock()
-	for c := range t.conns {
-		c.Close()
-	}
-	t.connMu.Unlock()
-}
-
-func (t *TCPTarget) acceptLoop() {
-	defer t.wg.Done()
-	for {
-		conn, err := t.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		t.connMu.Lock()
-		if t.closed.Load() {
-			t.connMu.Unlock()
-			conn.Close()
-			continue
-		}
-		t.conns[conn] = struct{}{}
-		t.sessions.Add(1)
-		t.connMu.Unlock()
-		t.wg.Add(1)
-		go t.serveConn(conn)
-	}
-}
-
-func (t *TCPTarget) serveConn(conn net.Conn) {
-	defer t.wg.Done()
-	defer func() {
-		t.connMu.Lock()
-		delete(t.conns, conn)
-		t.sessions.Add(-1)
-		t.connMu.Unlock()
-		conn.Close()
-	}()
-	out := make(chan *frameBuf, 4096)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		w := bufio.NewWriter(conn)
-		for frame := range out {
-			_, err := w.Write(frame.b)
-			putFrame(frame)
-			if err != nil {
-				return
-			}
-			if len(out) == 0 {
-				if err := w.Flush(); err != nil {
-					return
-				}
-			}
-		}
-	}()
-
-	// One tenant per namespace on this connection. The command capsule and
-	// the frame buffer are reused across iterations: handle consumes the
-	// capsule synchronously and retains nothing from it.
-	tenants := map[uint8]*nvme.Tenant{}
-	r := bufio.NewReaderSize(conn, 256<<10)
-	var scratch []byte
-	var cmd CommandCapsule
-	for {
-		frame, err := readFrameInto(r, scratch)
-		if err != nil {
-			break
-		}
-		scratch = frame
-		if _, err := DecodeCommandInto(&cmd, frame); err != nil {
-			break
-		}
-		t.handle(&cmd, tenants, out)
-	}
-	close(out)
-	<-done
-}
-
-// handle injects one command into the right pipeline under the scheduler
-// lock and arranges the response frame. The capsule is owned by the caller
-// and reused for the next command, so nothing here may retain it.
-func (t *TCPTarget) handle(cmd *CommandCapsule, tenants map[uint8]*nvme.Tenant, out chan<- *frameBuf) {
-	if t.rxCapsules != nil {
-		t.rxCapsules.Inc()
-	}
-	t.inflight.Add(1)
-	respond := func(rsp *ResponseCapsule) {
-		t.inflight.Add(-1)
-		if t.txCapsules != nil {
-			t.txCapsules.Inc()
-		}
-		frame := getFrame()
-		frame.b = AppendResponse(frame.b, rsp)
-		frame.seal()
-		select {
-		case out <- frame:
-		default:
-			// Writer stalled beyond the outbound buffer: the client has
-			// violated flow control badly enough that dropping the
-			// connection is the only safe recovery.
-			putFrame(frame)
-		}
-	}
-	if int(cmd.NSID) >= t.target.SSDs() {
-		respond(&ResponseCapsule{CID: cmd.CID, Status: nvme.StatusInvalidOp})
-		return
-	}
-	cid := cmd.CID
-	wantData := cmd.Opcode == nvme.OpRead
-	size := int(cmd.Length)
-	io := &nvme.IO{
-		Op:       cmd.Opcode,
-		Offset:   int64(cmd.SLBA) * 4096,
-		Size:     size,
-		Priority: cmd.Priority,
-		Done: func(_ *nvme.IO, cpl nvme.Completion) {
-			rsp := &ResponseCapsule{CID: cid, Status: cpl.Status, Credit: cpl.Credit}
-			if wantData && cpl.Status == nvme.StatusOK {
-				// The simulated SSD stores no payloads; serve zeroes so the
-				// wire carries realistic volume.
-				rsp.Data = make([]byte, size)
-			}
-			respond(rsp)
-		},
-	}
-
-	t.RS.Lock()
-	defer t.RS.Unlock()
-	tn, ok := tenants[cmd.NSID]
-	if !ok {
-		id := int(t.tenantID.Add(1))
-		tn = nvme.NewTenant(id, fmt.Sprintf("conn%d-ns%d", id, cmd.NSID))
-		tenants[cmd.NSID] = tn
-		t.target.Register(int(cmd.NSID), tn)
-	}
-	io.Tenant = tn
-	t.target.Ingress(int(cmd.NSID), io)
-}
-
 // TCPClient is the initiator side: it multiplexes async commands over one
 // connection and applies the scheme's client-side gate (credit or PARDA).
 type TCPClient struct {
@@ -317,7 +95,7 @@ type TCPClient struct {
 
 type pendingCall struct {
 	cmd    *CommandCapsule
-	sentAt int64
+	sentAt time.Time // stamped by sendLocked: the gate's latency signal
 	done   chan callResult
 }
 
@@ -369,7 +147,8 @@ func (c *TCPClient) readLoop() {
 		call := c.pending[rsp.CID]
 		delete(c.pending, rsp.CID)
 		if call != nil {
-			c.gate.OnCompletion(nvme.Completion{Status: rsp.Status, Credit: rsp.Credit}, 0)
+			c.gate.OnCompletion(nvme.Completion{Status: rsp.Status, Credit: rsp.Credit},
+				int64(time.Since(call.sentAt)))
 		}
 		c.drainLocked()
 		c.mu.Unlock()
@@ -439,6 +218,7 @@ func (c *TCPClient) sendLocked(call *pendingCall) {
 		}
 	}
 	call.cmd.CID = c.nextCID
+	call.sentAt = time.Now()
 	c.pending[c.nextCID] = call
 	c.gate.OnSubmit()
 	frame := getFrame()
@@ -468,6 +248,3 @@ func (c *TCPClient) Headroom() int {
 	defer c.mu.Unlock()
 	return c.gate.Headroom()
 }
-
-// ErrClosed is returned for calls after the connection failed.
-var ErrClosed = errors.New("fabric: connection closed")

@@ -6,61 +6,15 @@ import (
 	"time"
 
 	"gimbal/internal/nvme"
-	"gimbal/internal/sim"
-	"gimbal/internal/ssd"
 )
 
-// startTCP spins up a real TCP target backed by a wall-clock SSD model.
-func startTCP(t *testing.T, scheme Scheme) (*TCPTarget, string) {
-	t.Helper()
-	rs := sim.NewRealScheduler()
-	p := ssd.DCT983()
-	p.UsableBytes = 256 << 20
-	dev := ssd.New(rs, p)
-	dev.Precondition(ssd.Clean, sim.NewRNG(1))
-	tgt := NewTarget(rs, []ssd.Device{dev}, DefaultTargetConfig(scheme))
-	srv, err := ServeTCP(rs, tgt, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv, srv.Addr()
-}
+type netError struct{ s nvme.Status }
 
-func TestTCPReadWriteRoundTrip(t *testing.T) {
-	_, addr := startTCP(t, SchemeVanilla)
-	c, err := DialTCP(addr, SchemeVanilla)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	data := make([]byte, 8192)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	rsp, err := c.DoIO(nvme.OpWrite, 0, 4096, len(data), data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rsp.Status != nvme.StatusOK {
-		t.Fatalf("write status %v", rsp.Status)
-	}
-	rsp, err = c.DoIO(nvme.OpRead, 0, 4096, 8192, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rsp.Status != nvme.StatusOK {
-		t.Fatalf("read status %v", rsp.Status)
-	}
-	if len(rsp.Data) != 8192 {
-		t.Fatalf("read returned %d bytes, want 8192", len(rsp.Data))
-	}
-}
+func (e *netError) Error() string { return "unexpected status" }
 
 func TestTCPInvalidRequestGetsErrorStatus(t *testing.T) {
-	_, addr := startTCP(t, SchemeVanilla)
-	c, err := DialTCP(addr, SchemeVanilla)
+	srv := startReactorsSSD(t, SchemeVanilla, 1, 1)
+	c, err := DialTCP(srv.Addr(), SchemeVanilla)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,73 +38,9 @@ func TestTCPInvalidRequestGetsErrorStatus(t *testing.T) {
 	}
 }
 
-func TestTCPConcurrentClients(t *testing.T) {
-	_, addr := startTCP(t, SchemeGimbal)
-	const clients = 4
-	const opsEach = 100
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			c, err := DialTCP(addr, SchemeGimbal)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			for j := 0; j < opsEach; j++ {
-				off := int64(id*opsEach+j) * 4096 % (128 << 20)
-				rsp, err := c.DoIO(nvme.OpRead, 0, off, 4096, nil)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if rsp.Status != nvme.StatusOK {
-					errs <- &netError{rsp.Status}
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		t.Fatal(err)
-	default:
-	}
-}
-
-type netError struct{ s nvme.Status }
-
-func (e *netError) Error() string { return "unexpected status" }
-
-func TestTCPGimbalCreditPiggyback(t *testing.T) {
-	_, addr := startTCP(t, SchemeGimbal)
-	c, err := DialTCP(addr, SchemeGimbal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var lastCredit uint32
-	for j := 0; j < 200; j++ {
-		rsp, err := c.DoIO(nvme.OpRead, 0, int64(j)*4096, 4096, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rsp.Credit > 0 {
-			lastCredit = rsp.Credit
-		}
-	}
-	if lastCredit == 0 {
-		t.Fatal("no credit ever piggybacked on completions")
-	}
-}
-
 func TestTCPClientFailsPendingOnClose(t *testing.T) {
-	srv, addr := startTCP(t, SchemeVanilla)
-	c, err := DialTCP(addr, SchemeVanilla)
+	srv := startReactorsSSD(t, SchemeVanilla, 1, 1)
+	c, err := DialTCP(srv.Addr(), SchemeVanilla)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,5 +61,66 @@ func TestTCPClientFailsPendingOnClose(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("call after close hung")
+	}
+}
+
+// recordingGater admits everything and keeps the latencies it is shown.
+type recordingGater struct {
+	mu   sync.Mutex
+	lats []int64
+}
+
+func (g *recordingGater) CanSubmit() bool { return true }
+func (g *recordingGater) OnSubmit()       {}
+func (g *recordingGater) Headroom() int   { return 1 }
+func (g *recordingGater) OnCompletion(_ nvme.Completion, lat int64) {
+	g.mu.Lock()
+	g.lats = append(g.lats, lat)
+	g.mu.Unlock()
+}
+
+// TestTCPClientMeasuresLatency: the client-side gate is fed the measured
+// round trip of every command — PARDA's window runs on nothing else. (The
+// client used to pass 0, so a PARDA window over TCP only ever grew.)
+func TestTCPClientMeasuresLatency(t *testing.T) {
+	srv := startReactorsSSD(t, SchemeVanilla, 1, 1)
+	c, err := DialTCP(srv.Addr(), SchemeParda)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	g := &recordingGater{}
+	c.mu.Lock()
+	c.gate = g
+	c.mu.Unlock()
+
+	const n = 16
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		rsp, err := c.DoIO(nvme.OpRead, 0, int64(i)*4096, 4096, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rsp.Status != nvme.StatusOK {
+			t.Fatalf("read %d status %v", i, rsp.Status)
+		}
+	}
+	wall := int64(time.Since(start))
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.lats) != n {
+		t.Fatalf("gate saw %d completions, want %d", len(g.lats), n)
+	}
+	var sum int64
+	for i, lat := range g.lats {
+		if lat <= 0 {
+			t.Fatalf("completion %d reported latency %d to the gate, want > 0", i, lat)
+		}
+		sum += lat
+	}
+	// Sequential commands: their round trips cannot add up to more than
+	// the time the loop took.
+	if sum > wall {
+		t.Fatalf("latencies sum to %v over a %v run", time.Duration(sum), time.Duration(wall))
 	}
 }

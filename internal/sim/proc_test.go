@@ -152,7 +152,7 @@ func TestProcWakeFromEvent(t *testing.T) {
 }
 
 func TestRealSchedulerFiresCallbacks(t *testing.T) {
-	s := NewRealScheduler()
+	s := NewRealShards(1).Shard(0)
 	done := make(chan struct{})
 	s.After(int64(time.Millisecond), func() { close(done) })
 	select {
@@ -166,7 +166,7 @@ func TestRealSchedulerFiresCallbacks(t *testing.T) {
 }
 
 func TestRealSchedulerCancel(t *testing.T) {
-	s := NewRealScheduler()
+	s := NewRealShards(1).Shard(0)
 	fired := make(chan struct{}, 1)
 	e := s.After(int64(5*time.Millisecond), func() { fired <- struct{}{} })
 	s.Lock()

@@ -11,15 +11,11 @@ import (
 // goroutines serialized by an internal mutex, so components driven by a
 // RealScheduler see the same single-threaded discipline they see under the
 // event loop; use Lock/Unlock around external entry points into such
-// components.
+// components. Schedulers come in sets: NewRealShards(1).Shard(0) is the
+// lone one.
 type RealScheduler struct {
 	mu    sync.Mutex
 	epoch time.Time
-}
-
-// NewRealScheduler returns a wall-clock scheduler with the epoch at now.
-func NewRealScheduler() *RealScheduler {
-	return &RealScheduler{epoch: time.Now()}
 }
 
 // RealShards is a set of wall-clock scheduler shards sharing one epoch:
@@ -28,8 +24,7 @@ func NewRealScheduler() *RealScheduler {
 // shard (SSD model, switch pipeline) are serialized by that shard's lock
 // only, so reactors never contend with each other on the per-IO path.
 // Admin snapshots that must observe every pipeline at once take all shard
-// locks through Lock/Unlock; RealShards therefore satisfies the same
-// Locker+Now surface a single RealScheduler does.
+// locks through Lock/Unlock.
 type RealShards struct {
 	shards []*RealScheduler
 }

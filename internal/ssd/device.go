@@ -84,6 +84,23 @@ type Device interface {
 	Capacity() int64
 }
 
+// Find returns the outermost layer of dev's wrapper chain that is a T,
+// unwrapping layers that expose Inner (the fault wrapper, the fast tier).
+// Find[*SSD] reaches the NAND model under any stack.
+func Find[T any](dev Device) (T, bool) {
+	for {
+		if t, ok := dev.(T); ok {
+			return t, true
+		}
+		u, ok := dev.(interface{ Inner() Device })
+		if !ok {
+			var zero T
+			return zero, false
+		}
+		dev = u.Inner()
+	}
+}
+
 // Stats is a snapshot of device counters.
 type Stats struct {
 	ReadBytes    int64
@@ -239,6 +256,9 @@ func (s *SSD) Params() Params { return s.p }
 // with an untiered device of identical Params. Must be called before
 // Precondition.
 func (s *SSD) SetSnapshotTag(tag uint64) { s.snapTag = tag }
+
+// SnapshotTag returns the tag set by SetSnapshotTag (0 = untagged).
+func (s *SSD) SnapshotTag() uint64 { return s.snapTag }
 
 // Capacity implements Device.
 func (s *SSD) Capacity() int64 { return s.p.UsableBytes }

@@ -16,6 +16,13 @@ type deviceObs struct {
 	flushedBytes  *obs.Counter
 }
 
+// ObsAttacher is a device layer that exports telemetry. A wrapper that
+// implements it attaches the layers below itself, so callers attach only
+// the outermost one: Find[ObsAttacher](dev).
+type ObsAttacher interface {
+	AttachObs(reg *obs.Registry, ssdIdx int)
+}
+
 // AttachObs registers this SSD's telemetry into reg under an ssd label.
 // Call once, before traffic, from scheduler context.
 func (s *SSD) AttachObs(reg *obs.Registry, ssdIdx int) {

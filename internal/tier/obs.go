@@ -38,17 +38,7 @@ func (t *Device) AttachObs(reg *obs.Registry, ssdIdx int) {
 		return float64(t.table.used) / float64(t.nslots)
 	})
 
-	for dev := t.inner; ; {
-		if a, ok := dev.(interface {
-			AttachObs(*obs.Registry, int)
-		}); ok {
-			a.AttachObs(reg, ssdIdx)
-			return
-		}
-		u, ok := dev.(interface{ Inner() ssd.Device })
-		if !ok {
-			return
-		}
-		dev = u.Inner()
+	if a, ok := ssd.Find[ssd.ObsAttacher](t.inner); ok {
+		a.AttachObs(reg, ssdIdx)
 	}
 }

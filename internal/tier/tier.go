@@ -246,19 +246,9 @@ func New(clk sim.Scheduler, inner ssd.Device, p Params) *Device {
 		t.ghostRing[i] = ghostEmpty
 	}
 	t.destageFn = func() { t.startBatch() }
-	// Unwrap the inner chain (fault wrappers etc.) to find the NAND model
-	// whose GC pressure feeds the cost model.
-	for dev := inner; ; {
-		if s, ok := dev.(*ssd.SSD); ok {
-			t.nand = s
-			break
-		}
-		u, ok := dev.(interface{ Inner() ssd.Device })
-		if !ok {
-			break
-		}
-		dev = u.Inner()
-	}
+	// The NAND model under the inner chain (fault wrappers etc.) is the
+	// one whose GC pressure feeds the cost model.
+	t.nand, _ = ssd.Find[*ssd.SSD](inner)
 	return t
 }
 
