@@ -267,10 +267,31 @@ func BenchmarkAtCancel(b *testing.B) {
 	}
 }
 
+// BenchmarkTimerReschedule measures the re-key path the rate pacers take
+// on every stalled pump pass: one long-lived timer moved per op, behind
+// 512 pending one-shots. Compare BenchmarkAtCancel, the cancel-and-arm
+// cycle it replaced.
+func BenchmarkTimerReschedule(b *testing.B) {
+	loop := sim.NewLoop()
+	for i := 0; i < 512; i++ {
+		loop.At(1<<40+int64(i), func() {})
+	}
+	h := loop.At(1000, func() {})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h = h.Reschedule(int64(1000 + i%512))
+	}
+	b.StopTimer()
+	if !h.Active() {
+		b.Fatal("timer lost")
+	}
+}
+
 // TestLoopSchedulingAllocFree pins the event engine's zero-allocation
 // contract: once the arena is warm, the schedule→fire→reschedule cycle of
-// a self-rescheduling timer and the schedule→cancel cycle of a churny one
-// must not allocate.
+// a self-rescheduling timer, the schedule→cancel cycle of a churny one and
+// the arm→re-key→fire cycle of a pacing timer must not allocate.
 func TestLoopSchedulingAllocFree(t *testing.T) {
 	loop := sim.NewLoop()
 	n := 0
@@ -297,6 +318,16 @@ func TestLoopSchedulingAllocFree(t *testing.T) {
 		loop.After(100, func() {}).Cancel()
 	}); avg > 0 {
 		t.Errorf("schedule/cancel cycle allocates %.1f objects per run, want 0", avg)
+	}
+	nop := func() {}
+	if avg := testing.AllocsPerRun(100, func() {
+		h := loop.After(100, nop)
+		for i := int64(0); i < 8; i++ {
+			h = h.Reschedule(loop.Now() + 50 + 10*i)
+		}
+		loop.Run()
+	}); avg > 0 {
+		t.Errorf("arm/reschedule/fire cycle allocates %.1f objects per run, want 0", avg)
 	}
 }
 

@@ -153,7 +153,6 @@ func (s *Scheduler) refill() {
 }
 
 func (s *Scheduler) pump() {
-	s.timer.Cancel()
 	s.refill()
 	for s.active.Len() > 0 {
 		ts := s.active.Front().Value.(*tenant)
@@ -176,12 +175,18 @@ func (s *Scheduler) pump() {
 			continue
 		}
 		if s.tokens < c {
-			// Arm a timer for when the bucket covers the cost.
+			// Set the timer for when the bucket covers the cost: move it
+			// if a previous pass left it pending (see core.Switch.pump).
 			wait := int64((c - s.tokens) / s.cfg.TokenRate * 1e9)
 			if wait < sim.Microsecond {
 				wait = sim.Microsecond
 			}
-			s.timer = s.clk.After(wait, s.pumpFn)
+			when := s.clk.Now() + wait
+			if s.timer.Active() {
+				s.timer = s.timer.Reschedule(when)
+			} else {
+				s.timer = s.clk.At(when, s.pumpFn)
+			}
 			return
 		}
 		s.tokens -= c
@@ -190,6 +195,7 @@ func (s *Scheduler) pump() {
 		s.Submits++
 		s.sub.Submit(io, s.onDoneFn)
 	}
+	s.timer.Cancel()
 }
 
 func (s *Scheduler) onDone(io *nvme.IO) {

@@ -98,7 +98,7 @@ func (sw *Switch) AttachObs(h *obs.Hub, ssdIdx int) {
 		o.writeTrans[st] = reg.Counter("gimbal_congestion_transitions_total", wl)
 	}
 
-	reg.Help("gimbal_pacing_stalls_total", "IOs that waited for rate-pacer tokens")
+	reg.Help("gimbal_pacing_stalls_total", "Submission-pump passes that stopped for want of rate-pacer tokens (an IO can stall several)")
 	reg.Help("gimbal_tier_served_total", "IOs served by an interposed fast tier without touching NAND")
 	reg.Help("gimbal_aborted_ios_total", "IOs completed with StatusAborted at the switch (teardown or late capsule)")
 	reg.Help("gimbal_failfast_rejects_total", "IOs rejected while the device was latched failed")

@@ -1,0 +1,89 @@
+package core
+
+import (
+	"testing"
+
+	"gimbal/internal/nvme"
+	"gimbal/internal/sim"
+	"gimbal/internal/ssd"
+	"gimbal/internal/workload"
+)
+
+// cancelOnEntry is the pump this repository had before the pacing timer
+// became re-armable, rebuilt around the current one for use as a test
+// oracle: it cancels the timer before every entry into the switch, so the
+// pump below it never finds one pending and always arms afresh — Cancel,
+// then After, per pass.
+type cancelOnEntry struct{ *Switch }
+
+func (s cancelOnEntry) Enqueue(io *nvme.IO) {
+	s.timer.Cancel()
+	s.Switch.Enqueue(io)
+}
+
+type devDone struct {
+	at, offset int64
+	tenant     int
+	op         nvme.Opcode
+}
+
+// pacedNullRun drives 16 tenants × QD32 of 4KB 90/10 IO through a switch
+// over a NULL device — the rate pacer is the only thing holding IOs back —
+// and returns the device-completion trace and the most cancelled entries
+// the event queue held at any completion.
+func pacedNullRun(oracle bool) (trace []devDone, maxTombstones int) {
+	loop := sim.NewLoop()
+	sw := New(loop, ssd.NewNull(loop, 8<<30, 100), DefaultConfig())
+	var target nvme.Scheduler = sw
+	if oracle {
+		target = cancelOnEntry{sw}
+	}
+	sw.devDoneFn = func(io *nvme.IO) {
+		trace = append(trace, devDone{loop.Now(), io.Offset, io.Tenant.ID, io.Op})
+		if n := loop.Queued() - loop.Pending(); n > maxTombstones {
+			maxTombstones = n
+		}
+		if oracle {
+			sw.timer.Cancel()
+		}
+		sw.onDeviceDone(io)
+	}
+	rng := sim.NewRNG(61)
+	stop := 250 * sim.Millisecond
+	for i := 0; i < 16; i++ {
+		tn := nvme.NewTenant(i, "mix4k")
+		sw.Register(tn)
+		p := workload.Profile{Name: tn.Name, ReadRatio: 0.9, IOSize: 4096, QD: 32, Span: 8 << 30}
+		workload.NewWorker(loop, rng.Fork(), p, tn, workload.SchedTarget{S: target}).Start(stop)
+	}
+	loop.RunUntil(stop)
+	loop.Run()
+	return trace, maxTombstones
+}
+
+// TestPacerReschedulesInPlace pins both halves of the re-armable pacing
+// timer: the simulation cannot tell it from cancelling and arming per pump
+// pass (identical device-completion trace), and the event queue no longer
+// fills with the dead entries that cycle left behind.
+func TestPacerReschedulesInPlace(t *testing.T) {
+	got, tombstones := pacedNullRun(false)
+	want, oracleTombstones := pacedNullRun(true)
+	if len(got) < 10_000 {
+		t.Fatalf("only %d IOs completed: the rig is not running", len(got))
+	}
+	if oracleTombstones <= 2 {
+		t.Fatalf("cancel-and-arm oracle peaked at %d tombstones: the rig is not paced, so the test shows nothing", oracleTombstones)
+	}
+	if tombstones > 2 {
+		t.Errorf("event queue held %d cancelled entries (oracle: %d), want <= 2", tombstones, oracleTombstones)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d completions, oracle %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("completion %d = %+v, oracle %+v", i, got[i], want[i])
+		}
+	}
+	t.Logf("%d completions identical; peak tombstones %d, oracle %d", len(got), tombstones, oracleTombstones)
+}

@@ -266,7 +266,12 @@ func (sw *Switch) Enqueue(io *nvme.IO) {
 
 // pump drains the scheduler while tokens and slots allow (Algorithm 1
 // Submission; it is invoked on every request arrival and completion, so
-// the system is self-clocked).
+// the system is self-clocked). A pass leaves the pacing timer in one of
+// two states: re-keyed to the new refill time if it stalled on tokens, or
+// cancelled if the queue drained. A paced switch stalls on most passes, so
+// the timer is moved (sim.Timer.Reschedule), not cancelled on entry and
+// armed again on exit: what the clock observes is the same, and the event
+// loop is spared a dead entry and a push per pass.
 func (sw *Switch) pump() {
 	if sw.pumping {
 		return // no re-entrant pumping from nested completions
@@ -274,12 +279,12 @@ func (sw *Switch) pump() {
 	sw.pumping = true
 	defer func() { sw.pumping = false }()
 
-	sw.timer.Cancel()
 	now := sw.clk.Now()
 	for {
 		sw.rate.Refill(now, sw.cost.Cost())
 		io := sw.drr.Select()
 		if io == nil {
+			sw.timer.Cancel()
 			return
 		}
 		if io.Admit == 0 {
@@ -287,7 +292,7 @@ func (sw *Switch) pump() {
 		}
 		isWrite := io.Op.IsWrite()
 		if !sw.cfg.DisableCongestionControl && !sw.rate.TryConsume(isWrite, io.Size) {
-			// Token-limited: arm a timer for when the refill covers the
+			// Token-limited: set the timer for when the refill covers the
 			// deficit, instead of busy-polling.
 			if sw.obs != nil {
 				sw.obs.pacingStalls.Inc()
@@ -297,7 +302,11 @@ func (sw *Switch) pump() {
 			if wait < sim.Microsecond {
 				wait = sim.Microsecond
 			}
-			sw.timer = sw.clk.After(wait, sw.pumpFn)
+			if sw.timer.Active() {
+				sw.timer = sw.timer.Reschedule(now + wait)
+			} else {
+				sw.timer = sw.clk.At(now+wait, sw.pumpFn)
+			}
 			return
 		}
 		sw.drr.Commit(io)

@@ -45,11 +45,62 @@ func benchSwitchSubmit(b *testing.B, attach bool) {
 	}
 }
 
+// benchSwitchPaced prices the token-stall path. A closed loop of 8 IOs
+// stands in front of a rate limit far below what the NULL device
+// completes, and the bucket's opening burst is drained before the clock
+// starts, so every enqueue and every completion ends in a stalled pump
+// pass that moves the pacing timer. One iteration is one IO.
+func benchSwitchPaced(b *testing.B) {
+	loop := sim.NewLoop()
+	// Non-zero latency: completions must arrive as loop events, outside
+	// the pump pass that submitted them.
+	dev := ssd.NewNull(loop, 1<<30, 100)
+	cfg := DefaultConfig()
+	cfg.Rate.InitialRate, cfg.Rate.MaxRate = 40e6, 40e6 // one 4KB IO per ~100us
+	sw := New(loop, dev, cfg)
+	tn := nvme.NewTenant(1, "bench")
+	sw.Register(tn)
+
+	budget, done := 0, 0
+	resubmit := func(io *nvme.IO, _ nvme.Completion) {
+		done++
+		if budget > 0 {
+			budget--
+			io.Arrival, io.Admit, io.DevSubmit, io.DevDone = 0, 0, 0, 0
+			sw.Enqueue(io)
+		}
+	}
+	ios := make([]nvme.IO, 8)
+	// run completes n IOs, at most len(ios) of them in flight.
+	run := func(n int) {
+		qd := len(ios)
+		if n < qd {
+			qd = n
+		}
+		budget, done = n-qd, 0
+		for i := range ios[:qd] {
+			ios[i] = nvme.IO{Op: nvme.OpRead, Offset: int64(i) * 4096, Size: 4096, Tenant: tn, Done: resubmit}
+			sw.Enqueue(&ios[i])
+		}
+		loop.Run()
+	}
+	run(2 * int(cfg.Rate.BucketMax) / 4096) // spend the opening burst
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+	b.StopTimer()
+	if done != b.N {
+		b.Fatalf("completed %d of %d", done, b.N)
+	}
+}
+
 // BenchmarkSwitchSubmit is the acceptance benchmark for the telemetry
 // layer: the NoSink variant (obs pointer nil) must stay within noise of
 // the pre-instrumentation submit path, and Attached bounds the cost of
-// full counter/histogram/trace recording.
+// full counter/histogram/trace recording. Paced is the same path when
+// every pump pass stalls on tokens.
 func BenchmarkSwitchSubmit(b *testing.B) {
 	b.Run("NoSink", func(b *testing.B) { benchSwitchSubmit(b, false) })
 	b.Run("Attached", func(b *testing.B) { benchSwitchSubmit(b, true) })
+	b.Run("Paced", benchSwitchPaced)
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -217,7 +218,8 @@ func ServeTCPReactors(shards *sim.RealShards, target *Target, addr string) (*TCP
 			return nil, fmt.Errorf("fabric: pipeline %d not built on shard %d (use NewReactorTarget)", i, i%shards.N())
 		}
 	}
-	ln, err := net.Listen("tcp", addr)
+	lc := net.ListenConfig{Control: windowCC}
+	ln, err := lc.Listen(context.Background(), "tcp", addr)
 	if err != nil {
 		return nil, err
 	}

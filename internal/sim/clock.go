@@ -21,7 +21,8 @@ type Scheduler interface {
 	// Now returns the current time in nanoseconds since the epoch.
 	Now() int64
 	// At schedules fn to run at absolute time t (clamped to Now for past
-	// times). It returns a value-type handle that can cancel the event.
+	// times). It returns a value-type handle that can cancel the event or
+	// move it to another time (Timer.Reschedule).
 	At(t int64, fn func()) Timer
 	// After schedules fn to run d nanoseconds from now.
 	After(d int64, fn func()) Timer

@@ -12,17 +12,20 @@ import (
 // addressed by index, so scheduling allocates nothing once the arena has
 // warmed up.
 type Event struct {
-	when   int64
-	fn     func()
-	gen    uint32
+	when int64
+	fn   func()
+	gen  uint32
+	// side is 1 + the event's position in Loop.side for a re-keyed timer
+	// (see Timer.Reschedule), 0 for an event queued on the main heap.
+	side   int32
 	daemon bool
 }
 
 // Timer is a value-type handle to a scheduled event. The zero Timer is
 // inert: Cancel is a no-op and Cancelled reports true. Handles stay valid
-// after the event fires or is cancelled — the generation counter makes
-// operations on a recycled slot no-ops — so callers may keep a Timer
-// around without lifetime bookkeeping.
+// after the event fires, is cancelled or is moved by Reschedule — the
+// generation counter makes operations on a recycled slot no-ops — so
+// callers may keep a Timer around without lifetime bookkeeping.
 type Timer struct {
 	l   *Loop
 	r   *realEvent
@@ -41,15 +44,16 @@ func (t Timer) Active() bool {
 		return e.gen == t.gen && e.fn != nil
 	}
 	if t.r != nil {
-		return t.r.fn != nil
+		return t.r.gen == t.gen && t.r.fn != nil
 	}
 	return false
 }
 
 // Cancel removes the event from its loop's queue. Safe to call twice; safe
-// on fired events and on the zero Timer. The queue entry is dropped lazily:
-// the callback is cleared immediately and the heap slot is reclaimed when
-// it surfaces (or by compaction when cancelled entries pile up).
+// on fired events and on the zero Timer. A main-heap entry is dropped
+// lazily: the callback is cleared immediately and the heap slot is
+// reclaimed when it surfaces (or by compaction when cancelled entries pile
+// up). A re-keyed timer leaves the side heap at once.
 func (t Timer) Cancel() {
 	if t.l != nil {
 		l := t.l
@@ -57,18 +61,70 @@ func (t Timer) Cancel() {
 		if e.gen != t.gen || e.fn == nil {
 			return
 		}
-		e.fn = nil
 		if !e.daemon {
 			l.foreground--
 		}
 		l.live--
+		if e.side != 0 {
+			l.sideRemove(int(e.side - 1))
+			l.freeSlot(t.idx)
+			return
+		}
+		e.fn = nil
 		l.lazyCancelled++
 		l.maybeCompact()
 		return
 	}
 	if t.r != nil {
-		t.r.fn = nil
+		t.r.cancel(t.gen)
 	}
+}
+
+// Reschedule moves a pending event to fire at absolute time when (clamped
+// to Now for past times) and returns its new handle; the receiver goes
+// stale, like the handle of a fired timer. What the simulation observes is
+// exactly Cancel followed by At(when, fn) with the same callback and daemon
+// flag — the event takes a fresh FIFO sequence number, so it fires after
+// everything already scheduled for that instant — but the loop pays one key
+// update in place of a dead heap entry, an arena slot and a push. On a
+// handle that is not pending (zero, fired, cancelled or superseded) it does
+// nothing and returns the receiver.
+//
+// The first Reschedule of an event moves it from the main heap to the
+// loop's side heap, which is indexed so that later ones re-key it in place.
+func (t Timer) Reschedule(when int64) Timer {
+	if t.l != nil {
+		l := t.l
+		e := &l.arena[t.idx]
+		if e.gen != t.gen || e.fn == nil {
+			return t
+		}
+		if when < l.now {
+			when = l.now
+		}
+		l.seq++
+		ent := heapEnt{when: when, idx: t.idx, seq: uint32(l.seq)}
+		if e.side != 0 {
+			e.when = when
+			e.gen++
+			l.sideFix(int(e.side-1), ent)
+			return Timer{l: l, idx: t.idx, gen: e.gen}
+		}
+		fn, daemon := e.fn, e.daemon
+		e.fn = nil // the main-heap entry stays behind as a tombstone, once
+		l.lazyCancelled++
+		ent.idx = l.allocSlot()
+		e = &l.arena[ent.idx]
+		e.when, e.fn, e.daemon = when, fn, daemon
+		l.side = append(l.side, ent)
+		l.sideFix(len(l.side)-1, ent)
+		l.maybeCompact()
+		return Timer{l: l, idx: ent.idx, gen: e.gen}
+	}
+	if t.r != nil {
+		t.gen = t.r.reschedule(t.gen, when)
+	}
+	return t
 }
 
 // MarkDaemon excludes the event from Run's liveness accounting: like a
@@ -87,17 +143,17 @@ func (t Timer) MarkDaemon() Timer {
 	return t
 }
 
-// When returns the scheduled firing time, or 0 if the event already fired
-// or the handle is zero/stale.
+// When returns the scheduled firing time, or 0 if the event is not pending
+// (fired, cancelled, superseded by Reschedule, or the zero handle).
 func (t Timer) When() int64 {
 	if t.l != nil {
 		e := &t.l.arena[t.idx]
-		if e.gen == t.gen {
+		if e.gen == t.gen && e.fn != nil {
 			return e.when
 		}
 		return 0
 	}
-	if t.r != nil {
+	if t.r != nil && t.r.gen == t.gen && t.r.fn != nil {
 		return t.r.when
 	}
 	return 0
@@ -137,11 +193,20 @@ func entLess(a, b heapEnt) bool {
 // produce. Fired and cancelled slots return to a LIFO free list, so a
 // self-rescheduling timer reuses the slot it just vacated (hot in cache)
 // and steady-state scheduling performs zero allocations.
+//
+// Timers that are re-keyed while pending (Timer.Reschedule: the rate
+// pacers) live in a second, indexed binary heap: each of its events knows
+// its position, so a re-key or cancel is a sift and never leaves a
+// tombstone. It holds one entry per such timer — a handful — while the
+// main heap stays unindexed, because writing a position on every sift swap
+// slows the one-shot events that are nearly all of the traffic. The loop
+// fires whichever root is earlier by (when, seq).
 type Loop struct {
 	now   int64
 	seq   uint64
 	arena []Event   // slab of event slots, addressed by heap/free indices
 	heap  []heapEnt // 4-ary min-heap keyed by (when, arena seq)
+	side  []heapEnt // indexed binary min-heap of re-keyed timers, same key
 	free  []int32   // LIFO free list of arena slots
 	// foreground counts pending non-daemon events; Run stops when it
 	// reaches zero even if daemon timers remain queued.
@@ -214,6 +279,63 @@ func (l *Loop) popMin() int32 {
 	return top
 }
 
+// sideFix writes ent at position i of the side heap and sifts it to where
+// it belongs, keeping the back-index of every event it moves current.
+func (l *Loop) sideFix(i int, ent heapEnt) {
+	s := l.side
+	for i > 0 {
+		parent := (i - 1) >> 1
+		if !entLess(ent, s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		l.arena[s[i].idx].side = int32(i + 1)
+		i = parent
+	}
+	for {
+		c := i<<1 + 1
+		if c >= len(s) {
+			break
+		}
+		if c+1 < len(s) && entLess(s[c+1], s[c]) {
+			c++
+		}
+		if !entLess(s[c], ent) {
+			break
+		}
+		s[i] = s[c]
+		l.arena[s[i].idx].side = int32(i + 1)
+		i = c
+	}
+	s[i] = ent
+	l.arena[ent.idx].side = int32(i + 1)
+}
+
+// sideRemove takes the entry at position i out of the side heap and clears
+// its event's back-index.
+func (l *Loop) sideRemove(i int) {
+	s := l.side
+	l.arena[s[i].idx].side = 0
+	n := len(s) - 1
+	last := s[n]
+	l.side = s[:n]
+	if i < n {
+		l.sideFix(i, last)
+	}
+}
+
+// allocSlot takes an arena slot off the free list, growing the arena when
+// the list is empty.
+func (l *Loop) allocSlot() int32 {
+	if n := len(l.free); n > 0 {
+		idx := l.free[n-1]
+		l.free = l.free[:n-1]
+		return idx
+	}
+	l.arena = append(l.arena, Event{})
+	return int32(len(l.arena) - 1)
+}
+
 // freeSlot recycles an arena slot: the generation bump invalidates any
 // outstanding Timer handles, and the LIFO free list hands the slot to the
 // very next At — the fast path for self-rescheduling timers, which fire,
@@ -227,8 +349,8 @@ func (l *Loop) freeSlot(idx int32) {
 
 // maybeCompact rebuilds the heap without its cancelled entries once they
 // outnumber the live ones (and are numerous enough to matter), so churny
-// timers — e.g. the rate pacer arming and cancelling per IO — cannot bloat
-// the queue behind long-lived daemon events.
+// timers — e.g. per-IO deadlines cancelled when the completion arrives
+// first — cannot bloat the queue behind long-lived daemon events.
 func (l *Loop) maybeCompact() {
 	if l.lazyCancelled < 64 || l.lazyCancelled*2 <= len(l.heap) {
 		return
@@ -257,14 +379,7 @@ func (l *Loop) At(t int64, fn func()) Timer {
 		t = l.now
 	}
 	l.seq++
-	var idx int32
-	if n := len(l.free); n > 0 {
-		idx = l.free[n-1]
-		l.free = l.free[:n-1]
-	} else {
-		l.arena = append(l.arena, Event{})
-		idx = int32(len(l.arena) - 1)
-	}
+	idx := l.allocSlot()
 	e := &l.arena[idx]
 	e.when, e.fn, e.daemon = t, fn, false
 	l.foreground++
@@ -293,36 +408,66 @@ func (l *Loop) Live() int { return l.foreground }
 
 // Queued returns the raw event-queue length, including cancelled entries
 // that have not yet been compacted away or popped.
-func (l *Loop) Queued() int { return len(l.heap) }
+func (l *Loop) Queued() int { return len(l.heap) + len(l.side) }
+
+// dropCancelledRoots pops cancelled entries off the root of the main heap
+// and recycles their slots.
+func (l *Loop) dropCancelledRoots() {
+	for len(l.heap) > 0 {
+		idx := l.heap[0].idx
+		if l.arena[idx].fn != nil {
+			return
+		}
+		l.popMin()
+		l.lazyCancelled--
+		l.freeSlot(idx)
+	}
+}
 
 // Step fires the next event, advancing the clock to its time. It returns
 // false when the queue is empty.
-func (l *Loop) Step() bool {
-	for len(l.heap) > 0 {
-		idx := l.popMin()
-		e := &l.arena[idx]
-		if e.fn == nil { // lazily cancelled
-			l.lazyCancelled--
-			l.freeSlot(idx)
-			continue
-		}
-		if e.when < l.now {
-			panic(fmt.Sprintf("sim: time went backwards: %d < %d", e.when, l.now))
-		}
-		l.now = e.when
-		fn := e.fn
-		if !e.daemon {
-			l.foreground--
-		}
-		l.live--
-		// Free before firing so a self-rescheduling callback reuses this
-		// slot. fn is a local copy; e must not be used past this point
-		// (the callback may grow the arena).
-		l.freeSlot(idx)
-		fn()
-		return true
+func (l *Loop) Step() bool { return l.step(math.MaxInt64) }
+
+// step fires the next event — the earlier root of the two queues — if it
+// is due by horizon.
+func (l *Loop) step(horizon int64) bool {
+	if len(l.heap) > 0 && l.arena[l.heap[0].idx].fn == nil {
+		l.dropCancelledRoots()
 	}
-	return false
+	var top heapEnt
+	side := false
+	switch {
+	case len(l.side) > 0 && (len(l.heap) == 0 || entLess(l.side[0], l.heap[0])):
+		top, side = l.side[0], true
+	case len(l.heap) > 0:
+		top = l.heap[0]
+	default:
+		return false
+	}
+	if top.when > horizon {
+		return false
+	}
+	if top.when < l.now {
+		panic(fmt.Sprintf("sim: time went backwards: %d < %d", top.when, l.now))
+	}
+	if side {
+		l.sideRemove(0)
+	} else {
+		l.popMin()
+	}
+	l.now = top.when
+	e := &l.arena[top.idx]
+	fn := e.fn
+	if !e.daemon {
+		l.foreground--
+	}
+	l.live--
+	// Free before firing so a self-rescheduling callback reuses this
+	// slot. fn is a local copy; e must not be used past this point
+	// (the callback may grow the arena).
+	l.freeSlot(top.idx)
+	fn()
+	return true
 }
 
 // Run drains the event queue until no foreground (non-daemon) events
@@ -338,19 +483,7 @@ func (l *Loop) Run() {
 // horizon. Events scheduled beyond the horizon remain queued.
 func (l *Loop) RunUntil(horizon int64) {
 	l.guard()
-	for len(l.heap) > 0 {
-		idx := l.heap[0].idx
-		e := &l.arena[idx]
-		if e.fn == nil {
-			l.popMin()
-			l.lazyCancelled--
-			l.freeSlot(idx)
-			continue
-		}
-		if e.when > horizon {
-			break
-		}
-		l.Step()
+	for l.step(horizon) {
 	}
 	if l.now < horizon {
 		l.now = horizon
@@ -371,16 +504,13 @@ func (l *Loop) guard() {
 // NextEventTime returns the time of the earliest non-cancelled event, or
 // math.MaxInt64 if none.
 func (l *Loop) NextEventTime() int64 {
-	for len(l.heap) > 0 {
-		idx := l.heap[0].idx
-		e := &l.arena[idx]
-		if e.fn == nil {
-			l.popMin()
-			l.lazyCancelled--
-			l.freeSlot(idx)
-			continue
-		}
-		return e.when
+	l.dropCancelledRoots()
+	next := int64(math.MaxInt64)
+	if len(l.heap) > 0 {
+		next = l.heap[0].when
 	}
-	return math.MaxInt64
+	if len(l.side) > 0 && l.side[0].when < next {
+		next = l.side[0].when
+	}
+	return next
 }

@@ -47,6 +47,9 @@ func TestLoopCancel(t *testing.T) {
 	if !e.Cancelled() {
 		t.Fatal("Cancelled() = false after Cancel")
 	}
+	if e.When() != 0 {
+		t.Fatalf("When() = %d on a cancelled timer, want 0", e.When())
+	}
 }
 
 func TestLoopRunUntilHorizon(t *testing.T) {

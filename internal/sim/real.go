@@ -16,6 +16,9 @@ import (
 type RealScheduler struct {
 	mu    sync.Mutex
 	epoch time.Time
+	// wakeups counts entries into the timer fire path, so tests can tell a
+	// stopped timer from one that woke up to find itself cancelled.
+	wakeups int64
 }
 
 // RealShards is a set of wall-clock scheduler shards sharing one epoch:
@@ -80,12 +83,16 @@ func (s *RealScheduler) Now() int64 { return int64(time.Since(s.epoch)) }
 
 // realEvent is the control block behind a wall-clock Timer. Unlike loop
 // events it is heap-allocated per schedule — the real transport is not the
-// simulation hot path. Cancellation follows the same discipline as before:
-// the firing callback checks fn under the scheduler lock, and callers
-// cancel from scheduler context.
+// simulation hot path. The firing callback checks fn under the scheduler
+// lock, and callers cancel and reschedule from scheduler context, so every
+// field is guarded by s.mu. gen advances on Reschedule so that the
+// superseded handle goes stale, as it does on the loop.
 type realEvent struct {
+	s    *RealScheduler
+	t    *time.Timer
 	when int64
 	fn   func()
+	gen  uint32
 }
 
 // At implements Scheduler.
@@ -102,16 +109,56 @@ func (s *RealScheduler) After(d int64, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
-	e := &realEvent{when: s.Now() + d, fn: fn}
-	time.AfterFunc(time.Duration(d), func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if e.fn == nil {
-			return
-		}
-		f := e.fn
-		e.fn = nil
-		f()
-	})
+	e := &realEvent{s: s, when: s.Now() + d, fn: fn}
+	e.t = time.AfterFunc(time.Duration(d), e.fire)
 	return Timer{r: e}
+}
+
+// fire is the time.Timer callback. A wake-up that finds the event
+// cancelled does nothing. One that arrives before the deadline was already
+// waiting for the lock when Reschedule moved the event later: it arms the
+// timer for the remainder (as that Reset already did, so this costs
+// nothing and the event cannot be lost) and stands down.
+func (e *realEvent) fire() {
+	s := e.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.wakeups++
+	if e.fn == nil {
+		return
+	}
+	if early := e.when - s.Now(); early > 0 {
+		e.t.Reset(time.Duration(early))
+		return
+	}
+	f := e.fn
+	e.fn = nil
+	f()
+}
+
+// cancel is Timer.Cancel for a wall-clock event: it stops the runtime
+// timer too, so a cancelled event costs no goroutine and no lock later.
+func (e *realEvent) cancel(gen uint32) {
+	if e.gen != gen || e.fn == nil {
+		return
+	}
+	e.fn = nil
+	e.t.Stop()
+}
+
+// reschedule is Timer.Reschedule for a wall-clock event: it returns the
+// generation of the handle that names the event afterwards, which is gen
+// itself when that handle was not pending.
+func (e *realEvent) reschedule(gen uint32, when int64) uint32 {
+	if e.gen != gen || e.fn == nil {
+		return gen
+	}
+	now := e.s.Now()
+	if when < now {
+		when = now
+	}
+	e.when = when
+	e.gen++
+	e.t.Reset(time.Duration(when - now))
+	return e.gen
 }
