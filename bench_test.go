@@ -453,7 +453,7 @@ func benchObsOverhead(b *testing.B, mode obs.TraceMode, attach bool) {
 // deliberately congested: ~11% of IOs breach the 1ms SlowNs threshold, so
 // Sampled pays the capture path for the whole tail (by design) and lands
 // ~12% over Off here; the unsampled per-IO cost is one atomic add and two
-// compares. Deltas and the full analysis are in BENCH_issue6.json.
+// compares. Deltas and the analysis are in EXPERIMENTS.md "History (pre-ledger)".
 func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("Unattached", func(b *testing.B) { benchObsOverhead(b, obs.TraceOff, false) })
 	b.Run("Off", func(b *testing.B) { benchObsOverhead(b, obs.TraceOff, true) })

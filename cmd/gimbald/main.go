@@ -77,8 +77,7 @@ func main() {
 		drain     = flag.Duration("drain", 3*time.Second, "graceful shutdown drain timeout")
 		faults    = flag.String("faults", "", "JSON fault plan armed at startup (SSD faults only)")
 		recovery  = flag.Bool("recovery", true, "enable fail-fast + graceful degradation on the gimbal scheme")
-		classW    = flag.String("class-weights", "", "comma-separated QoS class weights for the gimbal scheduler (e.g. 4,2,1); empty = flat single-class DRR")
-		qosFlag   = flag.String("qos-classes", "", "named QoS classes for the volume control plane and scheduler (e.g. gold=8,silver=4,besteffort=1); supersedes -class-weights")
+		qosFlag   = flag.String("qos-classes", "", "named QoS classes for the volume control plane and scheduler (e.g. gold=8,silver=4,besteffort=1); empty = flat single-class DRR")
 		tierFlag  = flag.String("tier", "", "fast-tier cache per SSD: a fraction of -capacity (e.g. 0.1) or a byte size (e.g. 256MiB); empty disables")
 		token     = flag.String("admin-token", "", "bearer token required on mutating volume endpoints (empty leaves them open)")
 	)
@@ -89,27 +88,16 @@ func main() {
 		log.Fatal(err)
 	}
 	tcfg := fabric.DefaultTargetConfig(sch)
-	// -qos-classes is the one-stop policy knob: it names the volume QoS
-	// menu AND compiles the scheduler's class weights. The raw
-	// -class-weights flag remains for weight-only runs without the volume
-	// layer's class names.
+	// -qos-classes is the one policy knob: it names the volume QoS menu AND
+	// compiles the scheduler's class weights.
 	classes := volume.DefaultClasses()
 	if *qosFlag != "" {
-		if *classW != "" {
-			log.Fatalf("-qos-classes and -class-weights are mutually exclusive")
-		}
 		cs, err := volume.ParseClasses(*qosFlag)
 		if err != nil {
 			log.Fatalf("-qos-classes: %v", err)
 		}
 		classes = cs
 		tcfg.Gimbal.Sched.ClassWeights = cs.Compile().ClassWeights
-	} else if *classW != "" {
-		weights, err := parseClassWeights(*classW)
-		if err != nil {
-			log.Fatalf("-class-weights: %v", err)
-		}
-		tcfg.Gimbal.Sched.ClassWeights = weights
 	}
 	var condition ssd.Condition
 	switch *cond {
@@ -414,24 +402,6 @@ func parseTierSize(s string, capacity int64) (int64, error) {
 		return int64(f * float64(capacity)), nil
 	}
 	return int64(f), nil
-}
-
-// parseClassWeights parses "-class-weights 4,2,1" into the scheduler's
-// QoS class weight vector.
-func parseClassWeights(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	weights := make([]int, 0, len(parts))
-	for _, p := range parts {
-		w, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("weight %q: %v", p, err)
-		}
-		if w < 1 {
-			return nil, fmt.Errorf("weight %d: must be >= 1", w)
-		}
-		weights = append(weights, w)
-	}
-	return weights, nil
 }
 
 func byteSize(n int64) string {

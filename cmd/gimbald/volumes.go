@@ -8,14 +8,20 @@
 //	GET    /volumes                   list volumes + usage
 //	POST   /volumes                   {"name","size_bytes","qos_class","thick"}
 //	GET    /volumes/{name}            one volume
-//	DELETE /volumes/{name}            delete volume
+//	DELETE /volumes/{name}            delete volume (204 also when absent)
 //	POST   /volumes/{name}/resize     {"size_bytes"}
 //	POST   /volumes/{name}/snapshots  {"name"} -> snapshot
 //	GET    /snapshots                 list snapshots
 //	GET    /snapshots/{name}          one snapshot
-//	DELETE /snapshots/{name}          delete snapshot (409 while clones live)
+//	DELETE /snapshots/{name}          delete snapshot (409 while clones live, 204 also when absent)
 //	POST   /snapshots/{name}/clones   {"name","qos_class"} -> writable clone
 //	GET    /qos-classes               the class menu and compiled policy
+//
+// Mutations are idempotent the way the CSI spec asks, so an orchestrator
+// may retry a request whose reply it lost: a create, snapshot or clone
+// against a taken name returns 200 and the existing object when the
+// parameters are the ones that made it and 409 when they differ; DELETE of
+// an absent volume or snapshot is 204.
 package main
 
 import (
@@ -162,6 +168,13 @@ func writeVolumeError(w http.ResponseWriter, err error) {
 	writeJSON(w, volumeHTTPStatus(err), map[string]string{"error": err.Error()})
 }
 
+// sameClass reports whether a request's class name ("" = default) resolves
+// to the class the existing volume is in.
+func (vs *volumeServer) sameClass(v *volume.Volume, class string) bool {
+	i, err := vs.m.Classes().Index(class)
+	return err == nil && i == v.Class()
+}
+
 // gate authenticates and admits one mutation: bearer-token check first
 // (constant-time compare), then the draining latch, then body decoding.
 // It returns false after writing the error response.
@@ -207,6 +220,13 @@ func (vs *volumeServer) handleVolumes(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		v, err := vs.m.Create(volume.Spec{Name: req.Name, Size: req.SizeBytes, Class: req.QoSClass, Thick: req.Thick})
+		if errors.Is(err, volume.ErrExists) {
+			if old, _ := vs.m.Lookup(req.Name); old != nil && old.Parent() == "" && old.Size() == req.SizeBytes &&
+				old.Thick() == req.Thick && vs.sameClass(old, req.QoSClass) {
+				writeJSON(w, http.StatusOK, volInfo(old))
+				return
+			}
+		}
 		if err != nil {
 			writeVolumeError(w, err)
 			return
@@ -240,7 +260,7 @@ func (vs *volumeServer) handleVolume(w http.ResponseWriter, r *http.Request) {
 		if !vs.gate(w, r, nil) {
 			return
 		}
-		if err := vs.m.Delete(name); err != nil {
+		if err := vs.m.Delete(name); err != nil && !errors.Is(err, volume.ErrNotFound) {
 			writeVolumeError(w, err)
 			return
 		}
@@ -262,6 +282,12 @@ func (vs *volumeServer) handleVolume(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s, err := vs.m.Snapshot(name, req.Name)
+		if errors.Is(err, volume.ErrExists) {
+			if old, _ := vs.m.LookupSnapshot(req.Name); old != nil && old.Source() == name {
+				writeJSON(w, http.StatusOK, snapInfo(old))
+				return
+			}
+		}
 		if err != nil {
 			writeVolumeError(w, err)
 			return
@@ -309,7 +335,7 @@ func (vs *volumeServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		if !vs.gate(w, r, nil) {
 			return
 		}
-		if err := vs.m.DeleteSnapshot(name); err != nil {
+		if err := vs.m.DeleteSnapshot(name); err != nil && !errors.Is(err, volume.ErrNotFound) {
 			writeVolumeError(w, err)
 			return
 		}
@@ -320,6 +346,12 @@ func (vs *volumeServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		v, err := vs.m.Clone(name, req.Name, req.QoSClass)
+		if errors.Is(err, volume.ErrExists) {
+			if old, _ := vs.m.Lookup(req.Name); old != nil && old.Parent() == name && vs.sameClass(old, req.QoSClass) {
+				writeJSON(w, http.StatusOK, volInfo(old))
+				return
+			}
+		}
 		if err != nil {
 			writeVolumeError(w, err)
 			return

@@ -244,3 +244,64 @@ func TestVolumeDrain(t *testing.T) {
 		t.Fatalf("read while draining: %d %+v", got, listing)
 	}
 }
+
+// TestVolumeRetriesAreIdempotent pins the CSI retry contract on every
+// mutating endpoint: the first attempt creates (201), a retry with the same
+// parameters returns the existing object (200), the same name with
+// different parameters is a conflict (409), and deleting twice is 204 both
+// times.
+func TestVolumeRetriesAreIdempotent(t *testing.T) {
+	_, srv := newTestVolumeAPI(t)
+	base := srv.URL
+	steps := []struct {
+		name, method, path string
+		body               any
+		want               int
+	}{
+		{"create", "POST", "/volumes", createVolumeReq{Name: "v0", SizeBytes: 64 << 20, QoSClass: "gold"}, http.StatusCreated},
+		{"create retry", "POST", "/volumes", createVolumeReq{Name: "v0", SizeBytes: 64 << 20, QoSClass: "gold"}, http.StatusOK},
+		{"create other size", "POST", "/volumes", createVolumeReq{Name: "v0", SizeBytes: 32 << 20, QoSClass: "gold"}, http.StatusConflict},
+		{"create other class", "POST", "/volumes", createVolumeReq{Name: "v0", SizeBytes: 64 << 20, QoSClass: "silver"}, http.StatusConflict},
+		{"create now thick", "POST", "/volumes", createVolumeReq{Name: "v0", SizeBytes: 64 << 20, QoSClass: "gold", Thick: true}, http.StatusConflict},
+		{"default class", "POST", "/volumes", createVolumeReq{Name: "v1", SizeBytes: 1 << 20}, http.StatusCreated},
+		{"default class retry by name", "POST", "/volumes", createVolumeReq{Name: "v1", SizeBytes: 1 << 20, QoSClass: "gold"}, http.StatusOK},
+
+		{"snapshot", "POST", "/volumes/v0/snapshots", snapshotReq{Name: "s0"}, http.StatusCreated},
+		{"snapshot retry", "POST", "/volumes/v0/snapshots", snapshotReq{Name: "s0"}, http.StatusOK},
+		{"snapshot other source", "POST", "/volumes/v1/snapshots", snapshotReq{Name: "s0"}, http.StatusConflict},
+
+		{"clone", "POST", "/snapshots/s0/clones", cloneReq{Name: "c0", QoSClass: "silver"}, http.StatusCreated},
+		{"clone retry", "POST", "/snapshots/s0/clones", cloneReq{Name: "c0", QoSClass: "silver"}, http.StatusOK},
+		{"clone other class", "POST", "/snapshots/s0/clones", cloneReq{Name: "c0", QoSClass: "gold"}, http.StatusConflict},
+		{"clone onto a plain volume's name", "POST", "/snapshots/s0/clones", cloneReq{Name: "v1"}, http.StatusConflict},
+		{"create onto a clone's name", "POST", "/volumes", createVolumeReq{Name: "c0", SizeBytes: 64 << 20, QoSClass: "silver"}, http.StatusConflict},
+
+		{"delete clone", "DELETE", "/volumes/c0", nil, http.StatusNoContent},
+		{"delete clone again", "DELETE", "/volumes/c0", nil, http.StatusNoContent},
+		{"delete snapshot", "DELETE", "/snapshots/s0", nil, http.StatusNoContent},
+		{"delete snapshot again", "DELETE", "/snapshots/s0", nil, http.StatusNoContent},
+		{"delete never-created volume", "DELETE", "/volumes/ghost", nil, http.StatusNoContent},
+	}
+	for _, st := range steps {
+		if got := doJSON(t, st.method, base+st.path, st.body, nil); got != st.want {
+			t.Fatalf("%s: %s %s = %d, want %d", st.name, st.method, st.path, got, st.want)
+		}
+	}
+	// The retries created nothing: two volumes, no snapshots, and the
+	// retried create replied with the object the first attempt made.
+	var listing struct {
+		Usage   volume.Usage `json:"usage"`
+		Volumes []volumeInfo `json:"volumes"`
+	}
+	if got := doJSON(t, "GET", base+"/volumes", nil, &listing); got != http.StatusOK {
+		t.Fatalf("list: %d", got)
+	}
+	if len(listing.Volumes) != 2 || listing.Usage.Snapshots != 0 || listing.Usage.LogicalBytes != (64<<20)+(1<<20) {
+		t.Fatalf("state after retries: %+v", listing)
+	}
+	var v volumeInfo
+	if got := doJSON(t, "POST", base+"/volumes", createVolumeReq{Name: "v0", SizeBytes: 64 << 20, QoSClass: "gold"}, &v); got != http.StatusOK ||
+		v.Name != "v0" || v.SizeBytes != 64<<20 || v.QoSClass != "gold" {
+		t.Fatalf("retried create reply: %d %+v", got, v)
+	}
+}

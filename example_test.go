@@ -19,12 +19,16 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	reader, err := jbof.StartWorkload(0, gimbal.WithReadFraction(1),
+	ssd0, err := jbof.WholeSSDVolume(0)
+	if err != nil {
+		panic(err)
+	}
+	reader, err := ssd0.StartWorkload(gimbal.WithReadFraction(1),
 		gimbal.WithIOSize(4096), gimbal.WithQueueDepth(32))
 	if err != nil {
 		panic(err)
 	}
-	writer, err := jbof.StartWorkload(0, gimbal.WithReadFraction(0),
+	writer, err := ssd0.StartWorkload(gimbal.WithReadFraction(0),
 		gimbal.WithIOSize(4096), gimbal.WithQueueDepth(32))
 	if err != nil {
 		panic(err)
@@ -45,7 +49,11 @@ func Example_faults() {
 	if err != nil {
 		panic(err)
 	}
-	st, err := jbof.StartWorkload(0, gimbal.WithReadFraction(1), gimbal.WithQueueDepth(8),
+	ssd0, err := jbof.WholeSSDVolume(0)
+	if err != nil {
+		panic(err)
+	}
+	st, err := ssd0.StartWorkload(gimbal.WithReadFraction(1), gimbal.WithQueueDepth(8),
 		gimbal.WithRetry(gimbal.DefaultRetryPolicy()))
 	if err != nil {
 		panic(err)
@@ -58,7 +66,7 @@ func Example_faults() {
 		panic(err)
 	}
 	s.Run(200 * time.Millisecond) // into the brownout window
-	v, err := jbof.View(0)
+	v, err := ssd0.View()
 	if err != nil {
 		panic(err)
 	}

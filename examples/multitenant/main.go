@@ -16,16 +16,22 @@ import (
 )
 
 type class struct {
-	name string
-	w    gimbal.Workload
-	n    int
+	name       string
+	read       float64
+	ioSize, qd int
+	n          int
+}
+
+func (c class) workload() []gimbal.WorkloadOption {
+	return []gimbal.WorkloadOption{gimbal.WithReadFraction(c.read),
+		gimbal.WithIOSize(c.ioSize), gimbal.WithQueueDepth(c.qd)}
 }
 
 func main() {
 	classes := []class{
-		{"4KB-read", gimbal.Workload{Read: 1, IOSize: 4 << 10, QueueDepth: 32}, 8},
-		{"128KB-read", gimbal.Workload{Read: 1, IOSize: 128 << 10, QueueDepth: 4}, 4},
-		{"4KB-write", gimbal.Workload{Read: 0, IOSize: 4 << 10, QueueDepth: 32}, 4},
+		{"4KB-read", 1, 4 << 10, 32, 8},
+		{"128KB-read", 1, 128 << 10, 4, 4},
+		{"4KB-write", 0, 4 << 10, 32, 4},
 	}
 	total := 0
 	for _, c := range classes {
@@ -45,7 +51,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		st, err := ssd0.StartWorkload(gimbal.WithWorkload(c.w))
+		st, err := ssd0.StartWorkload(c.workload()...)
 		if err != nil {
 			panic(err)
 		}
@@ -70,7 +76,7 @@ func main() {
 		streams := map[string][]*gimbal.Stream{}
 		for _, c := range classes {
 			for i := 0; i < c.n; i++ {
-				st, err := ssd0.StartWorkload(gimbal.WithWorkload(c.w))
+				st, err := ssd0.StartWorkload(c.workload()...)
 				if err != nil {
 					panic(err)
 				}
@@ -93,7 +99,7 @@ func main() {
 				agg += bw
 				futil += bw / (standalone[c.name] / float64(total))
 				lat := st.ReadLatency()
-				if c.w.Read == 0 {
+				if c.read == 0 {
 					lat = st.WriteLatency()
 				}
 				if lat.P999 > worstTail {

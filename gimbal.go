@@ -12,9 +12,10 @@
 //		gimbal.WithScheme(gimbal.SchemeGimbal),
 //		gimbal.WithCondition(gimbal.Fragmented),
 //	)
-//	reader, _ := jbof.StartWorkload(0, gimbal.WithReadFraction(1),
+//	ssd0, _ := jbof.WholeSSDVolume(0)
+//	reader, _ := ssd0.StartWorkload(gimbal.WithReadFraction(1),
 //		gimbal.WithIOSize(4096), gimbal.WithQueueDepth(32))
-//	writer, _ := jbof.StartWorkload(0, gimbal.WithReadFraction(0),
+//	writer, _ := ssd0.StartWorkload(gimbal.WithReadFraction(0),
 //		gimbal.WithIOSize(4096), gimbal.WithQueueDepth(32))
 //	s.Run(2 * time.Second) // two seconds of simulated time
 //	fmt.Println(reader.BandwidthMBps(), writer.BandwidthMBps())
@@ -27,10 +28,10 @@
 //			SSD: 0, Factor: 8},
 //	}})
 //
-// The configuration structs (JBOFConfig, Workload) remain available as
-// escape hatches via WithJBOFConfig and WithWorkload. Failures surface as
-// typed sentinel errors (ErrBadSSDIndex, ErrTimeout, ...) that work with
-// errors.Is.
+// Streams run against volumes: WholeSSDVolume(i) for a raw device,
+// CreateVolume for a managed (thin, snapshot/clone-capable) one. Failures
+// surface as typed sentinel errors (ErrBadSSDIndex, ErrTimeout, ...) that
+// work with errors.Is.
 //
 // Experiments reproducing the paper's figures — including the chaos
 // family — live in cmd/gimbalbench; the live TCP target and initiator are
@@ -119,22 +120,13 @@ type Sim struct {
 	seed uint64
 }
 
-// SimOption customizes a Sim. The current release defines no options; the
-// parameter exists so future knobs (e.g. a real-time clock) do not change
-// the signature.
-type SimOption func(*Sim)
-
 // NewSim creates a simulation; runs with the same seed and the same calls
 // produce identical results.
-func NewSim(seed uint64, opts ...SimOption) *Sim {
+func NewSim(seed uint64) *Sim {
 	if seed == 0 {
 		seed = 1
 	}
-	s := &Sim{loop: sim.NewLoop(), rng: sim.NewRNG(seed), seed: seed}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
+	return &Sim{loop: sim.NewLoop(), rng: sim.NewRNG(seed), seed: seed}
 }
 
 // Run advances the simulation by d of virtual time.
@@ -143,9 +135,8 @@ func (s *Sim) Run(d time.Duration) { s.loop.RunFor(int64(d)) }
 // Now returns the current virtual time since the simulation epoch.
 func (s *Sim) Now() time.Duration { return time.Duration(s.loop.Now()) }
 
-// JBOFConfig describes one storage node. It is the escape-hatch form of
-// the JBOFOption set; pass it via WithJBOFConfig.
-type JBOFConfig struct {
+// jbofConfig is what the JBOFOption set fills in.
+type jbofConfig struct {
 	Scheme    Scheme    // default SchemeGimbal
 	SSDs      int       // default 1
 	Condition Condition // default Fresh
@@ -166,32 +157,28 @@ type JBOFConfig struct {
 }
 
 // JBOFOption customizes a JBOF under construction.
-type JBOFOption func(*JBOFConfig)
+type JBOFOption func(*jbofConfig)
 
 // WithScheme selects the multi-tenancy scheme (default SchemeGimbal).
-func WithScheme(sc Scheme) JBOFOption { return func(c *JBOFConfig) { c.Scheme = sc } }
+func WithScheme(sc Scheme) JBOFOption { return func(c *jbofConfig) { c.Scheme = sc } }
 
 // WithSSDs sets the number of SSDs (default 1).
-func WithSSDs(n int) JBOFOption { return func(c *JBOFConfig) { c.SSDs = n } }
+func WithSSDs(n int) JBOFOption { return func(c *jbofConfig) { c.SSDs = n } }
 
 // WithCondition sets the pre-conditioning state (default Fresh).
-func WithCondition(cond Condition) JBOFOption { return func(c *JBOFConfig) { c.Condition = cond } }
+func WithCondition(cond Condition) JBOFOption { return func(c *jbofConfig) { c.Condition = cond } }
 
 // WithCapacity sets the usable bytes per SSD.
-func WithCapacity(bytes int64) JBOFOption { return func(c *JBOFConfig) { c.CapacityBytes = bytes } }
+func WithCapacity(bytes int64) JBOFOption { return func(c *jbofConfig) { c.CapacityBytes = bytes } }
 
 // WithP3600 selects the Intel P3600-like device model (§5.8).
-func WithP3600() JBOFOption { return func(c *JBOFConfig) { c.P3600 = true } }
+func WithP3600() JBOFOption { return func(c *jbofConfig) { c.P3600 = true } }
 
 // WithFastTier interposes a fast-tier read/write cache of the given byte
 // capacity in front of every SSD.
 func WithFastTier(bytes int64) JBOFOption {
-	return func(c *JBOFConfig) { c.FastTierBytes = bytes }
+	return func(c *jbofConfig) { c.FastTierBytes = bytes }
 }
-
-// WithJBOFConfig replaces the whole configuration — the struct escape
-// hatch. Options after it still apply on top.
-func WithJBOFConfig(cfg JBOFConfig) JBOFOption { return func(c *JBOFConfig) { *c = cfg } }
 
 // JBOF is a SmartNIC storage node: SSDs behind per-SSD scheduler pipelines,
 // each device wrapped in a fault-injection layer (inert — a single branch —
@@ -212,12 +199,11 @@ type JBOF struct {
 	vmgr      *volume.Manager
 	sysTenant *nvme.Tenant
 	sysSess   []*fabric.Session
-	rawVols   map[int]*Volume
 }
 
 // NewJBOF builds and pre-conditions a storage node.
 func (s *Sim) NewJBOF(opts ...JBOFOption) (*JBOF, error) {
-	var cfg JBOFConfig
+	var cfg jbofConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -260,11 +246,7 @@ func (s *Sim) NewJBOF(opts ...JBOFOption) (*JBOF, error) {
 		tp := tier.DefaultParams(cfg.FastTierBytes)
 		sc.Tier = &tp
 	}
-	clks := make([]sim.Scheduler, cfg.SSDs)
-	for i := range clks {
-		clks[i] = s.loop
-	}
-	st, err := fabric.BuildStack(clks, s.rng, sc)
+	st, err := fabric.BuildStack(fabric.SharedClock(s.loop, cfg.SSDs), s.rng, sc)
 	if err != nil {
 		return nil, fmt.Errorf("gimbal: %w", err)
 	}
@@ -287,18 +269,6 @@ func (j *JBOF) checkSSD(ssdIdx int) error {
 	return nil
 }
 
-// Capacity returns the usable bytes of one SSD.
-//
-// Deprecated: volumes are the unit of provisioning now; use
-// Volume.Capacity (WholeSSDVolume(ssdIdx) for a raw device).
-func (j *JBOF) Capacity(ssdIdx int) (int64, error) {
-	v, err := j.WholeSSDVolume(ssdIdx)
-	if err != nil {
-		return 0, err
-	}
-	return v.Capacity(), nil
-}
-
 // Priority mirrors the NVMe-oF request priority tag (§3.5).
 type Priority int
 
@@ -308,23 +278,6 @@ const (
 	Normal Priority = 1
 	Low    Priority = 2
 )
-
-// Workload is an fio-style stream description. It is the escape-hatch form
-// of the WorkloadOption set; pass it via WithWorkload.
-type Workload struct {
-	Name       string
-	Read       float64 // fraction of reads: 1 read-only, 0 write-only
-	IOSize     int     // bytes, 4KB multiple; default 4096
-	QueueDepth int     // default 1
-	Sequential bool
-	// RateLimitMBps caps the stream (0 = unlimited).
-	RateLimitMBps float64
-	Priority      Priority
-	// MaxConsecutiveErrs makes the stream give up — Done() true, Err()
-	// non-nil — after that many back-to-back failed IOs. 0 uses the facade
-	// default (64); negative means never give up.
-	MaxConsecutiveErrs int
-}
 
 // RetryPolicy is the initiator-side recovery policy of a stream's session:
 // per-IO deadlines with bounded, idempotent reissue under capped
@@ -356,74 +309,62 @@ func (p RetryPolicy) internal() fabric.RetryPolicy {
 	}
 }
 
+// workloadConfig is the fio-style stream description the WorkloadOption
+// set fills in.
 type workloadConfig struct {
-	w       Workload
-	retry   *fabric.RetryPolicy
-	prioSet bool // Priority was chosen explicitly (class defaults step aside)
+	Name       string
+	Read       float64 // fraction of reads: 1 read-only, 0 write-only
+	IOSize     int     // bytes, 4KB multiple; default 4096
+	QueueDepth int     // default 1
+	Sequential bool
+	// RateLimitMBps caps the stream (0 = unlimited).
+	RateLimitMBps float64
+	Priority      Priority
+	prioSet       bool // Priority was chosen explicitly (class defaults step aside)
+	// MaxConsecutiveErrs: see WithMaxConsecutiveErrs. 0 = facade default.
+	MaxConsecutiveErrs int
+	retry              *fabric.RetryPolicy
 }
 
 // WorkloadOption customizes one stream.
 type WorkloadOption func(*workloadConfig)
 
-// WithWorkload replaces the whole description — the struct escape hatch.
-// Options after it still apply on top.
-func WithWorkload(w Workload) WorkloadOption {
-	return func(c *workloadConfig) { c.w = w; c.prioSet = true }
-}
-
 // WithWorkloadName labels the stream's tenant.
-func WithWorkloadName(name string) WorkloadOption { return func(c *workloadConfig) { c.w.Name = name } }
+func WithWorkloadName(name string) WorkloadOption { return func(c *workloadConfig) { c.Name = name } }
 
 // WithReadFraction sets the read share: 1 read-only, 0 write-only.
-func WithReadFraction(r float64) WorkloadOption { return func(c *workloadConfig) { c.w.Read = r } }
+func WithReadFraction(r float64) WorkloadOption { return func(c *workloadConfig) { c.Read = r } }
 
 // WithIOSize sets the IO size in bytes (4KB multiple, default 4096).
-func WithIOSize(bytes int) WorkloadOption { return func(c *workloadConfig) { c.w.IOSize = bytes } }
+func WithIOSize(bytes int) WorkloadOption { return func(c *workloadConfig) { c.IOSize = bytes } }
 
 // WithQueueDepth sets the stream's outstanding-IO bound (default 1).
-func WithQueueDepth(qd int) WorkloadOption { return func(c *workloadConfig) { c.w.QueueDepth = qd } }
+func WithQueueDepth(qd int) WorkloadOption { return func(c *workloadConfig) { c.QueueDepth = qd } }
 
 // WithSequential makes the stream sequential instead of random.
-func WithSequential() WorkloadOption { return func(c *workloadConfig) { c.w.Sequential = true } }
+func WithSequential() WorkloadOption { return func(c *workloadConfig) { c.Sequential = true } }
 
 // WithRateLimitMBps caps the stream's submission rate.
 func WithRateLimitMBps(mbps float64) WorkloadOption {
-	return func(c *workloadConfig) { c.w.RateLimitMBps = mbps }
+	return func(c *workloadConfig) { c.RateLimitMBps = mbps }
 }
 
 // WithPriority sets the NVMe-oF priority tag (§3.5).
 func WithPriority(p Priority) WorkloadOption {
-	return func(c *workloadConfig) { c.w.Priority = p; c.prioSet = true }
+	return func(c *workloadConfig) { c.Priority = p; c.prioSet = true }
 }
 
-// WithMaxConsecutiveErrs overrides when the stream gives up (see
-// Workload.MaxConsecutiveErrs).
+// WithMaxConsecutiveErrs makes the stream give up — Done() true, Err()
+// non-nil — after n back-to-back failed IOs (default 64); negative means
+// never give up.
 func WithMaxConsecutiveErrs(n int) WorkloadOption {
-	return func(c *workloadConfig) { c.w.MaxConsecutiveErrs = n }
+	return func(c *workloadConfig) { c.MaxConsecutiveErrs = n }
 }
 
 // WithRetry arms the stream's session with an initiator-side recovery
 // policy: deadlines, bounded idempotent reissue, capped backoff.
 func WithRetry(p RetryPolicy) WorkloadOption {
 	return func(c *workloadConfig) { rp := p.internal(); c.retry = &rp }
-}
-
-// StartWorkload attaches a new tenant running the described stream against
-// one SSD. The stream runs until Stop (or for 10 simulated hours). The
-// stream's index in StartWorkload order is its address for fabric fault
-// events (FaultEvent.Stream).
-//
-// Deprecated: volumes are the unit of provisioning now; use
-// Volume.StartWorkload (CreateVolume for a managed volume,
-// WholeSSDVolume(ssdIdx) for the raw device this call targets). This
-// wrapper runs against the auto-provisioned whole-SSD identity volume
-// and behaves exactly as before.
-func (j *JBOF) StartWorkload(ssdIdx int, opts ...WorkloadOption) (*Stream, error) {
-	v, err := j.WholeSSDVolume(ssdIdx)
-	if err != nil {
-		return nil, err
-	}
-	return v.StartWorkload(opts...)
 }
 
 // Stream is a running workload with live metrics.
@@ -444,7 +385,7 @@ func (s *Stream) Done() bool { return s.worker.Stopped() }
 
 // Err returns nil while the stream is healthy, and the typed failure —
 // ErrTimeout, ErrDeviceFailed, ErrAborted — once the stream has given up
-// after Workload.MaxConsecutiveErrs back-to-back errors.
+// after WithMaxConsecutiveErrs back-to-back errors.
 func (s *Stream) Err() error {
 	st, failed := s.worker.Failed()
 	if !failed {
@@ -529,13 +470,8 @@ type View struct {
 	Failed   bool
 }
 
-// View returns the SSD's virtual view. The error is ErrNoView unless the
+// ssdView returns the SSD's virtual view. The error is ErrNoView unless the
 // JBOF runs the Gimbal scheme, ErrBadSSDIndex for an index outside it.
-//
-// Deprecated: volumes are the unit of provisioning now; use Volume.View
-// (WholeSSDVolume(ssdIdx) for a raw device).
-func (j *JBOF) View(ssdIdx int) (View, error) { return j.ssdView(ssdIdx) }
-
 func (j *JBOF) ssdView(ssdIdx int) (View, error) {
 	if err := j.checkSSD(ssdIdx); err != nil {
 		return View{}, err

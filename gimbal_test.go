@@ -6,9 +6,18 @@ import (
 	"time"
 )
 
+func mustSSD(t *testing.T, j *JBOF, ssd int) *Volume {
+	t.Helper()
+	v, err := j.WholeSSDVolume(ssd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func mustStart(t *testing.T, j *JBOF, ssd int, opts ...WorkloadOption) *Stream {
 	t.Helper()
-	st, err := j.StartWorkload(ssd, opts...)
+	st, err := mustSSD(t, j, ssd).StartWorkload(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,8 +34,8 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if jbof.SSDCount() != 2 {
 		t.Fatalf("SSDs = %d", jbof.SSDCount())
 	}
-	if cap0, err := jbof.Capacity(0); err != nil || cap0 != 1<<30 {
-		t.Fatalf("capacity = %d, %v", cap0, err)
+	if cap0 := mustSSD(t, jbof, 0).Capacity(); cap0 != 1<<30 {
+		t.Fatalf("capacity = %d", cap0)
 	}
 	st := mustStart(t, jbof, 0, WithReadFraction(1), WithIOSize(4096), WithQueueDepth(8))
 	s.Run(200 * time.Millisecond)
@@ -37,7 +46,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if lat.Count == 0 || lat.Avg <= 0 || lat.P999 < lat.P50 {
 		t.Fatalf("latency summary inconsistent: %+v", lat)
 	}
-	if _, err := jbof.View(0); err != nil {
+	if _, err := mustSSD(t, jbof, 0).View(); err != nil {
 		t.Fatalf("gimbal JBOF should expose a view: %v", err)
 	}
 	if st.Done() {
@@ -64,7 +73,7 @@ func TestFacadeVanillaHasNoView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := jbof.View(0); !errors.Is(err, ErrNoView) {
+	if _, err := mustSSD(t, jbof, 0).View(); !errors.Is(err, ErrNoView) {
 		t.Fatalf("vanilla view error = %v, want ErrNoView", err)
 	}
 }
@@ -81,20 +90,14 @@ func TestFacadeTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := jbof.StartWorkload(2); !errors.Is(err, ErrBadSSDIndex) {
-		t.Fatalf("StartWorkload(2) error = %v, want ErrBadSSDIndex", err)
+	if _, err := jbof.WholeSSDVolume(2); !errors.Is(err, ErrBadSSDIndex) {
+		t.Fatalf("WholeSSDVolume(2) error = %v, want ErrBadSSDIndex", err)
 	}
-	if _, err := jbof.StartWorkload(-1); !errors.Is(err, ErrBadSSDIndex) {
-		t.Fatalf("StartWorkload(-1) error = %v, want ErrBadSSDIndex", err)
-	}
-	if _, err := jbof.Capacity(7); !errors.Is(err, ErrBadSSDIndex) {
-		t.Fatalf("Capacity(7) error = %v, want ErrBadSSDIndex", err)
+	if _, err := jbof.WholeSSDVolume(-1); !errors.Is(err, ErrBadSSDIndex) {
+		t.Fatalf("WholeSSDVolume(-1) error = %v, want ErrBadSSDIndex", err)
 	}
 	if _, err := jbof.DeviceStats(7); !errors.Is(err, ErrBadSSDIndex) {
 		t.Fatalf("DeviceStats(7) error = %v, want ErrBadSSDIndex", err)
-	}
-	if _, err := jbof.View(7); !errors.Is(err, ErrBadSSDIndex) {
-		t.Fatalf("View(7) error = %v, want ErrBadSSDIndex", err)
 	}
 	if err := jbof.InjectFaults(FaultPlan{Events: []FaultEvent{
 		{Kind: SSDFail, SSD: 9},
@@ -118,7 +121,7 @@ func TestFacadeOptionDefaults(t *testing.T) {
 	if jbof.SSDCount() != 1 {
 		t.Fatalf("default SSDs = %d, want 1", jbof.SSDCount())
 	}
-	if _, err := jbof.View(0); err != nil {
+	if _, err := mustSSD(t, jbof, 0).View(); err != nil {
 		t.Fatalf("default scheme should be gimbal (has a view), got %v", err)
 	}
 	// No workload options: a 4KB QD1 random reader that moves data.
@@ -127,12 +130,11 @@ func TestFacadeOptionDefaults(t *testing.T) {
 	if st.BandwidthMBps() <= 0 {
 		t.Fatal("default workload idle")
 	}
-	// The struct escape hatch composes with options applied after it.
-	w := Workload{Read: 1, IOSize: 4096, QueueDepth: 4}
-	st2 := mustStart(t, jbof, 0, WithWorkload(w), WithQueueDepth(8), WithWorkloadName("combo"))
+	// A second tenant on the same SSD, fully specified.
+	st2 := mustStart(t, jbof, 0, WithReadFraction(1), WithIOSize(4096), WithQueueDepth(8), WithWorkloadName("combo"))
 	s.Run(100 * time.Millisecond)
 	if st2.BandwidthMBps() <= 0 {
-		t.Fatal("escape-hatch workload idle")
+		t.Fatal("second workload idle")
 	}
 }
 
@@ -244,7 +246,7 @@ func TestFacadeFaultDeviceFail(t *testing.T) {
 	if healthy.BandwidthMBps() <= 0 {
 		t.Fatal("healthy stream idle")
 	}
-	v, err := jbof.View(0)
+	v, err := mustSSD(t, jbof, 0).View()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,6 +90,3 @@ func (p *Window) Window() float64 { return p.w }
 
 // Inflight returns the outstanding IO count.
 func (p *Window) Inflight() int { return p.inflight }
-
-// AvgLatency returns the smoothed observed latency (ns).
-func (p *Window) AvgLatency() float64 { return p.lat.Value() }

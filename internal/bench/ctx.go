@@ -21,7 +21,7 @@ type Ctx struct {
 	runCache map[string]*FioRun
 
 	// ycsbCache memoizes YCSB runs shared between result tables.
-	ycsbCache map[string]ycsbResult
+	ycsbCache map[string]YCSBResult
 }
 
 // NewCtx returns an empty context.
@@ -29,7 +29,7 @@ func NewCtx() *Ctx {
 	return &Ctx{
 		standaloneCache: map[string]float64{},
 		runCache:        map[string]*FioRun{},
-		ycsbCache:       map[string]ycsbResult{},
+		ycsbCache:       map[string]YCSBResult{},
 	}
 }
 

@@ -69,25 +69,26 @@ type chaosBrownoutRow struct {
 	DegradeEnter bool    // gimbal only: did the switch degrade
 }
 
-// runChaosBrownout executes the brownout timeline for one scheme: two
-// SSDs, CPU-bound healthy readers on SSD0, rate-limited QD64 readers on
-// SSD1; SSD1 browns out ×8 for four units mid-run. Healthy tenants share
-// only the SmartNIC core with the sick SSD — isolation means their
-// bandwidth should not follow it down.
-func runChaosBrownout(cx *Ctx, scheme fabric.Scheme) chaosBrownoutRow {
-	u := chaosUnit
-	warm := 3 * u
-	faultAt := warm + 3*u // absolute
-	faultEnd := faultAt + 4*u
-	dur := 11 * u
-	period := u / 4
+// brownoutTimeline is the geometry of the chaos-brownout run (absolute
+// times): Specs[:healthy] ride SSD0, the rest ride the faulted SSD1.
+type brownoutTimeline struct {
+	warm, faultAt, faultEnd int64
+	healthy                 int
+}
 
-	healthy := 3
+// chaosBrownoutConfig is the brownout timeline for one scheme: two SSDs,
+// CPU-bound healthy readers on SSD0, rate-limited QD64 readers on SSD1;
+// SSD1 browns out for four units mid-run. Healthy tenants share only the
+// SmartNIC core with the sick SSD — isolation means their bandwidth should
+// not follow it down. Gimbal runs with recovery armed.
+func chaosBrownoutConfig(scheme fabric.Scheme) (FioConfig, brownoutTimeline) {
+	u := chaosUnit
+	tl := brownoutTimeline{warm: 3 * u, faultAt: 6 * u, faultEnd: 10 * u, healthy: 3}
+
 	specs := make([]Spec, 0, 7)
-	for i := 0; i < healthy; i++ {
+	for i := 0; i < tl.healthy; i++ {
 		specs = append(specs, Spec{Profile: workload.Profile{
 			Name: "healthy", ReadRatio: 1, IOSize: 4096, QD: 16,
-			MaxConsecutiveErrs: 0,
 		}, SSD: 0})
 	}
 	// Offered load on SSD1 (4 × 16 MB/s = 16K IOPS) fits the clean device
@@ -101,21 +102,14 @@ func runChaosBrownout(cx *Ctx, scheme fabric.Scheme) chaosBrownoutRow {
 		}, SSD: 1})
 	}
 
-	type sample struct {
-		at int64
-		hb int64 // healthy cumulative bytes since stats reset
-		fb int64 // faulted cumulative bytes
-	}
-	var samples []sample
-
 	retry := chaosRetry()
 	cfg := FioConfig{
 		Scheme: scheme,
 		Cond:   ssd.Clean,
 		NumSSD: 2,
 		Specs:  specs,
-		Warm:   warm,
-		Dur:    dur,
+		Warm:   tl.warm,
+		Dur:    11 * u,
 		Seed:   11,
 		CPU:    fabric.SmartNICCPU(1),
 		Retry:  &retry,
@@ -124,26 +118,42 @@ func runChaosBrownout(cx *Ctx, scheme fabric.Scheme) chaosBrownoutRow {
 		// and each one costs up to 1+MaxRetries wire attempts. The question
 		// the experiment asks is who contains that multiplication.
 		Faults: &fault.Plan{Seed: 11, Events: []fault.Event{
-			{Kind: fault.SSDBrownout, At: faultAt, Dur: 4 * u, SSD: 1, Factor: 200},
+			{Kind: fault.SSDBrownout, At: tl.faultAt, Dur: tl.faultEnd - tl.faultAt, SSD: 1, Factor: 200},
 		}},
-		SamplePeriod: period,
-		Sample: func(now int64, r *FioRun) {
-			if now <= warm {
-				return
-			}
-			var hb, fb int64
-			for i, w := range r.Workers {
-				if i < healthy {
-					hb += w.Meter.Bytes()
-				} else {
-					fb += w.Meter.Bytes()
-				}
-			}
-			samples = append(samples, sample{at: now, hb: hb, fb: fb})
-		},
 	}
 	if scheme == fabric.SchemeGimbal {
 		cfg.GimbalCfg = chaosGimbalCfg
+	}
+	return cfg, tl
+}
+
+// runChaosBrownout executes the brownout timeline for one scheme, sampling
+// healthy and faulted goodput every quarter unit.
+func runChaosBrownout(cx *Ctx, scheme fabric.Scheme) chaosBrownoutRow {
+	cfg, tl := chaosBrownoutConfig(scheme)
+	warm, faultAt, faultEnd, healthy := tl.warm, tl.faultAt, tl.faultEnd, tl.healthy
+	period := chaosUnit / 4
+
+	type sample struct {
+		at int64
+		hb int64 // healthy cumulative bytes since stats reset
+		fb int64 // faulted cumulative bytes
+	}
+	var samples []sample
+	cfg.SamplePeriod = period
+	cfg.Sample = func(now int64, r *FioRun) {
+		if now <= warm {
+			return
+		}
+		var hb, fb int64
+		for i, w := range r.Workers {
+			if i < healthy {
+				hb += w.Meter.Bytes()
+			} else {
+				fb += w.Meter.Bytes()
+			}
+		}
+		samples = append(samples, sample{at: now, hb: hb, fb: fb})
 	}
 	run := cx.Execute(cfg)
 

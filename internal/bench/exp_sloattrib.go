@@ -5,11 +5,8 @@ import (
 	"sort"
 
 	"gimbal/internal/fabric"
-	"gimbal/internal/fault"
 	"gimbal/internal/obs"
 	"gimbal/internal/sim"
-	"gimbal/internal/ssd"
-	"gimbal/internal/workload"
 )
 
 func init() {
@@ -68,60 +65,24 @@ func tailDecompose(traces []obs.IOTrace) sloAttribTail {
 // and the burn rate over the longest window at the moment the fault window
 // closed.
 func runSLOAttribExp(cx *Ctx) []*Result {
-	u := chaosUnit
-	warm := 3 * u
-	faultAt := warm + 3*u
-	faultEnd := faultAt + 4*u
-	dur := 11 * u
-
-	healthy := 3
-	specs := make([]Spec, 0, 7)
-	for i := 0; i < healthy; i++ {
-		specs = append(specs, Spec{Profile: workload.Profile{
-			Name: "healthy", ReadRatio: 1, IOSize: 4096, QD: 16,
-		}, SSD: 0})
-	}
-	for i := 0; i < 4; i++ {
-		specs = append(specs, Spec{Profile: workload.Profile{
-			Name: "faulted", ReadRatio: 1, IOSize: 4096, QD: 64,
-			RateLimitBps: 16e6,
-		}, SSD: 1})
-	}
-
-	retry := chaosRetry()
+	cfg, tl := chaosBrownoutConfig(fabric.SchemeGimbal)
 	// A 2ms end-to-end objective: comfortably met on the clean device,
 	// hopeless during the ×200 brownout — so the burn-rate columns separate
 	// the two tenant classes sharply.
-	slo := obs.SLO{LatencyTargetNs: 2 * sim.Millisecond, LatencyGoal: 0.999}
+	cfg.SLO = &obs.SLO{LatencyTargetNs: 2 * sim.Millisecond, LatencyGoal: 0.999}
+	cfg.Trace = &obs.TracerConfig{Capacity: 1 << 17, Mode: obs.TraceFull}
 	// Burn-rate snapshot per tenant (Spec order), taken while the fault
 	// window is still the recent past.
-	burnAtFaultEnd := make([]float64, len(specs))
-	cfg := FioConfig{
-		Scheme:    fabric.SchemeGimbal,
-		Cond:      ssd.Clean,
-		NumSSD:    2,
-		Specs:     specs,
-		Warm:      warm,
-		Dur:       dur,
-		Seed:      11,
-		CPU:       fabric.SmartNICCPU(1),
-		Retry:     &retry,
-		GimbalCfg: chaosGimbalCfg,
-		Faults: &fault.Plan{Seed: 11, Events: []fault.Event{
-			{Kind: fault.SSDBrownout, At: faultAt, Dur: 4 * u, SSD: 1, Factor: 200},
+	burnAtFaultEnd := make([]float64, len(cfg.Specs))
+	cfg.Events = []TimedEvent{
+		{At: tl.faultEnd, Do: func(r *FioRun) {
+			now := r.Loop.Now()
+			wins := r.Hub.SLO.Windows()
+			for i, w := range r.Workers {
+				st := r.Hub.SLO.Tenant(w.Tenant().Name)
+				burnAtFaultEnd[i] = st.BurnRate(len(wins)-1, now)
+			}
 		}},
-		Trace: &obs.TracerConfig{Capacity: 1 << 17, Mode: obs.TraceFull},
-		SLO:   &slo,
-		Events: []TimedEvent{
-			{At: faultEnd, Do: func(r *FioRun) {
-				now := r.Loop.Now()
-				wins := r.Hub.SLO.Windows()
-				for i, w := range r.Workers {
-					st := r.Hub.SLO.Tenant(w.Tenant().Name)
-					burnAtFaultEnd[i] = st.BurnRate(len(wins)-1, now)
-				}
-			}},
-		},
 	}
 	run := cx.Execute(cfg)
 

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"gimbal/internal/core"
+	"gimbal/internal/fabric"
 	"gimbal/internal/nvme"
 	"gimbal/internal/obs"
 	"gimbal/internal/sim"
@@ -65,9 +65,13 @@ func runTenantScale(cx *Ctx) []*Result {
 func tenantScaleRow(res *Result, pop int, churnPS float64) {
 	loop := sim.NewLoop()
 	rng := sim.NewRNG(11)
-	dev := ssd.New(loop, ssd.DCT983())
-	dev.Precondition(ssd.Clean, rng.Fork())
-	sw := core.New(loop, dev, core.DefaultConfig())
+	st, err := fabric.BuildStack([]sim.Scheduler{loop}, rng, fabric.StackConfig{
+		Params: ssd.DCT983(), Cond: ssd.Clean, Target: fabric.DefaultTargetConfig(fabric.SchemeGimbal),
+	})
+	if err != nil {
+		panic(err) // experiment configs are code, not input
+	}
+	sw := st.Target.Pipeline(0).Gimbal
 
 	reg := obs.NewRegistry()
 	reg.SetMaxSeries(tenantScaleSeries)
@@ -78,7 +82,7 @@ func tenantScaleRow(res *Result, pop int, churnPS float64) {
 	cfg.Tenants = pop
 	cfg.RateIOPS = tenantScaleIOPS
 	cfg.ChurnPerSec = churnPS
-	cfg.Span = dev.Capacity()
+	cfg.Span = st.SSDs[0].Capacity()
 	sc := workload.NewScenario(loop, rng, cfg, sw)
 
 	// Per-tenant instruments, exactly as the fabric target creates them on

@@ -6,6 +6,7 @@ import (
 
 	"gimbal/internal/blobstore"
 	"gimbal/internal/core"
+	"gimbal/internal/fabric"
 	"gimbal/internal/nvme"
 	"gimbal/internal/sim"
 	"gimbal/internal/ssd"
@@ -54,8 +55,6 @@ type volRig struct {
 	m       *volume.Manager
 	classes *volume.ClassSet
 	comp    volume.Compiled
-	devs    []*ssd.SSD
-	sws     []*core.Switch
 	routers []volume.Router // per class
 }
 
@@ -74,37 +73,37 @@ func newVolRig(nssd int, capacity int64, maxSlots int) *volRig {
 	}
 	comp := classes.Compile()
 
-	ccfg := core.DefaultConfig()
-	ccfg.Sched.ClassWeights = comp.ClassWeights
+	tcfg := fabric.DefaultTargetConfig(fabric.SchemeGimbal)
+	tcfg.Gimbal.Sched.ClassWeights = comp.ClassWeights
 	if maxSlots > 0 {
-		ccfg.Sched.Slots.MaxSlots = maxSlots
+		tcfg.Gimbal.Sched.Slots.MaxSlots = maxSlots
+	}
+	p := ssd.DCT983()
+	p.UsableBytes = capacity
+	st, err := fabric.BuildStack(fabric.SharedClock(loop, nssd), rng,
+		fabric.StackConfig{Params: p, Cond: ssd.Clean, Target: tcfg})
+	if err != nil {
+		panic(err) // experiment configs are code, not input
 	}
 
 	r := &volRig{loop: loop, classes: classes, comp: comp}
 	nextID := 0
-	sws := make([]*core.Switch, nssd)
-	r.sws = sws
 	adapters := make([][]*swTarget, nssd) // [ssd][class]
 	system := make([]*swTarget, nssd)
 	for i := 0; i < nssd; i++ {
-		p := ssd.DCT983()
-		p.UsableBytes = capacity
-		d := ssd.New(loop, p)
-		d.Precondition(ssd.Clean, rng.Fork())
-		r.devs = append(r.devs, d)
-		sws[i] = core.New(loop, d, ccfg)
+		sw := st.Target.Pipeline(i).Gimbal
 		adapters[i] = make([]*swTarget, classes.Len())
 		for c := 0; c < classes.Len(); c++ {
 			t := nvme.NewTenant(nextID, fmt.Sprintf("ssd%d-%s", i, classes.Spec(c).Name))
 			nextID++
 			t.Class = c
-			sws[i].Register(t)
-			adapters[i][c] = &swTarget{sw: sws[i], t: t}
+			sw.Register(t)
+			adapters[i][c] = &swTarget{sw: sw, t: t}
 		}
-		st := nvme.NewTenant(nextID, fmt.Sprintf("ssd%d-system", i))
+		sys := nvme.NewTenant(nextID, fmt.Sprintf("ssd%d-system", i))
 		nextID++
-		sws[i].Register(st)
-		system[i] = &swTarget{sw: sws[i], t: st}
+		sw.Register(sys)
+		system[i] = &swTarget{sw: sw, t: sys}
 	}
 
 	bc := blobstore.DefaultConfig()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gimbal/internal/blobstore"
+	"gimbal/internal/core"
 	"gimbal/internal/fabric"
 	"gimbal/internal/kvstore"
 	"gimbal/internal/nvme"
@@ -19,8 +20,9 @@ func init() {
 	register("fig13", "Virtual-view optimizations: vanilla vs +FC vs +FC+LB", runFig13)
 }
 
-// ycsbConfig parameterizes one key-value store experiment.
-type ycsbConfig struct {
+// YCSBConfig parameterizes one key-value store rack (§4.3): DB instances
+// over a replicated blobstore spanning JBOFs of fragmented SSDs.
+type YCSBConfig struct {
 	Scheme    fabric.Scheme
 	Instances int
 	JBOFs     int
@@ -34,9 +36,9 @@ type ycsbConfig struct {
 	NoBalance     bool
 }
 
-func defaultYCSB(scheme fabric.Scheme, workload string) ycsbConfig {
-	_ = workload
-	return ycsbConfig{
+// DefaultYCSB is the evaluation's rack: 24 instances over 3 JBOFs × 4 SSDs.
+func DefaultYCSB(scheme fabric.Scheme) YCSBConfig {
+	return YCSBConfig{
 		Scheme:    scheme,
 		Instances: 24,
 		JBOFs:     3,
@@ -49,31 +51,41 @@ func defaultYCSB(scheme fabric.Scheme, workload string) ycsbConfig {
 	}
 }
 
-// ycsbResult is the aggregate of one run.
-type ycsbResult struct {
+// YCSBResult is the aggregate of one run, plus what examples/kvstore
+// prints: per-instance op counts and LSM stats (instance order), when the
+// load finished, and the end-of-run virtual view of JBOF 0's SSD 0 (zero
+// unless the scheme is Gimbal).
+type YCSBResult struct {
 	KIOPS    float64
 	ReadLat  *stats.Histogram
 	WriteLat *stats.Histogram
-	Stalls   int64
+
+	Ops      []int64
+	DBStats  []kvstore.Stats
+	LoadedAt int64
+	SSD0View core.View
 }
 
 // cachedYCSB memoizes runs shared between result tables (fig11 and fig12
 // report two views of the same scaling sweep).
-func (cx *Ctx) cachedYCSB(cfg ycsbConfig, workloadName string, seed uint64) ycsbResult {
+func (cx *Ctx) cachedYCSB(cfg YCSBConfig, workloadName string, seed uint64) YCSBResult {
 	key := fmt.Sprintf("%v|%d|%d|%v|%v|%s|%d", cfg.Scheme, cfg.Instances, cfg.JBOFs,
 		cfg.NoFlowControl, cfg.NoBalance, workloadName, seed)
 	if r, ok := cx.ycsbCache[key]; ok {
 		return r
 	}
-	r := runYCSB(cfg, workloadName, seed)
+	r, err := RunYCSB(cfg, workloadName, seed)
+	if err != nil {
+		panic(err) // experiment configs are code, not input
+	}
 	cx.ycsbCache[key] = r
 	return r
 }
 
-// runYCSB builds the full rack — JBOFs of fragmented SSDs behind the
+// RunYCSB builds the full rack — JBOFs of fragmented SSDs behind the
 // scheme's targets, one blobstore+DB per instance with sessions to every
 // SSD — loads it, and runs the measured window.
-func runYCSB(cfg ycsbConfig, workloadName string, seed uint64) ycsbResult {
+func RunYCSB(cfg YCSBConfig, workloadName string, seed uint64) (YCSBResult, error) {
 	loop := sim.NewLoop()
 	rng := sim.NewRNG(seed)
 
@@ -81,17 +93,20 @@ func runYCSB(cfg ycsbConfig, workloadName string, seed uint64) ycsbResult {
 	params.UsableBytes = 4 << 30
 
 	nDev := cfg.JBOFs * cfg.SSDsPer
+	clks := fabric.SharedClock(loop, cfg.SSDsPer)
 	var targets []*fabric.Target
 	capacities := make([]int64, 0, nDev)
 	for j := 0; j < cfg.JBOFs; j++ {
-		var devs []ssd.Device
-		for s := 0; s < cfg.SSDsPer; s++ {
-			d := ssd.New(loop, params)
-			d.Precondition(ssd.Fragmented, rng.Fork())
-			devs = append(devs, d)
+		st, err := fabric.BuildStack(clks, rng, fabric.StackConfig{
+			Params: params, Cond: ssd.Fragmented, Target: fabric.DefaultTargetConfig(cfg.Scheme),
+		})
+		if err != nil {
+			return YCSBResult{}, err
+		}
+		for _, d := range st.SSDs {
 			capacities = append(capacities, d.Capacity())
 		}
-		targets = append(targets, fabric.NewTarget(loop, devs, fabric.DefaultTargetConfig(cfg.Scheme)))
+		targets = append(targets, st.Target)
 	}
 
 	bcfg := blobstore.DefaultConfig()
@@ -123,7 +138,7 @@ func runYCSB(cfg ycsbConfig, workloadName string, seed uint64) ycsbResult {
 		dbs[i] = kvstore.Open(loop, fs, fmt.Sprintf("db%d", i), opt, rng.Fork())
 		r, err := kvstore.NewYCSBRunner(dbs[i], rng.Uint64(), workloadName, cfg.Records, cfg.ValueLen)
 		if err != nil {
-			panic(err)
+			return YCSBResult{}, err
 		}
 		runners[i] = r
 		loaded[i] = &sim.Gate{}
@@ -140,8 +155,6 @@ func runYCSB(cfg ycsbConfig, workloadName string, seed uint64) ycsbResult {
 	// the coordinator marks the stop time (checked at batch boundaries, so
 	// the overshoot is at most one small batch per process).
 	stop := int64(0) // set after load + warm + dur
-	readAgg := stats.NewHistogram()
-	writeAgg := stats.NewHistogram()
 	for i := 0; i < cfg.Instances; i++ {
 		for w := 0; w < cfg.Procs; w++ {
 			i := i
@@ -158,11 +171,13 @@ func runYCSB(cfg ycsbConfig, workloadName string, seed uint64) ycsbResult {
 
 	// Once every instance has loaded, run warmup, reset counters, and
 	// measure for Dur.
+	res := YCSBResult{ReadLat: stats.NewHistogram(), WriteLat: stats.NewHistogram()}
 	var measuredNs int64
 	loop.Spawn("coordinator", func(p *sim.Proc) {
 		for _, g := range loaded {
 			g.Wait(p)
 		}
+		res.LoadedAt = p.Now()
 		p.Sleep(cfg.Warm)
 		for _, r := range runners {
 			r.ResetStats()
@@ -177,22 +192,23 @@ func runYCSB(cfg ycsbConfig, workloadName string, seed uint64) ycsbResult {
 	})
 	loop.Run()
 
-	var ops, stalls int64
+	var ops int64
 	for i, r := range runners {
+		st := dbs[i].Stats()
 		ops += r.Ops
-		readAgg.Merge(r.ReadLat)
-		writeAgg.Merge(r.WriteLat)
-		stalls += dbs[i].Stats().StallNs
+		res.ReadLat.Merge(r.ReadLat)
+		res.WriteLat.Merge(r.WriteLat)
+		res.Ops = append(res.Ops, r.Ops)
+		res.DBStats = append(res.DBStats, st)
 	}
 	if measuredNs <= 0 {
 		measuredNs = cfg.Dur
 	}
-	return ycsbResult{
-		KIOPS:    float64(ops) / (float64(measuredNs) / 1e9) / 1e3,
-		ReadLat:  readAgg,
-		WriteLat: writeAgg,
-		Stalls:   stalls,
+	res.KIOPS = float64(ops) / (float64(measuredNs) / 1e9) / 1e3
+	if g := targets[0].Pipeline(0).Gimbal; g != nil {
+		res.SSD0View = g.View()
 	}
+	return res, nil
 }
 
 func runFig10(cx *Ctx) []*Result {
@@ -200,7 +216,7 @@ func runFig10(cx *Ctx) []*Result {
 		Header: []string{"workload", "scheme", "KIOPS", "rd_avg_us", "rd_p999_us"}}
 	for _, wl := range kvstore.YCSBWorkloads {
 		for _, scheme := range fabric.AllSchemes {
-			r := cx.cachedYCSB(defaultYCSB(scheme, wl), wl, 11)
+			r := cx.cachedYCSB(DefaultYCSB(scheme), wl, 11)
 			thr.AddRow(wl, scheme.String(), f0(r.KIOPS), f0(r.ReadLat.Mean()/1e3), us(r.ReadLat.P999()))
 		}
 	}
@@ -217,7 +233,7 @@ func runFig11(cx *Ctx) []*Result {
 	for _, n := range scaleCounts() {
 		row := []string{fmt.Sprint(n)}
 		for _, wl := range kvstore.YCSBWorkloads {
-			cfg := defaultYCSB(fabric.SchemeGimbal, wl)
+			cfg := DefaultYCSB(fabric.SchemeGimbal)
 			cfg.Instances = n
 			r := cx.cachedYCSB(cfg, wl, 13)
 			row = append(row, f0(r.KIOPS))
@@ -234,7 +250,7 @@ func runFig12(cx *Ctx) []*Result {
 	for _, n := range scaleCounts() {
 		row := []string{fmt.Sprint(n)}
 		for _, wl := range kvstore.YCSBWorkloads {
-			cfg := defaultYCSB(fabric.SchemeGimbal, wl)
+			cfg := DefaultYCSB(fabric.SchemeGimbal)
 			cfg.Instances = n
 			r := cx.cachedYCSB(cfg, wl, 13)
 			row = append(row, f0(r.ReadLat.Mean()/1e3))
@@ -260,7 +276,7 @@ func runFig13(cx *Ctx) []*Result {
 	for _, c := range configs {
 		row := []string{c.name}
 		for _, wl := range kvstore.YCSBWorkloads {
-			cfg := defaultYCSB(fabric.SchemeGimbal, wl)
+			cfg := DefaultYCSB(fabric.SchemeGimbal)
 			cfg.Instances = 8
 			cfg.JBOFs = 1
 			cfg.NoFlowControl = c.noFC

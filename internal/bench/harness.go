@@ -109,11 +109,7 @@ func NewFioRun(cfg FioConfig) *FioRun {
 	if cfg.GimbalCfg != nil {
 		cfg.GimbalCfg(&tcfg)
 	}
-	clks := make([]sim.Scheduler, cfg.NumSSD)
-	for i := range clks {
-		clks[i] = loop
-	}
-	st, err := fabric.BuildStack(clks, rng, fabric.StackConfig{
+	st, err := fabric.BuildStack(fabric.SharedClock(loop, cfg.NumSSD), rng, fabric.StackConfig{
 		Params: params, Cond: cfg.Cond, Tier: cfg.Tier, Target: tcfg,
 	})
 	if err != nil {

@@ -106,6 +106,3 @@ func (c *CPUModel) Charge(now, cost int64) int64 {
 	c.cores[best] = start + cost
 	return c.cores[best]
 }
-
-// Cores returns the pool size.
-func (c *CPUModel) Cores() int { return len(c.cores) }

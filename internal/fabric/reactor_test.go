@@ -25,7 +25,7 @@ func startReactors(t *testing.T, scheme Scheme, ssds, reactors int) (*TCPReactor
 	shards := sim.NewRealShards(reactors)
 	devs := make([]ssd.Device, ssds)
 	for i := range devs {
-		devs[i] = ssd.NewNull(shards.Shard(i%shards.N()), 256<<20, 0)
+		devs[i] = ssd.NewNull(shards.Shard(i%shards.N()), nullCapacity, 0)
 	}
 	tgt := NewReactorTarget(shards, devs, DefaultTargetConfig(scheme))
 	srv, err := ServeTCPReactors(shards, tgt, "127.0.0.1:0")
@@ -102,6 +102,31 @@ func TestReactorRoundTrip(t *testing.T) {
 	}
 }
 
+const nullCapacity = 256 << 20 // startReactors' NULL devices
+
+// reactorInvalidCommands are well-framed commands the reactor must refuse
+// with an error reply (TestReactorInvalidCommands); FuzzDecodeCommand seeds
+// its corpus with their encodings.
+var reactorInvalidCommands = []struct {
+	name string
+	cmd  CommandCapsule
+	want nvme.Status
+}{
+	{"bad NSID", CommandCapsule{Opcode: nvme.OpRead, NSID: 9, Length: 4096}, nvme.StatusInvalidOp},
+	{"bad priority", CommandCapsule{Opcode: nvme.OpRead, Priority: nvme.NumPriorities, Length: 4096}, nvme.StatusInvalidOp},
+	{"bad opcode", CommandCapsule{Opcode: 0x7f, Length: 4096}, nvme.StatusInvalidOp},
+	{"LBA past capacity", CommandCapsule{Opcode: nvme.OpRead, SLBA: nullCapacity / 4096, Length: 4096}, nvme.StatusInvalidLBA},
+	{"range straddles capacity", CommandCapsule{Opcode: nvme.OpWrite, SLBA: nullCapacity/4096 - 1, Length: 8192}, nvme.StatusInvalidLBA},
+	// 2^52+1 blocks is byte offset 2^64+4096, which wrapped to LBA 1.
+	{"SLBA overflow", CommandCapsule{Opcode: nvme.OpRead, SLBA: 1<<52 + 1, Length: 4096}, nvme.StatusInvalidLBA},
+	{"SLBA + length overflow", CommandCapsule{Opcode: nvme.OpWrite, SLBA: maxSLBA + 1, Length: 1<<32 - 4096}, nvme.StatusInvalidLBA},
+	{"zero length", CommandCapsule{Opcode: nvme.OpRead, Length: 0}, nvme.StatusInvalidLBA},
+	{"unaligned length", CommandCapsule{Opcode: nvme.OpRead, Length: 100}, nvme.StatusInvalidLBA},
+	// In range for the device, but the response could not be framed.
+	{"oversize read", CommandCapsule{Opcode: nvme.OpRead, Length: 128 << 20}, nvme.StatusInvalidLBA},
+	{"largest unframeable read", CommandCapsule{Opcode: nvme.OpRead, Length: maxFrame}, nvme.StatusInvalidLBA},
+}
+
 // TestReactorInvalidCommands: every malformed command a client can frame
 // gets an error status at the submit point, allocates nothing the size of
 // its claims, and leaves the connection serving.
@@ -112,26 +137,7 @@ func TestReactorInvalidCommands(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	const capacity = 256 << 20 // startReactors' NULL devices
-	for _, tc := range []struct {
-		name string
-		cmd  CommandCapsule
-		want nvme.Status
-	}{
-		{"bad NSID", CommandCapsule{Opcode: nvme.OpRead, NSID: 9, Length: 4096}, nvme.StatusInvalidOp},
-		{"bad priority", CommandCapsule{Opcode: nvme.OpRead, Priority: nvme.NumPriorities, Length: 4096}, nvme.StatusInvalidOp},
-		{"bad opcode", CommandCapsule{Opcode: 0x7f, Length: 4096}, nvme.StatusInvalidOp},
-		{"LBA past capacity", CommandCapsule{Opcode: nvme.OpRead, SLBA: capacity / 4096, Length: 4096}, nvme.StatusInvalidLBA},
-		{"range straddles capacity", CommandCapsule{Opcode: nvme.OpWrite, SLBA: capacity/4096 - 1, Length: 8192}, nvme.StatusInvalidLBA},
-		// 2^52+1 blocks is byte offset 2^64+4096, which wrapped to LBA 1.
-		{"SLBA overflow", CommandCapsule{Opcode: nvme.OpRead, SLBA: 1<<52 + 1, Length: 4096}, nvme.StatusInvalidLBA},
-		{"SLBA + length overflow", CommandCapsule{Opcode: nvme.OpWrite, SLBA: maxSLBA + 1, Length: 1<<32 - 4096}, nvme.StatusInvalidLBA},
-		{"zero length", CommandCapsule{Opcode: nvme.OpRead, Length: 0}, nvme.StatusInvalidLBA},
-		{"unaligned length", CommandCapsule{Opcode: nvme.OpRead, Length: 100}, nvme.StatusInvalidLBA},
-		// In range for the device, but the response could not be framed.
-		{"oversize read", CommandCapsule{Opcode: nvme.OpRead, Length: 128 << 20}, nvme.StatusInvalidLBA},
-		{"largest unframeable read", CommandCapsule{Opcode: nvme.OpRead, Length: maxFrame}, nvme.StatusInvalidLBA},
-	} {
+	for _, tc := range reactorInvalidCommands {
 		cmd := tc.cmd
 		rsp, err := c.Do(&cmd)
 		if err != nil {

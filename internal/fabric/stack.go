@@ -83,6 +83,16 @@ func BuildStack(clks []sim.Scheduler, rng *sim.RNG, cfg StackConfig) (*Stack, er
 	return s, nil
 }
 
+// SharedClock is BuildStack's clks for a node whose n SSDs all run on one
+// scheduler — every simulated stack.
+func SharedClock(clk sim.Scheduler, n int) []sim.Scheduler {
+	clks := make([]sim.Scheduler, n)
+	for i := range clks {
+		clks[i] = clk
+	}
+	return clks
+}
+
 // Engine returns a fault engine over the stack's fault layers that
 // schedules on clk, with the device-level hooks wired: die stalls reach the
 // NAND models and tier bypass reaches the tiers (without a tier that hook

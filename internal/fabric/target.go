@@ -130,11 +130,7 @@ type Target struct {
 
 // NewTarget builds a node over the devices with the configured scheme.
 func NewTarget(clk sim.Scheduler, devs []ssd.Device, cfg TargetConfig) *Target {
-	clks := make([]sim.Scheduler, len(devs))
-	for i := range clks {
-		clks[i] = clk
-	}
-	return NewShardedTarget(clks, devs, cfg)
+	return NewShardedTarget(SharedClock(clk, len(devs)), devs, cfg)
 }
 
 // NewShardedTarget builds a node whose pipeline i runs entirely on

@@ -146,9 +146,6 @@ type IO struct {
 // monitor feeds on — measured at the NVMe interface, §3.2).
 func (io *IO) DeviceLatency() int64 { return io.DevDone - io.DevSubmit }
 
-// TargetLatency is the full target residency including scheduler queueing.
-func (io *IO) TargetLatency() int64 { return io.DevDone - io.Arrival }
-
 // Tenant is one storage client: an RDMA qpair plus an NVMe qpair in the
 // paper's terms. Schedulers hang their per-tenant state off State.
 type Tenant struct {

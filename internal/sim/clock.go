@@ -30,7 +30,6 @@ type Scheduler interface {
 
 // Common durations in nanoseconds, for readability at call sites.
 const (
-	Nanosecond  int64 = 1
 	Microsecond int64 = 1e3
 	Millisecond int64 = 1e6
 	Second      int64 = 1e9

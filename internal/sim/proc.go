@@ -84,15 +84,6 @@ func (p *Proc) Sleep(d int64) {
 	p.Park()
 }
 
-// SleepUntil suspends the process until absolute time t.
-func (p *Proc) SleepUntil(t int64) {
-	d := t - p.loop.Now()
-	if d < 0 {
-		d = 0
-	}
-	p.Sleep(d)
-}
-
 // Gate is a one-shot completion that processes can wait on. The zero value
 // is an unfired gate.
 type Gate struct {
@@ -128,52 +119,3 @@ func (g *Gate) Fire(v any) {
 		p.wake(v)
 	}
 }
-
-// WaitAll parks p until every gate has fired.
-func WaitAll(p *Proc, gates ...*Gate) {
-	for _, g := range gates {
-		g.Wait(p)
-	}
-}
-
-// Semaphore is a counting semaphore for cooperative processes.
-type Semaphore struct {
-	avail   int
-	waiters []*Proc
-}
-
-// NewSemaphore returns a semaphore with n initial permits.
-func NewSemaphore(n int) *Semaphore { return &Semaphore{avail: n} }
-
-// Acquire takes one permit, parking p until one is available.
-func (s *Semaphore) Acquire(p *Proc) {
-	if s.avail > 0 {
-		s.avail--
-		return
-	}
-	s.waiters = append(s.waiters, p)
-	p.Park()
-}
-
-// TryAcquire takes a permit without blocking; reports success.
-func (s *Semaphore) TryAcquire() bool {
-	if s.avail > 0 {
-		s.avail--
-		return true
-	}
-	return false
-}
-
-// Release returns one permit, waking the longest-waiting process if any.
-func (s *Semaphore) Release() {
-	if len(s.waiters) > 0 {
-		p := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		p.wake(nil)
-		return
-	}
-	s.avail++
-}
-
-// Available returns the number of free permits.
-func (s *Semaphore) Available() int { return s.avail }

@@ -95,45 +95,6 @@ func TestGateWaitAfterFireReturnsImmediately(t *testing.T) {
 	}
 }
 
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	l := NewLoop()
-	sem := NewSemaphore(2)
-	active, maxActive := 0, 0
-	for i := 0; i < 6; i++ {
-		l.Spawn("u", func(p *Proc) {
-			sem.Acquire(p)
-			active++
-			if active > maxActive {
-				maxActive = active
-			}
-			p.Sleep(10)
-			active--
-			sem.Release()
-		})
-	}
-	l.Run()
-	if maxActive != 2 {
-		t.Fatalf("max concurrent holders = %d, want 2", maxActive)
-	}
-	if sem.Available() != 2 {
-		t.Fatalf("permits leaked: %d available, want 2", sem.Available())
-	}
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	sem := NewSemaphore(1)
-	if !sem.TryAcquire() {
-		t.Fatal("first TryAcquire failed")
-	}
-	if sem.TryAcquire() {
-		t.Fatal("second TryAcquire succeeded")
-	}
-	sem.Release()
-	if !sem.TryAcquire() {
-		t.Fatal("TryAcquire after Release failed")
-	}
-}
-
 func TestProcWakeFromEvent(t *testing.T) {
 	l := NewLoop()
 	var p *Proc

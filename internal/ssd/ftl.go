@@ -56,10 +56,11 @@ type ftl struct {
 	writableVer []uint32 // dieVer+1 at memo time; 0 = no memo
 	writableOK  []bool
 
-	// slowVictim switches pickVictim to the retained O(blocksPerDie)
-	// reference scan; the differential tests drive both implementations
-	// through identical op sequences and assert identical states.
-	slowVictim bool
+	// victimOracle, when non-nil, makes pickVictim's choice. Nothing outside
+	// ftl_diff_test.go sets it: the differential test installs the retained
+	// O(blocksPerDie) reference scan on a twin FTL and drives both through
+	// identical op sequences, asserting identical states.
+	victimOracle func(die int) (uint32, bool)
 
 	// Cumulative counters.
 	hostPages   uint64 // pages written by the host
@@ -314,8 +315,8 @@ func (f *ftl) collect(die int) gcWork {
 // holds precisely the candidate set, so only that (typically tiny) list is
 // walked for the tie-break.
 func (f *ftl) pickVictim(die int) (uint32, bool) {
-	if f.slowVictim {
-		return f.pickVictimSlow(die)
+	if f.victimOracle != nil {
+		return f.victimOracle(die)
 	}
 	v, ok := f.minValidOf(die)
 	if !ok {
@@ -589,7 +590,7 @@ func (f *ftl) checkBuckets() error {
 			return fmt.Errorf("ftl: block %d inBucket flag %v but linked %v", b, f.inBucket[b], seen[b])
 		}
 	}
-	if !f.slowVictim {
+	if f.victimOracle == nil {
 		for d := range f.dies {
 			fastB, fastOK := f.pickVictim(d)
 			slowB, slowOK := f.pickVictimSlow(d)

@@ -77,7 +77,7 @@ func TestFTLDifferentialVictims(t *testing.T) {
 	p := diffParams()
 	fast := newFTL(p)
 	slow := newFTL(p)
-	slow.slowVictim = true
+	slow.victimOracle = slow.pickVictimSlow
 	rng := sim.NewRNG(42)
 	n := p.LogicalPages()
 	dies := p.Dies()

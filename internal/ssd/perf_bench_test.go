@@ -1,8 +1,8 @@
 package ssd
 
-// Device-model microbenchmarks behind BENCH_issue5.json: the GC-bound FTL
-// write path, the steady-state read path, bulk trim, and a full
-// pre-conditioning pass. Run:
+// Device-model microbenchmarks (first medians: EXPERIMENTS.md "History
+// (pre-ledger)", PR 4): the GC-bound FTL write path, the steady-state read
+// path, bulk trim, and a full pre-conditioning pass. Run:
 //
 //	go test ./internal/ssd -bench 'FTLWriteGC|DeviceRead|DevicePrecondition|FTLTrim' -benchmem
 //

@@ -102,8 +102,7 @@ type Worker struct {
 	zipf *Zipf
 }
 
-// NewWorker builds a worker. Span must be a positive multiple of IOSize if
-// set; when zero the caller must call SetSpan before Start.
+// NewWorker builds a worker. p.Span must be a positive multiple of IOSize.
 func NewWorker(loop *sim.Loop, rng *sim.RNG, p Profile, tenant *nvme.Tenant, target Target) *Worker {
 	w := &Worker{
 		loop:     loop,
@@ -125,9 +124,6 @@ func (w *Worker) Tenant() *nvme.Tenant { return w.tenant }
 
 // Profile returns the worker's profile.
 func (w *Worker) Profile() Profile { return w.p }
-
-// SetSpan sets the address range when it was not known at construction.
-func (w *Worker) SetSpan(base, span int64) { w.p.Base, w.p.Span = base, span }
 
 // Start begins the closed loop: QD submissions now, one replacement per
 // completion, until stopAt (then drains naturally).

@@ -58,13 +58,13 @@ func volErr(err error) error {
 // default gold/silver/besteffort menu for volume placement, but the
 // scheduler stays in flat (paper-identical) mode.
 func WithQoSClasses(spec string) JBOFOption {
-	return func(c *JBOFConfig) { c.QoSClasses = spec }
+	return func(c *jbofConfig) { c.QoSClasses = spec }
 }
 
 // Volume is a provisioned namespace on a JBOF: either a thin- or
 // thick-provisioned managed volume (extent-mapped over the JBOF's SSDs,
-// snapshot/clone-capable) or the auto-provisioned whole-SSD identity
-// volume backing the deprecated raw-index entry points.
+// snapshot/clone-capable) or the whole-SSD identity volume of a raw
+// device.
 type Volume struct {
 	j    *JBOF
 	v    *volume.Volume // nil for whole-SSD identity volumes
@@ -198,23 +198,14 @@ func (j *JBOF) VolumeUsage() VolumeUsage {
 	}
 }
 
-// WholeSSDVolume returns the identity volume covering one raw SSD — the
-// auto-provisioned target the deprecated index-based entry points run
-// against. It bypasses the mapping layer entirely: offsets pass through
-// unchanged, so its behavior is bit-identical to the pre-volume API.
+// WholeSSDVolume returns the identity volume covering one raw SSD. It
+// bypasses the mapping layer entirely: offsets pass through unchanged and
+// its streams talk straight to the SSD's pipeline.
 func (j *JBOF) WholeSSDVolume(ssdIdx int) (*Volume, error) {
 	if err := j.checkSSD(ssdIdx); err != nil {
 		return nil, err
 	}
-	if j.rawVols == nil {
-		j.rawVols = make(map[int]*Volume)
-	}
-	if v, ok := j.rawVols[ssdIdx]; ok {
-		return v, nil
-	}
-	v := &Volume{j: j, raw: ssdIdx, name: fmt.Sprintf("ssd-%d", ssdIdx)}
-	j.rawVols[ssdIdx] = v
-	return v, nil
+	return &Volume{j: j, raw: ssdIdx, name: fmt.Sprintf("ssd-%d", ssdIdx)}, nil
 }
 
 // Name returns the volume name.
@@ -230,7 +221,7 @@ func (v *Volume) Capacity() int64 {
 }
 
 // QoSClass returns the volume's class name ("" for whole-SSD identity
-// volumes, which predate classes).
+// volumes, which sit below the class menu).
 func (v *Volume) QoSClass() string {
 	if v.v == nil {
 		return ""
@@ -325,7 +316,7 @@ func (v *Volume) StartWorkload(opts ...WorkloadOption) (*Stream, error) {
 	for _, o := range opts {
 		o(&c)
 	}
-	w := c.w
+	w := c
 	if w.IOSize == 0 {
 		w.IOSize = 4096
 	}
@@ -349,8 +340,7 @@ func (v *Volume) StartWorkload(opts ...WorkloadOption) (*Stream, error) {
 	var sessions []*fabric.Session
 	span := v.Capacity()
 	if v.v == nil {
-		// Identity volume: the tenant talks straight to its SSD's
-		// pipeline, exactly as the pre-volume API did.
+		// Identity volume: the tenant talks straight to its SSD's pipeline.
 		sess := j.target.Connect(tenant, v.raw)
 		if c.retry != nil {
 			sess.SetRetryPolicy(*c.retry)
