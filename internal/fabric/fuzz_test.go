@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"testing"
@@ -51,6 +52,62 @@ func FuzzDecodeCommand(f *testing.F) {
 			c.CID != first.CID || c.Opcode != first.Opcode || c.Priority != first.Priority ||
 			c.NSID != first.NSID || c.SLBA != first.SLBA || c.Length != first.Length {
 			t.Fatalf("decode into a reused capsule: %+v (%d, %v), first %+v (%d)", c, n2, err, first, n)
+		}
+	})
+}
+
+// FuzzReadFrame feeds arbitrary bytes to a connection reader's front end:
+// readFrameInto then DecodeCommandInto, chained over one bufio.Reader, one
+// scratch buffer and one capsule as readLoop chains them. Against an oracle
+// that walks the same bytes, every well-formed frame must come out intact
+// and every other stream must end in an error — an oversized prefix before
+// anything is allocated for it, a truncated body or a bare prefix at the
+// end of input, a zero-length frame at the decoder — never a panic, a hang,
+// or a buffer beyond maxFrame.
+func FuzzReadFrame(f *testing.F) {
+	read := appendWireFrame(nil, AppendCommand(nil, &CommandCapsule{CID: 7, Opcode: nvme.OpRead, NSID: 1, SLBA: 42, Length: 4096}))
+	write := appendWireFrame(nil, AppendCommand(nil, &CommandCapsule{CID: 8, Opcode: nvme.OpWrite,
+		SLBA: 1, Length: 4096, Data: bytes.Repeat([]byte{0xa5}, 4096)}))
+	f.Add(read)
+	f.Add(write)
+	f.Add(append(bytes.Clone(read), write...))
+	f.Add(binary.BigEndian.AppendUint32(bytes.Clone(read), 0))                        // zero-length frame
+	f.Add(append(binary.BigEndian.AppendUint32(bytes.Clone(read), maxFrame+1), 0xff)) // oversized prefix
+	f.Add(binary.BigEndian.AppendUint32(nil, maxFrame))                               // largest prefix, no body
+	f.Add(write[:len(write)-100])                                                     // truncated body
+
+	f.Fuzz(func(t *testing.T, wire []byte) {
+		r := bufio.NewReaderSize(bytes.NewReader(wire), 4096)
+		var scratch []byte
+		var cmd CommandCapsule
+		for rest := wire; ; {
+			frame, err := readFrameInto(r, scratch)
+			var want []byte // nil: the stream ends here
+			if len(rest) >= 4 {
+				if n := binary.BigEndian.Uint32(rest); n <= maxFrame && uint64(len(rest)) >= 4+uint64(n) {
+					want = rest[4 : 4+n : 4+n]
+				}
+			}
+			if want == nil {
+				if err == nil {
+					t.Fatalf("frame of %d bytes accepted from a stream with %d left: % x", len(frame), len(rest), rest[:min(len(rest), 8)])
+				}
+				return
+			}
+			if err != nil || !bytes.Equal(frame, want) {
+				t.Fatalf("frame = %d bytes, %v; want the %d on the wire", len(frame), err, len(want))
+			}
+			scratch, rest = frame, rest[4+len(want):]
+			n, err := DecodeCommandInto(&cmd, frame)
+			if cap(scratch) > maxFrame || cap(cmd.Data) > maxFrame {
+				t.Fatalf("buffers grew to %d and %d bytes, past maxFrame", cap(scratch), cap(cmd.Data))
+			}
+			if err != nil {
+				return // readLoop hangs up on the peer
+			}
+			if n < cmdHeaderLen || n > len(frame) || !bytes.Equal(cmd.Data, frame[cmdHeaderLen:n]) {
+				t.Fatalf("decoded %d of %d bytes, %d of payload", n, len(frame), len(cmd.Data))
+			}
 		}
 	})
 }

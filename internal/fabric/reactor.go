@@ -28,10 +28,12 @@ import (
 //	     ▲                                                        │
 //	     └───────────────────── free ring ◀───────────────────────┘
 //
-// A connection owns a fixed pool of connSlots ioSlots cycling through
-// those rings; every ring holds connSlots entries, so no push can ever
-// fail and the slot pool doubles as end-to-end flow control: a client
-// pipelining more than connSlots commands stalls the reader until
+// A connection's ioSlots cycle through those rings. The reader creates one
+// whenever the free ring is empty, up to connSlots, so a connection holds
+// as many slots (and response buffers) as its own deepest pipelining needed
+// and an idle one holds none. Every ring holds connSlots entries, so no
+// push can ever fail and the cap doubles as end-to-end flow control: a
+// client pipelining more than connSlots commands stalls the reader until
 // responses drain. All three stages batch — readers stage up to readBatch
 // decoded frames per ring publish, reactors submit popped batches under
 // one shard-lock acquisition, writers coalesce response frames into one
@@ -49,9 +51,14 @@ const (
 	// writeBatch is the writer's per-ring drain stride; a writev gathers
 	// everything drained in one pass.
 	writeBatch = 64
-	// connSlots is the per-connection IO slot pool: the pipelining depth a
-	// single session can keep in flight inside the target.
+	// connSlots caps the per-connection IO slot pool: the pipelining depth
+	// a single session can keep in flight inside the target.
 	connSlots = 512
+	// slotBufKeep is the largest buffer a slot keeps across cycles, twice
+	// the 128 KiB large IO. Frames run to maxFrame, and a buffer grown for
+	// one would otherwise stay that size for the life of the connection —
+	// times connSlots for a peer that pipelines jumbo commands once.
+	slotBufKeep = 256 << 10
 
 	// maxReadLen is the largest read whose response still fits one frame;
 	// anything longer would grow a slot's buffer to the requested size and
@@ -158,6 +165,9 @@ type reactor struct {
 	conds atomic.Pointer[[]*conduit] // copy-on-write list the loop iterates
 
 	rx, tx atomic.Int64 // capsules in / responses out, for /reactors and metrics
+	// slotStalls counts the times a reader feeding this reactor parked with
+	// connSlots commands in flight.
+	slotStalls atomic.Int64
 }
 
 // rconn is one live connection: a reader goroutine, a writer goroutine,
@@ -173,6 +183,7 @@ type rconn struct {
 	conds     atomic.Pointer[[]*conduit] // writer-visible conduit list
 	byReactor []*conduit                 // reader-owned index by reactor
 
+	slots       atomic.Int32 // slots created so far; only the reader writes it
 	outstanding atomic.Int64 // slots taken from free and not yet returned
 	readerDone  atomic.Bool
 	readerExit  chan struct{}
@@ -246,9 +257,11 @@ func (t *TCPReactors) Reactors() int { return len(t.rs) }
 func (t *TCPReactors) Inflight() int64 { return t.inflight.Load() }
 
 // AttachObs registers the transport's telemetry. regs[j], when provided
-// and non-nil, receives reactor j's capsule gauges (it should be the
-// per-reactor registry shard whose GatherLock is shard j); a nil slice
-// lands everything in the hub registry. Call before traffic.
+// and non-nil, receives reactor j's gauges and must be the per-reactor
+// registry shard whose GatherLock is shard j: the clock-read count is the
+// shard's own field, read under that lock. A nil slice (or entry) lands
+// the rest in the hub registry and leaves clock reads to ReactorStats.
+// Call before traffic.
 func (t *TCPReactors) AttachObs(h *obs.Hub, regs []*obs.Registry) {
 	if regs != nil && len(regs) != len(t.rs) {
 		panic("fabric: AttachObs needs one registry per reactor")
@@ -264,8 +277,16 @@ func (t *TCPReactors) AttachObs(h *obs.Hub, regs []*obs.Registry) {
 		rr := r
 		reg.GaugeFunc("fabric_reactor_rx_capsules", lb, func() float64 { return float64(rr.rx.Load()) })
 		reg.GaugeFunc("fabric_reactor_tx_capsules", lb, func() float64 { return float64(rr.tx.Load()) })
+		reg.GaugeFunc("fabric_reactor_slots", lb, func() float64 { return float64(rr.slots()) })
+		reg.GaugeFunc("fabric_reactor_slot_stalls", lb, func() float64 { return float64(rr.slotStalls.Load()) })
 		reg.Help("fabric_reactor_rx_capsules", "command capsules received by the reactor")
 		reg.Help("fabric_reactor_tx_capsules", "response capsules sent by the reactor")
+		reg.Help("fabric_reactor_slots", "IO slots created by the live connections feeding the reactor")
+		reg.Help("fabric_reactor_slot_stalls", "times a connection reader parked at the slot cap")
+		if reg != h.Reg {
+			reg.GaugeFunc("fabric_reactor_clock_reads", lb, func() float64 { return float64(rr.shard.ClockReads()) })
+			reg.Help("fabric_reactor_clock_reads", "samples of the shard clock (one per entry into the shard)")
+		}
 	}
 }
 
@@ -287,13 +308,27 @@ type ReactorStat struct {
 	Conduits   int   `json:"conduits"`
 	RxCapsules int64 `json:"rx_capsules"`
 	TxCapsules int64 `json:"tx_capsules"`
+	// ClockReads counts samples of the shard clock: one per command
+	// submitted plus one per timer callback and admin entry.
+	ClockReads int64 `json:"clock_reads"`
+	// Slots is the number of IO slots the live connections with a conduit
+	// to this reactor have created (a connection that spans reactors counts
+	// in each row, as it does in Conduits); SlotStalls counts the times one
+	// of their readers parked at the connSlots cap.
+	Slots      int   `json:"slots"`
+	SlotStalls int64 `json:"slot_stalls"`
 }
 
 // ReactorStats snapshots the shard → SSD mapping and per-reactor traffic.
+// It takes each shard's lock in turn, so the caller must hold none.
 func (t *TCPReactors) ReactorStats() []ReactorStat {
 	out := make([]ReactorStat, len(t.rs))
 	for j, r := range t.rs {
-		st := ReactorStat{Reactor: j, RxCapsules: r.rx.Load(), TxCapsules: r.tx.Load()}
+		st := ReactorStat{Reactor: j, RxCapsules: r.rx.Load(), TxCapsules: r.tx.Load(),
+			Slots: r.slots(), SlotStalls: r.slotStalls.Load()}
+		r.shard.Lock()
+		st.ClockReads = r.shard.ClockReads()
+		r.shard.Unlock()
 		for i := 0; i < t.target.SSDs(); i++ {
 			if i%len(t.rs) == j {
 				st.SSDs = append(st.SSDs, i)
@@ -370,11 +405,6 @@ func (t *TCPReactors) acceptLoop() {
 			readerExit: make(chan struct{}),
 		}
 		c.conds.Store(&[]*conduit{})
-		for i := 0; i < connSlots; i++ {
-			s := &ioSlot{conn: c}
-			s.doneFn = s.finish
-			c.free.push(s)
-		}
 		t.connMu.Lock()
 		if t.closed.Load() {
 			t.connMu.Unlock()
@@ -424,12 +454,19 @@ func (c *rconn) conduit(j int) *conduit {
 	return cd
 }
 
-// takeSlot pops a free slot, sleeping when the pool is exhausted (the
-// natural backpressure bound on pipelining depth). Returns nil when the
-// server is closing.
+// takeSlot pops a free slot, creates one while the connection has fewer
+// than connSlots, and sleeps only at that cap (the natural backpressure
+// bound on pipelining depth). Returns nil when the server is closing.
 func (c *rconn) takeSlot() *ioSlot {
 	for {
 		if s, ok := c.free.pop(); ok {
+			c.outstanding.Add(1)
+			return s
+		}
+		if c.slots.Load() < connSlots {
+			c.slots.Add(1)
+			s := &ioSlot{conn: c}
+			s.doneFn = s.finish
 			c.outstanding.Add(1)
 			return s
 		}
@@ -440,6 +477,11 @@ func (c *rconn) takeSlot() *ioSlot {
 		if !c.free.empty() || c.srv.closing.Load() {
 			c.rWake.cancelSleep()
 			continue
+		}
+		for _, cd := range c.byReactor {
+			if cd != nil {
+				cd.r.slotStalls.Add(1)
+			}
 		}
 		c.rWake.sleep()
 	}
@@ -471,17 +513,19 @@ func (c *rconn) readLoop() {
 		nstaged = 0
 	}
 	for {
+		// The frame waits in scratch, so the reader holds no slot while it
+		// waits for the peer: an idle connection pins none.
+		frame, err := readFrameInto(r, scratch)
+		if err != nil {
+			break
+		}
+		scratch = frame
 		s := c.takeSlot()
 		if s == nil {
 			break
 		}
-		frame, err := readFrameInto(r, scratch)
-		if err != nil {
-			c.outstanding.Add(-1) // slot dropped, dies with the connection
-			break
-		}
-		scratch = frame
 		if _, err := DecodeCommandInto(&s.cmd, frame); err != nil {
+			// slot dropped, dies with the connection
 			c.outstanding.Add(-1)
 			break
 		}
@@ -559,6 +603,12 @@ func (c *rconn) writeLoop() {
 			}
 		}
 		for _, s := range slots {
+			if cap(s.out) > slotBufKeep {
+				s.out = nil
+			}
+			if cap(s.cmd.Data) > slotBufKeep {
+				s.cmd.Data = nil
+			}
 			if !c.free.push(s) {
 				panic("fabric: free ring overflow")
 			}
@@ -621,7 +671,10 @@ func (r *reactor) removeConduit(cd *conduit) {
 
 // run is the reactor loop: poll every conduit's command ring, submit
 // popped batches under one shard-lock acquisition, retire dead conduits,
-// sleep when idle.
+// sleep when idle. Each command of a batch is its own entry into the shard
+// and gets its own clock sample (Lock takes the first): a full batch holds
+// the lock for tens of microseconds, and the submit stamp feeds the
+// switch's latency monitor.
 func (r *reactor) run() {
 	defer r.srv.rwg.Done()
 	var batch [submitBatch]*ioSlot
@@ -639,7 +692,10 @@ func (r *reactor) run() {
 			}
 			did = true
 			r.shard.Lock()
-			for _, s := range batch[:n] {
+			for i, s := range batch[:n] {
+				if i > 0 {
+					r.shard.Tick()
+				}
 				r.submit(cd, s)
 			}
 			r.shard.Unlock()
@@ -657,6 +713,15 @@ func (r *reactor) run() {
 		}
 		r.wake.sleep()
 	}
+}
+
+// slots sums the IO slots created by the connections feeding this reactor.
+func (r *reactor) slots() int {
+	n := 0
+	for _, cd := range *r.conds.Load() {
+		n += int(cd.conn.slots.Load())
+	}
+	return n
 }
 
 func (r *reactor) anyWork() bool {

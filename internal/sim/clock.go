@@ -18,7 +18,10 @@ import "time"
 // Implementations must run callbacks scheduled for the same instant in FIFO
 // order of scheduling, which the deterministic experiments rely on.
 type Scheduler interface {
-	// Now returns the current time in nanoseconds since the epoch.
+	// Now returns the current time in nanoseconds since the epoch. It is
+	// constant within one entry into the scheduler's context on both
+	// implementations: one event on the Loop; one Lock, timer callback or
+	// Tick on a RealScheduler.
 	Now() int64
 	// At schedules fn to run at absolute time t (clamped to Now for past
 	// times). It returns a value-type handle that can cancel the event or

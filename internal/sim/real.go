@@ -13,9 +13,21 @@ import (
 // event loop; use Lock/Unlock around external entry points into such
 // components. Schedulers come in sets: NewRealShards(1).Shard(0) is the
 // lone one.
+//
+// The shard clock is sampled once per entry — by Lock, by the timer fire
+// path once it holds the mutex, and by Tick — and Now returns that sample,
+// so time stands still inside one entry exactly as it does inside one
+// event of the loop (an SPDK reactor likewise reads the TSC once per
+// iteration). Whatever turns a time into a wall-clock duration (At, After,
+// Reschedule) reads the wall itself: a stale sample must not shorten a
+// delay. Set-up code that runs before the first entry sees the wall too.
 type RealScheduler struct {
 	mu    sync.Mutex
 	epoch time.Time
+	// now is the current sample and reads counts the samples taken; both
+	// are guarded by mu.
+	now   int64
+	reads int64
 	// wakeups counts entries into the timer fire path, so tests can tell a
 	// stopped timer from one that woke up to find itself cancelled.
 	wakeups int64
@@ -58,28 +70,59 @@ func (s *RealShards) Shard(i int) *RealScheduler { return s.shards[i] }
 // shutdown.
 func (s *RealShards) Lock() {
 	for _, sh := range s.shards {
-		sh.mu.Lock()
+		sh.Lock()
 	}
 }
 
 // Unlock releases every shard lock.
 func (s *RealShards) Unlock() {
 	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].mu.Unlock()
+		s.shards[i].Unlock()
 	}
 }
 
-// Now returns the common-epoch wall-clock time.
-func (s *RealShards) Now() int64 { return s.shards[0].Now() }
+// Now returns the common-epoch wall-clock time. It reads the wall, not a
+// shard's sample, so it needs no lock and advances with none held.
+func (s *RealShards) Now() int64 { return s.shards[0].wall() }
 
-// Lock serializes external entry into components driven by this scheduler.
-func (s *RealScheduler) Lock() { s.mu.Lock() }
+// wall reads the wall clock: nanoseconds since the shared epoch.
+func (s *RealScheduler) wall() int64 { return int64(time.Since(s.epoch)) }
+
+// Lock serializes external entry into components driven by this scheduler
+// and samples the shard clock for the entry.
+func (s *RealScheduler) Lock() {
+	s.mu.Lock()
+	s.Tick()
+}
 
 // Unlock releases the serialization lock.
 func (s *RealScheduler) Unlock() { s.mu.Unlock() }
 
-// Now implements Scheduler.
-func (s *RealScheduler) Now() int64 { return int64(time.Since(s.epoch)) }
+// Tick samples the shard clock again; the caller holds the lock. A holder
+// that runs several independent entries under one acquisition (a reactor
+// submitting a batch of commands) calls it between them, so that each is
+// stamped with its own time.
+func (s *RealScheduler) Tick() {
+	s.now = s.wall()
+	s.reads++
+}
+
+// ClockReads returns how many times the shard clock has been sampled; the
+// caller holds the lock.
+func (s *RealScheduler) ClockReads() int64 { return s.reads }
+
+// Now implements Scheduler: the sample taken on entry to the shard, constant
+// until the next Lock, timer callback or Tick. Read it holding the lock.
+// Until something has entered the shard there is no sample to return, and
+// Now reads the wall: components are built during set-up with no lock held,
+// possibly seconds after the epoch (SSD pre-conditioning), and must not
+// start their rate windows and token buckets from time 0.
+func (s *RealScheduler) Now() int64 {
+	if s.reads == 0 {
+		return s.wall()
+	}
+	return s.now
+}
 
 // realEvent is the control block behind a wall-clock Timer. Unlike loop
 // events it is heap-allocated per schedule — the real transport is not the
@@ -97,7 +140,7 @@ type realEvent struct {
 
 // At implements Scheduler.
 func (s *RealScheduler) At(t int64, fn func()) Timer {
-	d := t - s.Now()
+	d := t - s.wall()
 	if d < 0 {
 		d = 0
 	}
@@ -109,7 +152,7 @@ func (s *RealScheduler) After(d int64, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
-	e := &realEvent{s: s, when: s.Now() + d, fn: fn}
+	e := &realEvent{s: s, when: s.wall() + d, fn: fn}
 	e.t = time.AfterFunc(time.Duration(d), e.fire)
 	return Timer{r: e}
 }
@@ -121,13 +164,13 @@ func (s *RealScheduler) After(d int64, fn func()) Timer {
 // nothing and the event cannot be lost) and stands down.
 func (e *realEvent) fire() {
 	s := e.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.Lock()
+	defer s.Unlock()
 	s.wakeups++
 	if e.fn == nil {
 		return
 	}
-	if early := e.when - s.Now(); early > 0 {
+	if early := e.when - s.now; early > 0 {
 		e.t.Reset(time.Duration(early))
 		return
 	}
@@ -153,7 +196,7 @@ func (e *realEvent) reschedule(gen uint32, when int64) uint32 {
 	if e.gen != gen || e.fn == nil {
 		return gen
 	}
-	now := e.s.Now()
+	now := e.s.wall()
 	if when < now {
 		when = now
 	}

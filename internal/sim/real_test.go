@@ -25,10 +25,12 @@ func TestRealShardsClampAndLayout(t *testing.T) {
 
 func TestRealShardsCommonEpoch(t *testing.T) {
 	s := NewRealShards(3)
-	// All shards anchor at one epoch: reading them back-to-back must give
+	// All shards anchor at one epoch: sampling them back-to-back must give
 	// times within the read skew, far under the spread that distinct
 	// time.Now() epochs (microseconds apart) could produce over a run.
+	s.Lock()
 	a, b, c := s.Shard(0).Now(), s.Shard(1).Now(), s.Shard(2).Now()
+	s.Unlock()
 	const skew = int64(50 * time.Millisecond)
 	if b-a > skew || c-b > skew || b < a || c < b {
 		t.Fatalf("shard clocks diverge: %d %d %d", a, b, c)
@@ -69,6 +71,116 @@ func TestRealShardsAfterRunsOnOwnShard(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("shard timer never fired")
+	}
+}
+
+// TestRealClockSampledPerEntry pins the clock contract the loop gives the
+// same components: Now is constant within one entry into the shard, and
+// Lock (the shard's own or the set's) and Tick are what sample it.
+func TestRealClockSampledPerEntry(t *testing.T) {
+	const ms = int64(time.Millisecond)
+	shards := NewRealShards(2)
+	s := shards.Shard(0)
+	// Set-up, before anything has entered the shard: there is no sample
+	// yet, and a component built now must not be told it is time 0.
+	time.Sleep(time.Millisecond)
+	if now := s.Now(); now < ms {
+		t.Errorf("Now = %d on a shard nothing has entered, 1 ms after its epoch", now)
+	}
+	s.Lock()
+	a := s.Now()
+	time.Sleep(time.Millisecond)
+	if b := s.Now(); b != a {
+		t.Errorf("Now moved %d -> %d under one Lock", a, b)
+	}
+	s.Tick()
+	b := s.Now()
+	if b < a+ms {
+		t.Errorf("Tick after a 1 ms sleep moved the clock %d -> %d", a, b)
+	}
+	reads := s.ClockReads()
+	s.Unlock()
+	if reads != 2 {
+		t.Errorf("%d clock reads after one Lock and one Tick, want 2", reads)
+	}
+
+	// The set's lock-free clock reads the wall.
+	w0 := shards.Now()
+	time.Sleep(time.Millisecond)
+	w1 := shards.Now()
+	if w1 < w0+ms || w0 < b {
+		t.Errorf("RealShards.Now read %d then %d with no lock held, after a shard sample of %d", w0, w1, b)
+	}
+
+	// Lock-all enters every shard, so a snapshot taken under it sees a
+	// fresh clock on each, including one nothing has touched yet.
+	shards.Lock()
+	for i := 0; i < shards.N(); i++ {
+		if now := shards.Shard(i).Now(); now < w1 {
+			t.Errorf("shard %d reads %d under RealShards.Lock, before the %d read ahead of it", i, now, w1)
+		}
+	}
+	shards.Unlock()
+}
+
+// TestRealClockInTimerCallback: a timer callback is one entry too — its
+// clock is sampled once, at or after the event's deadline.
+func TestRealClockInTimerCallback(t *testing.T) {
+	s := NewRealShards(1).Shard(0)
+	got := make(chan [2]int64, 1)
+	s.Lock()
+	h := s.After(int64(2*time.Millisecond), func() {
+		first := s.Now()
+		time.Sleep(time.Millisecond)
+		got <- [2]int64{first, s.Now()}
+	})
+	when := h.When()
+	s.Unlock()
+	select {
+	case now := <-got:
+		if now[0] != now[1] {
+			t.Errorf("Now moved %d -> %d inside one callback", now[0], now[1])
+		}
+		if now[0] < when {
+			t.Errorf("callback ran at %d, before its deadline %d", now[0], when)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("timer never fired")
+	}
+}
+
+// TestRealDelaysIgnoreStaleClock: the sample an entry holds may be old, and
+// a delay is wall time — After(d) lasts d from the call, and At(t) fires at
+// t, whatever Now says.
+func TestRealDelaysIgnoreStaleClock(t *testing.T) {
+	s := NewRealShards(1).Shard(0)
+	const stale, d = int64(5 * time.Millisecond), int64(20 * time.Millisecond)
+	after, at := make(chan time.Time, 1), make(chan int64, 1)
+	s.Lock()
+	time.Sleep(time.Duration(stale)) // the entry's clock now lags the wall
+	armed := time.Now()
+	h := s.After(d, func() { after <- time.Now() })
+	if w := h.When(); w < s.Now()+stale+d {
+		t.Errorf("After(%d) from a clock %d stale is due at %d, want >= %d", d, stale, w, s.Now()+stale+d)
+	}
+	target := s.Now() + d
+	s.At(target, func() { at <- s.Now() })
+	s.Unlock()
+	for after != nil || at != nil {
+		select {
+		case fired := <-after:
+			if got := fired.Sub(armed); got < time.Duration(d) {
+				t.Errorf("After(%d) fired %v after it was armed", d, got)
+			}
+			after = nil
+		case now := <-at:
+			if now < target {
+				t.Errorf("At(%d) ran at %d", target, now)
+			}
+			at = nil
+		case <-time.After(5 * time.Second):
+			t.Fatal("timers never fired")
+		}
 	}
 }
 
@@ -177,20 +289,40 @@ func TestRealReschedule(t *testing.T) {
 
 // TestRealRescheduleChurn re-keys and cancels timers from several
 // goroutines while others fire: under -race this covers Stop and Reset
-// against the fire path.
+// against the fire path, and the sampled shard clock against every way in
+// (Lock, Tick, a firing timer).
 func TestRealRescheduleChurn(t *testing.T) {
 	s := NewRealShards(1).Shard(0)
 	const workers, rounds = 4, 200
 	fires := 0 // under the shard lock
+	// Every entry, from a worker or from a timer, must find the clock at or
+	// past the last one's and leave it where it found it.
+	var last int64 // under the shard lock
+	entered := func() int64 {
+		now := s.Now()
+		if now < last {
+			t.Errorf("shard clock went back %d -> %d", last, now)
+		}
+		last = now
+		return now
+	}
 	done := make(chan int, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			live := 0
 			for i := 0; i < rounds; i++ {
 				s.Lock()
-				h := s.After(int64(200*time.Microsecond), func() { fires++ })
+				now := entered()
+				h := s.After(int64(200*time.Microsecond), func() { entered(); fires++ })
 				for j := 0; j < 3; j++ {
 					h = h.Reschedule(s.Now() + int64(100*time.Microsecond)*int64(j))
+				}
+				if s.Now() != now {
+					t.Errorf("Now moved %d -> %d under one Lock", now, s.Now())
+				}
+				if i%4 == 0 {
+					s.Tick()
+					entered()
 				}
 				if i%3 == w%3 {
 					h.Cancel()

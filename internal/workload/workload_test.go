@@ -152,6 +152,31 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
+// TestZipfNextMatchesPerSampleFormula: hoisting the rank-1 threshold out of
+// Next moved no sample. The reference is Gray et al.'s formula with every
+// term evaluated per draw, as Next evaluated it before.
+func TestZipfNextMatchesPerSampleFormula(t *testing.T) {
+	for _, tc := range []struct {
+		n     uint64
+		theta float64
+	}{{1 << 20, 0.99}, {10000, 0.5}, {3, 0.9}} {
+		z := NewZipf(sim.NewRNG(7), tc.n, tc.theta)
+		ref := sim.NewRNG(7)
+		for i := 0; i < 1_000_000; i++ {
+			u := ref.Float64()
+			want := uint64(float64(tc.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+			if uz := u * z.zetan; uz < 1 {
+				want = 0
+			} else if uz < 1+math.Pow(0.5, tc.theta) {
+				want = 1
+			}
+			if got := z.Next(); got != want {
+				t.Fatalf("n=%d theta=%v sample %d: Next = %d, the formula gives %d", tc.n, tc.theta, i, got, want)
+			}
+		}
+	}
+}
+
 func TestZipfScatteredCoversSpace(t *testing.T) {
 	rng := sim.NewRNG(42)
 	z := NewZipf(rng, 1000, 0.99)

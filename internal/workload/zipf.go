@@ -12,7 +12,7 @@ import (
 type Zipf struct {
 	rng   *sim.RNG
 	n     uint64
-	theta float64
+	rank1 float64 // 1 + 0.5^theta: where rank 1's share of u*zetan ends
 	alpha float64
 	zetan float64
 	eta   float64
@@ -25,7 +25,7 @@ func NewZipf(rng *sim.RNG, n uint64, theta float64) *Zipf {
 	if n == 0 || theta <= 0 || theta >= 1 {
 		panic("workload: bad zipf parameters")
 	}
-	z := &Zipf{rng: rng, n: n, theta: theta}
+	z := &Zipf{rng: rng, n: n, rank1: 1 + math.Pow(0.5, theta)}
 	z.zetan = zeta(n, theta)
 	z.zeta2 = zeta(2, theta)
 	z.alpha = 1.0 / (1.0 - theta)
@@ -59,7 +59,7 @@ func (z *Zipf) Next() uint64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.rank1 {
 		return 1
 	}
 	return uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
