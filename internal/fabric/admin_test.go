@@ -3,6 +3,7 @@ package fabric
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -13,11 +14,11 @@ import (
 	"gimbal/internal/ssd"
 )
 
-// startObservedTCP builds a live Gimbal target the way cmd/gimbald does —
+// newObservedTarget builds a live Gimbal target the way cmd/gimbald does —
 // BuildStack (so the pipeline's device is a fault wrapper over the NAND
-// model), one reactor, and the full telemetry stack attached: registry, a
+// model), one shard, and the full telemetry stack attached: registry, a
 // full-capture tracer, an SLO engine, and the shared event log.
-func startObservedTCP(t *testing.T) (*TCPReactors, *obs.Hub) {
+func newObservedTarget(t *testing.T) (*sim.RealShards, *Target, *obs.Hub) {
 	t.Helper()
 	shards := sim.NewRealShards(1)
 	p := ssd.DCT983()
@@ -41,7 +42,13 @@ func startObservedTCP(t *testing.T) (*TCPReactors, *obs.Hub) {
 	shards.Lock()
 	tgt.AttachObs(hub)
 	shards.Unlock()
+	return shards, tgt, hub
+}
 
+// startObservedTCP serves a newObservedTarget on one reactor.
+func startObservedTCP(t *testing.T) (*TCPReactors, *obs.Hub) {
+	t.Helper()
+	shards, tgt, hub := newObservedTarget(t)
 	srv, err := ServeTCPReactors(shards, tgt, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -178,34 +185,57 @@ func TestAdminEndpointLiveTarget(t *testing.T) {
 	}
 }
 
+// TestShutdownDrainsInflight: a burst and a Shutdown racing it, on a fresh
+// server over a NAND device each round. Wherever the Shutdown finds the
+// burst — in the socket, in the reader's buffer, in a command ring, at the
+// device — nothing may complete after it returns, every call ends, and no
+// session or goroutine stays behind. (Counting only submitted commands as
+// in flight let one round in fifty return with ten still at the device.)
 func TestShutdownDrainsInflight(t *testing.T) {
-	srv, _ := startObservedTCP(t)
-	c, err := DialTCP(srv.Addr(), SchemeGimbal)
-	if err != nil {
-		t.Fatal(err)
+	// One target for all rounds: a switch's cost tick has no off switch, and
+	// two hundred abandoned ones would be the goroutines this test counts.
+	shards, tgt, _ := newObservedTarget(t)
+	baseline := runtime.NumGoroutine()
+	rounds := 200
+	if testing.Short() {
+		rounds = 50
 	}
-	defer c.Close()
-
-	// Launch a burst and shut down while completions are still in flight.
-	var chans []<-chan callResult
-	for i := 0; i < 32; i++ {
-		chans = append(chans, c.Go(&CommandCapsule{
-			Opcode: nvme.OpRead, NSID: 0, SLBA: uint64(i), Length: 4096,
-		}))
-	}
-	if err := srv.Shutdown(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if n := srv.Inflight(); n != 0 {
-		t.Fatalf("inflight after shutdown = %d", n)
-	}
-	// Every submitted command either completed or failed cleanly on close;
-	// none may hang.
-	for i, ch := range chans {
-		select {
-		case <-ch:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("command %d hung after shutdown", i)
+	for round := 0; round < rounds; round++ {
+		srv, err := ServeTCPReactors(shards, tgt, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := DialTCP(srv.Addr(), SchemeGimbal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var chans []<-chan callResult
+		for i := 0; i < 32; i++ {
+			chans = append(chans, c.Go(&CommandCapsule{
+				Opcode: nvme.OpRead, NSID: 0, SLBA: uint64(i), Length: 4096,
+			}))
+		}
+		// Sweep the instant of the Shutdown across the burst's way in.
+		time.Sleep(time.Duration(round%20) * 10 * time.Microsecond)
+		if err := srv.Shutdown(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if n, s := srv.Inflight(), srv.sessions.Load(); n != 0 || s != 0 {
+			t.Fatalf("round %d: after Shutdown inflight = %d, open sessions = %d", round, n, s)
+		}
+		// Every submitted command either completed or failed cleanly on close;
+		// none may hang.
+		for i, ch := range chans {
+			select {
+			case <-ch:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("round %d: command %d hung after shutdown", round, i)
+			}
+		}
+		c.Close()
+		expectGoroutines(t, baseline)
+		if t.Failed() {
+			t.Fatalf("round %d", round)
 		}
 	}
 }

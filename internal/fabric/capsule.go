@@ -113,33 +113,55 @@ func DecodeCommandInto(c *CommandCapsule, buf []byte) (int, error) {
 
 // AppendResponse serializes r onto buf.
 func AppendResponse(buf []byte, r *ResponseCapsule) []byte {
+	return append(appendResponseHeader(buf, r.CID, r.Status, r.Credit, len(r.Data)), r.Data...)
+}
+
+// appendResponseHeader serializes the rspHeaderLen bytes that precede a
+// response's payload. The target's completion path seals just these and
+// sends the payload by reference.
+func appendResponseHeader(buf []byte, cid uint16, st nvme.Status, credit uint32, dataLen int) []byte {
 	buf = append(buf, capResponse)
-	buf = binary.BigEndian.AppendUint16(buf, r.CID)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(r.Status))
-	buf = binary.BigEndian.AppendUint32(buf, r.Credit)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.Data)))
-	return append(buf, r.Data...)
+	buf = binary.BigEndian.AppendUint16(buf, cid)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(st))
+	buf = binary.BigEndian.AppendUint32(buf, credit)
+	return binary.BigEndian.AppendUint32(buf, uint32(dataLen))
 }
 
 // DecodeResponse parses a response capsule, returning the bytes consumed.
+// The capsule's Data is a copy: buf may be reused afterwards.
 func DecodeResponse(buf []byte) (*ResponseCapsule, int, error) {
+	r := &ResponseCapsule{}
+	n, err := decodeResponseAliased(r, buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	r.Data = append([]byte(nil), r.Data...)
+	return r, n, nil
+}
+
+// decodeResponseAliased parses a response capsule into r without copying
+// the payload: r.Data is a sub-slice of buf (nil when the capsule carries
+// none), so it lives and changes with buf. For a caller that owns buf and
+// hands it over with the capsule — the initiator's read loop, which
+// allocates one frame per response.
+func decodeResponseAliased(r *ResponseCapsule, buf []byte) (int, error) {
 	if len(buf) < rspHeaderLen {
-		return nil, 0, fmt.Errorf("fabric: short response capsule: %d bytes", len(buf))
+		return 0, fmt.Errorf("fabric: short response capsule: %d bytes", len(buf))
 	}
 	if buf[0] != capResponse {
-		return nil, 0, fmt.Errorf("fabric: not a response capsule: tag 0x%02x", buf[0])
+		return 0, fmt.Errorf("fabric: not a response capsule: tag 0x%02x", buf[0])
 	}
-	r := &ResponseCapsule{
+	dataLen := int(binary.BigEndian.Uint32(buf[9:]))
+	if len(buf) < rspHeaderLen+dataLen {
+		return 0, fmt.Errorf("fabric: response capsule truncated: want %d data bytes", dataLen)
+	}
+	*r = ResponseCapsule{
 		CID:    binary.BigEndian.Uint16(buf[1:]),
 		Status: nvme.Status(binary.BigEndian.Uint16(buf[3:])),
 		Credit: binary.BigEndian.Uint32(buf[5:]),
 	}
-	dataLen := int(binary.BigEndian.Uint32(buf[9:]))
-	if len(buf) < rspHeaderLen+dataLen {
-		return nil, 0, fmt.Errorf("fabric: response capsule truncated: want %d data bytes", dataLen)
-	}
 	if dataLen > 0 {
-		r.Data = append([]byte(nil), buf[rspHeaderLen:rspHeaderLen+dataLen]...)
+		r.Data = buf[rspHeaderLen : rspHeaderLen+dataLen : rspHeaderLen+dataLen]
 	}
-	return r, rspHeaderLen + dataLen, nil
+	return rspHeaderLen + dataLen, nil
 }

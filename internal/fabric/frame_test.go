@@ -5,8 +5,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
-
-	"gimbal/internal/nvme"
 )
 
 // appendWireFrame frames a payload the way a sender does.
@@ -64,44 +62,5 @@ func TestReadFrameOversizedRejected(t *testing.T) {
 	wire = append(wire, 0xff) // truncated body; the length check fires first
 	if _, err := readFrameInto(bufio.NewReader(bytes.NewReader(wire)), nil); err == nil {
 		t.Fatal("frame over maxFrame accepted")
-	}
-}
-
-func TestFrameBufSealSingleWrite(t *testing.T) {
-	frame := getFrame()
-	rsp := &ResponseCapsule{CID: 7, Status: nvme.StatusOK, Credit: 9, Data: []byte{1, 2, 3}}
-	frame.b = AppendResponse(frame.b, rsp)
-	frame.seal()
-	// The sealed buffer is one complete wire frame: prefix + capsule.
-	if got := binary.BigEndian.Uint32(frame.b[:4]); int(got) != len(frame.b)-4 {
-		t.Fatalf("length prefix %d, want %d", got, len(frame.b)-4)
-	}
-	dec, n, err := DecodeResponse(frame.b[4:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(frame.b)-4 {
-		t.Fatalf("decode consumed %d, want %d", n, len(frame.b)-4)
-	}
-	if dec.CID != 7 || dec.Credit != 9 || !bytes.Equal(dec.Data, []byte{1, 2, 3}) {
-		t.Fatalf("roundtrip mismatch: %+v", dec)
-	}
-	// A recycled frame re-reserves the prefix.
-	putFrame(frame)
-	again := getFrame()
-	if len(again.b) != 4 {
-		t.Fatalf("recycled frame starts at %d bytes, want 4 (reserved prefix)", len(again.b))
-	}
-	putFrame(again)
-}
-
-func TestAppendZeroResponseMatchesEncoder(t *testing.T) {
-	got := appendZeroResponse(nil, 42, nvme.StatusOK, 17, 8192)
-	want := AppendResponse(
-		binary.BigEndian.AppendUint32(nil, uint32(rspHeaderLen+8192)),
-		&ResponseCapsule{CID: 42, Status: nvme.StatusOK, Credit: 17, Data: make([]byte, 8192)},
-	)
-	if !bytes.Equal(got, want) {
-		t.Fatal("appendZeroResponse disagrees with AppendResponse")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+	"testing/iotest"
 
 	"gimbal/internal/nvme"
 )
@@ -57,17 +58,26 @@ func FuzzDecodeCommand(f *testing.F) {
 }
 
 // FuzzReadFrame feeds arbitrary bytes to a connection reader's front end:
-// readFrameInto then DecodeCommandInto, chained over one bufio.Reader, one
-// scratch buffer and one capsule as readLoop chains them. Against an oracle
-// that walks the same bytes, every well-formed frame must come out intact
-// and every other stream must end in an error — an oversized prefix before
-// anything is allocated for it, a truncated body or a bare prefix at the
-// end of input, a zero-length frame at the decoder — never a panic, a hang,
-// or a buffer beyond maxFrame.
+// frameReader.next, DecodeCommandInto, then fullFrameBuffered, chained over
+// one bufio.Reader and one capsule as readLoop chains them. The buffers are
+// 64 B and 4 KiB, so that the same stream takes the in-place path (a frame
+// that fits the buffer) and the scratch path (one that does not), and each
+// is fed whole and one byte per read. Against an oracle that walks the same
+// bytes, every well-formed frame must come out intact and every other
+// stream must end in an error — an oversized prefix before anything is
+// allocated for it, a truncated body or a bare prefix at the end of input,
+// a zero-length frame at the decoder — never a panic, a hang, or a buffer
+// beyond maxFrame.
 func FuzzReadFrame(f *testing.F) {
-	read := appendWireFrame(nil, AppendCommand(nil, &CommandCapsule{CID: 7, Opcode: nvme.OpRead, NSID: 1, SLBA: 42, Length: 4096}))
-	write := appendWireFrame(nil, AppendCommand(nil, &CommandCapsule{CID: 8, Opcode: nvme.OpWrite,
-		SLBA: 1, Length: 4096, Data: bytes.Repeat([]byte{0xa5}, 4096)}))
+	read := appendCommandFrame(nil, &CommandCapsule{CID: 7, Opcode: nvme.OpRead, NSID: 1, SLBA: 42, Length: 4096})
+	write := appendCommandFrame(nil, &CommandCapsule{CID: 8, Opcode: nvme.OpWrite,
+		SLBA: 1, Length: 4096, Data: bytes.Repeat([]byte{0xa5}, 4096)})
+	// fills returns a write frame of exactly size bytes, prefix included: the
+	// largest that is decoded in place from a buffer of that size.
+	fills := func(size int) []byte {
+		return appendCommandFrame(nil, &CommandCapsule{CID: 9, Opcode: nvme.OpWrite, Length: 4096,
+			Data: bytes.Repeat([]byte{0x5a}, size-4-cmdHeaderLen)})
+	}
 	f.Add(read)
 	f.Add(write)
 	f.Add(append(bytes.Clone(read), write...))
@@ -75,39 +85,121 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(append(binary.BigEndian.AppendUint32(bytes.Clone(read), maxFrame+1), 0xff)) // oversized prefix
 	f.Add(binary.BigEndian.AppendUint32(nil, maxFrame))                               // largest prefix, no body
 	f.Add(write[:len(write)-100])                                                     // truncated body
+	f.Add(append(fills(4096), read...))
+	f.Add(append(fills(64), fills(65)...)) // a 64 B buffer takes the first in place, the second through scratch
 
 	f.Fuzz(func(t *testing.T, wire []byte) {
-		r := bufio.NewReaderSize(bytes.NewReader(wire), 4096)
-		var scratch []byte
-		var cmd CommandCapsule
-		for rest := wire; ; {
-			frame, err := readFrameInto(r, scratch)
-			var want []byte // nil: the stream ends here
-			if len(rest) >= 4 {
-				if n := binary.BigEndian.Uint32(rest); n <= maxFrame && uint64(len(rest)) >= 4+uint64(n) {
-					want = rest[4 : 4+n : 4+n]
-				}
+		for _, size := range []int{64, 4096} {
+			walkFrames(t, wire, bufio.NewReaderSize(bytes.NewReader(wire), size))
+			walkFrames(t, wire, bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(wire)), size))
+		}
+	})
+}
+
+// walkFrames is FuzzReadFrame's body for one reader over wire.
+func walkFrames(t *testing.T, wire []byte, r *bufio.Reader) {
+	fr := frameReader{r: r}
+	var cmd CommandCapsule
+	// next is the oracle: the frame at the head of rest, nil if the stream
+	// ends (or breaks) there.
+	next := func(rest []byte) []byte {
+		if len(rest) >= 4 {
+			if n := binary.BigEndian.Uint32(rest); n <= maxFrame && uint64(len(rest)) >= 4+uint64(n) {
+				return rest[4 : 4+n : 4+n]
 			}
-			if want == nil {
-				if err == nil {
-					t.Fatalf("frame of %d bytes accepted from a stream with %d left: % x", len(frame), len(rest), rest[:min(len(rest), 8)])
-				}
-				return
+		}
+		return nil
+	}
+	for rest := wire; ; {
+		frame, err := fr.next()
+		want := next(rest)
+		if want == nil {
+			if err == nil {
+				t.Fatalf("frame of %d bytes accepted from a stream with %d left: % x", len(frame), len(rest), rest[:min(len(rest), 8)])
 			}
-			if err != nil || !bytes.Equal(frame, want) {
-				t.Fatalf("frame = %d bytes, %v; want the %d on the wire", len(frame), err, len(want))
+			return
+		}
+		if err != nil || !bytes.Equal(frame, want) {
+			t.Fatalf("frame = %d bytes, %v; want the %d on the wire", len(frame), err, len(want))
+		}
+		if inPlace := fr.held > 0; inPlace != (4+len(want) <= r.Size()) {
+			t.Fatalf("frame of %d bytes from a %d-byte buffer: decoded in place is %v", len(want), r.Size(), inPlace)
+		}
+		rest = rest[4+len(want):]
+		n, err := DecodeCommandInto(&cmd, frame)
+		if cap(fr.scratch) > maxFrame || cap(cmd.Data) > maxFrame {
+			t.Fatalf("buffers grew to %d and %d bytes, past maxFrame", cap(fr.scratch), cap(cmd.Data))
+		}
+		if err != nil {
+			return // readLoop hangs up on the peer
+		}
+		if n < cmdHeaderLen || n > len(frame) || !bytes.Equal(cmd.Data, frame[cmdHeaderLen:n]) {
+			t.Fatalf("decoded %d of %d bytes, %d of payload", n, len(frame), len(cmd.Data))
+		}
+		// The reader's batching test must not promise a frame that is not
+		// there (it would then block with commands staged), and must leave
+		// the stream where it was.
+		if fr.fullFrameBuffered() && next(rest) == nil {
+			t.Fatalf("a whole frame reported buffered with %d bytes left: % x", len(rest), rest[:min(len(rest), 8)])
+		}
+	}
+}
+
+// FuzzDecodeResponse holds the initiator's decoder, whose Data aliases the
+// frame, against the exported copying one: same accept/reject on every
+// input, same fields and bytes consumed, equal Data — a view into the
+// input for the first, a copy for the second — and what is accepted
+// re-encodes to exactly the bytes consumed.
+func FuzzDecodeResponse(f *testing.F) {
+	ok := AppendResponse(nil, &ResponseCapsule{CID: 7, Status: nvme.StatusOK, Credit: 12})
+	data := AppendResponse(nil, &ResponseCapsule{CID: 8, Credit: 1, Data: bytes.Repeat([]byte{0xa5}, 4096)})
+	oversized := bytes.Clone(ok)
+	binary.BigEndian.PutUint32(oversized[rspHeaderLen-4:], 1<<32-1) // claims 4 GiB of payload
+	f.Add(ok)
+	f.Add(data)
+	f.Add(AppendResponse(nil, &ResponseCapsule{CID: 9, Status: nvme.StatusInvalidLBA}))
+	f.Add(ok[:rspHeaderLen-3])     // truncated header
+	f.Add(data[:rspHeaderLen+100]) // truncated payload
+	f.Add(append(bytes.Clone(data), ok...))
+	f.Add(oversized)
+	f.Add(AppendCommand(nil, &CommandCapsule{CID: 7, Opcode: nvme.OpRead, Length: 4096})) // wrong tag
+
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		in := bytes.Clone(buf)
+		var got ResponseCapsule
+		n, err := decodeResponseAliased(&got, in)
+		want, wn, werr := DecodeResponse(buf)
+		if (err != nil) != (werr != nil) || n != wn {
+			t.Fatalf("aliasing decoder: %d, %v; DecodeResponse: %d, %v", n, err, wn, werr)
+		}
+		if err != nil {
+			if n != 0 {
+				t.Fatalf("failed decode consumed %d bytes", n)
 			}
-			scratch, rest = frame, rest[4+len(want):]
-			n, err := DecodeCommandInto(&cmd, frame)
-			if cap(scratch) > maxFrame || cap(cmd.Data) > maxFrame {
-				t.Fatalf("buffers grew to %d and %d bytes, past maxFrame", cap(scratch), cap(cmd.Data))
+			return
+		}
+		if n < rspHeaderLen || n > len(buf) {
+			t.Fatalf("consumed %d of %d bytes", n, len(buf))
+		}
+		if got.CID != want.CID || got.Status != want.Status || got.Credit != want.Credit || !bytes.Equal(got.Data, want.Data) {
+			t.Fatalf("aliasing decoder %+v, DecodeResponse %+v", got, *want)
+		}
+		if enc := AppendResponse(nil, &got); !bytes.Equal(enc, buf[:n]) {
+			t.Fatalf("re-encode differs from the %d bytes consumed:\n in  %x\n out %x", n, buf[:n], enc)
+		}
+		if len(got.Data) == 0 {
+			if got.Data != nil || want.Data != nil {
+				t.Fatalf("empty payload decoded as non-nil Data")
 			}
-			if err != nil {
-				return // readLoop hangs up on the peer
-			}
-			if n < cmdHeaderLen || n > len(frame) || !bytes.Equal(cmd.Data, frame[cmdHeaderLen:n]) {
-				t.Fatalf("decoded %d of %d bytes, %d of payload", n, len(frame), len(cmd.Data))
-			}
+			return
+		}
+		// One is the input's own bytes, nothing past them; the other is not.
+		if &got.Data[0] != &in[rspHeaderLen] || len(got.Data) != n-rspHeaderLen || cap(got.Data) != len(got.Data) {
+			t.Fatalf("aliased Data is not in[%d:%d]: len %d cap %d", rspHeaderLen, n, len(got.Data), cap(got.Data))
+		}
+		buf[rspHeaderLen] ^= 0xff
+		if want.Data[0] == buf[rspHeaderLen] {
+			t.Fatalf("DecodeResponse's Data changed with the input")
 		}
 	})
 }

@@ -30,15 +30,18 @@ import (
 //
 // A connection's ioSlots cycle through those rings. The reader creates one
 // whenever the free ring is empty, up to connSlots, so a connection holds
-// as many slots (and response buffers) as its own deepest pipelining needed
-// and an idle one holds none. Every ring holds connSlots entries, so no
-// push can ever fail and the cap doubles as end-to-end flow control: a
+// as many slots (and write-payload buffers) as its own deepest pipelining
+// needed and an idle one holds none. Every ring holds connSlots entries, so
+// no push can ever fail and the cap doubles as end-to-end flow control: a
 // client pipelining more than connSlots commands stalls the reader until
 // responses drain. All three stages batch — readers stage up to readBatch
 // decoded frames per ring publish, reactors submit popped batches under
 // one shard-lock acquisition, writers coalesce response frames into one
 // writev — so per-IO cost amortizes syscalls, atomics, and futex wakeups.
-// The steady-state wall-clock path allocates nothing per IO.
+// Payload bytes cross user space once in each direction: a write's are
+// copied from the socket buffer into the slot, a read's go to the socket
+// from where the device left them. The steady-state wall-clock path
+// allocates nothing per IO.
 
 const (
 	// readBatch caps the frames a connection reader stages before
@@ -54,72 +57,43 @@ const (
 	// connSlots caps the per-connection IO slot pool: the pipelining depth
 	// a single session can keep in flight inside the target.
 	connSlots = 512
-	// slotBufKeep is the largest buffer a slot keeps across cycles, twice
-	// the 128 KiB large IO. Frames run to maxFrame, and a buffer grown for
-	// one would otherwise stay that size for the life of the connection —
-	// times connSlots for a peer that pipelines jumbo commands once.
+	// readBufSize is the connection reader's socket buffer. A frame that
+	// fits it is decoded in place, and it holds every IO up to and past the
+	// 128 KiB large one.
+	readBufSize = 256 << 10
+	// slotBufKeep is the largest write-payload buffer a slot keeps across
+	// cycles, twice the 128 KiB large IO. Frames run to maxFrame, and a
+	// buffer grown for one would otherwise stay that size for the life of
+	// the connection — times connSlots for a peer that pipelines jumbo
+	// writes once.
 	slotBufKeep = 256 << 10
 
 	// maxReadLen is the largest read whose response still fits one frame;
-	// anything longer would grow a slot's buffer to the requested size and
-	// emit a frame readFrameInto rejects.
+	// anything longer would emit a frame readFrameInto rejects.
 	maxReadLen = maxFrame - rspHeaderLen
 	// maxSLBA is the last block address whose byte offset, plus any 32-bit
 	// length, still fits the int64 the bounds check downstream adds in.
 	maxSLBA = (math.MaxInt64 - math.MaxUint32) / 4096
 )
 
-// zeroSlab backs read-response payloads. The simulated SSD stores no
-// data, so responses carry zeroes; appending slab chunks into the
-// response frame keeps realistic wire volume without per-IO allocation.
+// zeroSlab is where the simulated SSD leaves read data: it stores none, so
+// every payload is zeroes. The writer points iovecs at it — one per
+// len(zeroSlab) of payload — and the bytes go from here to the socket
+// without passing through the slot.
 var zeroSlab [64 << 10]byte
 
-// appendZeroResponse appends one sealed response frame — length prefix,
-// response capsule header, dataLen zero bytes — onto buf and returns it.
-func appendZeroResponse(buf []byte, cid uint16, st nvme.Status, credit uint32, dataLen int) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(rspHeaderLen+dataLen))
-	buf = append(buf, capResponse)
-	buf = binary.BigEndian.AppendUint16(buf, cid)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(st))
-	buf = binary.BigEndian.AppendUint32(buf, credit)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(dataLen))
-	for dataLen > 0 {
-		n := dataLen
-		if n > len(zeroSlab) {
-			n = len(zeroSlab)
-		}
-		buf = append(buf, zeroSlab[:n]...)
-		dataLen -= n
-	}
-	return buf
-}
-
-// fullFrameBuffered reports whether the reader's buffer already holds one
-// complete frame. The reader keeps batching while this holds and flushes
-// its staged commands before any read that could block — otherwise a
-// client waiting for responses to its staged commands would deadlock
-// against a reader waiting for the rest of a frame.
-func fullFrameBuffered(r *bufio.Reader) bool {
-	if r.Buffered() < 4 {
-		return false
-	}
-	p, err := r.Peek(4)
-	if err != nil {
-		return false
-	}
-	n := binary.BigEndian.Uint32(p)
-	return n <= maxFrame && r.Buffered() >= 4+int(n)
-}
-
 // ioSlot carries one command through the reactor datapath. The embedded
-// capsule, IO, and response buffer are reused across cycles, and doneFn
+// capsule, IO, and response header are reused across cycles, and doneFn
 // is bound once, so a slot's steady-state trip allocates nothing.
 type ioSlot struct {
 	conn *rconn
 	cond *conduit
 	cmd  CommandCapsule
 	io   nvme.IO
-	out  []byte // sealed response frame: length prefix + capsule (+ zero payload)
+	// The sealed response: length prefix and capsule header here, followed
+	// on the wire by dataLen bytes of the zero slab.
+	out     [4 + rspHeaderLen]byte
+	dataLen int
 
 	cid      uint16
 	wantData bool
@@ -165,6 +139,9 @@ type reactor struct {
 	conds atomic.Pointer[[]*conduit] // copy-on-write list the loop iterates
 
 	rx, tx atomic.Int64 // capsules in / responses out, for /reactors and metrics
+	// txWrites counts the writev calls that carried this reactor's responses;
+	// tx ÷ txWrites is the writers' batching factor.
+	txWrites atomic.Int64
 	// slotStalls counts the times a reader feeding this reactor parked with
 	// connSlots commands in flight.
 	slotStalls atomic.Int64
@@ -277,10 +254,12 @@ func (t *TCPReactors) AttachObs(h *obs.Hub, regs []*obs.Registry) {
 		rr := r
 		reg.GaugeFunc("fabric_reactor_rx_capsules", lb, func() float64 { return float64(rr.rx.Load()) })
 		reg.GaugeFunc("fabric_reactor_tx_capsules", lb, func() float64 { return float64(rr.tx.Load()) })
+		reg.GaugeFunc("fabric_reactor_tx_writes", lb, func() float64 { return float64(rr.txWrites.Load()) })
 		reg.GaugeFunc("fabric_reactor_slots", lb, func() float64 { return float64(rr.slots()) })
 		reg.GaugeFunc("fabric_reactor_slot_stalls", lb, func() float64 { return float64(rr.slotStalls.Load()) })
 		reg.Help("fabric_reactor_rx_capsules", "command capsules received by the reactor")
 		reg.Help("fabric_reactor_tx_capsules", "response capsules sent by the reactor")
+		reg.Help("fabric_reactor_tx_writes", "writev calls that carried the reactor's responses")
 		reg.Help("fabric_reactor_slots", "IO slots created by the live connections feeding the reactor")
 		reg.Help("fabric_reactor_slot_stalls", "times a connection reader parked at the slot cap")
 		if reg != h.Reg {
@@ -308,6 +287,10 @@ type ReactorStat struct {
 	Conduits   int   `json:"conduits"`
 	RxCapsules int64 `json:"rx_capsules"`
 	TxCapsules int64 `json:"tx_capsules"`
+	// TxWrites counts the writev calls that carried this reactor's responses
+	// (one that gathers responses of several reactors counts in each row):
+	// TxCapsules ÷ TxWrites is the batching the connection writers achieve.
+	TxWrites int64 `json:"tx_writes"`
 	// ClockReads counts samples of the shard clock: one per command
 	// submitted plus one per timer callback and admin entry.
 	ClockReads int64 `json:"clock_reads"`
@@ -325,7 +308,7 @@ func (t *TCPReactors) ReactorStats() []ReactorStat {
 	out := make([]ReactorStat, len(t.rs))
 	for j, r := range t.rs {
 		st := ReactorStat{Reactor: j, RxCapsules: r.rx.Load(), TxCapsules: r.tx.Load(),
-			Slots: r.slots(), SlotStalls: r.slotStalls.Load()}
+			TxWrites: r.txWrites.Load(), Slots: r.slots(), SlotStalls: r.slotStalls.Load()}
 		r.shard.Lock()
 		st.ClockReads = r.shard.ClockReads()
 		r.shard.Unlock()
@@ -355,19 +338,44 @@ func (t *TCPReactors) Close() error {
 
 // Shutdown is the graceful variant: stop accepting, wait up to timeout
 // for in-flight commands to drain so their completions reach clients,
-// then close the rest.
+// then close the rest. "In flight" is every slot a connection has out —
+// in a command ring, at the device, waiting for the writer — not only what
+// a reactor has submitted. Commands still in a socket or a reader's buffer
+// are in no count, and a reactor may pop some as the connections close:
+// the last wait gives the device what is left of the timeout to finish
+// those, so that nothing completes into a server that has returned.
 func (t *TCPReactors) Shutdown(timeout time.Duration) error {
 	t.closed.Store(true)
 	err := t.ln.Close()
 	deadline := time.Now().Add(timeout)
-	for t.inflight.Load() > 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitUntil(deadline, func() bool { return t.inflight.Load() == 0 && t.outstanding() == 0 })
 	t.closing.Store(true)
 	t.kickConns()
 	t.wg.Wait()
 	t.stopReactors()
+	waitUntil(deadline, func() bool { return t.inflight.Load() == 0 })
 	return err
+}
+
+// waitUntil polls done until it holds or the deadline passes, backing off
+// from a pause short enough that a writer one step from done costs an idle
+// Shutdown next to nothing.
+func waitUntil(deadline time.Time, done func() bool) {
+	for pause := 10 * time.Microsecond; !done() && time.Now().Before(deadline); pause = min(2*pause, 2*time.Millisecond) {
+		time.Sleep(pause)
+	}
+}
+
+// outstanding sums the slots the live connections have taken and not yet
+// recycled.
+func (t *TCPReactors) outstanding() int64 {
+	t.connMu.Lock()
+	defer t.connMu.Unlock()
+	var n int64
+	for c := range t.conns {
+		n += c.outstanding.Load()
+	}
+	return n
 }
 
 func (t *TCPReactors) kickConns() {
@@ -494,8 +502,7 @@ func (c *rconn) takeSlot() *ioSlot {
 func (c *rconn) readLoop() {
 	t := c.srv
 	defer t.wg.Done()
-	r := bufio.NewReaderSize(c.conn, 256<<10)
-	var scratch []byte
+	fr := frameReader{r: bufio.NewReaderSize(c.conn, readBufSize)}
 	var touched []*conduit
 	nstaged := 0
 	flush := func() {
@@ -513,13 +520,12 @@ func (c *rconn) readLoop() {
 		nstaged = 0
 	}
 	for {
-		// The frame waits in scratch, so the reader holds no slot while it
-		// waits for the peer: an idle connection pins none.
-		frame, err := readFrameInto(r, scratch)
+		// The frame waits in the read buffer, so the reader holds no slot
+		// while it waits for the peer: an idle connection pins none.
+		frame, err := fr.next()
 		if err != nil {
 			break
 		}
-		scratch = frame
 		s := c.takeSlot()
 		if s == nil {
 			break
@@ -536,7 +542,7 @@ func (c *rconn) readLoop() {
 		}
 		cd.staged = append(cd.staged, s)
 		nstaged++
-		if nstaged >= readBatch || !fullFrameBuffered(r) {
+		if nstaged >= readBatch || !fr.fullFrameBuffered() {
 			flush()
 		}
 	}
@@ -565,6 +571,7 @@ func (c *rconn) writeLoop() {
 	for {
 		slots = slots[:0]
 		for _, cd := range *c.conds.Load() {
+			had := len(slots)
 			for {
 				n := cd.cpl.popBatch(tmp[:])
 				if n == 0 {
@@ -574,6 +581,9 @@ func (c *rconn) writeLoop() {
 				if n < len(tmp) {
 					break
 				}
+			}
+			if len(slots) > had && !broken {
+				cd.r.txWrites.Add(1) // the writev below carries them
 			}
 		}
 		if len(slots) == 0 {
@@ -595,7 +605,10 @@ func (c *rconn) writeLoop() {
 		if !broken {
 			bufs = bufs[:0]
 			for _, s := range slots {
-				bufs = append(bufs, s.out)
+				bufs = append(bufs, s.out[:])
+				for rem := s.dataLen; rem > 0; rem -= len(zeroSlab) {
+					bufs = append(bufs, zeroSlab[:min(rem, len(zeroSlab))])
+				}
 			}
 			nb = net.Buffers(bufs)
 			if _, err := nb.WriteTo(c.conn); err != nil {
@@ -603,9 +616,6 @@ func (c *rconn) writeLoop() {
 			}
 		}
 		for _, s := range slots {
-			if cap(s.out) > slotBufKeep {
-				s.out = nil
-			}
 			if cap(s.cmd.Data) > slotBufKeep {
 				s.cmd.Data = nil
 			}
@@ -789,20 +799,22 @@ func (r *reactor) submit(cd *conduit, s *ioSlot) {
 	t.target.Ingress(int(cmd.NSID), &s.io)
 }
 
-// finish is the slot's pre-bound completion: build the sealed response
-// frame in place (zero payload for reads — the simulated SSD stores no
-// data) and publish it to the writer. Always runs in the owning shard's
-// context — the reactor's submit path or a device timer holding the same
-// lock — so the cpl ring keeps a single serialized producer.
+// finish is the slot's pre-bound completion: seal the response header in
+// place, record how much payload follows it (a read's data; the writer
+// sends it by reference) and publish the slot to the writer. Always runs in
+// the owning shard's context — the reactor's submit path or a device timer
+// holding the same lock — so the cpl ring keeps a single serialized
+// producer.
 func (s *ioSlot) finish(_ *nvme.IO, cpl nvme.Completion) {
 	t := s.conn.srv
 	t.inflight.Add(-1)
 	s.cond.r.tx.Add(1)
-	dataLen := 0
+	s.dataLen = 0
 	if s.wantData && cpl.Status == nvme.StatusOK {
-		dataLen = s.size
+		s.dataLen = s.size
 	}
-	s.out = appendZeroResponse(s.out[:0], s.cid, cpl.Status, cpl.Credit, dataLen)
+	out := binary.BigEndian.AppendUint32(s.out[:0], uint32(rspHeaderLen+s.dataLen))
+	appendResponseHeader(out, s.cid, cpl.Status, cpl.Credit, s.dataLen)
 	if !s.cond.cpl.push(s) {
 		panic("fabric: completion ring overflow")
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"net"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -167,38 +166,83 @@ func TestReactorOneClockReadPerCommand(t *testing.T) {
 	t.Logf("%.4f clock reads per command", perCmd)
 }
 
+// heldDevice completes nothing until releaseAt: what a client has pipelined
+// by then is in flight all at once, whatever the machine's speed.
+type heldDevice struct {
+	shard *sim.RealScheduler
+	held  []*ssd.Request // under the shard lock
+}
+
+func (d *heldDevice) Capacity() int64 { return nullCapacity }
+
+func (d *heldDevice) Submit(r *ssd.Request) {
+	r.SubmitTime = d.shard.Now()
+	d.held = append(d.held, r)
+}
+
+// releaseAt completes what is held once n commands are in flight.
+func (d *heldDevice) releaseAt(t *testing.T, srv *TCPReactors, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); srv.Inflight() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d commands reached the device", srv.Inflight(), n)
+		}
+	}
+	d.shard.Lock()
+	defer d.shard.Unlock()
+	for _, r := range d.held {
+		r.CompleteTime = d.shard.Now()
+		r.Done(r)
+	}
+	d.held = nil
+}
+
 // TestReactorSlotShedsJumboBuffers: a slot that carried a frame-sized
-// command does not keep frame-sized buffers. Slots outlive commands by the
+// command does not keep a frame-sized buffer. Slots outlive commands by the
 // life of the connection, and a peer may pipeline connSlots such commands.
+// The response side has nothing to shed: a slot holds a header, and a
+// read's payload leaves by reference however long it is.
 func TestReactorSlotShedsJumboBuffers(t *testing.T) {
-	srv, _ := startReactors(t, SchemeVanilla, 1, 1)
-	c, err := DialTCP(srv.Addr(), SchemeVanilla)
+	shards := sim.NewRealShards(1)
+	dev := &heldDevice{shard: shards.Shard(0)}
+	srv, err := ServeTCPReactors(shards, NewReactorTarget(shards, []ssd.Device{dev}, DefaultTargetConfig(SchemeVanilla)), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	const jumbo = 1 << 20
-	// Four of each at once, so that several slots grow both buffers.
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		op, data := nvme.OpRead, []byte(nil)
-		if i%2 == 0 {
-			op, data = nvme.OpWrite, make([]byte, jumbo)
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rsp, err := c.DoIO(op, 0, int64(i)*jumbo, jumbo, data)
-			if err != nil || rsp.Status != nvme.StatusOK {
-				t.Errorf("jumbo %v: %v, %+v", op, err, rsp)
+	defer srv.Close()
+	conn := dialRaw(t, srv)
+
+	// Eight jumbo commands on the wire before any completes, so eight slots
+	// carry them: four grow a payload buffer, four send a jumbo response.
+	const jumbo, n = 1 << 20, 8
+	payload := make([]byte, jumbo)
+	go func() {
+		var wire []byte
+		for i := 0; i < n; i++ {
+			cmd := CommandCapsule{Opcode: nvme.OpRead, CID: uint16(i), SLBA: uint64(i) * jumbo / 4096, Length: jumbo}
+			if i%2 == 0 {
+				cmd.Opcode, cmd.Data = nvme.OpWrite, payload
 			}
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < 16; i++ {
-		if rsp, err := c.DoIO(nvme.OpRead, 0, 0, 4096, nil); err != nil || rsp.Status != nvme.StatusOK {
-			t.Fatalf("4 KB read: %v, %+v", err, rsp)
+			wire = appendCommandFrame(wire, &cmd)
 		}
+		conn.Write(wire) // a failure shows as missing responses below
+	}()
+	dev.releaseAt(t, srv, n)
+	r := bufio.NewReaderSize(conn, 256<<10)
+	for i := 0; i < n; i++ {
+		expectResponse(t, r, i, i%2*jumbo) // the odd ones are the reads
+	}
+	// The shed slots still serve: 4 KB writes through each of them.
+	go func() {
+		var wire []byte
+		for i := 0; i < n; i++ {
+			wire = appendCommandFrame(wire, &CommandCapsule{Opcode: nvme.OpWrite, CID: uint16(i), Length: 4096, Data: payload[:4096]})
+		}
+		conn.Write(wire)
+	}()
+	dev.releaseAt(t, srv, n)
+	for i := 0; i < n; i++ {
+		expectResponse(t, r, i, 0)
 	}
 
 	srv.connMu.Lock()
@@ -206,7 +250,7 @@ func TestReactorSlotShedsJumboBuffers(t *testing.T) {
 	for rc = range srv.conns {
 	}
 	srv.connMu.Unlock()
-	c.Close()
+	conn.Close()
 	srv.Close() // every transport goroutine has exited: the free ring is ours
 	seen := 0
 	for {
@@ -215,12 +259,11 @@ func TestReactorSlotShedsJumboBuffers(t *testing.T) {
 			break
 		}
 		seen++
-		if cap(s.out) > slotBufKeep || cap(s.cmd.Data) > slotBufKeep {
-			t.Errorf("recycled slot keeps a %d-byte response buffer and a %d-byte payload buffer, bound %d",
-				cap(s.out), cap(s.cmd.Data), slotBufKeep)
+		if cap(s.cmd.Data) > slotBufKeep {
+			t.Errorf("recycled slot keeps a %d-byte payload buffer, bound %d", cap(s.cmd.Data), slotBufKeep)
 		}
 	}
-	if made := int(rc.slots.Load()); seen != made || seen < 4 {
-		t.Errorf("%d slots in the free ring, want the %d created (at least 4)", seen, made)
+	if made := int(rc.slots.Load()); seen != made || seen != n {
+		t.Errorf("%d slots in the free ring of the %d created, want the pipelining depth %d", seen, made, n)
 	}
 }

@@ -20,7 +20,7 @@ import (
 // startReactors spins up the sharded datapath over NULL devices (zero
 // service time, synchronous completion) — the configuration the live
 // datapath benchmarks use, where transport cost dominates.
-func startReactors(t *testing.T, scheme Scheme, ssds, reactors int) (*TCPReactors, *sim.RealShards) {
+func startReactors(t testing.TB, scheme Scheme, ssds, reactors int) (*TCPReactors, *sim.RealShards) {
 	t.Helper()
 	shards := sim.NewRealShards(reactors)
 	devs := make([]ssd.Device, ssds)
@@ -299,7 +299,7 @@ func TestReactorPeerResetReclaims(t *testing.T) {
 		if _, err := conn.Write(frames); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := readFrame(bufio.NewReader(conn)); err != nil {
+		if _, err := readFrameInto(bufio.NewReader(conn), nil); err != nil {
 			t.Fatal(err)
 		}
 		conn.(*net.TCPConn).SetLinger(0) // close sends RST
@@ -463,9 +463,10 @@ func TestTCPHotPathAllocFree(t *testing.T) {
 			}
 		}
 	}
-	// Warmup creates the connection's slots (two at QD1) and grows their
-	// response buffers; the rest of it settles the runtime (netpoll,
-	// goroutine stacks, the tenant bootstrap).
+	// Warmup creates the connection's slots (two at QD1; a slot's response
+	// header is part of it and a read's payload is sent from the zero slab,
+	// so nothing grows afterwards); the rest of it settles the runtime
+	// (netpoll, goroutine stacks, the tenant bootstrap).
 	doIO(1000)
 
 	const iters = 5000

@@ -21,10 +21,6 @@ import (
 
 const maxFrame = 4 << 20 // caps a frame at 4MB: header + 128KB data is typical
 
-func readFrame(r *bufio.Reader) ([]byte, error) {
-	return readFrameInto(r, nil)
-}
-
 // readFrameInto reads one frame, reusing scratch's capacity when it
 // suffices so a connection loop amortizes its read buffer.
 func readFrameInto(r *bufio.Reader, scratch []byte) ([]byte, error) {
@@ -52,36 +48,85 @@ func readFrameInto(r *bufio.Reader, scratch []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// framePool recycles encode buffers for frames whose ownership passes
-// through a writer goroutine: the sender encodes into a pooled buffer and
-// the writer returns it after the socket write.
-var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
-
-// frameBuf holds one complete wire frame: the 4-byte big-endian length
-// prefix and the capsule payload, contiguous. Senders append the payload
-// after the reserved prefix and seal() before handing the frame to a
-// writer, so every frame reaches the socket in a single Write.
-type frameBuf struct{ b []byte }
-
-func getFrame() *frameBuf {
-	f := framePool.Get().(*frameBuf)
-	f.b = append(f.b[:0], 0, 0, 0, 0)
-	return f
+// appendCommandFrame appends c as one wire frame: length prefix, capsule.
+func appendCommandFrame(buf []byte, c *CommandCapsule) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(CommandWireLen(len(c.Data))))
+	return AppendCommand(buf, c)
 }
 
-// seal stamps the length prefix once the payload is appended.
-func (f *frameBuf) seal() {
-	binary.BigEndian.PutUint32(f.b[:4], uint32(len(f.b)-4))
+// frameReader yields a connection's frames one at a time for a consumer
+// that is done with each before it asks for the next (the target's
+// connection reader: DecodeCommandInto copies what it keeps). A frame that
+// fits the bufio buffer together with its prefix is returned where the
+// socket read left it, with no copy; only a larger one is assembled in
+// scratch.
+type frameReader struct {
+	r       *bufio.Reader
+	scratch []byte
+	held    int // bytes of r's buffer under the frame last returned
 }
 
-func putFrame(f *frameBuf) { framePool.Put(f) }
+// next returns the next frame, valid until the following call to next or
+// fullFrameBuffered.
+func (f *frameReader) next() ([]byte, error) {
+	f.release()
+	hdr, err := f.r.Peek(4)
+	if err != nil {
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(hdr)
+	if n > maxFrame || 4+int(n) > f.r.Size() {
+		frame, err := readFrameInto(f.r, f.scratch)
+		if err == nil {
+			f.scratch = frame
+		}
+		return frame, err
+	}
+	whole, err := f.r.Peek(4 + int(n))
+	if err != nil {
+		return nil, err
+	}
+	f.held = len(whole)
+	return whole[4:], nil
+}
+
+func (f *frameReader) release() {
+	f.r.Discard(f.held)
+	f.held = 0
+}
+
+// fullFrameBuffered reports whether the buffer already holds the whole of
+// the frame after the one last returned, which it releases. The reader
+// keeps batching while this holds and flushes its staged commands before
+// any read that could block — otherwise a client waiting for responses to
+// its staged commands would deadlock against a reader waiting for the rest
+// of a frame.
+func (f *frameReader) fullFrameBuffered() bool {
+	f.release()
+	if f.r.Buffered() < 4 {
+		return false
+	}
+	p, err := f.r.Peek(4)
+	if err != nil {
+		return false
+	}
+	n := binary.BigEndian.Uint32(p)
+	return n <= maxFrame && f.r.Buffered() >= 4+int(n)
+}
+
+// clientBufKeep is the largest send buffer the initiator's writer keeps
+// between passes: a burst of jumbo writes does not pin its high-water mark
+// for the life of the client.
+const clientBufKeep = 1 << 20
 
 // TCPClient is the initiator side: it multiplexes async commands over one
 // connection and applies the scheme's client-side gate (credit or PARDA).
+// Commands reach the wire in the order the gate admitted them: Go encodes
+// each frame into a send queue under the client's lock, and one writer
+// goroutine writes everything queued since its last pass with a single
+// Write — a burst of submissions costs one syscall, not one each.
 type TCPClient struct {
 	conn net.Conn
-	wmu  sync.Mutex
-	bw   *bufio.Writer
 
 	mu      sync.Mutex
 	gate    Gater
@@ -89,14 +134,17 @@ type TCPClient struct {
 	queue   []*pendingCall // gated locally
 	nextCID uint16
 	err     error
+	sendq   []byte    // encoded frames the writer has not taken yet
+	kick    sync.Cond // on mu: sendq filled, or err set
 
-	closed chan struct{}
+	loops sync.WaitGroup // readLoop and writeLoop
 }
 
 type pendingCall struct {
 	cmd    *CommandCapsule
 	sentAt time.Time // stamped by sendLocked: the gate's latency signal
 	done   chan callResult
+	rsp    ResponseCapsule // what done delivers a pointer to
 }
 
 type callResult struct {
@@ -113,33 +161,39 @@ func DialTCP(addr string, scheme Scheme) (*TCPClient, error) {
 	}
 	c := &TCPClient{
 		conn:    conn,
-		bw:      bufio.NewWriter(conn),
 		gate:    NewGater(scheme),
 		pending: map[uint16]*pendingCall{},
-		closed:  make(chan struct{}),
 	}
+	c.kick.L = &c.mu
+	c.loops.Add(2)
 	go c.readLoop()
+	go c.writeLoop()
 	return c, nil
 }
 
-// Close tears down the connection; outstanding calls fail.
+// Close tears down the connection and waits for the client's two
+// goroutines: the reader's read fails, and fail() stops the writer.
+// Outstanding calls fail.
 func (c *TCPClient) Close() error {
 	err := c.conn.Close()
-	<-c.closed
+	c.loops.Wait()
 	return err
 }
 
+// readLoop completes calls. Each response gets a frame of its own and the
+// capsule's Data aliases it, so the payload is written once, by the socket
+// read, and belongs to whoever receives the capsule.
 func (c *TCPClient) readLoop() {
-	defer close(c.closed)
+	defer c.loops.Done()
 	r := bufio.NewReaderSize(c.conn, 256<<10)
 	for {
-		frame, err := readFrame(r)
+		frame, err := readFrameInto(r, nil)
 		if err != nil {
 			c.fail(err)
 			return
 		}
-		rsp, _, err := DecodeResponse(frame)
-		if err != nil {
+		var rsp ResponseCapsule
+		if _, err := decodeResponseAliased(&rsp, frame); err != nil {
 			c.fail(err)
 			return
 		}
@@ -153,14 +207,45 @@ func (c *TCPClient) readLoop() {
 		c.drainLocked()
 		c.mu.Unlock()
 		if call != nil {
-			call.done <- callResult{rsp: rsp}
+			call.rsp = rsp
+			call.done <- callResult{rsp: &call.rsp}
 		}
 	}
 }
 
+// writeLoop is the one goroutine that writes to the socket. A peer that
+// stops reading blocks it in Write; Go keeps queueing behind it.
+func (c *TCPClient) writeLoop() {
+	defer c.loops.Done()
+	var buf []byte
+	for {
+		c.mu.Lock()
+		for len(c.sendq) == 0 && c.err == nil {
+			c.kick.Wait()
+		}
+		if c.err != nil {
+			c.mu.Unlock()
+			return
+		}
+		if cap(buf) > clientBufKeep {
+			buf = nil
+		}
+		buf, c.sendq = c.sendq, buf[:0]
+		c.mu.Unlock()
+		if _, err := c.conn.Write(buf); err != nil {
+			c.fail(err)
+			return
+		}
+	}
+}
+
+// fail ends the client with its first error: every call outstanding or
+// gated fails with it, later ones are refused, the writer stops.
 func (c *TCPClient) fail(err error) {
 	c.mu.Lock()
-	c.err = err
+	if c.err == nil {
+		c.err = err
+	}
 	calls := make([]*pendingCall, 0, len(c.pending)+len(c.queue))
 	for cid, call := range c.pending {
 		delete(c.pending, cid)
@@ -168,6 +253,7 @@ func (c *TCPClient) fail(err error) {
 	}
 	calls = append(calls, c.queue...)
 	c.queue = nil
+	c.kick.Signal()
 	c.mu.Unlock()
 	for _, call := range calls {
 		call.done <- callResult{err: err}
@@ -175,7 +261,8 @@ func (c *TCPClient) fail(err error) {
 }
 
 // Go issues a command asynchronously, respecting the flow-control gate;
-// the returned channel receives exactly one result.
+// the returned channel receives exactly one result. The command's Data is
+// copied before Go returns; a response's Data is the receiver's own.
 func (c *TCPClient) Go(cmd *CommandCapsule) <-chan callResult {
 	call := &pendingCall{cmd: cmd, done: make(chan callResult, 1)}
 	c.mu.Lock()
@@ -209,7 +296,8 @@ func (c *TCPClient) DoIO(op nvme.Opcode, nsid uint8, offset int64, size int, dat
 	})
 }
 
-// sendLocked assigns a CID and writes the frame; c.mu must be held.
+// sendLocked assigns a CID and queues the frame for the writer; c.mu must
+// be held.
 func (c *TCPClient) sendLocked(call *pendingCall) {
 	for {
 		c.nextCID++
@@ -221,17 +309,8 @@ func (c *TCPClient) sendLocked(call *pendingCall) {
 	call.sentAt = time.Now()
 	c.pending[c.nextCID] = call
 	c.gate.OnSubmit()
-	frame := getFrame()
-	frame.b = AppendCommand(frame.b, call.cmd)
-	frame.seal()
-	go func() {
-		c.wmu.Lock()
-		defer c.wmu.Unlock()
-		if _, err := c.bw.Write(frame.b); err == nil {
-			c.bw.Flush()
-		}
-		putFrame(frame)
-	}()
+	c.sendq = appendCommandFrame(c.sendq, call.cmd)
+	c.kick.Signal()
 }
 
 func (c *TCPClient) drainLocked() {
