@@ -296,6 +296,7 @@ func main() {
 	if ring != nil {
 		log.Printf("traced %d IOs (last %d retained)", ring.Total(), ring.Len())
 	}
+	shards.Stop()
 	log.Println("shutdown complete")
 }
 

@@ -36,6 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer shards.Stop() // after the server: the switch's housekeeping timers end with it
 	defer srv.Close()
 	fmt.Printf("target listening on %s\n", srv.Addr())
 

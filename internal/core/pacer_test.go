@@ -87,3 +87,61 @@ func TestPacerReschedulesInPlace(t *testing.T) {
 	}
 	t.Logf("%d completions identical; peak tombstones %d, oracle %d", len(got), tombstones, oracleTombstones)
 }
+
+// TestPacerAdmitsOversizeIO: a read of twice the token bucket completes
+// instead of wedging its tenant, and the 4 KiB read behind it waits for the
+// pacer to repay the debt — about debt ÷ rate, the rate being between the
+// read share the pump timer assumes and the whole target rate the refill
+// delivers while the write bucket is full and spilling over.
+func TestPacerAdmitsOversizeIO(t *testing.T) {
+	loop := sim.NewLoop()
+	cfg := DefaultConfig()
+	sw := New(loop, ssd.NewNull(loop, 8<<30, 100), cfg)
+	tn := nvme.NewTenant(0, "jumbo")
+	sw.Register(tn)
+	big := int(2 * cfg.Rate.BucketMax)
+	var bigAt, smallAt int64
+	for _, io := range []*nvme.IO{
+		{Op: nvme.OpRead, Size: big, Tenant: tn, Done: func(*nvme.IO, nvme.Completion) { bigAt = loop.Now() }},
+		{Op: nvme.OpRead, Offset: 1 << 20, Size: 4096, Tenant: tn, Done: func(*nvme.IO, nvme.Completion) { smallAt = loop.Now() }},
+	} {
+		sw.Enqueue(io)
+	}
+	rate := sw.rate.TargetRate()
+	loop.RunUntil(sim.Second) // bounded: before the pacer ran a deficit the pump re-armed forever
+	if bigAt == 0 || smallAt == 0 {
+		t.Fatalf("after 1 s: %d-byte read done at %d, the 4 KiB read behind it at %d (0 = never)", big, bigAt, smallAt)
+	}
+	debt := float64(big) - float64(cfg.Rate.BucketMax) + 4096
+	lo, hi := int64(debt/rate*1e9), int64(debt/(rate/2)*1e9)
+	if wait := smallAt - bigAt; wait < lo*9/10 || wait > hi*11/10 {
+		t.Errorf("4 KiB read completed %d ns after the oversize one, want debt ÷ rate = %d..%d ns", wait, lo, hi)
+	}
+}
+
+// TestUnregisterCancelsPacingTimer: a tenant torn down while the pump is
+// waiting for tokens on its behalf takes the queue to empty without a pump
+// pass; the pacing timer must not outlive it (on the live plane it is the one
+// event a closed connection could leave on the shard).
+func TestUnregisterCancelsPacingTimer(t *testing.T) {
+	loop := sim.NewLoop()
+	sw := New(loop, ssd.NewNull(loop, 8<<30, 100), DefaultConfig())
+	stay, leave := nvme.NewTenant(0, "stay"), nvme.NewTenant(1, "leave")
+	sw.Register(stay)
+	sw.Register(leave)
+	for i := 0; i < 8; i++ { // 1 MiB against a 256 KiB bucket: the pump stalls
+		sw.Enqueue(&nvme.IO{Op: nvme.OpRead, Offset: int64(i) << 20, Size: 128 << 10, Tenant: leave, Done: func(*nvme.IO, nvme.Completion) {}})
+	}
+	sw.Enqueue(&nvme.IO{Op: nvme.OpRead, Size: 4096, Tenant: stay, Done: func(*nvme.IO, nvme.Completion) {}})
+	if !sw.timer.Active() {
+		t.Fatal("the pump did not stall on tokens: the test shows nothing")
+	}
+	sw.Unregister(leave)
+	if !sw.timer.Active() {
+		t.Fatal("pacing timer cancelled with another tenant's IO still queued")
+	}
+	sw.Unregister(stay)
+	if sw.timer.Active() {
+		t.Fatal("pacing timer still armed over an empty queue")
+	}
+}

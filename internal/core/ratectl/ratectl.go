@@ -101,14 +101,26 @@ func (e *Engine) Refill(now int64, writeCost float64) {
 	}
 }
 
-// TryConsume withdraws size bytes from the bucket for the IO class,
-// reporting whether enough tokens were available (Algorithm 1 Submission).
-func (e *Engine) TryConsume(isWrite bool, size int) bool {
-	tok := &e.readTok
-	if isWrite && !e.cfg.SingleBucket {
+// bucket returns the IO class's bucket and the level it must hold to admit
+// an IO of size bytes: the size, or a full bucket for an IO larger than one
+// — no bucket ever holds more, and such an IO would otherwise wait forever.
+func (e *Engine) bucket(isWrite bool, size int) (tok *float64, need float64) {
+	tok, full := &e.readTok, e.cfg.BucketMax
+	if e.cfg.SingleBucket {
+		full *= 2
+	} else if isWrite {
 		tok = &e.writeTok
 	}
-	if *tok < float64(size) {
+	return tok, float64(min(int64(size), full))
+}
+
+// TryConsume withdraws size bytes from the bucket for the IO class,
+// reporting whether enough tokens were available (Algorithm 1 Submission).
+// An IO larger than the bucket is admitted from a full one and leaves it in
+// debt, which the refill repays before anything else of the class passes.
+func (e *Engine) TryConsume(isWrite bool, size int) bool {
+	tok, need := e.bucket(isWrite, size)
+	if *tok < need {
 		return false
 	}
 	*tok -= float64(size)
@@ -118,14 +130,8 @@ func (e *Engine) TryConsume(isWrite bool, size int) bool {
 // Deficit returns how many bytes of tokens the IO class is short for an IO
 // of the given size (0 if it would be admitted now).
 func (e *Engine) Deficit(isWrite bool, size int) float64 {
-	tok := e.readTok
-	if isWrite && !e.cfg.SingleBucket {
-		tok = e.writeTok
-	}
-	if d := float64(size) - tok; d > 0 {
-		return d
-	}
-	return 0
+	tok, need := e.bucket(isWrite, size)
+	return max(need-*tok, 0)
 }
 
 // NanosUntil returns the refill time needed to cover a deficit of d bytes
@@ -165,7 +171,8 @@ func (e *Engine) OnCompletion(now int64, size int, state latmon.State) {
 	switch state {
 	case latmon.Overloaded:
 		e.targetRate = e.cplRate
-		e.readTok, e.writeTok = 0, 0 // discard remaining tokens
+		// discard remaining tokens; an oversize IO's debt stands
+		e.readTok, e.writeTok = min(e.readTok, 0), min(e.writeTok, 0)
 		e.targetRate -= float64(size)
 	case latmon.Congested:
 		e.targetRate -= float64(size)

@@ -180,3 +180,60 @@ func TestTokenConservationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOversizeIORunsADeficit: an IO larger than a bucket can ever hold is
+// admitted once the bucket is full and leaves it in debt; nothing else of the
+// class passes until the refill has repaid the debt and the next IO's own
+// size on top, and an overload does not forgive it.
+func TestOversizeIORunsADeficit(t *testing.T) {
+	for _, single := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.SingleBucket = single
+		full := float64(cfg.BucketMax)
+		if single {
+			full *= 2
+		}
+		size := int(2 * full)
+		e := New(cfg, 0)
+		e.Refill(second, 1) // a second at the initial rate fills every bucket
+		if !e.TryConsume(false, 4096) || e.TryConsume(false, size) {
+			t.Fatalf("single=%v: a bucket 4 KiB short of full must refuse a %d-byte read", single, size)
+		}
+		if d := e.Deficit(false, size); d != 4096 {
+			t.Fatalf("single=%v: deficit %v from a bucket 4 KiB short of full, want 4096", single, d)
+		}
+		e.Refill(2*second, 1)
+		if !e.TryConsume(false, size) {
+			t.Fatalf("single=%v: a full bucket refused a %d-byte read: it would wait forever", single, size)
+		}
+		if r, _ := e.Tokens(); r != -full {
+			t.Fatalf("single=%v: bucket at %v after the oversize read, want %v in debt", single, r, -full)
+		}
+		e.OnCompletion(2*second, size, latmon.Overloaded)
+		if r, w := e.Tokens(); r != -full || w > 0 {
+			t.Fatalf("single=%v: overload left the buckets at %v/%v, want the debt %v standing and no tokens", single, r, w, -full)
+		}
+		if e.TryConsume(false, 4096) {
+			t.Fatalf("single=%v: a read passed a bucket in debt", single)
+		}
+		d := e.Deficit(false, 4096)
+		if d != full+4096 {
+			t.Fatalf("single=%v: deficit %v behind the oversize read, want %v", single, d, full+4096)
+		}
+		// Repay at a known rate, all of it to the read side (the write bucket
+		// is full or shared): one byte short is refused, the rest admits.
+		e.targetRate = 100e6
+		e.writeTok = float64(cfg.BucketMax)
+		now := 2*second + int64((d-1)/100e6*1e9)
+		e.Refill(now, 1)
+		if e.TryConsume(false, 4096) {
+			t.Fatalf("single=%v: admitted before debt ÷ rate had passed", single)
+		}
+		e.Refill(now+1000, 1)
+		if !e.TryConsume(false, 4096) {
+			t.Fatalf("single=%v: still refused after debt ÷ rate", single)
+		}
+	}
+}
+
+const second = int64(1e9)

@@ -159,7 +159,7 @@ type Switch struct {
 
 	// Counters for the overhead accounting (Table 1). Atomic because the
 	// live endpoint reads them from scrape goroutines while completions
-	// land on RealScheduler timer goroutines.
+	// land on whichever goroutine entered the RealScheduler shard.
 	submits     atomic.Int64
 	completions atomic.Int64
 
@@ -210,6 +210,9 @@ func (sw *Switch) SetCostModel(m CostModeler) { sw.costModel = m }
 // abort.
 func (sw *Switch) Unregister(t *nvme.Tenant) []*nvme.IO {
 	orphans := sw.drr.Unregister(t)
+	if sw.drr.Queued() == 0 {
+		sw.timer.Cancel() // the queue emptied without a pump pass: nothing is left to pace
+	}
 	if sw.obs != nil {
 		sw.obs.tenantTeardowns.Inc()
 		sw.obs.abortedIOs.Add(int64(len(orphans)))

@@ -186,15 +186,21 @@ func TestAdminEndpointLiveTarget(t *testing.T) {
 }
 
 // TestShutdownDrainsInflight: a burst and a Shutdown racing it, on a fresh
-// server over a NAND device each round. Wherever the Shutdown finds the
+// server over one NAND device each round. Wherever the Shutdown finds the
 // burst — in the socket, in the reader's buffer, in a command ring, at the
 // device — nothing may complete after it returns, every call ends, and no
 // session or goroutine stays behind. (Counting only submitted commands as
 // in flight let one round in fifty return with ten still at the device.)
 func TestShutdownDrainsInflight(t *testing.T) {
-	// One target for all rounds: a switch's cost tick has no off switch, and
-	// two hundred abandoned ones would be the goroutines this test counts.
+	// One target for all rounds: what a round may leave behind on the shard
+	// is then a difference against the housekeeping timers that were there
+	// before it. (TestShutdownThenStopLeavesNothing builds one per round.)
 	shards, tgt, _ := newObservedTarget(t)
+	t.Cleanup(shards.Stop)
+	shard := shards.Shard(0)
+	shard.Lock()
+	housekeeping := shard.Pending()
+	shard.Unlock()
 	baseline := runtime.NumGoroutine()
 	rounds := 200
 	if testing.Short() {
@@ -223,6 +229,14 @@ func TestShutdownDrainsInflight(t *testing.T) {
 		if n, s := srv.Inflight(), srv.sessions.Load(); n != 0 || s != 0 {
 			t.Fatalf("round %d: after Shutdown inflight = %d, open sessions = %d", round, n, s)
 		}
+		// The rounds are reads, so the device owes no flush or GC: no device
+		// completion, pacing or deadline timer may outlive the drain.
+		shard.Lock()
+		pending := shard.Pending()
+		shard.Unlock()
+		if pending != housekeeping {
+			t.Fatalf("round %d: %d events pending on the shard after Shutdown, %d before the round", round, pending, housekeeping)
+		}
 		// Every submitted command either completed or failed cleanly on close;
 		// none may hang.
 		for i, ch := range chans {
@@ -238,4 +252,61 @@ func TestShutdownDrainsInflight(t *testing.T) {
 			t.Fatalf("round %d", round)
 		}
 	}
+}
+
+// TestShutdownThenStopLeavesNothing: a target and its shard set can be
+// retired. Each round builds both, serves a burst, shuts the server down and
+// stops the shards; afterwards no goroutine is left, and no bell rings for
+// the cost ticks and recovery timers the abandoned switches still hold.
+func TestShutdownThenStopLeavesNothing(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	var stopped []*sim.RealShards
+	for round := 0; round < 20; round++ {
+		shards, tgt, _ := newObservedTarget(t)
+		srv, err := ServeTCPReactors(shards, tgt, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := DialTCP(srv.Addr(), SchemeGimbal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 32; i++ {
+			if rsp, err := c.Do(&CommandCapsule{Opcode: nvme.OpRead, SLBA: uint64(i), Length: 4096}); err != nil || rsp.Status != nvme.StatusOK {
+				t.Fatalf("round %d read %d: %v %+v", round, i, err, rsp)
+			}
+		}
+		c.Close()
+		if err := srv.Shutdown(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		shards.Lock()
+		pending := shards.Shard(0).Pending()
+		shards.Unlock()
+		if pending == 0 {
+			t.Fatalf("round %d: no event pending before Stop: the switch's housekeeping timers are what it has to drop", round)
+		}
+		shards.Stop()
+		stopped = append(stopped, shards)
+	}
+	expectGoroutines(t, baseline)
+	reads := func() (n int64) {
+		for _, shards := range stopped {
+			shards.Lock()
+			n += shards.Shard(0).ClockReads()
+			if p := shards.Shard(0).Pending(); p != 0 {
+				t.Errorf("%d events pending on a stopped shard", p)
+			}
+			shards.Unlock()
+		}
+		return n
+	}
+	// Every entry into a shard samples its clock, a bell ring included: over
+	// ten cost-tick periods the only entries are this test's own.
+	before := reads()
+	time.Sleep(100 * time.Millisecond)
+	if extra := reads() - before - int64(len(stopped)); extra != 0 {
+		t.Errorf("stopped shards were entered %d times in 100 ms by something other than this test", extra)
+	}
+	expectGoroutines(t, baseline)
 }

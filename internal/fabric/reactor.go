@@ -48,8 +48,8 @@ const (
 	// publishing to the command rings and ringing the reactor doorbells.
 	readBatch = 64
 	// submitBatch caps the commands a reactor submits per shard-lock
-	// acquisition (also bounding the latency it adds to timer callbacks
-	// contending for the same shard).
+	// acquisition (also bounding how late the shard's due events — device
+	// completions, the pacer — fire: the next Lock is what runs them).
 	submitBatch = 64
 	// writeBatch is the writer's per-ring drain stride; a writev gathers
 	// everything drained in one pass.
@@ -126,8 +126,9 @@ type conduit struct {
 
 // reactor owns one RealScheduler shard and every pipeline built on it
 // (SSDs i with i % R == idx). It is the only goroutine that takes its
-// shard lock on the submit path; completions ride the same lock from
-// device timer context.
+// shard lock on the submit path; completions ride the same lock: a busy
+// reactor fires its own due device events inside the Lock it takes to
+// submit, the shard's bell fires them when it is idle.
 type reactor struct {
 	idx   int
 	srv   *TCPReactors
@@ -269,17 +270,6 @@ func (t *TCPReactors) AttachObs(h *obs.Hub, regs []*obs.Registry) {
 	}
 }
 
-// PipelineRegs maps per-reactor registries onto per-pipeline registries
-// for Target.AttachObsSharded: pipeline i reports into its owning
-// reactor's shard registry.
-func (t *TCPReactors) PipelineRegs(regs []*obs.Registry) []*obs.Registry {
-	out := make([]*obs.Registry, t.target.SSDs())
-	for i := range out {
-		out[i] = regs[i%len(t.rs)]
-	}
-	return out
-}
-
 // ReactorStat is one reactor's row in the /reactors admin endpoint.
 type ReactorStat struct {
 	Reactor    int   `json:"reactor"`
@@ -292,8 +282,11 @@ type ReactorStat struct {
 	// TxCapsules ÷ TxWrites is the batching the connection writers achieve.
 	TxWrites int64 `json:"tx_writes"`
 	// ClockReads counts samples of the shard clock: one per command
-	// submitted plus one per timer callback and admin entry.
+	// submitted plus one per fired event, bell ring and admin entry. Timers
+	// is the number of events pending on the shard (device completions,
+	// pacing and housekeeping timers).
 	ClockReads int64 `json:"clock_reads"`
+	Timers     int   `json:"timers"`
 	// Slots is the number of IO slots the live connections with a conduit
 	// to this reactor have created (a connection that spans reactors counts
 	// in each row, as it does in Conduits); SlotStalls counts the times one
@@ -310,7 +303,7 @@ func (t *TCPReactors) ReactorStats() []ReactorStat {
 		st := ReactorStat{Reactor: j, RxCapsules: r.rx.Load(), TxCapsules: r.tx.Load(),
 			TxWrites: r.txWrites.Load(), Slots: r.slots(), SlotStalls: r.slotStalls.Load()}
 		r.shard.Lock()
-		st.ClockReads = r.shard.ClockReads()
+		st.ClockReads, st.Timers = r.shard.ClockReads(), r.shard.Pending()
 		r.shard.Unlock()
 		for i := 0; i < t.target.SSDs(); i++ {
 			if i%len(t.rs) == j {
@@ -802,8 +795,8 @@ func (r *reactor) submit(cd *conduit, s *ioSlot) {
 // finish is the slot's pre-bound completion: seal the response header in
 // place, record how much payload follows it (a read's data; the writer
 // sends it by reference) and publish the slot to the writer. Always runs in
-// the owning shard's context — the reactor's submit path or a device timer
-// holding the same lock — so the cpl ring keeps a single serialized
+// the owning shard's context — the reactor's submit path or a device event
+// fired under the same lock — so the cpl ring keeps a single serialized
 // producer.
 func (s *ioSlot) finish(_ *nvme.IO, cpl nvme.Completion) {
 	t := s.conn.srv

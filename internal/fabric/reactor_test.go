@@ -373,8 +373,12 @@ func TestReactorShardedObs(t *testing.T) {
 		shardRegs[j] = obs.NewRegistry()
 		shardRegs[j].GatherLock = shards.Shard(j)
 	}
+	pregs := make([]*obs.Registry, tgt.SSDs())
+	for i := range pregs {
+		pregs[i] = shardRegs[i%len(shardRegs)]
+	}
 	shards.Lock()
-	tgt.AttachObsSharded(hub, srv.PipelineRegs(shardRegs))
+	tgt.AttachObsSharded(hub, pregs)
 	shards.Unlock()
 	srv.AttachObs(hub, shardRegs)
 

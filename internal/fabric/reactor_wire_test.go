@@ -56,9 +56,6 @@ func TestReactorWireMatchesEncoder(t *testing.T) {
 			{"largest framed read", CommandCapsule{Opcode: nvme.OpRead, Length: largest}, nvme.StatusOK, largest},
 			{"failed read", CommandCapsule{Opcode: nvme.OpRead, SLBA: nullCapacity / 4096, Length: 64 << 10}, nvme.StatusInvalidLBA, 0},
 		} {
-			if scheme == SchemeGimbal && tc.dataLen > 256<<10 {
-				continue // the rate pacer never admits an IO larger than its token bucket (ROADMAP item 4)
-			}
 			tc.cmd.CID = uint16(100 + i)
 			if _, err := conn.Write(appendCommandFrame(nil, &tc.cmd)); err != nil {
 				t.Fatal(err)

@@ -30,9 +30,6 @@ func NewGroup(members ...*Registry) *Group {
 	return &Group{members: members}
 }
 
-// Members returns the member count.
-func (g *Group) Members() int { return len(g.members) }
-
 // groupFamily accumulates one metric family's rendered sample lines
 // across members.
 type groupFamily struct {
@@ -109,24 +106,6 @@ func (g *Group) renderMember(r *Registry, byName map[string]*groupFamily, fams *
 		}
 	}
 	return nil
-}
-
-// Gather flattens every member's samples, member order then registration
-// order. Unlike Registry.Gather the returned slice is freshly allocated
-// per call (a Group gathers across shards, so the per-scrape scratch
-// lives with each member, not here).
-func (g *Group) Gather() []Sample {
-	var out []Sample
-	for _, r := range g.members {
-		out = append(out, cloneSamples(r.Gather())...)
-	}
-	return out
-}
-
-func cloneSamples(in []Sample) []Sample {
-	out := make([]Sample, len(in))
-	copy(out, in)
-	return out
 }
 
 // Snapshot merges every member's snapshot, summing duplicate keys (a

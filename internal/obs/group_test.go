@@ -82,20 +82,3 @@ func TestGroupHoldsEachMemberGatherLock(t *testing.T) {
 			la.locks, la.unlock, lb.locks, lb.unlock)
 	}
 }
-
-func TestGroupGatherFlattens(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Counter("a_total", "").Add(1)
-	b.Counter("b_total", "").Add(2)
-	g := NewGroup(a, b)
-	if g.Members() != 2 {
-		t.Fatalf("members = %d, want 2", g.Members())
-	}
-	samples := g.Gather()
-	if len(samples) != 2 {
-		t.Fatalf("gathered %d samples, want 2", len(samples))
-	}
-	if samples[0].Name != "a_total" || samples[1].Name != "b_total" {
-		t.Fatalf("member order lost: %+v", samples)
-	}
-}

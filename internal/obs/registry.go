@@ -1,6 +1,6 @@
 // Package obs is the telemetry layer shared by the discrete-event
 // simulator, the benchmark harness, and the live gimbald target: a
-// sharded, cardinality-bounded metrics registry of atomic counters and
+// cardinality-bounded metrics registry of atomic counters and
 // gauges (plus the stats package's histograms registered as instruments),
 // labeled per SSD and per tenant; a per-IO span tracer with tail-biased
 // sampling (trace.go, tracer.go); and a per-tenant SLO engine with
@@ -15,11 +15,11 @@
 //   - Instrumented components keep a nil-checkable observer pointer, so a
 //     system with no registry attached pays one predictable branch per
 //     hook (verified by BenchmarkSwitchSubmit in internal/core).
-//   - Registration is sharded: instrument identity (name{labels}) hashes
-//     to one of 16 shards, each with its own lock, so per-reactor
-//     registration of 100k tenant label sets does not serialize on a
-//     single mutex. Label strings are interned so the many instruments of
-//     one tenant share one backing array.
+//   - Registration is one map under one lock, and callers keep the
+//     instrument pointer it returns: the live plane registers per reactor
+//     into that reactor's own registry, so nothing contends for it. Label
+//     strings are interned so the many instruments of one tenant share one
+//     backing array.
 //   - Cardinality is bounded per metric name (DefaultMaxSeries): once a
 //     name's series budget is exhausted, further label sets collapse into
 //     one shared series labeled overflow="true". Bounded memory beats
@@ -174,39 +174,13 @@ func (in *instrument) exportNames() {
 	in.countName = in.name + "_count"
 }
 
-// numShards is the registration shard count: a small power of two keeps
-// the footprint negligible while spreading registration of large tenant
-// populations across independent locks.
-const numShards = 16
-
 // DefaultMaxSeries is the per-metric-name series budget before overflow
 // bucketing kicks in: generous enough for a 100k-tenant label set, small
 // enough to bound a runaway label leak.
 const DefaultMaxSeries = 1 << 17
 
-// shardOf hashes an instrument id with FNV-1a.
-func shardOf(id string) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= prime64
-	}
-	return int(h % numShards)
-}
-
-type registryShard struct {
-	mu sync.Mutex
-	by map[string]*instrument
-}
-
 // Registry holds the instruments of one system (one simulation run or one
-// daemon process). Instrument registration is idempotent on (name, labels)
-// and sharded by instrument identity; the registry-wide lock guards only
-// the slow registration bookkeeping (ordering, interning, cardinality).
+// daemon process). Instrument registration is idempotent on (name, labels).
 type Registry struct {
 	// GatherLock, when set, is held across Gather/WritePrometheus/Snapshot
 	// so collection serializes with scheduler-context updates of
@@ -214,9 +188,8 @@ type Registry struct {
 	// RealScheduler. It must not be held by the caller.
 	GatherLock sync.Locker
 
-	shards [numShards]registryShard
-
 	mu        sync.Mutex
+	by        map[string]*instrument // id → instrument, overflowed ids excepted
 	order     []*instrument
 	help      map[string]string
 	interned  map[Labels]Labels
@@ -234,6 +207,7 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
+		by:       map[string]*instrument{},
 		help:     map[string]string{},
 		interned: map[Labels]Labels{},
 		series:   map[string]int{},
@@ -252,14 +226,8 @@ func (r *Registry) SetMaxSeries(n int) {
 	r.mu.Unlock()
 }
 
-// Intern returns a canonical copy of l: every instrument registered with
-// an equal label set shares one backing string.
-func (r *Registry) Intern(l Labels) Labels {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.internLocked(l)
-}
-
+// internLocked returns a canonical copy of l: every instrument registered
+// with an equal label set shares one backing string.
 func (r *Registry) internLocked(l Labels) Labels {
 	if l == "" {
 		return l
@@ -296,54 +264,31 @@ func (r *Registry) overflowLocked(name string, k kind, mk func() *instrument) *i
 // lookup returns the existing instrument or registers a new one built by
 // mk. It panics when (name, labels) is already registered with a different
 // kind — instrument identities are code, not input. Overflowed identities
-// are deliberately not cached in the shard map (that map growing without
-// bound is exactly what the budget prevents); callers are expected to
-// cache the returned instrument pointer.
+// are deliberately not kept in the map (that map growing without bound is
+// exactly what the budget prevents); callers are expected to cache the
+// returned instrument pointer.
 func (r *Registry) lookup(name string, labels Labels, k kind, mk func() *instrument) *instrument {
 	id := name + "{" + string(labels) + "}"
-	sh := &r.shards[shardOf(id)]
-	sh.mu.Lock()
-	if sh.by == nil {
-		sh.by = map[string]*instrument{}
-	}
-	if in, ok := sh.by[id]; ok {
-		sh.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if in, ok := r.by[id]; ok {
 		if in.kind != k {
 			panic("obs: " + id + " re-registered with a different kind")
 		}
 		return in
 	}
-	// New series: cardinality accounting, interning, and registration
-	// order live under the registry lock. Lock order is shard → registry,
-	// never the reverse.
-	r.mu.Lock()
 	budget := r.maxSeries
 	if budget == 0 {
 		budget = DefaultMaxSeries
 	}
-	if r.series == nil {
-		r.series = map[string]int{}
-	}
 	if r.series[name] >= budget {
-		if r.overflow == nil {
-			r.overflow = map[string]*instrument{}
-		}
-		in := r.overflowLocked(name, k, mk)
-		r.mu.Unlock()
-		sh.mu.Unlock()
-		return in
+		return r.overflowLocked(name, k, mk)
 	}
 	r.series[name]++
-	if r.interned == nil {
-		r.interned = map[Labels]Labels{}
-	}
-	labels = r.internLocked(labels)
 	in := mk()
-	in.name, in.labels, in.kind = name, labels, k
+	in.name, in.labels, in.kind = name, r.internLocked(labels), k
 	r.order = append(r.order, in)
-	r.mu.Unlock()
-	sh.by[id] = in
-	sh.mu.Unlock()
+	r.by[id] = in
 	return in
 }
 

@@ -6,11 +6,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestRegistryShardedConcurrentRegistration hammers registration from many
-// goroutines across distinct and shared identities; the race detector run
-// scoped to this package is the real assertion.
+// goroutines across distinct and shared identities (the name is from when
+// the registry had registration shards); the race detector run scoped to
+// this package is the real assertion.
 func TestRegistryShardedConcurrentRegistration(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
@@ -36,13 +38,17 @@ func TestRegistryLabelInterning(t *testing.T) {
 	// Build two equal labels with distinct backings.
 	l1 := L("tenant", "t0", "ssd", "1")
 	l2 := Labels(strings.Join([]string{`tenant="t0"`, `ssd="1"`}, ","))
-	if &l1 == &l2 {
+	if unsafe.StringData(string(l1)) == unsafe.StringData(string(l2)) {
 		t.Fatal("test setup: labels share storage")
 	}
 	r.Counter("intern_a_total", l1)
 	r.Counter("intern_b_total", l2)
-	if r.Intern(l1) != r.Intern(l2) {
-		t.Fatal("equal labels intern differently")
+	got := r.Gather()
+	if len(got) != 2 || got[0].Labels != l1 || got[1].Labels != l2 {
+		t.Fatalf("gathered %+v, want the two counters with their labels", got)
+	}
+	if unsafe.StringData(string(got[0].Labels)) != unsafe.StringData(string(got[1].Labels)) {
+		t.Fatal("two instruments with equal labels keep separate copies of them")
 	}
 }
 
@@ -57,7 +63,7 @@ func TestRegistryCardinalityOverflow(t *testing.T) {
 	}
 	// Tenants 3..9 share the single overflow series.
 	over := r.Counter("hot_total", Labels(`overflow="true"`))
-	_ = over // registered identity: the overflow series itself fits the shard map
+	_ = over // registered identity: the overflow series itself fits the map
 	snap := r.Snapshot()
 	if got := SumMetric(snap, "hot_total"); got != 10 {
 		t.Fatalf("total across series = %v, want 10", got)
@@ -147,7 +153,9 @@ func BenchmarkGather(b *testing.B) {
 	}
 }
 
-func BenchmarkRegisterSharded(b *testing.B) {
+// BenchmarkRegistryRelookup re-resolves existing series in parallel: what a
+// caller that does not cache the instrument pointer pays per record.
+func BenchmarkRegistryRelookup(b *testing.B) {
 	r := NewRegistry()
 	labels := make([]Labels, 1024)
 	for i := range labels {

@@ -5,23 +5,29 @@
 // seeded random number generator.
 //
 // The same component code (SSD model, Gimbal pipeline, transports) also runs
-// against the wall clock: Scheduler is an interface, and RealScheduler
-// adapts time.AfterFunc so that the TCP-based live target reuses the exact
-// logic the simulator exercises.
+// against the wall clock: Scheduler is an interface, and RealScheduler puts
+// that same event queue behind a mutex and one runtime timer, so the
+// TCP-based live target reuses the exact logic the simulator exercises and
+// there is one Timer implementation for both.
 package sim
-
-import "time"
 
 // Scheduler is the clock abstraction shared by every timed component.
 // Times are nanoseconds since an arbitrary epoch (simulation start).
 //
-// Implementations must run callbacks scheduled for the same instant in FIFO
-// order of scheduling, which the deterministic experiments rely on.
+// Both implementations run callbacks scheduled for the same instant in FIFO
+// order of scheduling (a Reschedule counts as scheduling anew), which the
+// deterministic experiments rely on.
+//
+// Every method, and every method of the Timers they return, is a call from
+// the scheduler's context: an event callback or the code driving the Loop;
+// on a RealScheduler, code that holds the shard lock — or set-up code
+// building the shard before anything has entered it, since nothing scheduled
+// on a RealScheduler runs before its first Lock.
 type Scheduler interface {
 	// Now returns the current time in nanoseconds since the epoch. It is
 	// constant within one entry into the scheduler's context on both
-	// implementations: one event on the Loop; one Lock, timer callback or
-	// Tick on a RealScheduler.
+	// implementations: one event on the Loop; one Lock, fired event or Tick
+	// on a RealScheduler.
 	Now() int64
 	// At schedules fn to run at absolute time t (clamped to Now for past
 	// times). It returns a value-type handle that can cancel the event or
@@ -37,6 +43,3 @@ const (
 	Millisecond int64 = 1e6
 	Second      int64 = 1e9
 )
-
-// Duration renders a nanosecond count using time.Duration formatting.
-func Duration(ns int64) time.Duration { return time.Duration(ns) }

@@ -28,9 +28,21 @@ type Event struct {
 // callers may keep a Timer around without lifetime bookkeeping.
 type Timer struct {
 	l   *Loop
-	r   *realEvent
 	idx int32
 	gen uint32
+}
+
+// event returns the arena slot the handle names while the event is still
+// pending, nil once it has fired, been cancelled or superseded, and for the
+// zero handle.
+func (t Timer) event() *Event {
+	if t.l == nil {
+		return nil
+	}
+	if e := &t.l.arena[t.idx]; e.gen == t.gen && e.fn != nil {
+		return e
+	}
+	return nil
 }
 
 // Cancelled reports whether the event already fired, was cancelled, or the
@@ -38,16 +50,7 @@ type Timer struct {
 func (t Timer) Cancelled() bool { return !t.Active() }
 
 // Active reports whether the event is still scheduled to fire.
-func (t Timer) Active() bool {
-	if t.l != nil {
-		e := &t.l.arena[t.idx]
-		return e.gen == t.gen && e.fn != nil
-	}
-	if t.r != nil {
-		return t.r.gen == t.gen && t.r.fn != nil
-	}
-	return false
-}
+func (t Timer) Active() bool { return t.event() != nil }
 
 // Cancel removes the event from its loop's queue. Safe to call twice; safe
 // on fired events and on the zero Timer. A main-heap entry is dropped
@@ -55,29 +58,23 @@ func (t Timer) Active() bool {
 // reclaimed when it surfaces (or by compaction when cancelled entries pile
 // up). A re-keyed timer leaves the side heap at once.
 func (t Timer) Cancel() {
-	if t.l != nil {
-		l := t.l
-		e := &l.arena[t.idx]
-		if e.gen != t.gen || e.fn == nil {
-			return
-		}
-		if !e.daemon {
-			l.foreground--
-		}
-		l.live--
-		if e.side != 0 {
-			l.sideRemove(int(e.side - 1))
-			l.freeSlot(t.idx)
-			return
-		}
-		e.fn = nil
-		l.lazyCancelled++
-		l.maybeCompact()
+	e := t.event()
+	if e == nil {
 		return
 	}
-	if t.r != nil {
-		t.r.cancel(t.gen)
+	l := t.l
+	if !e.daemon {
+		l.foreground--
 	}
+	l.live--
+	if e.side != 0 {
+		l.sideRemove(int(e.side - 1))
+		l.freeSlot(t.idx)
+		return
+	}
+	e.fn = nil
+	l.lazyCancelled++
+	l.maybeCompact()
 }
 
 // Reschedule moves a pending event to fire at absolute time when (clamped
@@ -93,38 +90,32 @@ func (t Timer) Cancel() {
 // The first Reschedule of an event moves it from the main heap to the
 // loop's side heap, which is indexed so that later ones re-key it in place.
 func (t Timer) Reschedule(when int64) Timer {
-	if t.l != nil {
-		l := t.l
-		e := &l.arena[t.idx]
-		if e.gen != t.gen || e.fn == nil {
-			return t
-		}
-		if when < l.now {
-			when = l.now
-		}
-		l.seq++
-		ent := heapEnt{when: when, idx: t.idx, seq: uint32(l.seq)}
-		if e.side != 0 {
-			e.when = when
-			e.gen++
-			l.sideFix(int(e.side-1), ent)
-			return Timer{l: l, idx: t.idx, gen: e.gen}
-		}
-		fn, daemon := e.fn, e.daemon
-		e.fn = nil // the main-heap entry stays behind as a tombstone, once
-		l.lazyCancelled++
-		ent.idx = l.allocSlot()
-		e = &l.arena[ent.idx]
-		e.when, e.fn, e.daemon = when, fn, daemon
-		l.side = append(l.side, ent)
-		l.sideFix(len(l.side)-1, ent)
-		l.maybeCompact()
-		return Timer{l: l, idx: ent.idx, gen: e.gen}
+	e := t.event()
+	if e == nil {
+		return t
 	}
-	if t.r != nil {
-		t.gen = t.r.reschedule(t.gen, when)
+	l := t.l
+	if when < l.now {
+		when = l.now
 	}
-	return t
+	l.seq++
+	ent := heapEnt{when: when, idx: t.idx, seq: uint32(l.seq)}
+	if e.side != 0 {
+		e.when = when
+		e.gen++
+		l.sideFix(int(e.side-1), ent)
+		return Timer{l: l, idx: t.idx, gen: e.gen}
+	}
+	fn, daemon := e.fn, e.daemon
+	e.fn = nil // the main-heap entry stays behind as a tombstone, once
+	l.lazyCancelled++
+	ent.idx = l.allocSlot()
+	e = &l.arena[ent.idx]
+	e.when, e.fn, e.daemon = when, fn, daemon
+	l.side = append(l.side, ent)
+	l.sideFix(len(l.side)-1, ent)
+	l.maybeCompact()
+	return Timer{l: l, idx: ent.idx, gen: e.gen}
 }
 
 // MarkDaemon excludes the event from Run's liveness accounting: like a
@@ -133,12 +124,9 @@ func (t Timer) Reschedule(when int64) Timer {
 // stats samplers) mark themselves daemon so Run terminates when real work
 // drains. It returns the same handle for chaining.
 func (t Timer) MarkDaemon() Timer {
-	if t.l != nil {
-		e := &t.l.arena[t.idx]
-		if e.gen == t.gen && e.fn != nil && !e.daemon {
-			e.daemon = true
-			t.l.foreground--
-		}
+	if e := t.event(); e != nil && !e.daemon {
+		e.daemon = true
+		t.l.foreground--
 	}
 	return t
 }
@@ -146,15 +134,8 @@ func (t Timer) MarkDaemon() Timer {
 // When returns the scheduled firing time, or 0 if the event is not pending
 // (fired, cancelled, superseded by Reschedule, or the zero handle).
 func (t Timer) When() int64 {
-	if t.l != nil {
-		e := &t.l.arena[t.idx]
-		if e.gen == t.gen && e.fn != nil {
-			return e.when
-		}
-		return 0
-	}
-	if t.r != nil && t.r.gen == t.gen && t.r.fn != nil {
-		return t.r.when
+	if e := t.event(); e != nil {
+		return e.when
 	}
 	return 0
 }

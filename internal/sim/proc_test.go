@@ -115,7 +115,9 @@ func TestProcWakeFromEvent(t *testing.T) {
 func TestRealSchedulerFiresCallbacks(t *testing.T) {
 	s := NewRealShards(1).Shard(0)
 	done := make(chan struct{})
+	s.Lock()
 	s.After(int64(time.Millisecond), func() { close(done) })
+	s.Unlock()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):

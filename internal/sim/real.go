@@ -1,37 +1,61 @@
 package sim
 
 import (
+	"math"
 	"sync"
 	"time"
 )
 
-// RealScheduler implements Scheduler against the wall clock using
-// time.AfterFunc. It lets the simulation-grade components (SSD model,
-// Gimbal pipeline) run behind the live TCP target. Callbacks fire on timer
-// goroutines serialized by an internal mutex, so components driven by a
-// RealScheduler see the same single-threaded discipline they see under the
-// event loop; use Lock/Unlock around external entry points into such
-// components. Schedulers come in sets: NewRealShards(1).Shard(0) is the
+// RealScheduler implements Scheduler against the wall clock. It lets the
+// simulation-grade components (SSD model, Gimbal pipeline) run behind the
+// live TCP target. A shard is the simulator's own event queue — a Loop, so
+// Timer has one implementation and same-instant callbacks keep FIFO order
+// here too — behind a mutex and one runtime timer, the bell:
+//
+//   - Lock takes the mutex, samples the clock and fires everything due by
+//     then, so a busy shard's owner (a reactor with commands to submit)
+//     completes its own device IOs inside the Lock it was taking anyway,
+//     the way an SPDK reactor polls its own timers.
+//   - Unlock arms the bell for the queue's earliest deadline when that has
+//     moved earlier, so an idle shard is woken by one runtime timer however
+//     many events are pending. The bell's callback is Lock(); Unlock().
+//
+// Callbacks therefore run holding the lock, on whichever goroutine entered
+// the shard, and components driven by a RealScheduler see the same
+// single-threaded discipline they see under the event loop; use Lock/Unlock
+// around external entry points into such components. At, After and every
+// Timer method are shard-context calls: hold the lock — or be building the
+// shard before anything has entered it, because nothing scheduled on a shard
+// runs before its first Lock. That is what makes lock-free set-up
+// single-threaded. Schedulers come in sets: NewRealShards(1).Shard(0) is the
 // lone one.
 //
-// The shard clock is sampled once per entry — by Lock, by the timer fire
-// path once it holds the mutex, and by Tick — and Now returns that sample,
-// so time stands still inside one entry exactly as it does inside one
-// event of the loop (an SPDK reactor likewise reads the TSC once per
-// iteration). Whatever turns a time into a wall-clock duration (At, After,
-// Reschedule) reads the wall itself: a stale sample must not shorten a
-// delay. Set-up code that runs before the first entry sees the wall too.
+// The shard clock is sampled once per entry — by Lock, before each further
+// event one Lock fires, and by Tick — and Now returns that sample, so time
+// stands still inside one entry exactly as it does inside one event of the
+// loop (an SPDK reactor likewise reads the TSC once per iteration). A delay
+// (After) is counted from the wall itself: a stale sample must not shorten
+// it. Set-up code that runs before the first entry sees the wall too.
 type RealScheduler struct {
 	mu    sync.Mutex
 	epoch time.Time
-	// now is the current sample and reads counts the samples taken; both
-	// are guarded by mu.
+	// now is the current sample and reads counts the samples taken; both,
+	// like every field below, are guarded by mu.
 	now   int64
 	reads int64
-	// wakeups counts entries into the timer fire path, so tests can tell a
-	// stopped timer from one that woke up to find itself cancelled.
-	wakeups int64
+	q     Loop
+	bell  *time.Timer
+	// bellAt is the deadline the bell is armed for: noBell once an entry
+	// has found it in the past (the ring is then under way or late, and
+	// finds nothing left to do), and for good on a stopped shard.
+	bellAt  int64
+	stopped bool
+	// rings counts bell callbacks, so tests can tell an idle shard's
+	// wake-ups from its events.
+	rings int64
 }
+
+const noBell = math.MaxInt64
 
 // RealShards is a set of wall-clock scheduler shards sharing one epoch:
 // the shared-nothing substrate of the live reactor datapath (DESIGN.md
@@ -53,7 +77,7 @@ func NewRealShards(n int) *RealShards {
 	epoch := time.Now()
 	s := &RealShards{shards: make([]*RealScheduler, n)}
 	for i := range s.shards {
-		s.shards[i] = &RealScheduler{epoch: epoch}
+		s.shards[i] = &RealScheduler{epoch: epoch, bellAt: noBell}
 	}
 	return s
 }
@@ -85,18 +109,67 @@ func (s *RealShards) Unlock() {
 // shard's sample, so it needs no lock and advances with none held.
 func (s *RealShards) Now() int64 { return s.shards[0].wall() }
 
+// Stop retires the set: every bell is stopped, every pending event is
+// cancelled, and whatever is scheduled afterwards is dropped, so the shards
+// hold no runtime timer and start no goroutine again. Call it once whatever
+// was served from the shards has shut down; the caller holds no shard lock.
+func (s *RealShards) Stop() {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		sh.stopped, sh.bellAt = true, noBell
+		if sh.bell != nil {
+			sh.bell.Stop()
+		}
+		for i := range sh.q.arena {
+			Timer{l: &sh.q, idx: int32(i), gen: sh.q.arena[i].gen}.Cancel()
+		}
+		sh.mu.Unlock()
+	}
+}
+
 // wall reads the wall clock: nanoseconds since the shared epoch.
 func (s *RealScheduler) wall() int64 { return int64(time.Since(s.epoch)) }
 
-// Lock serializes external entry into components driven by this scheduler
-// and samples the shard clock for the entry.
+// Lock serializes external entry into components driven by this scheduler,
+// samples the shard clock for the entry and fires the events that are due.
+// Each further event is its own entry with its own sample, taken before it
+// runs; none is taken after the last, so a Lock that fires nothing, or one
+// event, reads the clock once.
 func (s *RealScheduler) Lock() {
 	s.mu.Lock()
 	s.Tick()
+	if s.bellAt <= s.now {
+		s.bellAt = noBell
+	}
+	for s.q.step(s.now) && s.q.NextEventTime() <= s.now {
+		s.Tick()
+	}
 }
 
-// Unlock releases the serialization lock.
-func (s *RealScheduler) Unlock() { s.mu.Unlock() }
+// Unlock releases the serialization lock, first making sure the bell rings
+// by the queue's earliest deadline. A deadline that moved later (a cancel,
+// a Reschedule) leaves the bell alone: it rings once at the old one, finds
+// nothing due and is armed again from there.
+func (s *RealScheduler) Unlock() {
+	if next := s.q.NextEventTime(); next < s.bellAt {
+		s.bellAt = next
+		d := time.Duration(max(next-s.wall(), 0))
+		if s.bell == nil {
+			s.bell = time.AfterFunc(d, s.ring)
+		} else {
+			s.bell.Reset(d)
+		}
+	}
+	s.mu.Unlock()
+}
+
+// ring is the bell's callback: an entry into the shard with nothing of its
+// own to do.
+func (s *RealScheduler) ring() {
+	s.Lock()
+	s.rings++
+	s.Unlock()
+}
 
 // Tick samples the shard clock again; the caller holds the lock. A holder
 // that runs several independent entries under one acquisition (a reactor
@@ -111,8 +184,12 @@ func (s *RealScheduler) Tick() {
 // caller holds the lock.
 func (s *RealScheduler) ClockReads() int64 { return s.reads }
 
+// Pending returns the number of events scheduled on the shard that have
+// neither fired nor been cancelled; the caller holds the lock.
+func (s *RealScheduler) Pending() int { return s.q.Pending() }
+
 // Now implements Scheduler: the sample taken on entry to the shard, constant
-// until the next Lock, timer callback or Tick. Read it holding the lock.
+// until the next Lock, fired event or Tick. Read it holding the lock.
 // Until something has entered the shard there is no sample to return, and
 // Now reads the wall: components are built during set-up with no lock held,
 // possibly seconds after the epoch (SSD pre-conditioning), and must not
@@ -124,84 +201,16 @@ func (s *RealScheduler) Now() int64 {
 	return s.now
 }
 
-// realEvent is the control block behind a wall-clock Timer. Unlike loop
-// events it is heap-allocated per schedule — the real transport is not the
-// simulation hot path. The firing callback checks fn under the scheduler
-// lock, and callers cancel and reschedule from scheduler context, so every
-// field is guarded by s.mu. gen advances on Reschedule so that the
-// superseded handle goes stale, as it does on the loop.
-type realEvent struct {
-	s    *RealScheduler
-	t    *time.Timer
-	when int64
-	fn   func()
-	gen  uint32
-}
-
-// At implements Scheduler.
+// At implements Scheduler; a shard-context call. The callback runs holding
+// the scheduler lock, no earlier than t by the wall clock.
 func (s *RealScheduler) At(t int64, fn func()) Timer {
-	d := t - s.wall()
-	if d < 0 {
-		d = 0
+	if s.stopped {
+		return Timer{}
 	}
-	return s.After(d, fn)
+	return s.q.At(t, fn)
 }
 
-// After implements Scheduler. The callback runs holding the scheduler lock.
+// After implements Scheduler; a shard-context call.
 func (s *RealScheduler) After(d int64, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
-	e := &realEvent{s: s, when: s.wall() + d, fn: fn}
-	e.t = time.AfterFunc(time.Duration(d), e.fire)
-	return Timer{r: e}
-}
-
-// fire is the time.Timer callback. A wake-up that finds the event
-// cancelled does nothing. One that arrives before the deadline was already
-// waiting for the lock when Reschedule moved the event later: it arms the
-// timer for the remainder (as that Reset already did, so this costs
-// nothing and the event cannot be lost) and stands down.
-func (e *realEvent) fire() {
-	s := e.s
-	s.Lock()
-	defer s.Unlock()
-	s.wakeups++
-	if e.fn == nil {
-		return
-	}
-	if early := e.when - s.now; early > 0 {
-		e.t.Reset(time.Duration(early))
-		return
-	}
-	f := e.fn
-	e.fn = nil
-	f()
-}
-
-// cancel is Timer.Cancel for a wall-clock event: it stops the runtime
-// timer too, so a cancelled event costs no goroutine and no lock later.
-func (e *realEvent) cancel(gen uint32) {
-	if e.gen != gen || e.fn == nil {
-		return
-	}
-	e.fn = nil
-	e.t.Stop()
-}
-
-// reschedule is Timer.Reschedule for a wall-clock event: it returns the
-// generation of the handle that names the event afterwards, which is gen
-// itself when that handle was not pending.
-func (e *realEvent) reschedule(gen uint32, when int64) uint32 {
-	if e.gen != gen || e.fn == nil {
-		return gen
-	}
-	now := e.s.wall()
-	if when < now {
-		when = now
-	}
-	e.when = when
-	e.gen++
-	e.t.Reset(time.Duration(when - now))
-	return e.gen
+	return s.At(s.wall()+max(d, 0), fn)
 }

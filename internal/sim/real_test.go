@@ -66,7 +66,10 @@ func TestRealShardsLockAll(t *testing.T) {
 func TestRealShardsAfterRunsOnOwnShard(t *testing.T) {
 	s := NewRealShards(2)
 	done := make(chan struct{})
-	s.Shard(1).After(int64(time.Millisecond), func() { close(done) })
+	sh := s.Shard(1)
+	sh.Lock()
+	sh.After(int64(time.Millisecond), func() { close(done) })
+	sh.Unlock()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
@@ -123,8 +126,8 @@ func TestRealClockSampledPerEntry(t *testing.T) {
 	shards.Unlock()
 }
 
-// TestRealClockInTimerCallback: a timer callback is one entry too — its
-// clock is sampled once, at or after the event's deadline.
+// TestRealClockInTimerCallback: a fired event is one entry too — its clock
+// is sampled once, at or after the event's deadline.
 func TestRealClockInTimerCallback(t *testing.T) {
 	s := NewRealShards(1).Shard(0)
 	got := make(chan [2]int64, 1)
@@ -184,37 +187,182 @@ func TestRealDelaysIgnoreStaleClock(t *testing.T) {
 	}
 }
 
-// wakeupCount reads the shard's fire-path entry counter.
-func wakeupCount(s *RealScheduler) int64 {
-	s.Lock()
-	defer s.Unlock()
-	return s.wakeups
+// ringCount reads the shard's bell-callback counter.
+func ringCount(s *RealScheduler) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.rings
 }
 
+// await fails the test unless ch delivers within five seconds.
+func await[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s never fired", what)
+		panic("unreachable")
+	}
+}
+
+// TestRealCancelStopsTheTimer: the bell is the shard's only runtime timer,
+// and a cancelled event costs it nothing later. Each timer is armed and
+// cancelled in an entry of its own, with deadlines that move earlier, so
+// the bell is pulled in a thousand times — and then rings once at the
+// earliest of them, finds nothing, and once more for the sentinel.
 func TestRealCancelStopsTheTimer(t *testing.T) {
 	s := NewRealShards(1).Shard(0)
 	const longest = int64(30 * time.Millisecond)
-	s.Lock()
 	for i := 0; i < 1000; i++ {
+		s.Lock()
 		h := s.After(longest-int64(i)*int64(10*time.Microsecond), func() { t.Error("cancelled timer fired") })
 		h.Cancel()
 		if h.Active() || h.When() != 0 {
 			t.Fatalf("Active/When = %v/%d after Cancel, want false/0", h.Active(), h.When())
 		}
+		s.Unlock()
+	}
+	// A sentinel armed past the longest deadline: once it has run, every
+	// ring the cancelled timers were going to cause has happened.
+	done := make(chan struct{})
+	s.Lock()
+	s.After(longest+int64(10*time.Millisecond), func() { close(done) })
+	s.Unlock()
+	await(t, done, "sentinel")
+	if n := ringCount(s); n < 1 || n > 2 {
+		t.Fatalf("%d bell rings for 1000 cancelled timers and a sentinel, want 1 or 2", n)
+	}
+}
+
+// TestRealBellFollowsEarliestDeadline: a Reschedule earlier pulls the bell
+// in; one later lets it ring at the old deadline, once, for nothing.
+func TestRealBellFollowsEarliestDeadline(t *testing.T) {
+	s := NewRealShards(1).Shard(0)
+	fired := make(chan int64, 1)
+	fn := func() { fired <- s.Now() }
+
+	s.Lock()
+	start := s.Now()
+	h := s.After(int64(10*time.Second), fn)
+	s.Unlock()
+	s.Lock()
+	h.Reschedule(start + int64(time.Millisecond))
+	s.Unlock()
+	if at := await(t, fired, "timer rescheduled earlier"); at-start > int64(5*time.Second) {
+		t.Fatalf("fired %v after a Reschedule to 1 ms", time.Duration(at-start))
+	}
+	if n := ringCount(s); n != 1 {
+		t.Fatalf("%d bell rings for one event rescheduled earlier, want 1", n)
+	}
+
+	s.Lock()
+	h = s.After(int64(2*time.Millisecond), fn)
+	s.Unlock()
+	s.Lock()
+	want := s.Now() + int64(30*time.Millisecond)
+	h.Reschedule(want)
+	s.Unlock()
+	if at := await(t, fired, "timer rescheduled later"); at < want {
+		t.Fatalf("fired at %d, before the rescheduled %d", at, want)
+	}
+	if n := ringCount(s); n < 2 || n > 3 {
+		t.Fatalf("%d bell rings in all, want 2 or 3: the old deadline may cost one empty ring", n)
+	}
+}
+
+// TestRealFIFOAmongEqualTimes: the wall-clock plane keeps the Scheduler
+// contract — callbacks for one instant run in scheduling order, and a
+// re-keyed one goes to the back — because it is the loop's own queue.
+func TestRealFIFOAmongEqualTimes(t *testing.T) {
+	s := NewRealShards(1).Shard(0)
+	const n = 64
+	var order []int // under the shard lock
+	done := make(chan struct{})
+	s.Lock()
+	at := s.Now() + int64(2*time.Millisecond)
+	hs := make([]Timer, n)
+	for i := range hs {
+		hs[i] = s.At(at, func() {
+			order = append(order, i)
+			if len(order) == n {
+				close(done)
+			}
+		})
+	}
+	const moved = 17
+	hs[moved].Reschedule(at)
+	s.Unlock()
+	await(t, done, "the last callback")
+	s.Lock()
+	defer s.Unlock()
+	for k, i := range order {
+		want := k
+		switch {
+		case k == n-1:
+			want = moved
+		case k >= moved:
+			want = k + 1
+		}
+		if i != want {
+			t.Fatalf("callback %d ran in position %d, want %d (order %v)", i, k, want, order)
+		}
+	}
+}
+
+// TestRealNothingFiresBeforeFirstEntry: set-up schedules with no lock held,
+// and what it schedules — however overdue — waits for the first Lock.
+func TestRealNothingFiresBeforeFirstEntry(t *testing.T) {
+	s := NewRealShards(1).Shard(0)
+	ran := 0
+	s.After(0, func() { ran++ })
+	s.At(0, func() { ran++ })
+	time.Sleep(20 * time.Millisecond)
+	if ran != 0 || s.rings != 0 || s.reads != 0 {
+		t.Fatalf("before the first entry: %d callbacks ran, %d rings, %d clock reads", ran, s.rings, s.reads)
+	}
+	s.Lock()
+	if ran != 2 {
+		t.Errorf("%d callbacks ran on the first Lock, want both", ran)
+	}
+	if got := s.ClockReads(); got != 2 {
+		t.Errorf("%d clock reads for a Lock that fired two events, want 2 (one before each)", got)
 	}
 	s.Unlock()
-	// A sentinel armed past the longest deadline: once it has run, every
-	// cancelled timer that was going to wake up has done so.
-	done := make(chan struct{})
-	s.After(longest+int64(10*time.Millisecond), func() { close(done) })
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("sentinel never fired")
+}
+
+// TestRealStop: a stopped set holds no runtime timer and drops what was,
+// and what is later, scheduled on it.
+func TestRealStop(t *testing.T) {
+	shards := NewRealShards(2)
+	var hs []Timer
+	for i := 0; i < shards.N(); i++ {
+		s := shards.Shard(i)
+		s.Lock()
+		h := s.After(int64(100*time.Millisecond), func() { t.Error("event fired on a stopped shard") })
+		hs = append(hs, h, s.After(int64(time.Hour), func() {}).Reschedule(s.Now()+int64(101*time.Millisecond)))
+		s.Unlock()
 	}
-	if n := wakeupCount(s); n != 1 {
-		t.Fatalf("%d fire-path entries, want 1 (the sentinel): cancelled timers still wake up", n)
+	shards.Stop()
+	s := shards.Shard(0)
+	s.Lock()
+	hs = append(hs, s.After(0, func() { t.Error("event scheduled after Stop fired") }))
+	s.Unlock()
+	time.Sleep(150 * time.Millisecond)
+	shards.Lock()
+	for _, h := range hs {
+		if h.Active() {
+			t.Error("handle still active on a stopped shard")
+		}
+		h.Cancel()
 	}
+	for i := 0; i < shards.N(); i++ {
+		if sh := shards.Shard(i); sh.Pending() != 0 || sh.rings != 0 {
+			t.Errorf("shard %d after Stop: %d pending, %d rings", i, sh.Pending(), sh.rings)
+		}
+	}
+	shards.Unlock()
+	shards.Stop() // idempotent
 }
 
 func TestRealReschedule(t *testing.T) {
@@ -261,18 +409,18 @@ func TestRealReschedule(t *testing.T) {
 		t.Fatal("timer rescheduled earlier never fired")
 	}
 
-	// A Reset that races a wake-up already waiting for the shard lock:
-	// that wake-up must stand down and the callback run once, on time.
+	// An event that falls due while its entry still holds the lock and is
+	// then moved: the callback runs once, at the new time.
 	s.Lock()
 	h := s.After(0, fn)
-	time.Sleep(5 * time.Millisecond) // the runtime timer fires; its goroutine blocks on the lock
+	time.Sleep(5 * time.Millisecond)
 	want = s.Now() + int64(30*time.Millisecond)
 	h = h.Reschedule(want)
 	s.Unlock()
 	select {
 	case at := <-fired:
 		if at < want {
-			t.Fatalf("stale wake-up ran the callback at %d, before the rescheduled %d", at, want)
+			t.Fatalf("callback ran at %d, before the rescheduled %d", at, want)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("timer rescheduled under a pending wake-up never fired")
@@ -288,9 +436,9 @@ func TestRealReschedule(t *testing.T) {
 }
 
 // TestRealRescheduleChurn re-keys and cancels timers from several
-// goroutines while others fire: under -race this covers Stop and Reset
-// against the fire path, and the sampled shard clock against every way in
-// (Lock, Tick, a firing timer).
+// goroutines while others fire: under -race this covers the bell against
+// every way into the shard (Lock from a worker, Lock from the bell, Tick),
+// and the sampled clock against all of them.
 func TestRealRescheduleChurn(t *testing.T) {
 	s := NewRealShards(1).Shard(0)
 	const workers, rounds = 4, 200

@@ -109,12 +109,8 @@ func TestFairnessDegenerateInputs(t *testing.T) {
 	}
 }
 
-// A zero-length Series and a zero-length interval Meter are valid.
-func TestSeriesAndMeterDegenerate(t *testing.T) {
-	var s Series
-	if s.Len() != 0 {
-		t.Fatalf("empty series Len = %d", s.Len())
-	}
+// A zero-length interval Meter is valid.
+func TestMeterDegenerate(t *testing.T) {
 	m := NewMeter(1e9)
 	m.Add(4096)
 	if bw := m.BandwidthMBps(1e9); bw != 0 {

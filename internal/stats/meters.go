@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // EWMA is an exponentially weighted moving average with weight alpha given
 // to new samples, matching the paper's latency monitor:
@@ -88,23 +85,6 @@ func (m *Meter) Reset(now int64) {
 	m.start = now
 }
 
-// Series is a time series of (t, value) points sampled by the harness for
-// the timeline figures (Fig 9, 17, 18).
-type Series struct {
-	Name string
-	T    []int64
-	V    []float64
-}
-
-// Append adds one point.
-func (s *Series) Append(t int64, v float64) {
-	s.T = append(s.T, t)
-	s.V = append(s.V, v)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.T) }
-
 // FUtil computes the paper's fair-utilization metric (§5.1) for one worker:
 // its achieved bandwidth divided by its fair share of its standalone
 // maximum bandwidth. The ideal value is 1.
@@ -114,9 +94,6 @@ func FUtil(workerBW, standaloneMaxBW float64, totalWorkers int) float64 {
 	}
 	return workerBW / (standaloneMaxBW / float64(totalWorkers))
 }
-
-// UtilDeviation is |actual − ideal| / ideal with ideal = 1 (§5.3).
-func UtilDeviation(fUtil float64) float64 { return math.Abs(fUtil - 1) }
 
 // JainIndex computes Jain's fairness index over per-worker allocations:
 // (Σx)² / (n·Σx²); 1 is perfectly fair.
