@@ -9,31 +9,16 @@ import (
 	"gimbal/internal/stats"
 )
 
-// switchObs bundles the instruments one Switch reports into. It exists
-// only when a registry is attached; every hot-path hook nil-checks the
-// pointer, so an unobserved switch pays a single predictable branch
-// (BenchmarkSwitchSubmit measures this).
+// This file is the switch's telemetry boundary. Everything the switch
+// counts lives in Switch.stats (switch.go), incremented unconditionally;
+// AttachObs only tells a registry how to read it — counter and gauge
+// functions sampled at collection time, under the registry's GatherLock.
+
+// switchObs is the remainder, what has to be pushed per IO because it is a
+// distribution or a sample, not a count. It exists only when a hub is
+// attached; the completion path nil-checks the pointer once
+// (BenchmarkSwitchSubmit measures the unobserved cost).
 type switchObs struct {
-	pacingStalls *obs.Counter
-	costTicks    *obs.Counter
-	costChanges  *obs.Counter
-	tierHits     *obs.Counter
-
-	// Recovery counters (tentpole: failure handling).
-	abortedIOs      *obs.Counter
-	failFastRejects *obs.Counter
-	failLatches     *obs.Counter
-	failRecoveries  *obs.Counter
-	degradeEnters   *obs.Counter
-	degradeExits    *obs.Counter
-	tenantTeardowns *obs.Counter
-
-	// Congestion-state transition counters, one per (class, new state).
-	readTrans  [4]*obs.Counter
-	writeTrans [4]*obs.Counter
-	readState  latmon.State
-	writeState latmon.State
-
 	// Span histograms (ns), one per pipeline phase.
 	queueDelay  *stats.Histogram
 	vslotWait   *stats.Histogram
@@ -52,50 +37,61 @@ type switchObs struct {
 	ssdTag string // preformatted "ssd=<n>" event detail
 }
 
-// AttachObs registers the switch's instruments into the hub's registry
-// under an ssd label and starts feeding them. When the hub carries a
-// tracer, every completion is offered as a per-IO lifecycle span (origin →
-// arrival → admit → submit → device done → completion sent, plus the
-// vslot- and GC-attributed waits); when it carries an event log, degrade
-// and fail-fast transitions are appended for SLO correlation. Call once,
-// before traffic, from scheduler context.
+// AttachObs exports the switch into the hub's registry under an ssd label:
+// its counters and control-loop state as functions read at collection
+// time, its span histograms as instruments fed per completion. When the
+// hub carries a tracer, every completion is offered as a per-IO lifecycle
+// span (origin → arrival → admit → submit → device done → completion sent,
+// plus the vslot- and GC-attributed waits); when it carries an event log,
+// degrade and fail-fast transitions are appended for SLO correlation. Call
+// once, before traffic, from scheduler context.
 func (sw *Switch) AttachObs(h *obs.Hub, ssdIdx int) {
 	reg := h.Reg
-	lb := obs.L("ssd", strconv.Itoa(ssdIdx))
+	idx := strconv.Itoa(ssdIdx)
+	lb, rd, wr := obs.L("ssd", idx), obs.L("ssd", idx, "op", "read"), obs.L("ssd", idx, "op", "write")
+	st := &sw.stats
+	for _, c := range []struct {
+		name string
+		v    *int64
+	}{
+		{"gimbal_pacing_stalls_total", &st.PacingStalls},
+		{"gimbal_cost_ticks_total", &st.CostTicks},
+		{"gimbal_cost_changes_total", &st.CostChanges},
+		{"gimbal_tier_served_total", &st.TierHits},
+		{"gimbal_aborted_ios_total", &st.AbortedIOs},
+		{"gimbal_failfast_rejects_total", &st.FailFastRejects},
+		{"gimbal_failfast_latches_total", &st.FailLatches},
+		{"gimbal_failfast_recoveries_total", &st.FailRecoveries},
+		{"gimbal_degrade_enters_total", &st.DegradeEnters},
+		{"gimbal_degrade_exits_total", &st.DegradeExits},
+		{"gimbal_tenant_teardowns_total", &st.TenantTeardowns},
+		{"gimbal_submits_total", &st.Submits},
+		{"gimbal_completions_total", &st.Completions},
+	} {
+		reg.CounterFunc(c.name, lb, func() int64 { return *c.v })
+	}
+	for s := latmon.Underutilized; s <= latmon.Overloaded; s++ {
+		for class, op := range [2]string{"read", "write"} {
+			v := &st.Transitions[class][s]
+			reg.CounterFunc("gimbal_congestion_transitions_total",
+				obs.L("ssd", idx, "op", op, "state", s.String()), func() int64 { return *v })
+		}
+	}
 	o := &switchObs{
-		pacingStalls:    reg.Counter("gimbal_pacing_stalls_total", lb),
-		costTicks:       reg.Counter("gimbal_cost_ticks_total", lb),
-		costChanges:     reg.Counter("gimbal_cost_changes_total", lb),
-		tierHits:        reg.Counter("gimbal_tier_served_total", lb),
-		abortedIOs:      reg.Counter("gimbal_aborted_ios_total", lb),
-		failFastRejects: reg.Counter("gimbal_failfast_rejects_total", lb),
-		failLatches:     reg.Counter("gimbal_failfast_latches_total", lb),
-		failRecoveries:  reg.Counter("gimbal_failfast_recoveries_total", lb),
-		degradeEnters:   reg.Counter("gimbal_degrade_enters_total", lb),
-		degradeExits:    reg.Counter("gimbal_degrade_exits_total", lb),
-		tenantTeardowns: reg.Counter("gimbal_tenant_teardowns_total", lb),
-		queueDelay:      reg.Histogram("gimbal_queue_delay_ns", lb),
-		vslotWait:       reg.Histogram("gimbal_vslot_wait_ns", lb),
-		pacingStall:     reg.Histogram("gimbal_pacing_stall_ns", lb),
-		readDevLat:      reg.Histogram("gimbal_device_latency_ns", obs.L("ssd", strconv.Itoa(ssdIdx), "op", "read")),
-		writeDevLat:     reg.Histogram("gimbal_device_latency_ns", obs.L("ssd", strconv.Itoa(ssdIdx), "op", "write")),
-		gcStall:         reg.Histogram("gimbal_gc_stall_ns", lb),
-		tracer:          h.Tracer,
-		events:          h.Events,
-		ssd:             ssdIdx,
-		ssdTag:          "ssd=" + strconv.Itoa(ssdIdx),
-		readState:       latmon.Underutilized,
-		writeState:      latmon.Underutilized,
+		queueDelay:  reg.Histogram("gimbal_queue_delay_ns", lb),
+		vslotWait:   reg.Histogram("gimbal_vslot_wait_ns", lb),
+		pacingStall: reg.Histogram("gimbal_pacing_stall_ns", lb),
+		readDevLat:  reg.Histogram("gimbal_device_latency_ns", rd),
+		writeDevLat: reg.Histogram("gimbal_device_latency_ns", wr),
+		gcStall:     reg.Histogram("gimbal_gc_stall_ns", lb),
+		tracer:      h.Tracer,
+		events:      h.Events,
+		ssd:         ssdIdx,
+		ssdTag:      "ssd=" + idx,
 	}
 	if h.Tracer != nil {
-		o.readDevEx = reg.ExemplarSlot("gimbal_device_latency_ns", obs.L("ssd", strconv.Itoa(ssdIdx), "op", "read"))
-		o.writeDevEx = reg.ExemplarSlot("gimbal_device_latency_ns", obs.L("ssd", strconv.Itoa(ssdIdx), "op", "write"))
-	}
-	for st := latmon.Underutilized; st <= latmon.Overloaded; st++ {
-		rl := obs.L("ssd", strconv.Itoa(ssdIdx), "op", "read", "state", st.String())
-		wl := obs.L("ssd", strconv.Itoa(ssdIdx), "op", "write", "state", st.String())
-		o.readTrans[st] = reg.Counter("gimbal_congestion_transitions_total", rl)
-		o.writeTrans[st] = reg.Counter("gimbal_congestion_transitions_total", wl)
+		o.readDevEx = reg.ExemplarSlot("gimbal_device_latency_ns", rd)
+		o.writeDevEx = reg.ExemplarSlot("gimbal_device_latency_ns", wr)
 	}
 
 	reg.Help("gimbal_pacing_stalls_total", "Submission-pump passes that stopped for want of rate-pacer tokens (an IO can stall several)")
@@ -116,8 +112,6 @@ func (sw *Switch) AttachObs(h *obs.Hub, ssdIdx int) {
 	reg.Help("gimbal_drr_registered_tenants", "tenants registered with the scheduler (active or not)")
 	reg.Help("gimbal_drr_slot_share", "current per-tenant virtual-slot allotment from the lazy redistribution epoch")
 
-	reg.GaugeFunc("gimbal_submits_total", lb, func() float64 { return float64(sw.Submits()) })
-	reg.GaugeFunc("gimbal_completions_total", lb, func() float64 { return float64(sw.Completions()) })
 	reg.GaugeFunc("gimbal_write_cost", lb, func() float64 { return sw.cost.Cost() })
 	reg.GaugeFunc("gimbal_target_rate_bps", lb, func() float64 { return sw.rate.TargetRate() })
 	reg.GaugeFunc("gimbal_completion_rate_bps", lb, func() float64 { return sw.rate.CompletionRate() })
@@ -130,38 +124,17 @@ func (sw *Switch) AttachObs(h *obs.Hub, ssdIdx int) {
 	reg.GaugeFunc("gimbal_drr_deferred_tenants", lb, func() float64 { return float64(sw.drr.DeferredTenants()) })
 	reg.GaugeFunc("gimbal_drr_registered_tenants", lb, func() float64 { return float64(sw.drr.RegisteredTenants()) })
 	reg.GaugeFunc("gimbal_drr_slot_share", lb, func() float64 { return float64(sw.drr.SlotShare()) })
-	tokens := func(write bool) float64 {
-		r, w := sw.rate.Tokens()
-		if write {
-			return w
-		}
-		return r
-	}
-	reg.GaugeFunc("gimbal_tokens_bytes", obs.L("ssd", strconv.Itoa(ssdIdx), "op", "read"), func() float64 { return tokens(false) })
-	reg.GaugeFunc("gimbal_tokens_bytes", obs.L("ssd", strconv.Itoa(ssdIdx), "op", "write"), func() float64 { return tokens(true) })
+	reg.GaugeFunc("gimbal_tokens_bytes", rd, func() float64 { r, _ := sw.rate.Tokens(); return r })
+	reg.GaugeFunc("gimbal_tokens_bytes", wr, func() float64 { _, w := sw.rate.Tokens(); return w })
 
 	sw.obs = o
 }
 
-// event appends one recovery-state transition to the shared event log.
+// event appends one recovery-state transition to the shared event log, if
+// the switch is observed and the hub carries one.
 func (o *switchObs) event(at int64, kind string, active bool) {
-	if o.events != nil {
+	if o != nil && o.events != nil {
 		o.events.Append(at, kind, o.ssdTag, active)
-	}
-}
-
-// onState counts congestion-state transitions per IO class.
-func (o *switchObs) onState(isWrite bool, st latmon.State) {
-	if isWrite {
-		if st != o.writeState {
-			o.writeState = st
-			o.writeTrans[st].Inc()
-		}
-		return
-	}
-	if st != o.readState {
-		o.readState = st
-		o.readTrans[st].Inc()
 	}
 }
 
@@ -192,7 +165,6 @@ func (o *switchObs) onComplete(io *nvme.IO, doneAt int64) {
 		// The fast tier served the whole device span; attribute it to the
 		// tier phase so "device" reads as NAND time.
 		tierNs = devLat
-		o.tierHits.Inc()
 	}
 	isWrite := io.Op.IsWrite()
 	if isWrite {

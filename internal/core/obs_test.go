@@ -34,8 +34,36 @@ func TestSwitchObservability(t *testing.T) {
 	if subs == 0 || subs != cpls {
 		t.Fatalf("submits=%v completions=%v", subs, cpls)
 	}
-	if int64(subs) != sw.Submits() || sw.Submits() != sw.Completions() {
-		t.Fatalf("counter mismatch: snap=%v atomic=%d/%d", subs, sw.Submits(), sw.Completions())
+	// The registry's view is the switch's own counters, read at gather.
+	st := sw.Stats()
+	var trans int64
+	for _, class := range st.Transitions {
+		for _, n := range class {
+			trans += n
+		}
+	}
+	for name, want := range map[string]int64{
+		"gimbal_submits_total":                st.Submits,
+		"gimbal_completions_total":            st.Completions,
+		"gimbal_pacing_stalls_total":          st.PacingStalls,
+		"gimbal_cost_ticks_total":             st.CostTicks,
+		"gimbal_cost_changes_total":           st.CostChanges,
+		"gimbal_tier_served_total":            st.TierHits,
+		"gimbal_aborted_ios_total":            st.AbortedIOs,
+		"gimbal_tenant_teardowns_total":       st.TenantTeardowns,
+		"gimbal_failfast_rejects_total":       st.FailFastRejects,
+		"gimbal_failfast_latches_total":       st.FailLatches,
+		"gimbal_failfast_recoveries_total":    st.FailRecoveries,
+		"gimbal_degrade_enters_total":         st.DegradeEnters,
+		"gimbal_degrade_exits_total":          st.DegradeExits,
+		"gimbal_congestion_transitions_total": trans,
+	} {
+		if got := int64(obs.SumMetric(snap, name)); got != want {
+			t.Fatalf("%s = %d in the registry, %d in Stats()", name, got, want)
+		}
+	}
+	if st.CostTicks == 0 || trans == 0 {
+		t.Fatalf("a 500 ms contended run ticked %d cost periods and changed congestion state %d times", st.CostTicks, trans)
 	}
 	if obs.SumMetric(snap, "gimbal_device_latency_ns_count") == 0 {
 		t.Fatal("no device latency samples")
@@ -84,6 +112,7 @@ func TestSwitchObservability(t *testing.T) {
 		`gimbal_submits_total{ssd="0"}`,
 		`gimbal_device_latency_ns{ssd="0",op="read",quantile="0.5"}`,
 		"# TYPE gimbal_pacing_stalls_total counter",
+		"# TYPE gimbal_submits_total counter",
 	} {
 		if !strings.Contains(b.String(), want) {
 			t.Fatalf("prometheus output missing %q", want)
@@ -92,7 +121,8 @@ func TestSwitchObservability(t *testing.T) {
 }
 
 // TestSwitchUnobservedHasNoTraceState ensures the default switch carries no
-// observer (the fast path the overhead benchmark relies on).
+// observer (the fast path the overhead benchmark relies on) and counts all
+// the same: the counters are the switch's own state, not the observer's.
 func TestSwitchUnobservedHasNoTraceState(t *testing.T) {
 	loop, _, sw := rig(t, ssd.Fresh)
 	runWorkers(loop, sw, []workload.Profile{
@@ -101,7 +131,8 @@ func TestSwitchUnobservedHasNoTraceState(t *testing.T) {
 	if sw.obs != nil {
 		t.Fatal("observer attached by default")
 	}
-	if sw.Submits() == 0 || sw.Submits() != sw.Completions() {
-		t.Fatalf("counters broken without observer: %d/%d", sw.Submits(), sw.Completions())
+	st := sw.Stats()
+	if st.Submits == 0 || st.Submits != st.Completions || st.CostTicks == 0 {
+		t.Fatalf("counters broken without observer: %+v", st)
 	}
 }

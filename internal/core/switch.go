@@ -7,8 +7,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"gimbal/internal/core/latmon"
 	"gimbal/internal/core/ratectl"
 	"gimbal/internal/core/sched"
@@ -121,6 +119,33 @@ type CostModeler interface {
 	WriteCostModel() (absorb, nandWA float64)
 }
 
+// Stats is the switch's event counters: plain fields of the pipeline's own
+// state, incremented in scheduler context whether or not anything observes
+// the switch, and read — under the same serialization — by Switch.Stats.
+type Stats struct {
+	Submits     int64 // IOs dispatched to the device
+	Completions int64 // device completions processed
+	// PacingStalls counts pump passes that stopped for want of tokens.
+	PacingStalls int64
+	CostTicks    int64 // write-cost recalibration periods
+	CostChanges  int64 // periods that moved the write cost
+	TierHits     int64 // completions a fast tier served without touching NAND
+	// AbortedIOs completed with StatusAborted at the switch (teardown or
+	// late capsule); TenantTeardowns counts the teardowns.
+	AbortedIOs      int64
+	TenantTeardowns int64
+	// Recovery: rejects while latched failed, and the latch and degrade
+	// transitions.
+	FailFastRejects int64
+	FailLatches     int64
+	FailRecoveries  int64
+	DegradeEnters   int64
+	DegradeExits    int64
+	// Transitions counts congestion-state changes by IO class (0 read,
+	// 1 write) and new state.
+	Transitions [2][4]int64
+}
+
 // Switch is the Gimbal storage switch for one SSD. It implements
 // nvme.Scheduler.
 type Switch struct {
@@ -157,14 +182,11 @@ type Switch struct {
 	sickTicks  int  // cost periods with EWMA latency above DegradeLatency
 	wellTicks  int  // cost periods back below it while degraded
 
-	// Counters for the overhead accounting (Table 1). Atomic because the
-	// live endpoint reads them from scrape goroutines while completions
-	// land on whichever goroutine entered the RealScheduler shard.
-	submits     atomic.Int64
-	completions atomic.Int64
+	stats    Stats
+	monState [2]latmon.State // last congestion state by IO class (0 read, 1 write)
 
-	// obs is the attached telemetry sink; nil (the default) keeps every
-	// instrumentation hook on a one-branch fast path.
+	// obs is the attached sink for what is pushed per IO — span histograms,
+	// exemplars, traces — and the recovery event log; nil by default.
 	obs *switchObs
 }
 
@@ -213,10 +235,8 @@ func (sw *Switch) Unregister(t *nvme.Tenant) []*nvme.IO {
 	if sw.drr.Queued() == 0 {
 		sw.timer.Cancel() // the queue emptied without a pump pass: nothing is left to pace
 	}
-	if sw.obs != nil {
-		sw.obs.tenantTeardowns.Inc()
-		sw.obs.abortedIOs.Add(int64(len(orphans)))
-	}
+	sw.stats.TenantTeardowns++
+	sw.stats.AbortedIOs += int64(len(orphans))
 	return orphans
 }
 
@@ -247,9 +267,7 @@ func (sw *Switch) Enqueue(io *nvme.IO) {
 			sw.probeLeft--
 		}
 		if sw.probeLeft > 0 || sw.cfg.Recovery.FailFastProbe <= 0 {
-			if sw.obs != nil {
-				sw.obs.failFastRejects.Inc()
-			}
+			sw.stats.FailFastRejects++
 			io.Done(io, nvme.Completion{Status: nvme.StatusDeviceFailed})
 			return
 		}
@@ -259,9 +277,7 @@ func (sw *Switch) Enqueue(io *nvme.IO) {
 	if !sw.drr.Enqueue(io) {
 		// Tenant already unregistered (late capsule after disconnect).
 		io.Done(io, nvme.Completion{Status: nvme.StatusAborted})
-		if sw.obs != nil {
-			sw.obs.abortedIOs.Add(1)
-		}
+		sw.stats.AbortedIOs++
 		return
 	}
 	sw.pump()
@@ -297,9 +313,7 @@ func (sw *Switch) pump() {
 		if !sw.cfg.DisableCongestionControl && !sw.rate.TryConsume(isWrite, io.Size) {
 			// Token-limited: set the timer for when the refill covers the
 			// deficit, instead of busy-polling.
-			if sw.obs != nil {
-				sw.obs.pacingStalls.Inc()
-			}
+			sw.stats.PacingStalls++
 			need := sw.rate.Deficit(isWrite, io.Size)
 			wait := sw.rate.NanosUntil(need, isWrite, sw.cost.Cost())
 			if wait < sim.Microsecond {
@@ -313,7 +327,7 @@ func (sw *Switch) pump() {
 			return
 		}
 		sw.drr.Commit(io)
-		sw.submits.Add(1)
+		sw.stats.Submits++
 		sw.sub.Submit(io, sw.devDoneFn)
 	}
 }
@@ -322,39 +336,38 @@ func (sw *Switch) pump() {
 // congestion state, adjust the rate, refresh the tenant credit, and send
 // the completion (Algorithm 1 Completion).
 func (sw *Switch) onDeviceDone(io *nvme.IO) {
-	sw.completions.Add(1)
+	sw.stats.Completions++
 	if rc := &sw.cfg.Recovery; rc.FailFastThreshold > 0 {
 		if io.Failed {
 			sw.consecErrs++
 			if !sw.failed && sw.consecErrs >= rc.FailFastThreshold {
 				sw.failed = true
 				sw.probeLeft = rc.FailFastProbe
-				if sw.obs != nil {
-					sw.obs.failLatches.Inc()
-					sw.obs.event(sw.clk.Now(), "failfast-latch", true)
-				}
+				sw.stats.FailLatches++
+				sw.obs.event(sw.clk.Now(), "failfast-latch", true)
 			}
 		} else {
 			sw.consecErrs = 0
 			if sw.failed {
 				sw.failed = false
-				if sw.obs != nil {
-					sw.obs.failRecoveries.Inc()
-					sw.obs.event(sw.clk.Now(), "failfast-latch", false)
-				}
+				sw.stats.FailRecoveries++
+				sw.obs.event(sw.clk.Now(), "failfast-latch", false)
 			}
 		}
 	}
 	lat := io.DeviceLatency()
-	isWrite := io.Op.IsWrite()
-	mon := sw.rmon
-	if isWrite {
-		mon = sw.wmon
+	mon, class := sw.rmon, 0
+	if io.Op.IsWrite() {
+		mon, class = sw.wmon, 1
 		sw.writesInPeriod++
 	}
 	state := mon.Update(lat)
-	if sw.obs != nil {
-		sw.obs.onState(isWrite, state)
+	if state != sw.monState[class] {
+		sw.monState[class] = state
+		sw.stats.Transitions[class][state]++
+	}
+	if io.FastTier {
+		sw.stats.TierHits++
 	}
 	if !sw.cfg.DisableCongestionControl {
 		sw.rate.OnCompletion(sw.clk.Now(), io.Size, state)
@@ -388,9 +401,7 @@ func (sw *Switch) costTick() {
 	if sw.cfg.DisableDynamicCost {
 		return
 	}
-	if sw.obs != nil {
-		sw.obs.costTicks.Inc()
-	}
+	sw.stats.CostTicks++
 	if sw.costModel != nil {
 		// Poll the device stack's cost model before the zero-write early
 		// return: the tier's absorb fraction must refresh even through
@@ -404,8 +415,8 @@ func (sw *Switch) costTick() {
 	calm := sw.wmon.EWMA() < float64(sw.cfg.Latency.ThreshMin)
 	before := sw.cost.Cost()
 	sw.cost.Update(calm)
-	if sw.obs != nil && sw.cost.Cost() != before {
-		sw.obs.costChanges.Inc()
+	if sw.cost.Cost() != before {
+		sw.stats.CostChanges++
 	}
 	// A cost change shifts the DRR weighting, which may unblock work.
 	sw.pump()
@@ -441,16 +452,12 @@ func (sw *Switch) degradeTick() {
 	}
 	if !sw.degraded && sw.sickTicks >= ticks {
 		sw.degraded = true
-		if sw.obs != nil {
-			sw.obs.degradeEnters.Inc()
-			sw.obs.event(sw.clk.Now(), "degrade", true)
-		}
+		sw.stats.DegradeEnters++
+		sw.obs.event(sw.clk.Now(), "degrade", true)
 	} else if sw.degraded && sw.wellTicks >= ticks {
 		sw.degraded = false
-		if sw.obs != nil {
-			sw.obs.degradeExits.Inc()
-			sw.obs.event(sw.clk.Now(), "degrade", false)
-		}
+		sw.stats.DegradeExits++
+		sw.obs.event(sw.clk.Now(), "degrade", false)
 	}
 }
 
@@ -477,11 +484,8 @@ func (sw *Switch) View() View {
 	}
 }
 
-// Submits returns the number of IOs dispatched to the device.
-func (sw *Switch) Submits() int64 { return sw.submits.Load() }
-
-// Completions returns the number of device completions processed.
-func (sw *Switch) Completions() int64 { return sw.completions.Load() }
+// Stats returns the switch's event counters. Call in scheduler context.
+func (sw *Switch) Stats() Stats { return sw.stats }
 
 // Credit returns the current credit of a tenant (target-side view). An
 // unregistered (disconnected) tenant holds no credit.

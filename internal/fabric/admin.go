@@ -16,8 +16,9 @@ import (
 // bandwidth since the tenant registered; clients wanting interval rates
 // (gimbalcli stats) diff Bytes across two snapshots. FUtil is the live
 // fairness proxy: achieved bandwidth over an equal share of the SSD's
-// current aggregate (1.0 = exactly fair; the offline harness computes the
-// paper's standalone-referenced f-Util instead).
+// current aggregate, among the tenants still connected (1.0 = exactly fair,
+// 0 for a departed tenant; the offline harness computes the paper's
+// standalone-referenced f-Util instead).
 type TenantStats struct {
 	Tenant string  `json:"tenant"`
 	SSD    int     `json:"ssd"`
@@ -82,8 +83,8 @@ func (t *Target) StatsSnapshot() *TargetStats {
 			s.CompletionRateMBps = v.CompletionRateBps / 1e6
 			s.ReadEWMAUs = v.ReadEWMAUs
 			s.WriteEWMAUs = v.WriteEWMAUs
-			s.Submits = g.Submits()
-			s.Completions = g.Completions()
+			st := g.Stats()
+			s.Submits, s.Completions = st.Submits, st.Completions
 			s.ActiveTenants = g.DRR().ActiveTenants()
 			s.DeferredTenants = g.DRR().DeferredTenants()
 			s.Queued = g.DRR().Queued()
@@ -101,36 +102,32 @@ func (t *Target) StatsSnapshot() *TargetStats {
 				QueuedHost:   st.QueuedHost,
 			}
 		}
-		var ssdBW []float64
-		if t.obs != nil && p.pobs != nil {
-			for _, to := range p.pobs.order {
-				row := TenantStats{
-					Tenant: to.tenant.Name,
-					SSD:    i,
-					Bytes:  to.bytes.Load(),
-					Ops:    to.ops.Load(),
-					Errors: to.errors.Load(),
-				}
-				if dt := now - to.since; dt > 0 {
-					row.MBps = float64(row.Bytes) / 1e6 / (float64(dt) / 1e9)
-				}
-				if g := p.Gimbal; g != nil {
-					row.Credit = g.Credit(to.tenant)
-				}
-				ssdBW = append(ssdBW, row.MBps)
-				s.Tenants = append(s.Tenants, row)
+		// Fairness is judged among the tenants still connected: a departed
+		// tenant keeps its row and totals but takes no share.
+		var liveBW []float64
+		for _, rec := range p.order {
+			row := TenantStats{Tenant: rec.tenant.Name, SSD: i, Bytes: rec.bytes, Ops: rec.ops, Errors: rec.errors}
+			if dt := now - rec.since; dt > 0 {
+				row.MBps = float64(row.Bytes) / 1e6 / (float64(dt) / 1e9)
 			}
+			if g := p.Gimbal; g != nil {
+				row.Credit = g.Credit(rec.tenant)
+			}
+			if rec.live {
+				liveBW = append(liveBW, row.MBps)
+			}
+			s.Tenants = append(s.Tenants, row)
 		}
 		var total float64
-		for _, bw := range ssdBW {
+		for _, bw := range liveBW {
 			total += bw
 		}
-		for j := range s.Tenants {
-			if total > 0 {
-				s.Tenants[j].FUtil = s.Tenants[j].MBps / (total / float64(len(ssdBW)))
+		for j, rec := range p.order {
+			if rec.live && total > 0 {
+				s.Tenants[j].FUtil = s.Tenants[j].MBps / (total / float64(len(liveBW)))
 			}
 		}
-		allBW = append(allBW, ssdBW...)
+		allBW = append(allBW, liveBW...)
 		out.SSDs = append(out.SSDs, s)
 	}
 	out.Jain = stats.JainIndex(allBW)

@@ -2,9 +2,12 @@ package fabric
 
 import (
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +15,7 @@ import (
 	"gimbal/internal/obs"
 	"gimbal/internal/sim"
 	"gimbal/internal/ssd"
+	"gimbal/internal/tier"
 )
 
 // newObservedTarget builds a live Gimbal target the way cmd/gimbald does —
@@ -182,6 +186,191 @@ func TestAdminEndpointLiveTarget(t *testing.T) {
 	}
 	if got := slo.Tenants[0].Good + slo.Tenants[0].Bad; got != 64 {
 		t.Fatalf("/slo observed %d IOs, want 64", got)
+	}
+}
+
+// TestAdminEndpointFairnessAfterDisconnect: /stats judges fairness among the
+// tenants still connected. A departed tenant keeps its row and totals, but
+// its since-registration mean — three times the survivor's traffic here —
+// must stop counting toward the equal share (it used to: the survivor read
+// futil ≈ 0.4 and the node jain ≈ 0.7).
+func TestAdminEndpointFairnessAfterDisconnect(t *testing.T) {
+	srv, hub := startObservedTCP(t)
+	read := func(c *TCPClient, n int) {
+		for i := 0; i < n; i++ {
+			if rsp, err := c.DoIO(nvme.OpRead, 0, int64(i)*4096, 4096, nil); err != nil || rsp.Status != nvme.StatusOK {
+				t.Fatalf("read %d: %v %+v", i, err, rsp)
+			}
+		}
+	}
+	stay, err := DialTCP(srv.Addr(), SchemeGimbal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stay.Close()
+	leave, err := DialTCP(srv.Addr(), SchemeGimbal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read(stay, 32)
+	read(leave, 96)
+	leave.Close()
+
+	live := func() (n int) {
+		srv.shards.Lock()
+		defer srv.shards.Unlock()
+		for _, rec := range srv.target.Pipeline(0).order {
+			if rec.live {
+				n++
+			}
+		}
+		return n
+	}
+	for deadline := time.Now().Add(10 * time.Second); live() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d tenants live 10 s after one of two connections closed", live())
+		}
+	}
+
+	mux := AdminMuxMetrics(srv.shards, srv.target, hub, hub.Reg)
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+	var snap TargetStats
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+		t.Fatalf("bad /stats JSON: %v\n%s", err, rec.Body.String())
+	}
+	rows := snap.SSDs[0].Tenants
+	if len(rows) != 2 || rows[0].Ops != 32 || rows[1].Ops != 96 {
+		t.Fatalf("tenant rows (the departed one keeps its row and totals): %+v", rows)
+	}
+	if math.Abs(rows[0].FUtil-1) > 1e-9 || rows[1].FUtil != 0 || math.Abs(snap.Jain-1) > 1e-9 {
+		t.Fatalf("survivor futil = %v, departed futil = %v, jain = %v; want 1, 0, 1", rows[0].FUtil, rows[1].FUtil, snap.Jain)
+	}
+}
+
+// TestAdminEndpointScrapeUnderLoad: the counters behind /metrics and /stats
+// are plain fields of each pipeline, safe to read only under that
+// pipeline's shard lock — so this test makes the lock's absence a race
+// report. A QD32 client drives a two-reactor Gimbal target (tier over NAND,
+// per-reactor registries gathered under their shard) while one goroutine
+// scrapes every endpoint in a loop and another opens, uses and closes
+// connections, so tenant records are registered and disconnected
+// mid-scrape. Afterwards the registries account for every completion the
+// clients saw.
+func TestAdminEndpointScrapeUnderLoad(t *testing.T) {
+	shards := sim.NewRealShards(2)
+	t.Cleanup(shards.Stop)
+	p := ssd.DCT983()
+	p.UsableBytes = 128 << 20
+	tp := tier.DefaultParams(p.UsableBytes / 16)
+	st, err := BuildStack([]sim.Scheduler{shards.Shard(0), shards.Shard(1)}, sim.NewRNG(1), StackConfig{
+		Params: p, Cond: ssd.Clean, Tier: &tp, Target: DefaultTargetConfig(SchemeGimbal),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := obs.NewHub(obs.NewRegistry())
+	hub.Tracer = obs.NewTracer(obs.DefaultTracerConfig())
+	shardRegs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
+	for j, reg := range shardRegs {
+		reg.GatherLock = shards.Shard(j)
+	}
+	shards.Lock()
+	st.Target.AttachObsSharded(hub, shardRegs)
+	shards.Unlock()
+	srv, err := ServeTCPReactors(shards, st.Target, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	srv.AttachObs(hub, shardRegs)
+	group := obs.NewGroup(hub.Reg, shardRegs[0], shardRegs[1])
+	mux := AdminMuxMetrics(shards, st.Target, hub, group)
+
+	var completed atomic.Int64 // OK responses seen by any client
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // the scraper
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, path := range []string{"/metrics", "/stats"} {
+				rec := httptest.NewRecorder()
+				mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+				if rec.Code != 200 || rec.Body.Len() == 0 {
+					t.Errorf("GET %s: code %d, %d bytes", path, rec.Code, rec.Body.Len())
+					return
+				}
+			}
+			srv.ReactorStats() // what gimbald serves as /reactors
+		}
+	}()
+	go func() { // connection churn
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			c, err := DialTCP(srv.Addr(), SchemeGimbal)
+			if err != nil {
+				t.Errorf("churn dial: %v", err)
+				return
+			}
+			for j := 0; j < 8; j++ {
+				if rsp, err := c.DoIO(nvme.OpRead, uint8(j%2), int64(i*8+j)*4096, 4096, nil); err != nil {
+					t.Errorf("churn read: %v", err)
+				} else if rsp.Status == nvme.StatusOK {
+					completed.Add(1)
+				}
+			}
+			c.Close()
+		}
+	}()
+
+	c, err := DialTCP(srv.Addr(), SchemeGimbal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const qd, total = 32, 6000
+	payload := make([]byte, 8192)
+	inflight := make([]<-chan callResult, 0, qd)
+	wait := func(ch <-chan callResult) {
+		if res := <-ch; res.err != nil {
+			t.Fatalf("load client: %v", res.err)
+		} else if res.rsp.Status == nvme.StatusOK {
+			completed.Add(1)
+		}
+	}
+	for i := 0; i < total; i++ {
+		if len(inflight) == qd {
+			wait(inflight[0])
+			inflight = inflight[1:]
+		}
+		cmd := &CommandCapsule{Opcode: nvme.OpRead, NSID: uint8(i % 2), SLBA: uint64(i % 4096), Length: 4096}
+		if i%4 == 0 {
+			cmd.Opcode, cmd.Length, cmd.Data = nvme.OpWrite, uint32(len(payload)), payload
+		}
+		inflight = append(inflight, c.Go(cmd))
+	}
+	for _, ch := range inflight {
+		wait(ch)
+	}
+	close(stop)
+	wg.Wait()
+
+	// A response is sent after its completion is booked, so with every call
+	// answered the registries hold exactly what the clients counted.
+	served := int64(obs.SumMetric(group.Snapshot(), "tenant_completed_ops_total"))
+	if want := completed.Load(); served != want || want < total {
+		t.Fatalf("tenant_completed_ops_total = %d across the registries, clients saw %d OK completions (>= %d expected)", served, want, total)
 	}
 }
 

@@ -111,9 +111,9 @@ type conduit struct {
 	cmd *spsc[*ioSlot] // reader → reactor: decoded commands
 	cpl *spsc[*ioSlot] // shard context → writer: sealed responses
 
-	// tenants maps NSID → tenant for this connection's namespaces owned
-	// by this reactor; touched only under the reactor's shard lock.
-	tenants map[uint8]*nvme.Tenant
+	// tenants maps NSID → tenant record for this connection's namespaces
+	// owned by this reactor; touched only under the reactor's shard lock.
+	tenants map[uint8]*tenantRec
 
 	// staged is the reader's unpublished batch (reader-owned).
 	staged []*ioSlot
@@ -443,7 +443,7 @@ func (c *rconn) conduit(j int) *conduit {
 		r:       c.srv.rs[j],
 		cmd:     newSPSC[*ioSlot](connSlots),
 		cpl:     newSPSC[*ioSlot](connSlots),
-		tenants: map[uint8]*nvme.Tenant{},
+		tenants: map[uint8]*tenantRec{},
 	}
 	c.byReactor[j] = cd
 	old := *c.conds.Load()
@@ -746,8 +746,8 @@ func (r *reactor) retire(cd *conduit) {
 	for cd.cmd.popBatch(batch[:]) > 0 {
 	}
 	r.shard.Lock()
-	for nsid, tn := range cd.tenants {
-		r.srv.target.Disconnect(int(nsid), tn)
+	for _, rec := range cd.tenants {
+		r.srv.target.Disconnect(rec)
 	}
 	r.shard.Unlock()
 }
@@ -774,22 +774,21 @@ func (r *reactor) submit(cd *conduit, s *ioSlot) {
 		s.finish(nil, nvme.Completion{Status: nvme.StatusInvalidLBA})
 		return
 	}
-	tn := cd.tenants[cmd.NSID]
-	if tn == nil {
+	rec := cd.tenants[cmd.NSID]
+	if rec == nil {
 		id := int(t.tenantID.Add(1))
-		tn = nvme.NewTenant(id, fmt.Sprintf("conn%d-ns%d", id, cmd.NSID))
-		cd.tenants[cmd.NSID] = tn
-		t.target.Register(int(cmd.NSID), tn)
+		rec = t.target.Register(int(cmd.NSID), nvme.NewTenant(id, fmt.Sprintf("conn%d-ns%d", id, cmd.NSID)))
+		cd.tenants[cmd.NSID] = rec
 	}
 	s.io = nvme.IO{
 		Op:       cmd.Opcode,
 		Offset:   int64(cmd.SLBA) * 4096,
 		Size:     s.size,
 		Priority: cmd.Priority,
-		Tenant:   tn,
+		Tenant:   rec.tenant,
 		Done:     s.doneFn,
 	}
-	t.target.Ingress(int(cmd.NSID), &s.io)
+	t.target.Ingress(rec, &s.io)
 }
 
 // finish is the slot's pre-bound completion: seal the response header in

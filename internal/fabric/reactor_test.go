@@ -311,7 +311,11 @@ func TestReactorPeerResetReclaims(t *testing.T) {
 		defer shards.Unlock()
 		n := 0
 		for i := 0; i < ssds; i++ {
-			n += len(tgt.Pipeline(i).Tenants())
+			for _, rec := range tgt.Pipeline(i).order {
+				if rec.live {
+					n++
+				}
+			}
 		}
 		return n
 	}

@@ -220,6 +220,12 @@ func TestDisconnectReclaimsCredits(t *testing.T) {
 	if okAlive == 0 {
 		t.Fatalf("survivor made no progress")
 	}
+	// The tenant records are the target's own, hub or no hub: /stats lists
+	// both tenants, and only the survivor takes a fair share.
+	rows := tgt.StatsSnapshot().SSDs[0].Tenants
+	if len(rows) != 2 || rows[0].Ops != int64(okAlive) || rows[1].Ops == 0 || rows[0].FUtil != 1 || rows[1].FUtil != 0 {
+		t.Fatalf("/stats rows of an unobserved target: %+v (survivor completed %d)", rows, okAlive)
+	}
 
 	// A post-disconnect submit bounces locally with StatusAborted.
 	var st nvme.Status

@@ -122,8 +122,7 @@ func NewGater(s Scheme) Gater {
 type Session struct {
 	clk    sim.Scheduler
 	target *Target
-	ssd    int
-	tenant *nvme.Tenant
+	rec    *tenantRec // the tenant's record on its SSD pipeline, from Register
 	gate   Gater
 
 	up   link // client → target (commands + write data)
@@ -188,15 +187,13 @@ func (t *Target) Connect(tenant *nvme.Tenant, ssdIdx int) *Session {
 // ConnectWithGater is Connect with an explicit client-side controller
 // (used by the Fig 13 flow-control ablation).
 func (t *Target) ConnectWithGater(tenant *nvme.Tenant, ssdIdx int, g Gater) *Session {
-	t.Register(ssdIdx, tenant)
 	return &Session{
 		// The session lives on its pipeline's scheduler: identical to the
 		// target-wide clock in the simulator, the owning reactor's shard on
 		// a sharded live target.
 		clk:    t.pipes[ssdIdx].clk,
 		target: t,
-		ssd:    ssdIdx,
-		tenant: tenant,
+		rec:    t.Register(ssdIdx, tenant),
 		gate:   g,
 		up:     link{cfg: t.cfg.Net},
 		down:   link{cfg: t.cfg.Net},
@@ -207,10 +204,10 @@ func (t *Target) ConnectWithGater(tenant *nvme.Tenant, ssdIdx int, g Gater) *Ses
 func NopGater() Gater { return nopGater{} }
 
 // Tenant returns the session identity.
-func (s *Session) Tenant() *nvme.Tenant { return s.tenant }
+func (s *Session) Tenant() *nvme.Tenant { return s.rec.tenant }
 
 // SSD returns the SSD index the session is attached to.
-func (s *Session) SSD() int { return s.ssd }
+func (s *Session) SSD() int { return s.rec.pipe.idx }
 
 // Headroom exposes the gate's admission headroom (load balancing signal).
 func (s *Session) Headroom() int { return s.gate.Headroom() }
@@ -283,7 +280,7 @@ func (s *Session) Disconnect() {
 		return
 	}
 	s.closed = true
-	s.target.Disconnect(s.ssd, s.tenant)
+	s.target.Disconnect(s.rec)
 	pend := s.pend
 	s.pend = nil
 	for _, io := range pend {
@@ -312,7 +309,7 @@ func (s *Session) managed() bool { return s.retry != nil || s.lf != nil }
 // the completion capsule arrives. IOs past the flow-control window queue
 // locally (Algorithm 3's device-busy path).
 func (s *Session) Submit(io *nvme.IO) {
-	io.Tenant = s.tenant
+	io.Tenant = s.rec.tenant
 	if s.closed {
 		s.completeLocal(io, nvme.StatusAborted)
 		return
@@ -355,7 +352,7 @@ func (s *Session) getExchange() *exchange {
 		return ex
 	}
 	ex := &exchange{s: s}
-	ex.ingressFn = func() { ex.s.target.Ingress(ex.s.ssd, ex.io) }
+	ex.ingressFn = func() { ex.s.target.Ingress(ex.s.rec, ex.io) }
 	ex.devDoneFn = func(_ *nvme.IO, cpl nvme.Completion) { ex.onDeviceDone(cpl) }
 	ex.deliverFn = func() { ex.deliver() }
 	return ex
@@ -439,7 +436,7 @@ func (s *Session) dispatch(a *nvme.IO) {
 	if s.lf != nil {
 		arriveAt += s.lf.ExtraDelay()
 	}
-	s.clk.At(arriveAt, func() { s.target.Ingress(s.ssd, a) })
+	s.clk.At(arriveAt, func() { s.target.Ingress(s.rec, a) })
 	if s.lf != nil && s.lf.DuplicateFrame() {
 		// A duplicated command frame is a second capsule for the same
 		// attempt; it shares the attempt's completion route and the
@@ -454,7 +451,7 @@ func (s *Session) dispatch(a *nvme.IO) {
 			Done:     a.Done,
 		}
 		dupAt := s.up.send(s.clk.Now(), wbytes) + s.lf.ExtraDelay()
-		s.clk.At(dupAt, func() { s.target.Ingress(s.ssd, d) })
+		s.clk.At(dupAt, func() { s.target.Ingress(s.rec, d) })
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"gimbal/internal/baseline/vanilla"
 	"gimbal/internal/core"
 	"gimbal/internal/nvme"
+	"gimbal/internal/obs"
 	"gimbal/internal/sim"
 	"gimbal/internal/ssd"
 )
@@ -100,22 +101,45 @@ type Pipeline struct {
 	// scheduler; on the live target each pipeline runs on its reactor's
 	// shard.
 	clk sim.Scheduler
+	idx int // SSD index, the pipeline's ssd label
 
-	// tenants lists every tenant registered on this pipeline (stats).
-	tenants []*nvme.Tenant
+	// recs holds the one record of every tenant that ever registered here
+	// (Register and Disconnect are its only users; the IO path carries the
+	// record itself); order lists them as they arrived, the rows of /stats.
+	recs  map[*nvme.Tenant]*tenantRec
+	order []*tenantRec
 
 	// opFree recycles per-IO ingress tracking state for this pipeline.
 	opFree []*ingressOp
 
-	// pobs is the pipeline's tenant accounting; nil until AttachObs.
-	pobs *pipeObs
+	// reg receives the pipeline's series; nil until AttachObs. In sharded
+	// live mode it is the owning reactor's registry (gathered under that
+	// shard's lock); in the simulator every pipeline shares the hub's.
+	reg *obs.Registry
+}
+
+// tenantRec is everything a pipeline keeps about one tenant: identity,
+// completed-traffic counters (plain fields, written on the completion path
+// in the pipeline's scheduler context and read under the same
+// serialization), the registration time that anchors mean bandwidth, and
+// the SLO tracker (nil when no engine is attached). Register hands it to
+// the tenant's transport, which passes it back with every Ingress, so
+// booking a completion is three adds on a pointer the IO already carries.
+// live is cleared by Disconnect; the record — a departed tenant's /stats
+// row and registry series — stays.
+type tenantRec struct {
+	tenant *nvme.Tenant
+	pipe   *Pipeline
+
+	bytes, ops, errors int64
+
+	since int64
+	slo   *obs.SLOTenant
+	live  bool
 }
 
 // Clock returns the scheduler driving this pipeline.
 func (p *Pipeline) Clock() sim.Scheduler { return p.clk }
-
-// Tenants returns the tenants registered on this pipeline.
-func (p *Pipeline) Tenants() []*nvme.Tenant { return p.tenants }
 
 // Target is a storage node: a set of SSDs, each behind its own scheduler
 // pipeline, fronted by the SmartNIC CPU model.
@@ -124,8 +148,8 @@ type Target struct {
 	cfg   TargetConfig
 	pipes []*Pipeline
 
-	// obs is the attached telemetry state; nil by default.
-	obs *targetObs
+	// slo is the attached SLO engine; nil by default.
+	slo *obs.SLOEngine
 }
 
 // NewTarget builds a node over the devices with the configured scheme.
@@ -158,7 +182,7 @@ func NewShardedTarget(clks []sim.Scheduler, devs []ssd.Device, cfg TargetConfig)
 	t := &Target{clk: clks[0], cfg: cfg}
 	for i, dev := range devs {
 		clk := clks[i]
-		p := &Pipeline{Dev: dev, clk: clk}
+		p := &Pipeline{Dev: dev, clk: clk, idx: i, recs: map[*nvme.Tenant]*tenantRec{}}
 		switch cfg.Scheme {
 		case SchemeGimbal:
 			sw := core.New(clk, dev, cfg.Gimbal)
@@ -187,35 +211,33 @@ func (t *Target) Pipeline(i int) *Pipeline { return t.pipes[i] }
 // Scheme returns the configured scheme.
 func (t *Target) Scheme() Scheme { return t.cfg.Scheme }
 
-// Register announces a tenant on an SSD pipeline.
-func (t *Target) Register(ssdIdx int, tenant *nvme.Tenant) {
+// Register announces a tenant on an SSD pipeline and returns its record
+// there, which the caller keeps and hands to Ingress with every IO. A
+// tenant that registers again (after a Disconnect, or from a second
+// session) gets the record it had.
+func (t *Target) Register(ssdIdx int, tenant *nvme.Tenant) *tenantRec {
 	p := t.pipes[ssdIdx]
-	for _, tn := range p.tenants {
-		if tn == tenant {
-			p.Sched.Register(tenant)
-			return
-		}
+	rec := p.recs[tenant]
+	if rec == nil {
+		rec = &tenantRec{tenant: tenant, pipe: p, since: p.clk.Now()}
+		p.recs[tenant] = rec
+		p.order = append(p.order, rec)
+		t.observeTenant(rec)
 	}
-	p.tenants = append(p.tenants, tenant)
+	rec.live = true
 	p.Sched.Register(tenant)
-	t.observeTenant(ssdIdx, tenant)
+	return rec
 }
 
-// Disconnect tears a tenant down from an SSD pipeline: the scheduler
+// Disconnect tears a tenant down from its SSD pipeline: the scheduler
 // reclaims its state (for Gimbal, the vslot credits and DRR membership, so
 // a dead tenant can never strand slot allotments) and its queued,
 // never-dispatched IOs complete with StatusAborted through their normal
 // completion path (CPU egress charge, telemetry, reply capsule).
-func (t *Target) Disconnect(ssdIdx int, tenant *nvme.Tenant) {
-	p := t.pipes[ssdIdx]
-	for i, tn := range p.tenants {
-		if tn == tenant {
-			p.tenants = append(p.tenants[:i], p.tenants[i+1:]...)
-			break
-		}
-	}
-	if rem, ok := p.Sched.(nvme.TenantRemover); ok {
-		for _, io := range rem.Unregister(tenant) {
+func (t *Target) Disconnect(rec *tenantRec) {
+	rec.live = false
+	if rem, ok := rec.pipe.Sched.(nvme.TenantRemover); ok {
+		for _, io := range rem.Unregister(rec.tenant) {
 			io.Done(io, nvme.Completion{Status: nvme.StatusAborted})
 		}
 	}
@@ -227,7 +249,7 @@ func (t *Target) Disconnect(ssdIdx int, tenant *nvme.Tenant) {
 // NIC pipeline allocates nothing per IO in steady state.
 type ingressOp struct {
 	t          *Target
-	pipe       *Pipeline
+	rec        *tenantRec
 	io         *nvme.IO
 	downstream func(*nvme.IO, nvme.Completion)
 	cpl        nvme.Completion
@@ -247,26 +269,39 @@ func (p *Pipeline) getIngressOp(t *Target) *ingressOp {
 	}
 	op := &ingressOp{t: t}
 	op.doneFn = func(io *nvme.IO, cpl nvme.Completion) { op.onDone(io, cpl) }
-	op.enqueueFn = func() { op.pipe.Sched.Enqueue(op.io) }
+	op.enqueueFn = func() { op.rec.pipe.Sched.Enqueue(op.io) }
 	op.completeFn = func() { op.complete() }
 	return op
 }
 
-// onDone observes the scheduler-side completion, charges the CPU egress
-// cost, and forwards to the downstream (wire) callback.
+// onDone books the scheduler-side completion on the tenant's record (and
+// its SLO tracker: latency is end-to-end when the IO carries a client-side
+// Origin stamp, target-side otherwise), charges the CPU egress cost, and
+// forwards to the downstream (wire) callback.
 func (op *ingressOp) onDone(io *nvme.IO, cpl nvme.Completion) {
-	t := op.t
-	pipe := op.pipe
-	if t.obs != nil {
-		t.obs.onCompletion(pipe, pipe.clk.Now(), io, cpl)
+	t, rec := op.t, op.rec
+	ok := cpl.Status == nvme.StatusOK
+	if ok {
+		rec.bytes += int64(io.Size)
+		rec.ops++
+	} else {
+		rec.errors++
+	}
+	if rec.slo != nil {
+		start := io.Origin
+		if start == 0 {
+			start = io.Arrival
+		}
+		now := rec.pipe.clk.Now()
+		rec.slo.Observe(now, max(now-start, 0), ok, io.Size)
 	}
 	if t.cfg.CPU == nil {
 		op.finish(cpl)
 		return
 	}
 	op.cpl = cpl
-	at := t.cfg.CPU.ChargeIO(pipe.clk.Now(), t.cfg.CPU.CompleteCost, io.Size)
-	pipe.clk.At(at, op.completeFn)
+	at := t.cfg.CPU.ChargeIO(rec.pipe.clk.Now(), t.cfg.CPU.CompleteCost, io.Size)
+	rec.pipe.clk.At(at, op.completeFn)
 }
 
 func (op *ingressOp) complete() { op.finish(op.cpl) }
@@ -274,18 +309,19 @@ func (op *ingressOp) complete() { op.finish(op.cpl) }
 // finish recycles the op before invoking downstream so a back-to-back
 // resubmission through this target can reuse it immediately.
 func (op *ingressOp) finish(cpl nvme.Completion) {
-	io, downstream, pipe := op.io, op.downstream, op.pipe
-	op.io, op.downstream, op.pipe = nil, nil, nil
+	io, downstream, pipe := op.io, op.downstream, op.rec.pipe
+	op.io, op.downstream, op.rec = nil, nil, nil
 	pipe.opFree = append(pipe.opFree, op)
 	downstream(io, cpl)
 }
 
-// Ingress injects an IO into a pipeline, charging the per-IO SmartNIC CPU
-// cost on both the submission and completion paths (§2.4). The io.Done
-// already set on the IO receives the completion after the egress charge.
-// Callers in sharded live mode must hold the pipeline's shard lock.
-func (t *Target) Ingress(ssdIdx int, io *nvme.IO) {
-	pipe := t.pipes[ssdIdx]
+// Ingress injects a tenant's IO into the pipeline it registered on (rec is
+// what Register returned), charging the per-IO SmartNIC CPU cost on both
+// the submission and completion paths (§2.4). The io.Done already set on
+// the IO receives the completion after the egress charge. Callers in
+// sharded live mode must hold the pipeline's shard lock.
+func (t *Target) Ingress(rec *tenantRec, io *nvme.IO) {
+	pipe := rec.pipe
 	if io.Origin == 0 {
 		// No transport stamped a client-side send time; anchor the
 		// fabric span at NIC ingress so FabricDelay covers only the
@@ -293,7 +329,7 @@ func (t *Target) Ingress(ssdIdx int, io *nvme.IO) {
 		io.Origin = pipe.clk.Now()
 	}
 	op := pipe.getIngressOp(t)
-	op.pipe = pipe
+	op.rec = rec
 	op.io = io
 	op.downstream = io.Done
 	io.Done = op.doneFn

@@ -87,21 +87,14 @@ func (g *Group) renderMember(r *Registry, byName map[string]*groupFamily, fams *
 	for _, in := range ins {
 		f, ok := byName[in.name]
 		if !ok {
-			typ := "gauge"
-			switch in.kind {
-			case kindCounter:
-				typ = "counter"
-			case kindHistogram:
-				typ = "summary"
-			}
-			f = &groupFamily{name: in.name, typ: typ}
+			f = &groupFamily{name: in.name, typ: in.kind.typ()}
 			byName[in.name] = f
 			*fams = append(*fams, f)
 		}
 		if f.help == "" {
 			f.help = help[in.name]
 		}
-		if err := writeSamples(&f.buf, in); err != nil {
+		if err := r.writeSamples(&f.buf, in); err != nil {
 			return err
 		}
 	}

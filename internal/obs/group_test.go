@@ -11,7 +11,7 @@ func TestGroupOneHeaderPerFamily(t *testing.T) {
 	a.Counter("ops_total", L("shard", "0")).Add(3)
 	b.Counter("ops_total", L("shard", "1")).Add(4)
 	a.Help("ops_total", "operations")
-	a.Gauge("depth", L("shard", "0")).Set(7)
+	a.GaugeFunc("depth", L("shard", "0"), func() float64 { return 7 })
 
 	var sb strings.Builder
 	if err := NewGroup(a, b).WritePrometheus(&sb); err != nil {

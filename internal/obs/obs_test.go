@@ -22,16 +22,18 @@ func TestCounterGaugeRegistration(t *testing.T) {
 		t.Fatal("different labels shared an instrument")
 	}
 
-	g := r.Gauge("write_cost", L("ssd", "0"))
-	g.Set(2.5)
-	if g.Load() != 2.5 {
-		t.Fatalf("gauge = %v", g.Load())
-	}
+	// A component's own plain field, read at collection time.
+	var done int64
+	r.CounterFunc("completions_total", L("ssd", "0"), func() int64 { return done })
+	done = 41
 	r.GaugeFunc("queued", L("ssd", "0"), func() float64 { return 7 })
 
 	snap := r.Snapshot()
 	if snap[`submits_total{ssd="0"}`] != 3 {
 		t.Fatalf("snapshot counter: %v", snap)
+	}
+	if snap[`completions_total{ssd="0"}`] != 41 {
+		t.Fatalf("snapshot counter func: %v", snap)
 	}
 	if snap[`queued{ssd="0"}`] != 7 {
 		t.Fatalf("snapshot gauge func: %v", snap)
@@ -49,14 +51,15 @@ func TestKindConflictPanics(t *testing.T) {
 			t.Fatal("expected panic on kind conflict")
 		}
 	}()
-	r.Gauge("x", "")
+	r.CounterFunc("x", "", func() int64 { return 0 })
 }
 
 func TestPrometheusOutput(t *testing.T) {
 	r := NewRegistry()
 	r.Help("io_total", "completed IOs")
 	r.Counter("io_total", L("ssd", "0", "tenant", "a")).Add(10)
-	r.Gauge("depth", "").Set(4)
+	r.GaugeFunc("depth", "", func() float64 { return 4 })
+	r.CounterFunc("read_total", L("ssd", "0"), func() int64 { return 9 })
 	h := r.Histogram("lat_ns", L("ssd", "0"))
 	for i := int64(1); i <= 100; i++ {
 		h.Record(i * 1000)
@@ -73,6 +76,8 @@ func TestPrometheusOutput(t *testing.T) {
 		`io_total{ssd="0",tenant="a"} 10`,
 		"# TYPE depth gauge",
 		"depth 4",
+		"# TYPE read_total counter",
+		`read_total{ssd="0"} 9`,
 		"# TYPE lat_ns summary",
 		`lat_ns{ssd="0",quantile="0.5"}`,
 		`lat_ns_count{ssd="0"} 100`,

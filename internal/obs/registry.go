@@ -1,40 +1,44 @@
 // Package obs is the telemetry layer shared by the discrete-event
 // simulator, the benchmark harness, and the live gimbald target: a
-// cardinality-bounded metrics registry of atomic counters and
-// gauges (plus the stats package's histograms registered as instruments),
-// labeled per SSD and per tenant; a per-IO span tracer with tail-biased
-// sampling (trace.go, tracer.go); and a per-tenant SLO engine with
-// multi-window burn-rate tracking and fault/degrade event correlation
+// cardinality-bounded metrics registry that reads the counters its
+// components keep (plus the stats package's histograms registered as
+// instruments), labeled per SSD and per tenant; a per-IO span tracer with
+// tail-biased sampling (trace.go, tracer.go); and a per-tenant SLO engine
+// with multi-window burn-rate tracking and fault/degrade event correlation
 // (slo.go). A Hub (hub.go) bundles the sinks one deployment attaches.
 //
 // Design rules:
 //
-//   - The record path is allocation-free and lock-free: counters and
-//     gauges are single atomic words; histograms are the stats package's
-//     log-bucketed histograms, updated only in scheduler context.
-//   - Instrumented components keep a nil-checkable observer pointer, so a
-//     system with no registry attached pays one predictable branch per
-//     hook (verified by BenchmarkSwitchSubmit in internal/core).
-//   - Registration is one map under one lock, and callers keep the
-//     instrument pointer it returns: the live plane registers per reactor
-//     into that reactor's own registry, so nothing contends for it. Label
-//     strings are interned so the many instruments of one tenant share one
-//     backing array.
+//   - A counter belongs to the component that counts. Every layer keeps
+//     plain integer fields in the state its pipeline already owns and
+//     increments them unconditionally, observed or not; the registry is
+//     handed a function that reads them (CounterFunc, GaugeFunc) and calls
+//     it at collection time. The datapath carries no instrument pointers
+//     and pays nothing for being observed. Only what is pushed by nature —
+//     latency histograms, exemplars, trace spans, the event log — is fed
+//     from the hot path, behind one nil-checkable observer pointer.
+//   - Those plain fields are written in scheduler context only, so reading
+//     them is safe only under the same serialization: GatherLock. A
+//     registry whose functions read a live pipeline must have GatherLock set
+//     to that pipeline's scheduler shard (the live daemon does, one registry
+//     per reactor); collection then runs as one more entry into the shard
+//     and sees every counter, histogram and gauge of the pipeline at one
+//     instant. The simulator gathers only between runs and needs none.
+//     Counter — the one pushed, atomic kind — is for counts that have no
+//     owning scheduler.
+//   - Registration is one map under one lock: the live plane registers per
+//     reactor into that reactor's own registry, so nothing contends for it.
+//     Label strings are interned so the many instruments of one tenant
+//     share one backing array.
 //   - Cardinality is bounded per metric name (DefaultMaxSeries): once a
 //     name's series budget is exhausted, further label sets collapse into
 //     one shared series labeled overflow="true". Bounded memory beats
 //     per-series fidelity once cardinality explodes.
-//   - Collection (Gather / WritePrometheus / Snapshot) serializes against
-//     scheduler context through an optional GatherLock — the live daemon
-//     sets it to the RealScheduler so scraping a histogram mid-update is
-//     impossible; the simulator gathers only between runs and needs none.
 package obs
 
 import (
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -42,9 +46,6 @@ import (
 
 	"gimbal/internal/stats"
 )
-
-func floatBits(v float64) uint64     { return math.Float64bits(v) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 
 // Labels is a preformatted, brace-free Prometheus label list, e.g.
 // `ssd="0",tenant="conn1-ns0"`. Build one with L.
@@ -66,7 +67,9 @@ func L(kv ...string) Labels {
 	return Labels(b.String())
 }
 
-// Counter is a monotonically increasing atomic counter.
+// Counter is a monotonically increasing atomic counter, for counts with no
+// owning scheduler context; a component that has one keeps a plain field
+// and registers a CounterFunc over it.
 type Counter struct{ v atomic.Int64 }
 
 // Inc adds one.
@@ -77,15 +80,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Gauge is an atomic float64 gauge.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
-
-// Load returns the current value.
-func (g *Gauge) Load() float64 { return floatFromBits(g.bits.Load()) }
 
 // Exemplar links one exported metric family to a captured trace span, so a
 // quantile in a scrape can be chased to the concrete IO behind it.
@@ -124,10 +118,21 @@ type kind int
 
 const (
 	kindCounter kind = iota
-	kindGauge
+	kindCounterFunc
 	kindGaugeFunc
 	kindHistogram
 )
+
+// typ is the kind's Prometheus TYPE.
+func (k kind) typ() string {
+	switch k {
+	case kindCounter, kindCounterFunc:
+		return "counter"
+	case kindHistogram:
+		return "summary"
+	}
+	return "gauge"
+}
 
 // instrument is one registered metric.
 type instrument struct {
@@ -136,7 +141,7 @@ type instrument struct {
 	kind   kind
 
 	counter *Counter
-	gauge   *Gauge
+	cfns    []func() int64 // summed: one source, or all an overflow series absorbed
 	fn      func() float64
 	hist    *stats.Histogram
 	ex      *ExemplarSlot
@@ -183,9 +188,10 @@ const DefaultMaxSeries = 1 << 17
 // daemon process). Instrument registration is idempotent on (name, labels).
 type Registry struct {
 	// GatherLock, when set, is held across Gather/WritePrometheus/Snapshot
-	// so collection serializes with scheduler-context updates of
-	// histograms and gauge functions. The live daemon sets it to its
-	// RealScheduler. It must not be held by the caller.
+	// so collection serializes with the scheduler context that writes what
+	// the counter and gauge functions read and records the histograms. The
+	// live daemon sets it to the pipeline's RealScheduler shard. It must
+	// not be held by the caller.
 	GatherLock sync.Locker
 
 	mu        sync.Mutex
@@ -247,8 +253,8 @@ func overflowKey(name string, k kind) string {
 // overflowLocked returns the shared overflow instrument for a metric name
 // whose series budget is exhausted. All overflowed label sets of one name
 // and kind collapse into a single series labeled overflow="true": counters
-// keep aggregate totals, histograms merge samples, gauges degrade to
-// last-writer-wins.
+// keep aggregate totals, histograms merge samples, gauge functions degrade
+// to last-writer-wins.
 func (r *Registry) overflowLocked(name string, k kind, mk func() *instrument) *instrument {
 	key := overflowKey(name, k)
 	if in, ok := r.overflow[key]; ok {
@@ -299,11 +305,19 @@ func (r *Registry) Counter(name string, labels Labels) *Counter {
 	}).counter
 }
 
-// Gauge returns the gauge registered under (name, labels).
-func (r *Registry) Gauge(name string, labels Labels) *Gauge {
-	return r.lookup(name, labels, kindGauge, func() *instrument {
-		return &instrument{gauge: &Gauge{}}
-	}).gauge
+// CounterFunc registers fn as a counter sampled at collection time (under
+// GatherLock): the component keeps the count in a plain field of its own
+// and the hot path never sees the registry. Registering again under the
+// same identity adds a source — the series is the sum of its functions,
+// as two holders of one Counter add into it — which is also how the
+// overflow series keeps the total of everything it absorbed.
+func (r *Registry) CounterFunc(name string, labels Labels, fn func() int64) {
+	in := r.lookup(name, labels, kindCounterFunc, func() *instrument {
+		return &instrument{}
+	})
+	r.mu.Lock()
+	in.cfns = append(in.cfns, fn)
+	r.mu.Unlock()
 }
 
 // GaugeFunc registers fn as a gauge sampled at collection time (under
@@ -389,39 +403,38 @@ func (r *Registry) Gather() []Sample {
 }
 
 func (r *Registry) gather() []Sample {
-	ins := r.instruments()
-	need := 0
-	for _, in := range ins {
-		if in.kind == kindHistogram {
-			need += len(histQuantiles) + 2
-		} else {
-			need++
-		}
-	}
-	if cap(r.scratch) < need {
-		r.scratch = make([]Sample, 0, need)
-	}
 	out := r.scratch[:0]
-	for _, in := range ins {
-		switch in.kind {
-		case kindCounter:
-			out = append(out, Sample{in.name, in.labels, float64(in.counter.Load())})
-		case kindGauge:
-			out = append(out, Sample{in.name, in.labels, in.gauge.Load()})
-		case kindGaugeFunc:
-			out = append(out, Sample{in.name, in.labels, in.fn()})
-		case kindHistogram:
-			in.exportNames()
-			h := in.hist
-			for i, q := range histQuantiles {
-				out = append(out, Sample{in.name, in.qlabels[i], float64(h.Quantile(q.q))})
-			}
-			out = append(out, Sample{in.sumName, in.labels, h.Mean() * float64(h.Count())})
-			out = append(out, Sample{in.countName, in.labels, float64(h.Count())})
-		}
+	for _, in := range r.instruments() {
+		out = in.appendSamples(out)
 	}
 	r.scratch = out
 	return out
+}
+
+// appendSamples appends the instrument's current samples: one for a
+// counter or gauge, the quantiles plus _sum and _count for a histogram.
+// It is the one place that decides what an instrument exports; Gather and
+// the text exposition both walk it. Callers hold gatherMu (and GatherLock).
+func (in *instrument) appendSamples(out []Sample) []Sample {
+	switch in.kind {
+	case kindCounter:
+		return append(out, Sample{in.name, in.labels, float64(in.counter.Load())})
+	case kindCounterFunc:
+		var n int64
+		for _, fn := range in.cfns {
+			n += fn()
+		}
+		return append(out, Sample{in.name, in.labels, float64(n)})
+	case kindGaugeFunc:
+		return append(out, Sample{in.name, in.labels, in.fn()})
+	}
+	in.exportNames()
+	h := in.hist
+	for i, q := range histQuantiles {
+		out = append(out, Sample{in.name, in.qlabels[i], float64(h.Quantile(q.q))})
+	}
+	out = append(out, Sample{in.sumName, in.labels, h.Mean() * float64(h.Count())})
+	return append(out, Sample{in.countName, in.labels, float64(h.Count())})
 }
 
 // Snapshot returns every sample keyed by `name{labels}`, for JSON export
@@ -455,100 +468,30 @@ func SumMetric(snap map[string]float64, name string) float64 {
 // `# EXEMPLAR` comment line (an exposition-format extension: comments are
 // ignored by standard parsers).
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r.GatherLock != nil {
-		r.GatherLock.Lock()
-		defer r.GatherLock.Unlock()
-	}
-	r.gatherMu.Lock()
-	defer r.gatherMu.Unlock()
-	ins := r.instruments()
-	r.mu.Lock()
-	help := make(map[string]string, len(r.help))
-	for k, v := range r.help {
-		help[k] = v
-	}
-	r.mu.Unlock()
-
-	// Group by family name, keeping registration order of first sight.
-	type family struct {
-		name string
-		typ  string
-		ins  []*instrument
-	}
-	byName := map[string]*family{}
-	var fams []*family
-	for _, in := range ins {
-		f, ok := byName[in.name]
-		if !ok {
-			typ := "gauge"
-			switch in.kind {
-			case kindCounter:
-				typ = "counter"
-			case kindHistogram:
-				typ = "summary"
-			}
-			f = &family{name: in.name, typ: typ}
-			byName[in.name] = f
-			fams = append(fams, f)
-		}
-		f.ins = append(f.ins, in)
-	}
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
-	for _, f := range fams {
-		if h := help[f.name]; h != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, h); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ); err != nil {
-			return err
-		}
-		for _, in := range f.ins {
-			if err := writeSamples(w, in); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return NewGroup(r).WritePrometheus(w)
 }
 
-func writeSamples(w io.Writer, in *instrument) error {
-	line := func(name string, labels Labels, v float64) error {
-		if labels == "" {
-			_, err := fmt.Fprintf(w, "%s %s\n", name, formatValue(v))
+// writeSamples renders one instrument's sample lines (and exemplar) into
+// w. Callers hold the registry's gatherMu: the sample scratch is shared
+// with Gather.
+func (r *Registry) writeSamples(w io.Writer, in *instrument) error {
+	r.scratch = in.appendSamples(r.scratch[:0])
+	for _, s := range r.scratch {
+		var err error
+		if s.Labels == "" {
+			_, err = fmt.Fprintf(w, "%s %s\n", s.Name, formatValue(s.Value))
+		} else {
+			_, err = fmt.Fprintf(w, "%s{%s} %s\n", s.Name, s.Labels, formatValue(s.Value))
+		}
+		if err != nil {
 			return err
 		}
-		_, err := fmt.Fprintf(w, "%s{%s} %s\n", name, labels, formatValue(v))
-		return err
 	}
-	switch in.kind {
-	case kindCounter:
-		return line(in.name, in.labels, float64(in.counter.Load()))
-	case kindGauge:
-		return line(in.name, in.labels, in.gauge.Load())
-	case kindGaugeFunc:
-		return line(in.name, in.labels, in.fn())
-	case kindHistogram:
-		in.exportNames()
-		h := in.hist
-		for i, q := range histQuantiles {
-			if err := line(in.name, in.qlabels[i], float64(h.Quantile(q.q))); err != nil {
-				return err
-			}
-		}
-		if err := line(in.sumName, in.labels, h.Mean()*float64(h.Count())); err != nil {
+	if in.ex != nil {
+		if ex, ok := in.ex.Load(); ok {
+			_, err := fmt.Fprintf(w, "# EXEMPLAR %s{%s} {span=\"%d\",tenant=%q} %s %d\n",
+				in.name, in.labels, ex.Span, ex.Tenant, formatValue(ex.Value), ex.At)
 			return err
-		}
-		if err := line(in.countName, in.labels, float64(h.Count())); err != nil {
-			return err
-		}
-		if in.ex != nil {
-			if ex, ok := in.ex.Load(); ok {
-				_, err := fmt.Fprintf(w, "# EXEMPLAR %s{%s} {span=\"%d\",tenant=%q} %s %d\n",
-					in.name, in.labels, ex.Span, ex.Tenant, formatValue(ex.Value), ex.At)
-				return err
-			}
 		}
 	}
 	return nil

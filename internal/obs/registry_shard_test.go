@@ -22,7 +22,7 @@ func TestRegistryShardedConcurrentRegistration(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				r.Counter("reg_shared_total", L("tenant", strconv.Itoa(i))).Inc()
-				r.Gauge(fmt.Sprintf("reg_g%d", g), L("i", strconv.Itoa(i))).Set(1)
+				r.GaugeFunc(fmt.Sprintf("reg_g%d", g), L("i", strconv.Itoa(i)), func() float64 { return 1 })
 			}
 		}(g)
 	}
@@ -76,6 +76,16 @@ func TestRegistryCardinalityOverflow(t *testing.T) {
 	if again != last {
 		t.Fatal("overflowed identity did not resolve to the shared series")
 	}
+	// Counter functions lose no counts either: a series is the sum of the
+	// functions registered under it, the overflow series of all it absorbed.
+	for i := 0; i < 5; i++ {
+		r.CounterFunc("read_total", L("tenant", strconv.Itoa(i)), func() int64 { return 2 })
+	}
+	r.CounterFunc("read_total", L("tenant", "0"), func() int64 { return 3 })
+	snap = r.Snapshot()
+	if over, t0 := snap[`read_total{overflow="true"}`], snap[`read_total{tenant="0"}`]; over != 4 || t0 != 5 {
+		t.Fatalf("counter funcs: overflow = %v, tenant 0 = %v, want 4 and 5", over, t0)
+	}
 	// Other names still have their own budget.
 	if r.Counter("cold_total", L("tenant", "x")).Load() != 0 {
 		t.Fatal("fresh name affected by another name's overflow")
@@ -87,7 +97,7 @@ func TestRegistryCardinalityOverflow(t *testing.T) {
 				t.Fatal("kind conflict did not panic")
 			}
 		}()
-		r.Gauge("cold_total", L("tenant", "x"))
+		r.GaugeFunc("cold_total", L("tenant", "x"), func() float64 { return 0 })
 	}()
 }
 

@@ -103,16 +103,19 @@ func Find[T any](dev Device) (T, bool) {
 
 // Stats is a snapshot of device counters.
 type Stats struct {
-	ReadBytes    int64
-	WriteBytes   int64
-	ReadOps      int64
-	WriteOps     int64
-	GCMovedPages uint64
-	Erases       uint64
-	WriteAmp     float64
-	FreeBlocks   int
-	BufOccupancy int64
-	QueuedHost   int // host commands waiting for an internal slot
+	ReadBytes     int64
+	WriteBytes    int64
+	ReadOps       int64
+	WriteOps      int64
+	FlushBatches  int64 // write-buffer batches programmed to NAND
+	FlushedBytes  int64
+	GCInvocations int64 // program batches that triggered garbage collection
+	GCMovedPages  uint64
+	Erases        uint64
+	WriteAmp      float64
+	FreeBlocks    int
+	BufOccupancy  int64
+	QueuedHost    int // host commands waiting for an internal slot
 }
 
 // completion is a recyclable completion event: the callback closure is
@@ -219,10 +222,6 @@ type SSD struct {
 	// snapTag extends the precondition snapshot cache key with the owning
 	// stack's configuration (SetSnapshotTag); 0 = plain untiered device.
 	snapTag uint64
-
-	// obs is the attached telemetry sink; nil by default (hot paths only
-	// nil-check it).
-	obs *deviceObs
 }
 
 // New builds an SSD from params. It panics on invalid params (programmer
@@ -587,14 +586,10 @@ func (s *SSD) programBatch(batch []uint32) {
 	// queue — is charged at most one GCSlice per batch.
 	gcCost := int64(work.moved)*(s.p.ReadLatency/int64(s.p.ProgramPages)+s.p.ProgPerPage()) +
 		int64(work.erases)*s.p.EraseLatency
-	if s.obs != nil {
-		s.obs.flushBatches.Inc()
-		s.obs.flushedBytes.Add(int64(len(op.pages) * s.p.PageSize))
-		if gcCost > 0 {
-			s.obs.gcInvocations.Inc()
-		}
-	}
+	s.stats.FlushBatches++
+	s.stats.FlushedBytes += int64(len(op.pages) * s.p.PageSize)
 	if gcCost > 0 {
+		s.stats.GCInvocations++
 		fenceStart := max64(now, s.gcFence[die])
 		s.gcFence[die] = fenceStart + gcCost
 		if slice := min64(gcCost, s.gcSlice()); slice > 0 {
