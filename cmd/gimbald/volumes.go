@@ -33,7 +33,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gimbal/internal/blobstore"
 	"gimbal/internal/volume"
 )
 
@@ -54,22 +53,11 @@ type volumeServer struct {
 // token makes every mutating endpoint require "Authorization: Bearer
 // <token>"; reads stay open (they carry no more than /stats already does).
 func newVolumeServer(classes *volume.ClassSet, ssds int, capacity int64, token string) *volumeServer {
-	bc := blobstore.DefaultConfig()
-	bc.Replicas = 1
-	caps := make([]int64, ssds)
-	backends := make([]*blobstore.Backend, ssds)
-	for i := range backends {
-		caps[i] = capacity
-		backends[i] = &blobstore.Backend{
-			Headroom: func() int { return 1 },
-			Capacity: capacity,
-		}
+	disks := make([]volume.SSD, ssds)
+	for i := range disks {
+		disks[i] = volume.SSD{Capacity: capacity, Headroom: func() int { return 1 }}
 	}
-	local := blobstore.NewLocal(blobstore.NewGlobal(bc, caps), backends)
-	return &volumeServer{
-		m:     volume.NewManager(nil, volume.DefaultConfig(), local, classes, nil),
-		token: token,
-	}
+	return &volumeServer{m: volume.NewNodeManager(nil, classes, disks), token: token}
 }
 
 // Drain flips the server into shutdown mode: mutating endpoints return

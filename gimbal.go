@@ -195,10 +195,8 @@ type JBOF struct {
 	nextID   int
 
 	// Volume control plane (lazily built; see volume_api.go).
-	classes   *volume.ClassSet
-	vmgr      *volume.Manager
-	sysTenant *nvme.Tenant
-	sysSess   []*fabric.Session
+	classes *volume.ClassSet
+	vmgr    *volume.Manager
 }
 
 // NewJBOF builds and pre-conditions a storage node.

@@ -2,138 +2,105 @@ package bench
 
 import (
 	"gimbal/internal/fabric"
-	"gimbal/internal/nvme"
-	"gimbal/internal/sim"
+	"gimbal/internal/ssd"
 )
 
+// variant is one row of an ablation: the fragmented mixed-type fairness
+// scenario (frag-types: 16 readers + 16 writers, 4KB) under a modified
+// Gimbal target and, for the credit ablation, a replaced client gate.
+type variant struct {
+	name   string
+	mutate func(*fabric.TargetConfig)
+	gate   func() fabric.Gater
+}
+
+// ablations is the design-ablation set. Every table's first row is the
+// paper configuration — the same run, so the five baselines agree.
+var ablations = []struct {
+	id, listing, title, note string
+	variants                 []variant
+}{
+	{"ablate-thresh", "Ablation: dynamic vs fixed latency thresholds",
+		"Fragmented 4KB mixed workload under different threshold policies",
+		"§3.2: a fixed 2ms threshold detects small-IO congestion late (higher tails); " +
+			"a fixed 500us threshold sacrifices utilization",
+		[]variant{
+			{name: "dynamic (paper)"},
+			{name: "fixed 2ms", mutate: func(tc *fabric.TargetConfig) {
+				tc.Gimbal.Latency.ThreshMax = 2_000_000
+				tc.Gimbal.Latency.AlphaT = 0 // threshold pinned at max
+			}},
+			{name: "fixed 500us", mutate: func(tc *fabric.TargetConfig) {
+				tc.Gimbal.Latency.ThreshMax = 500_000
+				tc.Gimbal.Latency.AlphaT = 0
+			}},
+		}},
+	{"ablate-bucket", "Ablation: dual vs single token bucket",
+		"Dual vs single token bucket (Appendix C.1)",
+		"a single bucket submits writes at the aggregate rate, spiking write latency",
+		[]variant{
+			{name: "dual (paper)"},
+			{name: "single bucket", mutate: func(tc *fabric.TargetConfig) {
+				tc.Gimbal.Rate.SingleBucket = true
+			}},
+		}},
+	{"ablate-writecost", "Ablation: dynamic vs static write cost",
+		"Dynamic vs static write cost (§3.4)",
+		"the static cost forfeits the write-buffer fast path: light writers are " +
+			"over-throttled (see also fig9's first-writer behavior)",
+		[]variant{
+			{name: "dynamic (paper)"},
+			{name: "static worst=9", mutate: func(tc *fabric.TargetConfig) {
+				tc.Gimbal.DisableDynamicCost = true
+			}},
+		}},
+	{"ablate-vslot", "Ablation: virtual slots vs unbounded slots",
+		"Virtual slots vs unbounded per-tenant outstanding IO (§3.5)",
+		"without the slot bound, pipelined small IOs inflate device queue occupancy " +
+			"and the per-size fairness of fig7a degrades",
+		[]variant{
+			{name: "8 slots (paper)"},
+			{name: "unbounded slots", mutate: func(tc *fabric.TargetConfig) {
+				tc.Gimbal.Sched.Slots.MaxSlots = 1 << 20
+				tc.Gimbal.Sched.Slots.SlotBytes = 1 << 40
+			}},
+		}},
+	{"ablate-credit", "Ablation: credit flow control on vs off",
+		"End-to-end credit flow control on vs off (§3.6)",
+		"without credits the ingress queue absorbs the full client queue depth and " +
+			"end-to-end tails inflate (the target-side device latency stays controlled)",
+		[]variant{
+			{name: "credits on (paper)"},
+			// Same target, pass-through sessions.
+			{name: "credits off", gate: fabric.NopGater},
+		}},
+}
+
 func init() {
-	register("ablate-thresh", "Ablation: dynamic vs fixed latency thresholds", runAblateThresh)
-	register("ablate-bucket", "Ablation: dual vs single token bucket", runAblateBucket)
-	register("ablate-writecost", "Ablation: dynamic vs static write cost", runAblateWritecost)
-	register("ablate-vslot", "Ablation: virtual slots vs unbounded slots", runAblateVslot)
-	register("ablate-credit", "Ablation: credit flow control on vs off", runAblateCredit)
-}
-
-// gimbalVariant runs the fragmented mixed-type fairness scenario under a
-// modified Gimbal configuration and reports utilization and tails.
-func gimbalVariant(cx *Ctx, name string, mutate func(*fabric.TargetConfig), res *Result) {
-	c := fairCases()[2] // frag-types: 16 readers + 16 writers, 4KB
-	specs := append(repeat(withName(c.groupA, "A"), c.nA), repeat(withName(c.groupB, "B"), c.nB)...)
-	run := cx.Execute(FioConfig{
-		Scheme: fabric.SchemeGimbal, Cond: c.cond, Specs: specs,
-		Warm: evalWarm, Dur: evalDur, Seed: 7, GimbalCfg: mutate,
-	})
-	_, _, aF := groupBWAndFUtil(cx, run, c, "A")
-	_, _, bF := groupBWAndFUtil(cx, run, c, "B")
-	rd, wr := mergedHists(run)
-	res.AddRow(name, f2(aF), f2(bF), us(rd.P999()), us(wr.P999()),
-		f0(run.AggBandwidth(nil)))
-}
-
-func ablateHeader() []string {
-	return []string{"variant", "rd_fUtil", "wr_fUtil", "rd_p999_us", "wr_p999_us", "agg_MBps"}
-}
-
-func runAblateThresh(cx *Ctx) []*Result {
-	res := &Result{ID: "ablate-thresh",
-		Title:  "Fragmented 4KB mixed workload under different threshold policies",
-		Header: ablateHeader()}
-	gimbalVariant(cx, "dynamic (paper)", nil, res)
-	gimbalVariant(cx, "fixed 2ms", func(tc *fabric.TargetConfig) {
-		tc.Gimbal.Latency.ThreshMax = 2_000_000
-		tc.Gimbal.Latency.AlphaT = 0 // threshold pinned at max
-	}, res)
-	gimbalVariant(cx, "fixed 500us", func(tc *fabric.TargetConfig) {
-		tc.Gimbal.Latency.ThreshMax = 500_000
-		tc.Gimbal.Latency.AlphaT = 0
-	}, res)
-	res.Notef("§3.2: a fixed 2ms threshold detects small-IO congestion late (higher tails); " +
-		"a fixed 500us threshold sacrifices utilization")
-	return []*Result{res}
-}
-
-func runAblateBucket(cx *Ctx) []*Result {
-	res := &Result{ID: "ablate-bucket",
-		Title:  "Dual vs single token bucket (Appendix C.1)",
-		Header: ablateHeader()}
-	gimbalVariant(cx, "dual (paper)", nil, res)
-	gimbalVariant(cx, "single bucket", func(tc *fabric.TargetConfig) {
-		tc.Gimbal.Rate.SingleBucket = true
-	}, res)
-	res.Notef("a single bucket submits writes at the aggregate rate, spiking write latency")
-	return []*Result{res}
-}
-
-func runAblateWritecost(cx *Ctx) []*Result {
-	res := &Result{ID: "ablate-writecost",
-		Title:  "Dynamic vs static write cost (§3.4)",
-		Header: ablateHeader()}
-	gimbalVariant(cx, "dynamic (paper)", nil, res)
-	gimbalVariant(cx, "static worst=9", func(tc *fabric.TargetConfig) {
-		tc.Gimbal.DisableDynamicCost = true
-	}, res)
-	res.Notef("the static cost forfeits the write-buffer fast path: light writers are " +
-		"over-throttled (see also fig9's first-writer behavior)")
-	return []*Result{res}
-}
-
-func runAblateVslot(cx *Ctx) []*Result {
-	res := &Result{ID: "ablate-vslot",
-		Title:  "Virtual slots vs unbounded per-tenant outstanding IO (§3.5)",
-		Header: ablateHeader()}
-	gimbalVariant(cx, "8 slots (paper)", nil, res)
-	gimbalVariant(cx, "unbounded slots", func(tc *fabric.TargetConfig) {
-		tc.Gimbal.Sched.Slots.MaxSlots = 1 << 20
-		tc.Gimbal.Sched.Slots.SlotBytes = 1 << 40
-	}, res)
-	res.Notef("without the slot bound, pipelined small IOs inflate device queue occupancy " +
-		"and the per-size fairness of fig7a degrades")
-	return []*Result{res}
-}
-
-func runAblateCredit(cx *Ctx) []*Result {
-	res := &Result{ID: "ablate-credit",
-		Title:  "End-to-end credit flow control on vs off (§3.6)",
-		Header: ablateHeader()}
-	// On: normal Gimbal sessions. Off: same target, pass-through gates.
-	c := fairCases()[2]
-	specs := append(repeat(withName(c.groupA, "A"), c.nA), repeat(withName(c.groupB, "B"), c.nB)...)
-	for _, gateOff := range []bool{false, true} {
-		run := NewFioRun(FioConfig{Scheme: fabric.SchemeGimbal, Cond: c.cond, Seed: 7})
-		rng := sim.NewRNG(7)
-		for i, spec := range specs {
-			tenant := nvme.NewTenant(i, spec.Profile.Name)
-			var sess *fabric.Session
-			if gateOff {
-				sess = run.Target.ConnectWithGater(tenant, spec.SSD, fabric.NopGater())
-			} else {
-				sess = run.Target.Connect(tenant, spec.SSD)
+	for _, a := range ablations {
+		register(a.id, a.listing, func(cx *Ctx) []*Result {
+			res := &Result{ID: a.id, Title: a.title,
+				Header: []string{"variant", "rd_fUtil", "wr_fUtil", "rd_p999_us", "wr_p999_us", "agg_MBps"}}
+			for _, v := range a.variants {
+				res.AddRow(v.row(cx)...)
 			}
-			p := spec.Profile
-			p.Span = run.Devices[spec.SSD].Capacity()
-			run.AttachWorker(p, tenant, sess, rng.Fork())
-		}
-		stop := run.Loop.Now() + evalWarm + evalDur
-		run.StopAt = stop
-		for _, w := range run.Workers {
-			w.Start(stop)
-		}
-		run.Loop.RunUntil(run.Loop.Now() + evalWarm)
-		for _, w := range run.Workers {
-			w.ResetStats()
-		}
-		run.Loop.RunUntil(stop)
-		run.Loop.Run()
-		_, _, aF := groupBWAndFUtil(cx, run, c, "A")
-		_, _, bF := groupBWAndFUtil(cx, run, c, "B")
-		rd, wr := mergedHists(run)
-		name := "credits on (paper)"
-		if gateOff {
-			name = "credits off"
-		}
-		res.AddRow(name, f2(aF), f2(bF), us(rd.P999()), us(wr.P999()), f0(run.AggBandwidth(nil)))
+			res.Notef("%s", a.note)
+			return []*Result{res}
+		})
 	}
-	res.Notef("without credits the ingress queue absorbs the full client queue depth and " +
-		"end-to-end tails inflate (the target-side device latency stays controlled)")
-	return []*Result{res}
+}
+
+// row runs the variant and reports utilization and tails.
+func (v variant) row(cx *Ctx) []string {
+	c := fairCases()[2]
+	cfg := c.config(fabric.SchemeGimbal)
+	cfg.GimbalCfg = v.mutate
+	for i := range cfg.Specs {
+		cfg.Specs[i].Gate = v.gate
+	}
+	run := cx.Execute(cfg)
+	_, aF := groupBWAndFUtil(cx, run, c, "A", ssd.Params{})
+	_, bF := groupBWAndFUtil(cx, run, c, "B", ssd.Params{})
+	rd, wr := mergedHists(run)
+	return []string{v.name, f2(aF), f2(bF), us(rd.P999()), us(wr.P999()), f0(run.AggBandwidth(nil))}
 }

@@ -9,13 +9,7 @@ import (
 	"gimbal/internal/obs"
 	"gimbal/internal/sim"
 	"gimbal/internal/ssd"
-	"gimbal/internal/workload"
 )
-
-// chaosCounter sums one registry counter across all label sets.
-func chaosCounter(r *FioRun, name string) float64 {
-	return obs.SumMetric(r.Reg.Snapshot(), name)
-}
 
 func init() {
 	register("chaos-brownout", "Isolation under a single-SSD brownout: healthy-tenant retention per scheme", runChaosBrownoutExp)
@@ -52,6 +46,20 @@ func chaosGimbalCfg(tc *fabric.TargetConfig) {
 	tc.Gimbal.Recovery = core.DefaultRecoveryConfig()
 }
 
+// chaosConfig is the chaos family's rig: clean SSDs behind one SmartNIC
+// core, the initiator's retry policy armed, recovery armed on a Gimbal
+// target, and one seed for the run and its fault plan.
+func chaosConfig(scheme fabric.Scheme, seed uint64, nssd int, specs []Spec, warm, dur int64, events []fault.Event) FioConfig {
+	retry := chaosRetry()
+	cfg := FioConfig{Scheme: scheme, Cond: ssd.Clean, NumSSD: nssd, Specs: specs,
+		Warm: warm, Dur: dur, Seed: seed, CPU: fabric.SmartNICCPU(1), Retry: &retry,
+		Faults: &fault.Plan{Seed: seed, Events: events}}
+	if scheme == fabric.SchemeGimbal {
+		cfg.GimbalCfg = chaosGimbalCfg
+	}
+	return cfg
+}
+
 // --- chaos-brownout -------------------------------------------------------
 
 // chaosBrownoutRow is one scheme's outcome under the brownout timeline,
@@ -85,79 +93,34 @@ func chaosBrownoutConfig(scheme fabric.Scheme) (FioConfig, brownoutTimeline) {
 	u := chaosUnit
 	tl := brownoutTimeline{warm: 3 * u, faultAt: 6 * u, faultEnd: 10 * u, healthy: 3}
 
-	specs := make([]Spec, 0, 7)
-	for i := 0; i < tl.healthy; i++ {
-		specs = append(specs, Spec{Profile: workload.Profile{
-			Name: "healthy", ReadRatio: 1, IOSize: 4096, QD: 16,
-		}, SSD: 0})
-	}
 	// Offered load on SSD1 (4 × 16 MB/s = 16K IOPS) fits the clean device
 	// easily but exceeds its browned-out capability, so the queue collapses
 	// and — without target-side degradation — attempts start blowing the
 	// 3ms deadline and multiplying.
-	for i := 0; i < 4; i++ {
-		specs = append(specs, Spec{Profile: workload.Profile{
-			Name: "faulted", ReadRatio: 1, IOSize: 4096, QD: 64,
-			RateLimitBps: 16e6,
-		}, SSD: 1})
+	faulted := stream("faulted", 1, 4096, 64)
+	faulted.RateLimitBps = 16e6
+	specs := append(repeat(stream("healthy", 1, 4096, 16), tl.healthy), repeat(faulted, 4)...)
+	for i := tl.healthy; i < len(specs); i++ {
+		specs[i].SSD = 1
 	}
-
-	retry := chaosRetry()
-	cfg := FioConfig{
-		Scheme: scheme,
-		Cond:   ssd.Clean,
-		NumSSD: 2,
-		Specs:  specs,
-		Warm:   tl.warm,
-		Dur:    11 * u,
-		Seed:   11,
-		CPU:    fabric.SmartNICCPU(1),
-		Retry:  &retry,
-		// ×200 pins SSD1's service latency in the multi-millisecond range —
-		// past the 3ms initiator deadline — so every admitted IO is doomed
-		// and each one costs up to 1+MaxRetries wire attempts. The question
-		// the experiment asks is who contains that multiplication.
-		Faults: &fault.Plan{Seed: 11, Events: []fault.Event{
-			{Kind: fault.SSDBrownout, At: tl.faultAt, Dur: tl.faultEnd - tl.faultAt, SSD: 1, Factor: 200},
-		}},
-	}
-	if scheme == fabric.SchemeGimbal {
-		cfg.GimbalCfg = chaosGimbalCfg
-	}
-	return cfg, tl
+	// ×200 pins SSD1's service latency in the multi-millisecond range —
+	// past the 3ms initiator deadline — so every admitted IO is doomed
+	// and each one costs up to 1+MaxRetries wire attempts. The question
+	// the experiment asks is who contains that multiplication.
+	return chaosConfig(scheme, 11, 2, specs, tl.warm, 11*u, []fault.Event{
+		{Kind: fault.SSDBrownout, At: tl.faultAt, Dur: tl.faultEnd - tl.faultAt, SSD: 1, Factor: 200},
+	}), tl
 }
 
 // runChaosBrownout executes the brownout timeline for one scheme, sampling
 // healthy and faulted goodput every quarter unit.
 func runChaosBrownout(cx *Ctx, scheme fabric.Scheme) chaosBrownoutRow {
 	cfg, tl := chaosBrownoutConfig(scheme)
-	warm, faultAt, faultEnd, healthy := tl.warm, tl.faultAt, tl.faultEnd, tl.healthy
+	faultAt, faultEnd, healthy := tl.faultAt, tl.faultEnd, tl.healthy
 	period := chaosUnit / 4
+	// Group 0 is the healthy tenants, group 1 the faulted ones.
+	run, samples := cx.executeSampled(cfg, period, healthy, len(cfg.Specs))
 
-	type sample struct {
-		at int64
-		hb int64 // healthy cumulative bytes since stats reset
-		fb int64 // faulted cumulative bytes
-	}
-	var samples []sample
-	cfg.SamplePeriod = period
-	cfg.Sample = func(now int64, r *FioRun) {
-		if now <= warm {
-			return
-		}
-		var hb, fb int64
-		for i, w := range r.Workers {
-			if i < healthy {
-				hb += w.Meter.Bytes()
-			} else {
-				fb += w.Meter.Bytes()
-			}
-		}
-		samples = append(samples, sample{at: now, hb: hb, fb: fb})
-	}
-	run := cx.Execute(cfg)
-
-	mbps := func(dBytes int64) float64 { return float64(dBytes) / float64(period) * 1e9 / 1e6 }
 	row := chaosBrownoutRow{Scheme: scheme, RecoverMs: -1}
 	var preN, faultN, postN int
 	var lastH, lastF int64
@@ -167,8 +130,8 @@ func runChaosBrownout(cx *Ctx, scheme fabric.Scheme) chaosBrownoutRow {
 	}
 	var ivs []interval
 	for _, s := range samples {
-		iv := interval{start: s.at - period, end: s.at, h: mbps(s.hb - lastH), f: mbps(s.fb - lastF)}
-		lastH, lastF = s.hb, s.fb
+		iv := interval{start: s.at - period, end: s.at, h: mbps(s.bytes[0]-lastH, period), f: mbps(s.bytes[1]-lastF, period)}
+		lastH, lastF = s.bytes[0], s.bytes[1]
 		ivs = append(ivs, iv)
 		switch {
 		case iv.end <= faultAt:
@@ -209,7 +172,7 @@ func runChaosBrownout(cx *Ctx, scheme fabric.Scheme) chaosBrownoutRow {
 	if scheme == fabric.SchemeGimbal {
 		// The window has ended and the switch may have recovered by the end
 		// of the run; the enter counter in the registry is authoritative.
-		row.DegradeEnter = chaosCounter(run, "gimbal_degrade_enters_total") > 0
+		row.DegradeEnter = obs.SumMetric(run.Reg.Snapshot(), "gimbal_degrade_enters_total") > 0
 	}
 	return row
 }
@@ -247,7 +210,6 @@ func runChaosFabricExp(cx *Ctx) []*Result {
 			"late_replies", "drops", "dups", "agg_MBps"},
 	}
 	for _, scheme := range chaosSchemes {
-		retry := chaosRetry()
 		nSess := 4
 		var events []fault.Event
 		for sidx := 0; sidx < nSess; sidx++ {
@@ -258,24 +220,7 @@ func runChaosFabricExp(cx *Ctx) []*Result {
 				fault.Event{Kind: fault.FabricDuplicate, At: 8 * u, Dur: 3 * u, Session: sidx, Prob: 0.01},
 			)
 		}
-		cfg := FioConfig{
-			Scheme: scheme,
-			Cond:   ssd.Clean,
-			NumSSD: 1,
-			Specs: repeat(workload.Profile{
-				Name: "rd4k", ReadRatio: 1, IOSize: 4096, QD: 16,
-			}, nSess),
-			Warm:   1 * u,
-			Dur:    11 * u,
-			Seed:   13,
-			CPU:    fabric.SmartNICCPU(1),
-			Retry:  &retry,
-			Faults: &fault.Plan{Seed: 13, Events: events},
-		}
-		if scheme == fabric.SchemeGimbal {
-			cfg.GimbalCfg = chaosGimbalCfg
-		}
-		run := cx.Execute(cfg)
+		run := cx.Execute(chaosConfig(scheme, 13, 1, repeat(stream("rd4k", 1, 4096, 16), nSess), 1*u, 11*u, events))
 		var ok, errs, retries, timeouts, late, drops, dups int64
 		for _, w := range run.Workers {
 			ok += w.OKIOs()
@@ -313,64 +258,37 @@ func runChaosDisconnectExp(cx *Ctx) []*Result {
 	discAt := warm + 4*u
 	dur := 10 * u
 
-	retry := chaosRetry()
 	var creditBefore, creditAfter uint32
 	var preBytes, preAt int64
-	var samples []struct {
-		at, b0, b1 int64
-	}
-	cfg := FioConfig{
-		Scheme: fabric.SchemeGimbal,
-		Cond:   ssd.Clean,
-		NumSSD: 1,
-		Specs: repeat(workload.Profile{
-			Name: "rd128k", ReadRatio: 1, IOSize: 128 << 10, QD: 8,
-			MaxConsecutiveErrs: 32, // the disconnected worker must give up
-		}, 3),
-		Warm:      warm,
-		Dur:       dur,
-		Seed:      17,
-		CPU:       fabric.SmartNICCPU(1),
-		Retry:     &retry,
-		GimbalCfg: chaosGimbalCfg,
-		Faults: &fault.Plan{Seed: 17, Events: []fault.Event{
-			{Kind: fault.FabricDisconnect, At: discAt, Session: 2},
+	reader := stream("rd128k", 1, 128<<10, 8)
+	reader.MaxConsecutiveErrs = 32 // the disconnected worker must give up
+	cfg := chaosConfig(fabric.SchemeGimbal, 17, 1, repeat(reader, 3), warm, dur, []fault.Event{
+		{Kind: fault.FabricDisconnect, At: discAt, Session: 2},
+	})
+	cfg.Events = []TimedEvent{
+		{At: discAt - 1, Do: func(r *FioRun) {
+			sw := r.Target.Pipeline(0).Gimbal
+			creditBefore = sw.Credit(r.Workers[2].Tenant())
+			preBytes = r.Workers[0].Meter.Bytes() + r.Workers[1].Meter.Bytes()
+			preAt = r.Loop.Now()
 		}},
-		SamplePeriod: u / 2,
-		Sample: func(now int64, r *FioRun) {
-			if now <= warm {
-				return
-			}
-			samples = append(samples, struct{ at, b0, b1 int64 }{
-				now, r.Workers[0].Meter.Bytes(), r.Workers[1].Meter.Bytes()})
-		},
-		Events: []TimedEvent{
-			{At: discAt - 1, Do: func(r *FioRun) {
-				sw := r.Target.Pipeline(0).Gimbal
-				creditBefore = sw.Credit(r.Workers[2].Tenant())
-				preBytes = r.Workers[0].Meter.Bytes() + r.Workers[1].Meter.Bytes()
-				preAt = r.Loop.Now()
-			}},
-			{At: discAt + u, Do: func(r *FioRun) {
-				sw := r.Target.Pipeline(0).Gimbal
-				creditAfter = sw.Credit(r.Workers[2].Tenant())
-			}},
-		},
+		{At: discAt + u, Do: func(r *FioRun) {
+			sw := r.Target.Pipeline(0).Gimbal
+			creditAfter = sw.Credit(r.Workers[2].Tenant())
+		}},
 	}
-	run := cx.Execute(cfg)
+	// One group: the two survivors.
+	run, samples := cx.executeSampled(cfg, u/2, 2)
 
-	// Survivor bandwidth before vs after the teardown.
-	preMBps := float64(preBytes) / float64(preAt-warm) * 1e9 / 1e6
-	var postBytes int64 = -1
-	var postFrom int64
-	for _, s := range samples {
-		if s.at-u/2 >= discAt && postBytes < 0 {
-			postBytes = s.b0 + s.b1
-			postFrom = s.at - u/2
-		}
+	// Survivor bandwidth before vs after the teardown: post runs from the
+	// first sample whose interval starts at or after the disconnect.
+	preMBps := mbps(preBytes, preAt-warm)
+	post := 0
+	for samples[post].at-u/2 < discAt {
+		post++
 	}
 	end := samples[len(samples)-1]
-	postMBps := float64(end.b0+end.b1-postBytes) / float64(end.at-postFrom) * 1e9 / 1e6
+	postMBps := mbps(end.bytes[0]-samples[post].bytes[0], end.at-(samples[post].at-u/2))
 
 	aborted := run.Sessions[2].Errors
 	reclaimed := "no"

@@ -56,10 +56,7 @@ func runFig6(cx *Ctx) []*Result {
 			var lat int64
 			var n uint64
 			for _, w := range run.Workers {
-				h := w.ReadLat
-				if c.prof.ReadRatio == 0 {
-					h = w.WriteLat
-				}
+				h := opLat(w)
 				lat += int64(h.Mean() * float64(h.Count()))
 				n += h.Count()
 			}
@@ -70,13 +67,6 @@ func runFig6(cx *Ctx) []*Result {
 	res.Notef("paper shape: Gimbal ≈ FlashFQ bandwidth, ~x2.4/x6.6 over ReFlex on C-R/C-W, " +
 		"x2.6 over Parda on F-R; Gimbal latency far below FlashFQ/ReFlex")
 	return []*Result{res}
-}
-
-func max(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // --- Fig 7 scenarios (shared with Fig 8) ---
@@ -105,42 +95,35 @@ func fairCases() []fairCase {
 	}
 }
 
+// config is the case under one scheme at the evaluation windows: group A's
+// workers named "A", then group B's named "B".
+func (c fairCase) config(scheme fabric.Scheme) FioConfig {
+	a, b := c.groupA, c.groupB
+	a.Name, b.Name = "A", "B"
+	return FioConfig{Scheme: scheme, Cond: c.cond, Specs: append(repeat(a, c.nA), repeat(b, c.nB)...),
+		Warm: evalWarm, Dur: evalDur, Seed: 7}
+}
+
 func fairRun(cx *Ctx, c fairCase, scheme fabric.Scheme) *FioRun {
-	specs := append(repeat(withName(c.groupA, "A"), c.nA), repeat(withName(c.groupB, "B"), c.nB)...)
-	return cx.cachedRun(fmt.Sprintf("fair|%s|%s", c.name, scheme),
-		FioConfig{Scheme: scheme, Cond: c.cond, Specs: specs,
-			Warm: evalWarm, Dur: evalDur, Seed: 7})
+	return cx.cachedRun(fmt.Sprintf("fair|%s|%s", c.name, scheme), c.config(scheme))
 }
 
-func withName(p workload.Profile, name string) workload.Profile {
-	p.Name = name
-	return p
-}
-
-// groupBWAndFUtil aggregates one worker group's bandwidth and f-Util.
-func groupBWAndFUtil(cx *Ctx, run *FioRun, c fairCase, group string) (aggBW, perWorkerBW, fUtil float64) {
-	prof := c.groupA
-	n := c.nA
+// groupBWAndFUtil returns one worker group's mean per-worker bandwidth and
+// f-Util against its standalone maximum on a device of the given params.
+func groupBWAndFUtil(cx *Ctx, run *FioRun, c fairCase, group string, params ssd.Params) (perWorkerBW, fUtil float64) {
+	prof, n := c.groupA, c.nA
 	if group == "B" {
-		prof = c.groupB
-		n = c.nB
+		prof, n = c.groupB, c.nB
 	}
-	total := c.nA + c.nB
+	standalone := cx.StandaloneMax(prof, c.cond, params)
+	var bw, sum float64
 	for _, w := range run.Workers {
 		if w.Profile().Name == group {
-			aggBW += w.BandwidthMBps()
+			bw += w.BandwidthMBps()
+			sum += fUtilOf(w.BandwidthMBps(), standalone, c.nA+c.nB)
 		}
 	}
-	perWorkerBW = aggBW / float64(n)
-	standalone := cx.StandaloneMax(prof, c.cond, ssd.Params{})
-	var sum float64
-	for _, w := range run.Workers {
-		if w.Profile().Name == group {
-			sum += fUtilOf(w.BandwidthMBps(), standalone, total)
-		}
-	}
-	fUtil = sum / float64(n)
-	return
+	return bw / float64(n), sum / float64(n)
 }
 
 func fUtilOf(bw, standalone float64, workers int) float64 {
@@ -160,8 +143,8 @@ func runFig7(cx *Ctx) []*Result {
 	for _, c := range fairCases() {
 		for _, scheme := range fabric.AllSchemes {
 			run := fairRun(cx, c, scheme)
-			_, aBW, aF := groupBWAndFUtil(cx, run, c, "A")
-			_, bBW, bF := groupBWAndFUtil(cx, run, c, "B")
+			aBW, aF := groupBWAndFUtil(cx, run, c, "A", ssd.Params{})
+			bBW, bF := groupBWAndFUtil(cx, run, c, "B", ssd.Params{})
 			res.AddRow(c.name, scheme.String(),
 				groupLabel(c.groupA), f0(aBW), f2(aF),
 				groupLabel(c.groupB), f0(bBW), f2(bF))
@@ -222,11 +205,10 @@ func runFig9(cx *Ctx) []*Result {
 		Header: []string{"t_s", "readers", "writers", "rd_worker_MBps", "wr_worker_MBps",
 			"rd_lat_us", "wr_lat_us", "write_cost"},
 	}
-	reader := workload.Profile{Name: "R", ReadRatio: 1, IOSize: 128 << 10, QD: 8, RateLimitBps: 200e6}
-	writer := workload.Profile{Name: "W", ReadRatio: 0, IOSize: 4096, QD: 16, RateLimitBps: 60e6}
+	reader, writer := stream("R", 1, 128<<10, 8), stream("W", 0, 4096, 16)
+	reader.RateLimitBps, writer.RateLimitBps = 200e6, 60e6
 
 	const step = 5 * sim.Second
-	horizon := 90 * sim.Second
 	var events []TimedEvent
 	wrng := sim.NewRNG(123)
 	for i := 0; i < 8; i++ {
@@ -236,14 +218,12 @@ func runFig9(cx *Ctx) []*Result {
 			w.Start(r.StopAt)
 		}})
 	}
-	removed := 0
 	for i := 0; i < 8; i++ {
 		at := 45*sim.Second + int64(i)*step
 		events = append(events, TimedEvent{At: at, Do: func(r *FioRun) {
 			for _, w := range r.Workers {
 				if w.Profile().Name == "R" && !wStopped(w) {
 					w.Stop()
-					removed++
 					break
 				}
 			}
@@ -252,61 +232,36 @@ func runFig9(cx *Ctx) []*Result {
 
 	// Per-second sampling of per-class worker bandwidth and the switch's
 	// raw device latency EWMAs.
-	type snap struct {
-		t              float64
-		nR, nW         int
-		rBW, wBW       float64
-		rLat, wLat, wc float64
-	}
-	var series []snap
 	lastBytes := map[*workload.Worker]int64{}
 	sample := func(now int64, r *FioRun) {
-		var s snap
-		s.t = float64(now) / 1e9
-		dt := 1.0 // seconds per sample
+		var nR, nW int
+		var rBW, wBW float64
 		for _, w := range r.Workers {
-			delta := w.Meter.Bytes() - lastBytes[w]
+			bw := float64(w.Meter.Bytes()-lastBytes[w]) / 1e6 // MB over the one-second period
 			lastBytes[w] = w.Meter.Bytes()
-			bw := float64(delta) / 1e6 / dt
 			if w.Profile().Name == "R" {
 				if !wStopped(w) {
-					s.nR++
-					s.rBW += bw
+					nR++
+					rBW += bw
 				}
 			} else {
-				s.nW++
-				s.wBW += bw
+				nW++
+				wBW += bw
 			}
 		}
-		if s.nR > 0 {
-			s.rBW /= float64(s.nR)
+		if nR > 0 {
+			rBW /= float64(nR)
 		}
-		if s.nW > 0 {
-			s.wBW /= float64(s.nW)
+		if nW > 0 {
+			wBW /= float64(nW)
 		}
-		if g := r.Target.Pipeline(0).Gimbal; g != nil {
-			rm, wm := g.Monitors()
-			s.rLat, s.wLat = rm.EWMA()/1e3, wm.EWMA()/1e3
-			s.wc = g.WriteCost()
-		}
-		series = append(series, s)
+		g := r.Target.Pipeline(0).Gimbal
+		rm, wm := g.Monitors()
+		res.AddRow(f0(float64(now)/1e9), fmt.Sprint(nR), fmt.Sprint(nW),
+			f1(rBW), f1(wBW), f0(rm.EWMA()/1e3), f0(wm.EWMA()/1e3), f1(g.WriteCost()))
 	}
-
-	cx.Execute(FioConfig{
-		Scheme:       fabric.SchemeGimbal,
-		Cond:         ssd.Fragmented,
-		Specs:        repeat(reader, 8),
-		Warm:         0,
-		Dur:          horizon,
-		Seed:         7,
-		Events:       events,
-		Sample:       sample,
-		SamplePeriod: 1 * sim.Second,
-	})
-	for _, s := range series {
-		res.AddRow(f0(s.t), fmt.Sprint(s.nR), fmt.Sprint(s.nW),
-			f1(s.rBW), f1(s.wBW), f0(s.rLat), f0(s.wLat), f1(s.wc))
-	}
+	cx.Execute(FioConfig{Scheme: fabric.SchemeGimbal, Cond: ssd.Fragmented, Specs: repeat(reader, 8),
+		Dur: 90 * sim.Second, Seed: 7, Events: events, Sample: sample, SamplePeriod: 1 * sim.Second})
 	res.Notef("paper shape: first writer completes at buffer latency (~70us) with cost→1; " +
 		"as writers accumulate, latency grows >10x, cost rises, and write workers converge " +
 		"to the fair share below their 60 MB/s cap")
@@ -324,48 +279,32 @@ func runFig17(cx *Ctx) []*Result {
 		Header: []string{"t_s", "scheme", "avg_lat_us", "agg_MBps"},
 	}
 	for _, scheme := range []fabric.Scheme{fabric.SchemeVanilla, fabric.SchemeGimbal} {
-		type acc struct {
-			sum   int64
-			n     int64
-			bytes int64
-		}
-		cur := &acc{}
-		specs := append(repeat(read4K(), 16), repeat(read128K(), 4)...)
+		var sum, n, bytes int64 // since the last sample
 		var rows [][]string
-		run := NewFioRun(FioConfig{Scheme: scheme, Cond: ssd.Clean, Specs: specs, Seed: 7})
+		run := NewFioRun(FioConfig{Scheme: scheme, Cond: ssd.Clean,
+			Specs: append(repeat(read4K(), 16), repeat(read128K(), 4)...),
+			Dur:   20 * sim.Second, Seed: 7, SamplePeriod: 500 * sim.Millisecond,
+			Sample: func(now int64, _ *FioRun) {
+				lat := 0.0
+				if n > 0 {
+					lat = float64(sum) / float64(n) / 1e3
+				}
+				bw := float64(bytes) / 1e6 / 0.5
+				rows = append(rows, []string{f1(float64(now) / 1e9), scheme.String(), f0(lat), f0(bw)})
+				sum, n, bytes = 0, 0, 0
+			}})
 		for _, w := range run.Workers {
-			w := w
 			w.OnDone = func(io *nvme.IO, _ nvme.Completion) {
 				// Device-observed service time (what Fig 17 plots): in a
 				// closed loop the end-to-end latency is fixed by Little's
 				// law, while the device latency shows whether the CC keeps
 				// the internal queue shallow.
-				cur.sum += io.DeviceLatency()
-				cur.n++
-				cur.bytes += int64(io.Size)
+				sum += io.DeviceLatency()
+				n++
+				bytes += int64(io.Size)
 			}
 		}
-		stop := 20 * sim.Second
-		run.StopAt = stop
-		for _, w := range run.Workers {
-			w.Start(stop)
-		}
-		var tick func()
-		tick = func() {
-			lat, bw := 0.0, 0.0
-			if cur.n > 0 {
-				lat = float64(cur.sum) / float64(cur.n) / 1e3
-			}
-			bw = float64(cur.bytes) / 1e6 / 0.5
-			rows = append(rows, []string{f1(float64(run.Loop.Now()) / 1e9), scheme.String(), f0(lat), f0(bw)})
-			*cur = acc{}
-			if run.Loop.Now() < stop {
-				run.Loop.After(500*sim.Millisecond, tick).MarkDaemon()
-			}
-		}
-		run.Loop.After(500*sim.Millisecond, tick).MarkDaemon()
-		run.Loop.RunUntil(stop)
-		run.Loop.Run()
+		cx.Run(run)
 		// Thin the series: report every 2s.
 		for i, r := range rows {
 			if i%4 == 3 {
@@ -417,36 +356,13 @@ func runFig58(cx *Ctx) []*Result {
 		tc.Gimbal.Latency.ThreshMax = 3_000_000
 	}
 	for _, c := range fairCases()[1:] {
-		specs := append(repeat(withName(c.groupA, "A"), c.nA), repeat(withName(c.groupB, "B"), c.nB)...)
-		run := cx.Execute(FioConfig{Scheme: fabric.SchemeGimbal, Cond: c.cond, Params: p3600,
-			Specs: specs, Warm: evalWarm, Dur: evalDur, Seed: 7, GimbalCfg: gimbalCfg})
-		cc := c
-		_, _, aF := groupBWAndFUtilP(cx, run, cc, "A", p3600)
-		_, _, bF := groupBWAndFUtilP(cx, run, cc, "B", p3600)
+		cfg := c.config(fabric.SchemeGimbal)
+		cfg.Params, cfg.GimbalCfg = p3600, gimbalCfg
+		run := cx.Execute(cfg)
+		_, aF := groupBWAndFUtil(cx, run, c, "A", p3600)
+		_, bF := groupBWAndFUtil(cx, run, c, "B", p3600)
 		res.AddRow(c.name, f2(aF), f2(bF))
 	}
 	res.Notef("paper: 0.63/0.72 read/write f-Util clean, 0.58/0.90 fragmented")
 	return []*Result{res}
-}
-
-func groupBWAndFUtilP(cx *Ctx, run *FioRun, c fairCase, group string, params ssd.Params) (aggBW, perWorkerBW, fUtil float64) {
-	prof := c.groupA
-	n := c.nA
-	if group == "B" {
-		prof = c.groupB
-		n = c.nB
-	}
-	total := c.nA + c.nB
-	standalone := cx.StandaloneMax(prof, c.cond, params)
-	var sum float64
-	for _, w := range run.Workers {
-		if w.Profile().Name == group {
-			bw := w.BandwidthMBps()
-			aggBW += bw
-			sum += fUtilOf(bw, standalone, total)
-		}
-	}
-	perWorkerBW = aggBW / float64(n)
-	fUtil = sum / float64(n)
-	return
 }

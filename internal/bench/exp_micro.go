@@ -25,10 +25,30 @@ func init() {
 
 var sweepSizes = []int{4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10}
 
-const (
+// microWarm/microDur are variables (not constants) only so the golden test
+// can shrink them; production runs never mutate them.
+var (
 	microWarm = 500 * sim.Millisecond
 	microDur  = 1 * sim.Second
 )
+
+// microCfg is the appendix characterizations' run: streams on an unmanaged
+// (vanilla) target at the micro windows.
+func microCfg(cond ssd.Condition, specs []Spec) FioConfig {
+	return FioConfig{Scheme: fabric.SchemeVanilla, Cond: cond, Specs: specs,
+		Warm: microWarm, Dur: microDur, Seed: 3}
+}
+
+// cpuSweepCfg is microCfg for the CPU-cost sweeps, which are
+// condition-independent: a fresh small device and short windows keep them
+// cheap.
+func cpuSweepCfg(cpu *fabric.CPUModel, specs []Spec) FioConfig {
+	cfg := microCfg(ssd.Fresh, specs)
+	cfg.Params = ssd.DCT983()
+	cfg.Params.UsableBytes = 1 << 30
+	cfg.CPU, cfg.Warm, cfg.Dur = cpu, 200*sim.Millisecond, 400*sim.Millisecond
+	return cfg
+}
 
 // --- Fig 2 ---
 
@@ -40,17 +60,13 @@ func runFig2(cx *Ctx) []*Result {
 	}
 	sizes := []int{4 << 10, 8 << 10, 16 << 10, 32 << 10, 128 << 10, 256 << 10}
 	measure := func(cpu *fabric.CPUModel, p workload.Profile) float64 {
-		run := cx.Execute(FioConfig{Scheme: fabric.SchemeVanilla, Cond: ssd.Clean,
-			Specs: []Spec{{Profile: p}}, Warm: microWarm, Dur: microDur, Seed: 3, CPU: cpu})
-		h := run.Workers[0].ReadLat
-		if p.ReadRatio == 0 {
-			h = run.Workers[0].WriteLat
-		}
-		return h.Mean() / 1e3
+		cfg := microCfg(ssd.Clean, streams(p))
+		cfg.CPU = cpu
+		return opLat(cx.Execute(cfg).Workers[0]).Mean() / 1e3
 	}
 	for _, size := range sizes {
-		rd := workload.Profile{Name: "rd", ReadRatio: 1, IOSize: size, QD: 1}
-		wr := workload.Profile{Name: "wr", ReadRatio: 0, IOSize: size, QD: 1, Seq: true}
+		rd := stream("rd", 1, size, 1)
+		wr := sequential(stream("wr", 0, size, 1))
 		res.AddRow(fmt.Sprint(size>>10),
 			f0(measure(fabric.ServerCPU(2), rd)), f0(measure(fabric.SmartNICCPU(3), rd)),
 			f0(measure(fabric.ServerCPU(2), wr)), f0(measure(fabric.SmartNICCPU(3), wr)))
@@ -69,9 +85,9 @@ func runFig3(cx *Ctx) []*Result {
 		Header: []string{"cores", "srv_rd", "nic_rd", "srv_wr", "nic_wr"},
 	}
 	measure := func(cpu *fabric.CPUModel, write bool) float64 {
-		prof := workload.Profile{Name: "x", ReadRatio: 1, IOSize: 4096, QD: 64}
+		prof := stream("x", 1, 4096, 64)
 		if write {
-			prof = workload.Profile{Name: "x", ReadRatio: 0, IOSize: 4096, QD: 64, Seq: true}
+			prof = sequential(stream("x", 0, 4096, 64))
 		}
 		var specs []Spec
 		for s := 0; s < 4; s++ {
@@ -79,18 +95,13 @@ func runFig3(cx *Ctx) []*Result {
 				specs = append(specs, Spec{Profile: prof, SSD: s})
 			}
 		}
-		// CPU scaling is condition-independent: a fresh small device keeps
-		// the sweep cheap.
-		params := ssd.DCT983()
-		params.UsableBytes = 1 << 30
-		const dur = 400 * sim.Millisecond
-		run := cx.Execute(FioConfig{Scheme: fabric.SchemeVanilla, Cond: ssd.Fresh, NumSSD: 4,
-			Params: params, Specs: specs, Warm: 200 * sim.Millisecond, Dur: dur, Seed: 3, CPU: cpu})
+		cfg := cpuSweepCfg(cpu, specs)
+		cfg.NumSSD = 4
 		var ops uint64
-		for _, w := range run.Workers {
+		for _, w := range cx.Execute(cfg).Workers {
 			ops += w.ReadLat.Count() + w.WriteLat.Count()
 		}
-		return float64(ops) / (float64(dur) / 1e9) / 1e3
+		return float64(ops) / (float64(cfg.Dur) / 1e9) / 1e3
 	}
 	for cores := 1; cores <= 8; cores++ {
 		res.AddRow(fmt.Sprint(cores),
@@ -113,18 +124,16 @@ func runFig4(cx *Ctx) []*Result {
 		name string
 		p    workload.Profile
 	}{
-		{"4KB-RD QD32", workload.Profile{Name: "n", ReadRatio: 1, IOSize: 4 << 10, QD: 32}},
-		{"4KB-RD QD128", workload.Profile{Name: "n", ReadRatio: 1, IOSize: 4 << 10, QD: 128}},
-		{"128KB-RD QD1", workload.Profile{Name: "n", ReadRatio: 1, IOSize: 128 << 10, QD: 1}},
-		{"128KB-RD QD8", workload.Profile{Name: "n", ReadRatio: 1, IOSize: 128 << 10, QD: 8}},
-		{"4KB-WR QD32", workload.Profile{Name: "n", ReadRatio: 0, IOSize: 4 << 10, QD: 32}},
-		{"4KB-WR QD128", workload.Profile{Name: "n", ReadRatio: 0, IOSize: 4 << 10, QD: 128}},
+		{"4KB-RD QD32", stream("n", 1, 4<<10, 32)},
+		{"4KB-RD QD128", stream("n", 1, 4<<10, 128)},
+		{"128KB-RD QD1", stream("n", 1, 128<<10, 1)},
+		{"128KB-RD QD8", stream("n", 1, 128<<10, 8)},
+		{"4KB-WR QD32", stream("n", 0, 4<<10, 32)},
+		{"4KB-WR QD128", stream("n", 0, 4<<10, 128)},
 	}
-	victim := workload.Profile{Name: "v", ReadRatio: 1, IOSize: 4 << 10, QD: 32}
+	victim := stream("v", 1, 4<<10, 32)
 	for _, nb := range neighbors {
-		run := cx.Execute(FioConfig{Scheme: fabric.SchemeVanilla, Cond: ssd.Clean,
-			Specs: []Spec{{Profile: victim}, {Profile: nb.p}},
-			Warm:  microWarm, Dur: microDur, Seed: 3})
+		run := cx.Execute(microCfg(ssd.Clean, streams(victim, nb.p)))
 		res.AddRow(nb.name, f0(run.Workers[0].BandwidthMBps()), f0(run.Workers[1].BandwidthMBps()))
 	}
 	res.Notef("paper shape: higher-intensity neighbors always win (QD128 vs QD32 ~2x); " +
@@ -144,9 +153,7 @@ func runFig14(cx *Ctx) []*Result {
 	for _, ratio := range ratios {
 		row := []string{f0(ratio * 100)}
 		for _, cond := range []ssd.Condition{ssd.Clean, ssd.Fragmented} {
-			p := workload.Profile{Name: "m", ReadRatio: ratio, IOSize: 4096, QD: 32}
-			run := cx.Execute(FioConfig{Scheme: fabric.SchemeVanilla, Cond: cond,
-				Specs: repeat(p, 4), Warm: microWarm, Dur: microDur, Seed: 3})
+			run := cx.Execute(microCfg(cond, repeat(stream("m", ratio, 4096, 32), 4)))
 			var rdB, wrB int64
 			for _, w := range run.Workers {
 				rdB += int64(w.ReadLat.Count()) * 4096
@@ -171,13 +178,11 @@ func runFig15(cx *Ctx) []*Result {
 		Header: []string{"size_KB", "vanilla", "fragmented", "rw70_30", "qd8"},
 	}
 	for _, size := range sweepSizes {
-		rd1 := workload.Profile{Name: "r", ReadRatio: 1, IOSize: size, QD: 1}
-		mix := workload.Profile{Name: "m", ReadRatio: 0.7, IOSize: size, QD: 1}
-		rd8 := workload.Profile{Name: "r8", ReadRatio: 1, IOSize: size, QD: 8}
+		rd1 := stream("r", 1, size, 1)
+		mix := stream("m", 0.7, size, 1)
+		rd8 := stream("r8", 1, size, 8)
 		lat := func(cond ssd.Condition, p workload.Profile) float64 {
-			run := cx.Execute(FioConfig{Scheme: fabric.SchemeVanilla, Cond: cond,
-				Specs: []Spec{{Profile: p}}, Warm: microWarm, Dur: microDur, Seed: 3})
-			return run.Workers[0].ReadLat.Mean() / 1e3
+			return cx.Execute(microCfg(cond, streams(p))).Workers[0].ReadLat.Mean() / 1e3
 		}
 		res.AddRow(fmt.Sprint(size>>10),
 			f0(lat(ssd.Clean, rd1)), f0(lat(ssd.Fragmented, rd1)),
@@ -200,18 +205,14 @@ func runFig16(cx *Ctx) []*Result {
 	for _, c := range costs {
 		row := []string{fmt.Sprint(c)}
 		for _, p := range []workload.Profile{
-			{Name: "r4", ReadRatio: 1, IOSize: 4 << 10, QD: 64},
-			{Name: "r128", ReadRatio: 1, IOSize: 128 << 10, QD: 8},
-			{Name: "w4", ReadRatio: 0, IOSize: 4 << 10, QD: 64, Seq: true},
-			{Name: "w128", ReadRatio: 0, IOSize: 128 << 10, QD: 8, Seq: true},
+			stream("r4", 1, 4<<10, 64),
+			stream("r128", 1, 128<<10, 8),
+			sequential(stream("w4", 0, 4<<10, 64)),
+			sequential(stream("w128", 0, 128<<10, 8)),
 		} {
 			cpu := fabric.SmartNICCPU(8)
 			cpu.ExtraPerIO = c * 1000
-			params := ssd.DCT983()
-			params.UsableBytes = 1 << 30
-			run := cx.Execute(FioConfig{Scheme: fabric.SchemeVanilla, Cond: ssd.Fresh,
-				Params: params, Specs: repeat(p, 8), Warm: 200 * sim.Millisecond,
-				Dur: 400 * sim.Millisecond, Seed: 3, CPU: cpu})
+			run := cx.Execute(cpuSweepCfg(cpu, repeat(p, 8)))
 			row = append(row, f2(run.AggBandwidth(nil)/1e3))
 		}
 		res.AddRow(row...)
@@ -233,16 +234,12 @@ func runFig19(cx *Ctx) []*Result {
 		row := []string{fmt.Sprint(size >> 10)}
 		for _, write := range []bool{false, true} {
 			mk := func(qd int) workload.Profile {
-				p := workload.Profile{Name: "s", ReadRatio: 1, IOSize: size, QD: qd}
 				if write {
-					p.ReadRatio = 0
-					p.Seq = true
+					return sequential(stream("s", 0, size, qd))
 				}
-				return p
+				return stream("s", 1, size, qd)
 			}
-			run := cx.Execute(FioConfig{Scheme: fabric.SchemeVanilla, Cond: ssd.Clean,
-				Specs: []Spec{{Profile: mk(64)}, {Profile: mk(32)}},
-				Warm:  microWarm, Dur: microDur, Seed: 3})
+			run := cx.Execute(microCfg(ssd.Clean, streams(mk(64), mk(32))))
 			row = append(row, f0(run.Workers[0].BandwidthMBps()), f0(run.Workers[1].BandwidthMBps()))
 		}
 		res.AddRow(row...)
@@ -262,19 +259,15 @@ func runFig20(cx *Ctx) []*Result {
 	for _, size := range sweepSizes {
 		row := []string{fmt.Sprint(size >> 10)}
 		for _, v := range []struct {
-			read bool
-			seq  bool
-		}{{true, false}, {true, true}, {false, false}, {false, true}} {
+			readRatio float64
+			seq       bool
+		}{{1, false}, {1, true}, {0, false}, {0, true}} {
 			mk := func(ioSize int) workload.Profile {
-				p := workload.Profile{Name: "s", IOSize: ioSize, QD: 32, Seq: v.seq}
-				if v.read {
-					p.ReadRatio = 1
-				}
+				p := stream("s", v.readRatio, ioSize, 32)
+				p.Seq = v.seq
 				return p
 			}
-			run := cx.Execute(FioConfig{Scheme: fabric.SchemeVanilla, Cond: ssd.Clean,
-				Specs: []Spec{{Profile: mk(4096)}, {Profile: mk(size)}},
-				Warm:  microWarm, Dur: microDur, Seed: 3})
+			run := cx.Execute(microCfg(ssd.Clean, streams(mk(4096), mk(size))))
 			row = append(row, f0(run.Workers[0].BandwidthMBps()))
 		}
 		res.AddRow(row...)
@@ -295,12 +288,10 @@ func runFig21(cx *Ctx) []*Result {
 	for _, size := range sweepSizes {
 		row := []string{fmt.Sprint(size >> 10)}
 		for _, seq := range []bool{false, true} {
-			rd := workload.Profile{Name: "r", ReadRatio: 1, IOSize: size, QD: 32, Seq: seq}
-			wr := workload.Profile{Name: "w", ReadRatio: 0, IOSize: size, QD: 32, Seq: seq}
-			alone := cx.Execute(FioConfig{Scheme: fabric.SchemeVanilla, Cond: ssd.Clean,
-				Specs: []Spec{{Profile: rd}}, Warm: microWarm, Dur: microDur, Seed: 3})
-			mixed := cx.Execute(FioConfig{Scheme: fabric.SchemeVanilla, Cond: ssd.Clean,
-				Specs: []Spec{{Profile: rd}, {Profile: wr}}, Warm: microWarm, Dur: microDur, Seed: 3})
+			rd, wr := stream("r", 1, size, 32), stream("w", 0, size, 32)
+			rd.Seq, wr.Seq = seq, seq
+			alone := cx.Execute(microCfg(ssd.Clean, streams(rd)))
+			mixed := cx.Execute(microCfg(ssd.Clean, streams(rd, wr)))
 			row = append(row, f0(alone.Workers[0].BandwidthMBps()), f0(mixed.Workers[0].BandwidthMBps()))
 		}
 		res.AddRow(row...)
@@ -311,7 +302,7 @@ func runFig21(cx *Ctx) []*Result {
 
 // --- Fig 22 / 23 ---
 
-func latVsNeighbor(cx *Ctx, id, title string, s1 workload.Profile, s1Read bool, neighborRead bool) *Result {
+func latVsNeighbor(cx *Ctx, id, title string, s1 workload.Profile, neighborReadRatio float64) *Result {
 	res := &Result{
 		ID:     id,
 		Title:  title,
@@ -321,20 +312,13 @@ func latVsNeighbor(cx *Ctx, id, title string, s1 workload.Profile, s1Read bool, 
 	for _, size := range sizes {
 		row := []string{fmt.Sprint(size >> 10)}
 		for _, seq := range []bool{false, true} {
-			specs := []Spec{{Profile: s1}}
+			specs := streams(s1)
 			if size > 0 {
-				nb := workload.Profile{Name: "n", IOSize: size, QD: 32, Seq: seq}
-				if neighborRead {
-					nb.ReadRatio = 1
-				}
+				nb := stream("n", neighborReadRatio, size, 32)
+				nb.Seq = seq
 				specs = append(specs, Spec{Profile: nb})
 			}
-			run := cx.Execute(FioConfig{Scheme: fabric.SchemeVanilla, Cond: ssd.Clean,
-				Specs: specs, Warm: microWarm, Dur: microDur, Seed: 3})
-			h := run.Workers[0].ReadLat
-			if !s1Read {
-				h = run.Workers[0].WriteLat
-			}
+			h := opLat(cx.Execute(microCfg(ssd.Clean, specs)).Workers[0])
 			row = append(row, f0(h.Mean()/1e3), us(h.P999()))
 		}
 		res.AddRow(row...)
@@ -343,16 +327,14 @@ func latVsNeighbor(cx *Ctx, id, title string, s1 workload.Profile, s1Read bool, 
 }
 
 func runFig22(cx *Ctx) []*Result {
-	s1 := workload.Profile{Name: "v", ReadRatio: 1, IOSize: 4096, QD: 32}
-	r := latVsNeighbor(cx, "fig22", "4KB random read latency vs write-neighbor size (us)", s1, true, false)
+	r := latVsNeighbor(cx, "fig22", "4KB random read latency vs write-neighbor size (us)", stream("v", 1, 4096, 32), 0)
 	r.Notef("paper shape: avg/p99.9 grow with neighbor size, flattening past 16KB when the " +
 		"writer saturates its bandwidth")
 	return []*Result{r}
 }
 
 func runFig23(cx *Ctx) []*Result {
-	s1 := workload.Profile{Name: "v", ReadRatio: 0, IOSize: 4096, QD: 32, Seq: true}
-	r := latVsNeighbor(cx, "fig23", "4KB sequential write latency vs read-neighbor size (us)", s1, false, true)
+	r := latVsNeighbor(cx, "fig23", "4KB sequential write latency vs read-neighbor size (us)", sequential(stream("v", 0, 4096, 32)), 1)
 	r.Notef("paper shape: read neighbors inflate write tails via head-of-line blocking")
 	return []*Result{r}
 }

@@ -47,9 +47,9 @@ func runTenantScale(cx *Ctx) []*Result {
 			"host_ns_per_io", "obs_series", "obs_overflow"},
 	}
 	for _, pop := range tenantScalePops {
-		tenantScaleRow(res, pop, 0)
+		tenantScaleRow(cx, res, pop, 0)
 	}
-	tenantScaleRow(res, tenantScaleChurnPop, tenantScaleChurnPS)
+	tenantScaleRow(cx, res, tenantScaleChurnPop, tenantScaleChurnPS)
 	res.Notef("fixed offered load (%.0f IOPS 4KB %.0f%% read) over a Zipf-0.99 population; "+
 		"fair_* quantiles summarize per-tenant-slot mean latency across every slot that completed IO",
 		tenantScaleIOPS, 90.0)
@@ -57,33 +57,23 @@ func runTenantScale(cx *Ctx) []*Result {
 		"machine-dependent and nondeterministic; exclude this experiment from byte-identity goldens)")
 	res.Notef("obs_series counts tenant_completed_ops_total series after a SetMaxSeries(%d) budget: "+
 		"the overflow series absorbs the label tail, bounding scrape size at any population", tenantScaleSeries)
-	_ = cx
 	return []*Result{res}
 }
 
 // tenantScaleRow runs one population point and appends its row.
-func tenantScaleRow(res *Result, pop int, churnPS float64) {
-	loop := sim.NewLoop()
-	rng := sim.NewRNG(11)
-	st, err := fabric.BuildStack([]sim.Scheduler{loop}, rng, fabric.StackConfig{
-		Params: ssd.DCT983(), Cond: ssd.Clean, Target: fabric.DefaultTargetConfig(fabric.SchemeGimbal),
-	})
-	if err != nil {
-		panic(err) // experiment configs are code, not input
-	}
-	sw := st.Target.Pipeline(0).Gimbal
-
-	reg := obs.NewRegistry()
+func tenantScaleRow(cx *Ctx, res *Result, pop int, churnPS float64) {
+	// The rig with no worker streams: the scenario engine registers its
+	// population at the switch and is its own load loop.
+	rig := NewFioRun(FioConfig{Scheme: fabric.SchemeGimbal, Cond: ssd.Clean, Seed: 11})
+	loop, reg := rig.Loop, rig.Reg
 	reg.SetMaxSeries(tenantScaleSeries)
-	hub := obs.NewHub(reg)
-	sw.AttachObs(hub, 0)
 
 	cfg := workload.DefaultScenarioConfig()
 	cfg.Tenants = pop
 	cfg.RateIOPS = tenantScaleIOPS
 	cfg.ChurnPerSec = churnPS
-	cfg.Span = st.SSDs[0].Capacity()
-	sc := workload.NewScenario(loop, rng, cfg, sw)
+	cfg.Span = rig.Devices[0].Capacity()
+	sc := workload.NewScenario(loop, rig.RNG, cfg, rig.Target.Pipeline(0).Gimbal)
 
 	// Per-tenant instruments, exactly as the fabric target creates them on
 	// session connect: at 100k tenants this blows through the series
@@ -107,6 +97,7 @@ func tenantScaleRow(res *Result, pop int, churnPS float64) {
 	loop.RunUntil(stop)
 	wall := time.Since(wallStart)
 	loop.Run() // drain in-flight completions
+	cx.recordObsRun(rig)
 
 	nsPerIO := int64(0)
 	if sc.Completed > 0 {

@@ -7,7 +7,6 @@ import (
 	"gimbal/internal/fault"
 	"gimbal/internal/sim"
 	"gimbal/internal/ssd"
-	"gimbal/internal/stats"
 	"gimbal/internal/tier"
 	"gimbal/internal/workload"
 )
@@ -41,19 +40,9 @@ var (
 // 4KB writers on a fragmented device — the regime where NAND GC sets the
 // read tail and a small fast tier can absorb most of the traffic.
 func tierSweepSpecs() []Spec {
-	specs := make([]Spec, 0, tierSweepReaders+tierSweepWriters)
-	for i := 0; i < tierSweepReaders; i++ {
-		specs = append(specs, Spec{Profile: workload.Profile{
-			Name: "zrd4k", ReadRatio: 1, IOSize: 4096, QD: 32, Zipf: tierSweepTheta,
-		}})
-	}
-	for i := 0; i < tierSweepWriters; i++ {
-		specs = append(specs, Spec{Profile: workload.Profile{
-			Name: "zwr4k", ReadRatio: 0, IOSize: 4096, QD: 8, Zipf: tierSweepTheta,
-			RateLimitBps: tierSweepWriteBps,
-		}})
-	}
-	return specs
+	rd, wr := stream("zrd4k", 1, 4096, 32), stream("zwr4k", 0, 4096, 8)
+	rd.Zipf, wr.Zipf, wr.RateLimitBps = tierSweepTheta, tierSweepTheta, tierSweepWriteBps
+	return append(repeat(rd, tierSweepReaders), repeat(wr, tierSweepWriters)...)
 }
 
 // tierSweepConfig builds one run at the given fast-tier fraction of NAND
@@ -79,40 +68,20 @@ func tierSweepConfig(frac float64) FioConfig {
 	return cfg
 }
 
-// tierHitPct returns the tier read hit ratio in percent, or -1 untiered.
-func tierHitPct(r *FioRun) float64 {
+// tierPcts renders the tier's read hit ratio and the fraction of writes it
+// absorbed, in percent; "-" for an untiered run.
+func tierPcts(r *FioRun) (hit, writeBack string) {
 	if len(r.Tiers) == 0 {
-		return -1
+		return "-", "-"
 	}
-	s := r.Tiers[0].Stats()
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses) * 100
-}
-
-// tierWriteBackPct returns the fraction of writes absorbed by the tier in
-// percent, or -1 untiered.
-func tierWriteBackPct(r *FioRun) float64 {
-	if len(r.Tiers) == 0 {
-		return -1
-	}
-	s := r.Tiers[0].Stats()
-	if s.WriteBacks+s.WriteArounds == 0 {
-		return 0
-	}
-	return float64(s.WriteBacks) / float64(s.WriteBacks+s.WriteArounds) * 100
-}
-
-// tierReadP999 merges the reader histograms and returns the p99.9 (ns).
-func tierReadP999(r *FioRun) int64 {
-	h := stats.NewHistogram()
-	for _, w := range r.Workers {
-		if w.Profile().ReadRatio == 1 {
-			h.Merge(w.ReadLat)
+	pct := func(part, rest int64) string {
+		if part+rest == 0 {
+			return f1(0)
 		}
+		return f1(float64(part) / float64(part+rest) * 100)
 	}
-	return h.P999()
+	s := r.Tiers[0].Stats()
+	return pct(s.Hits, s.Misses), pct(s.WriteBacks, s.WriteArounds)
 }
 
 // tierFairDevPct measures fairness as the worst relative deviation of any
@@ -145,13 +114,6 @@ func tierFairDevPct(r *FioRun) float64 {
 	return worst * 100
 }
 
-func pctOrDash(v float64) string {
-	if v < 0 {
-		return "-"
-	}
-	return f1(v)
-}
-
 func runTierSweepExp(cx *Ctx) []*Result {
 	sweep := &Result{
 		ID:    "tier-sweep",
@@ -176,8 +138,10 @@ func runTierSweepExp(cx *Ctx) []*Result {
 		run := cx.Execute(cfg)
 		rd := run.AggBandwidth(func(w *workload.Worker) bool { return w.Profile().ReadRatio == 1 })
 		wr := run.AggBandwidth(func(w *workload.Worker) bool { return w.Profile().ReadRatio == 0 })
-		sweep.AddRow(f1(frac*100), pctOrDash(tierHitPct(run)), pctOrDash(tierWriteBackPct(run)),
-			us(tierReadP999(run)), f0(rd), f0(wr), f1(tierFairDevPct(run)),
+		hit, wb := tierPcts(run)
+		rdLat, _ := mergedHists(run)
+		sweep.AddRow(f1(frac*100), hit, wb,
+			us(rdLat.P999()), f0(rd), f0(wr), f1(tierFairDevPct(run)),
 			f2(run.Devices[0].WriteAmplification()), f2(wcost))
 	}
 	sweep.Notef("target shape: hit ratio tracks the Zipf mass of the resident fraction; " +
@@ -219,47 +183,30 @@ func tierBrownoutRow(cx *Ctx, frac float64) []string {
 	}
 	cfg.Faults = &fault.Plan{Seed: 23, Events: events}
 
-	period := dur / 16
+	// One group: the readers (the first tierSweepReaders specs).
+	run, samples := cx.executeSampled(cfg, dur/16, tierSweepReaders)
 	var preBytes, faultBytes int64
 	var preNs, faultNs int64
-	var last int64
-	var lastAt int64
-	cfg.SamplePeriod = period
-	cfg.Sample = func(now int64, r *FioRun) {
-		if now <= warm {
-			last, lastAt = 0, warm
-			return
-		}
-		var b int64
-		for _, w := range r.Workers {
-			if w.Profile().ReadRatio == 1 {
-				b += w.Meter.Bytes()
-			}
-		}
-		d, dt := b-last, now-lastAt
-		last, lastAt = b, now
+	last, lastAt := int64(0), warm
+	for _, s := range samples {
+		d, dt := s.bytes[0]-last, s.at-lastAt
+		last, lastAt = s.bytes[0], s.at
 		switch {
-		case now <= faultAt:
+		case s.at <= faultAt:
 			preBytes += d
 			preNs += dt
-		case now > faultAt && now <= faultAt+faultDur:
+		case s.at <= faultAt+faultDur:
 			faultBytes += d
 			faultNs += dt
 		}
-	}
-	run := cx.Execute(cfg)
-
-	mbps := func(b, ns int64) float64 {
-		if ns == 0 {
-			return 0
-		}
-		return float64(b) / float64(ns) * 1e9 / 1e6
 	}
 	pre, during := mbps(preBytes, preNs), mbps(faultBytes, faultNs)
 	retention := 0.0
 	if pre > 0 {
 		retention = during / pre * 100
 	}
-	return []string{f1(frac * 100), pctOrDash(tierHitPct(run)), us(tierReadP999(run)),
+	hit, _ := tierPcts(run)
+	rdLat, _ := mergedHists(run)
+	return []string{f1(frac * 100), hit, us(rdLat.P999()),
 		f0(pre), f0(during), f1(retention)}
 }

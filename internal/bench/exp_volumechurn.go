@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"gimbal/internal/blobstore"
 	"gimbal/internal/core"
 	"gimbal/internal/fabric"
 	"gimbal/internal/nvme"
@@ -46,12 +45,12 @@ func (a *swTarget) Submit(io *nvme.IO) {
 	a.sw.Enqueue(io)
 }
 
-// volRig is one simulated JBOF with a volume control plane on top: a
-// Gimbal switch per SSD (class weights compiled from the QoS menu), a
-// blobstore allocator over the SSDs, and per-(SSD, class) adapter targets
-// so the mapping layer routes by class.
+// volRig is one simulated JBOF with a volume control plane on top: the
+// harness rig (a Gimbal switch per SSD, class weights compiled from the QoS
+// menu) with no worker streams, the volume manager over its SSDs, and
+// per-(SSD, class) adapter targets so the mapping layer routes by class.
 type volRig struct {
-	loop    *sim.Loop
+	*FioRun
 	m       *volume.Manager
 	classes *volume.ClassSet
 	comp    volume.Compiled
@@ -65,68 +64,41 @@ type volRig struct {
 // DRR arbitrates — is the binding resource, not the equal-per-contender
 // slot allotment).
 func newVolRig(nssd int, capacity int64, maxSlots int) *volRig {
-	loop := sim.NewLoop()
-	rng := sim.NewRNG(23)
 	classes, err := volume.ParseClasses(volChurnClasses)
 	if err != nil {
 		panic(err)
 	}
 	comp := classes.Compile()
-
-	tcfg := fabric.DefaultTargetConfig(fabric.SchemeGimbal)
-	tcfg.Gimbal.Sched.ClassWeights = comp.ClassWeights
-	if maxSlots > 0 {
-		tcfg.Gimbal.Sched.Slots.MaxSlots = maxSlots
-	}
 	p := ssd.DCT983()
 	p.UsableBytes = capacity
-	st, err := fabric.BuildStack(fabric.SharedClock(loop, nssd), rng,
-		fabric.StackConfig{Params: p, Cond: ssd.Clean, Target: tcfg})
-	if err != nil {
-		panic(err) // experiment configs are code, not input
-	}
+	r := &volRig{classes: classes, comp: comp, FioRun: NewFioRun(FioConfig{
+		Scheme: fabric.SchemeGimbal, Cond: ssd.Clean, Params: p, NumSSD: nssd, Seed: 23,
+		GimbalCfg: func(tc *fabric.TargetConfig) {
+			tc.Gimbal.Sched.ClassWeights = comp.ClassWeights
+			if maxSlots > 0 {
+				tc.Gimbal.Sched.Slots.MaxSlots = maxSlots
+			}
+		}})}
 
-	r := &volRig{loop: loop, classes: classes, comp: comp}
 	nextID := 0
-	adapters := make([][]*swTarget, nssd) // [ssd][class]
-	system := make([]*swTarget, nssd)
-	for i := 0; i < nssd; i++ {
-		sw := st.Target.Pipeline(i).Gimbal
-		adapters[i] = make([]*swTarget, classes.Len())
-		for c := 0; c < classes.Len(); c++ {
-			t := nvme.NewTenant(nextID, fmt.Sprintf("ssd%d-%s", i, classes.Spec(c).Name))
-			nextID++
-			t.Class = c
-			sw.Register(t)
-			adapters[i][c] = &swTarget{sw: sw, t: t}
-		}
-		sys := nvme.NewTenant(nextID, fmt.Sprintf("ssd%d-system", i))
+	adapter := func(sw *core.Switch, name string, class int) *swTarget {
+		t := nvme.NewTenant(nextID, name)
 		nextID++
-		sw.Register(sys)
-		system[i] = &swTarget{sw: sw, t: sys}
+		t.Class = class
+		sw.Register(t)
+		return &swTarget{sw: sw, t: t}
 	}
-
-	bc := blobstore.DefaultConfig()
-	bc.Replicas = 1
-	caps := make([]int64, nssd)
-	backends := make([]*blobstore.Backend, nssd)
-	var local *blobstore.Local
-	for i := 0; i < nssd; i++ {
-		caps[i] = capacity
-		i := i
-		backends[i] = &blobstore.Backend{
-			Target: adapters[i][0],
-			// Free-space balancing: the control plane has no live credit
-			// signal, so placement spreads by remaining micro blobs.
-			Headroom: func() int { return local.FreeMicros(i) + 64*local.Global().FreeMegas(i) },
-			Capacity: capacity,
+	adapters := make([][]*swTarget, nssd) // [ssd][class]
+	ssds := make([]volume.SSD, nssd)
+	for i := range ssds {
+		sw := r.Target.Pipeline(i).Gimbal
+		for c := 0; c < classes.Len(); c++ {
+			adapters[i] = append(adapters[i], adapter(sw, fmt.Sprintf("ssd%d-%s", i, classes.Spec(c).Name), c))
 		}
+		ssds[i] = volume.SSD{Capacity: capacity, System: adapter(sw, fmt.Sprintf("ssd%d-system", i), 0)}
 	}
-	local = blobstore.NewLocal(blobstore.NewGlobal(bc, caps), backends)
-	r.m = volume.NewManager(loop, volume.DefaultConfig(), local, classes,
-		func(b int) volume.Target { return system[b] })
+	r.m = volume.NewNodeManager(r.Loop, classes, ssds)
 	for c := 0; c < classes.Len(); c++ {
-		c := c
 		r.routers = append(r.routers, func(b int) volume.Target { return adapters[b][c] })
 	}
 	return r
@@ -254,7 +226,7 @@ func (cs *churnState) step(rng *sim.RNG) {
 
 // issueIO sends one open-loop IO at a random offset of a random live
 // volume through the mapping layer on the volume's class router.
-func (cs *churnState) issueIO(rng *sim.RNG, stop int64) {
+func (cs *churnState) issueIO(rng *sim.RNG) {
 	const ioSize = 16 << 10
 	if len(cs.live) == 0 {
 		return
@@ -278,7 +250,7 @@ func (cs *churnState) issueIO(rng *sim.RNG, stop int64) {
 	} else {
 		io.Op = nvme.OpRead
 	}
-	start := cs.r.loop.Now()
+	start := cs.r.Loop.Now()
 	cs.issued++
 	cs.inflight++
 	io.Done = func(io *nvme.IO, cpl nvme.Completion) {
@@ -286,7 +258,7 @@ func (cs *churnState) issueIO(rng *sim.RNG, stop int64) {
 		switch cpl.Status {
 		case nvme.StatusOK:
 			cs.completed++
-			cs.lat.Record(cs.r.loop.Now() - start)
+			cs.lat.Record(cs.r.Loop.Now() - start)
 			if io.Op == nvme.OpWrite {
 				cs.writeBytes += int64(io.Size)
 			} else {
@@ -299,7 +271,6 @@ func (cs *churnState) issueIO(rng *sim.RNG, stop int64) {
 		}
 	}
 	v.Route(io, cs.r.routers[v.Class()])
-	_ = stop
 }
 
 // runVolumeChurn reports two tables: the churn sweep (population scale
@@ -315,7 +286,7 @@ func runVolumeChurn(cx *Ctx) []*Result {
 			"alloc_mb", "logical_mb", "audit", "end_alloc_b", "trims", "alloc_fail"},
 	}
 	for _, target := range volChurnTargets {
-		volumeChurnRow(churn, target)
+		volumeChurnRow(cx, churn, target)
 	}
 	churn.Notef("audit recomputes refcounts and byte accounting from the live mapping tables: "+
 		"ok = allocated bytes exactly equal the sum of live unique spans at %0.f ops/s churn", volChurnOpsPS)
@@ -327,17 +298,16 @@ func runVolumeChurn(cx *Ctx) []*Result {
 		Title:  fmt.Sprintf("Saturating one SSD from one volume per class (%s): bandwidth vs configured weights", volChurnClasses),
 		Header: []string{"class", "weight", "mbps", "share", "want_share", "err_pct"},
 	}
-	volumeFairnessRows(fair)
+	volumeFairnessRows(cx, fair)
 	fair.Notef("closed-loop 64KB writes, one volume per class on one SSD; share is the class's fraction " +
 		"of delivered bandwidth, want_share its weight's fraction of the weight sum")
-	_ = cx
 	return []*Result{churn, fair}
 }
 
 // volumeChurnRow runs one scale point: prefill to the target population,
 // churn + open-loop IO over the measured window, audit, then tear
 // everything down and verify the allocator drained to zero.
-func volumeChurnRow(res *Result, target int) {
+func volumeChurnRow(cx *Ctx, res *Result, target int) {
 	r := newVolRig(volChurnSSDs, volChurnCapacity, 0)
 	rng := sim.NewRNG(uint64(37 + target))
 	churnRNG, ioRNG := rng.Fork(), rng.Fork()
@@ -347,29 +317,29 @@ func volumeChurnRow(res *Result, target int) {
 		cs.create(churnRNG)
 	}
 	prefill := cs.creates
-	stop := r.loop.Now() + volChurnWarm + volChurnDur
+	stop := r.Loop.Now() + volChurnWarm + volChurnDur
 
 	churnGap := int64(1e9 / volChurnOpsPS)
 	var churnTick func()
 	churnTick = func() {
 		cs.step(churnRNG)
-		if r.loop.Now() < stop {
-			r.loop.After(churnGap, churnTick).MarkDaemon()
+		if r.Loop.Now() < stop {
+			r.Loop.After(churnGap, churnTick).MarkDaemon()
 		}
 	}
-	r.loop.After(churnGap, churnTick).MarkDaemon()
+	r.Loop.After(churnGap, churnTick).MarkDaemon()
 
 	var ioTick func()
 	ioTick = func() {
-		cs.issueIO(ioRNG, stop)
-		if r.loop.Now() < stop {
-			r.loop.After(int64(ioRNG.Exp(1e9/volChurnIOPS))+1, ioTick).MarkDaemon()
+		cs.issueIO(ioRNG)
+		if r.Loop.Now() < stop {
+			r.Loop.After(int64(ioRNG.Exp(1e9/volChurnIOPS))+1, ioTick).MarkDaemon()
 		}
 	}
-	r.loop.After(1, ioTick).MarkDaemon()
+	r.Loop.After(1, ioTick).MarkDaemon()
 
-	r.loop.RunUntil(stop)
-	r.loop.Run() // drain in-flight IO
+	r.Loop.RunUntil(stop)
+	r.Loop.Run() // drain in-flight IO
 
 	u := r.m.Usage()
 	audit := "ok"
@@ -395,7 +365,8 @@ func volumeChurnRow(res *Result, target int) {
 			audit += " (teardown: " + err.Error() + ")"
 		}
 	}
-	r.loop.Run() // drain trims
+	r.Loop.Run() // drain trims
+	cx.recordObsRun(r.FioRun)
 	end := r.m.Usage()
 
 	res.AddRow(
@@ -424,7 +395,7 @@ func volumeChurnRow(res *Result, target int) {
 
 // volumeFairnessRows saturates one SSD with a closed-loop writer per
 // class and reports each class's delivered share against its weight.
-func volumeFairnessRows(res *Result) {
+func volumeFairnessRows(cx *Ctx, res *Result) {
 	r := newVolRig(1, volChurnCapacity, 4096)
 	n := r.classes.Len()
 	vols := make([]*volume.Volume, n)
@@ -446,14 +417,14 @@ func volumeFairnessRows(res *Result) {
 	const qd, ioSize = 256, 64 << 10
 	bytes := make([]int64, n)
 	measuring := false
-	stop := r.loop.Now() + volChurnFairWarm + volChurnFairDur
+	stop := r.Loop.Now() + volChurnFairWarm + volChurnFairDur
 	rng := sim.NewRNG(53)
 	for c := 0; c < n; c++ {
 		c := c
 		wrng := rng.Fork()
 		var submit func()
 		submit = func() {
-			if r.loop.Now() >= stop {
+			if r.Loop.Now() >= stop {
 				return
 			}
 			v := vols[c]
@@ -476,14 +447,15 @@ func volumeFairnessRows(res *Result) {
 			submit()
 		}
 	}
-	r.loop.RunUntil(r.loop.Now() + volChurnFairWarm)
+	r.Loop.RunUntil(r.Loop.Now() + volChurnFairWarm)
 	measuring = true
-	r.loop.RunUntil(stop)
+	r.Loop.RunUntil(stop)
 	// Close the window before draining: the ~qd outstanding IOs per class
 	// complete after stop in equal numbers and would dilute the measured
 	// ratio toward 1 if counted.
 	measuring = false
-	r.loop.Run()
+	r.Loop.Run()
+	cx.recordObsRun(r.FioRun)
 
 	var total int64
 	weightSum := 0

@@ -225,40 +225,33 @@ func runFig10(cx *Ctx) []*Result {
 	return []*Result{thr}
 }
 
-func scaleCounts() []int { return []int{4, 8, 12, 16, 20, 24} }
-
-func runFig11(cx *Ctx) []*Result {
-	res := &Result{ID: "fig11", Title: "YCSB throughput (KIOPS) vs DB instances (Gimbal)",
-		Header: append([]string{"instances"}, kvstore.YCSBWorkloads...)}
-	for _, n := range scaleCounts() {
+// scaleTable is the instance-count sweep fig11 and fig12 report two views
+// of (the runs are shared through the context's cache): one row per count,
+// one cell per workload.
+func scaleTable(cx *Ctx, res *Result, cell func(YCSBResult) string) []*Result {
+	res.Header = append([]string{"instances"}, kvstore.YCSBWorkloads...)
+	for _, n := range []int{4, 8, 12, 16, 20, 24} {
 		row := []string{fmt.Sprint(n)}
 		for _, wl := range kvstore.YCSBWorkloads {
 			cfg := DefaultYCSB(fabric.SchemeGimbal)
 			cfg.Instances = n
-			r := cx.cachedYCSB(cfg, wl, 13)
-			row = append(row, f0(r.KIOPS))
+			row = append(row, cell(cx.cachedYCSB(cfg, wl, 13)))
 		}
 		res.AddRow(row...)
 	}
-	res.Notef("paper shape: A/B/D saturate near 20 instances, F near 16; C keeps scaling")
 	return []*Result{res}
 }
 
+func runFig11(cx *Ctx) []*Result {
+	res := &Result{ID: "fig11", Title: "YCSB throughput (KIOPS) vs DB instances (Gimbal)"}
+	res.Notef("paper shape: A/B/D saturate near 20 instances, F near 16; C keeps scaling")
+	return scaleTable(cx, res, func(r YCSBResult) string { return f0(r.KIOPS) })
+}
+
 func runFig12(cx *Ctx) []*Result {
-	res := &Result{ID: "fig12", Title: "YCSB avg read latency (us) vs DB instances (Gimbal)",
-		Header: append([]string{"instances"}, kvstore.YCSBWorkloads...)}
-	for _, n := range scaleCounts() {
-		row := []string{fmt.Sprint(n)}
-		for _, wl := range kvstore.YCSBWorkloads {
-			cfg := DefaultYCSB(fabric.SchemeGimbal)
-			cfg.Instances = n
-			r := cx.cachedYCSB(cfg, wl, 13)
-			row = append(row, f0(r.ReadLat.Mean()/1e3))
-		}
-		res.AddRow(row...)
-	}
+	res := &Result{ID: "fig12", Title: "YCSB avg read latency (us) vs DB instances (Gimbal)"}
 	res.Notef("paper shape: read latency grows with consolidation except read-only C")
-	return []*Result{res}
+	return scaleTable(cx, res, func(r YCSBResult) string { return f0(r.ReadLat.Mean() / 1e3) })
 }
 
 func runFig13(cx *Ctx) []*Result {

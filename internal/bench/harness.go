@@ -9,12 +9,15 @@ import (
 	"gimbal/internal/obs"
 	"gimbal/internal/sim"
 	"gimbal/internal/ssd"
+	"gimbal/internal/stats"
 	"gimbal/internal/tier"
 	"gimbal/internal/workload"
 )
 
 // FioConfig describes one synthetic-workload run: a set of worker streams
-// against one or more SSDs behind a target running a scheme.
+// against one or more SSDs behind a target running a scheme. Everything an
+// experiment varies is a field here; the rig (NewFioRun) and the run loop
+// (Ctx.Run) below are the only ones in the package.
 type FioConfig struct {
 	Scheme    fabric.Scheme
 	Cond      ssd.Condition
@@ -45,15 +48,17 @@ type FioConfig struct {
 	// lifecycle capture; attribution experiments use Full mode).
 	Trace *obs.TracerConfig
 	// SLO, when set, attaches an SLO engine tracking every tenant against
-	// this default objective over SLOWindows (nil → obs.DefaultSLOWindows).
-	SLO        *obs.SLO
-	SLOWindows []int64
+	// this default objective over obs.DefaultSLOWindows.
+	SLO *obs.SLO
 }
 
 // Spec is one worker stream.
 type Spec struct {
 	workload.Profile
 	SSD int
+	// Gate, when set, builds the stream's client-side gate in place of the
+	// scheme's (fabric.NopGater is a pass-through session: credits off).
+	Gate func() fabric.Gater
 }
 
 // TimedEvent mutates the running experiment at a point in time.
@@ -62,9 +67,16 @@ type TimedEvent struct {
 	Do func(r *FioRun)
 }
 
-// FioRun is a live/finished run.
+// FioRun is the one simulated rig — loop, stack, target, registry — and,
+// once Ctx.Run has driven it, the finished run. Experiments whose load is
+// not worker streams (tenant-scale's scenario engine, volume-churn's
+// control-plane driver) build it with zero Specs and drive Loop themselves.
 type FioRun struct {
-	Loop     *sim.Loop
+	Loop *sim.Loop
+	// RNG is the run's root generator after the stack's per-SSD forks and
+	// the Specs' per-worker forks: a load generator that is not a Worker
+	// draws from here.
+	RNG      *sim.RNG
 	Target   *fabric.Target
 	Devices  []*ssd.SSD
 	Workers  []*workload.Worker
@@ -76,15 +88,10 @@ type FioRun struct {
 	// Hub bundles Reg with the optional tracer, SLO engine, and event log
 	// (populated per FioConfig.Trace / FioConfig.SLO).
 	Hub *obs.Hub
-	// Wraps are the per-SSD fault layers; Engine exists when a fault plan
-	// is armed on them.
-	Wraps  []*fault.Device
-	Engine *fault.Engine
 	// Tiers exist when FioConfig.Tier was set (one per SSD, Spec order).
 	Tiers []*tier.Device
 
-	retry *fabric.RetryPolicy
-	seed  uint64
+	cfg FioConfig
 }
 
 // NewFioRun builds the rig: devices, target, sessions, and workers (not
@@ -117,15 +124,15 @@ func NewFioRun(cfg FioConfig) *FioRun {
 	}
 	target := st.Target
 
-	r := &FioRun{Loop: loop, Target: target, Devices: st.SSDs, Reg: obs.NewRegistry(),
-		Wraps: st.Wraps, Tiers: st.Tiers, retry: cfg.Retry, seed: seed}
+	r := &FioRun{Loop: loop, RNG: rng, Target: target, Devices: st.SSDs, Reg: obs.NewRegistry(),
+		Tiers: st.Tiers, cfg: cfg}
 	r.Hub = obs.NewHub(r.Reg)
 	if cfg.Trace != nil {
 		r.Hub.Tracer = obs.NewTracer(*cfg.Trace)
 	}
 	if cfg.SLO != nil {
 		r.Hub.Events = obs.NewEventLog(1024)
-		r.Hub.SLO = obs.NewSLOEngine(obs.SLOConfig{Default: *cfg.SLO, WindowsNs: cfg.SLOWindows})
+		r.Hub.SLO = obs.NewSLOEngine(obs.SLOConfig{Default: *cfg.SLO})
 		r.Hub.SLO.SetEventLog(r.Hub.Events)
 	}
 	target.AttachObs(r.Hub)
@@ -138,7 +145,7 @@ func NewFioRun(cfg FioConfig) *FioRun {
 			if ev.Session < 0 || ev.Session >= len(r.Sessions) {
 				panic(fmt.Sprintf("bench: fault event %s addresses session %d of %d", ev.Kind, ev.Session, len(r.Sessions)))
 			}
-			r.Sessions[ev.Session].ApplyFault(ev, active, r.seed)
+			r.Sessions[ev.Session].ApplyFault(ev, active, seed)
 		}
 		if r.Hub.Events != nil {
 			e.OnEvent = func(ev fault.Event, active bool) {
@@ -148,7 +155,6 @@ func NewFioRun(cfg FioConfig) *FioRun {
 		if err := e.Arm(cfg.Faults); err != nil {
 			panic(err) // chaos plans are code, not input
 		}
-		r.Engine = e
 	}
 	return r
 }
@@ -157,9 +163,14 @@ func NewFioRun(cfg FioConfig) *FioRun {
 func (r *FioRun) AddWorker(spec Spec, rng *sim.RNG, name string) *workload.Worker {
 	tenant := nvme.NewTenant(len(r.Workers), name)
 	tenant.Class = spec.Profile.Class
-	sess := r.Target.Connect(tenant, spec.SSD)
-	if r.retry != nil {
-		sess.SetRetryPolicy(*r.retry)
+	var sess *fabric.Session
+	if spec.Gate != nil {
+		sess = r.Target.ConnectWithGater(tenant, spec.SSD, spec.Gate())
+	} else {
+		sess = r.Target.Connect(tenant, spec.SSD)
+	}
+	if r.cfg.Retry != nil {
+		sess.SetRetryPolicy(*r.cfg.Retry)
 	}
 	p := spec.Profile
 	if p.Span == 0 {
@@ -171,20 +182,15 @@ func (r *FioRun) AddWorker(spec Spec, rng *sim.RNG, name string) *workload.Worke
 	return w
 }
 
-// AttachWorker adds a worker over an externally built session (ablations
-// that customize the client-side gate).
-func (r *FioRun) AttachWorker(p workload.Profile, tenant *nvme.Tenant, sess *fabric.Session, rng *sim.RNG) *workload.Worker {
-	w := workload.NewWorker(r.Loop, rng, p, tenant, sess)
-	r.Workers = append(r.Workers, w)
-	r.Sessions = append(r.Sessions, sess)
-	return w
-}
+// Execute builds the rig and runs it.
+func (c *Ctx) Execute(cfg FioConfig) *FioRun { return c.Run(NewFioRun(cfg)) }
 
-// Execute runs warmup, resets stats, runs the measured window (with
-// samples and timed events), then drains. The run's observability block is
-// recorded in the context.
-func (c *Ctx) Execute(cfg FioConfig) *FioRun {
-	r := NewFioRun(cfg)
+// Run is the one run loop: start the workers, arm timed events and the
+// sampler, warm up, reset stats, run the measured window, drain, and record
+// the run's observability block in the context. An experiment that must
+// touch the rig first (fig17 hooks Worker.OnDone) calls NewFioRun, then Run.
+func (c *Ctx) Run(r *FioRun) *FioRun {
+	cfg := r.cfg
 	start := r.Loop.Now()
 	stop := start + cfg.Warm + cfg.Dur
 	r.StopAt = stop
@@ -192,7 +198,6 @@ func (c *Ctx) Execute(cfg FioConfig) *FioRun {
 		w.Start(stop)
 	}
 	for _, ev := range cfg.Events {
-		ev := ev
 		r.Loop.At(ev.At, func() { ev.Do(r) })
 	}
 	if cfg.Sample != nil && cfg.SamplePeriod > 0 {
@@ -215,8 +220,48 @@ func (c *Ctx) Execute(cfg FioConfig) *FioRun {
 	}
 	r.Loop.RunUntil(stop)
 	r.Loop.Run() // drain in-flight completions (daemon timers don't hold it)
-	c.recordObsRun(cfg, r)
+	c.recordObsRun(r)
 	return r
+}
+
+// byteSample is one reading of executeSampled: when, and each worker
+// group's cumulative bytes since the stats reset that ended warmup.
+type byteSample struct {
+	at    int64
+	bytes []int64
+}
+
+// executeSampled is Execute reading, every period of the measured window,
+// the cumulative bytes of worker groups: group g is the workers from
+// ends[g-1] (0 for the first) up to ends[g], in Spec order; workers past
+// the last end are left out. Phase bandwidths are differences of two
+// samples over their distance (mbps); each table keeps its own windows.
+func (c *Ctx) executeSampled(cfg FioConfig, period int64, ends ...int) (*FioRun, []byteSample) {
+	var samples []byteSample
+	cfg.SamplePeriod = period
+	cfg.Sample = func(now int64, r *FioRun) {
+		if now <= cfg.Warm {
+			return
+		}
+		s := byteSample{at: now, bytes: make([]int64, len(ends))}
+		g := 0
+		for i, w := range r.Workers[:ends[len(ends)-1]] {
+			for i >= ends[g] {
+				g++
+			}
+			s.bytes[g] += w.Meter.Bytes()
+		}
+		samples = append(samples, s)
+	}
+	return c.Execute(cfg), samples
+}
+
+// mbps is bytes over ns of simulated time, in MB/s.
+func mbps(bytes, ns int64) float64 {
+	if ns == 0 {
+		return 0
+	}
+	return float64(bytes) / float64(ns) * 1e9 / 1e6
 }
 
 // AggBandwidth sums worker bandwidths (MB/s) filtered by a predicate.
@@ -257,23 +302,42 @@ func (c *Ctx) StandaloneMax(p workload.Profile, cond ssd.Condition, params ssd.P
 	return v
 }
 
-// Common profile constructors matching §5.1's microbenchmark settings
-// (QD4 for 128KB, QD32 for 4KB; 128KB writes sequential, 4KB writes
-// random, all reads random).
-func read128K() workload.Profile {
-	return workload.Profile{Name: "rd128k", ReadRatio: 1, IOSize: 128 << 10, QD: 4}
-}
-func write128K() workload.Profile {
-	return workload.Profile{Name: "wr128k", ReadRatio: 0, IOSize: 128 << 10, QD: 4, Seq: true}
-}
-func read4K() workload.Profile {
-	return workload.Profile{Name: "rd4k", ReadRatio: 1, IOSize: 4096, QD: 32}
-}
-func write4K() workload.Profile {
-	return workload.Profile{Name: "wr4k", ReadRatio: 0, IOSize: 4096, QD: 32}
+// stream is a closed-loop worker profile over uniform random offsets
+// (readRatio 1 = read-only, 0 = write-only); sequential makes one sequential.
+func stream(name string, readRatio float64, ioSize, qd int) workload.Profile {
+	return workload.Profile{Name: name, ReadRatio: readRatio, IOSize: ioSize, QD: qd}
 }
 
-// repeat clones a spec n times.
+func sequential(p workload.Profile) workload.Profile {
+	p.Seq = true
+	return p
+}
+
+// §5.1's microbenchmark settings (QD4 for 128KB, QD32 for 4KB; 128KB
+// writes sequential, 4KB writes random, all reads random).
+func read128K() workload.Profile  { return stream("rd128k", 1, 128<<10, 4) }
+func write128K() workload.Profile { return sequential(stream("wr128k", 0, 128<<10, 4)) }
+func read4K() workload.Profile    { return stream("rd4k", 1, 4096, 32) }
+func write4K() workload.Profile   { return stream("wr4k", 0, 4096, 32) }
+
+// opLat is a write-only worker's write histogram, else its read histogram.
+func opLat(w *workload.Worker) *stats.Histogram {
+	if w.Profile().ReadRatio == 0 {
+		return w.WriteLat
+	}
+	return w.ReadLat
+}
+
+// streams is one Spec per profile, all on SSD 0.
+func streams(ps ...workload.Profile) []Spec {
+	out := make([]Spec, len(ps))
+	for i, p := range ps {
+		out[i] = Spec{Profile: p}
+	}
+	return out
+}
+
+// repeat clones a profile into n Specs.
 func repeat(p workload.Profile, n int) []Spec {
 	out := make([]Spec, n)
 	for i := range out {

@@ -24,13 +24,10 @@ type ObsRun struct {
 
 // recordObsRun snapshots a finished run's registry into the context's
 // collector.
-func (c *Ctx) recordObsRun(cfg FioConfig, r *FioRun) {
-	if r.Reg == nil {
-		return
-	}
+func (c *Ctx) recordObsRun(r *FioRun) {
 	snap := r.Reg.Snapshot()
 	run := ObsRun{
-		Scheme:        cfg.Scheme.String(),
+		Scheme:        r.cfg.Scheme.String(),
 		Workers:       len(r.Workers),
 		Submits:       int64(obs.SumMetric(snap, "gimbal_submits_total")),
 		Completions:   int64(obs.SumMetric(snap, "gimbal_completions_total")),

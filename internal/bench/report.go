@@ -2,6 +2,18 @@
 // of the paper's evaluation (plus the appendix characterizations and the
 // design ablations), producing the same rows and series the paper reports.
 // cmd/gimbalbench is the CLI front end.
+//
+// There is one rig and one run loop, both in harness.go. NewFioRun builds
+// the rig — loop, fabric.BuildStack, target, registry, one worker per Spec
+// — and Ctx.Run drives it: start, arm events and the sampler, warm, reset,
+// measure, drain, record the observability block. Ctx.Execute is the two
+// composed, and what run-wide checks attach to. A new experiment is a
+// FioConfig (the data) and a function from the finished FioRun to rows,
+// registered in an exp_*.go file; one whose load is not worker streams
+// (tenant-scale, volume-churn) still builds its stack with NewFioRun, with
+// zero Specs, and drives FioRun.Loop itself. CI rejects an exp_*.go that
+// calls RunUntil or BuildStack on its own; RunYCSB's rack (a blobstore and
+// DB per instance over several JBOFs) is the one other assembly.
 package bench
 
 import (
@@ -111,14 +123,12 @@ type Experiment struct {
 }
 
 var registry = map[string]*Experiment{}
-var order []string
 
 func register(id, title string, run func(c *Ctx) []*Result) {
 	if _, dup := registry[id]; dup {
 		panic("bench: duplicate experiment " + id)
 	}
 	registry[id] = &Experiment{ID: id, Title: title, Run: run}
-	order = append(order, id)
 }
 
 // Lookup finds an experiment by id.
@@ -127,9 +137,12 @@ func Lookup(id string) (*Experiment, bool) {
 	return e, ok
 }
 
-// IDs returns all experiment ids in registration order.
+// IDs returns all experiment ids, sorted.
 func IDs() []string {
-	out := append([]string(nil), order...)
+	out := make([]string, 0, len(registry))
+	for id := range registry {
+		out = append(out, id)
+	}
 	sort.Strings(out)
 	return out
 }

@@ -48,7 +48,6 @@ type Stats struct {
 	BytesCompactedIn     int64
 	BytesCompactedOut    int64
 	StallNs              int64
-	Scans                int64
 	BlockReads           int64
 	CacheHitRate         float64
 	WALBytes             int64

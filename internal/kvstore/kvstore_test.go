@@ -373,12 +373,12 @@ func TestFastLoadThenGet(t *testing.T) {
 }
 
 func TestYCSBMixes(t *testing.T) {
-	for _, name := range append(YCSBWorkloads, "E") {
+	for _, name := range YCSBWorkloads {
 		mix, err := YCSBMix(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum := mix.Read + mix.Update + mix.Insert + mix.RMW + mix.Scan
+		sum := mix.Read + mix.Update + mix.Insert + mix.RMW
 		if sum < 0.999 || sum > 1.001 {
 			t.Fatalf("workload %s mix sums to %v", name, sum)
 		}

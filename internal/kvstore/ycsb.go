@@ -11,13 +11,12 @@ import (
 
 // Mix is the operation mix of a YCSB core workload.
 type Mix struct {
-	Read, Update, Insert, RMW, Scan float64
-	Latest                          bool // key distribution skews to recent inserts (D)
-	MaxScanLen                      int  // E: uniform scan length in [1, MaxScanLen]
+	Read, Update, Insert, RMW float64
+	Latest                    bool // key distribution skews to recent inserts (D)
 }
 
-// YCSBMix returns the standard core workload mixes. Workload E (scans) is
-// not part of the paper's evaluation but is supported as an extension.
+// YCSBMix returns the core workload mixes of the paper's evaluation
+// (workload E, range scans, is not part of it).
 func YCSBMix(name string) (Mix, error) {
 	switch strings.ToUpper(name) {
 	case "A":
@@ -28,8 +27,6 @@ func YCSBMix(name string) (Mix, error) {
 		return Mix{Read: 1}, nil
 	case "D":
 		return Mix{Read: 0.95, Insert: 0.05, Latest: true}, nil
-	case "E":
-		return Mix{Scan: 0.95, Insert: 0.05, MaxScanLen: 100}, nil
 	case "F":
 		return Mix{Read: 0.5, RMW: 0.5}, nil
 	}
@@ -121,16 +118,6 @@ func (r *YCSBRunner) ResetStats() {
 	r.WriteLat.Reset()
 }
 
-// RunUntil performs operations until the virtual clock passes stopAt.
-func (r *YCSBRunner) RunUntil(p *sim.Proc, stopAt int64) error {
-	for p.Now() < stopAt {
-		if err := r.step(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RunOps performs exactly n operations.
 func (r *YCSBRunner) RunOps(p *sim.Proc, n int) error {
 	for i := 0; i < n; i++ {
@@ -154,11 +141,9 @@ func (r *YCSBRunner) step(p *sim.Proc) error {
 	switch {
 	case u < r.mix.Read:
 		return r.doRead(p)
-	case u < r.mix.Read+r.mix.Scan:
-		return r.doScan(p)
-	case u < r.mix.Read+r.mix.Scan+r.mix.Update:
+	case u < r.mix.Read+r.mix.Update:
 		return r.doWrite(p, r.pickKey())
-	case u < r.mix.Read+r.mix.Scan+r.mix.Update+r.mix.Insert:
+	case u < r.mix.Read+r.mix.Update+r.mix.Insert:
 		key := Key(r.records)
 		r.records++
 		if r.latest != nil {
@@ -181,15 +166,6 @@ func (r *YCSBRunner) doRead(p *sim.Proc) error {
 	if !found {
 		r.NotFound++
 	}
-	return err
-}
-
-func (r *YCSBRunner) doScan(p *sim.Proc) error {
-	start := r.pickKey()
-	n := 1 + r.rng.Intn(r.mix.MaxScanLen)
-	t0 := p.Now()
-	_, err := r.DB.Scan(p, start, n)
-	r.ReadLat.Record(p.Now() - t0)
 	return err
 }
 

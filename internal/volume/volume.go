@@ -128,6 +128,37 @@ func NewManager(loop sim.Scheduler, cfg Config, local *blobstore.Local, classes 
 	return m
 }
 
+// SSD is one device of a storage node as its control plane sees it.
+type SSD struct {
+	Capacity int64 // usable bytes
+	// System carries the control plane's own device IO to this SSD (TRIMs
+	// of dropped spans); nil skips it, and accounting still runs.
+	System Target
+	// Headroom is the placement load signal (§4.3: a session's credit
+	// headroom). nil — no live signal — spreads by remaining free space.
+	Headroom func() int
+}
+
+// NewNodeManager builds the volume control plane of one storage node: a
+// single-replica allocator over its SSDs and a Manager on top, under the
+// default Config. loop may be nil for a provisioning-only plane.
+func NewNodeManager(loop sim.Scheduler, classes *ClassSet, ssds []SSD) *Manager {
+	bc := blobstore.DefaultConfig()
+	bc.Replicas = 1
+	caps := make([]int64, len(ssds))
+	backends := make([]*blobstore.Backend, len(ssds))
+	var local *blobstore.Local
+	for i, s := range ssds {
+		caps[i] = s.Capacity
+		backends[i] = &blobstore.Backend{Target: s.System, Headroom: s.Headroom, Capacity: s.Capacity}
+		if s.Headroom == nil {
+			backends[i].Headroom = func() int { return local.FreeMicros(i) + 64*local.Global().FreeMegas(i) }
+		}
+	}
+	local = blobstore.NewLocal(blobstore.NewGlobal(bc, caps), backends)
+	return NewManager(loop, DefaultConfig(), local, classes, func(b int) Target { return ssds[b].System })
+}
+
 // Classes returns the manager's QoS class set.
 func (m *Manager) Classes() *ClassSet { return m.classes }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"gimbal/internal/blobstore"
 	"gimbal/internal/fabric"
 	"gimbal/internal/nvme"
 	"gimbal/internal/sim"
@@ -104,24 +103,13 @@ func (j *JBOF) volumes() *volume.Manager {
 		return j.vmgr
 	}
 	j.nextID++
-	j.sysTenant = nvme.NewTenant(j.nextID, "volume-system")
-	bc := blobstore.DefaultConfig()
-	bc.Replicas = 1
-	caps := make([]int64, len(j.devices))
-	backends := make([]*blobstore.Backend, len(j.devices))
-	for i := range j.devices {
-		sess := j.target.Connect(j.sysTenant, i)
-		j.sysSess = append(j.sysSess, sess)
-		caps[i] = j.devices[i].Capacity()
-		backends[i] = &blobstore.Backend{
-			Target:   sess,
-			Headroom: sess.Headroom,
-			Capacity: caps[i],
-		}
+	sys := nvme.NewTenant(j.nextID, "volume-system")
+	ssds := make([]volume.SSD, len(j.devices))
+	for i, d := range j.devices {
+		sess := j.target.Connect(sys, i)
+		ssds[i] = volume.SSD{Capacity: d.Capacity(), System: sess, Headroom: sess.Headroom}
 	}
-	local := blobstore.NewLocal(blobstore.NewGlobal(bc, caps), backends)
-	j.vmgr = volume.NewManager(j.sim.loop, volume.DefaultConfig(), local, j.classes,
-		func(b int) volume.Target { return j.sysSess[b] })
+	j.vmgr = volume.NewNodeManager(j.sim.loop, j.classes, ssds)
 	return j.vmgr
 }
 
