@@ -10,6 +10,7 @@
 package fabric
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -86,29 +87,47 @@ func DecodeCommand(buf []byte) (*CommandCapsule, int, error) {
 // connection loop decode every command into one long-lived capsule with no
 // per-message allocation.
 func DecodeCommandInto(c *CommandCapsule, buf []byte) (int, error) {
-	if len(buf) < cmdHeaderLen {
-		return 0, fmt.Errorf("fabric: short command capsule: %d bytes", len(buf))
-	}
-	if buf[0] != capCommand {
-		return 0, fmt.Errorf("fabric: not a command capsule: tag 0x%02x", buf[0])
+	dataLen, err := payloadLen(buf, capCommand, cmdHeaderLen, len(buf))
+	if err != nil {
+		return 0, err
 	}
 	data := c.Data[:0]
-	*c = CommandCapsule{
-		CID:      binary.BigEndian.Uint16(buf[1:]),
-		Opcode:   nvme.Opcode(buf[3]),
-		Priority: nvme.Priority(buf[4]),
-		NSID:     buf[5],
-		SLBA:     binary.BigEndian.Uint64(buf[6:]),
-		Length:   binary.BigEndian.Uint32(buf[14:]),
-	}
-	dataLen := int(binary.BigEndian.Uint32(buf[18:]))
-	if len(buf) < cmdHeaderLen+dataLen {
-		return 0, fmt.Errorf("fabric: command capsule truncated: want %d data bytes", dataLen)
-	}
+	c.Data = nil
+	decodeCommandHeader(c, buf)
 	if dataLen > 0 {
 		c.Data = append(data, buf[cmdHeaderLen:cmdHeaderLen+dataLen]...)
 	}
 	return cmdHeaderLen + dataLen, nil
+}
+
+// payloadLen is the one verdict on a capsule of n bytes: its header —
+// hdrLen bytes that start with tag and end with the payload's length, in
+// hdr once n says they are there — is all it takes, so the connection
+// readers reach it with nothing allocated.
+func payloadLen(hdr []byte, tag byte, hdrLen, n int) (int, error) {
+	if n < hdrLen {
+		return 0, fmt.Errorf("fabric: short capsule: %d bytes, the header is %d", n, hdrLen)
+	}
+	if hdr[0] != tag {
+		return 0, fmt.Errorf("fabric: capsule tag 0x%02x, want 0x%02x", hdr[0], tag)
+	}
+	dataLen := binary.BigEndian.Uint32(hdr[hdrLen-4:])
+	if uint64(dataLen) > uint64(n-hdrLen) {
+		return 0, fmt.Errorf("fabric: capsule truncated: %d data bytes announced, %d present", dataLen, n-hdrLen)
+	}
+	return int(dataLen), nil
+}
+
+// decodeCommandHeader parses the cmdHeaderLen bytes ahead of a command's
+// payload into c, leaving c.Data alone.
+func decodeCommandHeader(c *CommandCapsule, hdr []byte) {
+	_ = hdr[cmdHeaderLen-1]
+	c.CID = binary.BigEndian.Uint16(hdr[1:])
+	c.Opcode = nvme.Opcode(hdr[3])
+	c.Priority = nvme.Priority(hdr[4])
+	c.NSID = hdr[5]
+	c.SLBA = binary.BigEndian.Uint64(hdr[6:])
+	c.Length = binary.BigEndian.Uint32(hdr[14:])
 }
 
 // AppendResponse serializes r onto buf.
@@ -128,40 +147,27 @@ func appendResponseHeader(buf []byte, cid uint16, st nvme.Status, credit uint32,
 }
 
 // DecodeResponse parses a response capsule, returning the bytes consumed.
-// The capsule's Data is a copy: buf may be reused afterwards.
+// The capsule's Data is a copy (nil when the capsule carries none): buf may
+// be reused afterwards.
 func DecodeResponse(buf []byte) (*ResponseCapsule, int, error) {
-	r := &ResponseCapsule{}
-	n, err := decodeResponseAliased(r, buf)
+	dataLen, err := payloadLen(buf, capResponse, rspHeaderLen, len(buf))
 	if err != nil {
 		return nil, 0, err
 	}
-	r.Data = append([]byte(nil), r.Data...)
-	return r, n, nil
+	r := &ResponseCapsule{}
+	decodeResponseHeader(r, buf)
+	if dataLen > 0 {
+		r.Data = bytes.Clone(buf[rspHeaderLen : rspHeaderLen+dataLen])
+	}
+	return r, rspHeaderLen + dataLen, nil
 }
 
-// decodeResponseAliased parses a response capsule into r without copying
-// the payload: r.Data is a sub-slice of buf (nil when the capsule carries
-// none), so it lives and changes with buf. For a caller that owns buf and
-// hands it over with the capsule — the initiator's read loop, which
-// allocates one frame per response.
-func decodeResponseAliased(r *ResponseCapsule, buf []byte) (int, error) {
-	if len(buf) < rspHeaderLen {
-		return 0, fmt.Errorf("fabric: short response capsule: %d bytes", len(buf))
-	}
-	if buf[0] != capResponse {
-		return 0, fmt.Errorf("fabric: not a response capsule: tag 0x%02x", buf[0])
-	}
-	dataLen := int(binary.BigEndian.Uint32(buf[9:]))
-	if len(buf) < rspHeaderLen+dataLen {
-		return 0, fmt.Errorf("fabric: response capsule truncated: want %d data bytes", dataLen)
-	}
+// decodeResponseHeader parses the rspHeaderLen bytes ahead of a response's
+// payload into r, whose Data it leaves nil.
+func decodeResponseHeader(r *ResponseCapsule, hdr []byte) {
 	*r = ResponseCapsule{
-		CID:    binary.BigEndian.Uint16(buf[1:]),
-		Status: nvme.Status(binary.BigEndian.Uint16(buf[3:])),
-		Credit: binary.BigEndian.Uint32(buf[5:]),
+		CID:    binary.BigEndian.Uint16(hdr[1:]),
+		Status: nvme.Status(binary.BigEndian.Uint16(hdr[3:])),
+		Credit: binary.BigEndian.Uint32(hdr[5:]),
 	}
-	if dataLen > 0 {
-		r.Data = buf[rspHeaderLen : rspHeaderLen+dataLen : rspHeaderLen+dataLen]
-	}
-	return rspHeaderLen + dataLen, nil
 }

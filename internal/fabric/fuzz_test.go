@@ -1,9 +1,9 @@
 package fabric
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
 	"testing"
 	"testing/iotest"
 
@@ -58,26 +58,33 @@ func FuzzDecodeCommand(f *testing.F) {
 }
 
 // FuzzReadFrame feeds arbitrary bytes to a connection reader's front end:
-// frameReader.next, DecodeCommandInto, then fullFrameBuffered, chained over
-// one bufio.Reader and one capsule as readLoop chains them. The buffers are
-// 64 B and 4 KiB, so that the same stream takes the in-place path (a frame
-// that fits the buffer) and the scratch path (one that does not), and each
-// is fed whole and one byte per read. Against an oracle that walks the same
-// bytes, every well-formed frame must come out intact and every other
-// stream must end in an error — an oversized prefix before anything is
-// allocated for it, a truncated body or a bare prefix at the end of input,
-// a zero-length frame at the decoder — never a panic, a hang, or a buffer
-// beyond maxFrame.
+// capsuleReader's head, decodeCommandHeader and body, chained over one
+// reader and one capsule as readLoop chains them. The buffers are 64 B and
+// 4 KiB, so that the same stream has payloads that are whole in the buffer,
+// split between buffer and source, and many buffers long, and each is fed
+// whole and one byte per read. The oracle walks the same bytes and asks the
+// exported decoder: every frame that is whole on the wire and that
+// DecodeCommandInto accepts must come out with the same fields and its
+// payload intact, and every other stream must end in an error — an
+// oversized prefix, a frame too short for a header, a wrong tag or an
+// overclaimed payload at the header, before anything is allocated; a
+// truncated body or a bare prefix at the end of input — never a panic, a
+// hang, or a buffer beyond maxFrame or beyond what the bytes that arrived
+// justify. The reader announces every read of its source (readLoop flushes
+// there) and makes none for a frame that is whole in its buffer (readLoop
+// batches those).
 func FuzzReadFrame(f *testing.F) {
 	read := appendCommandFrame(nil, &CommandCapsule{CID: 7, Opcode: nvme.OpRead, NSID: 1, SLBA: 42, Length: 4096})
 	write := appendCommandFrame(nil, &CommandCapsule{CID: 8, Opcode: nvme.OpWrite,
 		SLBA: 1, Length: 4096, Data: bytes.Repeat([]byte{0xa5}, 4096)})
 	// fills returns a write frame of exactly size bytes, prefix included: the
-	// largest that is decoded in place from a buffer of that size.
+	// largest that a buffer of that size holds whole.
 	fills := func(size int) []byte {
 		return appendCommandFrame(nil, &CommandCapsule{CID: 9, Opcode: nvme.OpWrite, Length: 4096,
 			Data: bytes.Repeat([]byte{0x5a}, size-4-cmdHeaderLen)})
 	}
+	trailed := bytes.Clone(read)
+	binary.BigEndian.PutUint32(trailed, cmdHeaderLen+3) // three bytes trail the capsule in its frame
 	f.Add(read)
 	f.Add(write)
 	f.Add(append(bytes.Clone(read), write...))
@@ -86,20 +93,35 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(binary.BigEndian.AppendUint32(nil, maxFrame))                               // largest prefix, no body
 	f.Add(write[:len(write)-100])                                                     // truncated body
 	f.Add(append(fills(4096), read...))
-	f.Add(append(fills(64), fills(65)...)) // a 64 B buffer takes the first in place, the second through scratch
+	f.Add(append(fills(64), fills(65)...)) // a 64 B buffer holds the first whole; the second ends in the source
+	f.Add(append(append(trailed, 1, 2, 3), write...))
 
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		for _, size := range []int{64, 4096} {
-			walkFrames(t, wire, bufio.NewReaderSize(bytes.NewReader(wire), size))
-			walkFrames(t, wire, bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(wire)), size))
+			walkFrames(t, wire, bytes.NewReader(wire), size)
+			walkFrames(t, wire, iotest.OneByteReader(bytes.NewReader(wire)), size)
 		}
 	})
 }
 
-// walkFrames is FuzzReadFrame's body for one reader over wire.
-func walkFrames(t *testing.T, wire []byte, r *bufio.Reader) {
-	fr := frameReader{r: r}
-	var cmd CommandCapsule
+// countedReader counts the reads of the reader it wraps.
+type countedReader struct {
+	io.Reader
+	reads int64
+}
+
+func (c *countedReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.Reader.Read(p)
+}
+
+// walkFrames is FuzzReadFrame's body for one source of wire.
+func walkFrames(t *testing.T, wire []byte, source io.Reader, size int) {
+	src := &countedReader{Reader: source}
+	fr := newCapsuleReader(src, size)
+	announced := int64(0)
+	fr.before = func() { announced++ }
+	var cmd, want CommandCapsule
 	// next is the oracle: the frame at the head of rest, nil if the stream
 	// ends (or breaks) there.
 	next := func(rest []byte) []byte {
@@ -111,45 +133,46 @@ func walkFrames(t *testing.T, wire []byte, r *bufio.Reader) {
 		return nil
 	}
 	for rest := wire; ; {
-		frame, err := fr.next()
-		want := next(rest)
-		if want == nil {
+		had, readsBefore := cap(cmd.Data), src.reads
+		frame := next(rest)
+		buffered := frame != nil && fr.buf.Buffered() >= 4+len(frame)
+		hdr, err := fr.head(capCommand, cmdHeaderLen)
+		if err == nil {
+			decodeCommandHeader(&cmd, hdr)
+			err = fr.body(&cmd.Data)
+		} else if cap(cmd.Data) != had {
+			t.Fatalf("a frame refused at its header grew the payload buffer from %d to %d bytes", had, cap(cmd.Data))
+		}
+		if bound := max(had, slotBufKeep, 2*len(rest)); cap(cmd.Data) > maxFrame || cap(cmd.Data) > bound {
+			t.Fatalf("payload buffer of %d bytes with %d left on the wire, past maxFrame or %d", cap(cmd.Data), len(rest), bound)
+		}
+		if announced != src.reads || fr.reads != src.reads || (buffered && src.reads != readsBefore) {
+			t.Fatalf("%d reads of the source, %d announced, %d counted; %d of them for a frame whole in the buffer: %v",
+				src.reads, announced, fr.reads, src.reads-readsBefore, buffered)
+		}
+		n, werr := DecodeCommandInto(&want, frame)
+		if frame == nil || werr != nil {
 			if err == nil {
-				t.Fatalf("frame of %d bytes accepted from a stream with %d left: % x", len(frame), len(rest), rest[:min(len(rest), 8)])
+				t.Fatalf("capsule accepted (%d payload bytes) from a stream with %d left: % x", len(cmd.Data), len(rest), rest[:min(len(rest), 8)])
 			}
-			return
-		}
-		if err != nil || !bytes.Equal(frame, want) {
-			t.Fatalf("frame = %d bytes, %v; want the %d on the wire", len(frame), err, len(want))
-		}
-		if inPlace := fr.held > 0; inPlace != (4+len(want) <= r.Size()) {
-			t.Fatalf("frame of %d bytes from a %d-byte buffer: decoded in place is %v", len(want), r.Size(), inPlace)
-		}
-		rest = rest[4+len(want):]
-		n, err := DecodeCommandInto(&cmd, frame)
-		if cap(fr.scratch) > maxFrame || cap(cmd.Data) > maxFrame {
-			t.Fatalf("buffers grew to %d and %d bytes, past maxFrame", cap(fr.scratch), cap(cmd.Data))
-		}
-		if err != nil {
 			return // readLoop hangs up on the peer
 		}
-		if n < cmdHeaderLen || n > len(frame) || !bytes.Equal(cmd.Data, frame[cmdHeaderLen:n]) {
-			t.Fatalf("decoded %d of %d bytes, %d of payload", n, len(frame), len(cmd.Data))
+		if err != nil {
+			t.Fatalf("%v; want the frame of %d bytes on the wire", err, len(frame))
 		}
-		// The reader's batching test must not promise a frame that is not
-		// there (it would then block with commands staged), and must leave
-		// the stream where it was.
-		if fr.fullFrameBuffered() && next(rest) == nil {
-			t.Fatalf("a whole frame reported buffered with %d bytes left: % x", len(rest), rest[:min(len(rest), 8)])
+		if !bytes.Equal(cmd.Data, frame[cmdHeaderLen:n]) || !bytes.Equal(AppendCommand(nil, &cmd), AppendCommand(nil, &want)) {
+			t.Fatalf("received %+v, DecodeCommandInto says %+v", cmd, want)
 		}
+		rest = rest[4+len(frame):]
 	}
 }
 
-// FuzzDecodeResponse holds the initiator's decoder, whose Data aliases the
-// frame, against the exported copying one: same accept/reject on every
-// input, same fields and bytes consumed, equal Data — a view into the
-// input for the first, a copy for the second — and what is accepted
-// re-encodes to exactly the bytes consumed.
+// FuzzDecodeResponse holds the initiator's receive path (readResponse: the
+// steps of TCPClient.readLoop), given the input as one frame, against the
+// exported decoder: same accept/reject on every input,
+// same fields, equal Data — each a buffer of its own, of exactly the
+// payload's length — and what is accepted re-encodes to exactly the bytes
+// DecodeResponse consumed (the reader drops what trails them in the frame).
 func FuzzDecodeResponse(f *testing.F) {
 	ok := AppendResponse(nil, &ResponseCapsule{CID: 7, Status: nvme.StatusOK, Credit: 12})
 	data := AppendResponse(nil, &ResponseCapsule{CID: 8, Credit: 1, Data: bytes.Repeat([]byte{0xa5}, 4096)})
@@ -165,12 +188,13 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add(AppendCommand(nil, &CommandCapsule{CID: 7, Opcode: nvme.OpRead, Length: 4096})) // wrong tag
 
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		in := bytes.Clone(buf)
+		wire := append(binary.BigEndian.AppendUint32(nil, uint32(len(buf))), buf...)
+		fr := newCapsuleReader(bytes.NewReader(wire), 64)
 		var got ResponseCapsule
-		n, err := decodeResponseAliased(&got, in)
-		want, wn, werr := DecodeResponse(buf)
-		if (err != nil) != (werr != nil) || n != wn {
-			t.Fatalf("aliasing decoder: %d, %v; DecodeResponse: %d, %v", n, err, wn, werr)
+		err := fr.readResponse(&got)
+		want, n, werr := DecodeResponse(buf)
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("the reader: %v; DecodeResponse: %d, %v", err, n, werr)
 		}
 		if err != nil {
 			if n != 0 {
@@ -182,20 +206,23 @@ func FuzzDecodeResponse(f *testing.F) {
 			t.Fatalf("consumed %d of %d bytes", n, len(buf))
 		}
 		if got.CID != want.CID || got.Status != want.Status || got.Credit != want.Credit || !bytes.Equal(got.Data, want.Data) {
-			t.Fatalf("aliasing decoder %+v, DecodeResponse %+v", got, *want)
+			t.Fatalf("the reader %+v, DecodeResponse %+v", got, *want)
 		}
-		if enc := AppendResponse(nil, &got); !bytes.Equal(enc, buf[:n]) {
+		if enc := AppendResponse(nil, want); !bytes.Equal(enc, buf[:n]) {
 			t.Fatalf("re-encode differs from the %d bytes consumed:\n in  %x\n out %x", n, buf[:n], enc)
 		}
-		if len(got.Data) == 0 {
+		if err := fr.readResponse(&got); err != io.EOF {
+			t.Fatalf("after the frame: %v, want io.EOF (%d bytes trailed the capsule)", err, len(buf)-n)
+		}
+		if len(want.Data) == 0 {
 			if got.Data != nil || want.Data != nil {
 				t.Fatalf("empty payload decoded as non-nil Data")
 			}
 			return
 		}
-		// One is the input's own bytes, nothing past them; the other is not.
-		if &got.Data[0] != &in[rspHeaderLen] || len(got.Data) != n-rspHeaderLen || cap(got.Data) != len(got.Data) {
-			t.Fatalf("aliased Data is not in[%d:%d]: len %d cap %d", rspHeaderLen, n, len(got.Data), cap(got.Data))
+		// Each is the receiver's alone: neither the input nor the other.
+		if len(got.Data) != n-rspHeaderLen || cap(got.Data) != len(got.Data) {
+			t.Fatalf("the reader's Data: len %d cap %d, want %d", len(got.Data), cap(got.Data), n-rspHeaderLen)
 		}
 		buf[rspHeaderLen] ^= 0xff
 		if want.Data[0] == buf[rspHeaderLen] {

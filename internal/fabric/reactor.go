@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -38,10 +37,10 @@ import (
 // decoded frames per ring publish, reactors submit popped batches under
 // one shard-lock acquisition, writers coalesce response frames into one
 // writev — so per-IO cost amortizes syscalls, atomics, and futex wakeups.
-// Payload bytes cross user space once in each direction: a write's are
-// copied from the socket buffer into the slot, a read's go to the socket
-// from where the device left them. The steady-state wall-clock path
-// allocates nothing per IO.
+// Payload bytes cross user space once in each direction: a write's go from
+// the socket into the slot (but for what its header's own socket read
+// brought along), a read's go to the socket from where the device left
+// them. The steady-state wall-clock path allocates nothing per IO.
 
 const (
 	// readBatch caps the frames a connection reader stages before
@@ -57,19 +56,15 @@ const (
 	// connSlots caps the per-connection IO slot pool: the pipelining depth
 	// a single session can keep in flight inside the target.
 	connSlots = 512
-	// readBufSize is the connection reader's socket buffer. A frame that
-	// fits it is decoded in place, and it holds every IO up to and past the
-	// 128 KiB large one.
-	readBufSize = 256 << 10
 	// slotBufKeep is the largest write-payload buffer a slot keeps across
 	// cycles, twice the 128 KiB large IO. Frames run to maxFrame, and a
 	// buffer grown for one would otherwise stay that size for the life of
 	// the connection — times connSlots for a peer that pipelines jumbo
-	// writes once.
+	// writes once. It is also the most a reader asks the socket for at once.
 	slotBufKeep = 256 << 10
 
 	// maxReadLen is the largest read whose response still fits one frame;
-	// anything longer would emit a frame readFrameInto rejects.
+	// anything longer would emit a frame the initiator's reader rejects.
 	maxReadLen = maxFrame - rspHeaderLen
 	// maxSLBA is the last block address whose byte offset, plus any 32-bit
 	// length, still fits the int64 the bounds check downstream adds in.
@@ -144,8 +139,9 @@ type reactor struct {
 	// tx ÷ txWrites is the writers' batching factor.
 	txWrites atomic.Int64
 	// slotStalls counts the times a reader feeding this reactor parked with
-	// connSlots commands in flight.
-	slotStalls atomic.Int64
+	// connSlots commands in flight; rxReads the socket reads its commands
+	// took: rx ÷ rxReads is the readers' batching factor.
+	slotStalls, rxReads atomic.Int64
 }
 
 // rconn is one live connection: a reader goroutine, a writer goroutine,
@@ -254,11 +250,13 @@ func (t *TCPReactors) AttachObs(h *obs.Hub, regs []*obs.Registry) {
 		lb := obs.L("reactor", strconv.Itoa(j))
 		rr := r
 		reg.GaugeFunc("fabric_reactor_rx_capsules", lb, func() float64 { return float64(rr.rx.Load()) })
+		reg.GaugeFunc("fabric_reactor_rx_reads", lb, func() float64 { return float64(rr.rxReads.Load()) })
 		reg.GaugeFunc("fabric_reactor_tx_capsules", lb, func() float64 { return float64(rr.tx.Load()) })
 		reg.GaugeFunc("fabric_reactor_tx_writes", lb, func() float64 { return float64(rr.txWrites.Load()) })
 		reg.GaugeFunc("fabric_reactor_slots", lb, func() float64 { return float64(rr.slots()) })
 		reg.GaugeFunc("fabric_reactor_slot_stalls", lb, func() float64 { return float64(rr.slotStalls.Load()) })
 		reg.Help("fabric_reactor_rx_capsules", "command capsules received by the reactor")
+		reg.Help("fabric_reactor_rx_reads", "socket reads that brought the reactor's command capsules in")
 		reg.Help("fabric_reactor_tx_capsules", "response capsules sent by the reactor")
 		reg.Help("fabric_reactor_tx_writes", "writev calls that carried the reactor's responses")
 		reg.Help("fabric_reactor_slots", "IO slots created by the live connections feeding the reactor")
@@ -276,6 +274,10 @@ type ReactorStat struct {
 	SSDs       []int `json:"ssds"`
 	Conduits   int   `json:"conduits"`
 	RxCapsules int64 `json:"rx_capsules"`
+	// RxReads counts the socket reads that brought those capsules in:
+	// RxCapsules ÷ RxReads is the batching of small frames, and a large
+	// write costs two or three — its header, then its payload.
+	RxReads    int64 `json:"rx_reads"`
 	TxCapsules int64 `json:"tx_capsules"`
 	// TxWrites counts the writev calls that carried this reactor's responses
 	// (one that gathers responses of several reactors counts in each row):
@@ -300,7 +302,7 @@ type ReactorStat struct {
 func (t *TCPReactors) ReactorStats() []ReactorStat {
 	out := make([]ReactorStat, len(t.rs))
 	for j, r := range t.rs {
-		st := ReactorStat{Reactor: j, RxCapsules: r.rx.Load(), TxCapsules: r.tx.Load(),
+		st := ReactorStat{Reactor: j, RxCapsules: r.rx.Load(), RxReads: r.rxReads.Load(), TxCapsules: r.tx.Load(),
 			TxWrites: r.txWrites.Load(), Slots: r.slots(), SlotStalls: r.slotStalls.Load()}
 		r.shard.Lock()
 		st.ClockReads, st.Timers = r.shard.ClockReads(), r.shard.Pending()
@@ -488,14 +490,16 @@ func (c *rconn) takeSlot() *ioSlot {
 	}
 }
 
-// readLoop decodes frames into slots and publishes them to the owning
-// reactors in batches: it keeps staging while complete frames are already
-// buffered (up to readBatch), then flushes every touched conduit with one
-// ring publish and one doorbell each.
+// readLoop receives commands into slots and publishes them to the owning
+// reactors in batches: it keeps staging while frames are already buffered
+// (up to readBatch), then flushes every touched conduit with one ring
+// publish and one doorbell each. The flush runs ahead of every read of the
+// socket: otherwise a client waiting for responses to the staged commands
+// would deadlock against a reader waiting for the rest of a frame.
 func (c *rconn) readLoop() {
 	t := c.srv
 	defer t.wg.Done()
-	fr := frameReader{r: bufio.NewReaderSize(c.conn, readBufSize)}
+	fr := newCapsuleReader(c.conn, rxBufSize)
 	var touched []*conduit
 	nstaged := 0
 	flush := func() {
@@ -512,10 +516,11 @@ func (c *rconn) readLoop() {
 		touched = touched[:0]
 		nstaged = 0
 	}
+	fr.before = flush
 	for {
-		// The frame waits in the read buffer, so the reader holds no slot
+		// The header waits in the read buffer, so the reader holds no slot
 		// while it waits for the peer: an idle connection pins none.
-		frame, err := fr.next()
+		hdr, err := fr.head(capCommand, cmdHeaderLen)
 		if err != nil {
 			break
 		}
@@ -523,19 +528,24 @@ func (c *rconn) readLoop() {
 		if s == nil {
 			break
 		}
-		if _, err := DecodeCommandInto(&s.cmd, frame); err != nil {
+		decodeCommandHeader(&s.cmd, hdr)
+		if err := fr.body(&s.cmd.Data); err != nil {
 			// slot dropped, dies with the connection
 			c.outstanding.Add(-1)
 			break
 		}
 		cd := c.conduit(t.reactorFor(s.cmd.NSID))
 		s.cond = cd
+		if fr.reads > 0 { // charged to the reactor whose command they brought
+			cd.r.rxReads.Add(fr.reads)
+			fr.reads = 0
+		}
 		if len(cd.staged) == 0 {
 			touched = append(touched, cd)
 		}
 		cd.staged = append(cd.staged, s)
 		nstaged++
-		if nstaged >= readBatch || !fr.fullFrameBuffered() {
+		if nstaged >= readBatch {
 			flush()
 		}
 	}

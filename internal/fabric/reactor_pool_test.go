@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"bufio"
 	"encoding/binary"
 	"net"
 	"runtime"
@@ -19,8 +18,9 @@ import (
 // reading anything), and checks that every CID comes back OK exactly once.
 func pipelinedReads(t *testing.T, conn net.Conn, qd, n int) {
 	t.Helper()
-	r := bufio.NewReaderSize(conn, 256<<10)
-	var wire, scratch []byte
+	fr := newCapsuleReader(conn, rxBufSize)
+	var wire []byte
+	var rsp ResponseCapsule
 	done := make([]bool, n)
 	for sent, got := 0, 0; got < n; {
 		wire = wire[:0]
@@ -33,14 +33,8 @@ func pipelinedReads(t *testing.T, conn net.Conn, qd, n int) {
 				t.Fatal(err)
 			}
 		}
-		frame, err := readFrameInto(r, scratch)
-		if err != nil {
+		if err := fr.readResponse(&rsp); err != nil {
 			t.Fatalf("after %d of %d responses: %v", got, n, err)
-		}
-		scratch = frame
-		rsp, _, err := DecodeResponse(frame)
-		if err != nil {
-			t.Fatal(err)
 		}
 		if int(rsp.CID) >= n || done[rsp.CID] || rsp.Status != nvme.StatusOK || len(rsp.Data) != 4096 {
 			t.Fatalf("response %d: CID %d (seen before: %v), status %v, %d bytes",
@@ -180,14 +174,20 @@ func (d *heldDevice) Submit(r *ssd.Request) {
 	d.held = append(d.held, r)
 }
 
-// releaseAt completes what is held once n commands are in flight.
-func (d *heldDevice) releaseAt(t *testing.T, srv *TCPReactors, n int64) {
+// await returns once n commands are in flight: all held.
+func (d *heldDevice) await(t *testing.T, srv *TCPReactors, n int64) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); srv.Inflight() < n; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d of %d commands reached the device", srv.Inflight(), n)
 		}
 	}
+}
+
+// releaseAt completes what is held once n commands are in flight.
+func (d *heldDevice) releaseAt(t *testing.T, srv *TCPReactors, n int64) {
+	t.Helper()
+	d.await(t, srv, n)
 	d.shard.Lock()
 	defer d.shard.Unlock()
 	for _, r := range d.held {
@@ -228,9 +228,9 @@ func TestReactorSlotShedsJumboBuffers(t *testing.T) {
 		conn.Write(wire) // a failure shows as missing responses below
 	}()
 	dev.releaseAt(t, srv, n)
-	r := bufio.NewReaderSize(conn, 256<<10)
+	fr := newCapsuleReader(conn, rxBufSize)
 	for i := 0; i < n; i++ {
-		expectResponse(t, r, i, i%2*jumbo) // the odd ones are the reads
+		expectResponse(t, fr, i, i%2*jumbo) // the odd ones are the reads
 	}
 	// The shed slots still serve: 4 KB writes through each of them.
 	go func() {
@@ -242,7 +242,7 @@ func TestReactorSlotShedsJumboBuffers(t *testing.T) {
 	}()
 	dev.releaseAt(t, srv, n)
 	for i := 0; i < n; i++ {
-		expectResponse(t, r, i, 0)
+		expectResponse(t, fr, i, 0)
 	}
 
 	srv.connMu.Lock()

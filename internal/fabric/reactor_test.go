@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"bufio"
 	"encoding/binary"
 	"io"
 	"net"
@@ -299,7 +298,7 @@ func TestReactorPeerResetReclaims(t *testing.T) {
 		if _, err := conn.Write(frames); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := readFrameInto(bufio.NewReader(conn), nil); err != nil {
+		if err := newCapsuleReader(conn, rxBufSize).readResponse(&ResponseCapsule{}); err != nil {
 			t.Fatal(err)
 		}
 		conn.(*net.TCPConn).SetLinger(0) // close sends RST

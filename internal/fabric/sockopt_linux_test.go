@@ -39,9 +39,10 @@ func congestionControl(t *testing.T, conn net.Conn) string {
 	return string(name)
 }
 
-// TestReactorSocketsAreNotPaced: the sockets the target sends responses on
-// run the window-based congestion control its listener asked for, whatever
-// the host's default is.
+// TestReactorSocketsAreNotPaced: both ends of a connection — the socket the
+// target sends responses on and the one DialTCP sends commands on — run the
+// window-based congestion control they asked for, whatever the host's
+// default is.
 func TestReactorSocketsAreNotPaced(t *testing.T) {
 	srv, _ := startReactors(t, SchemeVanilla, 1, 1)
 	c, err := DialTCP(srv.Addr(), SchemeVanilla)
@@ -58,8 +59,10 @@ func TestReactorSocketsAreNotPaced(t *testing.T) {
 		t.Fatalf("%d server connections, want 1", len(srv.conns))
 	}
 	for rc := range srv.conns {
-		if cc := congestionControl(t, rc.conn); cc != "cubic" && cc != "reno" {
-			t.Fatalf("accepted socket runs %q, want cubic or reno", cc)
+		for side, conn := range map[string]net.Conn{"accepted": rc.conn, "dialled": c.conn} {
+			if cc := congestionControl(t, conn); cc != "cubic" && cc != "reno" {
+				t.Errorf("%s socket runs %q, want cubic or reno", side, cc)
+			}
 		}
 	}
 }

@@ -16,37 +16,24 @@ import (
 // on a plain TCP stream — the NVMe-over-TCP shape of NVMe-oF (§2.1 lists
 // TCP among the supported fabrics). One TCP connection corresponds to one
 // tenant per namespace (the RDMA qpair + NVMe qpair pairing of §3.1). This
-// file holds the framing both ends share and the initiator; the target side
-// is the reactor datapath in reactor.go.
+// file holds the framing and the receive path both ends share, and the
+// initiator; the target side is the reactor datapath in reactor.go.
 
-const maxFrame = 4 << 20 // caps a frame at 4MB: header + 128KB data is typical
+const (
+	maxFrame = 4 << 20 // caps a frame at 4MB: header + 128KB data is typical
 
-// readFrameInto reads one frame, reusing scratch's capacity when it
-// suffices so a connection loop amortizes its read buffer.
-func readFrameInto(r *bufio.Reader, scratch []byte) ([]byte, error) {
-	// Peek+Discard instead of ReadFull into a local array: the array's
-	// slice would escape through the io.Reader interface and cost one
-	// heap allocation per frame on the live datapath.
-	hdr, err := r.Peek(4)
-	if err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr)
-	r.Discard(4)
-	if n > maxFrame {
-		return nil, fmt.Errorf("fabric: frame of %d bytes exceeds limit", n)
-	}
-	var buf []byte
-	if uint32(cap(scratch)) >= n {
-		buf = scratch[:n]
-	} else {
-		buf = make([]byte, n)
-	}
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
+	// rxBufSize is a connection's receive buffer, for headers and small
+	// frames: a QD32 initiator's burst of sixteen 4 KB writes arrives in two
+	// socket reads (at 16 KiB, four frames to a read and 10% slower).
+	rxBufSize = 64 << 10
+	// largePayload is half the buffer: no two frames that size fit it, so a
+	// greedy fill behind one would drag most of the next payload through the
+	// buffer and batch nothing. That fill is capped at fillAfterLarge: the
+	// next header, or 150 read commands if the stream has turned, for the
+	// price of copying a page.
+	largePayload   = rxBufSize / 2
+	fillAfterLarge = 4 << 10
+)
 
 // appendCommandFrame appends c as one wire frame: length prefix, capsule.
 func appendCommandFrame(buf []byte, c *CommandCapsule) []byte {
@@ -54,64 +41,92 @@ func appendCommandFrame(buf []byte, c *CommandCapsule) []byte {
 	return AppendCommand(buf, c)
 }
 
-// frameReader yields a connection's frames one at a time for a consumer
-// that is done with each before it asks for the next (the target's
-// connection reader: DecodeCommandInto copies what it keeps). A frame that
-// fits the bufio buffer together with its prefix is returned where the
-// socket read left it, with no copy; only a larger one is assembled in
-// scratch.
-type frameReader struct {
-	r       *bufio.Reader
-	scratch []byte
-	held    int // bytes of r's buffer under the frame last returned
+// capsuleReader is how both ends receive: header first, payload straight
+// into the buffer that will hold it. head checks a frame's prefix and
+// capsule header where the socket read left them, before anything is
+// allocated; the caller decodes the header in place; body consumes the
+// frame, copying only the part of the payload that a fill brought along and
+// reading the rest from the socket into its destination.
+type capsuleReader struct {
+	src io.Reader     // the socket
+	buf *bufio.Reader // over the reader itself: Read is its fill
+	// before, if set, runs ahead of every read of the socket — the only
+	// places the reader can block — and reads counts them.
+	before func()
+	reads  int64
+
+	afterLarge           bool // the last payload was a large one
+	skip, dataLen, trail int  // of the frame head returned: bytes ahead of its payload, in it, behind it
 }
 
-// next returns the next frame, valid until the following call to next or
-// fullFrameBuffered.
-func (f *frameReader) next() ([]byte, error) {
-	f.release()
-	hdr, err := f.r.Peek(4)
+func newCapsuleReader(src io.Reader, size int) *capsuleReader {
+	f := &capsuleReader{src: src}
+	f.buf = bufio.NewReaderSize(f, size)
+	return f
+}
+
+// Read is every read of the socket: the buffer's fills, capped behind a
+// large payload, and body's.
+func (f *capsuleReader) Read(p []byte) (int, error) {
+	if f.afterLarge && len(p) > fillAfterLarge {
+		p = p[:fillAfterLarge]
+	}
+	if f.before != nil {
+		f.before()
+	}
+	f.reads++
+	return f.src.Read(p)
+}
+
+// head waits for the next frame and returns its capsule header — hdrLen
+// bytes, checked by payloadLen — valid until the call to body that must
+// follow. It consumes nothing: a caller can wait for the peer to speak
+// before it finds somewhere to put the capsule.
+func (f *capsuleReader) head(tag byte, hdrLen int) ([]byte, error) {
+	p, err := f.buf.Peek(4)
 	if err != nil {
 		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr)
-	if n > maxFrame || 4+int(n) > f.r.Size() {
-		frame, err := readFrameInto(f.r, f.scratch)
-		if err == nil {
-			f.scratch = frame
-		}
-		return frame, err
-	}
-	whole, err := f.r.Peek(4 + int(n))
-	if err != nil {
-		return nil, err
-	}
-	f.held = len(whole)
-	return whole[4:], nil
-}
-
-func (f *frameReader) release() {
-	f.r.Discard(f.held)
-	f.held = 0
-}
-
-// fullFrameBuffered reports whether the buffer already holds the whole of
-// the frame after the one last returned, which it releases. The reader
-// keeps batching while this holds and flushes its staged commands before
-// any read that could block — otherwise a client waiting for responses to
-// its staged commands would deadlock against a reader waiting for the rest
-// of a frame.
-func (f *frameReader) fullFrameBuffered() bool {
-	f.release()
-	if f.r.Buffered() < 4 {
-		return false
-	}
-	p, err := f.r.Peek(4)
-	if err != nil {
-		return false
 	}
 	n := binary.BigEndian.Uint32(p)
-	return n <= maxFrame && f.r.Buffered() >= 4+int(n)
+	if n > maxFrame {
+		return nil, fmt.Errorf("fabric: frame of %d bytes exceeds limit", n)
+	}
+	if int(n) >= hdrLen { // else payloadLen refuses the frame unseen
+		if p, err = f.buf.Peek(4 + hdrLen); err != nil {
+			return nil, err
+		}
+	}
+	f.dataLen, err = payloadLen(p[4:], tag, hdrLen, int(n))
+	f.skip, f.trail = 4+hdrLen, int(n)-hdrLen-f.dataLen
+	return p[4:], err
+}
+
+// body consumes the frame: *data becomes its payload, in the capacity it
+// came with where that suffices. A buffer that must grow grows as the bytes
+// arrive — one read of at most slotBufKeep at a time, to at most twice what
+// has arrived — so a peer pins what it sends, not what it claims.
+func (f *capsuleReader) body(data *[]byte) error {
+	f.buf.Discard(f.skip)
+	*data = (*data)[:0]
+	f.afterLarge = false // what body reads itself is no fill
+	for got := 0; got < f.dataLen; {
+		end := got + min(f.dataLen-got, slotBufKeep)
+		if cap(*data) < end {
+			*data = append(make([]byte, 0, min(f.dataLen, max(end, 2*got))), *data...)
+		}
+		*data = (*data)[:end]
+		if k := min(end-got, f.buf.Buffered()); k > 0 {
+			f.buf.Read((*data)[got : got+k]) // a copy: no fill while bytes are buffered
+			got += k
+		}
+		if _, err := io.ReadFull(f, (*data)[got:end]); err != nil {
+			return err
+		}
+		got = end
+	}
+	f.afterLarge = f.dataLen >= largePayload
+	_, err := f.buf.Discard(f.trail)
+	return err
 }
 
 // clientBufKeep is the largest send buffer the initiator's writer keeps
@@ -153,9 +168,11 @@ type callResult struct {
 }
 
 // DialTCP connects to a target, applying the client-side controller for
-// the scheme (SchemeGimbal → credit gate, SchemeParda → PARDA window).
+// the scheme (SchemeGimbal → credit gate, SchemeParda → PARDA window). The
+// socket asks for the congestion control the target's listener asks for: a
+// dialled socket inherits nothing from a listener.
 func DialTCP(addr string, scheme Scheme) (*TCPClient, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := (&net.Dialer{Control: windowCC}).Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
@@ -180,20 +197,20 @@ func (c *TCPClient) Close() error {
 	return err
 }
 
-// readLoop completes calls. Each response gets a frame of its own and the
-// capsule's Data aliases it, so the payload is written once, by the socket
-// read, and belongs to whoever receives the capsule.
+// readLoop completes calls. Each response's Data is a buffer of its own,
+// allocated for it and written once — by the socket read, for all of a large
+// payload but the page that came with its header.
 func (c *TCPClient) readLoop() {
 	defer c.loops.Done()
-	r := bufio.NewReaderSize(c.conn, 256<<10)
+	fr := newCapsuleReader(c.conn, rxBufSize)
 	for {
-		frame, err := readFrameInto(r, nil)
-		if err != nil {
-			c.fail(err)
-			return
-		}
 		var rsp ResponseCapsule
-		if _, err := decodeResponseAliased(&rsp, frame); err != nil {
+		hdr, err := fr.head(capResponse, rspHeaderLen)
+		if err == nil {
+			decodeResponseHeader(&rsp, hdr)
+			err = fr.body(&rsp.Data)
+		}
+		if err != nil {
 			c.fail(err)
 			return
 		}

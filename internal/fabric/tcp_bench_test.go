@@ -46,5 +46,11 @@ func benchTCPClient(b *testing.B, op nvme.Opcode, size, qd int) {
 	}
 }
 
-func BenchmarkTCPClientRead4K(b *testing.B)   { benchTCPClient(b, nvme.OpRead, 4096, 32) }
-func BenchmarkTCPClientWrite64K(b *testing.B) { benchTCPClient(b, nvme.OpWrite, 64<<10, 4) }
+// The sizes are the paper's small and large IO and two between; the depths
+// keep about 128 KiB to 512 KiB in flight, as a tenant of each kind would.
+func BenchmarkTCPClientRead4K(b *testing.B)    { benchTCPClient(b, nvme.OpRead, 4096, 32) }
+func BenchmarkTCPClientRead128K(b *testing.B)  { benchTCPClient(b, nvme.OpRead, 128<<10, 4) }
+func BenchmarkTCPClientWrite4K(b *testing.B)   { benchTCPClient(b, nvme.OpWrite, 4096, 32) }
+func BenchmarkTCPClientWrite16K(b *testing.B)  { benchTCPClient(b, nvme.OpWrite, 16<<10, 16) }
+func BenchmarkTCPClientWrite64K(b *testing.B)  { benchTCPClient(b, nvme.OpWrite, 64<<10, 4) }
+func BenchmarkTCPClientWrite128K(b *testing.B) { benchTCPClient(b, nvme.OpWrite, 128<<10, 4) }

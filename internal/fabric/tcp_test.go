@@ -164,9 +164,9 @@ func startPeer(t *testing.T, serve func(net.Conn)) (addr string, stop func()) {
 
 // TestTCPClientOrderAndOwnership: commands reach the wire in the order each
 // caller submitted them, whatever other callers interleave, and every
-// response's Data is the receiver's alone — the client decodes it in place
-// in a frame it allocated for that response, so writing to one must not show
-// in another.
+// response's Data is the receiver's alone — the client reads it into a
+// buffer it allocated for that response, so writing to one must not show in
+// another.
 func TestTCPClientOrderAndOwnership(t *testing.T) {
 	const callers, perCaller, window, payload = 8, 1250, 16, 512
 	// The peer answers every command with payload bytes of its sequence
@@ -174,17 +174,12 @@ func TestTCPClientOrderAndOwnership(t *testing.T) {
 	// the same caller. A command's SLBA is caller<<32 | sequence.
 	misordered := make(chan string, 1)
 	addr, stop := startPeer(t, func(conn net.Conn) {
-		r, w := bufio.NewReaderSize(conn, 256<<10), bufio.NewWriter(conn)
+		fr, w := newCapsuleReader(conn, rxBufSize), bufio.NewWriter(conn)
 		var next [callers]uint64
-		var scratch, out []byte
+		var cmd CommandCapsule
+		var out []byte
 		for {
-			frame, err := readFrameInto(r, scratch)
-			if err != nil {
-				return
-			}
-			scratch = frame
-			cmd, _, err := DecodeCommand(frame)
-			if err != nil {
+			if err := fr.readCommand(&cmd); err != nil {
 				return
 			}
 			caller, seq := cmd.SLBA>>32, cmd.SLBA&(1<<32-1)
@@ -198,7 +193,7 @@ func TestTCPClientOrderAndOwnership(t *testing.T) {
 			out = binary.BigEndian.AppendUint32(out[:0], uint32(ResponseWireLen(payload)))
 			out = AppendResponse(out, &ResponseCapsule{CID: cmd.CID, Data: bytes.Repeat([]byte{byte(seq)}, payload)})
 			w.Write(out)
-			if r.Buffered() == 0 {
+			if fr.buf.Buffered() == 0 {
 				w.Flush()
 			}
 		}
