@@ -95,7 +95,7 @@ func BenchmarkTokenBucketRefillConsume(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.Refill(int64(i)*1000, 3)
-		e.TryConsume(i%4 == 0, 4096)
+		e.Admit(i%4 == 0, 4096, 3)
 	}
 }
 
@@ -288,6 +288,40 @@ func BenchmarkTimerReschedule(b *testing.B) {
 	}
 }
 
+// BenchmarkTimerMovableCycle is one pacing cycle as a paced switch runs it
+// per admitted IO: arm where the timer will be re-keyed (AtMovable), two
+// stalled passes re-key it, it fires — behind 512 pending one-shots on the
+// main heap, which the cycle never touches. The At sub-benchmark is the same
+// cycle armed on the main heap (push, tombstone, move, burial pop).
+func BenchmarkTimerMovableCycle(b *testing.B) {
+	b.Run("AtMovable", func(b *testing.B) { benchTimerCycle(b, true) })
+	b.Run("At", func(b *testing.B) { benchTimerCycle(b, false) })
+}
+
+func benchTimerCycle(b *testing.B, movable bool) {
+	loop := sim.NewLoop()
+	for i := 0; i < 512; i++ {
+		loop.At(1<<40+int64(i), func() {})
+	}
+	arm, nop := loop.At, func() {}
+	if movable {
+		arm = loop.AtMovable
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := loop.Now()
+		h := arm(now+100, nop)
+		h = h.Reschedule(now + 90)
+		h.Reschedule(now + 80)
+		loop.Step()
+	}
+	b.StopTimer()
+	if loop.Pending() != 512 || loop.Now() != 80*int64(b.N) {
+		b.Fatalf("%d events pending at t=%d, want the 512 one-shots at t=%d", loop.Pending(), loop.Now(), 80*b.N)
+	}
+}
+
 // TestLoopSchedulingAllocFree pins the event engine's zero-allocation
 // contract: once the arena is warm, the schedule→fire→reschedule cycle of
 // a self-rescheduling timer, the schedule→cancel cycle of a churny one and
@@ -328,6 +362,15 @@ func TestLoopSchedulingAllocFree(t *testing.T) {
 		loop.Run()
 	}); avg > 0 {
 		t.Errorf("arm/reschedule/fire cycle allocates %.1f objects per run, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		h := loop.AtMovable(loop.Now()+100, nop)
+		for i := int64(0); i < 8; i++ {
+			h = h.Reschedule(loop.Now() + 50 + 10*i)
+		}
+		loop.Run()
+	}); avg > 0 {
+		t.Errorf("arm-movable/reschedule/fire cycle allocates %.1f objects per run, want 0", avg)
 	}
 }
 

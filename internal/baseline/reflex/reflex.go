@@ -57,7 +57,8 @@ type Scheduler struct {
 	tokens   float64
 	last     int64
 	timer    sim.Timer
-	pumpFn   func() // cached for timer re-arming without a per-arm closure
+	armTimer func(t int64, fn func()) sim.Timer // sim.AtMovableFunc(clk): pump moves the timer
+	pumpFn   func()                             // cached for timer re-arming without a per-arm closure
 	onDoneFn func(*nvme.IO)
 	quantum  float64
 
@@ -76,6 +77,8 @@ func New(clk sim.Scheduler, dev ssd.Device, cfg Config) *Scheduler {
 		tokens:  cfg.Burst,
 		last:    clk.Now(),
 		quantum: 32, // one 128KB request per round
+
+		armTimer: sim.AtMovableFunc(clk),
 	}
 	s.pumpFn = s.pump
 	s.onDoneFn = s.onDone
@@ -185,7 +188,7 @@ func (s *Scheduler) pump() {
 			if s.timer.Active() {
 				s.timer = s.timer.Reschedule(when)
 			} else {
-				s.timer = s.clk.At(when, s.pumpFn)
+				s.timer = s.armTimer(when, s.pumpFn)
 			}
 			return
 		}

@@ -12,8 +12,8 @@ import (
 // cancelOnEntry is the pump this repository had before the pacing timer
 // became re-armable, rebuilt around the current one for use as a test
 // oracle: it cancels the timer before every entry into the switch, so the
-// pump below it never finds one pending and always arms afresh — Cancel,
-// then After, per pass.
+// pump below it never finds one pending and always arms afresh, and the
+// oracle rig arms with the clock's plain At — Cancel, then At, per pass.
 type cancelOnEntry struct{ *Switch }
 
 func (s cancelOnEntry) Enqueue(io *nvme.IO) {
@@ -29,14 +29,15 @@ type devDone struct {
 
 // pacedNullRun drives 16 tenants × QD32 of 4KB 90/10 IO through a switch
 // over a NULL device — the rate pacer is the only thing holding IOs back —
-// and returns the device-completion trace and the most cancelled entries
-// the event queue held at any completion.
-func pacedNullRun(oracle bool) (trace []devDone, maxTombstones int) {
+// and returns the device-completion trace, the switch's counters and the
+// most cancelled entries the event queue held at any completion.
+func pacedNullRun(oracle bool) (trace []devDone, st Stats, maxTombstones int) {
 	loop := sim.NewLoop()
 	sw := New(loop, ssd.NewNull(loop, 8<<30, 100), DefaultConfig())
 	var target nvme.Scheduler = sw
 	if oracle {
 		target = cancelOnEntry{sw}
+		sw.armTimer = loop.At
 	}
 	sw.devDoneFn = func(io *nvme.IO) {
 		trace = append(trace, devDone{loop.Now(), io.Offset, io.Tenant.ID, io.Op})
@@ -58,24 +59,26 @@ func pacedNullRun(oracle bool) (trace []devDone, maxTombstones int) {
 	}
 	loop.RunUntil(stop)
 	loop.Run()
-	return trace, maxTombstones
+	return trace, sw.Stats(), maxTombstones
 }
 
 // TestPacerReschedulesInPlace pins both halves of the re-armable pacing
-// timer: the simulation cannot tell it from cancelling and arming per pump
-// pass (identical device-completion trace), and the event queue no longer
-// fills with the dead entries that cycle left behind.
+// timer: the simulation cannot tell it from cancelling and arming with At
+// per pump pass (identical device-completion trace), and the pacer leaves
+// nothing dead in the event queue — its timer is born on the side heap, is
+// re-keyed there and fires from there.
 func TestPacerReschedulesInPlace(t *testing.T) {
-	got, tombstones := pacedNullRun(false)
-	want, oracleTombstones := pacedNullRun(true)
+	got, st, tombstones := pacedNullRun(false)
+	want, _, oracleTombstones := pacedNullRun(true)
 	if len(got) < 10_000 {
 		t.Fatalf("only %d IOs completed: the rig is not running", len(got))
 	}
-	if oracleTombstones <= 2 {
-		t.Fatalf("cancel-and-arm oracle peaked at %d tombstones: the rig is not paced, so the test shows nothing", oracleTombstones)
+	if st.PacingStalls < 2*st.Completions {
+		t.Fatalf("%d stalled pump passes over %d completions, want >= 2 per IO: the rig is not paced, so the test shows nothing",
+			st.PacingStalls, st.Completions)
 	}
-	if tombstones > 2 {
-		t.Errorf("event queue held %d cancelled entries (oracle: %d), want <= 2", tombstones, oracleTombstones)
+	if tombstones != 0 {
+		t.Errorf("Queued() exceeded Pending() by %d at a device completion (oracle: %d), want the two equal throughout", tombstones, oracleTombstones)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d completions, oracle %d", len(got), len(want))
@@ -85,7 +88,8 @@ func TestPacerReschedulesInPlace(t *testing.T) {
 			t.Fatalf("completion %d = %+v, oracle %+v", i, got[i], want[i])
 		}
 	}
-	t.Logf("%d completions identical; peak tombstones %d, oracle %d", len(got), tombstones, oracleTombstones)
+	t.Logf("%d completions identical, %.2f stalled passes per IO; peak tombstones %d, oracle %d",
+		len(got), float64(st.PacingStalls)/float64(st.Completions), tombstones, oracleTombstones)
 }
 
 // TestPacerAdmitsOversizeIO: a read of twice the token bucket completes

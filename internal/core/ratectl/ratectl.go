@@ -114,45 +114,32 @@ func (e *Engine) bucket(isWrite bool, size int) (tok *float64, need float64) {
 	return tok, float64(min(int64(size), full))
 }
 
-// TryConsume withdraws size bytes from the bucket for the IO class,
-// reporting whether enough tokens were available (Algorithm 1 Submission).
-// An IO larger than the bucket is admitted from a full one and leaves it in
+// Admit is the submission step of Algorithm 1 in one call. With enough
+// tokens in the IO class's bucket it withdraws size bytes and reports ok;
+// an IO larger than the bucket is admitted from a full one and leaves it in
 // debt, which the refill repays before anything else of the class passes.
-func (e *Engine) TryConsume(isWrite bool, size int) bool {
+// Short of tokens it takes nothing and returns the refill time that covers
+// the shortfall at the class's share of the target rate under writeCost —
+// what the switch sets its pump timer to instead of busy-polling.
+func (e *Engine) Admit(isWrite bool, size int, writeCost float64) (wait int64, ok bool) {
 	tok, need := e.bucket(isWrite, size)
 	if *tok < need {
-		return false
+		d := need - *tok
+		if writeCost < 1 {
+			writeCost = 1
+		}
+		share := writeCost / (1 + writeCost)
+		if isWrite {
+			share = 1 / (1 + writeCost)
+		}
+		rate := e.targetRate * share
+		if rate <= 0 {
+			rate = e.cfg.MinRate
+		}
+		return int64(d / rate * 1e9), false
 	}
 	*tok -= float64(size)
-	return true
-}
-
-// Deficit returns how many bytes of tokens the IO class is short for an IO
-// of the given size (0 if it would be admitted now).
-func (e *Engine) Deficit(isWrite bool, size int) float64 {
-	tok, need := e.bucket(isWrite, size)
-	return max(need-*tok, 0)
-}
-
-// NanosUntil returns the refill time needed to cover a deficit of d bytes
-// for the class, given the current split. Used by the switch to arm a pump
-// timer instead of busy-polling.
-func (e *Engine) NanosUntil(d float64, isWrite bool, writeCost float64) int64 {
-	if d <= 0 {
-		return 0
-	}
-	if writeCost < 1 {
-		writeCost = 1
-	}
-	share := writeCost / (1 + writeCost)
-	if isWrite {
-		share = 1 / (1 + writeCost)
-	}
-	rate := e.targetRate * share
-	if rate <= 0 {
-		rate = e.cfg.MinRate
-	}
-	return int64(d / rate * 1e9)
+	return 0, true
 }
 
 // OnCompletion applies Algorithm 1's Completion procedure: adjust the

@@ -48,39 +48,156 @@ func TestBothBucketsCapped(t *testing.T) {
 	}
 }
 
-func TestTryConsume(t *testing.T) {
+func TestAdmit(t *testing.T) {
 	e := New(DefaultConfig(), 0)
-	if !e.TryConsume(false, 128<<10) {
+	if _, ok := e.Admit(false, 128<<10, 1); !ok {
 		t.Fatal("full bucket refused 128KB read")
 	}
-	if !e.TryConsume(false, 128<<10) {
+	if _, ok := e.Admit(false, 128<<10, 1); !ok {
 		t.Fatal("bucket refused second 128KB read")
 	}
-	if e.TryConsume(false, 4096) {
+	if _, ok := e.Admit(false, 4096, 1); ok {
 		t.Fatal("empty bucket granted a read")
 	}
-	if !e.TryConsume(true, 4096) {
-		t.Fatal("write bucket should be untouched")
+	if wait, ok := e.Admit(true, 4096, 1); !ok || wait != 0 {
+		t.Fatalf("write bucket should be untouched: wait %d, ok %v", wait, ok)
 	}
 }
 
-func TestDeficitAndNanosUntil(t *testing.T) {
+func TestAdmitWait(t *testing.T) {
 	e := New(DefaultConfig(), 0)
 	e.readTok = 1000
-	if d := e.Deficit(false, 4096); d != 3096 {
-		t.Fatalf("deficit = %v, want 3096", d)
-	}
-	if d := e.Deficit(false, 500); d != 0 {
-		t.Fatalf("deficit = %v, want 0", d)
-	}
 	e.targetRate = 100e6
-	ns := e.NanosUntil(3096, false, 1)
-	// read share at cost 1 is 1/2 → 50MB/s → 3096B ≈ 62µs.
-	if ns < 50_000 || ns > 75_000 {
-		t.Fatalf("NanosUntil = %dns, want ~62µs", ns)
+	// 3096 B short; read share at cost 1 is 1/2 → 50MB/s → ≈ 62µs.
+	if ns, ok := e.Admit(false, 4096, 1); ok || ns < 50_000 || ns > 75_000 {
+		t.Fatalf("Admit = %dns, %v, want ~62µs, false", ns, ok)
 	}
-	if e.NanosUntil(0, false, 1) != 0 {
-		t.Fatal("zero deficit should need zero wait")
+	if r, _ := e.Tokens(); r != 1000 {
+		t.Fatalf("a refused IO took tokens: %v left of 1000", r)
+	}
+	if ns, ok := e.Admit(false, 500, 1); !ok || ns != 0 {
+		t.Fatalf("Admit = %dns, %v with tokens to spare, want 0, true", ns, ok)
+	}
+}
+
+// admitCase is one row of TestAdmitMatchesTriple: an engine state, an IO,
+// and what the three calls Admit replaced made of them.
+type admitCase struct {
+	name    string
+	prep    func(cfg *Config) *Engine
+	isWrite bool
+	size    int
+	cost    float64
+
+	wait        int64
+	ok          bool
+	read, write uint64 // bucket levels afterwards, as float64 bits
+}
+
+// drained empties one class's full bucket.
+func drained(e *Engine, isWrite bool) *Engine {
+	for i := 0; i < 2; i++ {
+		e.Admit(isWrite, 128<<10, 1)
+	}
+	return e
+}
+
+// The expected values were printed by the parent commit's
+// TryConsume(isWrite, size), then on refusal
+// NanosUntil(Deficit(isWrite, size), isWrite, cost), then Tokens(), over
+// these same rows.
+var admitCases = []admitCase{
+	{"full bucket, 4 KiB read", func(c *Config) *Engine { return New(*c, 0) }, false, 4096, 1, 0, true, 0x410f800000000000, 0x4110000000000000},
+	{"full bucket, 4 KiB write", func(c *Config) *Engine { return New(*c, 0) }, true, 4096, 3, 0, true, 0x4110000000000000, 0x410f800000000000},
+	{"read bucket drained, cost 1", func(c *Config) *Engine { return drained(New(*c, 0), false) }, false, 4096, 1, 20480, false, 0x0, 0x4110000000000000},
+	{"read bucket drained, cost 3", func(c *Config) *Engine { return drained(New(*c, 0), false) }, false, 4096, 3, 13653, false, 0x0, 0x4110000000000000},
+	{"write bucket drained, cost 3", func(c *Config) *Engine { return drained(New(*c, 0), true) }, true, 4096, 3, 40960, false, 0x4110000000000000, 0x0},
+	{"write bucket drained, cost 7.3", func(c *Config) *Engine { return drained(New(*c, 0), true) }, true, 128 << 10, 7.3, 2719744, false, 0x4110000000000000, 0x0},
+	{"cost below 1 counts as 1", func(c *Config) *Engine { return drained(New(*c, 0), false) }, false, 4096, 0.5, 20480, false, 0x0, 0x4110000000000000},
+	{"partial refill leaves a fraction", func(c *Config) *Engine {
+		e := drained(New(*c, 0), false)
+		e.Refill(7_321, 3)
+		return e
+	}, false, 4096, 3, 3892, false, 0x40a6e0cccccccc9a, 0x4110000000000000},
+	{"exactly enough", func(c *Config) *Engine {
+		e := drained(drained(New(*c, 0), false), true)
+		e.Refill(20_480, 1)
+		return e
+	}, false, 4096, 1, 0, true, 0x0, 0x40b0000000000000},
+	{"after an overload: no tokens, rate snapped to the completion rate", func(c *Config) *Engine {
+		e := New(*c, 0)
+		e.Refill(10_000_000, 2.5)
+		e.OnCompletion(10_000_000, 1<<20, latmon.Overloaded)
+		e.Refill(10_003_000, 2.5)
+		return e
+	}, false, 4096, 2.5, 52239, false, 0x406bce55445b3c48, 0x40563eaa9d15c9d3},
+	{"rate raised by underutilized completions", func(c *Config) *Engine {
+		e := drained(New(*c, 0), true)
+		for i := 0; i < 1000; i++ {
+			e.OnCompletion(int64(i)*1000, 128<<10, latmon.Underutilized)
+		}
+		return e
+	}, true, 4096, 4, 14138, false, 0x4110000000000000, 0x0},
+	{"rate at the floor", func(c *Config) *Engine {
+		e := drained(New(*c, 0), false)
+		for i := 0; i < 4000; i++ {
+			e.OnCompletion(int64(i)*1000, 128<<10, latmon.Congested)
+		}
+		return e
+	}, false, 4096, 9, 568888, false, 0x0, 0x4110000000000000},
+	{"zero target rate falls back to MinRate", func(c *Config) *Engine {
+		c.InitialRate = 0
+		return drained(New(*c, 0), false)
+	}, false, 4096, 3, 512000, false, 0x0, 0x4110000000000000},
+	{"oversize read from a full bucket runs a debt", func(c *Config) *Engine { return New(*c, 0) }, false, 512 << 10, 1, 0, true, 0xc110000000000000, 0x4110000000000000},
+	{"oversize read from a bucket 4 KiB short of full", func(c *Config) *Engine {
+		e := New(*c, 0)
+		e.Admit(false, 4096, 1)
+		return e
+	}, false, 512 << 10, 1, 20480, false, 0x410f800000000000, 0x4110000000000000},
+	{"4 KiB read behind the debt", func(c *Config) *Engine {
+		e := New(*c, 0)
+		e.Admit(false, 512<<10, 1)
+		return e
+	}, false, 4096, 2, 998400, false, 0xc110000000000000, 0x4110000000000000},
+	{"single bucket: write from the shared bucket", func(c *Config) *Engine {
+		c.SingleBucket = true
+		return New(*c, 0)
+	}, true, 4096, 3, 0, true, 0x410f800000000000, 0x4110000000000000},
+	{"single bucket: stalled write waits at the write share", func(c *Config) *Engine {
+		c.SingleBucket = true
+		return drained(New(*c, 0), false)
+	}, true, 4096, 3, 40960, false, 0x0, 0x4110000000000000},
+	{"single bucket: stalled read waits at the read share", func(c *Config) *Engine {
+		c.SingleBucket = true
+		return drained(New(*c, 0), true)
+	}, false, 4096, 3, 13653, false, 0x0, 0x4110000000000000},
+	{"single bucket: oversize write from a full one", func(c *Config) *Engine {
+		c.SingleBucket = true
+		e := New(*c, 0)
+		e.Refill(second, 1)
+		return e
+	}, true, 1 << 20, 3, 0, true, 0xc120000000000000, 0x4110000000000000},
+	{"single bucket: oversize write from one not yet full", func(c *Config) *Engine {
+		c.SingleBucket = true
+		return New(*c, 0)
+	}, true, 1 << 20, 3, 2621440, false, 0x4110000000000000, 0x4110000000000000},
+}
+
+// TestAdmitMatchesTriple: Admit returns, and leaves in the buckets, bit for
+// bit what TryConsume → Deficit → NanosUntil did — the simulated numbers of
+// every paced experiment hang on these floating-point expressions.
+func TestAdmitMatchesTriple(t *testing.T) {
+	for _, c := range admitCases {
+		cfg := DefaultConfig()
+		e := c.prep(&cfg)
+		wait, ok := e.Admit(c.isWrite, c.size, c.cost)
+		r, w := e.Tokens()
+		if wait != c.wait || ok != c.ok || math.Float64bits(r) != c.read || math.Float64bits(w) != c.write {
+			t.Errorf("%s: Admit = %d, %v leaving %v/%v (%#x/%#x), want %d, %v leaving %v/%v",
+				c.name, wait, ok, r, w, math.Float64bits(r), math.Float64bits(w),
+				c.wait, c.ok, math.Float64frombits(c.read), math.Float64frombits(c.write))
+		}
 	}
 }
 
@@ -147,7 +264,7 @@ func TestRateClamped(t *testing.T) {
 }
 
 // Property: token conservation — refills never create more tokens than
-// rate*dt (within float tolerance), and TryConsume never leaves a bucket
+// rate*dt (within float tolerance), and Admit never leaves a bucket
 // negative.
 func TestTokenConservationProperty(t *testing.T) {
 	f := func(steps []uint16, cost8 uint8) bool {
@@ -166,8 +283,8 @@ func TestTokenConservationProperty(t *testing.T) {
 			if r < 0 || w < 0 || r+w > minted+1 {
 				return false
 			}
-			e.TryConsume(false, 4096)
-			e.TryConsume(true, 4096)
+			e.Admit(false, 4096, cost)
+			e.Admit(true, 4096, cost)
 			r, w = e.Tokens()
 			if r < 0 || w < 0 {
 				return false
@@ -195,15 +312,22 @@ func TestOversizeIORunsADeficit(t *testing.T) {
 		}
 		size := int(2 * full)
 		e := New(cfg, 0)
-		e.Refill(second, 1) // a second at the initial rate fills every bucket
-		if !e.TryConsume(false, 4096) || e.TryConsume(false, size) {
-			t.Fatalf("single=%v: a bucket 4 KiB short of full must refuse a %d-byte read", single, size)
+		admits := func(size int) bool {
+			_, ok := e.Admit(false, size, 1)
+			return ok
 		}
-		if d := e.Deficit(false, size); d != 4096 {
-			t.Fatalf("single=%v: deficit %v from a bucket 4 KiB short of full, want 4096", single, d)
+		// wait is what Admit returns for a read d bytes short at cost 1.
+		wait := func(d float64) int64 { return int64(d / (e.TargetRate() / 2) * 1e9) }
+		e.Refill(second, 1) // a second at the initial rate fills every bucket
+		if !admits(4096) {
+			t.Fatalf("single=%v: a full bucket refused a 4 KiB read", single)
+		}
+		if w, ok := e.Admit(false, size, 1); ok || w != wait(4096) {
+			t.Fatalf("single=%v: Admit = %d, %v for a %d-byte read from a bucket 4 KiB short of full, want %d (4096 B short), false",
+				single, w, ok, size, wait(4096))
 		}
 		e.Refill(2*second, 1)
-		if !e.TryConsume(false, size) {
+		if !admits(size) {
 			t.Fatalf("single=%v: a full bucket refused a %d-byte read: it would wait forever", single, size)
 		}
 		if r, _ := e.Tokens(); r != -full {
@@ -213,12 +337,9 @@ func TestOversizeIORunsADeficit(t *testing.T) {
 		if r, w := e.Tokens(); r != -full || w > 0 {
 			t.Fatalf("single=%v: overload left the buckets at %v/%v, want the debt %v standing and no tokens", single, r, w, -full)
 		}
-		if e.TryConsume(false, 4096) {
-			t.Fatalf("single=%v: a read passed a bucket in debt", single)
-		}
-		d := e.Deficit(false, 4096)
-		if d != full+4096 {
-			t.Fatalf("single=%v: deficit %v behind the oversize read, want %v", single, d, full+4096)
+		d := full + 4096
+		if w, ok := e.Admit(false, 4096, 1); ok || w != wait(d) {
+			t.Fatalf("single=%v: Admit = %d, %v behind the oversize read, want %d (%v B short), false", single, w, ok, wait(d), d)
 		}
 		// Repay at a known rate, all of it to the read side (the write bucket
 		// is full or shared): one byte short is refused, the rest admits.
@@ -226,11 +347,11 @@ func TestOversizeIORunsADeficit(t *testing.T) {
 		e.writeTok = float64(cfg.BucketMax)
 		now := 2*second + int64((d-1)/100e6*1e9)
 		e.Refill(now, 1)
-		if e.TryConsume(false, 4096) {
+		if admits(4096) {
 			t.Fatalf("single=%v: admitted before debt ÷ rate had passed", single)
 		}
 		e.Refill(now+1000, 1)
-		if !e.TryConsume(false, 4096) {
+		if !admits(4096) {
 			t.Fatalf("single=%v: still refused after debt ÷ rate", single)
 		}
 	}

@@ -149,15 +149,18 @@ type Stats struct {
 // Switch is the Gimbal storage switch for one SSD. It implements
 // nvme.Scheduler.
 type Switch struct {
-	cfg   Config
-	clk   sim.Scheduler
-	sub   *nvme.Submitter
-	drr   *sched.DRR
-	rmon  *latmon.Monitor
-	wmon  *latmon.Monitor
-	rate  *ratectl.Engine
-	cost  *writecost.Estimator
-	timer sim.Timer
+	cfg  Config
+	clk  sim.Scheduler
+	sub  *nvme.Submitter
+	drr  *sched.DRR
+	rmon *latmon.Monitor
+	wmon *latmon.Monitor
+	rate *ratectl.Engine
+	cost *writecost.Estimator
+	// timer is the pacing timer and armTimer what arms it: the clock's
+	// AtMovable, resolved once (sim.AtMovableFunc), since pump moves it.
+	timer    sim.Timer
+	armTimer func(t int64, fn func()) sim.Timer
 
 	// Cached method-value closures: arming the pacing timer, the cost
 	// tick, and the per-IO device completion callback; binding the method
@@ -200,6 +203,8 @@ func New(clk sim.Scheduler, dev ssd.Device, cfg Config) *Switch {
 		wmon: latmon.New(cfg.Latency),
 		rate: ratectl.New(cfg.Rate, clk.Now()),
 		cost: writecost.New(cfg.Cost),
+
+		armTimer: sim.AtMovableFunc(clk),
 	}
 	sw.drr = sched.New(cfg.Sched, sw.weighted)
 	sw.drr.SetClock(clk.Now)
@@ -289,47 +294,53 @@ func (sw *Switch) Enqueue(io *nvme.IO) {
 // two states: re-keyed to the new refill time if it stalled on tokens, or
 // cancelled if the queue drained. A paced switch stalls on most passes, so
 // the timer is moved (sim.Timer.Reschedule), not cancelled on entry and
-// armed again on exit: what the clock observes is the same, and the event
-// loop is spared a dead entry and a push per pass.
+// armed again on exit, and it is armed where moving it is cheapest
+// (sim.AtMovable: on the loop's indexed side heap, so the pacer never
+// touches the main event queue). What the clock observes is the same.
+//
+// One thing to know about the deadline: every stalled pass re-keys it to
+// now + wait with wait at least 1 µs, so a pass inside the last microsecond
+// before the timer would have fired moves it to now + 1 µs — arrivals can
+// push a fire later, never earlier than the refill needs. Every golden
+// has that in it.
 func (sw *Switch) pump() {
 	if sw.pumping {
 		return // no re-entrant pumping from nested completions
 	}
 	sw.pumping = true
-	defer func() { sw.pumping = false }()
-
 	now := sw.clk.Now()
 	for {
-		sw.rate.Refill(now, sw.cost.Cost())
+		cost := sw.cost.Cost()
+		sw.rate.Refill(now, cost)
 		io := sw.drr.Select()
 		if io == nil {
 			sw.timer.Cancel()
-			return
+			break
 		}
 		if io.Admit == 0 {
 			io.Admit = now // won its DRR round; any further wait is pacing
 		}
-		isWrite := io.Op.IsWrite()
-		if !sw.cfg.DisableCongestionControl && !sw.rate.TryConsume(isWrite, io.Size) {
-			// Token-limited: set the timer for when the refill covers the
-			// deficit, instead of busy-polling.
-			sw.stats.PacingStalls++
-			need := sw.rate.Deficit(isWrite, io.Size)
-			wait := sw.rate.NanosUntil(need, isWrite, sw.cost.Cost())
-			if wait < sim.Microsecond {
-				wait = sim.Microsecond
+		if !sw.cfg.DisableCongestionControl {
+			if wait, ok := sw.rate.Admit(io.Op.IsWrite(), io.Size, cost); !ok {
+				// Token-limited: set the timer for when the refill covers
+				// the deficit, instead of busy-polling.
+				sw.stats.PacingStalls++
+				if wait < sim.Microsecond {
+					wait = sim.Microsecond
+				}
+				if sw.timer.Active() {
+					sw.timer = sw.timer.Reschedule(now + wait)
+				} else {
+					sw.timer = sw.armTimer(now+wait, sw.pumpFn)
+				}
+				break
 			}
-			if sw.timer.Active() {
-				sw.timer = sw.timer.Reschedule(now + wait)
-			} else {
-				sw.timer = sw.clk.At(now+wait, sw.pumpFn)
-			}
-			return
 		}
 		sw.drr.Commit(io)
 		sw.stats.Submits++
 		sw.sub.Submit(io, sw.devDoneFn)
 	}
+	sw.pumping = false
 }
 
 // onDeviceDone is the egress path: update the latency monitor, derive the

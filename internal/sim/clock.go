@@ -31,11 +31,32 @@ type Scheduler interface {
 	Now() int64
 	// At schedules fn to run at absolute time t (clamped to Now for past
 	// times). It returns a value-type handle that can cancel the event or
-	// move it to another time (Timer.Reschedule).
+	// move it to another time (Timer.Reschedule; an owner that will do so
+	// routinely arms through AtMovable instead).
 	At(t int64, fn func()) Timer
 	// After schedules fn to run d nanoseconds from now.
 	After(d int64, fn func()) Timer
 }
+
+// AtMovableFunc returns the function that arms, on s, a timer its owner will
+// move with Timer.Reschedule: the scheduler's AtMovable where it has one
+// (Loop and RealScheduler queue such a timer where a re-key is one sift and
+// leaves nothing behind), s.At otherwise. What the clock observes is At
+// either way, so a Scheduler that wraps another and knows only the three
+// methods above stays correct and merely takes the slower path. An owner
+// that arms per IO resolves this once, when it is built.
+func AtMovableFunc(s Scheduler) func(t int64, fn func()) Timer {
+	if m, ok := s.(interface {
+		AtMovable(t int64, fn func()) Timer
+	}); ok {
+		return m.AtMovable
+	}
+	return s.At
+}
+
+// AtMovable arms fn on s at absolute time t as a timer that will be moved:
+// AtMovableFunc(s)(t, fn).
+func AtMovable(s Scheduler, t int64, fn func()) Timer { return AtMovableFunc(s)(t, fn) }
 
 // Common durations in nanoseconds, for readability at call sites.
 const (

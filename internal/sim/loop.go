@@ -15,8 +15,9 @@ type Event struct {
 	when int64
 	fn   func()
 	gen  uint32
-	// side is 1 + the event's position in Loop.side for a re-keyed timer
-	// (see Timer.Reschedule), 0 for an event queued on the main heap.
+	// side is 1 + the event's position in Loop.side for an event queued on
+	// the side heap (born there by AtMovable, or moved there by its first
+	// Timer.Reschedule), 0 for an event queued on the main heap.
 	side   int32
 	daemon bool
 }
@@ -56,7 +57,7 @@ func (t Timer) Active() bool { return t.event() != nil }
 // on fired events and on the zero Timer. A main-heap entry is dropped
 // lazily: the callback is cleared immediately and the heap slot is
 // reclaimed when it surfaces (or by compaction when cancelled entries pile
-// up). A re-keyed timer leaves the side heap at once.
+// up). A side-heap timer (AtMovable, or re-keyed once) leaves at once.
 func (t Timer) Cancel() {
 	e := t.event()
 	if e == nil {
@@ -87,8 +88,12 @@ func (t Timer) Cancel() {
 // handle that is not pending (zero, fired, cancelled or superseded) it does
 // nothing and returns the receiver.
 //
-// The first Reschedule of an event moves it from the main heap to the
-// loop's side heap, which is indexed so that later ones re-key it in place.
+// An event armed with AtMovable is already on the loop's side heap, which
+// is indexed, and every Reschedule re-keys it in place. One armed with At
+// is on the main heap: its first Reschedule leaves that entry behind as a
+// tombstone and moves the event — a second arena slot, a side-heap insert,
+// and later a pop to bury the tombstone — and only the ones after that are
+// in place. An owner that knows it will re-key arms with AtMovable.
 func (t Timer) Reschedule(when int64) Timer {
 	e := t.event()
 	if e == nil {
@@ -112,8 +117,7 @@ func (t Timer) Reschedule(when int64) Timer {
 	ent.idx = l.allocSlot()
 	e = &l.arena[ent.idx]
 	e.when, e.fn, e.daemon = when, fn, daemon
-	l.side = append(l.side, ent)
-	l.sideFix(len(l.side)-1, ent)
+	l.sidePush(ent)
 	l.maybeCompact()
 	return Timer{l: l, idx: ent.idx, gen: e.gen}
 }
@@ -178,10 +182,19 @@ func entLess(a, b heapEnt) bool {
 // Timers that are re-keyed while pending (Timer.Reschedule: the rate
 // pacers) live in a second, indexed binary heap: each of its events knows
 // its position, so a re-key or cancel is a sift and never leaves a
-// tombstone. It holds one entry per such timer — a handful — while the
-// main heap stays unindexed, because writing a position on every sift swap
-// slows the one-shot events that are nearly all of the traffic. The loop
-// fires whichever root is earlier by (when, seq).
+// tombstone, and a fire is a removal. It holds one entry per such timer — a
+// handful — while the main heap stays unindexed, because writing a position
+// on every sift swap slows the one-shot events that are nearly all of the
+// traffic. The loop fires whichever root is earlier by (when, seq), so which
+// heap an event waits on is invisible to the simulation.
+//
+// Where an event is born: At and After put it on the main heap; AtMovable
+// puts it on the side heap, for owners that will move it (a pacing timer is
+// armed once per admitted IO and re-keyed by every stalled pass after, so
+// born on the main heap it would cost a push, a tombstone and a burial pop
+// per cycle). A main-heap event that is rescheduled after all still moves
+// across on its first Reschedule: that path stays for schedulers reached
+// through a wrapper that only knows At (see the package-level AtMovable).
 type Loop struct {
 	now   int64
 	seq   uint64
@@ -292,6 +305,12 @@ func (l *Loop) sideFix(i int, ent heapEnt) {
 	l.arena[ent.idx].side = int32(i + 1)
 }
 
+// sidePush adds ent to the side heap.
+func (l *Loop) sidePush(ent heapEnt) {
+	l.side = append(l.side, ent)
+	l.sideFix(len(l.side)-1, ent)
+}
+
 // sideRemove takes the entry at position i out of the side heap and clears
 // its event's back-index.
 func (l *Loop) sideRemove(i int) {
@@ -351,8 +370,11 @@ func (l *Loop) maybeCompact() {
 	}
 }
 
-// At implements Scheduler.
-func (l *Loop) At(t int64, fn func()) Timer {
+// newEvent is what At and AtMovable share — everything the clock can
+// observe of a new foreground event: the clamp to Now, the FIFO sequence
+// number, the arena slot and the liveness counts. The caller queues the
+// entry it returns.
+func (l *Loop) newEvent(t int64, fn func()) (heapEnt, Timer) {
 	if fn == nil {
 		panic("sim: At with nil callback")
 	}
@@ -365,8 +387,25 @@ func (l *Loop) At(t int64, fn func()) Timer {
 	e.when, e.fn, e.daemon = t, fn, false
 	l.foreground++
 	l.live++
-	l.push(heapEnt{when: t, idx: idx, seq: uint32(l.seq)})
-	return Timer{l: l, idx: idx, gen: e.gen}
+	return heapEnt{when: t, idx: idx, seq: uint32(l.seq)}, Timer{l: l, idx: idx, gen: e.gen}
+}
+
+// At implements Scheduler.
+func (l *Loop) At(t int64, fn func()) Timer {
+	ent, h := l.newEvent(t, fn)
+	l.push(ent)
+	return h
+}
+
+// AtMovable is At for a timer its owner will move with Timer.Reschedule:
+// the same event at the same place in the firing order, queued on the
+// indexed side heap from birth, so that every Reschedule re-keys it in
+// place, Cancel removes it at once, and neither it nor its firing touches
+// the main heap.
+func (l *Loop) AtMovable(t int64, fn func()) Timer {
+	ent, h := l.newEvent(t, fn)
+	l.sidePush(ent)
+	return h
 }
 
 // After implements Scheduler.

@@ -210,6 +210,15 @@ func (s *RealScheduler) At(t int64, fn func()) Timer {
 	return s.q.At(t, fn)
 }
 
+// AtMovable is At for a timer its owner will move (see Loop.AtMovable); a
+// shard-context call.
+func (s *RealScheduler) AtMovable(t int64, fn func()) Timer {
+	if s.stopped {
+		return Timer{}
+	}
+	return s.q.AtMovable(t, fn)
+}
+
 // After implements Scheduler; a shard-context call.
 func (s *RealScheduler) After(d int64, fn func()) Timer {
 	return s.At(s.wall()+max(d, 0), fn)

@@ -341,12 +341,19 @@ func TestRealStop(t *testing.T) {
 		s.Lock()
 		h := s.After(int64(100*time.Millisecond), func() { t.Error("event fired on a stopped shard") })
 		hs = append(hs, h, s.After(int64(time.Hour), func() {}).Reschedule(s.Now()+int64(101*time.Millisecond)))
+		hs = append(hs, s.AtMovable(s.Now()+int64(102*time.Millisecond), func() { t.Error("movable event fired on a stopped shard") }))
 		s.Unlock()
 	}
 	shards.Stop()
 	s := shards.Shard(0)
 	s.Lock()
 	hs = append(hs, s.After(0, func() { t.Error("event scheduled after Stop fired") }))
+	if h := s.AtMovable(0, func() { t.Error("movable event scheduled after Stop fired") }); h != (Timer{}) {
+		t.Errorf("AtMovable on a stopped shard returned %+v, want the zero Timer", h)
+	}
+	if h := AtMovable(s, 0, func() { t.Error("movable event scheduled after Stop fired") }); h != (Timer{}) {
+		t.Errorf("sim.AtMovable on a stopped shard returned %+v, want the zero Timer", h)
+	}
 	s.Unlock()
 	time.Sleep(150 * time.Millisecond)
 	shards.Lock()
@@ -436,9 +443,10 @@ func TestRealReschedule(t *testing.T) {
 }
 
 // TestRealRescheduleChurn re-keys and cancels timers from several
-// goroutines while others fire: under -race this covers the bell against
-// every way into the shard (Lock from a worker, Lock from the bell, Tick),
-// and the sampled clock against all of them.
+// goroutines while others fire — armed movable on even rounds, with After
+// (and moved across by the first re-key) on odd ones: under -race this
+// covers the bell against every way into the shard (Lock from a worker,
+// Lock from the bell, Tick), and the sampled clock against all of them.
 func TestRealRescheduleChurn(t *testing.T) {
 	s := NewRealShards(1).Shard(0)
 	const workers, rounds = 4, 200
@@ -461,7 +469,13 @@ func TestRealRescheduleChurn(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				s.Lock()
 				now := entered()
-				h := s.After(int64(200*time.Microsecond), func() { entered(); fires++ })
+				fire := func() { entered(); fires++ }
+				var h Timer
+				if i%2 == 0 {
+					h = s.AtMovable(s.wall()+int64(200*time.Microsecond), fire)
+				} else {
+					h = s.After(int64(200*time.Microsecond), fire)
+				}
 				for j := 0; j < 3; j++ {
 					h = h.Reschedule(s.Now() + int64(100*time.Microsecond)*int64(j))
 				}

@@ -90,7 +90,7 @@ func TestTimerRescheduleHandles(t *testing.T) {
 // long-lived timer slots, and the firing trace.
 type reschedWorld struct {
 	l       *Loop
-	oracle  bool // re-key with Cancel+At instead of Reschedule
+	oracle  bool // re-key with Cancel+At instead of Reschedule, arm with At instead of AtMovable
 	h       []Timer
 	daemon  []bool
 	fn      []func()
@@ -99,6 +99,7 @@ type reschedWorld struct {
 	trace   []int64 // (now, id) pairs
 	oneShot func()
 	compact bool // a cancel shrank the raw queue: compaction ran
+	movable int  // arms that asked for a movable timer
 }
 
 const reschedSlots = 48
@@ -119,8 +120,8 @@ func newReschedWorld(oracle bool, seed uint64) *reschedWorld {
 			w.trace = append(w.trace, w.l.Now(), int64(k))
 			d := 10 * w.cbRNG.Int63n(8)
 			switch w.cbRNG.Intn(6) {
-			case 0: // re-arm from the callback
-				w.arm(k, w.l.Now()+d)
+			case 0: // re-arm from the callback, even slots as a movable timer
+				w.arm(k, w.l.Now()+d, k%2 == 0)
 			case 1: // reschedule another slot from inside a callback
 				w.resched(w.cbRNG.Intn(reschedSlots), w.l.Now()+d)
 			case 2: // the firing handle is already spent
@@ -139,12 +140,22 @@ func (w *reschedWorld) retire(h Timer) {
 	}
 }
 
-func (w *reschedWorld) arm(k int, when int64) {
+// arm schedules slot k's timer if it is not pending: with AtMovable when
+// the op asks for a movable timer — on the oracle side with At all the same,
+// which is the contract.
+func (w *reschedWorld) arm(k int, when int64, movable bool) {
 	if w.h[k].Active() {
 		return
 	}
 	w.retire(w.h[k])
-	w.h[k] = w.l.At(when, w.fn[k])
+	if movable {
+		w.movable++
+	}
+	if movable && !w.oracle {
+		w.h[k] = w.l.AtMovable(when, w.fn[k])
+	} else {
+		w.h[k] = w.l.At(when, w.fn[k])
+	}
 	w.daemon[k] = false
 }
 
@@ -181,9 +192,13 @@ func (w *reschedWorld) resched(k int, when int64) {
 }
 
 // TestRescheduleDifferential locksteps a loop whose timers are re-keyed
-// with Reschedule against an oracle loop that cancels and schedules again,
+// with Reschedule, and half of them born on the side heap with AtMovable,
+// against an oracle loop that cancels and schedules again and knows only At,
 // over a long random op stream. The contract is that nothing observable
-// differs: the firing trace, the clock, and Pending/Live after every op.
+// differs: the firing trace, the clock, and Pending/Live after every op. A
+// movable timer meets every op the others do: it fires without ever being
+// moved, is cancelled, re-keyed, marked daemon, re-armed from inside its own
+// callback, and shares instants with main-heap events on the coarse grid.
 func TestRescheduleDifferential(t *testing.T) {
 	const ops = 150_000
 	a, b := newReschedWorld(false, 99), newReschedWorld(true, 99)
@@ -197,8 +212,13 @@ func TestRescheduleDifferential(t *testing.T) {
 		other, stale, burst := rng.Intn(reschedSlots), rng.Intn(256), rng.Intn(200)
 		for _, w := range worlds {
 			switch {
-			case kind < 25:
-				w.arm(k, now+d)
+			case kind < 10:
+				w.arm(k, now+d, false)
+			case kind < 20:
+				w.arm(k, now+d, true)
+			case kind < 25: // movable onto another timer's instant, a one-shot onto the same behind it
+				w.arm(k, w.h[other].When(), true)
+				w.l.At(w.h[k].When(), w.oneShot)
 			case kind < 35:
 				w.cancel(w.h[k])
 			case kind < 40:
@@ -278,5 +298,8 @@ func TestRescheduleDifferential(t *testing.T) {
 	if len(a.l.side) != 0 {
 		t.Fatalf("%d entries left in the side heap", len(a.l.side))
 	}
-	t.Logf("%d ops, %d firings, traces identical", ops, len(a.trace)/2)
+	if a.movable != b.movable || a.movable < ops/10 {
+		t.Fatalf("%d movable arms with AtMovable, %d on the oracle side, want the same and at least %d", a.movable, b.movable, ops/10)
+	}
+	t.Logf("%d ops, %d firings (%d timers armed movable), traces identical", ops, len(a.trace)/2, a.movable)
 }
