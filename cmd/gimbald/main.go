@@ -28,7 +28,7 @@
 // `gimbalcli top` joins /stats with /slo in a live view.
 //
 // A scripted SSD fault schedule can be armed at startup with -faults; see
-// loadFaultPlan for the JSON shape. -recovery (default on) enables the
+// parseFaultPlan for the JSON shape. -recovery (default on) enables the
 // Gimbal switch's fail-fast latch and graceful degradation so the target
 // survives the injected faults the way §3.7 describes.
 package main
@@ -181,9 +181,7 @@ func main() {
 	}
 	hub.Events = obs.NewEventLog(1024)
 	if *sloTarget > 0 {
-		hub.SLO = obs.NewSLOEngine(obs.SLOConfig{
-			Default: obs.SLO{LatencyTargetNs: int64(*sloTarget), LatencyGoal: *sloGoal},
-		})
+		hub.SLO = obs.NewSLOEngine(obs.SLO{LatencyTargetNs: int64(*sloTarget), LatencyGoal: *sloGoal})
 		hub.SLO.SetEventLog(hub.Events)
 	}
 
@@ -300,7 +298,16 @@ func main() {
 	log.Println("shutdown complete")
 }
 
-// loadFaultPlan parses a JSON fault schedule:
+// loadFaultPlan reads a JSON fault schedule (see parseFaultPlan).
+func loadFaultPlan(path string) (*fault.Plan, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return parseFaultPlan(b)
+}
+
+// parseFaultPlan parses a JSON fault schedule:
 //
 //	{"events": [
 //	  {"kind": "ssd-brownout",      "at": "10s", "dur": "30s", "ssd": 0, "factor": 8},
@@ -309,11 +316,13 @@ func main() {
 //	  {"kind": "ssd-fail",          "at": "3m",  "dur": "20s", "ssd": 2}
 //	]}
 //
-// Times are relative to process start. Fabric fault kinds are rejected:
-// live sessions appear dynamically with TCP connections, so they cannot be
-// addressed by index from a startup file. Use the simulation API
-// (gimbal.FaultPlan) or gimbalbench's chaos experiments for those.
-func loadFaultPlan(path string) (*fault.Plan, error) {
+// Kinds are spelled as fault.Kind prints them. Times are relative to
+// process start. Fabric fault kinds are rejected: live sessions appear
+// dynamically with TCP connections, so they cannot be addressed by index
+// from a startup file. Use the simulation API (gimbal.FaultPlan) or
+// gimbalbench's chaos experiments for those. The plan is validated without
+// a deployment (Plan.Validate(-1, -1)); Engine.Arm checks SSD indices.
+func parseFaultPlan(b []byte) (*fault.Plan, error) {
 	var doc struct {
 		Seed   uint64 `json:"seed"`
 		Events []struct {
@@ -327,19 +336,8 @@ func loadFaultPlan(path string) (*fault.Plan, error) {
 			Prob   float64 `json:"prob"`
 		} `json:"events"`
 	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	if err := json.Unmarshal(b, &doc); err != nil {
 		return nil, err
-	}
-	kinds := map[string]fault.Kind{
-		"ssd-latency-spike": fault.SSDLatencySpike,
-		"ssd-brownout":      fault.SSDBrownout,
-		"ssd-die-stall":     fault.SSDDieStall,
-		"ssd-fail":          fault.SSDFail,
-		"ssd-tier-bypass":   fault.SSDTierBypass,
 	}
 	dur := func(s string) (int64, error) {
 		if s == "" {
@@ -350,8 +348,11 @@ func loadFaultPlan(path string) (*fault.Plan, error) {
 	}
 	plan := &fault.Plan{Seed: doc.Seed}
 	for i, ev := range doc.Events {
-		k, ok := kinds[ev.Kind]
-		if !ok {
+		k := fault.SSDLatencySpike
+		for !k.IsFabric() && k.String() != ev.Kind {
+			k++
+		}
+		if k.IsFabric() {
 			return nil, fmt.Errorf("event %d: unsupported kind %q (SSD faults only)", i, ev.Kind)
 		}
 		at, err := dur(ev.At)
@@ -370,6 +371,9 @@ func loadFaultPlan(path string) (*fault.Plan, error) {
 			Kind: k, At: at, Dur: window, SSD: ev.SSD, Die: ev.Die,
 			Factor: ev.Factor, Extra: extra, Prob: ev.Prob,
 		})
+	}
+	if err := plan.Validate(-1, -1); err != nil {
+		return nil, err
 	}
 	return plan, nil
 }

@@ -71,9 +71,6 @@ func New(clk sim.Scheduler, dev ssd.Device, cfg Config) *Scheduler {
 	return s
 }
 
-// Name implements nvme.Scheduler.
-func (s *Scheduler) Name() string { return "flashfq" }
-
 // Register implements nvme.Scheduler.
 func (s *Scheduler) Register(t *nvme.Tenant) {
 	if _, ok := s.tenants[t]; !ok {

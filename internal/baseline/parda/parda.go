@@ -63,8 +63,10 @@ func (p *Window) CanSubmit() bool { return p.inflight < int(p.w) }
 func (p *Window) OnSubmit() { p.inflight++ }
 
 // OnCompletion folds in one end-to-end latency observation and
-// periodically applies the control law.
-func (p *Window) OnCompletion(latency int64) {
+// periodically applies the control law. PARDA reads no target feedback, so
+// the completion's credit is ignored; it is in the signature so a Window
+// is a fabric.Gater.
+func (p *Window) OnCompletion(_ uint32, latency int64) {
 	p.inflight--
 	avg := p.lat.Update(float64(latency))
 	p.sinceAdj++
@@ -90,3 +92,11 @@ func (p *Window) Window() float64 { return p.w }
 
 // Inflight returns the outstanding IO count.
 func (p *Window) Inflight() int { return p.inflight }
+
+// Headroom returns how many more IOs the current window admits.
+func (p *Window) Headroom() int {
+	if h := int(p.w) - p.inflight; h > 0 {
+		return h
+	}
+	return 0
+}

@@ -8,7 +8,7 @@ func step(w *Window, lat int64, n int) {
 			w.OnSubmit()
 		}
 		if w.Inflight() > 0 {
-			w.OnCompletion(lat)
+			w.OnCompletion(0, lat)
 		}
 	}
 }
@@ -59,7 +59,7 @@ func TestGateSemantics(t *testing.T) {
 	if n != 4 {
 		t.Fatalf("initial window admitted %d, want 4", n)
 	}
-	w.OnCompletion(100_000)
+	w.OnCompletion(0, 100_000)
 	if !w.CanSubmit() {
 		t.Fatal("completion should reopen the gate")
 	}

@@ -85,9 +85,6 @@ func New(clk sim.Scheduler, dev ssd.Device, cfg Config) *Scheduler {
 	return s
 }
 
-// Name implements nvme.Scheduler.
-func (s *Scheduler) Name() string { return "reflex" }
-
 // Register implements nvme.Scheduler.
 func (s *Scheduler) Register(t *nvme.Tenant) {
 	if _, ok := s.tenants[t]; !ok {

@@ -33,9 +33,6 @@ func (s *Scheduler) complete(io *nvme.IO) {
 	io.Done(io, nvme.Completion{Status: nvme.CompletionStatus(io)})
 }
 
-// Name implements nvme.Scheduler.
-func (s *Scheduler) Name() string { return "vanilla" }
-
 // Register implements nvme.Scheduler (no per-tenant state).
 func (s *Scheduler) Register(t *nvme.Tenant) {}
 

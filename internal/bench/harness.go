@@ -48,7 +48,7 @@ type FioConfig struct {
 	// lifecycle capture; attribution experiments use Full mode).
 	Trace *obs.TracerConfig
 	// SLO, when set, attaches an SLO engine tracking every tenant against
-	// this default objective over obs.DefaultSLOWindows.
+	// this objective.
 	SLO *obs.SLO
 }
 
@@ -132,7 +132,7 @@ func NewFioRun(cfg FioConfig) *FioRun {
 	}
 	if cfg.SLO != nil {
 		r.Hub.Events = obs.NewEventLog(1024)
-		r.Hub.SLO = obs.NewSLOEngine(obs.SLOConfig{Default: *cfg.SLO})
+		r.Hub.SLO = obs.NewSLOEngine(*cfg.SLO)
 		r.Hub.SLO.SetEventLog(r.Hub.Events)
 	}
 	target.AttachObs(r.Hub)
@@ -162,7 +162,6 @@ func NewFioRun(cfg FioConfig) *FioRun {
 // AddWorker attaches one stream (usable mid-run for dynamic workloads).
 func (r *FioRun) AddWorker(spec Spec, rng *sim.RNG, name string) *workload.Worker {
 	tenant := nvme.NewTenant(len(r.Workers), name)
-	tenant.Class = spec.Profile.Class
 	var sess *fabric.Session
 	if spec.Gate != nil {
 		sess = r.Target.ConnectWithGater(tenant, spec.SSD, spec.Gate())

@@ -94,17 +94,6 @@ func (g *Global) AllocMega(backend int) (int64, error) {
 	return 0, fmt.Errorf("blobstore: backend %d out of mega blobs", backend)
 }
 
-// FreeMega returns a mega blob to the pool.
-func (g *Global) FreeMega(backend int, offset int64) {
-	idx := int(offset / g.cfg.MegaBlobBytes)
-	w, bit := idx/64, uint(idx%64)
-	if g.bitmaps[backend][w]&(1<<bit) == 0 {
-		panic("blobstore: double free of mega blob")
-	}
-	g.bitmaps[backend][w] &^= 1 << bit
-	g.freeCnt[backend]++
-}
-
 // Avoid is a reusable backend-exclusion set for Alloc: generation-stamped
 // membership over the dense backend index. The replica-placement loop (and
 // the volume control plane's churn path) calls Alloc once per span; a

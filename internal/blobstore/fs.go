@@ -54,9 +54,6 @@ func (fs *FS) Create(name string) *File {
 	return &File{fs: fs, name: name}
 }
 
-// Name returns the file name.
-func (f *File) Name() string { return f.name }
-
 // Size returns the bytes appended so far.
 func (f *File) Size() int64 { return f.size }
 

@@ -9,24 +9,22 @@ package credit
 // Gate is one tenant's client-side credit state. The zero value is not
 // usable; use NewGate.
 type Gate struct {
-	enabled  bool
 	total    uint32
 	inflight int
 }
 
-// NewGate returns a gate seeded with an initial credit. With enabled=false
-// the gate admits everything (baseline schemes without flow control).
-func NewGate(enabled bool, initial uint32) *Gate {
+// NewGate returns a gate seeded with an initial credit.
+func NewGate(initial uint32) *Gate {
 	if initial == 0 {
 		initial = 1
 	}
-	return &Gate{enabled: enabled, total: initial}
+	return &Gate{total: initial}
 }
 
 // CanSubmit reports whether another IO may be sent (Algorithm 3
 // nvmeof_req_submit: credit_tot > inflight).
 func (g *Gate) CanSubmit() bool {
-	return !g.enabled || g.inflight < int(g.total)
+	return g.inflight < int(g.total)
 }
 
 // OnSubmit records a submission. Callers must have checked CanSubmit;
@@ -40,8 +38,10 @@ func (g *Gate) OnSubmit() {
 }
 
 // OnCompletion records a completion carrying the target's refreshed credit
-// (0 means "no update" and keeps the previous value).
-func (g *Gate) OnCompletion(credit uint32) {
+// (0 means "no update" and keeps the previous value). The gate ignores the
+// latency the client measured; it is in the signature so a Gate is a
+// fabric.Gater.
+func (g *Gate) OnCompletion(credit uint32, _ int64) {
 	if g.inflight <= 0 {
 		panic("credit: completion without submission")
 	}
@@ -72,9 +72,6 @@ func (g *Gate) Inflight() int { return g.inflight }
 // load signal the blobstore's read load balancer compares across replicas
 // (§4.3: "the one with more credits is able to absorb more requests").
 func (g *Gate) Headroom() int {
-	if !g.enabled {
-		return 1 << 30
-	}
 	h := int(g.total) - g.inflight
 	if h < 0 {
 		return 0

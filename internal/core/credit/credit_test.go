@@ -6,7 +6,7 @@ import (
 )
 
 func TestGateAdmitsUpToCredit(t *testing.T) {
-	g := NewGate(true, 4)
+	g := NewGate(4)
 	for i := 0; i < 4; i++ {
 		if !g.CanSubmit() {
 			t.Fatalf("gate closed at %d of 4", i)
@@ -22,10 +22,10 @@ func TestGateAdmitsUpToCredit(t *testing.T) {
 }
 
 func TestGateCompletionRefreshesCredit(t *testing.T) {
-	g := NewGate(true, 2)
+	g := NewGate(2)
 	g.OnSubmit()
 	g.OnSubmit()
-	g.OnCompletion(8) // target grants more
+	g.OnCompletion(8, 0) // target grants more
 	if g.Credit() != 8 {
 		t.Fatalf("credit = %d", g.Credit())
 	}
@@ -33,27 +33,14 @@ func TestGateCompletionRefreshesCredit(t *testing.T) {
 		t.Fatalf("headroom = %d, want 7 (8 credit - 1 inflight)", g.Headroom())
 	}
 	// Zero credit in a completion means "no update".
-	g.OnCompletion(0)
+	g.OnCompletion(0, 0)
 	if g.Credit() != 8 {
 		t.Fatalf("credit overwritten by zero: %d", g.Credit())
 	}
 }
 
-func TestGateDisabledAdmitsEverything(t *testing.T) {
-	g := NewGate(false, 1)
-	for i := 0; i < 1000; i++ {
-		if !g.CanSubmit() {
-			t.Fatal("disabled gate refused")
-		}
-		g.OnSubmit()
-	}
-	if g.Headroom() < 1<<20 {
-		t.Fatalf("disabled headroom = %d", g.Headroom())
-	}
-}
-
 func TestGateOverSubmitPanics(t *testing.T) {
-	g := NewGate(true, 1)
+	g := NewGate(1)
 	g.OnSubmit()
 	defer func() {
 		if recover() == nil {
@@ -64,17 +51,17 @@ func TestGateOverSubmitPanics(t *testing.T) {
 }
 
 func TestGateSpuriousCompletionPanics(t *testing.T) {
-	g := NewGate(true, 1)
+	g := NewGate(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("completion without submission should panic")
 		}
 	}()
-	g.OnCompletion(1)
+	g.OnCompletion(1, 0)
 }
 
 func TestGateZeroInitialClampedToOne(t *testing.T) {
-	g := NewGate(true, 0)
+	g := NewGate(0)
 	if !g.CanSubmit() {
 		t.Fatal("gate must always admit at least one IO")
 	}
@@ -84,10 +71,10 @@ func TestGateZeroInitialClampedToOne(t *testing.T) {
 // and headroom is never negative.
 func TestGateInvariantProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
-		g := NewGate(true, 4)
+		g := NewGate(4)
 		for _, op := range ops {
 			if op%3 == 0 && g.Inflight() > 0 {
-				g.OnCompletion(uint32(op % 16))
+				g.OnCompletion(uint32(op%16), 0)
 			} else if g.CanSubmit() {
 				g.OnSubmit()
 			}

@@ -101,6 +101,3 @@ func (m *Monitor) Initialized() bool { return m.ewma.Initialized() }
 
 // Threshold returns the current dynamic threshold (ns).
 func (m *Monitor) Threshold() float64 { return m.thresh }
-
-// Config returns the monitor's configuration.
-func (m *Monitor) Config() Config { return m.cfg }

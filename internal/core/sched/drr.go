@@ -695,9 +695,6 @@ func (d *DRR) RegisteredTenants() int { return len(d.tenants) }
 // lazy redistribution target every touched tenant reconciles to).
 func (d *DRR) SlotShare() int { return d.per }
 
-// Classes returns the number of QoS classes in the hierarchy.
-func (d *DRR) Classes() int { return len(d.classes) }
-
 // ClassActive returns the number of runnable tenants in class i.
 func (d *DRR) ClassActive(i int) int {
 	if i < 0 || i >= len(d.classes) {

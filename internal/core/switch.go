@@ -27,8 +27,6 @@ type Config struct {
 	// "periodically").
 	CostPeriod int64
 
-	// DisableCongestionControl bypasses the token buckets (ablation).
-	DisableCongestionControl bool
 	// DisableDynamicCost pins the write cost at worst case (ablation).
 	DisableDynamicCost bool
 
@@ -215,9 +213,6 @@ func New(clk sim.Scheduler, dev ssd.Device, cfg Config) *Switch {
 	return sw
 }
 
-// Name implements nvme.Scheduler.
-func (sw *Switch) Name() string { return "gimbal" }
-
 // Register implements nvme.Scheduler.
 func (sw *Switch) Register(t *nvme.Tenant) { sw.drr.Register(t) }
 
@@ -294,8 +289,8 @@ func (sw *Switch) Enqueue(io *nvme.IO) {
 // two states: re-keyed to the new refill time if it stalled on tokens, or
 // cancelled if the queue drained. A paced switch stalls on most passes, so
 // the timer is moved (sim.Timer.Reschedule), not cancelled on entry and
-// armed again on exit, and it is armed where moving it is cheapest
-// (sim.AtMovable: on the loop's indexed side heap, so the pacer never
+// armed again on exit, and it is armed where moving it is cheapest (the
+// clock's AtMovable: on the loop's indexed side heap, so the pacer never
 // touches the main event queue). What the clock observes is the same.
 //
 // One thing to know about the deadline: every stalled pass re-keys it to
@@ -320,21 +315,19 @@ func (sw *Switch) pump() {
 		if io.Admit == 0 {
 			io.Admit = now // won its DRR round; any further wait is pacing
 		}
-		if !sw.cfg.DisableCongestionControl {
-			if wait, ok := sw.rate.Admit(io.Op.IsWrite(), io.Size, cost); !ok {
-				// Token-limited: set the timer for when the refill covers
-				// the deficit, instead of busy-polling.
-				sw.stats.PacingStalls++
-				if wait < sim.Microsecond {
-					wait = sim.Microsecond
-				}
-				if sw.timer.Active() {
-					sw.timer = sw.timer.Reschedule(now + wait)
-				} else {
-					sw.timer = sw.armTimer(now+wait, sw.pumpFn)
-				}
-				break
+		if wait, ok := sw.rate.Admit(io.Op.IsWrite(), io.Size, cost); !ok {
+			// Token-limited: set the timer for when the refill covers the
+			// deficit, instead of busy-polling.
+			sw.stats.PacingStalls++
+			if wait < sim.Microsecond {
+				wait = sim.Microsecond
 			}
+			if sw.timer.Active() {
+				sw.timer = sw.timer.Reschedule(now + wait)
+			} else {
+				sw.timer = sw.armTimer(now+wait, sw.pumpFn)
+			}
+			break
 		}
 		sw.drr.Commit(io)
 		sw.stats.Submits++
@@ -380,9 +373,7 @@ func (sw *Switch) onDeviceDone(io *nvme.IO) {
 	if io.FastTier {
 		sw.stats.TierHits++
 	}
-	if !sw.cfg.DisableCongestionControl {
-		sw.rate.OnCompletion(sw.clk.Now(), io.Size, state)
-	}
+	sw.rate.OnCompletion(sw.clk.Now(), io.Size, state)
 	credit := sw.drr.Complete(io)
 	if sw.degraded && sw.cfg.Recovery.DegradedCredit > 0 && credit > sw.cfg.Recovery.DegradedCredit {
 		// Graceful degradation: advertise a clamped credit so initiators

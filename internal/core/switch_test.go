@@ -200,24 +200,3 @@ func TestSwitchViewExposesHeadroom(t *testing.T) {
 		t.Fatalf("read EWMA missing: %+v", v)
 	}
 }
-
-func TestSwitchAblationNoCongestionControl(t *testing.T) {
-	// With CC disabled the switch devolves to pure DRR+slots: it must
-	// still function, and device latency should be no better (usually
-	// worse) than with CC on.
-	loop := sim.NewLoop()
-	p := ssd.DCT983()
-	p.UsableBytes = 2 << 30
-	dev := ssd.New(loop, p)
-	dev.Precondition(ssd.Fragmented, sim.NewRNG(1))
-	cfg := DefaultConfig()
-	cfg.DisableCongestionControl = true
-	sw := New(loop, dev, cfg)
-	ws := runWorkers(loop, sw, []workload.Profile{
-		{Name: "w0", ReadRatio: 0, IOSize: 4096, QD: 32},
-		{Name: "w1", ReadRatio: 0, IOSize: 4096, QD: 32},
-	}, 2<<30, 500*sim.Millisecond, 1*sim.Second)
-	if ws[0].BandwidthMBps() <= 0 {
-		t.Fatal("ablated switch moved no data")
-	}
-}

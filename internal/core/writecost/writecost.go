@@ -102,9 +102,6 @@ func (e *Estimator) Cost() float64 {
 	return c
 }
 
-// Worst returns the configured worst case.
-func (e *Estimator) Worst() float64 { return e.cfg.Worst }
-
 // WeightedSize returns the cost-weighted size of an IO as used by the
 // virtual-slot scheduler (§3.5): writes are charged cost × size, reads
 // their actual size.

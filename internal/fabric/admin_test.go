@@ -39,9 +39,7 @@ func newObservedTarget(t *testing.T) (*sim.RealShards, *Target, *obs.Hub) {
 	hub.Reg.GatherLock = shards.Shard(0)
 	hub.Tracer = obs.NewTracer(obs.TracerConfig{Capacity: 1024, Mode: obs.TraceFull})
 	hub.Events = obs.NewEventLog(64)
-	hub.SLO = obs.NewSLOEngine(obs.SLOConfig{
-		Default: obs.SLO{LatencyTargetNs: int64(time.Second), LatencyGoal: 0.999},
-	})
+	hub.SLO = obs.NewSLOEngine(obs.SLO{LatencyTargetNs: int64(time.Second), LatencyGoal: 0.999})
 	hub.SLO.SetEventLog(hub.Events)
 	shards.Lock()
 	tgt.AttachObs(hub)

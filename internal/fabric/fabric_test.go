@@ -177,10 +177,11 @@ func TestGimbalSessionGatesOnCredit(t *testing.T) {
 func TestPardaSessionAdaptsWindow(t *testing.T) {
 	loop := sim.NewLoop()
 	tgt := testTarget(t, loop, SchemeParda, ssd.Clean)
-	sess := tgt.Connect(nvme.NewTenant(0, "c"), 0)
+	tn := nvme.NewTenant(0, "c")
+	sess := tgt.Connect(tn, 0)
 	w := workload.NewWorker(loop, sim.NewRNG(2),
 		workload.Profile{Name: "c", ReadRatio: 1, IOSize: 4096, QD: 64, Span: 1 << 30},
-		sess.Tenant(), sess)
+		tn, sess)
 	w.Start(200 * sim.Millisecond)
 	loop.Run()
 	// Low observed latency → the PARDA window should have grown past its
@@ -201,10 +202,11 @@ func TestCPUModelBoundsThroughput(t *testing.T) {
 	cfg := DefaultTargetConfig(SchemeVanilla)
 	cfg.CPU = NewCPU(1, 600, 400) // 1µs per IO round trip
 	tgt := NewTarget(loop, []ssd.Device{dev}, cfg)
-	sess := tgt.Connect(nvme.NewTenant(0, "c"), 0)
+	tn := nvme.NewTenant(0, "c")
+	sess := tgt.Connect(tn, 0)
 	w := workload.NewWorker(loop, sim.NewRNG(2),
 		workload.Profile{Name: "c", ReadRatio: 1, IOSize: 4096, QD: 64, Span: 1 << 30},
-		sess.Tenant(), sess)
+		tn, sess)
 	w.Start(100 * sim.Millisecond)
 	loop.Run()
 	iops := float64(w.ReadLat.Count()) / 0.1
@@ -223,10 +225,11 @@ func TestCPUModelMoreCoresMoreThroughput(t *testing.T) {
 		cfg := DefaultTargetConfig(SchemeVanilla)
 		cfg.CPU = NewCPU(cores, 600, 400)
 		tgt := NewTarget(loop, []ssd.Device{dev}, cfg)
-		sess := tgt.Connect(nvme.NewTenant(0, "c"), 0)
+		tn := nvme.NewTenant(0, "c")
+		sess := tgt.Connect(tn, 0)
 		w := workload.NewWorker(loop, sim.NewRNG(2),
 			workload.Profile{Name: "c", ReadRatio: 1, IOSize: 4096, QD: 256, Span: 1 << 30},
-			sess.Tenant(), sess)
+			tn, sess)
 		w.Start(50 * sim.Millisecond)
 		loop.Run()
 		return float64(w.ReadLat.Count()) / 0.05

@@ -232,7 +232,20 @@ func TestReactorSlotShedsJumboBuffers(t *testing.T) {
 	for i := 0; i < n; i++ {
 		expectResponse(t, fr, i, i%2*jumbo) // the odd ones are the reads
 	}
-	// The shed slots still serve: 4 KB writes through each of them.
+	srv.connMu.Lock()
+	var rc *rconn
+	for rc = range srv.conns {
+	}
+	srv.connMu.Unlock()
+	// The shed slots still serve: 4 KB writes through each of them, once
+	// the writer has put all eight back (the client can read a response
+	// before its slot is home, and a reader finding the free ring short
+	// creates a slot).
+	for deadline := time.Now().Add(10 * time.Second); rc.free.len() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d slots recycled", rc.free.len(), n)
+		}
+	}
 	go func() {
 		var wire []byte
 		for i := 0; i < n; i++ {
@@ -245,11 +258,6 @@ func TestReactorSlotShedsJumboBuffers(t *testing.T) {
 		expectResponse(t, fr, i, 0)
 	}
 
-	srv.connMu.Lock()
-	var rc *rconn
-	for rc = range srv.conns {
-	}
-	srv.connMu.Unlock()
 	conn.Close()
 	srv.Close() // every transport goroutine has exited: the free ring is ours
 	seen := 0

@@ -370,7 +370,7 @@ func TestReactorShardedObs(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	hub := obs.NewHub(reg)
-	hub.SLO = obs.NewSLOEngine(obs.SLOConfig{Default: obs.SLO{LatencyTargetNs: int64(time.Second), LatencyGoal: 0.9}})
+	hub.SLO = obs.NewSLOEngine(obs.SLO{LatencyTargetNs: int64(time.Second), LatencyGoal: 0.9})
 	shardRegs := make([]*obs.Registry, 2)
 	for j := range shardRegs {
 		shardRegs[j] = obs.NewRegistry()

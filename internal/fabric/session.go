@@ -57,13 +57,13 @@ func (rp RetryPolicy) backoffDelay(attempt int) int64 {
 }
 
 // Gater is the client-side flow controller of a session: Gimbal's credit
-// gate, PARDA's latency window, or nothing.
+// gate (*credit.Gate), PARDA's latency window (*parda.Window), or nothing.
 type Gater interface {
 	CanSubmit() bool
 	OnSubmit()
 	// OnCompletion observes the completion's piggybacked credit and the
 	// end-to-end latency the client measured.
-	OnCompletion(cpl nvme.Completion, e2eLatency int64)
+	OnCompletion(credit uint32, latency int64)
 	// Headroom estimates how many more IOs the gate would admit — the load
 	// signal the blobstore read balancer compares across replicas (§4.3).
 	Headroom() int
@@ -72,45 +72,18 @@ type Gater interface {
 // nopGater admits everything (ReFlex, FlashFQ, vanilla clients).
 type nopGater struct{}
 
-func (nopGater) CanSubmit() bool                     { return true }
-func (nopGater) OnSubmit()                           {}
-func (nopGater) OnCompletion(nvme.Completion, int64) {}
-func (nopGater) Headroom() int                       { return 1 << 30 }
-
-// creditGater adapts Gimbal's credit gate (§3.6).
-type creditGater struct{ g *credit.Gate }
-
-func (c creditGater) CanSubmit() bool { return c.g.CanSubmit() }
-func (c creditGater) OnSubmit()       { c.g.OnSubmit() }
-func (c creditGater) OnCompletion(cpl nvme.Completion, _ int64) {
-	c.g.OnCompletion(cpl.Credit)
-}
-func (c creditGater) Headroom() int              { return c.g.Headroom() }
-func (c creditGater) UpdateCredit(credit uint32) { c.g.UpdateCredit(credit) }
-
-// pardaGater adapts the PARDA client window.
-type pardaGater struct{ w *parda.Window }
-
-func (p pardaGater) CanSubmit() bool { return p.w.CanSubmit() }
-func (p pardaGater) OnSubmit()       { p.w.OnSubmit() }
-func (p pardaGater) OnCompletion(_ nvme.Completion, lat int64) {
-	p.w.OnCompletion(lat)
-}
-func (p pardaGater) Headroom() int {
-	h := int(p.w.Window()) - p.w.Inflight()
-	if h < 0 {
-		return 0
-	}
-	return h
-}
+func (nopGater) CanSubmit() bool            { return true }
+func (nopGater) OnSubmit()                  {}
+func (nopGater) OnCompletion(uint32, int64) {}
+func (nopGater) Headroom() int              { return 1 << 30 }
 
 // NewGater returns the client-side controller matching the scheme.
 func NewGater(s Scheme) Gater {
 	switch s {
 	case SchemeGimbal:
-		return creditGater{g: credit.NewGate(true, 32)}
+		return credit.NewGate(32)
 	case SchemeParda:
-		return pardaGater{w: parda.NewWindow(parda.DefaultConfig())}
+		return parda.NewWindow(parda.DefaultConfig())
 	default:
 		return nopGater{}
 	}
@@ -202,12 +175,6 @@ func (t *Target) ConnectWithGater(tenant *nvme.Tenant, ssdIdx int, g Gater) *Ses
 
 // NopGater returns a pass-through controller (no flow control).
 func NopGater() Gater { return nopGater{} }
-
-// Tenant returns the session identity.
-func (s *Session) Tenant() *nvme.Tenant { return s.rec.tenant }
-
-// SSD returns the SSD index the session is attached to.
-func (s *Session) SSD() int { return s.rec.pipe.idx }
 
 // Headroom exposes the gate's admission headroom (load balancing signal).
 func (s *Session) Headroom() int { return s.gate.Headroom() }
@@ -381,7 +348,7 @@ func (ex *exchange) deliver() {
 	if ex.cpl.Status != nvme.StatusOK {
 		s.Errors++
 	}
-	s.gate.OnCompletion(ex.cpl, s.clk.Now()-ex.sendTime)
+	s.gate.OnCompletion(ex.cpl.Credit, s.clk.Now()-ex.sendTime)
 	io, clientDone, cpl := ex.io, ex.clientDone, ex.cpl
 	io.Done = clientDone
 	ex.io, ex.clientDone = nil, nil
@@ -476,6 +443,8 @@ func (s *Session) onAttemptReply(f *flight, a *nvme.IO, cpl nvme.Completion) {
 // refreshed from a reply that no longer completes an exchange.
 type creditRefresher interface{ UpdateCredit(uint32) }
 
+var _ creditRefresher = (*credit.Gate)(nil) // the Gimbal scheme's gate is one
+
 // deliver resolves the flight with the first reply to arrive; later
 // replies (duplicates, post-timeout stragglers) are counted and dropped.
 func (s *Session) deliver(f *flight, a *nvme.IO, cpl nvme.Completion) {
@@ -508,7 +477,7 @@ func (s *Session) finish(f *flight, cpl nvme.Completion) {
 	if cpl.Status != nvme.StatusOK {
 		s.Errors++
 	}
-	s.gate.OnCompletion(cpl, s.clk.Now()-f.sendTime)
+	s.gate.OnCompletion(cpl.Credit, s.clk.Now()-f.sendTime)
 	f.io.Done(f.io, cpl)
 	s.drain()
 }

@@ -12,9 +12,9 @@ import "syscall"
 // pacing controller (BBR, where a host makes it the default) releases the
 // later segments of each burst on a bandwidth estimate that app-limited
 // bursts never refresh: one loopback connection in five then runs 25-30%
-// slower than its siblings for as long as it lives (DESIGN.md §6 has the
-// measurements). Setting the option on the accepted socket is too late: BBR
-// has turned pacing on by then and it stays on under the next controller.
+// slower than its siblings for as long as it lives (CHANGES.md, PR 15, has
+// the measurements). Setting the option on the accepted socket is too late:
+// BBR has turned pacing on by then and it stays on under the next controller.
 // Best effort: where neither name is allowed the host's default stands.
 func windowCC(_, _ string, c syscall.RawConn) error {
 	return c.Control(func(fd uintptr) {

@@ -208,9 +208,6 @@ func (t *Target) SSDs() int { return len(t.pipes) }
 // Pipeline returns the pipeline for an SSD index.
 func (t *Target) Pipeline(i int) *Pipeline { return t.pipes[i] }
 
-// Scheme returns the configured scheme.
-func (t *Target) Scheme() Scheme { return t.cfg.Scheme }
-
 // Register announces a tenant on an SSD pipeline and returns its record
 // there, which the caller keeps and hands to Ingress with every IO. A
 // tenant that registers again (after a Disconnect, or from a second

@@ -218,8 +218,7 @@ func (c *TCPClient) readLoop() {
 		call := c.pending[rsp.CID]
 		delete(c.pending, rsp.CID)
 		if call != nil {
-			c.gate.OnCompletion(nvme.Completion{Status: rsp.Status, Credit: rsp.Credit},
-				int64(time.Since(call.sentAt)))
+			c.gate.OnCompletion(rsp.Credit, int64(time.Since(call.sentAt)))
 		}
 		c.drainLocked()
 		c.mu.Unlock()

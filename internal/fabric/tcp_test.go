@@ -79,7 +79,7 @@ type recordingGater struct {
 func (g *recordingGater) CanSubmit() bool { return true }
 func (g *recordingGater) OnSubmit()       {}
 func (g *recordingGater) Headroom() int   { return 1 }
-func (g *recordingGater) OnCompletion(_ nvme.Completion, lat int64) {
+func (g *recordingGater) OnCompletion(_ uint32, lat int64) {
 	g.mu.Lock()
 	g.lats = append(g.lats, lat)
 	g.mu.Unlock()

@@ -72,6 +72,3 @@ func (b *Bloom) MayContain(key Key) bool {
 	}
 	return true
 }
-
-// Bytes returns the filter's storage footprint.
-func (b *Bloom) Bytes() int { return len(b.bits) * 8 }

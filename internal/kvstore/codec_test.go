@@ -117,7 +117,7 @@ func TestFaithfulTablesServeFromDecodedImage(t *testing.T) {
 	db, _ := testDB(loop, smallOpts())
 	loop.Spawn("c", func(p *sim.Proc) {
 		for k := Key(0); k < 1200; k++ {
-			if err := db.Put(p, k, val(k)); err != nil {
+			if err := put(db, p, k, val(k)); err != nil {
 				t.Errorf("put: %v", err)
 			}
 		}

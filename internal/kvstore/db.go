@@ -42,7 +42,7 @@ func DefaultOptions() Options {
 
 // Stats counts DB activity.
 type Stats struct {
-	Gets, Puts, Deletes  int64
+	Gets, Puts           int64
 	Flushes, Compactions int64
 	BytesFlushed         int64
 	BytesCompactedIn     int64
@@ -131,20 +131,9 @@ func (db *DB) LevelTableCounts() []int {
 
 // ---- Write path ----
 
-// Put inserts or overwrites key with value (faithful mode).
-func (db *DB) Put(p *sim.Proc, key Key, value []byte) error {
-	return db.write(p, Entry{K: key, V: value, VLen: len(value)})
-}
-
 // PutLen inserts key with a synthesized value of n bytes (scale mode).
 func (db *DB) PutLen(p *sim.Proc, key Key, n int) error {
 	return db.write(p, Entry{K: key, VLen: n})
-}
-
-// Delete writes a tombstone for key.
-func (db *DB) Delete(p *sim.Proc, key Key) error {
-	db.stats.Deletes++
-	return db.write(p, Entry{K: key, Tomb: true})
 }
 
 func (db *DB) write(p *sim.Proc, e Entry) error {

@@ -66,6 +66,12 @@ func smallOpts() Options {
 
 func val(k Key) []byte { return []byte(fmt.Sprintf("value-%d", k)) }
 
+// put writes key with a real value (the product only writes synthesized
+// values, PutLen), so reads can check the bytes that come back.
+func put(db *DB, p *sim.Proc, key Key, value []byte) error {
+	return db.write(p, Entry{K: key, V: value, VLen: len(value)})
+}
+
 func TestMemtablePutGet(t *testing.T) {
 	m := NewMemtable(sim.NewRNG(1))
 	for k := Key(0); k < 1000; k++ {
@@ -163,7 +169,7 @@ func TestDBPutGetAcrossFlushes(t *testing.T) {
 	const n = 2000
 	loop.Spawn("client", func(p *sim.Proc) {
 		for k := Key(0); k < n; k++ {
-			if err := db.Put(p, k, val(k)); err != nil {
+			if err := put(db, p, k, val(k)); err != nil {
 				t.Errorf("put %d: %v", k, err)
 				return
 			}
@@ -196,7 +202,7 @@ func TestDBGetAbsentKey(t *testing.T) {
 	db, _ := testDB(loop, smallOpts())
 	loop.Spawn("client", func(p *sim.Proc) {
 		for k := Key(0); k < 500; k++ {
-			if err := db.Put(p, k, val(k)); err != nil {
+			if err := put(db, p, k, val(k)); err != nil {
 				t.Errorf("put: %v", err)
 			}
 		}
@@ -213,16 +219,16 @@ func TestDBDeleteMasksOlderVersions(t *testing.T) {
 	loop := sim.NewLoop()
 	db, _ := testDB(loop, smallOpts())
 	loop.Spawn("client", func(p *sim.Proc) {
-		if err := db.Put(p, 42, val(42)); err != nil {
+		if err := put(db, p, 42, val(42)); err != nil {
 			t.Errorf("put: %v", err)
 		}
 		// Push key 42 into an SSTable by writing enough other keys.
 		for k := Key(100); k < 1500; k++ {
-			if err := db.Put(p, k, val(k)); err != nil {
+			if err := put(db, p, k, val(k)); err != nil {
 				t.Errorf("put: %v", err)
 			}
 		}
-		if err := db.Delete(p, 42); err != nil {
+		if err := db.write(p, Entry{K: 42, Tomb: true}); err != nil {
 			t.Errorf("delete: %v", err)
 		}
 		found, _, _, _ := db.Get(p, 42)
@@ -231,7 +237,7 @@ func TestDBDeleteMasksOlderVersions(t *testing.T) {
 		}
 		// More churn so the tombstone compacts down.
 		for k := Key(2000); k < 3500; k++ {
-			if err := db.Put(p, k, val(k)); err != nil {
+			if err := put(db, p, k, val(k)); err != nil {
 				t.Errorf("put: %v", err)
 			}
 		}
@@ -251,7 +257,7 @@ func TestDBOverwriteReturnsLatest(t *testing.T) {
 		for round := 0; round < 3; round++ {
 			for k := Key(0); k < 800; k++ {
 				v := []byte(fmt.Sprintf("r%d-%d", round, k))
-				if err := db.Put(p, k, v); err != nil {
+				if err := put(db, p, k, v); err != nil {
 					t.Errorf("put: %v", err)
 				}
 			}
@@ -274,7 +280,7 @@ func TestDBCompactionReducesL0(t *testing.T) {
 	db, _ := testDB(loop, opt)
 	loop.Spawn("client", func(p *sim.Proc) {
 		for k := Key(0); k < 6000; k++ {
-			if err := db.Put(p, k, val(k)); err != nil {
+			if err := put(db, p, k, val(k)); err != nil {
 				t.Errorf("put: %v", err)
 			}
 		}
@@ -305,7 +311,7 @@ func TestDBWriteStallUnderSlowBackend(t *testing.T) {
 	db := Open(loop, fs, "slow", opt, sim.NewRNG(5))
 	loop.Spawn("client", func(p *sim.Proc) {
 		for k := Key(0); k < 3000; k++ {
-			if err := db.Put(p, k, val(k)); err != nil {
+			if err := put(db, p, k, val(k)); err != nil {
 				t.Errorf("put: %v", err)
 			}
 		}
@@ -324,7 +330,7 @@ func TestDBBlockCacheServesRepeatReads(t *testing.T) {
 	db, fbs := testDB(loop, opt)
 	loop.Spawn("client", func(p *sim.Proc) {
 		for k := Key(0); k < 1000; k++ {
-			if err := db.Put(p, k, val(k)); err != nil {
+			if err := put(db, p, k, val(k)); err != nil {
 				t.Errorf("put: %v", err)
 			}
 		}

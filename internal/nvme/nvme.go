@@ -177,8 +177,6 @@ type Scheduler interface {
 	// Enqueue accepts an IO; the scheduler invokes io.Done when the
 	// completion capsule may be sent. Enqueue never blocks.
 	Enqueue(io *IO)
-	// Name identifies the scheme in reports.
-	Name() string
 }
 
 // TenantRemover is implemented by schedulers that can tear down a

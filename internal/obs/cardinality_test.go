@@ -23,7 +23,7 @@ func TestRegistryCardinality100kTenants(t *testing.T) {
 	counters := make([]*Counter, pop)
 	for i := range counters {
 		counters[i] = r.Counter("tenant_completed_ops_total", L("tenant", strconv.Itoa(i)))
-		counters[i].Inc()
+		counters[i].Add(1)
 	}
 
 	series, overflowSeries := 0, 0

@@ -9,7 +9,7 @@ import (
 func TestCounterGaugeRegistration(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("submits_total", L("ssd", "0"))
-	c.Inc()
+	c.Add(1)
 	c.Add(2)
 	if again := r.Counter("submits_total", L("ssd", "0")); again != c {
 		t.Fatal("re-registration returned a different counter")
@@ -116,7 +116,7 @@ func TestConcurrentCounters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				c.Inc()
+				c.Add(1)
 			}
 		}()
 	}
@@ -153,7 +153,7 @@ func TestTraceRing(t *testing.T) {
 	}
 
 	var b strings.Builder
-	if err := ring.WriteJSONL(&b); err != nil {
+	if err := ring.WriteJSONLFunc(&b, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")

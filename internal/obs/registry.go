@@ -72,9 +72,6 @@ func L(kv ...string) Labels {
 // and registers a CounterFunc over it.
 type Counter struct{ v atomic.Int64 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Add adds n (n must be nonnegative for Prometheus semantics).
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
@@ -152,8 +149,6 @@ type instrument struct {
 	sumName   string
 	countName string
 }
-
-func (in *instrument) id() string { return in.name + "{" + string(in.labels) + "}" }
 
 // histQuantiles are the summary quantiles every histogram exports.
 var histQuantiles = [3]struct {

@@ -21,7 +21,7 @@ func TestRegistryShardedConcurrentRegistration(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				r.Counter("reg_shared_total", L("tenant", strconv.Itoa(i))).Inc()
+				r.Counter("reg_shared_total", L("tenant", strconv.Itoa(i))).Add(1)
 				r.GaugeFunc(fmt.Sprintf("reg_g%d", g), L("i", strconv.Itoa(i)), func() float64 { return 1 })
 			}
 		}(g)
@@ -58,7 +58,7 @@ func TestRegistryCardinalityOverflow(t *testing.T) {
 	var last *Counter
 	for i := 0; i < 10; i++ {
 		c := r.Counter("hot_total", L("tenant", strconv.Itoa(i)))
-		c.Inc()
+		c.Add(1)
 		last = c
 	}
 	// Tenants 3..9 share the single overflow series.
@@ -145,7 +145,7 @@ func TestRegistryExemplarExport(t *testing.T) {
 func BenchmarkGather(b *testing.B) {
 	r := NewRegistry()
 	for i := 0; i < 256; i++ {
-		r.Counter("bench_ops_total", L("tenant", strconv.Itoa(i))).Inc()
+		r.Counter("bench_ops_total", L("tenant", strconv.Itoa(i))).Add(1)
 	}
 	for i := 0; i < 16; i++ {
 		h := r.Histogram("bench_lat_ns", L("ssd", strconv.Itoa(i)))
@@ -174,7 +174,7 @@ func BenchmarkRegistryRelookup(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			r.Counter("bench_reg_total", labels[i&1023]).Inc()
+			r.Counter("bench_reg_total", labels[i&1023]).Add(1)
 			i++
 		}
 	})

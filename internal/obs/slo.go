@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // SLO declares one tenant's service objective.
 type SLO struct {
@@ -14,26 +11,17 @@ type SLO struct {
 	// LatencyGoal is the fraction of IOs that must be good, e.g. 0.999.
 	// The error budget is 1 − LatencyGoal.
 	LatencyGoal float64 `json:"latency_goal"`
-	// BandwidthFloorBps, when nonzero, is the delivered-bandwidth floor
-	// the tenant expects; reports flag windows that undershoot it.
-	BandwidthFloorBps float64 `json:"bandwidth_floor_bps,omitempty"`
 }
 
-// SLOConfig configures an SLOEngine.
-type SLOConfig struct {
-	// Default is the objective applied to tenants first seen by Observe.
-	Default SLO
-	// WindowsNs are the burn-rate window widths, ascending. The classic
-	// SRE multi-window alert compares a short window (is it burning now?)
-	// against a long one (has it burned enough to matter?).
-	WindowsNs []int64
-	// BucketsPerWindow is each window's ring resolution (default 16).
-	BucketsPerWindow int
-}
+// sloWindowsNs are the burn-rate window widths, ascending, spanning the
+// simulated experiments' time scales: 10ms (is the tail burning right
+// now), 100ms (one brownout unit), 1s. The classic SRE multi-window alert
+// compares a short window (is it burning now?) against a long one (has it
+// burned enough to matter?).
+var sloWindowsNs = []int64{10_000_000, 100_000_000, 1_000_000_000}
 
-// DefaultSLOWindows spans the simulated experiments' time scales: 10ms
-// (is the tail burning right now), 100ms (one brownout unit), 1s.
-var DefaultSLOWindows = []int64{10_000_000, 100_000_000, 1_000_000_000}
+// sloBucketsPerWindow is each burn window's ring resolution.
+const sloBucketsPerWindow = 16
 
 // burnBucket is one time slice of good/bad/bytes accounting.
 type burnBucket struct{ good, bad, bytes int64 }
@@ -96,12 +84,6 @@ type SLOTenant struct {
 	good, bad, bytes int64
 }
 
-// Name returns the tenant name.
-func (t *SLOTenant) Name() string { return t.name }
-
-// Objective returns the tenant's declared SLO.
-func (t *SLOTenant) Objective() SLO { return t.slo }
-
 // Observe records one completed IO: ok is transport/device success,
 // latNs the end-to-end latency judged against the objective, bytes the
 // payload delivered. Allocation-free.
@@ -159,9 +141,6 @@ func (t *SLOTenant) MetFraction() float64 {
 	return float64(t.good) / float64(total)
 }
 
-// Totals returns the cumulative good/bad/bytes since the last Reset.
-func (t *SLOTenant) Totals() (good, bad, bytes int64) { return t.good, t.bad, t.bytes }
-
 func (t *SLOTenant) reset(now int64) {
 	t.good, t.bad, t.bytes = 0, 0, 0
 	for i := range t.wins {
@@ -177,7 +156,7 @@ func (t *SLOTenant) reset(now int64) {
 // SLOEngine tracks every tenant's objective and correlates burn with the
 // shared event log (degrade latches, fail-fast trips, injected faults).
 type SLOEngine struct {
-	cfg    SLOConfig
+	slo    SLO
 	events *EventLog
 
 	mu      sync.Mutex
@@ -185,79 +164,41 @@ type SLOEngine struct {
 	order   []*SLOTenant
 }
 
-// NewSLOEngine builds an engine; zero config fields take their defaults.
-func NewSLOEngine(cfg SLOConfig) *SLOEngine {
-	if len(cfg.WindowsNs) == 0 {
-		cfg.WindowsNs = DefaultSLOWindows
+// NewSLOEngine builds an engine holding every tenant to slo; a goal outside
+// (0, 1) means 0.999.
+func NewSLOEngine(slo SLO) *SLOEngine {
+	if slo.LatencyGoal <= 0 || slo.LatencyGoal >= 1 {
+		slo.LatencyGoal = 0.999
 	}
-	ws := append([]int64(nil), cfg.WindowsNs...)
-	sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-	cfg.WindowsNs = ws
-	if cfg.BucketsPerWindow <= 0 {
-		cfg.BucketsPerWindow = 16
-	}
-	if cfg.Default.LatencyGoal <= 0 || cfg.Default.LatencyGoal >= 1 {
-		cfg.Default.LatencyGoal = 0.999
-	}
-	return &SLOEngine{cfg: cfg, tenants: map[string]*SLOTenant{}}
+	return &SLOEngine{slo: slo, tenants: map[string]*SLOTenant{}}
 }
-
-// Config returns the engine configuration.
-func (e *SLOEngine) Config() SLOConfig { return e.cfg }
 
 // SetEventLog attaches the event log reports correlate against.
 func (e *SLOEngine) SetEventLog(l *EventLog) { e.events = l }
 
-// Events returns the attached event log (may be nil).
-func (e *SLOEngine) Events() *EventLog { return e.events }
-
 // Windows returns the burn-rate window widths, ascending.
-func (e *SLOEngine) Windows() []int64 { return e.cfg.WindowsNs }
+func (e *SLOEngine) Windows() []int64 { return sloWindowsNs }
 
-// Tenant returns the tracker for name, registering it with the default
-// objective on first sight. Callers on the completion path should cache
-// the returned pointer — the map lookup is not free.
+// Tenant returns the tracker for name, registering it on first sight.
+// Callers on the completion path should cache the returned pointer — the
+// map lookup is not free.
 func (e *SLOEngine) Tenant(name string) *SLOTenant {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if t, ok := e.tenants[name]; ok {
 		return t
 	}
-	t := e.newTenantLocked(name, e.cfg.Default)
-	return t
-}
-
-func (e *SLOEngine) newTenantLocked(name string, slo SLO) *SLOTenant {
-	t := &SLOTenant{name: name, slo: slo}
-	t.wins = make([]burnWindow, len(e.cfg.WindowsNs))
-	for i, w := range e.cfg.WindowsNs {
-		bn := w / int64(e.cfg.BucketsPerWindow)
-		if bn < 1 {
-			bn = 1
-		}
+	t := &SLOTenant{name: name, slo: e.slo, wins: make([]burnWindow, len(sloWindowsNs))}
+	for i, w := range sloWindowsNs {
 		t.wins[i] = burnWindow{
 			widthNs:  w,
-			bucketNs: bn,
-			buckets:  make([]burnBucket, e.cfg.BucketsPerWindow),
+			bucketNs: w / sloBucketsPerWindow,
+			buckets:  make([]burnBucket, sloBucketsPerWindow),
 		}
 	}
 	e.tenants[name] = t
 	e.order = append(e.order, t)
 	return t
-}
-
-// SetObjective declares or replaces a tenant's objective.
-func (e *SLOEngine) SetObjective(name string, slo SLO) *SLOTenant {
-	if slo.LatencyGoal <= 0 || slo.LatencyGoal >= 1 {
-		slo.LatencyGoal = e.cfg.Default.LatencyGoal
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if t, ok := e.tenants[name]; ok {
-		t.slo = slo
-		return t
-	}
-	return e.newTenantLocked(name, slo)
 }
 
 // Reset restarts measurement for every tenant (end of warmup).
@@ -276,7 +217,6 @@ type SLOWindowReport struct {
 	Bad          int64   `json:"bad"`
 	BurnRate     float64 `json:"burn_rate"`
 	BandwidthBps float64 `json:"bandwidth_bps"`
-	UnderFloor   bool    `json:"under_floor,omitempty"`
 }
 
 // SLOTenantReport is one tenant's standing in a report.
@@ -308,13 +248,13 @@ func (e *SLOEngine) Report(now int64) SLOReport {
 	tenants := append([]*SLOTenant(nil), e.order...)
 	e.mu.Unlock()
 
-	rep := SLOReport{NowNs: now, WindowsNs: e.cfg.WindowsNs}
+	rep := SLOReport{NowNs: now, WindowsNs: sloWindowsNs}
 	var events []Event
 	if e.events != nil {
 		events = e.events.Snapshot()
 		rep.Events = events
 	}
-	longest := e.cfg.WindowsNs[len(e.cfg.WindowsNs)-1]
+	longest := sloWindowsNs[len(sloWindowsNs)-1]
 	for _, t := range tenants {
 		tr := SLOTenantReport{
 			Tenant:      t.name,
@@ -328,9 +268,6 @@ func (e *SLOEngine) Report(now int64) SLOReport {
 			w.Good, w.Bad, _ = t.wins[i].totals(now)
 			w.BurnRate = t.BurnRate(i, now)
 			w.BandwidthBps = t.WindowBandwidthBps(i, now)
-			if t.slo.BandwidthFloorBps > 0 && w.BandwidthBps < t.slo.BandwidthFloorBps {
-				w.UnderFloor = true
-			}
 			if w.BurnRate > 1 {
 				tr.Burning = true
 			}
@@ -376,55 +313,17 @@ type Event struct {
 	Active bool `json:"active"`
 }
 
-// EventLog is a fixed-capacity ring of events with TraceRing's wraparound
-// semantics: once full, each append evicts the oldest entry, and
-// Snapshot returns the survivors oldest-first. Events are rare (state
+// EventLog is a fixed-capacity ring of events with ring's wraparound
+// semantics (Total, Snapshot oldest-first). Events are rare (state
 // transitions, not per-IO), so a mutex and a small ring suffice.
-type EventLog struct {
-	mu    sync.Mutex
-	buf   []Event
-	pos   int
-	full  bool
-	total uint64
-}
+type EventLog struct{ ring[Event] }
 
 // NewEventLog returns a log holding the last capacity events.
 func NewEventLog(capacity int) *EventLog {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &EventLog{buf: make([]Event, capacity)}
+	return &EventLog{newRing[Event](capacity)}
 }
 
 // Append records one event.
 func (l *EventLog) Append(at int64, kind, detail string, active bool) {
-	l.mu.Lock()
-	l.buf[l.pos] = Event{At: at, Kind: kind, Detail: detail, Active: active}
-	l.pos++
-	if l.pos == len(l.buf) {
-		l.pos = 0
-		l.full = true
-	}
-	l.total++
-	l.mu.Unlock()
-}
-
-// Total returns the number of events ever appended.
-func (l *EventLog) Total() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
-}
-
-// Snapshot returns the held events, oldest first.
-func (l *EventLog) Snapshot() []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.full {
-		return append([]Event(nil), l.buf[:l.pos]...)
-	}
-	out := make([]Event, 0, len(l.buf))
-	out = append(out, l.buf[l.pos:]...)
-	out = append(out, l.buf[:l.pos]...)
-	return out
+	l.ring.Append(Event{At: at, Kind: kind, Detail: detail, Active: active})
 }

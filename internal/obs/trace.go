@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
-	"sync"
 )
 
 // IOTrace is the lifecycle record of one IO through a switch pipeline:
@@ -155,91 +154,29 @@ type traceJSON struct {
 	CompleteNs int64 `json:"complete_ns"`
 }
 
-// TraceRing is a fixed-capacity ring buffer of IO traces. Appends are
+// TraceRing is a fixed-capacity ring buffer of IO traces with ring's
+// wraparound semantics (Append, Total, Snapshot oldest-first). Appends are
 // O(1), allocation-free, and guarded by a mutex (they happen only when a
 // recorder is attached; the unattached fast path is a nil check at the
 // instrumentation site).
-//
-// Wraparound semantics: the ring keeps the most recent capacity traces.
-// Once full, each append overwrites the oldest held trace (strict FIFO
-// eviction), so after n appends the ring holds appends
-// [max(0, n-capacity), n). Readers (Snapshot, WriteJSONL) always see the
-// held traces oldest-first, including the append that lands exactly on
-// the capacity boundary.
-type TraceRing struct {
-	mu    sync.Mutex
-	buf   []IOTrace
-	pos   int // next write index == oldest entry once full
-	full  bool
-	total uint64
-}
+type TraceRing struct{ ring[IOTrace] }
 
 // NewTraceRing returns a ring holding the last capacity traces.
 func NewTraceRing(capacity int) *TraceRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &TraceRing{buf: make([]IOTrace, capacity)}
+	return &TraceRing{newRing[IOTrace](capacity)}
 }
 
 // Cap returns the ring capacity.
 func (r *TraceRing) Cap() int { return len(r.buf) }
 
-// Append records one trace, overwriting the oldest when full.
-func (r *TraceRing) Append(t IOTrace) {
-	r.mu.Lock()
-	r.buf[r.pos] = t
-	r.pos++
-	if r.pos == len(r.buf) {
-		r.pos = 0
-		r.full = true
-	}
-	r.total++
-	r.mu.Unlock()
-}
-
-// Total returns the number of traces ever appended.
-func (r *TraceRing) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
 // Len returns the number of traces currently held.
-func (r *TraceRing) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.full {
-		return len(r.buf)
-	}
-	return r.pos
-}
-
-// Snapshot returns the held traces, oldest first: once the ring has
-// wrapped, the entry at the write cursor is the oldest survivor, so the
-// snapshot is buf[pos:] followed by buf[:pos].
-func (r *TraceRing) Snapshot() []IOTrace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return append([]IOTrace(nil), r.buf[:r.pos]...)
-	}
-	out := make([]IOTrace, 0, len(r.buf))
-	out = append(out, r.buf[r.pos:]...)
-	out = append(out, r.buf[:r.pos]...)
-	return out
-}
-
-// WriteJSONL streams the held traces as one JSON object per line, oldest
-// first, each carrying both raw timestamps and the derived spans.
-func (r *TraceRing) WriteJSONL(w io.Writer) error {
-	return r.WriteJSONLFunc(w, nil, 0)
-}
+func (r *TraceRing) Len() int { return r.held() }
 
 // WriteJSONLFunc streams held traces passing keep (nil keeps all), oldest
-// first, emitting at most limit lines (0 = unlimited). When limit trims
-// the output, the newest matching traces win — the tail is what a latency
-// investigation wants.
+// first, one JSON object per line carrying both raw timestamps and the
+// derived spans, emitting at most limit lines (0 = unlimited). When limit
+// trims the output, the newest matching traces win — the tail is what a
+// latency investigation wants.
 func (r *TraceRing) WriteJSONLFunc(w io.Writer, keep func(*IOTrace) bool, limit int) error {
 	snap := r.Snapshot()
 	if keep != nil {

@@ -9,7 +9,7 @@ import (
 type TraceMode int
 
 const (
-	// TraceOff captures nothing; Observe is a single branch.
+	// TraceOff captures nothing; Sample is a single branch.
 	TraceOff TraceMode = iota
 	// TraceSampled captures every slow IO (latency ≥ SlowNs) plus every
 	// SampleEvery-th IO, so the tail is complete while the hot path stays
@@ -67,15 +67,16 @@ func DefaultTracerConfig() TracerConfig {
 	return TracerConfig{Capacity: 8192, Mode: TraceSampled, SlowNs: 1_000_000, SampleEvery: 64}
 }
 
-// Tracer owns the span ring and the capture decision. Observe is called
-// once per completed IO from scheduler context; it allocates nothing
-// (traces travel by value) and in sampled mode skips the ring entirely
-// for fast, unsampled IOs — tail-biased sampling means every slow IO is
-// captured while steady-state traffic pays two atomic adds at most.
+// Tracer owns the span ring and the capture decision. Sample is called
+// once per completed IO from scheduler context, and Capture for the IOs it
+// keeps; neither allocates (traces travel by value), and in sampled mode
+// fast, unsampled IOs skip the ring entirely — tail-biased sampling means
+// every slow IO is captured while steady-state traffic pays two atomic
+// adds at most.
 type Tracer struct {
 	cfg   TracerConfig
 	ring  *TraceRing
-	seen  atomic.Uint64 // IOs offered to Observe
+	seen  atomic.Uint64 // IOs offered to Sample
 	spans atomic.Uint64 // IOs captured; the last value is the newest span id
 }
 
@@ -87,9 +88,6 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	return &Tracer{cfg: cfg, ring: NewTraceRing(cfg.Capacity)}
 }
 
-// Config returns the tracer's configuration.
-func (t *Tracer) Config() TracerConfig { return t.cfg }
-
 // Ring returns the underlying trace ring (nil-safe).
 func (t *Tracer) Ring() *TraceRing {
 	if t == nil {
@@ -98,7 +96,7 @@ func (t *Tracer) Ring() *TraceRing {
 	return t.ring
 }
 
-// Seen returns the number of IOs offered to Observe.
+// Seen returns the number of IOs offered to Sample.
 func (t *Tracer) Seen() uint64 { return t.seen.Load() }
 
 // Captured returns the number of IOs captured into the ring.
@@ -130,14 +128,4 @@ func (t *Tracer) Capture(tr IOTrace) uint64 {
 	tr.Span = id
 	t.ring.Append(tr)
 	return id
-}
-
-// Observe offers one completed IO to the tracer: Sample then, on
-// capture, Capture. Callers on a hot path should call the pair
-// themselves and only build the IOTrace when Sample says yes.
-func (t *Tracer) Observe(tr IOTrace) (uint64, bool) {
-	if !t.Sample(tr.Done - tr.Arrival) {
-		return 0, false
-	}
-	return t.Capture(tr), true
 }

@@ -5,19 +5,28 @@ import (
 	"testing"
 )
 
+// observe is what the switch does with each completed IO: Sample, then
+// Capture what it keeps.
+func observe(t *Tracer, tr IOTrace) (uint64, bool) {
+	if !t.Sample(tr.Done - tr.Arrival) {
+		return 0, false
+	}
+	return t.Capture(tr), true
+}
+
 func TestTracerModes(t *testing.T) {
 	mk := func(mode TraceMode) *Tracer {
 		return NewTracer(TracerConfig{Capacity: 64, Mode: mode, SlowNs: 1000, SampleEvery: 10})
 	}
 
 	off := mk(TraceOff)
-	if _, ok := off.Observe(IOTrace{Done: 5000}); ok {
+	if _, ok := observe(off, IOTrace{Done: 5000}); ok {
 		t.Fatal("off tracer captured")
 	}
 
 	full := mk(TraceFull)
 	for i := 0; i < 5; i++ {
-		if _, ok := full.Observe(IOTrace{Arrival: 0, Done: 1}); !ok {
+		if _, ok := observe(full, IOTrace{Arrival: 0, Done: 1}); !ok {
 			t.Fatal("full tracer skipped")
 		}
 	}
@@ -28,7 +37,7 @@ func TestTracerModes(t *testing.T) {
 	s := mk(TraceSampled)
 	// 100 fast IOs: the first plus every 10th → 10 captures.
 	for i := 0; i < 100; i++ {
-		s.Observe(IOTrace{Arrival: 0, Done: 10})
+		observe(s, IOTrace{Arrival: 0, Done: 10})
 	}
 	if s.Captured() != 10 {
 		t.Fatalf("sampled captured %d fast IOs, want 10", s.Captured())
@@ -36,7 +45,7 @@ func TestTracerModes(t *testing.T) {
 	// Slow IOs are always captured regardless of the sampling phase.
 	before := s.Captured()
 	for i := 0; i < 7; i++ {
-		if _, ok := s.Observe(IOTrace{Arrival: 0, Done: 1000}); !ok {
+		if _, ok := observe(s, IOTrace{Arrival: 0, Done: 1000}); !ok {
 			t.Fatal("sampled tracer skipped a slow IO")
 		}
 	}
@@ -51,7 +60,7 @@ func TestTracerModes(t *testing.T) {
 func TestTracerSpanIDsMonotone(t *testing.T) {
 	tr := NewTracer(TracerConfig{Capacity: 8, Mode: TraceFull})
 	for i := 1; i <= 5; i++ {
-		id, ok := tr.Observe(IOTrace{})
+		id, ok := observe(tr, IOTrace{})
 		if !ok || id != uint64(i) {
 			t.Fatalf("span id = %d ok=%v, want %d", id, ok, i)
 		}
@@ -64,7 +73,7 @@ func TestTracerSpanIDsMonotone(t *testing.T) {
 
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
-	if _, ok := tr.Observe(IOTrace{}); ok {
+	if _, ok := observe(tr, IOTrace{}); ok {
 		t.Fatal("nil tracer captured")
 	}
 	if tr.Ring() != nil {

@@ -54,10 +54,6 @@ func AtMovableFunc(s Scheduler) func(t int64, fn func()) Timer {
 	return s.At
 }
 
-// AtMovable arms fn on s at absolute time t as a timer that will be moved:
-// AtMovableFunc(s)(t, fn).
-func AtMovable(s Scheduler, t int64, fn func()) Timer { return AtMovableFunc(s)(t, fn) }
-
 // Common durations in nanoseconds, for readability at call sites.
 const (
 	Microsecond int64 = 1e3

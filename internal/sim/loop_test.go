@@ -362,18 +362,6 @@ func TestRNGIntnBounds(t *testing.T) {
 	}
 }
 
-func TestRNGPermIsPermutation(t *testing.T) {
-	r := NewRNG(99)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRNGExpMean(t *testing.T) {
 	r := NewRNG(1)
 	var sum float64

@@ -40,12 +40,6 @@ func (l *Loop) Spawn(name string, fn func(*Proc)) *Proc {
 	return p
 }
 
-// Loop returns the loop hosting the process.
-func (p *Proc) Loop() *Loop { return p.loop }
-
-// Name returns the name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Done reports whether the process function has returned.
 func (p *Proc) Done() bool { return p.done }
 
@@ -101,9 +95,6 @@ func (g *Gate) Wait(p *Proc) any {
 	g.waiters = append(g.waiters, p)
 	return p.Park()
 }
-
-// Fired reports whether Fire has been called.
-func (g *Gate) Fired() bool { return g.fired }
 
 // Fire releases all current and future waiters with value v. Must be called
 // from loop context or from a running process. Firing twice panics.

@@ -351,8 +351,8 @@ func TestRealStop(t *testing.T) {
 	if h := s.AtMovable(0, func() { t.Error("movable event scheduled after Stop fired") }); h != (Timer{}) {
 		t.Errorf("AtMovable on a stopped shard returned %+v, want the zero Timer", h)
 	}
-	if h := AtMovable(s, 0, func() { t.Error("movable event scheduled after Stop fired") }); h != (Timer{}) {
-		t.Errorf("sim.AtMovable on a stopped shard returned %+v, want the zero Timer", h)
+	if h := AtMovableFunc(s)(0, func() { t.Error("movable event scheduled after Stop fired") }); h != (Timer{}) {
+		t.Errorf("AtMovableFunc(s) on a stopped shard returned %+v, want the zero Timer", h)
 	}
 	s.Unlock()
 	time.Sleep(150 * time.Millisecond)

@@ -57,14 +57,3 @@ func (r *RNG) Exp(mean float64) float64 {
 	}
 	return -mean * math.Log(u)
 }
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}

@@ -246,9 +246,6 @@ func New(sched sim.Scheduler, p Params) *SSD {
 	return s
 }
 
-// Params returns the device parameters.
-func (s *SSD) Params() Params { return s.p }
-
 // SetSnapshotTag namespaces this device's precondition snapshot cache
 // entries: stacks that wrap the device (a fast tier, say) set a tag derived
 // from their configuration so their preconditioned state never collides

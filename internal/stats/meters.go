@@ -34,16 +34,12 @@ func (e *EWMA) Value() float64 { return e.value }
 // Initialized reports whether at least one sample has been folded in.
 func (e *EWMA) Initialized() bool { return e.seen }
 
-// Reset discards all state.
-func (e *EWMA) Reset() { e.value, e.seen = 0, false }
-
-// Meter accumulates byte and operation counts over an interval and converts
-// them to bandwidth/IOPS. Counters are atomic so completion callbacks and
-// telemetry scrapes may race safely; Reset is not atomic with respect to
-// concurrent Adds and should happen in scheduler context.
+// Meter accumulates a byte count over an interval and converts it to
+// bandwidth. The counter is atomic so completion callbacks and telemetry
+// scrapes may race safely; Reset is not atomic with respect to concurrent
+// Adds and should happen in scheduler context.
 type Meter struct {
 	bytes atomic.Int64
-	ops   atomic.Int64
 	start int64
 }
 
@@ -51,13 +47,10 @@ type Meter struct {
 func NewMeter(now int64) *Meter { return &Meter{start: now} }
 
 // Add records one completed operation of n bytes.
-func (m *Meter) Add(n int64) { m.bytes.Add(n); m.ops.Add(1) }
+func (m *Meter) Add(n int64) { m.bytes.Add(n) }
 
 // Bytes returns the bytes accumulated since the interval start.
 func (m *Meter) Bytes() int64 { return m.bytes.Load() }
-
-// Ops returns the operations accumulated since the interval start.
-func (m *Meter) Ops() int64 { return m.ops.Load() }
 
 // BandwidthMBps returns the mean bandwidth since the interval start in
 // MB/s (1 MB = 1e6 bytes, as the paper plots).
@@ -69,19 +62,9 @@ func (m *Meter) BandwidthMBps(now int64) float64 {
 	return float64(m.bytes.Load()) / 1e6 / dt
 }
 
-// KIOPS returns thousands of operations per second since the interval start.
-func (m *Meter) KIOPS(now int64) float64 {
-	dt := float64(now-m.start) / 1e9
-	if dt <= 0 {
-		return 0
-	}
-	return float64(m.ops.Load()) / 1e3 / dt
-}
-
 // Reset restarts the interval at now.
 func (m *Meter) Reset(now int64) {
 	m.bytes.Store(0)
-	m.ops.Store(0)
 	m.start = now
 }
 

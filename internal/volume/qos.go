@@ -15,7 +15,8 @@ import (
 // it): the hierarchical DRR's class weight (inter-class bandwidth share),
 // the NVMe-oF priority tag (intra-tenant queue cycling weight, which is
 // how virtual-slot credits are spent, §3.5), and the initiator session's
-// retry policy (how hard a client fights for its deadline).
+// retry policy (how hard a client fights for its deadline; the facade
+// builds each stream's session policy from these fields).
 type QoSSpec struct {
 	Name     string
 	Weight   int           // hierarchical DRR weight at the class level (≥1)
@@ -29,16 +30,7 @@ type QoSSpec struct {
 	RetryBackoffCap int64
 }
 
-// RetryPolicy is the compiled client retry policy of one class (the shape
-// fabric.RetryPolicy is built from).
-type RetryPolicy struct {
-	Timeout    int64
-	MaxRetries int
-	Backoff    int64
-	BackoffCap int64
-}
-
-// Compiled is the scheduler- and session-level realization of a ClassSet.
+// Compiled is the scheduler-level realization of a ClassSet.
 // Index i describes class i (the value stored in nvme.Tenant.Class).
 type Compiled struct {
 	// ClassWeights feeds sched.Config.ClassWeights: the top level of the
@@ -48,9 +40,6 @@ type Compiled struct {
 	// Priorities is the per-class priority tag for streams that do not
 	// override it.
 	Priorities []nvme.Priority
-	// Retries is the per-class initiator retry policy; a zero policy means
-	// "leave the session's default".
-	Retries []RetryPolicy
 }
 
 // ClassSet is an ordered set of QoS classes. Order is identity: the i-th
@@ -183,14 +172,11 @@ func (cs *ClassSet) Names() []string {
 	return out
 }
 
-// Compile lowers the class set onto the three mechanisms that enforce it.
-// This is the single place a named class becomes scheduler and session
-// configuration; everything downstream consumes the compiled form.
+// Compile lowers the class set onto the scheduler's class weights and the
+// streams' priority tags. The retry fields stay in the QoSSpec: the facade
+// turns them into a stream's session policy when it starts one.
 func (cs *ClassSet) Compile() Compiled {
-	c := Compiled{
-		Priorities: make([]nvme.Priority, len(cs.specs)),
-		Retries:    make([]RetryPolicy, len(cs.specs)),
-	}
+	c := Compiled{Priorities: make([]nvme.Priority, len(cs.specs))}
 	if len(cs.specs) > 1 {
 		c.ClassWeights = make([]int, len(cs.specs))
 	}
@@ -199,12 +185,6 @@ func (cs *ClassSet) Compile() Compiled {
 			c.ClassWeights[i] = sp.Weight
 		}
 		c.Priorities[i] = sp.Priority
-		c.Retries[i] = RetryPolicy{
-			Timeout:    sp.RetryTimeout,
-			MaxRetries: sp.RetryMax,
-			Backoff:    sp.RetryBackoff,
-			BackoffCap: sp.RetryBackoffCap,
-		}
 	}
 	return c
 }

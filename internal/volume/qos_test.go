@@ -24,9 +24,6 @@ func TestDefaultClassesCompile(t *testing.T) {
 			t.Fatalf("Priorities = %v, want %v", c.Priorities, wantP)
 		}
 	}
-	if c.Retries[0].Timeout == 0 || c.Retries[2].Timeout != 0 {
-		t.Fatalf("retry compilation wrong: gold=%+v besteffort=%+v", c.Retries[0], c.Retries[2])
-	}
 }
 
 func TestSingleClassFlat(t *testing.T) {

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"sort"
 
 	"gimbal/internal/nvme"
@@ -11,32 +10,25 @@ import (
 
 // ScenarioConfig describes a population-scale open-loop workload: a large
 // registered tenant population with heavy-tailed (Zipf) activity, Poisson
-// arrivals modulated by a diurnal curve, and tenant join/leave churn. It is
+// arrivals, and tenant join/leave churn. It is
 // the load shape ROADMAP item 4 calls for — the closed-loop Worker drives
 // one stream hard; a Scenario drives a hundred thousand streams lightly.
 type ScenarioConfig struct {
 	Tenants int     // registered population (slots; churn replaces occupants)
 	Theta   float64 // Zipf skew of per-tenant activity (YCSB default 0.99)
 
-	RateIOPS      float64 // mean offered load across the whole population
-	DiurnalAmp    float64 // 0..1: peak-to-mean amplitude of the daily curve
-	DiurnalPeriod int64   // ns; 0 disables modulation
+	RateIOPS float64 // mean offered load across the whole population
 
 	ChurnPerSec float64 // tenant replacements per second (0 = static)
 
 	IOSize    int
 	ReadRatio float64 // 1 = read-only
 	Span      int64   // offsets drawn uniformly from [0, Span)
-
-	// MaxInflight sheds arrivals beyond this many outstanding IOs (an
-	// open-loop generator must bound its memory when the target is
-	// saturated). 0 means 4096.
-	MaxInflight int
-
-	// Classes spreads tenants round-robin over this many QoS classes
-	// (nvme.Tenant.Class). 0 or 1 leaves everyone in class 0.
-	Classes int
 }
+
+// maxInflight sheds arrivals beyond this many outstanding IOs: an open-loop
+// generator must bound its memory when the target is saturated.
+const maxInflight = 4096
 
 // DefaultScenarioConfig returns a 4KB read-mostly population at Zipf 0.99.
 func DefaultScenarioConfig() ScenarioConfig {
@@ -105,9 +97,6 @@ func NewScenario(loop *sim.Loop, rng *sim.RNG, cfg ScenarioConfig, sched Scenari
 	if cfg.Tenants <= 0 || cfg.IOSize <= 0 || cfg.Span <= 0 || cfg.RateIOPS <= 0 {
 		panic("workload: scenario missing tenants/size/span/rate")
 	}
-	if cfg.MaxInflight == 0 {
-		cfg.MaxInflight = 4096
-	}
 	s := &Scenario{
 		loop:  loop,
 		rng:   rng,
@@ -127,9 +116,6 @@ func NewScenario(loop *sim.Loop, rng *sim.RNG, cfg ScenarioConfig, sched Scenari
 
 func (s *Scenario) newTenant(slot int) *nvme.Tenant {
 	t := nvme.NewTenant(s.nextID, "pop")
-	if s.cfg.Classes > 1 {
-		t.Class = slot % s.cfg.Classes
-	}
 	s.idSlot = append(s.idSlot, int32(slot))
 	s.nextID++
 	if s.OnRegister != nil {
@@ -154,26 +140,9 @@ func (s *Scenario) Start(stopAt int64) {
 	}
 }
 
-// rate returns the instantaneous arrival rate (IOs/ns) under the diurnal
-// curve, floored at 5% of the mean so the interarrival stays finite.
-func (s *Scenario) rate() float64 {
-	r := s.cfg.RateIOPS
-	if s.cfg.DiurnalPeriod > 0 && s.cfg.DiurnalAmp > 0 {
-		phase := 2 * math.Pi * float64(s.loop.Now()) / float64(s.cfg.DiurnalPeriod)
-		f := 1 + s.cfg.DiurnalAmp*math.Sin(phase)
-		if f < 0.05 {
-			f = 0.05
-		}
-		r *= f
-	}
-	return r / 1e9
-}
-
-// nextArrival samples the next Poisson interarrival in ns at the current
-// instantaneous rate (quasi-stationary thinning: the rate moves far slower
-// than the interarrival scale).
+// nextArrival samples the next Poisson interarrival in ns.
 func (s *Scenario) nextArrival() int64 {
-	dt := s.rng.Exp(1 / s.rate())
+	dt := s.rng.Exp(1 / (s.cfg.RateIOPS / 1e9))
 	if dt < 1 {
 		dt = 1
 	}
@@ -195,7 +164,7 @@ func (s *Scenario) arrive() {
 		return
 	}
 	s.loop.At(now+s.nextArrival(), s.arriveFn)
-	if s.inflight >= s.cfg.MaxInflight {
+	if s.inflight >= maxInflight {
 		s.Shed++
 		return
 	}

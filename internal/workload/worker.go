@@ -4,7 +4,7 @@
 // and latest key distributions, the YCSB A/B/C/D/F drivers used by the
 // key-value store experiments, and the population-scale scenario engine
 // (Scenario: 100k+ registered tenants with Zipf activity, Poisson open-loop
-// arrivals under a diurnal curve, and tenant join/leave churn).
+// arrivals, and tenant join/leave churn).
 package workload
 
 import (
@@ -41,7 +41,6 @@ type Profile struct {
 	// Ignored for sequential streams.
 	Zipf     float64
 	Priority nvme.Priority
-	Class    int // QoS class (hierarchical DRR); 0 = default class
 
 	// RateLimitBps caps the stream's submission rate (0 = unlimited);
 	// used by Fig 9's rate-limited workers.
@@ -52,8 +51,7 @@ type Profile struct {
 	// application that gives up on a dead path. 0 = never stop on errors.
 	MaxConsecutiveErrs int
 
-	// Span restricts offsets to [Base, Base+Span) (0 = whole device).
-	Base int64
+	// Span restricts offsets to [0, Span) (0 = whole device).
 	Span int64
 }
 
@@ -175,17 +173,17 @@ func (w *Worker) trySubmit() {
 	}
 	var off int64
 	if w.p.Seq {
-		off = w.p.Base + w.cursor
+		off = w.cursor
 		w.cursor += int64(w.p.IOSize)
 		if w.cursor+int64(w.p.IOSize) > w.p.Span {
 			w.cursor = 0
 		}
 	} else if w.zipf != nil {
 		// Skewed popularity, scattered so hot slots are not adjacent.
-		off = w.p.Base + int64(w.zipf.ScatteredNext())*int64(w.p.IOSize)
+		off = int64(w.zipf.ScatteredNext()) * int64(w.p.IOSize)
 	} else {
 		slots := w.p.Span / int64(w.p.IOSize)
-		off = w.p.Base + w.rng.Int63n(slots)*int64(w.p.IOSize)
+		off = w.rng.Int63n(slots) * int64(w.p.IOSize)
 	}
 	var io *nvme.IO
 	if n := len(w.ioFree); n > 0 {

@@ -81,15 +81,15 @@ func TestWorkerSequentialOffsets(t *testing.T) {
 func TestWorkerOffsetsWithinSpan(t *testing.T) {
 	loop := sim.NewLoop()
 	tgt := &echoTarget{loop: loop, delay: 1000}
-	base, span := int64(1<<20), int64(1<<20)
+	span := int64(1 << 20)
 	w := NewWorker(loop, sim.NewRNG(1),
-		Profile{Name: "t", ReadRatio: 1, IOSize: 4096, QD: 4, Base: base, Span: span},
+		Profile{Name: "t", ReadRatio: 1, IOSize: 4096, QD: 4, Span: span},
 		nvme.NewTenant(0, "t"), tgt)
 	w.Start(1_000_000)
 	loop.Run()
 	for _, io := range tgt.seen {
-		if io.Offset < base || io.Offset+int64(io.Size) > base+span {
-			t.Fatalf("offset %d outside [%d, %d)", io.Offset, base, base+span)
+		if io.Offset < 0 || io.Offset+int64(io.Size) > span {
+			t.Fatalf("offset %d outside [0, %d)", io.Offset, span)
 		}
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"gimbal/internal/fabric"
+	"gimbal/internal/volume"
 )
 
 // TestVolumeAPIErrors drives every typed error path of the volume facade
@@ -135,6 +138,55 @@ func TestVolumeWorkload(t *testing.T) {
 	}
 	if u.Trims == 0 {
 		t.Fatal("teardown should have trimmed spans")
+	}
+}
+
+// TestVolumeClassRetryPolicy: a stream on a managed volume arms its QoS
+// class's retry policy on every per-SSD session, a class without deadlines
+// arms none, and WithRetry overrides the class.
+func TestVolumeClassRetryPolicy(t *testing.T) {
+	s := NewSim(17)
+	j, err := s.NewJBOF(WithSSDs(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := func(vol, class string, opts ...WorkloadOption) *Stream {
+		t.Helper()
+		v, err := j.CreateVolume(vol, 64<<20, WithQoSClass(class))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := v.StartWorkload(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	g := volume.DefaultClasses().Spec(0)
+	if g.Name != "gold" || g.RetryTimeout <= 0 {
+		t.Fatalf("default class 0 = %+v, want gold with deadlines", g)
+	}
+	gold := fabric.RetryPolicy{Timeout: g.RetryTimeout, MaxRetries: g.RetryMax, Backoff: g.RetryBackoff, BackoffCap: g.RetryBackoffCap}
+	own := RetryPolicy{Timeout: 7 * time.Millisecond, MaxRetries: 1, Backoff: time.Millisecond, BackoffCap: 2 * time.Millisecond}
+	ownWant := own.internal()
+	for _, c := range []struct {
+		name string
+		st   *Stream
+		want *fabric.RetryPolicy
+	}{
+		{"gold", start("g", "gold"), &gold},
+		{"besteffort", start("b", "besteffort"), nil},
+		{"gold WithRetry", start("o", "gold", WithRetry(own)), &ownWant},
+	} {
+		if len(c.st.sesss) != 2 {
+			t.Fatalf("%s: %d sessions, want one per SSD", c.name, len(c.st.sesss))
+		}
+		for i, sess := range c.st.sesss {
+			got := sess.RetryPolicy()
+			if (got == nil) != (c.want == nil) || got != nil && *got != *c.want {
+				t.Fatalf("%s: session %d policy %+v, want %+v", c.name, i, got, c.want)
+			}
+		}
 	}
 }
 
