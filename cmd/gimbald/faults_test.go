@@ -25,6 +25,7 @@ func kindPlan(k fault.Kind) string {
 // badPlans are rejected, each with the error it must name.
 var badPlans = []struct{ in, err string }{
 	{`{"events": [{"kind": "fabric-drop", "at": "1s", "dur": "1s", "prob": 0.5}]}`, `unsupported kind "fabric-drop" (SSD faults only)`},
+	{`{"events": [{"kind": "ssd-tier-bypass", "at": "1s", "dur": "1s", "ssd": 0}]}`, `unsupported kind "ssd-tier-bypass"`},
 	{`{"events": [{"kind": "ssd-fail", "at": "soon"}]}`, "event 0: at:"},
 	{docPlan[:len(docPlan)/2], "unexpected end of JSON input"},
 	{`{"events": [{"kind": "ssd-brownout", "dur": "1s", "factor": 0.5}]}`, "brownout factor 0.5 < 1"},
@@ -64,8 +65,8 @@ func TestParseFaultPlan(t *testing.T) {
 // FuzzParseFaultPlan: the parser reads a file an operator wrote. It must
 // never panic, and every plan it accepts is SSD-only and one the fault
 // engine accepts before it knows the deployment. Seeds: the doc example,
-// every SSD kind, and the rejected plans (a fabric kind, a bad duration,
-// truncated JSON, an invalid factor).
+// every SSD kind, and the rejected plans (a fabric kind, a kind that no
+// longer exists, a bad duration, truncated JSON, an invalid factor).
 func FuzzParseFaultPlan(f *testing.F) {
 	f.Add([]byte(docPlan))
 	for k := fault.SSDLatencySpike; !k.IsFabric(); k++ {

@@ -44,8 +44,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -55,7 +53,6 @@ import (
 	"gimbal/internal/obs"
 	"gimbal/internal/sim"
 	"gimbal/internal/ssd"
-	"gimbal/internal/tier"
 	"gimbal/internal/volume"
 )
 
@@ -78,7 +75,6 @@ func main() {
 		faults    = flag.String("faults", "", "JSON fault plan armed at startup (SSD faults only)")
 		recovery  = flag.Bool("recovery", true, "enable fail-fast + graceful degradation on the gimbal scheme")
 		qosFlag   = flag.String("qos-classes", "", "named QoS classes for the volume control plane and scheduler (e.g. gold=8,silver=4,besteffort=1); empty = flat single-class DRR")
-		tierFlag  = flag.String("tier", "", "fast-tier cache per SSD: a fraction of -capacity (e.g. 0.1) or a byte size (e.g. 256MiB); empty disables")
 		token     = flag.String("admin-token", "", "bearer token required on mutating volume endpoints (empty leaves them open)")
 	)
 	flag.Parse()
@@ -128,17 +124,9 @@ func main() {
 	}
 	params := ssd.DCT983()
 	params.UsableBytes = *capacity
-	sc := fabric.StackConfig{Params: params, Cond: condition, Target: tcfg}
-	if *tierFlag != "" {
-		tierBytes, err := parseTierSize(*tierFlag, *capacity)
-		if err != nil {
-			log.Fatalf("-tier: %v", err)
-		}
-		tp := tier.DefaultParams(tierBytes)
-		sc.Tier = &tp
-	}
 	log.Printf("preconditioning %d x %s (%s)...", *ssds, params.Name, condition)
-	st, err := fabric.BuildStack(clks, sim.NewRNG(uint64(os.Getpid())), sc)
+	st, err := fabric.BuildStack(clks, sim.NewRNG(uint64(os.Getpid())),
+		fabric.StackConfig{Params: params, Cond: condition, Target: tcfg})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -376,37 +364,6 @@ func parseFaultPlan(b []byte) (*fault.Plan, error) {
 		return nil, err
 	}
 	return plan, nil
-}
-
-// parseTierSize parses the -tier flag: a fraction of the per-SSD capacity
-// ("0.1"), or an absolute byte size — a plain integer ("268435456") or a
-// KiB/MiB/GiB-suffixed size ("256MiB").
-func parseTierSize(s string, capacity int64) (int64, error) {
-	mult := int64(1)
-	num := s
-	switch {
-	case strings.HasSuffix(s, "GiB"):
-		mult, num = 1<<30, strings.TrimSuffix(s, "GiB")
-	case strings.HasSuffix(s, "MiB"):
-		mult, num = 1<<20, strings.TrimSuffix(s, "MiB")
-	case strings.HasSuffix(s, "KiB"):
-		mult, num = 1<<10, strings.TrimSuffix(s, "KiB")
-	}
-	if mult > 1 {
-		n, err := strconv.ParseInt(strings.TrimSpace(num), 10, 64)
-		if err != nil || n <= 0 {
-			return 0, fmt.Errorf("bad size %q", s)
-		}
-		return n * mult, nil
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil || f <= 0 {
-		return 0, fmt.Errorf("bad size or fraction %q", s)
-	}
-	if f < 1 {
-		return int64(f * float64(capacity)), nil
-	}
-	return int64(f), nil
 }
 
 func byteSize(n int64) string {

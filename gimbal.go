@@ -49,7 +49,6 @@ import (
 	"gimbal/internal/nvme"
 	"gimbal/internal/sim"
 	"gimbal/internal/ssd"
-	"gimbal/internal/tier"
 	"gimbal/internal/volume"
 	"gimbal/internal/workload"
 )
@@ -149,11 +148,6 @@ type jbofConfig struct {
 	// (see WithQoSClasses). Empty keeps the scheduler in flat mode with
 	// the default class menu available for volume placement.
 	QoSClasses string
-	// FastTierBytes interposes an Optane-class fast-tier cache of this
-	// size in front of every SSD (0 = no tier). The tier absorbs small
-	// writes, promotes re-read pages, and feeds the Gimbal write-cost
-	// estimator with its absorption rate.
-	FastTierBytes int64
 }
 
 // JBOFOption customizes a JBOF under construction.
@@ -174,12 +168,6 @@ func WithCapacity(bytes int64) JBOFOption { return func(c *jbofConfig) { c.Capac
 // WithP3600 selects the Intel P3600-like device model (§5.8).
 func WithP3600() JBOFOption { return func(c *jbofConfig) { c.P3600 = true } }
 
-// WithFastTier interposes a fast-tier read/write cache of the given byte
-// capacity in front of every SSD.
-func WithFastTier(bytes int64) JBOFOption {
-	return func(c *jbofConfig) { c.FastTierBytes = bytes }
-}
-
 // JBOF is a SmartNIC storage node: SSDs behind per-SSD scheduler pipelines,
 // each device wrapped in a fault-injection layer (inert — a single branch —
 // until a plan is armed).
@@ -188,7 +176,6 @@ type JBOF struct {
 	target   *fabric.Target
 	scheme   fabric.Scheme
 	devices  []*ssd.SSD
-	tiers    []*tier.Device
 	engine   *fault.Engine
 	streams  []*Stream
 	planSeed uint64
@@ -239,17 +226,12 @@ func (s *Sim) NewJBOF(opts ...JBOFOption) (*JBOF, error) {
 		// the default menu leaves the scheduler flat (paper-identical).
 		tcfg.Gimbal.Sched.ClassWeights = classes.Compile().ClassWeights
 	}
-	sc := fabric.StackConfig{Params: params, Cond: cond, Target: tcfg}
-	if cfg.FastTierBytes > 0 {
-		tp := tier.DefaultParams(cfg.FastTierBytes)
-		sc.Tier = &tp
-	}
-	st, err := fabric.BuildStack(fabric.SharedClock(s.loop, cfg.SSDs), s.rng, sc)
+	st, err := fabric.BuildStack(fabric.SharedClock(s.loop, cfg.SSDs), s.rng,
+		fabric.StackConfig{Params: params, Cond: cond, Target: tcfg})
 	if err != nil {
 		return nil, fmt.Errorf("gimbal: %w", err)
 	}
-	j := &JBOF{sim: s, scheme: scheme, classes: classes,
-		target: st.Target, devices: st.SSDs, tiers: st.Tiers}
+	j := &JBOF{sim: s, scheme: scheme, classes: classes, target: st.Target, devices: st.SSDs}
 	j.engine = st.Engine(s.loop)
 	j.engine.Fabric = func(ev fault.Event, active bool) {
 		j.streams[ev.Session].sess.ApplyFault(ev, active, j.planSeed)
@@ -523,11 +505,6 @@ const (
 	FabricDelay
 	// FabricDisconnect tears the stream's session down at At, permanently.
 	FabricDisconnect
-	// SSDTierBypass disables the SSD's fast tier for the window (the tier
-	// browns out or is drained): no admissions or promotions, the dirty
-	// set destages eagerly, reads fall through to NAND. Requires a JBOF
-	// built with WithFastTier.
-	SSDTierBypass
 )
 
 func (k FaultKind) internal() (fault.Kind, error) {
@@ -548,8 +525,6 @@ func (k FaultKind) internal() (fault.Kind, error) {
 		return fault.FabricDelay, nil
 	case FabricDisconnect:
 		return fault.FabricDisconnect, nil
-	case SSDTierBypass:
-		return fault.SSDTierBypass, nil
 	}
 	return 0, fmt.Errorf("%w: unknown fault kind %d", ErrBadFaultPlan, int(k))
 }
@@ -623,50 +598,6 @@ func (j *JBOF) InjectFaults(p FaultPlan) error {
 		return fmt.Errorf("%w: %v", ErrBadFaultPlan, err)
 	}
 	return nil
-}
-
-// TierStats reports fast-tier counters for one SSD.
-type TierStats struct {
-	Hits, Misses       int64
-	HitBytes           int64
-	WriteBacks         int64
-	WriteArounds       int64
-	AbsorbedOverwrites int64
-	Promotions         int64
-	Evictions          int64
-	Destages           int64
-	DestageBytes       int64
-	ResidentPages      int
-	DirtyPages         int
-}
-
-// ErrNoTier reports a TierStats call on a JBOF built without WithFastTier.
-var ErrNoTier = errors.New("gimbal: jbof has no fast tier")
-
-// TierStats returns the fast-tier counters of one SSD; ErrNoTier unless the
-// JBOF was built with WithFastTier.
-func (j *JBOF) TierStats(ssdIdx int) (TierStats, error) {
-	if err := j.checkSSD(ssdIdx); err != nil {
-		return TierStats{}, err
-	}
-	if len(j.tiers) == 0 {
-		return TierStats{}, ErrNoTier
-	}
-	st := j.tiers[ssdIdx].Stats()
-	return TierStats{
-		Hits:               st.Hits,
-		Misses:             st.Misses,
-		HitBytes:           st.HitBytes,
-		WriteBacks:         st.WriteBacks,
-		WriteArounds:       st.WriteArounds,
-		AbsorbedOverwrites: st.Absorbed,
-		Promotions:         st.Promotions,
-		Evictions:          st.Evictions,
-		Destages:           st.Destages,
-		DestageBytes:       st.DestageBytes,
-		ResidentPages:      st.Resident,
-		DirtyPages:         st.Dirty,
-	}, nil
 }
 
 // DeviceStats returns internal counters for one SSD.

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"gimbal/internal/fault"
 )
 
 func mustSSD(t *testing.T, j *JBOF, ssd int) *Volume {
@@ -108,6 +110,45 @@ func TestFacadeTypedErrors(t *testing.T) {
 		{Kind: FabricDrop, Stream: 0, Prob: 0.5, Duration: time.Second},
 	}}); !errors.Is(err, ErrBadFaultPlan) {
 		t.Fatalf("fabric fault without streams error = %v, want ErrBadFaultPlan", err)
+	}
+}
+
+// TestFacadeFaultKinds: every facade fault kind maps to its own fault.Kind,
+// together they cover every kind the engine has, InjectFaults arms and
+// fires a plan of each, and the value past the last kind is refused.
+func TestFacadeFaultKinds(t *testing.T) {
+	s := NewSim(13)
+	jbof, err := s.NewJBOF(WithCondition(Clean), WithCapacity(64<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustStart(t, jbof, 0, WithReadFraction(1), WithQueueDepth(4))
+	seen := map[fault.Kind]FaultKind{}
+	for k := SSDLatencySpike; k <= FabricDisconnect; k++ {
+		ik, err := k.internal()
+		if err != nil {
+			t.Fatalf("kind %d: %v", k, err)
+		}
+		if prev, dup := seen[ik]; dup {
+			t.Fatalf("kinds %d and %d both map to %s", prev, k, ik)
+		}
+		seen[ik] = k
+		if err := jbof.InjectFaults(FaultPlan{Seed: 13, Events: []FaultEvent{{
+			Kind: k, At: time.Millisecond, Duration: time.Millisecond,
+			Factor: 2, Extra: time.Microsecond, Prob: 0.5,
+		}}}); err != nil {
+			t.Fatalf("%s: %v", ik, err)
+		}
+	}
+	if len(seen) != int(fault.FabricDisconnect)+1 {
+		t.Fatalf("facade kinds cover %d of %d fault kinds", len(seen), int(fault.FabricDisconnect)+1)
+	}
+	if _, err := (FabricDisconnect + 1).internal(); !errors.Is(err, ErrBadFaultPlan) {
+		t.Fatalf("kind past the last: %v, want ErrBadFaultPlan", err)
+	}
+	s.Run(10 * time.Millisecond)
+	if jbof.engine.Armed != len(seen) || jbof.engine.Fired < int64(len(seen)) {
+		t.Fatalf("engine armed %d and fired %d transitions for %d kinds", jbof.engine.Armed, jbof.engine.Fired, len(seen))
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"gimbal/internal/sim"
 	"gimbal/internal/ssd"
 	"gimbal/internal/stats"
-	"gimbal/internal/tier"
 	"gimbal/internal/workload"
 )
 
@@ -38,9 +37,6 @@ type FioConfig struct {
 	// experiments). Session indices in the plan address r.Sessions in Spec
 	// order.
 	Faults *fault.Plan
-	// Tier, when set, interposes a fast-tier cache with these parameters in
-	// front of every SSD (see fabric.BuildStack for the stack's shape).
-	Tier *tier.Params
 	// Retry, when set, arms every session with the policy (initiator-side
 	// deadlines + reissue).
 	Retry *fabric.RetryPolicy
@@ -88,8 +84,6 @@ type FioRun struct {
 	// Hub bundles Reg with the optional tracer, SLO engine, and event log
 	// (populated per FioConfig.Trace / FioConfig.SLO).
 	Hub *obs.Hub
-	// Tiers exist when FioConfig.Tier was set (one per SSD, Spec order).
-	Tiers []*tier.Device
 
 	cfg FioConfig
 }
@@ -117,15 +111,14 @@ func NewFioRun(cfg FioConfig) *FioRun {
 		cfg.GimbalCfg(&tcfg)
 	}
 	st, err := fabric.BuildStack(fabric.SharedClock(loop, cfg.NumSSD), rng, fabric.StackConfig{
-		Params: params, Cond: cfg.Cond, Tier: cfg.Tier, Target: tcfg,
+		Params: params, Cond: cfg.Cond, Target: tcfg,
 	})
 	if err != nil {
 		panic(err) // experiment configs are code, not input
 	}
 	target := st.Target
 
-	r := &FioRun{Loop: loop, RNG: rng, Target: target, Devices: st.SSDs, Reg: obs.NewRegistry(),
-		Tiers: st.Tiers, cfg: cfg}
+	r := &FioRun{Loop: loop, RNG: rng, Target: target, Devices: st.SSDs, Reg: obs.NewRegistry(), cfg: cfg}
 	r.Hub = obs.NewHub(r.Reg)
 	if cfg.Trace != nil {
 		r.Hub.Tracer = obs.NewTracer(*cfg.Trace)

@@ -13,7 +13,6 @@ import (
 	"gimbal/internal/obs"
 	"gimbal/internal/sim"
 	"gimbal/internal/ssd"
-	"gimbal/internal/tier"
 	"gimbal/internal/workload"
 )
 
@@ -27,10 +26,10 @@ type obsGoldenRun struct {
 
 // obsGoldenRuns is the scenario set behind the golden: two fragmented SSDs
 // and three tenants (a 4 KB reader and a 64 KB writer on SSD 0, a mixed
-// tenant on SSD 1) under Gimbal and vanilla, each with and without a fast
-// tier, plus a Gimbal run with recovery armed whose fault plan latches
-// fail-fast, degrades, and tears one tenant down — so every counter the
-// switch keeps is non-zero somewhere in the file.
+// tenant on SSD 1) under Gimbal and vanilla, plus a Gimbal run with
+// recovery armed whose fault plan latches fail-fast, degrades, and tears
+// one tenant down — so every counter the switch keeps is non-zero somewhere
+// in the file.
 func obsGoldenRuns() []obsGoldenRun {
 	specs := []Spec{
 		{Profile: workload.Profile{Name: "rd", ReadRatio: 1, IOSize: 4096, QD: 16}, SSD: 0},
@@ -43,23 +42,15 @@ func obsGoldenRuns() []obsGoldenRun {
 		Cond: ssd.Fragmented, Params: p, NumSSD: 2, Specs: specs,
 		Warm: 50 * sim.Millisecond, Dur: 200 * sim.Millisecond, Seed: 7,
 	}
-	tp := tier.DefaultParams(p.UsableBytes / 20)
 	var runs []obsGoldenRun
 	for _, scheme := range []fabric.Scheme{fabric.SchemeGimbal, fabric.SchemeVanilla} {
-		for _, tiered := range []bool{false, true} {
-			cfg := base
-			cfg.Scheme = scheme
-			name := scheme.String()
-			if tiered {
-				cfg.Tier = &tp
-				name += "+tier"
-			}
-			if scheme == fabric.SchemeGimbal {
-				// The tracer adds the exemplar lines to the exposition.
-				cfg.Trace = &obs.TracerConfig{Capacity: 256, Mode: obs.TraceFull}
-			}
-			runs = append(runs, obsGoldenRun{name, cfg})
+		cfg := base
+		cfg.Scheme = scheme
+		if scheme == fabric.SchemeGimbal {
+			// The tracer adds the exemplar lines to the exposition.
+			cfg.Trace = &obs.TracerConfig{Capacity: 256, Mode: obs.TraceFull}
 		}
+		runs = append(runs, obsGoldenRun{scheme.String(), cfg})
 	}
 	rec := base
 	rec.Scheme = fabric.SchemeGimbal

@@ -20,7 +20,7 @@ var sweepGoldenIDs = []string{
 	"fig6", "fig7", "fig8", "fig58",
 	"ablate-thresh", "ablate-bucket", "ablate-writecost", "ablate-vslot", "ablate-credit",
 	"chaos-brownout", "chaos-fabric", "chaos-disconnect", "slo-attrib",
-	"tier-sweep", "volume-churn",
+	"volume-churn",
 	"fig4", "fig15", "fig19", "fig21", "fig22",
 }
 
@@ -43,12 +43,11 @@ type sweepGoldenEntry struct {
 // long as no cell of this file moves.
 func TestSweepGolden(t *testing.T) {
 	if testing.Short() || raceEnabled {
-		t.Skip("runs twenty shrunk experiments; skipped in -short and under -race")
+		t.Skip("runs nineteen shrunk experiments; skipped in -short and under -race")
 	}
 	shrinkEvalWindows(t)
 	shrinkMicroWindows(t)
 	shrinkChaosUnit(t)
-	shrinkTierSweep(t)
 	shrinkVolumeChurn(t)
 
 	reports, err := RunAll(sweepGoldenIDs, 2, nil)

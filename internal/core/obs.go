@@ -57,7 +57,6 @@ func (sw *Switch) AttachObs(h *obs.Hub, ssdIdx int) {
 		{"gimbal_pacing_stalls_total", &st.PacingStalls},
 		{"gimbal_cost_ticks_total", &st.CostTicks},
 		{"gimbal_cost_changes_total", &st.CostChanges},
-		{"gimbal_tier_served_total", &st.TierHits},
 		{"gimbal_aborted_ios_total", &st.AbortedIOs},
 		{"gimbal_failfast_rejects_total", &st.FailFastRejects},
 		{"gimbal_failfast_latches_total", &st.FailLatches},
@@ -95,7 +94,6 @@ func (sw *Switch) AttachObs(h *obs.Hub, ssdIdx int) {
 	}
 
 	reg.Help("gimbal_pacing_stalls_total", "Submission-pump passes that stopped for want of rate-pacer tokens (an IO can stall several)")
-	reg.Help("gimbal_tier_served_total", "IOs served by an interposed fast tier without touching NAND")
 	reg.Help("gimbal_aborted_ios_total", "IOs completed with StatusAborted at the switch (teardown or late capsule)")
 	reg.Help("gimbal_failfast_rejects_total", "IOs rejected while the device was latched failed")
 	reg.Help("gimbal_failfast_latches_total", "times the fail-fast latch engaged")
@@ -160,12 +158,6 @@ func (o *switchObs) onComplete(io *nvme.IO, doneAt int64) {
 	if devLat < 0 {
 		devLat = 0
 	}
-	var tierNs int64
-	if io.FastTier {
-		// The fast tier served the whole device span; attribute it to the
-		// tier phase so "device" reads as NAND time.
-		tierNs = devLat
-	}
 	isWrite := io.Op.IsWrite()
 	if isWrite {
 		o.writeDevLat.Record(devLat)
@@ -190,7 +182,6 @@ func (o *switchObs) onComplete(io *nvme.IO, doneAt int64) {
 			Done:    doneAt,
 			VslotNs: io.VslotWait,
 			GCNs:    io.GCWait,
-			TierNs:  tierNs,
 		})
 		slot := o.readDevEx
 		if isWrite {

@@ -48,7 +48,6 @@ func TestSwitchObservability(t *testing.T) {
 		"gimbal_pacing_stalls_total":          st.PacingStalls,
 		"gimbal_cost_ticks_total":             st.CostTicks,
 		"gimbal_cost_changes_total":           st.CostChanges,
-		"gimbal_tier_served_total":            st.TierHits,
 		"gimbal_aborted_ios_total":            st.AbortedIOs,
 		"gimbal_tenant_teardowns_total":       st.TenantTeardowns,
 		"gimbal_failfast_rejects_total":       st.FailFastRejects,

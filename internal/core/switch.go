@@ -110,9 +110,9 @@ type View struct {
 // CostModeler reports where the write bytes of a heterogeneous device
 // stack are landing: absorb is the fraction absorbed by a fast tier (cost
 // 1, no amplification), nandWA the NAND side's current cumulative write
-// amplification (a floor on its cost). The tier device implements this;
-// the switch polls it each cost period so DRR credits reflect where an IO
-// actually lands.
+// amplification (a floor on its cost). The switch polls it each cost
+// period. Only the perf ledger's tiered rig (benchmark/simrig.go) attaches
+// one; no product stack has a tier.
 type CostModeler interface {
 	WriteCostModel() (absorb, nandWA float64)
 }
@@ -127,7 +127,6 @@ type Stats struct {
 	PacingStalls int64
 	CostTicks    int64 // write-cost recalibration periods
 	CostChanges  int64 // periods that moved the write cost
-	TierHits     int64 // completions a fast tier served without touching NAND
 	// AbortedIOs completed with StatusAborted at the switch (teardown or
 	// late capsule); TenantTeardowns counts the teardowns.
 	AbortedIOs      int64
@@ -222,9 +221,8 @@ func (sw *Switch) Register(t *nvme.Tenant) { sw.drr.Register(t) }
 func (sw *Switch) EnableRecovery(rc RecoveryConfig) { sw.cfg.Recovery = rc }
 
 // SetCostModel attaches a per-device cost model (a fast-tier wrapper);
-// the cost tick polls it and blends the write-cost estimate so upstream
-// DRR credits reflect where writes actually land. Call from scheduler
-// context before traffic; nil detaches.
+// the cost tick polls it and blends the write-cost estimate (see
+// CostModeler). Call from scheduler context before traffic.
 func (sw *Switch) SetCostModel(m CostModeler) { sw.costModel = m }
 
 // Unregister implements nvme.TenantRemover: it reclaims the tenant's DRR
@@ -369,9 +367,6 @@ func (sw *Switch) onDeviceDone(io *nvme.IO) {
 	if state != sw.monState[class] {
 		sw.monState[class] = state
 		sw.stats.Transitions[class][state]++
-	}
-	if io.FastTier {
-		sw.stats.TierHits++
 	}
 	sw.rate.OnCompletion(sw.clk.Now(), io.Size, state)
 	credit := sw.drr.Complete(io)

@@ -24,7 +24,9 @@ func DefaultConfig() Config { return Config{Worst: 9, Delta: 0.5} }
 // (tier writes see no amplification), the remainder costs the NAND-side
 // estimate floored by the tier's reported GC pressure. With no tier
 // configured (absorb ≤ 0, the zero value) the estimator is bit-identical
-// to the paper's.
+// to the paper's. Only the perf ledger's tiered rig sets a mix. At an
+// absorb fraction of 1 the blend is 1 whatever the NAND estimate, so a
+// tiered switch's cost then never moves.
 type Estimator struct {
 	cfg  Config
 	cost float64

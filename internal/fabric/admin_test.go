@@ -15,7 +15,6 @@ import (
 	"gimbal/internal/obs"
 	"gimbal/internal/sim"
 	"gimbal/internal/ssd"
-	"gimbal/internal/tier"
 )
 
 // newObservedTarget builds a live Gimbal target the way cmd/gimbald does —
@@ -249,7 +248,7 @@ func TestAdminEndpointFairnessAfterDisconnect(t *testing.T) {
 // TestAdminEndpointScrapeUnderLoad: the counters behind /metrics and /stats
 // are plain fields of each pipeline, safe to read only under that
 // pipeline's shard lock — so this test makes the lock's absence a race
-// report. A QD32 client drives a two-reactor Gimbal target (tier over NAND,
+// report. A QD32 client drives a two-reactor Gimbal target (NAND,
 // per-reactor registries gathered under their shard) while one goroutine
 // scrapes every endpoint in a loop and another opens, uses and closes
 // connections, so tenant records are registered and disconnected
@@ -260,9 +259,8 @@ func TestAdminEndpointScrapeUnderLoad(t *testing.T) {
 	t.Cleanup(shards.Stop)
 	p := ssd.DCT983()
 	p.UsableBytes = 128 << 20
-	tp := tier.DefaultParams(p.UsableBytes / 16)
 	st, err := BuildStack([]sim.Scheduler{shards.Shard(0), shards.Shard(1)}, sim.NewRNG(1), StackConfig{
-		Params: p, Cond: ssd.Clean, Tier: &tp, Target: DefaultTargetConfig(SchemeGimbal),
+		Params: p, Cond: ssd.Clean, Target: DefaultTargetConfig(SchemeGimbal),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,15 +5,14 @@ import (
 
 	"gimbal/internal/obs"
 	"gimbal/internal/ssd"
-	"gimbal/internal/tier"
 )
 
 // This file is where a storage node meets the registry, and the only place
 // that names the series of the layers below the switch. The layers
-// themselves know nothing of telemetry: the tier, the NAND model and the
-// per-tenant records count in plain fields of their own (Stats(),
-// tenantRec), and the functions registered here read them at collection
-// time, under the registry's GatherLock. A new layer's series belong in
+// themselves know nothing of telemetry: the NAND model and the per-tenant
+// records count in plain fields of their own (Stats(), tenantRec), and the
+// functions registered here read them at collection time, under the
+// registry's GatherLock. A new layer's series belong in
 // exportDevice, over that layer's Stats(), found with ssd.Find.
 
 // AttachObs registers the target's pipelines into the hub: switch and
@@ -62,34 +61,10 @@ func (t *Target) attachObs(h *obs.Hub, regs []*obs.Registry) {
 	}
 }
 
-// exportDevice names the series of a pipeline's device stack: the fast
-// tier's, when one is interposed, then the NAND model's, each found under
-// whatever wraps it (fault layers, the benchmark's seams).
+// exportDevice names the series of a pipeline's device stack: the NAND
+// model's, found under whatever wraps it (fault layers, the benchmark's
+// seams).
 func exportDevice(reg *obs.Registry, dev ssd.Device, lb obs.Labels) {
-	if t, ok := ssd.Find[*tier.Device](dev); ok {
-		reg.Help("tier_hits_total", "reads served entirely from the fast tier")
-		reg.Help("tier_misses_total", "reads forwarded to NAND")
-		reg.Help("tier_writeback_total", "writes absorbed into the fast tier")
-		reg.Help("tier_writearound_total", "writes routed around the fast tier")
-		reg.Help("tier_destage_ops_total", "coalesced destage span writes issued to NAND")
-		reg.Help("tier_occupancy_frac", "fraction of tier slots holding resident pages")
-
-		reg.CounterFunc("tier_hits_total", lb, func() int64 { return t.Stats().Hits })
-		reg.CounterFunc("tier_misses_total", lb, func() int64 { return t.Stats().Misses })
-		reg.CounterFunc("tier_hit_bytes_total", lb, func() int64 { return t.Stats().HitBytes })
-		reg.CounterFunc("tier_writeback_total", lb, func() int64 { return t.Stats().WriteBacks })
-		reg.CounterFunc("tier_writearound_total", lb, func() int64 { return t.Stats().WriteArounds })
-		reg.CounterFunc("tier_absorbed_overwrites_total", lb, func() int64 { return t.Stats().Absorbed })
-		reg.CounterFunc("tier_promotions_total", lb, func() int64 { return t.Stats().Promotions })
-		reg.CounterFunc("tier_evictions_total", lb, func() int64 { return t.Stats().Evictions })
-		reg.CounterFunc("tier_destage_ops_total", lb, func() int64 { return t.Stats().Destages })
-		reg.CounterFunc("tier_destage_bytes_total", lb, func() int64 { return t.Stats().DestageBytes })
-		reg.GaugeFunc("tier_resident_pages", lb, func() float64 { return float64(t.Stats().Resident) })
-		reg.GaugeFunc("tier_dirty_pages", lb, func() float64 { return float64(t.Stats().Dirty) })
-		p := t.Params()
-		slots := float64(p.FastBytes / int64(p.PageSize))
-		reg.GaugeFunc("tier_occupancy_frac", lb, func() float64 { return float64(t.Stats().Resident) / slots })
-	}
 	if s, ok := ssd.Find[*ssd.SSD](dev); ok {
 		reg.Help("ssd_gc_invocations_total", "program batches that triggered garbage collection")
 		reg.Help("ssd_flush_batches_total", "write-buffer flush batches programmed to NAND")

@@ -20,9 +20,6 @@ type Engine struct {
 	// Fabric applies (active=true) or reverts (active=false) a fabric
 	// event on the addressed session.
 	Fabric func(ev Event, active bool)
-	// Tier engages or clears fast-tier bypass on the addressed SSD
-	// (deployments without a tier leave it nil and reject such plans).
-	Tier func(ssd int, active bool)
 	// OnEvent, when set, observes every fault transition after it is
 	// applied (telemetry hook: the bench harness feeds the SLO engine's
 	// event log for burn-rate correlation).
@@ -51,9 +48,6 @@ func (e *Engine) Arm(p *Plan) error {
 		}
 		if ev.Kind == SSDDieStall && e.Stall == nil {
 			return fmt.Errorf("fault: plan has %s but no stall hook", ev.Kind)
-		}
-		if ev.Kind == SSDTierBypass && e.Tier == nil {
-			return fmt.Errorf("fault: plan has %s but no tier hook", ev.Kind)
 		}
 	}
 	for _, ev := range p.Events {
@@ -88,8 +82,6 @@ func (e *Engine) apply(ev Event, active bool) {
 		if err := e.Stall(ev.SSD, ev.Die, ev.Dur); err != nil {
 			panic(err) // plan validated at Arm; a failure here is a bug
 		}
-	case SSDTierBypass:
-		e.Tier(ev.SSD, active)
 	default: // fabric kinds
 		e.Fabric(ev, active)
 	}

@@ -27,10 +27,6 @@ const (
 	// SSDFail makes the device fail every IO with a media error for the
 	// window (Dur 0 = forever).
 	SSDFail
-	// SSDTierBypass disables the device's interposed fast tier for the
-	// window (the tier browns out or is drained): no admissions or
-	// promotions, dirty pages destage eagerly, reads fall through to NAND.
-	SSDTierBypass
 	// FabricDrop drops each frame with probability Prob for the window.
 	FabricDrop
 	// FabricDuplicate duplicates each command frame with probability Prob
@@ -56,8 +52,6 @@ func (k Kind) String() string {
 		return "ssd-die-stall"
 	case SSDFail:
 		return "ssd-fail"
-	case SSDTierBypass:
-		return "ssd-tier-bypass"
 	case FabricDrop:
 		return "fabric-drop"
 	case FabricDuplicate:
@@ -146,10 +140,6 @@ func (p *Plan) Validate(numSSD, numSession int) error {
 		case SSDDieStall:
 			if ev.Dur == 0 {
 				return fmt.Errorf("fault: event %d: die stall needs Dur > 0", i)
-			}
-		case SSDTierBypass:
-			if ev.Dur == 0 {
-				return fmt.Errorf("fault: event %d: tier bypass needs a window", i)
 			}
 		case FabricDrop, FabricDuplicate:
 			if ev.Prob <= 0 || ev.Prob > 1 {

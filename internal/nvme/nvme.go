@@ -127,10 +127,6 @@ type IO struct {
 	// translate it into a completion status.
 	Failed bool
 
-	// FastTier is set when an interposed fast-tier device served the IO
-	// without touching NAND (copied from the completed device request).
-	FastTier bool
-
 	Done func(io *IO, cpl Completion)
 
 	// Sched is per-IO scratch space owned by the active scheduler.
@@ -256,6 +252,5 @@ func reqDone(r *ssd.Request) {
 	io.DevDone = r.CompleteTime
 	io.GCWait = r.GCWait
 	io.Failed = r.MediaErr
-	io.FastTier = r.FastTier
 	io.devDone(io)
 }

@@ -42,12 +42,6 @@ type IOTrace struct {
 
 	VslotNs int64 `json:"vslot_ns"`
 	GCNs    int64 `json:"gc_ns"`
-
-	// TierNs is the device span attributed to an interposed fast tier:
-	// the whole submit → device-done time when the tier served the IO
-	// without touching NAND, 0 otherwise. The "device" phase then reads
-	// as NAND service time.
-	TierNs int64 `json:"tier_ns,omitempty"`
 }
 
 // FabricDelay is the transport time from client send to target ingress
@@ -78,9 +72,9 @@ func (t *IOTrace) VslotWait() int64 { return t.VslotNs }
 func (t *IOTrace) PacingStall() int64 { return t.Submit - t.Admit }
 
 // DeviceLatency is the device service time (submit → device done) net of
-// the GC-attributed stall and any fast-tier-served span, clamped at zero.
+// the GC-attributed stall, clamped at zero.
 func (t *IOTrace) DeviceLatency() int64 {
-	d := t.DevDone - t.Submit - t.GCNs - t.TierNs
+	d := t.DevDone - t.Submit - t.GCNs
 	if d < 0 {
 		return 0
 	}
@@ -89,9 +83,6 @@ func (t *IOTrace) DeviceLatency() int64 {
 
 // GCStall is the device-side wait attributed to garbage collection.
 func (t *IOTrace) GCStall() int64 { return t.GCNs }
-
-// TierServe is the device span served by an interposed fast tier.
-func (t *IOTrace) TierServe() int64 { return t.TierNs }
 
 // CompleteDelay is the target-side completion processing time (device done
 // → completion capsule sent). Zero under the discrete-event clock.
@@ -104,7 +95,7 @@ func (t *IOTrace) Total() int64 { return t.Done - t.Arrival + t.FabricDelay() }
 // TracePhases names the decomposed spans in pipeline order; the names are
 // the values accepted by the /trace?phase= filter and the columns of the
 // slo-attrib attribution table.
-var TracePhases = []string{"fabric", "queue", "vslot", "pacing", "device", "tier", "gc", "complete"}
+var TracePhases = []string{"fabric", "queue", "vslot", "pacing", "device", "gc", "complete"}
 
 // Phase returns the named decomposed span (see TracePhases); ok is false
 // for an unknown name.
@@ -120,8 +111,6 @@ func (t *IOTrace) Phase(name string) (ns int64, ok bool) {
 		return t.PacingStall(), true
 	case "device":
 		return t.DeviceLatency(), true
-	case "tier":
-		return t.TierServe(), true
 	case "gc":
 		return t.GCStall(), true
 	case "complete":

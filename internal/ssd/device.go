@@ -60,8 +60,8 @@ type Request struct {
 	GCWait int64
 
 	// FastTier marks a request served by an interposed fast-tier device
-	// (internal/tier) rather than NAND; the tracing layer attributes the
-	// device span accordingly.
+	// (internal/tier) rather than NAND; the perf ledger's device seam times
+	// those reads apart.
 	FastTier bool
 
 	// Tag is opaque to the device; upper layers use it to route
@@ -319,6 +319,7 @@ func (s *SSD) start(r *Request) {
 		first := uint32(r.Offset / int64(s.p.PageSize))
 		count := uint32(r.Size / s.p.PageSize)
 		s.ftl.trim(first, count)
+		s.pumpFlush(false) // the freed pages may let a die take what is staged
 		s.completeAt(r, s.sched.Now()+s.p.CmdOverhead)
 	}
 }
@@ -522,11 +523,17 @@ const flushLinger = 60 * sim.Microsecond
 // stragglers are flushed even if no further writes arrive. The staging
 // slice is consumed from flushHead and compacted afterwards (the live tail
 // is always shorter than one batch), so sustained flushing reuses one
-// backing array.
+// backing array. When no die can take a batch, the pages stay staged and
+// keep their buffer space, so host writes wait for it: the next write
+// admission, flush or trim pumps again. No linger is armed for them: with
+// nothing programmed, only a trim changes what a die can take.
 func (s *SSD) pumpFlush(force bool) {
 	pp := s.p.ProgramPages
 	for len(s.flushPending)-s.flushHead >= pp {
-		s.programBatch(s.flushPending[s.flushHead : s.flushHead+pp])
+		if !s.programBatch(s.flushPending[s.flushHead : s.flushHead+pp]) {
+			s.compactFlush()
+			return
+		}
 		s.flushHead += pp
 	}
 	if s.flushHead == len(s.flushPending) {
@@ -535,18 +542,25 @@ func (s *SSD) pumpFlush(force bool) {
 		return
 	}
 	if force {
-		s.programBatch(s.flushPending[s.flushHead:])
-		s.flushPending = s.flushPending[:0]
-		s.flushHead = 0
+		if s.programBatch(s.flushPending[s.flushHead:]) {
+			s.flushPending = s.flushPending[:0]
+			s.flushHead = 0
+		}
+		s.compactFlush()
 		return
 	}
+	s.compactFlush()
+	if s.lingerEv.Cancelled() {
+		s.lingerEv = s.sched.After(flushLinger, s.lingerFn)
+	}
+}
+
+// compactFlush moves the staged tail to the front of flushPending.
+func (s *SSD) compactFlush() {
 	if s.flushHead > 0 {
 		n := copy(s.flushPending, s.flushPending[s.flushHead:])
 		s.flushPending = s.flushPending[:n]
 		s.flushHead = 0
-	}
-	if s.lingerEv.Cancelled() {
-		s.lingerEv = s.sched.After(flushLinger, s.lingerFn)
 	}
 }
 
@@ -555,10 +569,14 @@ func (s *SSD) pumpFlush(force bool) {
 // allocation triggered to the same die first (GC blocks the die before the
 // program can proceed — the mechanism behind fragmented-SSD collapse).
 // Batch state lives in a recycled progOp, so steady-state flushing neither
-// copies into fresh slices nor allocates completion closures.
-func (s *SSD) programBatch(batch []uint32) {
+// copies into fresh slices nor allocates completion closures. It reports
+// false, programming nothing, when no die can take the batch.
+func (s *SSD) programBatch(batch []uint32) bool {
 	now := s.sched.Now()
-	die := s.pickFlushDie()
+	die, ok := s.pickFlushDie(len(batch))
+	if !ok {
+		return false
+	}
 
 	var op *progOp
 	if n := len(s.progFree); n > 0 {
@@ -571,11 +589,7 @@ func (s *SSD) programBatch(batch []uint32) {
 	op.pages = append(op.pages[:0], batch...)
 	var work gcWork
 	for _, logical := range op.pages {
-		w, err := s.ftl.writePage(logical, die)
-		if err != nil {
-			panic(err)
-		}
-		work.add(w)
+		work.add(s.ftl.writePage(logical, die))
 	}
 	// GC bookkeeping completed instantly above. Its time cost serializes
 	// ahead of this die's future program ops (full write-amplification
@@ -611,31 +625,34 @@ func (s *SSD) programBatch(batch []uint32) {
 		s.lastFlushEnd = progEnd
 	}
 	s.sched.At(progEnd, op.fn)
+	return true
 }
 
-// pickFlushDie advances the round-robin stripe cursor, skipping dies whose
-// free pool is too depleted to accept writes safely (real FTL allocators
-// weight channel selection by free space; without this, valid data slowly
-// concentrates on unlucky dies until their GC has no room to operate).
-// dieWritable memoizes against the die's mutation version, so a round that
-// probes many unchanged dies re-derives nothing.
-func (s *SSD) pickFlushDie() int {
+// pickFlushDie returns the die that programs the next pages host pages. It
+// advances the round-robin stripe cursor, skipping dies whose free pool is
+// too depleted to accept writes safely (real FTL allocators weight channel
+// selection by free space; without this, valid data slowly concentrates on
+// unlucky dies until their GC has no room to operate). dieWritable
+// memoizes against the die's mutation version, so a round that probes many
+// unchanged dies re-derives nothing. When every die is tight it takes the
+// one with the most free blocks among those that can allocate, and reports
+// false when none can: the pages then wait in the buffer.
+func (s *SSD) pickFlushDie(pages int) (int, bool) {
 	n := s.p.Dies()
 	for i := 0; i < n; i++ {
 		die := s.flushDie
 		s.flushDie = (s.flushDie + 1) % n
-		if s.ftl.dieWritable(die) {
-			return die
+		if s.ftl.dieWritable(die) && s.ftl.canAlloc(die, pages) {
+			return die, true
 		}
 	}
-	// Every die is tight: pick the one with the most free blocks.
-	best := 0
-	for d := 1; d < n; d++ {
-		if s.ftl.freeOf(d) > s.ftl.freeOf(best) {
+	best := -1
+	for d := 0; d < n; d++ {
+		if s.ftl.canAlloc(d, pages) && (best < 0 || s.ftl.freeOf(d) > s.ftl.freeOf(best)) {
 			best = d
 		}
 	}
-	return best
+	return best, best >= 0
 }
 
 // onProgramDone releases buffer space, admits writes blocked on it, and

@@ -235,56 +235,51 @@ func (f *ftl) invalidate(logical uint32) {
 
 // writePage maps a logical page to a freshly allocated physical page on
 // die, invalidating any previous mapping, and reports the GC work incurred.
-func (f *ftl) writePage(logical uint32, die int) (gcWork, error) {
-	phys, work, err := f.allocHost(die)
-	if err != nil {
-		return work, err
-	}
+// The caller has checked canAlloc(die, n) for the n pages it writes there.
+func (f *ftl) writePage(logical uint32, die int) gcWork {
+	phys, work := f.allocHost(die)
 	f.invalidate(logical)
 	f.l2p[logical] = phys
 	f.p2l[phys] = logical
 	f.valid[phys/uint32(f.ppb)]++
 	f.mappedPages++
 	f.hostPages++
-	return work, nil
+	return work
 }
 
 // allocHost takes the next free slot in the die's host open block, rotating
 // to a fresh block (and possibly garbage-collecting) when it fills. The
 // outgoing open block is closed and becomes a GC candidate the moment the
 // open pointer moves off it.
-func (f *ftl) allocHost(die int) (uint32, gcWork, error) {
+func (f *ftl) allocHost(die int) (uint32, gcWork) {
 	var work gcWork
 	ds := &f.dies[die]
 	if f.writePtr[ds.open] == uint16(f.ppb) {
-		blk, w, err := f.popFree(die)
-		work.add(w)
-		if err != nil {
-			return 0, work, err
-		}
+		var blk uint32
+		blk, work = f.popFree(die)
 		f.bucketAdd(ds.open)
 		ds.open = blk
 	}
 	phys := ds.open*uint32(f.ppb) + uint32(f.writePtr[ds.open])
 	f.writePtr[ds.open]++
-	return phys, work, nil
+	return phys, work
 }
 
 // popFree removes one free block from the die, running GC first when the
 // die is at its low watermark.
-func (f *ftl) popFree(die int) (uint32, gcWork, error) {
+func (f *ftl) popFree(die int) (uint32, gcWork) {
 	var work gcWork
 	ds := &f.dies[die]
 	if len(ds.free) <= f.gcTrigger {
-		work.add(f.collect(die))
+		work = f.collect(die)
 	}
 	if len(ds.free) == 0 {
-		return 0, work, fmt.Errorf("ssd: die %d out of free blocks (device overfull)", die)
+		panic(fmt.Sprintf("ssd: die %d has no free block (canAlloc guard bypassed)", die))
 	}
 	blk := ds.free[len(ds.free)-1]
 	ds.free = ds.free[:len(ds.free)-1]
 	f.dieVer[die]++
-	return blk, work, nil
+	return blk, work
 }
 
 // collect runs greedy garbage collection on a die until it is back above
@@ -444,6 +439,41 @@ func (f *ftl) dieWritableSlow(die int) bool {
 	return slack >= int(v)
 }
 
+// canAlloc reports whether n more host pages (n ≤ pagesPerBlock) can go to
+// the die now without taking its last free block: they fit the host open
+// block, or a second free block is there, or GC would leave one. The last
+// free block is GC's reserve: while a die keeps it, any victim fits the
+// die's relocation space, so a die that cannot take host pages now can
+// again once writes elsewhere invalidate some of its pages. Host pages go
+// only to dies that pass, so allocation never runs dry.
+func (f *ftl) canAlloc(die, n int) bool {
+	ds := &f.dies[die]
+	if int(f.writePtr[ds.open])+n <= f.ppb || len(ds.free) >= 2 {
+		return true
+	}
+	// Replay collect on counts alone: victims in ascending valid count, each
+	// relocated into the GC open block (which rotates onto a free block when
+	// it fills) and then erased.
+	free, room := len(ds.free), f.ppb-int(f.writePtr[ds.gcOpen])
+	v, ok := f.minValidOf(die)
+	for ; ok && int(v) < f.ppb; v++ {
+		for b := f.bucketHead[die*(f.ppb+1)+int(v)]; b != noBlock; b = f.bNext[b] {
+			switch {
+			case free >= 2:
+				return true
+			case int(v) <= room:
+				room -= int(v)
+				free++
+			case free > 0:
+				room += f.ppb - int(v)
+			default:
+				return false // collect stops at a victim that does not fit
+			}
+		}
+	}
+	return free >= 2
+}
+
 // trim invalidates a span of logical pages (the blobstore frees blobs with
 // it). It reports nothing to charge: trims are metadata-only. The span
 // walk batches the valid-count/bucket update per touched physical block:
@@ -535,19 +565,55 @@ func (f *ftl) checkInvariants() error {
 	if mapped != f.mappedPages {
 		return fmt.Errorf("ftl: mappedPages %d, recount %d", f.mappedPages, mapped)
 	}
-	return f.checkBuckets()
+	isFree, err := f.checkDies()
+	if err != nil {
+		return err
+	}
+	return f.checkBuckets(isFree)
+}
+
+// checkDies checks that each die accounts for all of its space: free
+// blocks × pagesPerBlock + the unwritten slots of its host and GC open
+// blocks + its written (valid or invalid) pages = blocksPerDie ×
+// pagesPerBlock. A free block is erased, on its own die's list once, and
+// neither open nor bucketed. It returns the free set, indexed by block.
+func (f *ftl) checkDies() ([]bool, error) {
+	isFree := make([]bool, len(f.valid))
+	for d := range f.dies {
+		ds := &f.dies[d]
+		if ds.open == ds.gcOpen || f.dieOfBlock(ds.open) != d || f.dieOfBlock(ds.gcOpen) != d {
+			return nil, fmt.Errorf("ftl: die %d open blocks %d and %d", d, ds.open, ds.gcOpen)
+		}
+		for _, b := range ds.free {
+			switch {
+			case f.dieOfBlock(b) != d:
+				return nil, fmt.Errorf("ftl: block %d free on die %d", b, d)
+			case isFree[b]:
+				return nil, fmt.Errorf("ftl: block %d free twice", b)
+			case b == ds.open || b == ds.gcOpen:
+				return nil, fmt.Errorf("ftl: block %d both free and open", b)
+			case f.inBucket[b]:
+				return nil, fmt.Errorf("ftl: block %d both free and bucketed", b)
+			case f.writePtr[b] != 0 || f.valid[b] != 0:
+				return nil, fmt.Errorf("ftl: free block %d not erased (writePtr %d, valid %d)", b, f.writePtr[b], f.valid[b])
+			}
+			isFree[b] = true
+		}
+		pages := (len(ds.free)+2)*f.ppb - int(f.writePtr[ds.open]) - int(f.writePtr[ds.gcOpen])
+		for b := d * f.blocksPerDie; b < (d+1)*f.blocksPerDie; b++ {
+			pages += int(f.writePtr[b])
+		}
+		if want := f.blocksPerDie * f.ppb; pages != want {
+			return nil, fmt.Errorf("ftl: die %d accounts for %d pages of %d", d, pages, want)
+		}
+	}
+	return isFree, nil
 }
 
 // checkBuckets cross-checks bucket membership against valid[] and the
 // closed-full-block predicate, verifies list linkage, the lazy minimum
 // hints, and fast/slow victim agreement on every die.
-func (f *ftl) checkBuckets() error {
-	isFree := make(map[uint32]bool)
-	for d := range f.dies {
-		for _, b := range f.dies[d].free {
-			isFree[b] = true
-		}
-	}
+func (f *ftl) checkBuckets(isFree []bool) error {
 	seen := make([]bool, len(f.valid))
 	for d := range f.dies {
 		base := d * (f.ppb + 1)

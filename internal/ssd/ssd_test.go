@@ -1,6 +1,8 @@
 package ssd
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -103,9 +105,7 @@ func TestParamsValidate(t *testing.T) {
 func TestFTLMappingRoundTrip(t *testing.T) {
 	f := newFTL(testParams())
 	for l := uint32(0); l < 1000; l++ {
-		if _, err := f.writePage(l, int(l)%f.p.Dies()); err != nil {
-			t.Fatal(err)
-		}
+		f.writePage(l, int(l)%f.p.Dies())
 	}
 	for l := uint32(0); l < 1000; l++ {
 		phys := f.lookup(l)
@@ -123,13 +123,9 @@ func TestFTLMappingRoundTrip(t *testing.T) {
 
 func TestFTLOverwriteInvalidatesOld(t *testing.T) {
 	f := newFTL(testParams())
-	if _, err := f.writePage(7, 0); err != nil {
-		t.Fatal(err)
-	}
+	f.writePage(7, 0)
 	old := f.lookup(7)
-	if _, err := f.writePage(7, 1); err != nil {
-		t.Fatal(err)
-	}
+	f.writePage(7, 1)
 	if f.lookup(7) == old {
 		t.Fatal("overwrite did not move the page")
 	}
@@ -144,9 +140,7 @@ func TestFTLOverwriteInvalidatesOld(t *testing.T) {
 func TestFTLTrim(t *testing.T) {
 	f := newFTL(testParams())
 	for l := uint32(0); l < 64; l++ {
-		if _, err := f.writePage(l, 0); err != nil {
-			t.Fatal(err)
-		}
+		f.writePage(l, 0)
 	}
 	f.trim(0, 32)
 	for l := uint32(0); l < 32; l++ {
@@ -174,9 +168,7 @@ func TestFTLGCReclaimsSpace(t *testing.T) {
 	// free blocks long before this finishes.
 	for i := 0; i < 4*n; i++ {
 		l := uint32(rng.Intn(n))
-		if _, err := f.writePage(l, rng.Intn(p.Dies())); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
+		f.writePage(l, rng.Intn(p.Dies()))
 	}
 	if f.gcReclaims == 0 {
 		t.Fatal("GC never ran")
@@ -199,13 +191,28 @@ func TestFTLSequentialOverwriteCheapGC(t *testing.T) {
 	for pass := 0; pass < 3; pass++ {
 		for l := 0; l < n; l++ {
 			die := (l / p.ProgramPages) % p.Dies()
-			if _, err := f.writePage(uint32(l), die); err != nil {
-				t.Fatal(err)
-			}
+			f.writePage(uint32(l), die)
 		}
 	}
 	if wa := f.writeAmplification(); wa > 1.15 {
 		t.Fatalf("sequential write amp = %v, want ~1", wa)
+	}
+}
+
+// TestFTLCheckPerDieSpace: the audit accounts for every block of a die, so
+// a block dropped from the free list (a reclaim that forgot to return its
+// victim) or listed there twice is reported.
+func TestFTLCheckPerDieSpace(t *testing.T) {
+	f := newFTL(testParams())
+	ds := &f.dies[3]
+	blk := ds.free[len(ds.free)-1]
+	ds.free = ds.free[:len(ds.free)-1]
+	if err := f.checkInvariants(); err == nil || !strings.Contains(err.Error(), "accounts for") {
+		t.Fatalf("lost free block: err %v", err)
+	}
+	ds.free = append(ds.free, blk, blk)
+	if err := f.checkInvariants(); err == nil || !strings.Contains(err.Error(), "free twice") {
+		t.Fatalf("free block listed twice: err %v", err)
 	}
 }
 
@@ -221,13 +228,84 @@ func TestFTLInvariantsProperty(t *testing.T) {
 			l := uint32(int(op) % n)
 			if op%5 == 0 {
 				ftl.trim(l, 1)
-			} else if _, err := ftl.writePage(l, rng.Intn(p.Dies())); err != nil {
-				return false
+			} else {
+				ftl.writePage(l, rng.Intn(p.Dies()))
 			}
 		}
 		return ftl.checkInvariants() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFTLHostWritesNeverFail: random writes over the whole logical span of
+// a NAND with little over-provisioning per die (512 MiB: 19 blocks a die,
+// 16 of them logical) neither fail nor wedge. A program batch goes only to
+// a die that can take it and keep a free block for GC; by the drain every
+// write has completed, the buffer is empty and the FTL audit is clean.
+func TestFTLHostWritesNeverFail(t *testing.T) {
+	for _, capacity := range []int64{512 << 20, 1 << 30} {
+		for _, cond := range []Condition{Clean, Fragmented} {
+			for _, w := range []struct{ size, qd int }{{4096, 32}, {64 << 10, 4}} {
+				t.Run(fmt.Sprintf("%dMiB/%s/%dKiB-QD%d", capacity>>20, cond, w.size>>10, w.qd), func(t *testing.T) {
+					t.Parallel()
+					loop := sim.NewLoop()
+					p := DCT983()
+					p.UsableBytes = capacity
+					dev := New(loop, p)
+					dev.Precondition(cond, sim.NewRNG(1))
+					mbps, _ := measureBW(t, dev, loop, sim.NewRNG(2), OpWrite, w.size, w.qd, false, 30*sim.Second)
+					if dev.inService != 0 || dev.bufOccupancy != 0 {
+						t.Fatalf("wedged at %.1f s: %d commands in service, %d bytes buffered",
+							float64(loop.Now())/1e9, dev.inService, dev.bufOccupancy)
+					}
+					if err := dev.FTLCheck(); err != nil {
+						t.Fatal(err)
+					}
+					t.Logf("%.0f MB/s, write amplification %.2f", mbps, dev.WriteAmplification())
+				})
+			}
+		}
+	}
+}
+
+// TestDeviceWritesWaitWhenNoDieCanAllocate: when no die can take a program
+// batch and keep a free block for GC, the batch stays in the write buffer,
+// a write that needs buffer space waits for it, and a trim that gives GC a
+// victim lets both through.
+func TestDeviceWritesWaitWhenNoDieCanAllocate(t *testing.T) {
+	p := DCT983()
+	p.Name = "one-die"
+	p.Channels, p.DiesPerChannel = 1, 1
+	p.PagesPerBlock, p.ProgramPages = 32, 4
+	p.OverProvision, p.GCTriggerFree = 0.01, 2 // five blocks: host open, GC open, three logical
+	p.UsableBytes = 96 * 4096
+	p.WriteBufBytes = 16 << 10 // one program batch
+	loop := sim.NewLoop()
+	dev := New(loop, p)
+	write := func(off int64) *bool {
+		done := new(bool)
+		dev.Submit(&Request{Kind: OpWrite, Offset: off, Size: 16 << 10, Done: func(*Request) { *done = true }})
+		return done
+	}
+	for off := int64(0); off < p.UsableBytes; off += 16 << 10 {
+		write(off)
+		loop.Run()
+	}
+	// The host open block is full, the other logical blocks are full of
+	// valid data, and one free block is left.
+	first, second := write(0), write(16<<10)
+	loop.Run()
+	if !*first || *second {
+		t.Fatalf("first write acknowledged %v (want buffered), second %v (want waiting for buffer space)", *first, *second)
+	}
+	dev.Submit(&Request{Kind: OpTrim, Offset: 32 * 4096, Size: 32 * 4096, Done: func(*Request) {}})
+	loop.Run()
+	if !*second || dev.bufOccupancy != 0 {
+		t.Fatalf("after the trim: second write done %v, %d bytes still buffered", *second, dev.bufOccupancy)
+	}
+	if err := dev.FTLCheck(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,7 +4,12 @@
 // layer. The tier is a cache, not address space: Capacity() is the inner
 // device's, and every IO is either absorbed at tier latency or forwarded.
 //
-// Policies (ROADMAP item 5):
+// No command, example, facade call or experiment builds a tier: the package
+// is kept only for the perf ledger's sim-tier-hot rig (benchmark/simrig.go)
+// and goes when that workload is retired. Its destage bypasses the switch,
+// so NAND pays for writes no tenant is charged for.
+//
+// Policies:
 //
 //   - Reads: hit when every covered page is resident; promotion is
 //     ghost-LRU/2Q — a page is installed only on its second miss within the
@@ -55,7 +60,7 @@ type Params struct {
 	DestagePages int
 	// DestageDelay is the linger before a destage batch starts — the
 	// window in which hot overwrites are absorbed. Under dirty-set
-	// pressure (≥3/4 of the bound) or bypass the linger is skipped.
+	// pressure (≥3/4 of the bound) the linger is skipped.
 	DestageDelay int64
 }
 
@@ -202,10 +207,6 @@ type Device struct {
 	destFree   []*destageOp
 	compFree   []*completion
 
-	// bypass freezes admission and promotion (tier fault injection);
-	// dirty pages still serve hits and drain eagerly.
-	bypass bool
-
 	// Cost-model window: write-back vs write-around bytes since the last
 	// WriteCostModel poll, folded into an EWMA absorb fraction.
 	wbBytes   int64
@@ -270,20 +271,6 @@ func (t *Device) Stats() Stats {
 	return st
 }
 
-// SetBypass engages or clears tier bypass (fault injection: the fast tier
-// browns out or is administratively drained). While bypassed the tier
-// admits and promotes nothing; reads covering dirty pages still hit (the
-// tier holds the only current copy) and the dirty set destages eagerly.
-func (t *Device) SetBypass(active bool) {
-	t.bypass = active
-	if active {
-		t.kickDestage()
-	}
-}
-
-// Bypassed reports whether bypass is engaged.
-func (t *Device) Bypassed() bool { return t.bypass }
-
 // Submit implements ssd.Device.
 func (t *Device) Submit(r *ssd.Request) {
 	r.FastTier = false
@@ -326,7 +313,6 @@ func (t *Device) submitRead(r *ssd.Request) {
 	first := uint32(r.Offset / int64(t.p.PageSize))
 	pages := uint32(r.Size / t.p.PageSize)
 	resident := uint32(0)
-	dirtyCovered := false
 	for i := uint32(0); i < pages; i++ {
 		v := t.table.get(first + i)
 		if v == 0 {
@@ -334,42 +320,32 @@ func (t *Device) submitRead(r *ssd.Request) {
 		}
 		resident++
 		t.slotRef[v-1] = true
-		if st := t.slotState[v-1]; st == slotDirty || st == slotDestaging {
-			dirtyCovered = true
-		}
 	}
 	if resident == pages {
-		if t.bypass && !dirtyCovered {
-			// Bypassed and NAND holds current data: forward.
-			t.inner.Submit(r)
-			return
-		}
 		t.stats.Hits++
 		t.stats.HitBytes += int64(r.Size)
 		t.completeFast(r, t.p.ReadLatency)
 		return
 	}
 	t.stats.Misses++
-	if !t.bypass {
-		for i := uint32(0); i < pages; i++ {
-			page := first + i
-			if t.table.get(page) != 0 {
-				continue
-			}
-			if t.ghostTab.get(page) != 0 {
-				// Second miss inside the ghost window: promote if a slot
-				// is free or evictable; never wait for one.
-				if len(t.freeSlots) > 0 || t.cleanCount > 0 {
-					t.ghostDel(page)
-					slot := t.allocSlot()
-					t.install(slot, page, slotClean)
-					t.cleanCount++
-					t.stats.Promotions++
-				}
-				continue
-			}
-			t.ghostAdd(page)
+	for i := uint32(0); i < pages; i++ {
+		page := first + i
+		if t.table.get(page) != 0 {
+			continue
 		}
+		if t.ghostTab.get(page) != 0 {
+			// Second miss inside the ghost window: promote if a slot is
+			// free or evictable; never wait for one.
+			if len(t.freeSlots) > 0 || t.cleanCount > 0 {
+				t.ghostDel(page)
+				slot := t.allocSlot()
+				t.install(slot, page, slotClean)
+				t.cleanCount++
+				t.stats.Promotions++
+			}
+			continue
+		}
+		t.ghostAdd(page)
 	}
 	t.inner.Submit(r)
 }
@@ -379,7 +355,7 @@ func (t *Device) submitRead(r *ssd.Request) {
 func (t *Device) submitWrite(r *ssd.Request) {
 	first := uint32(r.Offset / int64(t.p.PageSize))
 	pages := uint32(r.Size / t.p.PageSize)
-	admit := !t.bypass && r.Size <= t.p.WriteBackMax
+	admit := r.Size <= t.p.WriteBackMax
 	if admit {
 		need, newlyDirty := 0, 0
 		for i := uint32(0); i < pages; i++ {
@@ -570,13 +546,13 @@ func (t *Device) ghostDel(page uint32) {
 }
 
 // kickDestage arranges for the dirty set to drain: immediately under
-// pressure or bypass, after the coalescing linger otherwise. One batch is
+// pressure, after the coalescing linger otherwise. One batch is
 // in flight at a time; its completion re-pumps.
 func (t *Device) kickDestage() {
 	if t.destageOut > 0 || t.dirtyCount == 0 {
 		return
 	}
-	if t.bypass || t.dirtyCount*4 >= t.maxDirty*3 || t.p.DestageDelay == 0 {
+	if t.dirtyCount*4 >= t.maxDirty*3 || t.p.DestageDelay == 0 {
 		t.startBatch()
 		return
 	}

@@ -216,53 +216,6 @@ func TestTierDestageCoalescesAndAbsorbsOverwrites(t *testing.T) {
 	}
 }
 
-func TestTierBypassSemantics(t *testing.T) {
-	loop, inner, d := newRig(t, testParams())
-
-	// Dirty a page, then engage bypass before it can destage.
-	r := &ssd.Request{Kind: ssd.OpWrite, Offset: 0, Size: 4096, Done: func(*ssd.Request) {}}
-	d.Submit(r)
-	d.SetBypass(true)
-
-	// The tier still holds the only current copy (dirty/destaging), so a
-	// read must hit even under bypass.
-	r2 := &ssd.Request{Kind: ssd.OpRead, Offset: 0, Size: 4096, Done: func(*ssd.Request) {}}
-	d.Submit(r2)
-	loop.Run()
-	if !r2.FastTier {
-		t.Fatal("read of a dirty page under bypass must be served by the tier")
-	}
-
-	// Bypass destages eagerly; once clean, reads fall through to NAND.
-	loop.RunUntil(loop.Now() + sim.Second)
-	loop.Run()
-	if st := d.Stats(); st.Dirty != 0 {
-		t.Fatalf("bypass did not drain the dirty set: %+v", st)
-	}
-	nandOps := len(inner.subs)
-	r3 := doIO(loop, d, ssd.OpRead, 0, 4096)
-	if r3.FastTier {
-		t.Fatal("clean-resident read under bypass must fall through to NAND")
-	}
-	if len(inner.subs) != nandOps+1 {
-		t.Fatal("bypassed read never reached NAND")
-	}
-
-	// No admission or promotion while bypassed.
-	doIO(loop, d, ssd.OpWrite, 8*4096, 4096)
-	doIO(loop, d, ssd.OpRead, 9*4096, 4096)
-	doIO(loop, d, ssd.OpRead, 9*4096, 4096)
-	if st := d.Stats(); st.WriteBacks != 1 || st.Promotions != 0 {
-		t.Fatalf("bypass admitted or promoted: %+v", st)
-	}
-
-	// Clearing bypass restores admission.
-	d.SetBypass(false)
-	if r := doIO(loop, d, ssd.OpWrite, 8*4096, 4096); !r.FastTier {
-		t.Fatal("write after bypass cleared should be absorbed")
-	}
-}
-
 func TestTierFlushForcesDestageFirst(t *testing.T) {
 	loop, inner, d := newRig(t, testParams())
 
