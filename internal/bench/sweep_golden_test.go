@@ -13,15 +13,18 @@ import (
 
 var updateSweepGolden = flag.Bool("update-sweep-golden", false, "rewrite testdata/sweep_golden.json from this tree")
 
-// sweepGoldenIDs is every simulated experiment with a shrink hook (wall-clock
-// columns — tenant-scale, tab1, live-tcp — are out; the tables left out here
-// are diffed full-size between parent and change when the harness moves).
+// sweepGoldenIDs is every simulated experiment with a shrink hook, plus
+// tab1a/tab1b, whose CPU-bound runs take seconds at full size. Only
+// tenant-scale and live-tcp read the host clock, and both stay out; the
+// simulated tables left out here are diffed full-size between parent and
+// change when the harness moves.
 var sweepGoldenIDs = []string{
 	"fig6", "fig7", "fig8", "fig58",
 	"ablate-thresh", "ablate-bucket", "ablate-writecost", "ablate-vslot", "ablate-credit",
 	"chaos-brownout", "chaos-fabric", "chaos-disconnect", "slo-attrib",
 	"volume-churn",
 	"fig4", "fig15", "fig19", "fig21", "fig22",
+	"tab1a", "tab1b",
 }
 
 func shrinkMicroWindows(t *testing.T) {
@@ -43,7 +46,7 @@ type sweepGoldenEntry struct {
 // long as no cell of this file moves.
 func TestSweepGolden(t *testing.T) {
 	if testing.Short() || raceEnabled {
-		t.Skip("runs nineteen shrunk experiments; skipped in -short and under -race")
+		t.Skip("runs twenty-one experiments; skipped in -short and under -race")
 	}
 	shrinkEvalWindows(t)
 	shrinkMicroWindows(t)

@@ -218,6 +218,31 @@ func TestCPUModelBoundsThroughput(t *testing.T) {
 	}
 }
 
+// TestCPUModelChargesExtraOnce: on an idle core an IO's core time is
+// submit + complete + the data path both ways + ExtraPerIO, which it pays
+// once (Fig 16's added cost is per IO, not per event).
+func TestCPUModelChargesExtraOnce(t *testing.T) {
+	doneAt := func(cpu *CPUModel) int64 {
+		loop := sim.NewLoop()
+		cfg := DefaultTargetConfig(SchemeVanilla)
+		cfg.CPU = cpu
+		tgt := NewTarget(loop, []ssd.Device{ssd.NewNull(loop, 1<<30, 1000)}, cfg)
+		tn := nvme.NewTenant(0, "c")
+		rec := tgt.Register(0, tn)
+		at := int64(-1)
+		tgt.Ingress(rec, &nvme.IO{Op: nvme.OpRead, Size: 4096, Tenant: tn,
+			Done: func(*nvme.IO, nvme.Completion) { at = loop.Now() }})
+		loop.Run()
+		return at
+	}
+	cpu := NewCPU(1, 600, 400)
+	cpu.BytePs, cpu.ExtraPerIO = 300, 5000
+	want := int64(600 + 400 + 2*(4096*300/1000) + 5000)
+	if got := doneAt(cpu) - doneAt(nil); got != want {
+		t.Fatalf("one IO's core time = %d ns, want %d (ExtraPerIO once)", got, want)
+	}
+}
+
 func TestCPUModelMoreCoresMoreThroughput(t *testing.T) {
 	measure := func(cores int) float64 {
 		loop := sim.NewLoop()

@@ -44,11 +44,13 @@ func (l *link) send(now int64, n int) int64 {
 // submission and completion consumes core time, bounding the target's
 // IOPS. Cores are a shared pool; each event is served by the
 // least-loaded core (the SPDK reactor assignment in the real system).
+// SubmitCost and CompleteCost are the vanilla target's; a scheme pays them
+// scaled by its published overhead (schemeCost).
 type CPUModel struct {
 	cores        []int64
 	SubmitCost   int64 // per-IO ingress processing, ns
 	CompleteCost int64 // per-IO egress processing, ns
-	ExtraPerIO   int64 // added processing cost knob (Fig 16)
+	ExtraPerIO   int64 // added processing cost, charged once per IO at ingress (Fig 16)
 	BytePs       int64 // data-path cost, picoseconds per byte (Fig 2's large-IO penalty)
 }
 
@@ -77,32 +79,51 @@ func SmartNICCPU(cores int) *CPUModel {
 	return c
 }
 
-// ChargeIO reserves one IO event of base cost plus the size-proportional
-// data-path cost on the least-loaded core.
-func (c *CPUModel) ChargeIO(now, base int64, size int) int64 {
-	if c == nil {
-		return now
-	}
-	return c.Charge(now, base+int64(size)*c.BytePs/1000)
+// schemeCost is each scheme's submit and complete path cost relative to the
+// vanilla target's, in thousandths. These are published numbers, not knobs:
+//   - Gimbal: paper Table 1a, 16×QD32 column: +42.9% submission and +47.1%
+//     completion cycles over the vanilla SPDK target → 1429/1471. That pair
+//     and not QD1's (+62.5%/+37.5%) because the model's per-IO cost shows
+//     only when the cores are saturated, which is the deep-queue,
+//     many-tenant regime; at QD1 a core idles between IOs. Table 1b's max
+//     IOPS (−12.4%) is measured in that regime too.
+//   - vanilla: 1, Table 1's baseline. PARDA: 1, its windows run on the
+//     initiators and its target is vanilla.
+//   - ReFlex, FlashFQ: 1. No per-IO cycle count of either scheduler on this
+//     path (an SPDK target on a SmartNIC core) is published, so they pay
+//     vanilla's cost: a lower bound, which favours them over Gimbal.
+var schemeCost = [...]struct{ submit, complete int64 }{
+	SchemeVanilla: {1000, 1000},
+	SchemeGimbal:  {1429, 1471},
+	SchemeReflex:  {1000, 1000},
+	SchemeFlashFQ: {1000, 1000},
+	SchemeParda:   {1000, 1000},
 }
 
-// Charge reserves one event of the given cost on the least-loaded core and
-// returns when the processing finishes.
-func (c *CPUModel) Charge(now, cost int64) int64 {
-	if c == nil {
-		return now
+// SchemeCosts returns the submit and complete path costs, ns, an IO of
+// scheme s is charged (rounded to the nanosecond); the data path and
+// ExtraPerIO come on top.
+func (c *CPUModel) SchemeCosts(s Scheme) (submit, complete int64) {
+	m := schemeCost[s]
+	return (c.SubmitCost*m.submit + 500) / 1000, (c.CompleteCost*m.complete + 500) / 1000
+}
+
+// chargeIO reserves one of an IO's two events on the least-loaded core and
+// returns when the processing finishes: the scheme's submit or complete cost
+// plus the data path, and at submission ExtraPerIO, which an IO pays once.
+func (c *CPUModel) chargeIO(now int64, s Scheme, size int, submit bool) int64 {
+	sub, cost := c.SchemeCosts(s)
+	if submit {
+		cost = sub + c.ExtraPerIO
 	}
-	cost += c.ExtraPerIO
+	cost += int64(size) * c.BytePs / 1000
 	best := 0
 	for i := 1; i < len(c.cores); i++ {
 		if c.cores[i] < c.cores[best] {
 			best = i
 		}
 	}
-	start := now
-	if c.cores[best] > start {
-		start = c.cores[best]
-	}
+	start := max(now, c.cores[best])
 	c.cores[best] = start + cost
 	return c.cores[best]
 }

@@ -297,7 +297,7 @@ func (op *ingressOp) onDone(io *nvme.IO, cpl nvme.Completion) {
 		return
 	}
 	op.cpl = cpl
-	at := t.cfg.CPU.ChargeIO(rec.pipe.clk.Now(), t.cfg.CPU.CompleteCost, io.Size)
+	at := t.cfg.CPU.chargeIO(rec.pipe.clk.Now(), t.cfg.Scheme, io.Size, false)
 	rec.pipe.clk.At(at, op.completeFn)
 }
 
@@ -313,8 +313,8 @@ func (op *ingressOp) finish(cpl nvme.Completion) {
 }
 
 // Ingress injects a tenant's IO into the pipeline it registered on (rec is
-// what Register returned), charging the per-IO SmartNIC CPU cost on both
-// the submission and completion paths (§2.4). The io.Done already set on
+// what Register returned), charging the scheme's per-IO SmartNIC CPU cost on
+// both the submission and completion paths (§2.4). The io.Done already set on
 // the IO receives the completion after the egress charge. Callers in
 // sharded live mode must hold the pipeline's shard lock.
 func (t *Target) Ingress(rec *tenantRec, io *nvme.IO) {
@@ -334,6 +334,6 @@ func (t *Target) Ingress(rec *tenantRec, io *nvme.IO) {
 		pipe.Sched.Enqueue(io)
 		return
 	}
-	at := t.cfg.CPU.ChargeIO(pipe.clk.Now(), t.cfg.CPU.SubmitCost, io.Size)
+	at := t.cfg.CPU.chargeIO(pipe.clk.Now(), t.cfg.Scheme, io.Size, true)
 	pipe.clk.At(at, op.enqueueFn)
 }
