@@ -31,6 +31,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"time"
 
 	"gimbal/internal/bench"
 )
@@ -96,6 +97,7 @@ func main() {
 	}
 
 	failed := false
+	start := time.Now()
 	emit := func(rp *bench.Report) {
 		switch *format {
 		case "json":
@@ -112,7 +114,7 @@ func main() {
 				r.WriteTable(os.Stdout)
 			}
 		}
-		fmt.Fprintf(os.Stderr, "[%s done in %.1fs]\n", rp.Experiment, rp.WallSeconds)
+		fmt.Fprintf(os.Stderr, "[%s done, %.1fs into the sweep]\n", rp.Experiment, time.Since(start).Seconds())
 	}
 	if _, err := bench.RunAll(ids, *parallel, emit); err != nil {
 		fmt.Fprintf(os.Stderr, "%v (try -list)\n", err)

@@ -7,14 +7,11 @@ import (
 	"gimbal/internal/sim"
 )
 
-// renderReport serializes a report for byte-identity comparison, zeroing
-// the one field documented to vary between repetitions (WallSeconds).
+// renderReport serializes a whole report for byte-identity comparison.
 func renderReport(t *testing.T, rp *Report) []byte {
 	t.Helper()
-	cp := *rp
-	cp.WallSeconds = 0
 	var buf bytes.Buffer
-	if err := cp.WriteJSON(&buf); err != nil {
+	if err := rp.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	return buf.Bytes()

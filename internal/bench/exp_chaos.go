@@ -23,14 +23,16 @@ func init() {
 // initiator firmware, not experiment geometry).
 var chaosUnit = 100 * sim.Millisecond
 
-// chaosRetry is the initiator recovery policy the chaos experiments arm.
+// chaosRetry is the initiator recovery policy the chaos experiments arm:
+// the default with the backoff capped at 2ms instead of 4ms. The cap keeps
+// an IO's whole retry budget — six 3ms deadlines plus 0.25+0.5+1+2+2ms of
+// backoff, 23.75ms — under the brownout run's 25ms goodput sample
+// (chaosUnit/4), so a doomed IO gives up within one sample; at 4ms the
+// budget is 25.75ms.
 func chaosRetry() fabric.RetryPolicy {
-	return fabric.RetryPolicy{
-		Timeout:    3 * sim.Millisecond,
-		MaxRetries: 5,
-		Backoff:    250 * sim.Microsecond,
-		BackoffCap: 2 * sim.Millisecond,
-	}
+	rp := fabric.DefaultRetryPolicy()
+	rp.BackoffCap = 2 * sim.Millisecond
+	return rp
 }
 
 // chaosSchemes is the comparison set for the chaos matrix: the paper's

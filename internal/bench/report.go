@@ -23,7 +23,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Result is one experiment's output: a titled table plus optional notes
@@ -94,14 +93,11 @@ func (r *Result) WriteCSV(w io.Writer) {
 }
 
 // Report is one experiment's JSON document: its result tables plus the
-// observability blocks of every harness execution the experiment ran.
-// WallSeconds is the host wall-clock time of the run; it is the one field
-// that varies between repetitions, so byte-identity comparisons of reports
-// must zero it first.
+// observability blocks of every harness execution the experiment ran. Every
+// field is a function of the experiment's seeds.
 type Report struct {
 	Experiment    string    `json:"experiment"`
 	Title         string    `json:"title"`
-	WallSeconds   float64   `json:"wall_seconds"`
 	Results       []*Result `json:"results"`
 	Observability []ObsRun  `json:"observability,omitempty"`
 }
@@ -148,16 +144,13 @@ func IDs() []string {
 }
 
 // RunReport executes one experiment in a fresh context and packages its
-// results, observability blocks, and wall time as a Report.
+// results and observability blocks as a Report.
 func RunReport(e *Experiment) *Report {
 	c := NewCtx()
-	start := time.Now()
-	results := e.Run(c)
 	return &Report{
 		Experiment:    e.ID,
 		Title:         e.Title,
-		WallSeconds:   time.Since(start).Seconds(),
-		Results:       results,
+		Results:       e.Run(c),
 		Observability: c.DrainObsRuns(),
 	}
 }
@@ -165,10 +158,10 @@ func RunReport(e *Experiment) *Report {
 // RunAll executes the named experiments over a pool of parallel workers
 // and returns their reports in input order. Each experiment runs in its
 // own context (own simulations, own RNG seeds, own caches), so every
-// report is bit-identical — apart from WallSeconds — at any parallelism
-// level, including parallel == 1, which reproduces the serial sweep
-// exactly. emit, if non-nil, is invoked in input order as soon as a report
-// and all of its predecessors have completed, allowing streamed output.
+// report is bit-identical at any parallelism level, including
+// parallel == 1, which reproduces the serial sweep exactly. emit, if
+// non-nil, is invoked in input order as soon as a report and all of its
+// predecessors have completed, allowing streamed output.
 func RunAll(ids []string, parallel int, emit func(*Report)) ([]*Report, error) {
 	exps := make([]*Experiment, len(ids))
 	for i, id := range ids {

@@ -13,11 +13,8 @@ import (
 
 var updateSweepGolden = flag.Bool("update-sweep-golden", false, "rewrite testdata/sweep_golden.json from this tree")
 
-// sweepGoldenIDs is every simulated experiment with a shrink hook, plus
-// tab1a/tab1b, whose CPU-bound runs take seconds at full size. Only
-// tenant-scale and live-tcp read the host clock, and both stay out; the
-// simulated tables left out here are diffed full-size between parent and
-// change when the harness moves.
+// sweepGoldenIDs is every experiment with a shrink hook, plus tab1a/tab1b,
+// whose CPU-bound runs take seconds at full size.
 var sweepGoldenIDs = []string{
 	"fig6", "fig7", "fig8", "fig58",
 	"ablate-thresh", "ablate-bucket", "ablate-writecost", "ablate-vslot", "ablate-credit",
@@ -25,6 +22,46 @@ var sweepGoldenIDs = []string{
 	"volume-churn",
 	"fig4", "fig15", "fig19", "fig21", "fig22",
 	"tab1a", "tab1b",
+	"tenant-scale", "fig2", "fig14", "fig20", "fig23",
+}
+
+// fullSizeOnly is every experiment TestSweepGolden leaves out, with why.
+// These are diffed full-size between parent and change when the harness
+// moves. Run times are full-size, -parallel 1, on a 2-core x86-64 box.
+var fullSizeOnly = map[string]string{
+	"fig3":  "no shrink hook (cpuSweepCfg fixes its windows); 21 s",
+	"fig16": "no shrink hook (cpuSweepCfg fixes its windows); 2.6 s",
+	"fig9":  "no shrink hook (a fixed 90-simulated-second timeline); 10 s",
+	"fig17": "no shrink hook (a fixed 20-simulated-second run); 11 s",
+	"fig18": "no shrink hook (a fixed 3-simulated-second trace); 0.1 s",
+	"fig10": "no shrink hook (the YCSB rack); 7 min",
+	"fig11": "no shrink hook (the YCSB rack); 8 min",
+	"fig12": "no shrink hook (the YCSB rack); 8 min",
+	"fig13": "no shrink hook (the YCSB rack); 56 s",
+}
+
+// TestEveryExperimentPinnedOrNamed: a registered experiment is either
+// pinned by TestSweepGolden or named in fullSizeOnly with its reason, never
+// both and never neither.
+func TestEveryExperimentPinnedOrNamed(t *testing.T) {
+	pinned := map[string]bool{}
+	for _, id := range sweepGoldenIDs {
+		pinned[id] = true
+	}
+	for _, id := range IDs() {
+		_, named := fullSizeOnly[id]
+		switch {
+		case pinned[id] && named:
+			t.Errorf("%s is both pinned and named full-size-only", id)
+		case !pinned[id] && !named:
+			t.Errorf("%s is neither pinned by TestSweepGolden nor named in fullSizeOnly", id)
+		}
+	}
+	for id := range fullSizeOnly {
+		if _, ok := Lookup(id); !ok {
+			t.Errorf("fullSizeOnly names %s, which is not registered", id)
+		}
+	}
 }
 
 func shrinkMicroWindows(t *testing.T) {
@@ -46,12 +83,13 @@ type sweepGoldenEntry struct {
 // long as no cell of this file moves.
 func TestSweepGolden(t *testing.T) {
 	if testing.Short() || raceEnabled {
-		t.Skip("runs twenty-one experiments; skipped in -short and under -race")
+		t.Skip("runs twenty-six experiments; skipped in -short and under -race")
 	}
 	shrinkEvalWindows(t)
 	shrinkMicroWindows(t)
 	shrinkChaosUnit(t)
 	shrinkVolumeChurn(t)
+	shrinkTenantScale(t)
 
 	reports, err := RunAll(sweepGoldenIDs, 2, nil)
 	if err != nil {

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"bytes"
+	"fmt"
 	"strconv"
 	"testing"
 
@@ -90,28 +92,35 @@ func TestTenantScaleSmoke(t *testing.T) {
 	}
 }
 
-// TestTenantScaleSimDeterministic asserts the simulated columns (all but
-// host_ns_per_io) are identical across two runs: the scenario engine and
-// the switch are seed-deterministic; only the wall-clock column may vary.
+// TestTenantScaleSimDeterministic asserts two runs render byte-identical
+// reports: the scenario engine and the switch are seed-deterministic. It
+// holds under -race, where TestSweepGolden is skipped.
 func TestTenantScaleSimDeterministic(t *testing.T) {
 	shrinkTenantScale(t)
 	e, _ := Lookup("tenant-scale")
-	a, b := RunReport(e), RunReport(e)
-	ra, rb := a.Results[0], b.Results[0]
-	hostCol := -1
-	for i, h := range ra.Header {
-		if h == "host_ns_per_io" {
-			hostCol = i
-		}
+	if !bytes.Equal(renderReport(t, RunReport(e)), renderReport(t, RunReport(e))) {
+		t.Fatal("two same-seed tenant-scale runs differ")
 	}
-	for i := range ra.Rows {
-		for j := range ra.Rows[i] {
-			if j == hostCol {
-				continue
+}
+
+// BenchmarkTenantScale prices the tenant dimension in host time: each
+// iteration builds and warms tenant-scale's full-size rig at one
+// population and times its measured window. ns/IO is that time over the
+// IOs the window completed. Every iteration also pays an untimed rig
+// build, so a few (-benchtime 5x) are enough.
+func BenchmarkTenantScale(b *testing.B) {
+	for _, pop := range []int{100, 100_000} {
+		b.Run(fmt.Sprintf("tenants=%d", pop), func(b *testing.B) {
+			var ios int64
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				rig, sc, stop := warmTenantScale(pop, 0)
+				b.StartTimer()
+				rig.Loop.RunUntil(stop)
+				b.StopTimer()
+				ios += sc.Completed
 			}
-			if ra.Rows[i][j] != rb.Rows[i][j] {
-				t.Fatalf("row %d col %s differs: %q vs %q", i, ra.Header[j], ra.Rows[i][j], rb.Rows[i][j])
-			}
-		}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ios), "ns/IO")
+		})
 	}
 }

@@ -26,8 +26,8 @@ type RetryPolicy struct {
 	BackoffCap int64
 }
 
-// DefaultRetryPolicy returns the chaos evaluation's settings: 3ms
-// deadline, 5 retries, 250µs initial backoff capped at 4ms.
+// DefaultRetryPolicy is what ArmLinkFaults arms and the facade's default:
+// 3ms deadline, 5 retries, 250µs initial backoff capped at 4ms.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{
 		Timeout:    3 * sim.Millisecond,

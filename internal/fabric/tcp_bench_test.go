@@ -1,6 +1,11 @@
 package fabric
 
 import (
+	"encoding/binary"
+	"fmt"
+	"io"
+	"net"
+	"sync"
 	"testing"
 
 	"gimbal/internal/nvme"
@@ -54,3 +59,71 @@ func BenchmarkTCPClientWrite4K(b *testing.B)   { benchTCPClient(b, nvme.OpWrite,
 func BenchmarkTCPClientWrite16K(b *testing.B)  { benchTCPClient(b, nvme.OpWrite, 16<<10, 16) }
 func BenchmarkTCPClientWrite64K(b *testing.B)  { benchTCPClient(b, nvme.OpWrite, 64<<10, 4) }
 func BenchmarkTCPClientWrite128K(b *testing.B) { benchTCPClient(b, nvme.OpWrite, 128<<10, 4) }
+
+// BenchmarkReactorScaling is the live datapath's reactor sweep: eight raw
+// pipelined connections, each keeping 32 4 KB reads in flight on its own
+// namespace, against eight NULL SSDs on R reactors. b.N is IOs across all
+// connections; IOPS is b.N over the timed run. Run it at -cpu 1,2,4,8:
+// reactor scaling needs real cores, and at one P every shard timeshares one
+// CPU, so the curve is flat by construction. Clients dial with the target's
+// windowCC, so no connection is paced by a host-default BBR.
+func BenchmarkReactorScaling(b *testing.B) {
+	const ssds, conns, qd = 8, 8, 32
+	for _, r := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("R=%d", r), func(b *testing.B) {
+			srv, _ := startReactors(b, SchemeVanilla, ssds, r)
+			cs := make([]net.Conn, conns)
+			for i := range cs {
+				conn, err := (&net.Dialer{Control: windowCC}).Dial("tcp", srv.Addr())
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer conn.Close()
+				cs[i] = conn
+			}
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for i, conn := range cs {
+				n := b.N / conns
+				if i < b.N%conns {
+					n++
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := pipelineReads(conn, uint8(i%ssds), n, qd); err != nil {
+						b.Error(err)
+					}
+				}()
+			}
+			wg.Wait()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "IOPS")
+		})
+	}
+}
+
+// pipelineReads keeps up to qd 4 KB reads of namespace nsid in flight on
+// conn, one prebuilt frame replayed, until n have completed.
+func pipelineReads(conn net.Conn, nsid uint8, n, qd int) error {
+	cmd := AppendCommand(binary.BigEndian.AppendUint32(nil, cmdHeaderLen),
+		&CommandCapsule{Opcode: nvme.OpRead, CID: 1, NSID: nsid, Length: 4096})
+	rsp := make([]byte, 4+rspHeaderLen+4096)
+	sent := 0
+	for ; sent < n && sent < qd; sent++ {
+		if _, err := conn.Write(cmd); err != nil {
+			return err
+		}
+	}
+	for done := 0; done < n; done++ {
+		if _, err := io.ReadFull(conn, rsp); err != nil {
+			return err
+		}
+		if sent < n {
+			if _, err := conn.Write(cmd); err != nil {
+				return err
+			}
+			sent++
+		}
+	}
+	return nil
+}
