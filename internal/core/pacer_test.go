@@ -9,87 +9,225 @@ import (
 	"gimbal/internal/workload"
 )
 
-// cancelOnEntry is the pump this repository had before the pacing timer
-// became re-armable, rebuilt around the current one for use as a test
-// oracle: it cancels the timer before every entry into the switch, so the
-// pump below it never finds one pending and always arms afresh, and the
-// oracle rig arms with the clock's plain At — Cancel, then At, per pass.
-type cancelOnEntry struct{ *Switch }
-
-func (s cancelOnEntry) Enqueue(io *nvme.IO) {
-	s.timer.Cancel()
-	s.Switch.Enqueue(io)
-}
-
 type devDone struct {
 	at, offset int64
 	tenant     int
 	op         nvme.Opcode
 }
 
+// pacedRun is what pacedNullRun saw: the device-completion trace, the
+// switch's counters, the IOs that waited for tokens after winning their DRR
+// round, the pacing timer's fires and the most cancelled entries the event
+// queue held at any completion.
+type pacedRun struct {
+	trace         []devDone
+	st            Stats
+	paced, fires  int
+	maxTombstones int
+}
+
 // pacedNullRun drives 16 tenants × QD32 of 4KB 90/10 IO through a switch
-// over a NULL device — the rate pacer is the only thing holding IOs back —
-// and returns the device-completion trace, the switch's counters and the
-// most cancelled entries the event queue held at any completion.
-func pacedNullRun(oracle bool) (trace []devDone, st Stats, maxTombstones int) {
+// over a NULL device — the rate pacer is the only thing holding IOs back.
+// With movable false the pacing timer is armed on the main heap (the
+// clock's At) instead of where it is re-keyed.
+func pacedNullRun(movable bool) pacedRun {
 	loop := sim.NewLoop()
 	sw := New(loop, ssd.NewNull(loop, 8<<30, 100), DefaultConfig())
-	var target nvme.Scheduler = sw
-	if oracle {
-		target = cancelOnEntry{sw}
+	if !movable {
 		sw.armTimer = loop.At
 	}
+	var r pacedRun
+	sw.pumpFn = func() {
+		r.fires++
+		sw.pump()
+	}
 	sw.devDoneFn = func(io *nvme.IO) {
-		trace = append(trace, devDone{loop.Now(), io.Offset, io.Tenant.ID, io.Op})
-		if n := loop.Queued() - loop.Pending(); n > maxTombstones {
-			maxTombstones = n
+		r.trace = append(r.trace, devDone{loop.Now(), io.Offset, io.Tenant.ID, io.Op})
+		if io.DevSubmit > io.Admit {
+			r.paced++
 		}
-		if oracle {
-			sw.timer.Cancel()
+		if n := loop.Queued() - loop.Pending(); n > r.maxTombstones {
+			r.maxTombstones = n
 		}
 		sw.onDeviceDone(io)
 	}
+	runMix4k(loop, sw, workload.SchedTarget{S: sw}, 250*sim.Millisecond)
+	r.st = sw.Stats()
+	return r
+}
+
+// runMix4k registers 16 tenants × QD32 of 4KB 90/10 IO with the switch,
+// submits through target until stop and drains the loop.
+func runMix4k(loop *sim.Loop, sw *Switch, target workload.Target, stop int64) {
 	rng := sim.NewRNG(61)
-	stop := 250 * sim.Millisecond
 	for i := 0; i < 16; i++ {
 		tn := nvme.NewTenant(i, "mix4k")
 		sw.Register(tn)
 		p := workload.Profile{Name: tn.Name, ReadRatio: 0.9, IOSize: 4096, QD: 32, Span: 8 << 30}
-		workload.NewWorker(loop, rng.Fork(), p, tn, workload.SchedTarget{S: target}).Start(stop)
+		workload.NewWorker(loop, rng.Fork(), p, tn, target).Start(stop)
 	}
 	loop.RunUntil(stop)
 	loop.Run()
-	return trace, sw.Stats(), maxTombstones
 }
 
 // TestPacerReschedulesInPlace pins both halves of the re-armable pacing
-// timer: the simulation cannot tell it from cancelling and arming with At
-// per pump pass (identical device-completion trace), and the pacer leaves
-// nothing dead in the event queue — its timer is born on the side heap, is
-// re-keyed there and fires from there.
+// timer: the simulation cannot tell it from a timer armed on the main heap
+// (identical device-completion trace; Timer.Reschedule is Cancel then At in
+// everything the clock observes), and the pacer leaves nothing dead in the
+// event queue — its timer is born on the side heap, is re-keyed there and
+// fires from there — where the main-heap one leaves tombstones. The rig is
+// paced: most IOs wait for tokens after winning their DRR round, and the
+// timer fires for a good share of them.
 func TestPacerReschedulesInPlace(t *testing.T) {
-	got, st, tombstones := pacedNullRun(false)
-	want, _, oracleTombstones := pacedNullRun(true)
-	if len(got) < 10_000 {
-		t.Fatalf("only %d IOs completed: the rig is not running", len(got))
+	got, want := pacedNullRun(true), pacedNullRun(false)
+	n := len(got.trace)
+	if n < 10_000 {
+		t.Fatalf("only %d IOs completed: the rig is not running", n)
 	}
-	if st.PacingStalls < 2*st.Completions {
-		t.Fatalf("%d stalled pump passes over %d completions, want >= 2 per IO: the rig is not paced, so the test shows nothing",
-			st.PacingStalls, st.Completions)
+	if got.paced < n*3/4 || got.fires < n/4 {
+		t.Fatalf("%d of %d IOs waited for tokens and the pacing timer fired %d times, want >= 3/4 and >= 1/4 per IO: the rig is not paced, so the test shows nothing",
+			got.paced, n, got.fires)
 	}
-	if tombstones != 0 {
-		t.Errorf("Queued() exceeded Pending() by %d at a device completion (oracle: %d), want the two equal throughout", tombstones, oracleTombstones)
+	if got.maxTombstones != 0 {
+		t.Errorf("Queued() exceeded Pending() by %d at a device completion, want the two equal throughout", got.maxTombstones)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("%d completions, oracle %d", len(got), len(want))
+	if want.maxTombstones == 0 {
+		t.Errorf("the timer armed on the main heap left no tombstone either: the measure cannot see one")
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("completion %d = %+v, oracle %+v", i, got[i], want[i])
+	if n != len(want.trace) {
+		t.Fatalf("%d completions, main-heap timer %d", n, len(want.trace))
+	}
+	for i := range got.trace {
+		if got.trace[i] != want.trace[i] {
+			t.Fatalf("completion %d = %+v, main-heap timer %+v", i, got.trace[i], want.trace[i])
 		}
 	}
-	t.Logf("%d completions identical, %.2f stalled passes per IO; peak tombstones %d, oracle %d",
-		len(got), float64(st.PacingStalls)/float64(st.Completions), tombstones, oracleTombstones)
+	t.Logf("%d completions identical; %.2f paced, %.2f stalled passes and %.2f fires per IO; peak tombstones %d, main-heap timer %d",
+		n, float64(got.paced)/float64(n), float64(got.st.PacingStalls)/float64(n), float64(got.fires)/float64(n),
+		got.maxTombstones, want.maxTombstones)
+}
+
+// skipAudit stands between a switch and its traffic and runs the
+// always-pass pump — the paper's, a pass on every arrival and completion —
+// as an oracle: at every entry the switch answers without a pass, it makes
+// that pass's decisions on the live state without their side effects (the
+// refill on a copy of the rate engine; sched.DRR.Select, which has none
+// when it returns a dispatchable IO at once; Admit on the copy) and checks
+// that the pass would have stopped, short of tokens, on the head the switch
+// recorded.
+type skipAudit struct {
+	t                       *testing.T
+	sw                      *Switch
+	arrivals, skippedArr    int
+	completions, skippedCpl int
+}
+
+func newSkipAudit(t *testing.T, sw *Switch) *skipAudit {
+	a := &skipAudit{t: t, sw: sw}
+	sw.devDoneFn = func(io *nvme.IO) {
+		a.completions++
+		if a.entry(func() { sw.onDeviceDone(io) }) {
+			a.skippedCpl++
+		}
+	}
+	return a
+}
+
+// Submit implements workload.Target.
+func (a *skipAudit) Submit(io *nvme.IO) {
+	a.arrivals++
+	if a.entry(func() { a.sw.Enqueue(io) }) {
+		a.skippedArr++
+	}
+}
+
+// entry runs one switch entry and, if it ran no pass, audits the skip. A
+// pass — the entry's own, or one an IO submitted from a completion
+// callback ran — either stalls, counting a pacing stall, or leaves no
+// stall record.
+func (a *skipAudit) entry(fn func()) (skipped bool) {
+	sw := a.sw
+	stalls := sw.stats.PacingStalls
+	fn()
+	if sw.stall.io == nil || sw.stats.PacingStalls != stalls {
+		return false
+	}
+	e := *sw.rate
+	cost := sw.cost.Cost()
+	e.Refill(sw.clk.Now(), cost)
+	head := sw.drr.Select()
+	if head != sw.stall.io {
+		a.t.Fatalf("t=%d: skipped a pass whose Select returns %p, not the stalled head %p", sw.clk.Now(), head, sw.stall.io)
+	}
+	r, w := e.Tokens()
+	if _, ok := e.Admit(head.Op.IsWrite(), head.Size, cost); ok {
+		a.t.Fatalf("t=%d: skipped a pass that would admit the stalled head (%v %d B, cover at %d): rate %.0f, tokens %.1f/%.1f",
+			sw.clk.Now(), head.Op, head.Size, sw.stall.coverAt, e.TargetRate(), r, w)
+	}
+	return true
+}
+
+// TestSkippedPassesWouldStall checks every pass the switch skips against
+// the always-pass oracle (skipAudit) on two rigs, each paced at a rate that
+// ramps (every completion moves it, and hardly a pass is skipped) and then
+// holds at MaxRate (most are): the paced NULL rig of TestPacerReschedulesInPlace,
+// run on past the ramp; and a NULL rig with 4 KiB and 128 KiB reads and
+// writes, two QoS classes weighted 3:1 and every IO at a random priority,
+// so Select cycles classes and priority budgets while IOs wait for tokens.
+func TestSkippedPassesWouldStall(t *testing.T) {
+	t.Run("paced-null", func(t *testing.T) {
+		loop := sim.NewLoop()
+		sw := New(loop, ssd.NewNull(loop, 8<<30, 100), DefaultConfig())
+		a := newSkipAudit(t, sw)
+		runMix4k(loop, sw, a, 500*sim.Millisecond)
+		a.check(t)
+	})
+	t.Run("classes-priorities", func(t *testing.T) {
+		loop := sim.NewLoop()
+		cfg := DefaultConfig()
+		cfg.Sched.ClassWeights = []int{3, 1}
+		cfg.Rate.InitialRate, cfg.Rate.MaxRate = 100e6, 300e6
+		sw := New(loop, ssd.NewNull(loop, 8<<30, 20*sim.Microsecond), cfg)
+		a := newSkipAudit(t, sw)
+		rng := sim.NewRNG(7)
+		prio := rng.Fork()
+		target := prioTarget{a, prio}
+		stop := 300 * sim.Millisecond
+		for i := 0; i < 8; i++ {
+			tn := nvme.NewTenant(i, "mixed")
+			tn.Class = i % 2
+			sw.Register(tn)
+			p := workload.Profile{Name: tn.Name, ReadRatio: 0.7, IOSize: 4096, QD: 16, Span: 8 << 30}
+			if i%4 == 3 {
+				p.IOSize, p.QD = 128<<10, 4
+			}
+			workload.NewWorker(loop, rng.Fork(), p, tn, target).Start(stop)
+		}
+		loop.RunUntil(stop)
+		loop.Run()
+		a.check(t)
+	})
+}
+
+// prioTarget submits through the audit at a random priority.
+type prioTarget struct {
+	a   *skipAudit
+	rng *sim.RNG
+}
+
+func (p prioTarget) Submit(io *nvme.IO) {
+	io.Priority = nvme.Priority(p.rng.Intn(int(nvme.NumPriorities)))
+	p.a.Submit(io)
+}
+
+// check fails a rig whose switch skipped too little for the audit to mean
+// anything.
+func (a *skipAudit) check(t *testing.T) {
+	t.Logf("skipped %d of %d arrivals and %d of %d completions; %d stalled passes",
+		a.skippedArr, a.arrivals, a.skippedCpl, a.completions, a.sw.stats.PacingStalls)
+	if a.completions < 5_000 || a.skippedArr < a.arrivals/10 || a.skippedCpl < a.completions/10 {
+		t.Errorf("too few skipped passes to audit")
+	}
 }
 
 // TestPacerAdmitsOversizeIO: a read of twice the token bucket completes
@@ -124,25 +262,50 @@ func TestPacerAdmitsOversizeIO(t *testing.T) {
 }
 
 // TestUnregisterCancelsPacingTimer: a tenant torn down while the pump is
-// waiting for tokens on its behalf takes the queue to empty without a pump
-// pass; the pacing timer must not outlive it (on the live plane it is the one
-// event a closed connection could leave on the shard).
+// waiting for tokens on its behalf takes the stalled head with it. The IO
+// queued behind must not wait out the departed IO's deadline — the
+// teardown runs a pass, and the IO is admitted when the refill covers it —
+// and once the queue is empty the pacing timer must not outlive it (on the
+// live plane it is the one event a closed connection could leave on the
+// shard).
 func TestUnregisterCancelsPacingTimer(t *testing.T) {
 	loop := sim.NewLoop()
-	sw := New(loop, ssd.NewNull(loop, 8<<30, 100), DefaultConfig())
+	// A slow device: no completion of the departed tenant's in-flight IOs
+	// runs a pass before the waiting IO's cover time.
+	sw := New(loop, ssd.NewNull(loop, 8<<30, sim.Millisecond), DefaultConfig())
 	stay, leave := nvme.NewTenant(0, "stay"), nvme.NewTenant(1, "leave")
 	sw.Register(stay)
 	sw.Register(leave)
 	for i := 0; i < 8; i++ { // 1 MiB against a 256 KiB bucket: the pump stalls
 		sw.Enqueue(&nvme.IO{Op: nvme.OpRead, Offset: int64(i) << 20, Size: 128 << 10, Tenant: leave, Done: func(*nvme.IO, nvme.Completion) {}})
 	}
-	sw.Enqueue(&nvme.IO{Op: nvme.OpRead, Size: 4096, Tenant: stay, Done: func(*nvme.IO, nvme.Completion) {}})
-	if !sw.timer.Active() {
-		t.Fatal("the pump did not stall on tokens: the test shows nothing")
+	waiting := &nvme.IO{Op: nvme.OpRead, Size: 4096, Tenant: stay, Done: func(*nvme.IO, nvme.Completion) {}}
+	sw.Enqueue(waiting)
+	if !sw.timer.Active() || sw.stall.io == nil || sw.stall.io.Tenant != leave {
+		t.Fatal("the pump did not stall on the leaving tenant's IO: the test shows nothing")
 	}
+	departed := sw.stall.coverAt
 	sw.Unregister(leave)
 	if !sw.timer.Active() {
 		t.Fatal("pacing timer cancelled with another tenant's IO still queued")
+	}
+	rate := *sw.rate
+	wait, ok := rate.Admit(false, waiting.Size, sw.cost.Cost())
+	if ok {
+		t.Fatal("the bucket covers the waiting IO already: the test shows nothing")
+	}
+	coverAt := loop.Now() + max(wait, sim.Microsecond)
+	if coverAt >= departed {
+		t.Fatalf("the waiting IO's cover time %d is not before the departed head's %d: the test shows nothing", coverAt, departed)
+	}
+	loop.RunUntil(coverAt)
+	if waiting.DevSubmit == 0 || waiting.DevSubmit > coverAt {
+		t.Fatalf("the IO behind the departed head was submitted at %d (0 = not yet), want by its own cover time %d (the departed head's was %d)",
+			waiting.DevSubmit, coverAt, departed)
+	}
+	sw.Enqueue(&nvme.IO{Op: nvme.OpRead, Offset: 1 << 20, Size: 128 << 10, Tenant: stay, Done: func(*nvme.IO, nvme.Completion) {}})
+	if !sw.timer.Active() {
+		t.Fatal("the pump did not stall on the second IO: the test shows nothing")
 	}
 	sw.Unregister(stay)
 	if sw.timer.Active() {

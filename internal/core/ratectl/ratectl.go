@@ -72,33 +72,40 @@ func (e *Engine) Refill(now int64, writeCost float64) {
 		return
 	}
 	e.lastRefill = now
+	e.readTok, e.writeTok = e.refilled(dt, writeCost)
+}
+
+// refilled returns the bucket levels dt nanoseconds of refill would leave.
+func (e *Engine) refilled(dt int64, writeCost float64) (read, write float64) {
+	read, write = e.readTok, e.writeTok
 	avail := e.targetRate * float64(dt) / 1e9
 	if e.cfg.SingleBucket {
 		// One bucket at the aggregate rate, double capacity to keep the
 		// total token pool comparable.
-		e.readTok += avail
-		if max := 2 * float64(e.cfg.BucketMax); e.readTok > max {
-			e.readTok = max
+		read += avail
+		if max := 2 * float64(e.cfg.BucketMax); read > max {
+			read = max
 		}
-		return
+		return read, write
 	}
 	if writeCost < 1 {
 		writeCost = 1
 	}
-	e.readTok += avail * writeCost / (1 + writeCost)
-	e.writeTok += avail * 1 / (1 + writeCost)
+	read += avail * writeCost / (1 + writeCost)
+	write += avail * 1 / (1 + writeCost)
 	max := float64(e.cfg.BucketMax)
-	if e.readTok > max {
-		e.writeTok += e.readTok - max
-		e.readTok = max
+	if read > max {
+		write += read - max
+		read = max
 	}
-	if e.writeTok > max {
-		e.readTok += e.writeTok - max
-		if e.readTok > max {
-			e.readTok = max
+	if write > max {
+		read += write - max
+		if read > max {
+			read = max
 		}
-		e.writeTok = max
+		write = max
 	}
+	return read, write
 }
 
 // bucket returns the IO class's bucket and the level it must hold to admit
@@ -118,35 +125,69 @@ func (e *Engine) bucket(isWrite bool, size int) (tok *float64, need float64) {
 // tokens in the IO class's bucket it withdraws size bytes and reports ok;
 // an IO larger than the bucket is admitted from a full one and leaves it in
 // debt, which the refill repays before anything else of the class passes.
-// Short of tokens it takes nothing and returns the refill time that covers
-// the shortfall at the class's share of the target rate under writeCost —
-// what the switch sets its pump timer to instead of busy-polling.
+// Short of tokens it takes nothing and returns how long the refill takes to
+// cover the shortfall at the current target rate and writeCost: Refill at
+// lastRefill+wait, then Admit, succeeds. That is what the switch sets its
+// pump timer to instead of busy-polling, and until then it knows a pass
+// would stall.
 func (e *Engine) Admit(isWrite bool, size int, writeCost float64) (wait int64, ok bool) {
 	tok, need := e.bucket(isWrite, size)
 	if *tok < need {
-		d := need - *tok
-		if writeCost < 1 {
-			writeCost = 1
-		}
-		share := writeCost / (1 + writeCost)
-		if isWrite {
-			share = 1 / (1 + writeCost)
-		}
-		rate := e.targetRate * share
-		if rate <= 0 {
-			rate = e.cfg.MinRate
-		}
-		return int64(d / rate * 1e9), false
+		return e.coverWait(isWrite, need-*tok, need, writeCost), false
 	}
 	*tok -= float64(size)
 	return 0, true
 }
 
+// coverWait returns the refill time that lifts the class's bucket by d
+// bytes, to need. Refill gives the class its share of the rate until the
+// other bucket is full and the whole rate after that (a full bucket's share
+// spills over), so d/share bytes of refill cover d, or d plus the other
+// bucket's headroom, whichever is fewer; one bucket takes the whole rate.
+// The time is one nanosecond past the truncated quotient. That covers d
+// with room to spare unless the quotient sits a hair under a whole
+// nanosecond: then rounding in the quotient or in Refill's sums can leave
+// the refill a fraction of a byte short (TestAdmitWaitCovers finds such
+// rows), so the time is checked against the refill Admit will see after
+// it, a nanosecond more while that lands short. A hair is 1e-6 ns, at
+// least 8e-9 bytes of refill at MinRate; the sums' rounding is ~1e-10.
+func (e *Engine) coverWait(isWrite bool, d, need, writeCost float64) int64 {
+	if !e.cfg.SingleBucket {
+		if writeCost < 1 {
+			writeCost = 1
+		}
+		share, other := writeCost/(1+writeCost), e.writeTok
+		if isWrite {
+			share, other = 1/(1+writeCost), e.readTok
+		}
+		d = min(d/share, d+max(float64(e.cfg.BucketMax)-other, 0))
+	}
+	if e.targetRate <= 0 {
+		return int64(d/e.cfg.MinRate*1e9) + 1 // no refill ever covers it: the pump polls at MinRate
+	}
+	q := d / e.targetRate * 1e9
+	wait := int64(q) + 1
+	if float64(wait)-q > 1e-6 {
+		return wait
+	}
+	tok, _ := e.bucket(isWrite, 0)
+	for ; ; wait++ {
+		level, write := e.refilled(wait, writeCost)
+		if tok == &e.writeTok {
+			level = write
+		}
+		if level >= need {
+			return wait
+		}
+	}
+}
+
 // OnCompletion applies Algorithm 1's Completion procedure: adjust the
 // target rate by the completed size according to the congestion state,
 // snapping down to the measured completion rate (and discarding tokens)
-// when overloaded.
-func (e *Engine) OnCompletion(now int64, size int, state latmon.State) {
+// when overloaded. It reports whether the target rate or a bucket moved:
+// what a wait Admit returned before depends on.
+func (e *Engine) OnCompletion(now int64, size int, state latmon.State) (moved bool) {
 	// Completion-rate window accounting.
 	e.winBytes += int64(size)
 	if now-e.winStart >= e.cfg.RateWindow {
@@ -155,10 +196,12 @@ func (e *Engine) OnCompletion(now int64, size int, state latmon.State) {
 		e.winBytes = 0
 	}
 
+	rate := e.targetRate
 	switch state {
 	case latmon.Overloaded:
 		e.targetRate = e.cplRate
 		// discard remaining tokens; an oversize IO's debt stands
+		moved = e.readTok > 0 || e.writeTok > 0
 		e.readTok, e.writeTok = min(e.readTok, 0), min(e.writeTok, 0)
 		e.targetRate -= float64(size)
 	case latmon.Congested:
@@ -174,6 +217,7 @@ func (e *Engine) OnCompletion(now int64, size int, state latmon.State) {
 	if e.targetRate > e.cfg.MaxRate {
 		e.targetRate = e.cfg.MaxRate
 	}
+	return moved || e.targetRate != rate
 }
 
 // TargetRate returns the current target submission rate (bytes/sec).

@@ -68,9 +68,16 @@ func TestAdmitWait(t *testing.T) {
 	e := New(DefaultConfig(), 0)
 	e.readTok = 1000
 	e.targetRate = 100e6
-	// 3096 B short; read share at cost 1 is 1/2 → 50MB/s → ≈ 62µs.
-	if ns, ok := e.Admit(false, 4096, 1); ok || ns < 50_000 || ns > 75_000 {
-		t.Fatalf("Admit = %dns, %v, want ~62µs, false", ns, ok)
+	// 3096 B short with the write bucket full: the write share spills over,
+	// so the read bucket refills at the whole 100 MB/s → 30.96 µs.
+	if ns, ok := e.Admit(false, 4096, 1); ok || ns != 30_961 {
+		t.Fatalf("Admit = %dns, %v, want 30961 (30.96 µs rounded up), false", ns, ok)
+	}
+	// With the write bucket empty as well, the read share at cost 1 is 1/2
+	// → 50 MB/s → 61.92 µs.
+	e.writeTok = 0
+	if ns, ok := e.Admit(false, 4096, 1); ok || ns != 61_921 {
+		t.Fatalf("Admit = %dns, %v, want 61921 (61.92 µs rounded up), false", ns, ok)
 	}
 	if r, _ := e.Tokens(); r != 1000 {
 		t.Fatalf("a refused IO took tokens: %v left of 1000", r)
@@ -81,7 +88,7 @@ func TestAdmitWait(t *testing.T) {
 }
 
 // admitCase is one row of TestAdmitMatchesTriple: an engine state, an IO,
-// and what the three calls Admit replaced made of them.
+// and what Admit makes of them.
 type admitCase struct {
 	name    string
 	prep    func(cfg *Config) *Engine
@@ -102,23 +109,29 @@ func drained(e *Engine, isWrite bool) *Engine {
 	return e
 }
 
-// The expected values were printed by the parent commit's
-// TryConsume(isWrite, size), then on refusal
-// NanosUntil(Deficit(isWrite, size), isWrite, cost), then Tokens(), over
-// these same rows.
+// The ok values and bucket levels were printed by TryConsume(isWrite, size)
+// and Tokens(), the calls Admit replaced, over these same rows. Their wait
+// was NanosUntil(Deficit(isWrite, size), isWrite, cost): the shortfall at
+// the class's share of the rate, truncated, after which the pump could find
+// itself a fraction of a byte short. The waits pinned here are coverWait's,
+// the refill time that covers the shortfall, rounded up. Every row whose
+// other bucket is full (or shared) refills at the whole rate, since Refill
+// spills a full bucket's share into the other: 4096 B at the initial
+// 400 MB/s is 10240 ns, 10241 rounded up. "after an overload", the one row
+// with neither bucket full, differs from the old wait by the rounding alone.
 var admitCases = []admitCase{
 	{"full bucket, 4 KiB read", func(c *Config) *Engine { return New(*c, 0) }, false, 4096, 1, 0, true, 0x410f800000000000, 0x4110000000000000},
 	{"full bucket, 4 KiB write", func(c *Config) *Engine { return New(*c, 0) }, true, 4096, 3, 0, true, 0x4110000000000000, 0x410f800000000000},
-	{"read bucket drained, cost 1", func(c *Config) *Engine { return drained(New(*c, 0), false) }, false, 4096, 1, 20480, false, 0x0, 0x4110000000000000},
-	{"read bucket drained, cost 3", func(c *Config) *Engine { return drained(New(*c, 0), false) }, false, 4096, 3, 13653, false, 0x0, 0x4110000000000000},
-	{"write bucket drained, cost 3", func(c *Config) *Engine { return drained(New(*c, 0), true) }, true, 4096, 3, 40960, false, 0x4110000000000000, 0x0},
-	{"write bucket drained, cost 7.3", func(c *Config) *Engine { return drained(New(*c, 0), true) }, true, 128 << 10, 7.3, 2719744, false, 0x4110000000000000, 0x0},
-	{"cost below 1 counts as 1", func(c *Config) *Engine { return drained(New(*c, 0), false) }, false, 4096, 0.5, 20480, false, 0x0, 0x4110000000000000},
+	{"read bucket drained, cost 1", func(c *Config) *Engine { return drained(New(*c, 0), false) }, false, 4096, 1, 10241, false, 0x0, 0x4110000000000000},
+	{"read bucket drained, cost 3", func(c *Config) *Engine { return drained(New(*c, 0), false) }, false, 4096, 3, 10241, false, 0x0, 0x4110000000000000},
+	{"write bucket drained, cost 3", func(c *Config) *Engine { return drained(New(*c, 0), true) }, true, 4096, 3, 10241, false, 0x4110000000000000, 0x0},
+	{"write bucket drained, cost 7.3", func(c *Config) *Engine { return drained(New(*c, 0), true) }, true, 128 << 10, 7.3, 327681, false, 0x4110000000000000, 0x0},
+	{"cost below 1 counts as 1", func(c *Config) *Engine { return drained(New(*c, 0), false) }, false, 4096, 0.5, 10241, false, 0x0, 0x4110000000000000},
 	{"partial refill leaves a fraction", func(c *Config) *Engine {
 		e := drained(New(*c, 0), false)
 		e.Refill(7_321, 3)
 		return e
-	}, false, 4096, 3, 3892, false, 0x40a6e0cccccccc9a, 0x4110000000000000},
+	}, false, 4096, 3, 2920, false, 0x40a6e0cccccccc9a, 0x4110000000000000},
 	{"exactly enough", func(c *Config) *Engine {
 		e := drained(drained(New(*c, 0), false), true)
 		e.Refill(20_480, 1)
@@ -130,48 +143,48 @@ var admitCases = []admitCase{
 		e.OnCompletion(10_000_000, 1<<20, latmon.Overloaded)
 		e.Refill(10_003_000, 2.5)
 		return e
-	}, false, 4096, 2.5, 52239, false, 0x406bce55445b3c48, 0x40563eaa9d15c9d3},
+	}, false, 4096, 2.5, 52240, false, 0x406bce55445b3c48, 0x40563eaa9d15c9d3},
 	{"rate raised by underutilized completions", func(c *Config) *Engine {
 		e := drained(New(*c, 0), true)
 		for i := 0; i < 1000; i++ {
 			e.OnCompletion(int64(i)*1000, 128<<10, latmon.Underutilized)
 		}
 		return e
-	}, true, 4096, 4, 14138, false, 0x4110000000000000, 0x0},
+	}, true, 4096, 4, 2828, false, 0x4110000000000000, 0x0},
 	{"rate at the floor", func(c *Config) *Engine {
 		e := drained(New(*c, 0), false)
 		for i := 0; i < 4000; i++ {
 			e.OnCompletion(int64(i)*1000, 128<<10, latmon.Congested)
 		}
 		return e
-	}, false, 4096, 9, 568888, false, 0x0, 0x4110000000000000},
+	}, false, 4096, 9, 512001, false, 0x0, 0x4110000000000000},
 	{"zero target rate falls back to MinRate", func(c *Config) *Engine {
 		c.InitialRate = 0
 		return drained(New(*c, 0), false)
-	}, false, 4096, 3, 512000, false, 0x0, 0x4110000000000000},
+	}, false, 4096, 3, 512001, false, 0x0, 0x4110000000000000},
 	{"oversize read from a full bucket runs a debt", func(c *Config) *Engine { return New(*c, 0) }, false, 512 << 10, 1, 0, true, 0xc110000000000000, 0x4110000000000000},
 	{"oversize read from a bucket 4 KiB short of full", func(c *Config) *Engine {
 		e := New(*c, 0)
 		e.Admit(false, 4096, 1)
 		return e
-	}, false, 512 << 10, 1, 20480, false, 0x410f800000000000, 0x4110000000000000},
+	}, false, 512 << 10, 1, 10241, false, 0x410f800000000000, 0x4110000000000000},
 	{"4 KiB read behind the debt", func(c *Config) *Engine {
 		e := New(*c, 0)
 		e.Admit(false, 512<<10, 1)
 		return e
-	}, false, 4096, 2, 998400, false, 0xc110000000000000, 0x4110000000000000},
+	}, false, 4096, 2, 665601, false, 0xc110000000000000, 0x4110000000000000},
 	{"single bucket: write from the shared bucket", func(c *Config) *Engine {
 		c.SingleBucket = true
 		return New(*c, 0)
 	}, true, 4096, 3, 0, true, 0x410f800000000000, 0x4110000000000000},
-	{"single bucket: stalled write waits at the write share", func(c *Config) *Engine {
+	{"single bucket: stalled write refills at the whole rate", func(c *Config) *Engine {
 		c.SingleBucket = true
 		return drained(New(*c, 0), false)
-	}, true, 4096, 3, 40960, false, 0x0, 0x4110000000000000},
-	{"single bucket: stalled read waits at the read share", func(c *Config) *Engine {
+	}, true, 4096, 3, 10241, false, 0x0, 0x4110000000000000},
+	{"single bucket: stalled read refills at the whole rate", func(c *Config) *Engine {
 		c.SingleBucket = true
 		return drained(New(*c, 0), true)
-	}, false, 4096, 3, 13653, false, 0x0, 0x4110000000000000},
+	}, false, 4096, 3, 10241, false, 0x0, 0x4110000000000000},
 	{"single bucket: oversize write from a full one", func(c *Config) *Engine {
 		c.SingleBucket = true
 		e := New(*c, 0)
@@ -181,12 +194,12 @@ var admitCases = []admitCase{
 	{"single bucket: oversize write from one not yet full", func(c *Config) *Engine {
 		c.SingleBucket = true
 		return New(*c, 0)
-	}, true, 1 << 20, 3, 2621440, false, 0x4110000000000000, 0x4110000000000000},
+	}, true, 1 << 20, 3, 655361, false, 0x4110000000000000, 0x4110000000000000},
 }
 
-// TestAdmitMatchesTriple: Admit returns, and leaves in the buckets, bit for
-// bit what TryConsume → Deficit → NanosUntil did — the simulated numbers of
-// every paced experiment hang on these floating-point expressions.
+// TestAdmitMatchesTriple: Admit leaves in the buckets, bit for bit, what
+// TryConsume did, and returns the pinned cover time — the simulated numbers
+// of every paced experiment hang on these floating-point expressions.
 func TestAdmitMatchesTriple(t *testing.T) {
 	for _, c := range admitCases {
 		cfg := DefaultConfig()
@@ -201,11 +214,76 @@ func TestAdmitMatchesTriple(t *testing.T) {
 	}
 }
 
+// TestAdmitWaitCovers: the wait Admit returns for a refused IO is when the
+// refill covers it — Refill at lastRefill+wait, then Admit, succeeds — and
+// no later than it must be: two nanoseconds earlier the IO is still
+// refused. The grid crosses target rates, write costs and IO sizes with both
+// buckets' levels (in debt, empty, part full, a fraction of a byte short of
+// full, full), for both IO classes and both bucket layouts: 25,440 refused
+// IOs. The float exceptions it found, before the wait was checked against
+// the refill: the truncated quotient (the wait as it was) is short in
+// 21,754 of them, math.Ceil of it in 187, and one past the truncated
+// quotient in 21 — a quotient that should be a whole number of nanoseconds
+// computes just under it, and the refill at that whole number lands a
+// rounding error under need.
+func TestAdmitWaitCovers(t *testing.T) {
+	base := DefaultConfig()
+	full := float64(base.BucketMax)
+	levels := []float64{-full, -1000.25, 0, 1000.5, 4095.9, full / 3, full - 0.1, full}
+	const t0 = 123_456_789
+	cases := 0
+	for _, single := range []bool{false, true} {
+		cfg := base
+		cfg.SingleBucket = single
+		for _, isWrite := range []bool{false, true} {
+			for _, rate := range []float64{base.MinRate, 99.9e6, 400e6, 1.2345e9, base.MaxRate} {
+				for _, cost := range []float64{1, 1.5, 2.5, 3, 7.3, 9} {
+					for _, size := range []int{512, 4096, 4097, 128 << 10, 1 << 20} {
+						for _, own := range levels {
+							for _, other := range levels {
+								e := New(cfg, t0)
+								e.targetRate = rate
+								e.readTok, e.writeTok = own, other
+								if isWrite {
+									e.readTok, e.writeTok = other, own
+								}
+								probe := *e
+								wait, ok := probe.Admit(isWrite, size, cost)
+								if ok {
+									continue
+								}
+								cases++
+								admitsAfter := func(dt int64) bool {
+									p := *e
+									p.Refill(t0+dt, cost)
+									_, ok := p.Admit(isWrite, size, cost)
+									return ok
+								}
+								if !admitsAfter(wait) {
+									t.Errorf("single=%v write=%v rate %v cost %v size %d, buckets %v/%v: refused %d ns after Admit said it would pass",
+										single, isWrite, rate, cost, size, e.readTok, e.writeTok, wait)
+								}
+								if wait > 2 && admitsAfter(wait-2) {
+									t.Errorf("single=%v write=%v rate %v cost %v size %d, buckets %v/%v: admitted at %d ns, Admit said %d",
+										single, isWrite, rate, cost, size, e.readTok, e.writeTok, wait-2, wait)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d refused IOs, each admitted at its wait and not 2 ns before", cases)
+}
+
 func TestCompletionAdjustsRate(t *testing.T) {
 	cfg := DefaultConfig()
 	e := New(cfg, 0)
 	base := e.TargetRate()
-	e.OnCompletion(1000, 4096, latmon.CongestionAvoidance)
+	if !e.OnCompletion(1000, 4096, latmon.CongestionAvoidance) {
+		t.Fatal("a completion that raised the rate reported nothing moved")
+	}
 	if e.TargetRate() != base+4096 {
 		t.Fatalf("CA should add size: %v", e.TargetRate())
 	}
@@ -232,7 +310,9 @@ func TestOverloadSnapsToCompletionRateAndDiscardsTokens(t *testing.T) {
 		t.Fatalf("completion rate = %v, want ~1e9", cr)
 	}
 	e.targetRate = 3e9 // way above what completes
-	e.OnCompletion(now+1000, 100_000, latmon.Overloaded)
+	if !e.OnCompletion(now+1000, 100_000, latmon.Overloaded) {
+		t.Fatal("an overload that discarded tokens reported nothing moved")
+	}
 	r, w := e.Tokens()
 	if r != 0 || w != 0 {
 		t.Fatalf("tokens not discarded on overload: %v/%v", r, w)
@@ -260,6 +340,9 @@ func TestRateClamped(t *testing.T) {
 	}
 	if e.TargetRate() > cfg.MaxRate {
 		t.Fatalf("rate exceeded ceiling: %v", e.TargetRate())
+	}
+	if e.OnCompletion(100000, 1<<20, latmon.Underutilized) {
+		t.Fatal("a completion at the ceiling moved neither rate nor bucket but reported it did")
 	}
 }
 
@@ -316,8 +399,10 @@ func TestOversizeIORunsADeficit(t *testing.T) {
 			_, ok := e.Admit(false, size, 1)
 			return ok
 		}
-		// wait is what Admit returns for a read d bytes short at cost 1.
-		wait := func(d float64) int64 { return int64(d / (e.TargetRate() / 2) * 1e9) }
+		// wait is the time d bytes of refill take at the whole rate, rounded
+		// up: what Admit returns for a read d bytes short at cost 1 with the
+		// write bucket full (or shared).
+		wait := func(d float64) int64 { return int64(d/e.TargetRate()*1e9) + 1 }
 		e.Refill(second, 1) // a second at the initial rate fills every bucket
 		if !admits(4096) {
 			t.Fatalf("single=%v: a full bucket refused a 4 KiB read", single)
@@ -338,8 +423,16 @@ func TestOversizeIORunsADeficit(t *testing.T) {
 			t.Fatalf("single=%v: overload left the buckets at %v/%v, want the debt %v standing and no tokens", single, r, w, -full)
 		}
 		d := full + 4096
-		if w, ok := e.Admit(false, 4096, 1); ok || w != wait(d) {
-			t.Fatalf("single=%v: Admit = %d, %v behind the oversize read, want %d (%v B short), false", single, w, ok, wait(d), d)
+		// The overload emptied the write bucket too: the read side earns half
+		// the rate until that is full again, so covering d takes d plus the
+		// write bucket's BucketMax of refill (one bucket: d).
+		cover := d
+		if !single {
+			cover += float64(cfg.BucketMax)
+		}
+		if w, ok := e.Admit(false, 4096, 1); ok || w != wait(cover) {
+			t.Fatalf("single=%v: Admit = %d, %v behind the oversize read, want %d (%v B short, %v B of refill), false",
+				single, w, ok, wait(cover), d, cover)
 		}
 		// Repay at a known rate, all of it to the read side (the write bucket
 		// is full or shared): one byte short is refused, the rest admits.

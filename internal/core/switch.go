@@ -169,6 +169,17 @@ type Switch struct {
 	writesInPeriod int
 	pumping        bool
 
+	// stall is what the last pass that stopped for want of tokens found:
+	// the head IO, and coverAt, when the refill covers it at the target
+	// rate and write cost that pass saw (ratectl.Engine.Admit's wait).
+	// Before coverAt a pass would stop on the same IO, so entries that move
+	// neither the rate, the buckets nor the cost run none (stalled). Nil io:
+	// the next entry runs a full pass.
+	stall struct {
+		io      *nvme.IO
+		coverAt int64
+	}
+
 	// costModel, when set, is polled each cost period to blend the write
 	// cost with a fast tier's absorption (SetCostModel).
 	costModel CostModeler
@@ -230,7 +241,10 @@ func (sw *Switch) SetCostModel(m CostModeler) { sw.costModel = m }
 // abort.
 func (sw *Switch) Unregister(t *nvme.Tenant) []*nvme.IO {
 	orphans := sw.drr.Unregister(t)
-	if sw.drr.Queued() == 0 {
+	switch {
+	case sw.stall.io != nil && sw.stall.io.Tenant == t:
+		sw.pump() // the stalled head left with t: stall on the next one, or cancel the timer
+	case sw.drr.Queued() == 0:
 		sw.timer.Cancel() // the queue emptied without a pump pass: nothing is left to pace
 	}
 	sw.stats.TenantTeardowns++
@@ -252,7 +266,7 @@ func (sw *Switch) weighted(io *nvme.IO) int64 {
 }
 
 // Enqueue implements nvme.Scheduler: admit the IO to its tenant's priority
-// queue and run the submission pump.
+// queue and run the submission pump, unless the pump is stalled.
 func (sw *Switch) Enqueue(io *nvme.IO) {
 	if st := sw.sub.Check(io); st != nvme.StatusOK {
 		io.Done(io, nvme.Completion{Status: st})
@@ -278,29 +292,52 @@ func (sw *Switch) Enqueue(io *nvme.IO) {
 		sw.stats.AbortedIOs++
 		return
 	}
-	sw.pump()
+	if !sw.stalled(io.Arrival) {
+		sw.pump()
+	}
+}
+
+// stalled reports whether a pass at now would stop, short of tokens, on
+// the head IO the last one stopped on. Nothing that could change that has
+// happened since: what moves the rate or a bucket (onDeviceDone) or the
+// write cost (costTick) clears the record or runs a pass itself. Nor can
+// what happened since change the head. sched.DRR.Select is idempotent once
+// it has found a dispatchable IO — it returns that IO again, granting no
+// deficit, until a Commit — and the calls an entry makes between passes
+// leave the front alone. Enqueue pushes to the back of a priority queue
+// (the head tenant keeps cycling the priority its budget is on), and
+// activate puts a tenant at the back of its class's active list and a
+// class at the back of the ring. Complete touches only a deferred tenant
+// (the head's tenant is active), which it activates or drops. Unregister
+// takes a tenant off the lists, and Unregister of the head's tenant runs
+// a pass.
+func (sw *Switch) stalled(now int64) bool {
+	return sw.stall.io != nil && now < sw.stall.coverAt
 }
 
 // pump drains the scheduler while tokens and slots allow (Algorithm 1
-// Submission; it is invoked on every request arrival and completion, so
-// the system is self-clocked). A pass leaves the pacing timer in one of
-// two states: re-keyed to the new refill time if it stalled on tokens, or
-// cancelled if the queue drained. A paced switch stalls on most passes, so
-// the timer is moved (sim.Timer.Reschedule), not cancelled on entry and
-// armed again on exit, and it is armed where moving it is cheapest (the
-// clock's AtMovable: on the loop's indexed side heap, so the pacer never
-// touches the main event queue). What the clock observes is the same.
+// Submission). The paper runs it on every request arrival and completion,
+// so the system is self-clocked; here an entry that finds the pump stalled
+// runs none (stalled), and the pacing timer runs the pass that admits the
+// head IO. A pass leaves the pacing timer in one of two states: re-keyed
+// to the refill time if it stalled on tokens, or cancelled if the queue
+// drained. The timer is moved (sim.Timer.Reschedule), not cancelled on
+// entry and armed again on exit, and it is armed where moving it is
+// cheapest (the clock's AtMovable: on the loop's indexed side heap, so the
+// pacer never touches the main event queue). What the clock observes is
+// the same.
 //
-// One thing to know about the deadline: every stalled pass re-keys it to
-// now + wait with wait at least 1 µs, so a pass inside the last microsecond
-// before the timer would have fired moves it to now + 1 µs — arrivals can
-// push a fire later, never earlier than the refill needs. Every golden
-// has that in it.
+// One thing to know about the deadline: it is coverAt — the refill that
+// reaches the head IO's bucket, spill-over included, over its shortfall,
+// rounded up — but at least 1 µs after the pass, so a head IO the refill
+// covers sooner is admitted by the first entry after coverAt, or by the
+// timer. Only a pass moves it. Every golden has that in it.
 func (sw *Switch) pump() {
 	if sw.pumping {
 		return // no re-entrant pumping from nested completions
 	}
 	sw.pumping = true
+	sw.stall.io = nil
 	now := sw.clk.Now()
 	for {
 		cost := sw.cost.Cost()
@@ -317,6 +354,7 @@ func (sw *Switch) pump() {
 			// Token-limited: set the timer for when the refill covers the
 			// deficit, instead of busy-polling.
 			sw.stats.PacingStalls++
+			sw.stall.io, sw.stall.coverAt = io, now+wait
 			if wait < sim.Microsecond {
 				wait = sim.Microsecond
 			}
@@ -335,10 +373,12 @@ func (sw *Switch) pump() {
 }
 
 // onDeviceDone is the egress path: update the latency monitor, derive the
-// congestion state, adjust the rate, refresh the tenant credit, and send
-// the completion (Algorithm 1 Completion).
+// congestion state, adjust the rate, refresh the tenant credit, send the
+// completion (Algorithm 1 Completion) and run the pump unless it is
+// stalled.
 func (sw *Switch) onDeviceDone(io *nvme.IO) {
 	sw.stats.Completions++
+	now := sw.clk.Now()
 	if rc := &sw.cfg.Recovery; rc.FailFastThreshold > 0 {
 		if io.Failed {
 			sw.consecErrs++
@@ -346,14 +386,14 @@ func (sw *Switch) onDeviceDone(io *nvme.IO) {
 				sw.failed = true
 				sw.probeLeft = rc.FailFastProbe
 				sw.stats.FailLatches++
-				sw.obs.event(sw.clk.Now(), "failfast-latch", true)
+				sw.obs.event(now, "failfast-latch", true)
 			}
 		} else {
 			sw.consecErrs = 0
 			if sw.failed {
 				sw.failed = false
 				sw.stats.FailRecoveries++
-				sw.obs.event(sw.clk.Now(), "failfast-latch", false)
+				sw.obs.event(now, "failfast-latch", false)
 			}
 		}
 	}
@@ -368,7 +408,9 @@ func (sw *Switch) onDeviceDone(io *nvme.IO) {
 		sw.monState[class] = state
 		sw.stats.Transitions[class][state]++
 	}
-	sw.rate.OnCompletion(sw.clk.Now(), io.Size, state)
+	if sw.rate.OnCompletion(now, io.Size, state) {
+		sw.stall.io = nil // the refill's pace or level moved: a pass may admit
+	}
 	credit := sw.drr.Complete(io)
 	if sw.degraded && sw.cfg.Recovery.DegradedCredit > 0 && credit > sw.cfg.Recovery.DegradedCredit {
 		// Graceful degradation: advertise a clamped credit so initiators
@@ -379,10 +421,12 @@ func (sw *Switch) onDeviceDone(io *nvme.IO) {
 	// Record the trace before handing the IO back: the owner may recycle
 	// it the moment Done returns.
 	if sw.obs != nil {
-		sw.obs.onComplete(io, sw.clk.Now())
+		sw.obs.onComplete(io, now)
 	}
 	io.Done(io, nvme.Completion{Status: nvme.CompletionStatus(io), Credit: credit})
-	sw.pump()
+	if !sw.stalled(now) {
+		sw.pump()
+	}
 }
 
 // costTick recalibrates the write cost once per period (§3.4): the cost
@@ -402,8 +446,10 @@ func (sw *Switch) costTick() {
 	if sw.costModel != nil {
 		// Poll the device stack's cost model before the zero-write early
 		// return: the tier's absorb fraction must refresh even through
-		// read-only periods.
+		// read-only periods. The mix may move the cost, which no stalled
+		// pass has seen.
 		sw.cost.SetTierMix(sw.costModel.WriteCostModel())
+		sw.stall.io = nil
 	}
 	if sw.writesInPeriod == 0 || !sw.wmon.Initialized() {
 		return

@@ -48,8 +48,11 @@ func benchSwitchSubmit(b *testing.B, attach bool) {
 // benchSwitchPaced prices the token-stall path. A closed loop of 8 IOs
 // stands in front of a rate limit far below what the NULL device
 // completes, and the bucket's opening burst is drained before the clock
-// starts, so every enqueue and every completion ends in a stalled pump
-// pass that moves the pacing timer. One iteration is one IO.
+// starts. The rate sits at MaxRate, so no completion moves it and every
+// enqueue and completion finds the pump stalled and runs no pass: each IO
+// is admitted by a pacing fire, whose pass then stalls on the next one.
+// One iteration is one IO; stalls/IO and fires/IO count the passes that
+// stopped for want of tokens and the timer's fires.
 func benchSwitchPaced(b *testing.B) {
 	loop := sim.NewLoop()
 	// Non-zero latency: completions must arrive as loop events, outside
@@ -58,6 +61,11 @@ func benchSwitchPaced(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Rate.InitialRate, cfg.Rate.MaxRate = 40e6, 40e6 // one 4KB IO per ~100us
 	sw := New(loop, dev, cfg)
+	fires := 0
+	sw.pumpFn = func() {
+		fires++
+		sw.pump()
+	}
 	tn := nvme.NewTenant(1, "bench")
 	sw.Register(tn)
 
@@ -85,6 +93,7 @@ func benchSwitchPaced(b *testing.B) {
 		loop.Run()
 	}
 	run(2 * int(cfg.Rate.BucketMax) / 4096) // spend the opening burst
+	stalls0, fires0 := sw.stats.PacingStalls, fires
 	b.ReportAllocs()
 	b.ResetTimer()
 	run(b.N)
@@ -92,13 +101,15 @@ func benchSwitchPaced(b *testing.B) {
 	if done != b.N {
 		b.Fatalf("completed %d of %d", done, b.N)
 	}
+	b.ReportMetric(float64(sw.stats.PacingStalls-stalls0)/float64(b.N), "stalls/IO")
+	b.ReportMetric(float64(fires-fires0)/float64(b.N), "fires/IO")
 }
 
 // BenchmarkSwitchSubmit is the acceptance benchmark for the telemetry
 // layer: the NoSink variant (obs pointer nil) must stay within noise of
 // the pre-instrumentation submit path, and Attached bounds the cost of
 // full counter/histogram/trace recording. Paced is the same path when
-// every pump pass stalls on tokens.
+// the rate pacer admits every IO.
 func BenchmarkSwitchSubmit(b *testing.B) {
 	b.Run("NoSink", func(b *testing.B) { benchSwitchSubmit(b, false) })
 	b.Run("Attached", func(b *testing.B) { benchSwitchSubmit(b, true) })
