@@ -270,6 +270,62 @@ func benchTimerCycle(b *testing.B, movable bool) {
 	}
 }
 
+// BenchmarkLoopLaneBacklog is the queue shape of a NAND device under
+// sustained GC: 1,024 program completions parked far out on 32 per-die
+// lanes, each one that fires scheduling the next behind its lane's last,
+// while 50 near-term one-shots (host completions, wake-ups) cycle through
+// them. Each iteration is one event fired. The Lane sub-benchmark schedules
+// the completions on FIFO lanes (only 32 of them on the heap), the At
+// sub-benchmark the same events on the main heap (all 1,024).
+func BenchmarkLoopLaneBacklog(b *testing.B) {
+	b.Run("Lane", func(b *testing.B) { benchLaneBacklog(b, true) })
+	b.Run("At", func(b *testing.B) { benchLaneBacklog(b, false) })
+}
+
+func benchLaneBacklog(b *testing.B, laned bool) {
+	const lanes, perLane, shots = 32, 32, 50
+	const gap = 10_000 // ns between a lane's completions: 320 µs of backlog each
+	loop := sim.NewLoop()
+	remaining := b.N
+	sched := make([]func(int64, func()), lanes)
+	last := make([]int64, lanes)
+	fire := make([]func(), lanes)
+	for i := range sched {
+		i := i
+		if laned {
+			sched[i] = loop.NewLane()
+		} else {
+			sched[i] = func(t int64, fn func()) { loop.At(t, fn) }
+		}
+		fire[i] = func() {
+			if remaining > 0 {
+				remaining--
+				last[i] += gap
+				sched[i](last[i], fire[i])
+			}
+		}
+		for k := 0; k < perLane; k++ {
+			last[i] = int64(1+k)*gap + int64(i)*gap/lanes
+			sched[i](last[i], fire[i])
+		}
+	}
+	ticks := make([]func(), shots)
+	for i := range ticks {
+		period := int64(100 + 13*(i%37))
+		i := i
+		ticks[i] = func() {
+			if remaining > 0 {
+				remaining--
+				loop.After(period, ticks[i])
+			}
+		}
+		loop.After(int64(1+i), ticks[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	loop.Run()
+}
+
 // TestLoopSchedulingAllocFree pins the event engine's zero-allocation
 // contract: once the arena is warm, the schedule→fire→reschedule cycle of
 // a self-rescheduling timer, the schedule→cancel cycle of a churny one and

@@ -54,6 +54,22 @@ func AtMovableFunc(s Scheduler) func(t int64, fn func()) Timer {
 	return s.At
 }
 
+// LaneFunc returns the scheduling function of a new FIFO lane on s, for an
+// owner whose event times never decrease (a NAND die's program pipeline):
+// the scheduler's NewLane where it has one (Loop and RealScheduler keep
+// only a lane's earliest event on the heap every pop sifts through), a call
+// to s.At otherwise. What the clock observes is At either way, and no Timer
+// is returned. An owner resolves one lane per monotone stream when it is
+// built.
+func LaneFunc(s Scheduler) func(t int64, fn func()) {
+	if m, ok := s.(interface {
+		NewLane() func(t int64, fn func())
+	}); ok {
+		return m.NewLane()
+	}
+	return func(t int64, fn func()) { s.At(t, fn) }
+}
+
 // Common durations in nanoseconds, for readability at call sites.
 const (
 	Microsecond int64 = 1e3

@@ -18,7 +18,10 @@ type Event struct {
 	// side is 1 + the event's position in Loop.side for an event queued on
 	// the side heap (born there by AtMovable, or moved there by its first
 	// Timer.Reschedule), 0 for an event queued on the main heap.
-	side   int32
+	side int32
+	// lane is 1 + the index of the FIFO lane the event was scheduled on
+	// (NewLane), 0 for an event scheduled any other way.
+	lane   int32
 	daemon bool
 }
 
@@ -195,6 +198,13 @@ func entLess(a, b heapEnt) bool {
 // per cycle). A main-heap event that is rescheduled after all still moves
 // across on its first Reschedule: that path stays for schedulers reached
 // through a wrapper that only knows At (see the package-level AtMovable).
+//
+// An owner whose event times never decrease (a NAND die's program
+// pipeline) schedules through a FIFO lane (NewLane): only the lane's
+// earliest pending event is on the main heap, the rest wait in the lane's
+// backlog, and each one that fires puts the next on the heap with the key
+// that one was given when it was scheduled. The firing order is the one At
+// would give; the heap every pop sifts through is smaller by the backlogs.
 type Loop struct {
 	now   int64
 	seq   uint64
@@ -202,6 +212,9 @@ type Loop struct {
 	heap  []heapEnt // 4-ary min-heap keyed by (when, arena seq)
 	side  []heapEnt // indexed binary min-heap of re-keyed timers, same key
 	free  []int32   // LIFO free list of arena slots
+	lanes []lane
+	// backlog counts lane events waiting off the main heap, in all lanes.
+	backlog int
 	// foreground counts pending non-daemon events; Run stops when it
 	// reaches zero even if daemon timers remain queued.
 	foreground int
@@ -342,7 +355,7 @@ func (l *Loop) allocSlot() int32 {
 // free their slot, and immediately re-arm into it.
 func (l *Loop) freeSlot(idx int32) {
 	e := &l.arena[idx]
-	e.fn = nil
+	e.fn, e.lane = nil, 0
 	e.gen++
 	l.free = append(l.free, idx)
 }
@@ -350,9 +363,11 @@ func (l *Loop) freeSlot(idx int32) {
 // maybeCompact rebuilds the heap without its cancelled entries once they
 // outnumber the live ones (and are numerous enough to matter), so churny
 // timers — e.g. per-IO deadlines cancelled when the completion arrives
-// first — cannot bloat the queue behind long-lived daemon events.
+// first — cannot bloat the queue behind long-lived daemon events. Lane
+// backlogs count as queued, so compaction runs when it would with every
+// lane event on the heap.
 func (l *Loop) maybeCompact() {
-	if l.lazyCancelled < 64 || l.lazyCancelled*2 <= len(l.heap) {
+	if l.lazyCancelled < 64 || l.lazyCancelled*2 <= len(l.heap)+l.backlog {
 		return
 	}
 	keep := l.heap[:0]
@@ -370,7 +385,7 @@ func (l *Loop) maybeCompact() {
 	}
 }
 
-// newEvent is what At and AtMovable share — everything the clock can
+// newEvent is what At, AtMovable and a lane share — everything the clock can
 // observe of a new foreground event: the clamp to Now, the FIFO sequence
 // number, the arena slot and the liveness counts. The caller queues the
 // entry it returns.
@@ -408,6 +423,93 @@ func (l *Loop) AtMovable(t int64, fn func()) Timer {
 	return h
 }
 
+// lane is one FIFO lane: its earliest pending event is on the main heap
+// (armed), and the later ones wait in q[head:] with the heap entries they
+// were given when scheduled.
+type lane struct {
+	q     []heapEnt
+	head  int
+	last  int64 // the latest time scheduled on the lane
+	armed bool
+}
+
+// next takes the lane's earliest backlog entry. The backlog is consumed
+// from head and slid back to the front of q once head reaches the middle,
+// so a lane that never drains keeps one backing array of a few times its
+// deepest backlog.
+func (ln *lane) next() heapEnt {
+	ent := ln.q[ln.head]
+	ln.head++
+	if ln.head*2 >= len(ln.q) {
+		ln.q = ln.q[:copy(ln.q, ln.q[ln.head:])]
+		ln.head = 0
+	}
+	return ent
+}
+
+// NewLane returns the scheduling function of a new FIFO lane: At for an
+// owner whose event times never decrease, with everything the clock
+// observes unchanged — the clamp to Now, one sequence number at call time,
+// the foreground/live accounting and the nil-callback panic — and the
+// firing order exactly the one At would give. It returns no Timer, so a
+// lane event cannot be cancelled, moved or marked daemon. A call whose time,
+// clamped to Now, is earlier than the lane's previous one panics.
+func (l *Loop) NewLane() func(t int64, fn func()) {
+	i := int32(len(l.lanes))
+	l.lanes = append(l.lanes, lane{})
+	return func(t int64, fn func()) { l.laneAt(i, t, fn) }
+}
+
+// laneAt schedules fn at t on lane i: on the main heap if the lane has no
+// event there, in its backlog otherwise.
+func (l *Loop) laneAt(i int32, t int64, fn func()) {
+	ln := &l.lanes[i]
+	if max(t, l.now) < ln.last {
+		panic(fmt.Sprintf("sim: lane event at %d before the lane's previous one at %d", t, ln.last))
+	}
+	ent, _ := l.newEvent(t, fn)
+	l.arena[ent.idx].lane = i + 1
+	ln.last = ent.when
+	if !ln.armed {
+		ln.armed = true
+		l.push(ent)
+		return
+	}
+	ln.q = append(ln.q, ent)
+	l.backlog++
+}
+
+// laneFired moves lane i's next event, keyed as it was when scheduled, onto
+// the main heap once the lane's earliest has fired.
+func (l *Loop) laneFired(i int32) {
+	ln := &l.lanes[i]
+	if ln.head == len(ln.q) {
+		ln.armed = false
+		return
+	}
+	l.push(ln.next())
+	l.backlog--
+}
+
+// cancelAll cancels every pending event (RealShards.Stop). The lane
+// backlogs are emptied first, since no Timer names their events; each
+// lane's earliest event is then cancelled on the main heap with the rest.
+func (l *Loop) cancelAll() {
+	for i := range l.lanes {
+		ln := &l.lanes[i]
+		for _, ent := range ln.q[ln.head:] {
+			l.foreground--
+			l.live--
+			l.freeSlot(ent.idx)
+		}
+		ln.q, ln.head, ln.armed = ln.q[:0], 0, false
+	}
+	l.backlog = 0
+	for i := range l.arena {
+		Timer{l: l, idx: int32(i), gen: l.arena[i].gen}.Cancel()
+	}
+}
+
 // After implements Scheduler.
 func (l *Loop) After(d int64, fn func()) Timer {
 	if d < 0 {
@@ -426,9 +528,9 @@ func (l *Loop) Pending() int { return l.live }
 // count that keeps Run alive.
 func (l *Loop) Live() int { return l.foreground }
 
-// Queued returns the raw event-queue length, including cancelled entries
-// that have not yet been compacted away or popped.
-func (l *Loop) Queued() int { return len(l.heap) + len(l.side) }
+// Queued returns the raw event-queue length, lane backlogs included, and
+// cancelled entries that have not yet been compacted away or popped.
+func (l *Loop) Queued() int { return len(l.heap) + len(l.side) + l.backlog }
 
 // dropCancelledRoots pops cancelled entries off the root of the main heap
 // and recycles their slots.
@@ -477,6 +579,9 @@ func (l *Loop) step(horizon int64) bool {
 	}
 	l.now = top.when
 	e := &l.arena[top.idx]
+	if e.lane != 0 {
+		l.laneFired(e.lane - 1)
+	}
 	fn := e.fn
 	if !e.daemon {
 		l.foreground--

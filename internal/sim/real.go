@@ -120,9 +120,7 @@ func (s *RealShards) Stop() {
 		if sh.bell != nil {
 			sh.bell.Stop()
 		}
-		for i := range sh.q.arena {
-			Timer{l: &sh.q, idx: int32(i), gen: sh.q.arena[i].gen}.Cancel()
-		}
+		sh.q.cancelAll()
 		sh.mu.Unlock()
 	}
 }
@@ -217,6 +215,18 @@ func (s *RealScheduler) AtMovable(t int64, fn func()) Timer {
 		return Timer{}
 	}
 	return s.q.AtMovable(t, fn)
+}
+
+// NewLane returns the scheduling function of a new FIFO lane on the shard's
+// queue (see Loop.NewLane). Building the lane and calling the function are
+// shard-context calls; a call on a stopped shard is dropped.
+func (s *RealScheduler) NewLane() func(t int64, fn func()) {
+	lane := s.q.NewLane()
+	return func(t int64, fn func()) {
+		if !s.stopped {
+			lane(t, fn)
+		}
+	}
 }
 
 // After implements Scheduler; a shard-context call.

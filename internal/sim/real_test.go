@@ -310,6 +310,61 @@ func TestRealFIFOAmongEqualTimes(t *testing.T) {
 	}
 }
 
+// TestRealLaneFIFOAmongEqualTimes: lanes on a shard keep the same contract —
+// lane events and one-shots for one instant run in scheduling order — and a
+// stopped shard fires none of its lanes' events, backlog or head, and drops
+// lane calls made after Stop.
+func TestRealLaneFIFOAmongEqualTimes(t *testing.T) {
+	shards := NewRealShards(1)
+	s := shards.Shard(0)
+	const n = 96
+	var order []int // under the shard lock
+	done := make(chan struct{})
+	s.Lock()
+	lanes := []func(int64, func()){LaneFunc(s), LaneFunc(s)}
+	at := s.Now() + int64(2*time.Millisecond)
+	for i := 0; i < n; i++ {
+		fn := func() {
+			order = append(order, i)
+			if len(order) == n {
+				close(done)
+			}
+		}
+		if i%3 == 2 {
+			s.At(at, fn)
+		} else {
+			lanes[i%3](at, fn)
+		}
+	}
+	s.Unlock()
+	await(t, done, "the last callback")
+	s.Lock()
+	for k, i := range order {
+		if i != k {
+			t.Fatalf("callback %d ran in position %d (order %v)", i, k, order)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		lanes[i%2](s.Now()+int64(100*time.Millisecond), func() { t.Error("lane event fired on a stopped shard") })
+	}
+	rings := s.rings
+	s.Unlock()
+	shards.Stop()
+	s.Lock()
+	lanes[0](0, func() { t.Error("lane event scheduled after Stop fired") })
+	if s.Pending() != 0 || s.q.Queued() > 2 {
+		t.Errorf("after Stop: %d pending, %d queued, want 0 and at most the two lane heads' tombstones",
+			s.Pending(), s.q.Queued())
+	}
+	s.Unlock()
+	time.Sleep(150 * time.Millisecond)
+	s.Lock()
+	if s.Pending() != 0 || s.rings != rings {
+		t.Errorf("stopped shard: %d pending, %d rings after Stop, want 0 and 0", s.Pending(), s.rings-rings)
+	}
+	s.Unlock()
+}
+
 // TestRealNothingFiresBeforeFirstEntry: set-up schedules with no lock held,
 // and what it schedules — however overdue — waits for the first Lock.
 func TestRealNothingFiresBeforeFirstEntry(t *testing.T) {

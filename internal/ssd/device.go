@@ -176,6 +176,9 @@ type SSD struct {
 	// dieBusy timeline are charged only ProgramReadSlice per program
 	// (program-suspend).
 	progBusy []int64
+	// progLane schedules each die's program completions (sim.LaneFunc):
+	// they come from reserve on progBusy, so their times only increase.
+	progLane []func(t int64, fn func())
 
 	// lastRow caches the NAND row most recently read into each die's page
 	// register: a consecutive read of the same row skips the array read
@@ -240,6 +243,10 @@ func New(sched sim.Scheduler, p Params) *SSD {
 		gcSliceUntil: make([]int64, p.Dies()),
 		progBusy:     make([]int64, p.Dies()),
 		lastRow:      newRowCache(p.Dies()),
+	}
+	s.progLane = make([]func(int64, func()), p.Dies())
+	for i := range s.progLane {
+		s.progLane[i] = sim.LaneFunc(sched)
 	}
 	s.buf.init(bufTableMinSize)
 	s.lingerFn = func() { s.pumpFlush(true) }
@@ -624,7 +631,7 @@ func (s *SSD) programBatch(batch []uint32) bool {
 	if progEnd > s.lastFlushEnd {
 		s.lastFlushEnd = progEnd
 	}
-	s.sched.At(progEnd, op.fn)
+	s.progLane[die](progEnd, op.fn)
 	return true
 }
 

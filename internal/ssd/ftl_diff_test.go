@@ -249,6 +249,43 @@ func TestDeviceHotPathAllocFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(300, writeCycle); avg != 0 {
 		t.Errorf("write/flush path allocates %.2f allocs/op, want 0", avg)
 	}
+
+	// Saturated: 32 random 4 KiB writes always outstanding on the
+	// fragmented device fill the write buffer, so host writes wait for
+	// buffer space and program batches queue behind GC fences — each die's
+	// program lane holds a backlog. Each resubmits from its completion.
+	const qd = 32
+	saturated := true
+	writes := make([]Request, qd)
+	for i := range writes {
+		w := &writes[i]
+		*w = Request{Kind: OpWrite, Size: 4096}
+		w.Done = func(r *Request) {
+			if saturated {
+				r.Offset = rng.Int63n(pages) * 4096
+				dev.Submit(r)
+			}
+		}
+		w.Done(w)
+	}
+	const slice = 2 * sim.Millisecond
+	loop.RunUntil(loop.Now() + 200*slice) // warm the lanes' and queues' backing arrays
+	// A full buffer is this many program batches in flight.
+	batches := int(p.WriteBufBytes / int64(p.ProgramPages*p.PageSize))
+	if q, bs := loop.Queued(), dev.Stats().BufOccupancy; q < batches/2 || bs < p.WriteBufBytes/2 {
+		t.Fatalf("%d events queued and %d bytes buffered under saturation, want the buffer full and its %d program batches in flight",
+			q, bs, batches)
+	}
+	t.Logf("saturated: %d events queued, %d of %d buffer bytes held", loop.Queued(), dev.Stats().BufOccupancy, p.WriteBufBytes)
+	before := dev.Stats().WriteOps
+	if avg := testing.AllocsPerRun(50, func() { loop.RunUntil(loop.Now() + slice) }); avg != 0 {
+		t.Errorf("saturated write path allocates %.2f allocs per %d ns of simulated time, want 0", avg, slice)
+	}
+	if n := dev.Stats().WriteOps - before; n < 51 {
+		t.Fatalf("%d writes admitted in the measured slices, want the path exercised", n)
+	}
+	saturated = false
+	loop.Run()
 	if err := dev.FTLCheck(); err != nil {
 		t.Fatal(err)
 	}
