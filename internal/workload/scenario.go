@@ -191,7 +191,7 @@ func (s *Scenario) arrive() {
 	io.Size = s.cfg.IOSize
 	io.Priority = nvme.PriorityNormal
 	io.Tenant = t
-	io.Arrival = now
+	io.Issued = now
 	io.Done = s.onDoneFn
 	s.inflight++
 	s.sched.Enqueue(io)
@@ -221,7 +221,7 @@ func (s *Scenario) onDone(io *nvme.IO, cpl nvme.Completion) {
 	s.inflight--
 	slot := s.idSlot[io.Tenant.ID]
 	if cpl.Status == nvme.StatusOK {
-		lat := s.loop.Now() - io.Arrival
+		lat := s.loop.Now() - io.Issued
 		s.Lat.Record(lat)
 		s.latSum[slot] += lat
 		s.latCnt[slot]++

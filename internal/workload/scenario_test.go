@@ -185,3 +185,30 @@ func TestScenarioShedsWhenSaturated(t *testing.T) {
 		t.Fatalf("inflight %d after drain", s.Inflight())
 	}
 }
+
+// lateSched is a transport in front of a fakeSched: each IO reaches the
+// scheduler hop later, and the scheduler stamps its own Arrival there.
+type lateSched struct {
+	*fakeSched
+	hop int64
+}
+
+func (l lateSched) Enqueue(io *nvme.IO) {
+	l.loop.After(l.hop, func() {
+		io.Arrival = l.loop.Now()
+		l.fakeSched.Enqueue(io)
+	})
+}
+
+// TestScenarioTimesFromIssue: a Scenario times its IOs from its own Issued
+// stamp, as the Worker does, so the hop in front of the scheduler counts.
+func TestScenarioTimesFromIssue(t *testing.T) {
+	loop := sim.NewLoop()
+	cfg := ScenarioConfig{Tenants: 8, Theta: 0.99, RateIOPS: 10_000, IOSize: 4096, ReadRatio: 1, Span: 1 << 30}
+	sc := NewScenario(loop, sim.NewRNG(1), cfg, lateSched{newFakeSched(loop, 100_000), 5_000})
+	sc.Start(10 * sim.Millisecond)
+	loop.Run()
+	if sc.Completed == 0 || sc.Lat.Min() != 105_000 || sc.Lat.Max() != 105_000 {
+		t.Fatalf("%d IOs, latency %d..%d ns, want 105000 (hop + service)", sc.Completed, sc.Lat.Min(), sc.Lat.Max())
+	}
+}

@@ -198,7 +198,7 @@ func (w *Worker) trySubmit() {
 	io.Size = w.p.IOSize
 	io.Priority = w.p.Priority
 	io.Tenant = w.tenant
-	io.Arrival = now
+	io.Issued = now
 	io.Done = w.onDoneFn
 	w.inflight++
 	w.target.Submit(io)
@@ -209,7 +209,7 @@ func (w *Worker) onDone(io *nvme.IO, cpl nvme.Completion) {
 	if cpl.Status == nvme.StatusOK {
 		// Only successful completions count toward goodput and latency;
 		// timeouts and aborts would otherwise inflate both.
-		lat := w.loop.Now() - io.Arrival
+		lat := w.loop.Now() - io.Issued
 		if io.Op.IsWrite() {
 			w.WriteLat.Record(lat)
 		} else {
