@@ -410,41 +410,44 @@ func TestSwitchSubmitAllocFree(t *testing.T) {
 }
 
 // TestSwitchTracedSubmitAllocFree extends the zero-allocation contract to
-// the fully observed deployment shape: registry histograms, the sampled
-// span tracer, exemplar capture, and the SLO event log all attached. The
-// trace travels by value into the preallocated ring and the exemplar slot
-// is a mutex-guarded value, so even the IOs that ARE sampled must not
-// allocate. CI runs this as the alloc-regression gate for the tracer.
+// the fully observed deployment shape of every scheme: a session over a
+// NULL device behind the inert fault wrapper, the registry's histograms,
+// the full span tracer (every IO captured at the pipeline's egress, and
+// for Gimbal linked from the device-latency exemplar), the SLO tracker and
+// the event log all attached. The trace travels by value into the
+// preallocated ring and the exemplar slot is a mutex-guarded value, so even
+// a captured IO must not allocate. CI runs this as the alloc-regression
+// gate for the tracer.
 func TestSwitchTracedSubmitAllocFree(t *testing.T) {
-	loop := sim.NewLoop()
-	dev := fault.Wrap(loop, ssd.NewNull(loop, 8<<30, 100))
-	s := core.New(loop, dev, core.DefaultConfig())
-	hub := obs.NewHub(obs.NewRegistry())
-	hub.Tracer = obs.NewTracer(obs.TracerConfig{
-		Capacity: 1024, Mode: obs.TraceSampled, SlowNs: 1_000_000, SampleEvery: 4,
-	})
-	hub.Events = obs.NewEventLog(64)
-	s.AttachObs(hub, 0)
-	tenant := nvme.NewTenant(0, "t0")
-	s.Register(tenant)
-	io := &nvme.IO{}
-	done := func(*nvme.IO, nvme.Completion) {}
-	for i := 0; i < 64; i++ {
-		*io = nvme.IO{Op: nvme.OpRead, Offset: int64(i) * 4096, Size: 4096,
-			Priority: nvme.PriorityNormal, Tenant: tenant, Done: done}
-		s.Enqueue(io)
-		loop.Run()
-	}
-	if avg := testing.AllocsPerRun(100, func() {
-		*io = nvme.IO{Op: nvme.OpRead, Offset: 4096, Size: 4096,
-			Priority: nvme.PriorityNormal, Tenant: tenant, Done: done}
-		s.Enqueue(io)
-		loop.Run()
-	}); avg > 0 {
-		t.Errorf("traced switch submit path allocates %.1f objects per IO, want 0", avg)
-	}
-	if hub.Tracer.Captured() == 0 {
-		t.Error("sampled tracer captured nothing; the contract above tested the wrong path")
+	for _, scheme := range []fabric.Scheme{fabric.SchemeGimbal, fabric.SchemeVanilla,
+		fabric.SchemeReflex, fabric.SchemeFlashFQ, fabric.SchemeParda} {
+		loop := sim.NewLoop()
+		dev := fault.Wrap(loop, ssd.NewNull(loop, 8<<30, 100))
+		tgt := fabric.NewTarget(loop, []ssd.Device{dev}, fabric.DefaultTargetConfig(scheme))
+		hub := obs.NewHub(obs.NewRegistry())
+		hub.Tracer = obs.NewTracer(obs.TracerConfig{Capacity: 1024, Mode: obs.TraceFull})
+		hub.Events = obs.NewEventLog(64)
+		hub.SLO = obs.NewSLOEngine(obs.SLO{LatencyTargetNs: sim.Millisecond, LatencyGoal: 0.99})
+		tgt.AttachObs(hub)
+		tenant := nvme.NewTenant(0, "t0")
+		sess := tgt.Connect(tenant, 0)
+		io := &nvme.IO{}
+		done := func(*nvme.IO, nvme.Completion) {}
+		submit := func(off int64) {
+			*io = nvme.IO{Op: nvme.OpRead, Offset: off, Size: 4096,
+				Priority: nvme.PriorityNormal, Done: done}
+			sess.Submit(io)
+			loop.Run()
+		}
+		for i := 0; i < 64; i++ {
+			submit(int64(i) * 4096)
+		}
+		if avg := testing.AllocsPerRun(100, func() { submit(4096) }); avg > 0 {
+			t.Errorf("%v: traced submit path allocates %.1f objects per IO, want 0", scheme, avg)
+		}
+		if got := hub.Tracer.Captured(); got < 64+100 {
+			t.Errorf("%v: full tracer captured %d IOs, want every one; the contract above tested the wrong path", scheme, got)
+		}
 	}
 }
 

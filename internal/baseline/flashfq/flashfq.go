@@ -35,11 +35,16 @@ func DefaultConfig() Config {
 }
 
 type tenant struct {
-	queue      []*nvme.IO
+	queue      nvme.FIFO[tagged]
 	lastFinish float64
 }
 
-type tags struct{ start, finish float64 }
+// tagged is a queued request with its SFQ start tag (its finish tag lives
+// on only as the tenant's lastFinish).
+type tagged struct {
+	io    *nvme.IO
+	start float64
+}
 
 // Scheduler implements nvme.Scheduler.
 type Scheduler struct {
@@ -87,8 +92,10 @@ func (s *Scheduler) Unregister(t *nvme.Tenant) []*nvme.IO {
 	if !ok {
 		return nil
 	}
-	orphans := ts.queue
-	ts.queue = nil
+	var orphans []*nvme.IO
+	for ts.queue.Len() > 0 {
+		orphans = append(orphans, ts.queue.Pop().io)
+	}
 	delete(s.tenants, t)
 	for i, x := range s.order {
 		if x == ts {
@@ -127,8 +134,7 @@ func (s *Scheduler) Enqueue(io *nvme.IO) {
 	}
 	finish := start + s.cost(io)/weight
 	ts.lastFinish = finish
-	io.Sched = tags{start: start, finish: finish}
-	ts.queue = append(ts.queue, io)
+	ts.queue.Push(tagged{io, start})
 	s.dispatch()
 }
 
@@ -137,22 +143,23 @@ func (s *Scheduler) dispatch() {
 	for s.outstanding < s.cfg.Depth {
 		var best *tenant
 		for _, ts := range s.order {
-			if len(ts.queue) == 0 {
+			if ts.queue.Len() == 0 {
 				continue
 			}
 			if best == nil ||
-				ts.queue[0].Sched.(tags).start < best.queue[0].Sched.(tags).start {
+				ts.queue.Front().start < best.queue.Front().start {
 				best = ts
 			}
 		}
 		if best == nil {
 			return
 		}
-		io := best.queue[0]
-		best.queue = best.queue[1:]
-		s.vtime = io.Sched.(tags).start
+		next := best.queue.Pop()
+		io := next.io
+		s.vtime = next.start
 		s.outstanding++
 		s.Submits++
+		io.Admit = s.clk.Now() // admitted on dispatch: every wait is queue
 		s.sub.Submit(io, s.onDoneFn)
 	}
 }

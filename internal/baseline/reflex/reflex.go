@@ -14,8 +14,6 @@
 package reflex
 
 import (
-	"container/list"
-
 	"gimbal/internal/nvme"
 	"gimbal/internal/sim"
 	"gimbal/internal/ssd"
@@ -41,9 +39,11 @@ func DefaultConfig() Config {
 }
 
 type tenant struct {
-	queue   []*nvme.IO
+	queue   nvme.FIFO[*nvme.IO]
 	deficit float64
-	elem    *list.Element
+	// listed: on the active round-robin; gone: unregistered, and dropped
+	// when the round reaches it.
+	listed, gone bool
 }
 
 // Scheduler implements nvme.Scheduler.
@@ -53,7 +53,7 @@ type Scheduler struct {
 	sub *nvme.Submitter
 
 	tenants  map[*nvme.Tenant]*tenant
-	active   *list.List
+	active   nvme.FIFO[*tenant] // DRR round order, front first
 	tokens   float64
 	last     int64
 	timer    sim.Timer
@@ -73,7 +73,6 @@ func New(clk sim.Scheduler, dev ssd.Device, cfg Config) *Scheduler {
 		clk:     clk,
 		sub:     nvme.NewSubmitter(clk, dev),
 		tenants: make(map[*nvme.Tenant]*tenant),
-		active:  list.New(),
 		tokens:  cfg.Burst,
 		last:    clk.Now(),
 		quantum: 32, // one 128KB request per round
@@ -99,12 +98,11 @@ func (s *Scheduler) Unregister(t *nvme.Tenant) []*nvme.IO {
 	if !ok {
 		return nil
 	}
-	orphans := ts.queue
-	ts.queue = nil
-	if ts.elem != nil {
-		s.active.Remove(ts.elem)
-		ts.elem = nil
+	var orphans []*nvme.IO
+	for ts.queue.Len() > 0 {
+		orphans = append(orphans, ts.queue.Pop())
 	}
+	ts.gone = true
 	delete(s.tenants, t)
 	return orphans
 }
@@ -134,9 +132,10 @@ func (s *Scheduler) Enqueue(io *nvme.IO) {
 		io.Done(io, nvme.Completion{Status: nvme.StatusAborted})
 		return
 	}
-	ts.queue = append(ts.queue, io)
-	if ts.elem == nil {
-		ts.elem = s.active.PushBack(ts)
+	ts.queue.Push(io)
+	if !ts.listed {
+		ts.listed = true
+		s.active.Push(ts)
 	}
 	s.pump()
 }
@@ -155,14 +154,18 @@ func (s *Scheduler) refill() {
 func (s *Scheduler) pump() {
 	s.refill()
 	for s.active.Len() > 0 {
-		ts := s.active.Front().Value.(*tenant)
-		if len(ts.queue) == 0 {
-			s.active.Remove(ts.elem)
-			ts.elem = nil
+		ts := s.active.Front()
+		if ts.gone {
+			s.active.Pop()
+			continue
+		}
+		if ts.queue.Len() == 0 {
+			s.active.Pop()
+			ts.listed = false
 			ts.deficit = 0
 			continue
 		}
-		io := ts.queue[0]
+		io := ts.queue.Front()
 		c := s.cost(io)
 		if c > s.cfg.Burst {
 			// A request costlier than the bucket capacity could never be
@@ -171,7 +174,7 @@ func (s *Scheduler) pump() {
 		}
 		if ts.deficit < c {
 			ts.deficit += s.quantum
-			s.active.MoveToBack(ts.elem)
+			s.active.Push(s.active.Pop())
 			continue
 		}
 		if s.tokens < c {
@@ -191,8 +194,10 @@ func (s *Scheduler) pump() {
 		}
 		s.tokens -= c
 		ts.deficit -= c
-		ts.queue = ts.queue[1:]
+		ts.queue.Pop()
 		s.Submits++
+		// Admitted on dispatch: every wait, tokens included, is queue.
+		io.Admit = s.clk.Now()
 		s.sub.Submit(io, s.onDoneFn)
 	}
 	s.timer.Cancel()

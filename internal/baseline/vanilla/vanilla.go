@@ -46,7 +46,10 @@ func (s *Scheduler) Enqueue(io *nvme.IO) {
 		io.Done(io, nvme.Completion{Status: st})
 		return
 	}
-	io.Arrival = s.sub.Sched.Now()
+	// Pass-through admits on arrival: the IO's queue and pacing phases
+	// are zero.
+	now := s.sub.Sched.Now()
+	io.Arrival, io.Admit = now, now
 	s.Submits++
 	s.sub.Submit(io, s.doneFn)
 }

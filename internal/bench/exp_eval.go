@@ -298,7 +298,8 @@ func runFig17(cx *Ctx) []*Result {
 				// Device-observed service time (what Fig 17 plots): in a
 				// closed loop the end-to-end latency is fixed by Little's
 				// law, while the device latency shows whether the CC keeps
-				// the internal queue shallow.
+				// the internal queue shallow. The sessions carry no retry
+				// policy, so io is the IO the Submitter stamped.
 				sum += io.DeviceLatency()
 				n++
 				bytes += int64(io.Size)

@@ -11,17 +11,16 @@ import (
 )
 
 // TestSwitchObservability drives contending tenants through an observed
-// switch and checks that the registry and trace ring see the lifecycle:
-// submits/completions counted, device latency sampled, and per-IO traces
-// with distinct queue / pacing / device spans.
+// switch and checks that the registry sees the lifecycle: submits and
+// completions counted, and distinct queue / pacing / device spans in the
+// span histograms. (Per-IO traces are the pipeline's; TestPhaseLaw in
+// internal/bench checks them.)
 func TestSwitchObservability(t *testing.T) {
 	loop, _, sw := rig(t, ssd.Clean)
 	reg := obs.NewRegistry()
 	hub := obs.NewHub(reg)
-	hub.Tracer = obs.NewTracer(obs.TracerConfig{Capacity: 4096, Mode: obs.TraceFull})
 	hub.Events = obs.NewEventLog(64)
 	sw.AttachObs(hub, 0)
-	ring := hub.Ring()
 
 	runWorkers(loop, sw, []workload.Profile{
 		{Name: "r", ReadRatio: 1, IOSize: 4096, QD: 16},
@@ -75,32 +74,10 @@ func TestSwitchObservability(t *testing.T) {
 		t.Fatal("expected pacing stalls under write contention")
 	}
 
-	if ring.Total() == 0 {
-		t.Fatal("no traces recorded")
-	}
-	var sawQueue, sawPacing, sawDevice bool
-	for _, tr := range ring.Snapshot() {
-		// DeviceLatency is net of GC-attributed stall, so a fully
-		// GC-absorbed write span may legitimately collapse to zero.
-		if tr.QueueDelay() < 0 || tr.PacingStall() < 0 || tr.DeviceLatency() < 0 || tr.GCStall() < 0 || tr.VslotWait() < 0 {
-			t.Fatalf("invalid spans in %+v", tr)
+	for _, span := range []string{"gimbal_queue_delay_ns", "gimbal_pacing_stall_ns", "gimbal_device_latency_ns"} {
+		if obs.SumMetric(snap, span+"_sum") <= 0 {
+			t.Fatalf("%s recorded no time", span)
 		}
-		if tr.Arrival > tr.Admit || tr.Admit > tr.Submit || tr.Submit > tr.DevDone || tr.DevDone > tr.Done {
-			t.Fatalf("timestamps out of order: %+v", tr)
-		}
-		if tr.QueueDelay() > 0 {
-			sawQueue = true
-		}
-		if tr.PacingStall() > 0 {
-			sawPacing = true
-		}
-		if tr.DeviceLatency() > 0 {
-			sawDevice = true
-		}
-	}
-	if !sawQueue || !sawPacing || !sawDevice {
-		t.Fatalf("missing distinct spans: queue=%v pacing=%v device=%v",
-			sawQueue, sawPacing, sawDevice)
 	}
 
 	var b strings.Builder

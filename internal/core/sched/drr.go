@@ -47,49 +47,11 @@ const (
 	deferred
 )
 
-// ioQueue is a FIFO of IOs that keeps its backing array across the
-// empty/non-empty cycle a closed-loop workload drives it through: pops
-// advance a head index instead of reslicing, so steady-state enqueues reuse
-// capacity rather than allocating.
-type ioQueue struct {
-	buf  []*nvme.IO
-	head int
-}
-
-func (q *ioQueue) len() int { return len(q.buf) - q.head }
-
-func (q *ioQueue) front() *nvme.IO { return q.buf[q.head] }
-
-func (q *ioQueue) push(io *nvme.IO) {
-	if q.head > 0 && q.head == len(q.buf) {
-		// Drained: rewind to reuse the full capacity.
-		q.buf = q.buf[:0]
-		q.head = 0
-	} else if q.head >= 32 && q.head*2 >= len(q.buf) {
-		// Mostly-consumed prefix under sustained load: slide down in place.
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
-	q.buf = append(q.buf, io)
-}
-
-func (q *ioQueue) pop() *nvme.IO {
-	io := q.buf[q.head]
-	q.buf[q.head] = nil // release for GC
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return io
-}
-
 // tenant is the scheduler's per-tenant state.
 type tenant struct {
 	t      *nvme.Tenant
 	owner  *DRR // which scheduler's state this is (nvme.Tenant.State cache)
-	queues [nvme.NumPriorities]ioQueue
+	queues [nvme.NumPriorities]nvme.FIFO[*nvme.IO]
 	queued int
 
 	// Weighted priority cycling within a slot.
@@ -131,16 +93,16 @@ func (ts *tenant) head() *nvme.IO {
 		return nil
 	}
 	for i := 0; i < int(nvme.NumPriorities); i++ {
-		if ts.prioBudget > 0 && ts.queues[ts.prio].len() > 0 {
-			return ts.queues[ts.prio].front()
+		if ts.prioBudget > 0 && ts.queues[ts.prio].Len() > 0 {
+			return ts.queues[ts.prio].Front()
 		}
 		ts.prio = (ts.prio + 1) % nvme.NumPriorities
 		ts.prioBudget = ts.prio.Weight()
 	}
 	// Budget exhausted on an empty class but IOs exist elsewhere: retry.
 	for i := 0; i < int(nvme.NumPriorities); i++ {
-		if ts.queues[ts.prio].len() > 0 {
-			return ts.queues[ts.prio].front()
+		if ts.queues[ts.prio].Len() > 0 {
+			return ts.queues[ts.prio].Front()
 		}
 		ts.prio = (ts.prio + 1) % nvme.NumPriorities
 		ts.prioBudget = ts.prio.Weight()
@@ -151,10 +113,10 @@ func (ts *tenant) head() *nvme.IO {
 // pop removes the IO previously returned by head.
 func (ts *tenant) pop(io *nvme.IO) {
 	q := &ts.queues[io.Priority]
-	if q.len() == 0 || q.front() != io {
+	if q.Len() == 0 || q.Front() != io {
 		panic("sched: pop of non-head IO")
 	}
-	q.pop()
+	q.Pop()
 	ts.queued--
 	if io.Priority == ts.prio && ts.prioBudget > 0 {
 		ts.prioBudget--
@@ -436,8 +398,8 @@ func (d *DRR) Unregister(t *nvme.Tenant) []*nvme.IO {
 	var orphans []*nvme.IO
 	for p := range ts.queues {
 		q := &ts.queues[p]
-		for q.len() > 0 {
-			orphans = append(orphans, q.pop())
+		for q.Len() > 0 {
+			orphans = append(orphans, q.Pop())
 		}
 	}
 	d.queuedTotal -= ts.queued
@@ -476,7 +438,7 @@ func (d *DRR) Enqueue(io *nvme.IO) bool {
 		io.VslotWait = base
 	}
 	wasEmpty := ts.empty()
-	ts.queues[io.Priority].push(io)
+	ts.queues[io.Priority].Push(io)
 	ts.queued++
 	d.queuedTotal++
 	if wasEmpty && ts.where == idle {

@@ -35,7 +35,6 @@ func benchSwitchSubmit(b *testing.B, attach bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		io.Offset = int64(i%1024) * 4096
-		io.Arrival, io.Admit, io.DevSubmit, io.DevDone = 0, 0, 0, 0
 		sw.Enqueue(io)
 		loop.Run()
 	}
@@ -74,7 +73,6 @@ func benchSwitchPaced(b *testing.B) {
 		done++
 		if budget > 0 {
 			budget--
-			io.Arrival, io.Admit, io.DevSubmit, io.DevDone = 0, 0, 0, 0
 			sw.Enqueue(io)
 		}
 	}

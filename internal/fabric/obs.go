@@ -17,8 +17,9 @@ import (
 
 // AttachObs registers the target's pipelines into the hub: switch and
 // device series per SSD, per-tenant completion counters (added as tenants
-// register), and — when the hub carries them — the span tracer, SLO
-// engine, and recovery event log. Call before traffic; tenants that
+// register), and — when the hub carries them — the span tracer (every
+// pipeline captures at its egress, whatever the scheme), SLO engine, and
+// recovery event log. Call before traffic; tenants that
 // registered earlier are picked up retroactively. Every pipeline's series
 // land in the hub registry.
 func (t *Target) AttachObs(h *obs.Hub) {
@@ -51,6 +52,12 @@ func (t *Target) attachObs(h *obs.Hub, regs []*obs.Registry) {
 			ph := *h
 			ph.Reg = p.reg
 			p.Gimbal.AttachObs(&ph, i)
+		}
+		if p.tracer = h.Tracer; p.tracer != nil && p.Gimbal != nil {
+			// The capture links its traces from the device-latency quantiles.
+			for w, op := range [2]string{"read", "write"} {
+				p.devEx[w] = p.reg.ExemplarSlot("gimbal_device_latency_ns", obs.L("ssd", strconv.Itoa(i), "op", op))
+			}
 		}
 		exportDevice(p.reg, p.Dev, obs.L("ssd", strconv.Itoa(i)))
 		for _, rec := range p.order {

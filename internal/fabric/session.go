@@ -126,14 +126,14 @@ type Session struct {
 }
 
 // exchange carries one unmanaged IO across the wire and back: the saved
-// client callback, the send timestamp for the gate's latency signal, and the
-// completion held between target egress and client delivery. Its three
+// client callback and the completion held between target egress and client
+// delivery. The IO's Origin stamp is its send time, the gate's latency
+// signal. Its three
 // callbacks are built once, when the node is first created, and rebound to
 // successive IOs by assignment.
 type exchange struct {
 	s          *Session
 	io         *nvme.IO
-	sendTime   int64
 	clientDone func(*nvme.IO, nvme.Completion)
 	cpl        nvme.Completion
 
@@ -297,8 +297,7 @@ func (s *Session) send(io *nvme.IO) {
 	s.Submitted++
 	ex := s.getExchange()
 	ex.io = io
-	ex.sendTime = s.clk.Now()
-	io.Origin = ex.sendTime // anchor for fabric-delay attribution
+	io.Origin = s.clk.Now()
 	ex.clientDone = io.Done
 	io.Done = ex.devDoneFn
 
@@ -308,7 +307,7 @@ func (s *Session) send(io *nvme.IO) {
 	if io.Op.IsWrite() {
 		wbytes = io.Size
 	}
-	arriveAt := s.up.send(ex.sendTime, wbytes)
+	arriveAt := s.up.send(io.Origin, wbytes)
 	s.clk.At(arriveAt, ex.ingressFn)
 }
 
@@ -348,7 +347,7 @@ func (ex *exchange) deliver() {
 	if ex.cpl.Status != nvme.StatusOK {
 		s.Errors++
 	}
-	s.gate.OnCompletion(ex.cpl.Credit, s.clk.Now()-ex.sendTime)
+	s.gate.OnCompletion(ex.cpl.Credit, s.clk.Now()-ex.io.Origin)
 	io, clientDone, cpl := ex.io, ex.clientDone, ex.cpl
 	io.Done = clientDone
 	ex.io, ex.clientDone = nil, nil
@@ -436,7 +435,7 @@ func (s *Session) onAttemptReply(f *flight, a *nvme.IO, cpl nvme.Completion) {
 	if s.lf != nil {
 		deliverAt += s.lf.ExtraDelay()
 	}
-	s.clk.At(deliverAt, func() { s.deliver(f, a, cpl) })
+	s.clk.At(deliverAt, func() { s.deliver(f, cpl) })
 }
 
 // creditRefresher is implemented by gaters whose flow-control state can be
@@ -447,7 +446,7 @@ var _ creditRefresher = (*credit.Gate)(nil) // the Gimbal scheme's gate is one
 
 // deliver resolves the flight with the first reply to arrive; later
 // replies (duplicates, post-timeout stragglers) are counted and dropped.
-func (s *Session) deliver(f *flight, a *nvme.IO, cpl nvme.Completion) {
+func (s *Session) deliver(f *flight, cpl nvme.Completion) {
 	if f.done {
 		s.LateReplies++
 		// The exchange is over but the capsule still carries the target's
@@ -461,12 +460,6 @@ func (s *Session) deliver(f *flight, a *nvme.IO, cpl nvme.Completion) {
 	}
 	f.done = true
 	f.timer.Cancel()
-	io := f.io
-	io.Origin = a.Origin
-	io.Arrival, io.Admit = a.Arrival, a.Admit
-	io.DevSubmit, io.DevDone = a.DevSubmit, a.DevDone
-	io.VslotWait, io.GCWait = a.VslotWait, a.GCWait
-	io.Failed = a.Failed
 	s.finish(f, cpl)
 }
 

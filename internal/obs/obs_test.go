@@ -147,9 +147,9 @@ func TestTraceRing(t *testing.T) {
 	if snap[0].Arrival != 20 || snap[3].Arrival != 50 {
 		t.Fatalf("snapshot order wrong: %+v", snap)
 	}
-	tr := snap[0]
-	if tr.QueueDelay() != 1 || tr.PacingStall() != 2 || tr.DeviceLatency() != 5 || tr.CompleteDelay() != 1 {
-		t.Fatalf("spans: q=%d p=%d d=%d c=%d", tr.QueueDelay(), tr.PacingStall(), tr.DeviceLatency(), tr.CompleteDelay())
+	ph := snap[0].Phases()
+	if ph[PhaseQueue] != 1 || ph[PhasePacing] != 2 || ph[PhaseDevice] != 5 || ph[PhaseComplete] != 1 {
+		t.Fatalf("spans: %v", ph)
 	}
 
 	var b strings.Builder
