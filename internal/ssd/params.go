@@ -113,6 +113,17 @@ func (p Params) Validate() error {
 		return fmt.Errorf("ssd: bad geometry %d x %d", p.Channels, p.DiesPerChannel)
 	case p.PageSize <= 0 || p.PagesPerBlock <= 0 || p.ProgramPages <= 0:
 		return fmt.Errorf("ssd: bad page layout")
+	case !powerOfTwo(p.PagesPerBlock) || !powerOfTwo(p.ProgramPages):
+		// The FTL takes a page's block and NAND row by shifting.
+		return fmt.Errorf("ssd: %d pages per block, %d per program op: both must be powers of two",
+			p.PagesPerBlock, p.ProgramPages)
+	case p.ProgramPages > p.PagesPerBlock:
+		return fmt.Errorf("ssd: program op of %d pages exceeds a %d-page block", p.ProgramPages, p.PagesPerBlock)
+	case p.PagesPerBlock > 1<<15:
+		// Per-block write pointers and valid counts are uint16, and a write
+		// pointer equal to PagesPerBlock means full: at 1<<16 an empty
+		// block would read as full.
+		return fmt.Errorf("ssd: %d pages per block exceeds %d", p.PagesPerBlock, 1<<15)
 	case p.UsableBytes < int64(p.PageSize):
 		return fmt.Errorf("ssd: capacity smaller than a page")
 	case p.OverProvision <= 0:
@@ -124,6 +135,8 @@ func (p Params) Validate() error {
 	}
 	return nil
 }
+
+func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // Dies returns the total die count.
 func (p Params) Dies() int { return p.Channels * p.DiesPerChannel }

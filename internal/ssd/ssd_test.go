@@ -100,6 +100,23 @@ func TestParamsValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("GC trigger 1 should be invalid")
 	}
+	for _, g := range []struct{ ppb, prog int }{
+		{192, 8},     // block not a power of two
+		{256, 6},     // program op not a power of two
+		{8, 16},      // program op larger than a block
+		{1 << 16, 8}, // an empty block's uint16 write pointer would read as full
+	} {
+		bad = DCT983()
+		bad.PagesPerBlock, bad.ProgramPages = g.ppb, g.prog
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%d pages per block, %d per program op should be invalid", g.ppb, g.prog)
+		}
+	}
+	ok := DCT983()
+	ok.PagesPerBlock, ok.ProgramPages = 1<<15, 1<<15
+	if err := ok.Validate(); err != nil {
+		t.Errorf("32768-page block programmed whole: %v", err)
+	}
 }
 
 func TestFTLMappingRoundTrip(t *testing.T) {

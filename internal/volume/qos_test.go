@@ -2,6 +2,7 @@ package volume
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"gimbal/internal/nvme"
@@ -52,11 +53,60 @@ func TestParseClasses(t *testing.T) {
 		t.Fatalf("Priorities = %v", c.Priorities)
 	}
 
-	for _, bad := range []string{"", "gold", "gold=x", "gold=0", "gold=8,gold=4"} {
+	for _, bad := range badClassFlags {
 		if _, err := ParseClasses(bad); !errors.Is(err, ErrInvalid) {
 			t.Errorf("ParseClasses(%q) = %v, want ErrInvalid", bad, err)
 		}
 	}
+}
+
+var badClassFlags = []string{"", "gold", "gold=x", "gold=0", "gold=8,gold=4"}
+
+// FuzzParseClasses: ParseClasses reads gimbald's -qos-classes flag, which
+// an operator typed. It must never panic, every error must wrap ErrInvalid,
+// and an accepted set has one class per comma-separated part, the parts'
+// trimmed names (unique), weights of at least 1 and exactly one
+// PriorityHigh class. Seeds: the TestParseClasses inputs.
+func FuzzParseClasses(f *testing.F) {
+	f.Add("gold=8, silver=4, besteffort=1")
+	for _, bad := range badClassFlags {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		cs, err := ParseClasses(s)
+		if err != nil {
+			if !errors.Is(err, ErrInvalid) {
+				t.Fatalf("ParseClasses(%q): error %v does not wrap ErrInvalid", s, err)
+			}
+			return
+		}
+		parts := strings.Split(s, ",")
+		if cs.Len() != len(parts) {
+			t.Fatalf("ParseClasses(%q): %d classes from %d parts", s, cs.Len(), len(parts))
+		}
+		seen := make(map[string]bool)
+		high := 0
+		for i, part := range parts {
+			sp := cs.Spec(i)
+			name, _, _ := strings.Cut(part, "=")
+			if want := strings.TrimSpace(name); sp.Name != want {
+				t.Fatalf("ParseClasses(%q): class %d named %q, want %q", s, i, sp.Name, want)
+			}
+			if seen[sp.Name] {
+				t.Fatalf("ParseClasses(%q): class %q twice", s, sp.Name)
+			}
+			seen[sp.Name] = true
+			if sp.Weight < 1 {
+				t.Fatalf("ParseClasses(%q): class %q weight %d", s, sp.Name, sp.Weight)
+			}
+			if sp.Priority == nvme.PriorityHigh {
+				high++
+			}
+		}
+		if high != 1 {
+			t.Fatalf("ParseClasses(%q): %d PriorityHigh classes, want 1", s, high)
+		}
+	})
 }
 
 func TestClassIndex(t *testing.T) {
