@@ -116,7 +116,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "[%s done, %.1fs into the sweep]\n", rp.Experiment, time.Since(start).Seconds())
 	}
-	if _, err := bench.RunAll(ids, *parallel, emit); err != nil {
+	if _, err := bench.RunAll(ids, bench.Full, *parallel, emit); err != nil {
 		fmt.Fprintf(os.Stderr, "%v (try -list)\n", err)
 		os.Exit(1)
 	}

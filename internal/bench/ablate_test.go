@@ -12,9 +12,8 @@ func TestAblationBaselinesAgree(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("runs the ablation sweep; skipped in -short and under -race")
 	}
-	shrinkEvalWindows(t)
 	reports, err := RunAll([]string{"ablate-thresh", "ablate-bucket", "ablate-writecost",
-		"ablate-vslot", "ablate-credit"}, 2, nil)
+		"ablate-vslot", "ablate-credit"}, Test, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,33 +1,21 @@
 package bench
 
 import (
-	"bytes"
 	"testing"
 
 	"gimbal/internal/fabric"
-	"gimbal/internal/sim"
 )
-
-// shrinkChaosUnit compresses the chaos timeline for the duration of a test.
-// Determinism does not depend on the unit length; the isolation acceptance
-// test deliberately does NOT shrink it, because retention under a storm is
-// a steady-state property.
-func shrinkChaosUnit(t *testing.T) {
-	t.Helper()
-	saved := chaosUnit
-	chaosUnit = 20 * sim.Millisecond
-	t.Cleanup(func() { chaosUnit = saved })
-}
 
 // TestChaosBrownoutIsolation is the acceptance-criteria assertion for the
 // chaos evaluation: under the scripted single-SSD brownout, Gimbal keeps
 // the healthy-SSD tenants at ≥90% of their pre-fault bandwidth while the
-// vanilla target does not.
+// vanilla target does not. It runs at Full size: retention under a storm is
+// a steady-state property, which the Test chaos unit is too short for.
 func TestChaosBrownoutIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full brownout timeline twice; skipped in -short")
 	}
-	cx := NewCtx()
+	cx := NewCtx(Full)
 	g := runChaosBrownout(cx, fabric.SchemeGimbal)
 	v := runChaosBrownout(cx, fabric.SchemeVanilla)
 
@@ -57,8 +45,7 @@ func TestChaosDisconnectReclaim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full disconnect timeline; skipped in -short")
 	}
-	shrinkChaosUnit(t)
-	cx := NewCtx()
+	cx := NewCtx(Test)
 	res := runChaosDisconnectExp(cx)
 	if len(res) != 1 || len(res[0].Rows) != 1 {
 		t.Fatalf("chaos-disconnect produced %d results", len(res))
@@ -81,37 +68,10 @@ func TestChaosDisconnectReclaim(t *testing.T) {
 }
 
 // TestChaosDeterministic asserts the chaos experiment family is
-// seed-deterministic and byte-identical under -parallel: serial reruns and
-// concurrent RunAll workers must produce identical report bytes.
+// seed-deterministic and byte-identical under -parallel.
 func TestChaosDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full chaos family four times; skipped in -short")
 	}
-	shrinkChaosUnit(t)
-
-	ids := []string{"chaos-brownout", "chaos-fabric", "chaos-disconnect"}
-	serial := map[string][]byte{}
-	for _, id := range ids {
-		e, ok := Lookup(id)
-		if !ok {
-			t.Fatalf("%s not registered", id)
-		}
-		serial[id] = renderReport(t, RunReport(e))
-		if again := renderReport(t, RunReport(e)); !bytes.Equal(serial[id], again) {
-			t.Fatalf("two serial same-seed %s runs differ", id)
-		}
-	}
-
-	reports, err := RunAll(ids, len(ids), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rp := range reports {
-		if rp.Experiment != ids[i] {
-			t.Fatalf("report %d is %q, want %q", i, rp.Experiment, ids[i])
-		}
-		if got := renderReport(t, rp); !bytes.Equal(serial[ids[i]], got) {
-			t.Fatalf("parallel %s run differs from serial run", ids[i])
-		}
-	}
+	checkDeterministic(t, 1, "chaos-brownout", "chaos-fabric", "chaos-disconnect")
 }

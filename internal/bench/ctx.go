@@ -8,6 +8,9 @@ package bench
 // pure function of its own runs (no cross-experiment cache coupling), so
 // results are bit-identical at any parallelism level.
 type Ctx struct {
+	// size picks every window, population and rate the experiment runs.
+	size Size
+
 	// obsRuns accumulates the observability block of every harness
 	// execution since the last drain.
 	obsRuns []ObsRun
@@ -24,14 +27,18 @@ type Ctx struct {
 	ycsbCache map[string]YCSBResult
 }
 
-// NewCtx returns an empty context.
-func NewCtx() *Ctx {
+// NewCtx returns an empty context whose experiments run at size.
+func NewCtx(size Size) *Ctx {
 	return &Ctx{
+		size:            size,
 		standaloneCache: map[string]float64{},
 		runCache:        map[string]*FioRun{},
 		ycsbCache:       map[string]YCSBResult{},
 	}
 }
+
+// scale is the table's column for the context's size.
+func (c *Ctx) scale() scale { return c.size.scale() }
 
 // DrainObsRuns returns and clears the observability blocks accumulated by
 // Execute since the previous drain.

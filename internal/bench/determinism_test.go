@@ -3,8 +3,6 @@ package bench
 import (
 	"bytes"
 	"testing"
-
-	"gimbal/internal/sim"
 )
 
 // renderReport serializes a whole report for byte-identity comparison.
@@ -17,53 +15,54 @@ func renderReport(t *testing.T, rp *Report) []byte {
 	return buf.Bytes()
 }
 
-// shrinkEvalWindows shortens the evaluation warmup/measurement windows for
-// the duration of the test so a full fig6 grid (4 cases x 4 schemes)
-// completes in test time. Determinism does not depend on window length:
-// every run replays the same event sequence from the same seeds.
-func shrinkEvalWindows(t *testing.T) {
+// checkDeterministic runs each experiment twice serially at Test size, then
+// copies of each on concurrent RunAll workers, and fails unless every report
+// matches the first serial run byte for byte and RunAll returns them in
+// input order. Under -race this also exercises the worker pool for data
+// races between independent experiment contexts.
+func checkDeterministic(t *testing.T, copies int, ids ...string) {
 	t.Helper()
-	savedWarm, savedDur := evalWarm, evalDur
-	evalWarm = 20 * sim.Millisecond
-	evalDur = 50 * sim.Millisecond
-	t.Cleanup(func() { evalWarm, evalDur = savedWarm, savedDur })
-}
-
-// TestFig6Deterministic asserts two same-seed fig6 runs produce
-// byte-identical reports: once serially via RunReport, and again on
-// concurrent workers via RunAll. Under -race this also exercises the
-// worker pool for data races between independent experiment contexts.
-func TestFig6Deterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full fig6 grid; skipped in -short")
+	serial := map[string][]byte{}
+	var all []string
+	for _, id := range ids {
+		e, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		serial[id] = renderReport(t, RunReport(e, Test))
+		if again := renderReport(t, RunReport(e, Test)); !bytes.Equal(serial[id], again) {
+			t.Fatalf("two serial same-seed %s runs differ", id)
+		}
+		for range copies {
+			all = append(all, id)
+		}
 	}
-	shrinkEvalWindows(t)
-
-	e, ok := Lookup("fig6")
-	if !ok {
-		t.Fatal("fig6 not registered")
+	if len(all) == 0 {
+		return
 	}
-
-	serial1 := renderReport(t, RunReport(e))
-	serial2 := renderReport(t, RunReport(e))
-	if !bytes.Equal(serial1, serial2) {
-		t.Fatal("two serial same-seed fig6 runs differ")
-	}
-
-	// Three copies on three workers: every parallel run must match the
-	// serial bytes, and RunAll must return them in input order.
-	reports, err := RunAll([]string{"fig6", "fig6", "fig6"}, 3, nil)
+	reports, err := RunAll(all, Test, len(all), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, rp := range reports {
-		if rp.Experiment != "fig6" {
-			t.Fatalf("report %d is %q, want fig6", i, rp.Experiment)
+		if rp.Experiment != all[i] {
+			t.Fatalf("report %d is %q, want %q", i, rp.Experiment, all[i])
 		}
-		if got := renderReport(t, rp); !bytes.Equal(serial1, got) {
-			t.Fatalf("parallel fig6 run %d differs from serial run", i)
+		if got := renderReport(t, rp); !bytes.Equal(serial[all[i]], got) {
+			t.Fatalf("parallel %s run %d differs from serial run", all[i], i)
 		}
 	}
+}
+
+// TestFig6Deterministic runs the full fig6 grid (4 cases x 4 schemes)
+// serially and as three copies on three workers. Determinism does not
+// depend on window length: every run replays the same event sequence from
+// the same seeds.
+func TestFig6Deterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full fig6 grid; skipped in -short")
+	}
+	checkDeterministic(t, 3, "fig6")
 }
 
 // TestRunAllEmitOrder asserts streamed emission follows input order even
@@ -72,11 +71,9 @@ func TestRunAllEmitOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiments; skipped in -short")
 	}
-	shrinkEvalWindows(t)
-
 	ids := []string{"ablate-bucket", "ablate-writecost"}
 	var emitted []string
-	reports, err := RunAll(ids, 2, func(rp *Report) { emitted = append(emitted, rp.Experiment) })
+	reports, err := RunAll(ids, Test, 2, func(rp *Report) { emitted = append(emitted, rp.Experiment) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +91,7 @@ func TestRunAllEmitOrder(t *testing.T) {
 }
 
 func TestRunAllUnknownID(t *testing.T) {
-	if _, err := RunAll([]string{"fig6", "nope"}, 2, nil); err == nil {
+	if _, err := RunAll([]string{"fig6", "nope"}, Test, 2, nil); err == nil {
 		t.Fatal("unknown id accepted")
 	}
 }

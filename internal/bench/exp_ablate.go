@@ -93,7 +93,7 @@ func init() {
 // row runs the variant and reports utilization and tails.
 func (v variant) row(cx *Ctx) []string {
 	c := fairCases()[2]
-	cfg := c.config(fabric.SchemeGimbal)
+	cfg := c.config(cx, fabric.SchemeGimbal)
 	cfg.GimbalCfg = v.mutate
 	for i := range cfg.Specs {
 		cfg.Specs[i].Gate = v.gate

@@ -17,18 +17,12 @@ func init() {
 	register("chaos-disconnect", "Session teardown: credit reclaim and survivor bandwidth", runChaosDisconnectExp)
 }
 
-// chaosUnit is the chaos timeline quantum. A variable (not a constant)
-// only so the determinism test can shrink it; production runs never mutate
-// it. Fault windows scale with it; retry deadlines do not (they model
-// initiator firmware, not experiment geometry).
-var chaosUnit = 100 * sim.Millisecond
-
 // chaosRetry is the initiator recovery policy the chaos experiments arm:
 // the default with the backoff capped at 2ms instead of 4ms. The cap keeps
 // an IO's whole retry budget — six 3ms deadlines plus 0.25+0.5+1+2+2ms of
-// backoff, 23.75ms — under the brownout run's 25ms goodput sample
-// (chaosUnit/4), so a doomed IO gives up within one sample; at 4ms the
-// budget is 25.75ms.
+// backoff, 23.75ms — under the brownout run's 25ms goodput sample (a
+// quarter of the Full chaos unit), so a doomed IO gives up within one
+// sample; at 4ms the budget is 25.75ms.
 func chaosRetry() fabric.RetryPolicy {
 	rp := fabric.DefaultRetryPolicy()
 	rp.BackoffCap = 2 * sim.Millisecond
@@ -86,13 +80,12 @@ type brownoutTimeline struct {
 	healthy                 int
 }
 
-// chaosBrownoutConfig is the brownout timeline for one scheme: two SSDs,
-// CPU-bound healthy readers on SSD0, rate-limited QD64 readers on SSD1;
-// SSD1 browns out for four units mid-run. Healthy tenants share only the
-// SmartNIC core with the sick SSD — isolation means their bandwidth should
-// not follow it down. Gimbal runs with recovery armed.
-func chaosBrownoutConfig(scheme fabric.Scheme) (FioConfig, brownoutTimeline) {
-	u := chaosUnit
+// chaosBrownoutConfig is the brownout timeline for one scheme at chaos
+// unit u: two SSDs, CPU-bound healthy readers on SSD0, rate-limited QD64
+// readers on SSD1; SSD1 browns out for four units mid-run. Healthy tenants
+// share only the SmartNIC core with the sick SSD — isolation means their
+// bandwidth should not follow it down. Gimbal runs with recovery armed.
+func chaosBrownoutConfig(u int64, scheme fabric.Scheme) (FioConfig, brownoutTimeline) {
 	tl := brownoutTimeline{warm: 3 * u, faultAt: 6 * u, faultEnd: 10 * u, healthy: 3}
 
 	// Offered load on SSD1 (4 × 16 MB/s = 16K IOPS) fits the clean device
@@ -117,9 +110,10 @@ func chaosBrownoutConfig(scheme fabric.Scheme) (FioConfig, brownoutTimeline) {
 // runChaosBrownout executes the brownout timeline for one scheme, sampling
 // healthy and faulted goodput every quarter unit.
 func runChaosBrownout(cx *Ctx, scheme fabric.Scheme) chaosBrownoutRow {
-	cfg, tl := chaosBrownoutConfig(scheme)
+	u := cx.scale().chaosUnit
+	cfg, tl := chaosBrownoutConfig(u, scheme)
 	faultAt, faultEnd, healthy := tl.faultAt, tl.faultEnd, tl.healthy
-	period := chaosUnit / 4
+	period := u / 4
 	// Group 0 is the healthy tenants, group 1 the faulted ones.
 	run, samples := cx.executeSampled(cfg, period, healthy, len(cfg.Specs))
 
@@ -204,7 +198,7 @@ func runChaosBrownoutExp(cx *Ctx) []*Result {
 // --- chaos-fabric ---------------------------------------------------------
 
 func runChaosFabricExp(cx *Ctx) []*Result {
-	u := chaosUnit
+	u := cx.scale().chaosUnit
 	res := &Result{
 		ID:    "chaos-fabric",
 		Title: "Fabric fault windows (drop 2%, delay 50µs±200µs, duplicate 1%) across schemes",
@@ -249,7 +243,7 @@ func runChaosFabricExp(cx *Ctx) []*Result {
 // --- chaos-disconnect -----------------------------------------------------
 
 func runChaosDisconnectExp(cx *Ctx) []*Result {
-	u := chaosUnit
+	u := cx.scale().chaosUnit
 	res := &Result{
 		ID:    "chaos-disconnect",
 		Title: "Tenant 2 disconnects mid-run: credit reclaim and survivor pickup (gimbal)",

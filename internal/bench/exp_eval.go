@@ -21,14 +21,6 @@ func init() {
 	register("fig58", "Generalization: fairness on the Intel P3600 model (§5.8)", runFig58)
 }
 
-// evalWarm/evalDur are the evaluation experiments' warmup and measurement
-// windows. They are variables (not constants) only so the determinism test
-// can shrink them; production runs never mutate them.
-var (
-	evalWarm = 1 * sim.Second
-	evalDur  = 2 * sim.Second
-)
-
 // --- Fig 6: 16 identical workers per case ---
 
 func runFig6(cx *Ctx) []*Result {
@@ -47,11 +39,12 @@ func runFig6(cx *Ctx) []*Result {
 		{"F-R", ssd.Fragmented, read4K()},
 		{"F-W", ssd.Fragmented, write4K()},
 	}
+	win := cx.scale().eval
 	for _, c := range cases {
 		for _, scheme := range fabric.AllSchemes {
 			run := cx.cachedRun(fmt.Sprintf("fig6|%s|%s", c.name, scheme),
 				FioConfig{Scheme: scheme, Cond: c.cond, Specs: repeat(c.prof, 16),
-					Warm: evalWarm, Dur: evalDur, Seed: 7})
+					Warm: win.warm, Dur: win.dur, Seed: 7})
 			bw := run.AggBandwidth(nil)
 			var lat int64
 			var n uint64
@@ -95,17 +88,18 @@ func fairCases() []fairCase {
 	}
 }
 
-// config is the case under one scheme at the evaluation windows: group A's
-// workers named "A", then group B's named "B".
-func (c fairCase) config(scheme fabric.Scheme) FioConfig {
+// config is the case under one scheme at cx's evaluation windows: group
+// A's workers named "A", then group B's named "B".
+func (c fairCase) config(cx *Ctx, scheme fabric.Scheme) FioConfig {
 	a, b := c.groupA, c.groupB
 	a.Name, b.Name = "A", "B"
+	win := cx.scale().eval
 	return FioConfig{Scheme: scheme, Cond: c.cond, Specs: append(repeat(a, c.nA), repeat(b, c.nB)...),
-		Warm: evalWarm, Dur: evalDur, Seed: 7}
+		Warm: win.warm, Dur: win.dur, Seed: 7}
 }
 
 func fairRun(cx *Ctx, c fairCase, scheme fabric.Scheme) *FioRun {
-	return cx.cachedRun(fmt.Sprintf("fair|%s|%s", c.name, scheme), c.config(scheme))
+	return cx.cachedRun(fmt.Sprintf("fair|%s|%s", c.name, scheme), c.config(cx, scheme))
 }
 
 // groupBWAndFUtil returns one worker group's mean per-worker bandwidth and
@@ -357,7 +351,7 @@ func runFig58(cx *Ctx) []*Result {
 		tc.Gimbal.Latency.ThreshMax = 3_000_000
 	}
 	for _, c := range fairCases()[1:] {
-		cfg := c.config(fabric.SchemeGimbal)
+		cfg := c.config(cx, fabric.SchemeGimbal)
 		cfg.Params, cfg.GimbalCfg = p3600, gimbalCfg
 		run := cx.Execute(cfg)
 		_, aF := groupBWAndFUtil(cx, run, c, "A", p3600)

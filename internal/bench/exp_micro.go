@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gimbal/internal/fabric"
-	"gimbal/internal/sim"
 	"gimbal/internal/ssd"
 	"gimbal/internal/workload"
 )
@@ -25,28 +24,23 @@ func init() {
 
 var sweepSizes = []int{4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10}
 
-// microWarm/microDur are variables (not constants) only so the golden test
-// can shrink them; production runs never mutate them.
-var (
-	microWarm = 500 * sim.Millisecond
-	microDur  = 1 * sim.Second
-)
-
 // microCfg is the appendix characterizations' run: streams on an unmanaged
 // (vanilla) target at the micro windows.
-func microCfg(cond ssd.Condition, specs []Spec) FioConfig {
+func (c *Ctx) microCfg(cond ssd.Condition, specs []Spec) FioConfig {
+	w := c.scale().micro
 	return FioConfig{Scheme: fabric.SchemeVanilla, Cond: cond, Specs: specs,
-		Warm: microWarm, Dur: microDur, Seed: 3}
+		Warm: w.warm, Dur: w.dur, Seed: 3}
 }
 
 // cpuSweepCfg is microCfg for the CPU-cost sweeps, which are
-// condition-independent: a fresh small device and short windows keep them
-// cheap.
-func cpuSweepCfg(cpu *fabric.CPUModel, specs []Spec) FioConfig {
-	cfg := microCfg(ssd.Fresh, specs)
+// condition-independent: a fresh small device and the short cpu windows
+// keep them cheap.
+func (c *Ctx) cpuSweepCfg(cpu *fabric.CPUModel, specs []Spec) FioConfig {
+	cfg := c.microCfg(ssd.Fresh, specs)
 	cfg.Params = ssd.DCT983()
 	cfg.Params.UsableBytes = 1 << 30
-	cfg.CPU, cfg.Warm, cfg.Dur = cpu, 200*sim.Millisecond, 400*sim.Millisecond
+	w := c.scale().cpu
+	cfg.CPU, cfg.Warm, cfg.Dur = cpu, w.warm, w.dur
 	return cfg
 }
 
@@ -60,7 +54,7 @@ func runFig2(cx *Ctx) []*Result {
 	}
 	sizes := []int{4 << 10, 8 << 10, 16 << 10, 32 << 10, 128 << 10, 256 << 10}
 	measure := func(cpu *fabric.CPUModel, p workload.Profile) float64 {
-		cfg := microCfg(ssd.Clean, streams(p))
+		cfg := cx.microCfg(ssd.Clean, streams(p))
 		cfg.CPU = cpu
 		return opLat(cx.Execute(cfg).Workers[0]).Mean() / 1e3
 	}
@@ -95,7 +89,7 @@ func runFig3(cx *Ctx) []*Result {
 				specs = append(specs, Spec{Profile: prof, SSD: s})
 			}
 		}
-		cfg := cpuSweepCfg(cpu, specs)
+		cfg := cx.cpuSweepCfg(cpu, specs)
 		cfg.NumSSD = 4
 		var ops uint64
 		for _, w := range cx.Execute(cfg).Workers {
@@ -133,7 +127,7 @@ func runFig4(cx *Ctx) []*Result {
 	}
 	victim := stream("v", 1, 4<<10, 32)
 	for _, nb := range neighbors {
-		run := cx.Execute(microCfg(ssd.Clean, streams(victim, nb.p)))
+		run := cx.Execute(cx.microCfg(ssd.Clean, streams(victim, nb.p)))
 		res.AddRow(nb.name, f0(run.Workers[0].BandwidthMBps()), f0(run.Workers[1].BandwidthMBps()))
 	}
 	res.Notef("paper shape: higher-intensity neighbors always win (QD128 vs QD32 ~2x); " +
@@ -153,13 +147,13 @@ func runFig14(cx *Ctx) []*Result {
 	for _, ratio := range ratios {
 		row := []string{f0(ratio * 100)}
 		for _, cond := range []ssd.Condition{ssd.Clean, ssd.Fragmented} {
-			run := cx.Execute(microCfg(cond, repeat(stream("m", ratio, 4096, 32), 4)))
+			run := cx.Execute(cx.microCfg(cond, repeat(stream("m", ratio, 4096, 32), 4)))
 			var rdB, wrB int64
 			for _, w := range run.Workers {
 				rdB += int64(w.ReadLat.Count()) * 4096
 				wrB += int64(w.WriteLat.Count()) * 4096
 			}
-			sec := float64(microDur) / 1e9
+			sec := float64(cx.scale().micro.dur) / 1e9
 			row = append(row, f0(float64(rdB)/1e6/sec), f0(float64(wrB)/1e6/sec))
 		}
 		res.AddRow(row...)
@@ -182,7 +176,7 @@ func runFig15(cx *Ctx) []*Result {
 		mix := stream("m", 0.7, size, 1)
 		rd8 := stream("r8", 1, size, 8)
 		lat := func(cond ssd.Condition, p workload.Profile) float64 {
-			return cx.Execute(microCfg(cond, streams(p))).Workers[0].ReadLat.Mean() / 1e3
+			return cx.Execute(cx.microCfg(cond, streams(p))).Workers[0].ReadLat.Mean() / 1e3
 		}
 		res.AddRow(fmt.Sprint(size>>10),
 			f0(lat(ssd.Clean, rd1)), f0(lat(ssd.Fragmented, rd1)),
@@ -212,7 +206,7 @@ func runFig16(cx *Ctx) []*Result {
 		} {
 			cpu := fabric.SmartNICCPU(8)
 			cpu.ExtraPerIO = c * 1000
-			run := cx.Execute(cpuSweepCfg(cpu, repeat(p, 8)))
+			run := cx.Execute(cx.cpuSweepCfg(cpu, repeat(p, 8)))
 			row = append(row, f2(run.AggBandwidth(nil)/1e3))
 		}
 		res.AddRow(row...)
@@ -239,7 +233,7 @@ func runFig19(cx *Ctx) []*Result {
 				}
 				return stream("s", 1, size, qd)
 			}
-			run := cx.Execute(microCfg(ssd.Clean, streams(mk(64), mk(32))))
+			run := cx.Execute(cx.microCfg(ssd.Clean, streams(mk(64), mk(32))))
 			row = append(row, f0(run.Workers[0].BandwidthMBps()), f0(run.Workers[1].BandwidthMBps()))
 		}
 		res.AddRow(row...)
@@ -267,7 +261,7 @@ func runFig20(cx *Ctx) []*Result {
 				p.Seq = v.seq
 				return p
 			}
-			run := cx.Execute(microCfg(ssd.Clean, streams(mk(4096), mk(size))))
+			run := cx.Execute(cx.microCfg(ssd.Clean, streams(mk(4096), mk(size))))
 			row = append(row, f0(run.Workers[0].BandwidthMBps()))
 		}
 		res.AddRow(row...)
@@ -290,8 +284,8 @@ func runFig21(cx *Ctx) []*Result {
 		for _, seq := range []bool{false, true} {
 			rd, wr := stream("r", 1, size, 32), stream("w", 0, size, 32)
 			rd.Seq, wr.Seq = seq, seq
-			alone := cx.Execute(microCfg(ssd.Clean, streams(rd)))
-			mixed := cx.Execute(microCfg(ssd.Clean, streams(rd, wr)))
+			alone := cx.Execute(cx.microCfg(ssd.Clean, streams(rd)))
+			mixed := cx.Execute(cx.microCfg(ssd.Clean, streams(rd, wr)))
 			row = append(row, f0(alone.Workers[0].BandwidthMBps()), f0(mixed.Workers[0].BandwidthMBps()))
 		}
 		res.AddRow(row...)
@@ -318,7 +312,7 @@ func latVsNeighbor(cx *Ctx, id, title string, s1 workload.Profile, neighborReadR
 				nb.Seq = seq
 				specs = append(specs, Spec{Profile: nb})
 			}
-			h := opLat(cx.Execute(microCfg(ssd.Clean, specs)).Workers[0])
+			h := opLat(cx.Execute(cx.microCfg(ssd.Clean, specs)).Workers[0])
 			row = append(row, f0(h.Mean()/1e3), us(h.P999()))
 		}
 		res.AddRow(row...)

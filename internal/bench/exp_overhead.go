@@ -21,8 +21,11 @@ func cpuBoundKIOPS(cx *Ctx, scheme fabric.Scheme, cores int) float64 {
 	for i := range specs {
 		specs[i] = Spec{Profile: stream("t", 1, 4096, 32), SSD: i % 4}
 	}
-	cfg := cpuSweepCfg(fabric.SmartNICCPU(cores), specs)
-	cfg.Scheme, cfg.NumSSD = scheme, 4
+	cfg := cx.cpuSweepCfg(fabric.SmartNICCPU(cores), specs)
+	// Full windows at any size: TestTab1bMatchesPaper holds the ceiling
+	// these runs read to one point.
+	full := Full.scale().cpu
+	cfg.Scheme, cfg.NumSSD, cfg.Warm, cfg.Dur = scheme, 4, full.warm, full.dur
 	var ops uint64
 	cfg.Events = []TimedEvent{{At: cfg.Warm + cfg.Dur, Do: func(r *FioRun) {
 		for _, w := range r.Workers {

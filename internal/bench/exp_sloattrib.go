@@ -65,7 +65,7 @@ func tailDecompose(traces []obs.IOTrace) sloAttribTail {
 // and the burn rate over the longest window at the moment the fault window
 // closed.
 func runSLOAttribExp(cx *Ctx) []*Result {
-	cfg, tl := chaosBrownoutConfig(fabric.SchemeGimbal)
+	cfg, tl := chaosBrownoutConfig(cx.scale().chaosUnit, fabric.SchemeGimbal)
 	// A 2ms end-to-end objective: comfortably met on the clean device,
 	// hopeless during the ×200 brownout — so the burn-rate columns separate
 	// the two tenant classes sharply.

@@ -7,7 +7,6 @@ import (
 	"gimbal/internal/fabric"
 	"gimbal/internal/nvme"
 	"gimbal/internal/obs"
-	"gimbal/internal/sim"
 	"gimbal/internal/ssd"
 	"gimbal/internal/workload"
 )
@@ -15,18 +14,6 @@ import (
 func init() {
 	register("tenant-scale", "Registered-tenant scaling: 100 → 100k tenants at fixed offered load", runTenantScale)
 }
-
-// Knobs as package variables so the smoke test can shrink the run the way
-// determinism_test shrinks the eval windows.
-var (
-	tenantScalePops     = []int{100, 1_000, 10_000, 100_000}
-	tenantScaleChurnPop = 100_000
-	tenantScaleChurnPS  = 2000.0 // replacements/s in the churn row
-	tenantScaleWarm     = int64(200 * sim.Millisecond)
-	tenantScaleDur      = int64(800 * sim.Millisecond)
-	tenantScaleIOPS     = 40_000.0
-	tenantScaleSeries   = 8192 // obs per-name series budget (forces overflow at scale)
-)
 
 // runTenantScale sweeps the registered-tenant population at fixed offered
 // load and reports what the tenant dimension costs: end-to-end latency
@@ -46,30 +33,32 @@ func runTenantScale(cx *Ctx) []*Result {
 			"p50_us", "p99_us", "p999_us", "fair_p50_us", "fair_p999_us", "fair_ratio",
 			"obs_series", "obs_overflow"},
 	}
-	for _, pop := range tenantScalePops {
+	ts := cx.scale().tenants
+	for _, pop := range ts.pops {
 		tenantScaleRow(cx, res, pop, 0)
 	}
-	tenantScaleRow(cx, res, tenantScaleChurnPop, tenantScaleChurnPS)
+	tenantScaleRow(cx, res, ts.churnPop, ts.churnPS)
 	res.Notef("fixed offered load (%.0f IOPS 4KB %.0f%% read) over a Zipf-0.99 population; "+
 		"fair_* quantiles summarize per-tenant-slot mean latency across every slot that completed IO",
-		tenantScaleIOPS, 90.0)
+		ts.iops, 90.0)
 	res.Notef("obs_series counts tenant_completed_ops_total series after a SetMaxSeries(%d) budget: "+
-		"the overflow series absorbs the label tail, bounding scrape size at any population", tenantScaleSeries)
+		"the overflow series absorbs the label tail, bounding scrape size at any population", ts.series)
 	return []*Result{res}
 }
 
-// warmTenantScale builds one population point, starts its scenario and
-// runs the warmup: what is left is the measured window, RunUntil(stop).
-func warmTenantScale(pop int, churnPS float64) (rig *FioRun, sc *workload.Scenario, stop int64) {
+// warmTenantScale builds one population point at size, starts its scenario
+// and runs the warmup: what is left is the measured window, RunUntil(stop).
+func warmTenantScale(size Size, pop int, churnPS float64) (rig *FioRun, sc *workload.Scenario, stop int64) {
+	ts := size.scale().tenants
 	// The rig with no worker streams: the scenario engine registers its
 	// population at the switch and is its own load loop.
 	rig = NewFioRun(FioConfig{Scheme: fabric.SchemeGimbal, Cond: ssd.Clean, Seed: 11})
 	loop, reg := rig.Loop, rig.Reg
-	reg.SetMaxSeries(tenantScaleSeries)
+	reg.SetMaxSeries(ts.series)
 
 	cfg := workload.DefaultScenarioConfig()
 	cfg.Tenants = pop
-	cfg.RateIOPS = tenantScaleIOPS
+	cfg.RateIOPS = ts.iops
 	cfg.ChurnPerSec = churnPS
 	cfg.Span = rig.Devices[0].Capacity()
 	sc = workload.NewScenario(loop, rig.RNG, cfg, rig.Target.Pipeline(0).Gimbal)
@@ -88,16 +77,16 @@ func warmTenantScale(pop int, churnPS float64) (rig *FioRun, sc *workload.Scenar
 		}
 	}
 
-	stop = loop.Now() + tenantScaleWarm + tenantScaleDur
+	stop = loop.Now() + ts.window.warm + ts.window.dur
 	sc.Start(stop)
-	loop.RunUntil(loop.Now() + tenantScaleWarm)
+	loop.RunUntil(loop.Now() + ts.window.warm)
 	sc.ResetStats()
 	return rig, sc, stop
 }
 
 // tenantScaleRow runs one population point and appends its row.
 func tenantScaleRow(cx *Ctx, res *Result, pop int, churnPS float64) {
-	rig, sc, stop := warmTenantScale(pop, churnPS)
+	rig, sc, stop := warmTenantScale(cx.size, pop, churnPS)
 	rig.Loop.RunUntil(stop)
 	rig.Loop.Run() // drain in-flight completions
 	cx.recordObsRun(rig)

@@ -17,19 +17,6 @@ func init() {
 	register("volume-churn", "Volume control plane under churn: capacity accounting, COW amplification, per-class fairness", runVolumeChurn)
 }
 
-// Knobs as package variables so the smoke test can shrink the run.
-var (
-	volChurnSSDs     = 4
-	volChurnCapacity = int64(4) << 30 // per-SSD usable bytes
-	volChurnTargets  = []int{500, 2500}
-	volChurnOpsPS    = 2000.0 // control-plane operations/s
-	volChurnIOPS     = 25_000.0
-	volChurnWarm     = int64(100 * sim.Millisecond)
-	volChurnDur      = int64(900 * sim.Millisecond)
-	volChurnFairWarm = int64(200 * sim.Millisecond)
-	volChurnFairDur  = int64(600 * sim.Millisecond)
-)
-
 const volChurnClasses = "gold=8,silver=4,besteffort=1"
 
 // swTarget adapts one Gimbal switch to the volume layer's Target: every
@@ -285,11 +272,12 @@ func runVolumeChurn(cx *Ctx) []*Result {
 			"write_mb", "cow_copies", "cow_amp", "zero_reads",
 			"alloc_mb", "logical_mb", "audit", "end_alloc_b", "trims", "alloc_fail"},
 	}
-	for _, target := range volChurnTargets {
+	vc := cx.scale().volumes
+	for _, target := range vc.targets {
 		volumeChurnRow(cx, churn, target)
 	}
 	churn.Notef("audit recomputes refcounts and byte accounting from the live mapping tables: "+
-		"ok = allocated bytes exactly equal the sum of live unique spans at %0.f ops/s churn", volChurnOpsPS)
+		"ok = allocated bytes exactly equal the sum of live unique spans at %0.f ops/s churn", vc.opsPS)
 	churn.Notef("cow_amp = bytes copied by COW remaps / client write bytes; COW copies ride the writing class's tenant")
 	churn.Notef("end_alloc_b is allocated bytes after deleting every volume and snapshot — nonzero means a leaked span")
 
@@ -308,7 +296,8 @@ func runVolumeChurn(cx *Ctx) []*Result {
 // churn + open-loop IO over the measured window, audit, then tear
 // everything down and verify the allocator drained to zero.
 func volumeChurnRow(cx *Ctx, res *Result, target int) {
-	r := newVolRig(volChurnSSDs, volChurnCapacity, 0)
+	vc := cx.scale().volumes
+	r := newVolRig(vc.ssds, vc.capacity, 0)
 	rng := sim.NewRNG(uint64(37 + target))
 	churnRNG, ioRNG := rng.Fork(), rng.Fork()
 	cs := &churnState{r: r, target: target, lat: stats.NewHistogram()}
@@ -317,9 +306,9 @@ func volumeChurnRow(cx *Ctx, res *Result, target int) {
 		cs.create(churnRNG)
 	}
 	prefill := cs.creates
-	stop := r.Loop.Now() + volChurnWarm + volChurnDur
+	stop := r.Loop.Now() + vc.window.warm + vc.window.dur
 
-	churnGap := int64(1e9 / volChurnOpsPS)
+	churnGap := int64(1e9 / vc.opsPS)
 	var churnTick func()
 	churnTick = func() {
 		cs.step(churnRNG)
@@ -333,7 +322,7 @@ func volumeChurnRow(cx *Ctx, res *Result, target int) {
 	ioTick = func() {
 		cs.issueIO(ioRNG)
 		if r.Loop.Now() < stop {
-			r.Loop.After(int64(ioRNG.Exp(1e9/volChurnIOPS))+1, ioTick).MarkDaemon()
+			r.Loop.After(int64(ioRNG.Exp(1e9/vc.iops))+1, ioTick).MarkDaemon()
 		}
 	}
 	r.Loop.After(1, ioTick).MarkDaemon()
@@ -371,7 +360,7 @@ func volumeChurnRow(cx *Ctx, res *Result, target int) {
 
 	res.AddRow(
 		strconv.Itoa(target),
-		strconv.Itoa(volChurnSSDs),
+		strconv.Itoa(vc.ssds),
 		strconv.FormatInt(cs.creates-prefill+cs.deletes+cs.snapCuts+cs.snapDels+cs.clones+cs.resizes, 10),
 		strconv.FormatInt(cs.snapCuts, 10),
 		strconv.FormatInt(cs.clones, 10),
@@ -396,7 +385,8 @@ func volumeChurnRow(cx *Ctx, res *Result, target int) {
 // volumeFairnessRows saturates one SSD with a closed-loop writer per
 // class and reports each class's delivered share against its weight.
 func volumeFairnessRows(cx *Ctx, res *Result) {
-	r := newVolRig(1, volChurnCapacity, 4096)
+	vc := cx.scale().volumes
+	r := newVolRig(1, vc.capacity, 4096)
 	n := r.classes.Len()
 	vols := make([]*volume.Volume, n)
 	for c := 0; c < n; c++ {
@@ -417,7 +407,7 @@ func volumeFairnessRows(cx *Ctx, res *Result) {
 	const qd, ioSize = 256, 64 << 10
 	bytes := make([]int64, n)
 	measuring := false
-	stop := r.Loop.Now() + volChurnFairWarm + volChurnFairDur
+	stop := r.Loop.Now() + vc.fairWindow.warm + vc.fairWindow.dur
 	rng := sim.NewRNG(53)
 	for c := 0; c < n; c++ {
 		c := c
@@ -447,7 +437,7 @@ func volumeFairnessRows(cx *Ctx, res *Result) {
 			submit()
 		}
 	}
-	r.Loop.RunUntil(r.Loop.Now() + volChurnFairWarm)
+	r.Loop.RunUntil(r.Loop.Now() + vc.fairWindow.warm)
 	measuring = true
 	r.Loop.RunUntil(stop)
 	// Close the window before draining: the ~qd outstanding IOs per class
@@ -463,7 +453,7 @@ func volumeFairnessRows(cx *Ctx, res *Result) {
 		total += bytes[c]
 		weightSum += r.classes.Spec(c).Weight
 	}
-	secs := float64(volChurnFairDur) / 1e9
+	secs := float64(vc.fairWindow.dur) / 1e9
 	for c := 0; c < n; c++ {
 		share := 0.0
 		if total > 0 {

@@ -74,7 +74,7 @@ func obsGoldenRuns() []obsGoldenRun {
 func TestObsGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, run := range obsGoldenRuns() {
-		r := NewCtx().Execute(run.cfg)
+		r := NewCtx(Test).Execute(run.cfg)
 		fmt.Fprintf(&got, "=== %s: /metrics\n", run.name)
 		if err := r.Reg.WritePrometheus(&got); err != nil {
 			t.Fatal(err)

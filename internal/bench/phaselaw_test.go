@@ -18,7 +18,6 @@ import (
 // the span histograms clamps a phase, so a layer that stamps out of order
 // fails here.
 func TestPhaseLaw(t *testing.T) {
-	shrinkChaosUnit(t)
 	p := ssd.DCT983()
 	p.UsableBytes = 512 << 20
 	mixed := FioConfig{
@@ -36,7 +35,7 @@ func TestPhaseLaw(t *testing.T) {
 		cfg.Scheme = scheme
 		checkPhaseLaw(t, scheme.String(), cfg)
 
-		brown, _ := chaosBrownoutConfig(scheme)
+		brown, _ := chaosBrownoutConfig(Test.scale().chaosUnit, scheme)
 		retries := checkPhaseLaw(t, scheme.String()+"/chaos-brownout", brown)
 		if retries == 0 {
 			t.Errorf("%v/chaos-brownout: no session reissued an IO; the rig did not exercise retries", scheme)
@@ -49,7 +48,7 @@ func TestPhaseLaw(t *testing.T) {
 func checkPhaseLaw(t *testing.T, name string, cfg FioConfig) (retries int64) {
 	t.Helper()
 	cfg.Trace = &obs.TracerConfig{Capacity: 1 << 17, Mode: obs.TraceFull}
-	run := NewCtx().Execute(cfg)
+	run := NewCtx(Test).Execute(cfg)
 	ring := run.Hub.Ring()
 	if ring.Len() == 0 || int64(ring.Len()) != int64(run.Hub.Tracer.Captured()) {
 		t.Fatalf("%s: ring holds %d of %d captured traces; the check must see every one",

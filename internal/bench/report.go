@@ -14,6 +14,11 @@
 // zero Specs, and drives FioRun.Loop itself. CI rejects an exp_*.go that
 // calls RunUntil or BuildStack on its own; RunYCSB's rack (a blobstore and
 // DB per instance over several JBOFs) is the one other assembly.
+//
+// An experiment's scale is one value, the Size its Ctx is made with:
+// cmd/gimbalbench runs Full, go test runs Test. Every number that differs
+// between the two is a row of size.go's table, Full beside Test, and no
+// package variable is a knob (TestTestsAssignNoPackageVariable).
 package bench
 
 import (
@@ -143,10 +148,10 @@ func IDs() []string {
 	return out
 }
 
-// RunReport executes one experiment in a fresh context and packages its
-// results and observability blocks as a Report.
-func RunReport(e *Experiment) *Report {
-	c := NewCtx()
+// RunReport executes one experiment in a fresh context at size and
+// packages its results and observability blocks as a Report.
+func RunReport(e *Experiment, size Size) *Report {
+	c := NewCtx(size)
 	return &Report{
 		Experiment:    e.ID,
 		Title:         e.Title,
@@ -155,14 +160,14 @@ func RunReport(e *Experiment) *Report {
 	}
 }
 
-// RunAll executes the named experiments over a pool of parallel workers
-// and returns their reports in input order. Each experiment runs in its
-// own context (own simulations, own RNG seeds, own caches), so every
+// RunAll executes the named experiments at size over a pool of parallel
+// workers and returns their reports in input order. Each experiment runs in
+// its own context (own simulations, own RNG seeds, own caches), so every
 // report is bit-identical at any parallelism level, including
 // parallel == 1, which reproduces the serial sweep exactly. emit, if
 // non-nil, is invoked in input order as soon as a report and all of its
 // predecessors have completed, allowing streamed output.
-func RunAll(ids []string, parallel int, emit func(*Report)) ([]*Report, error) {
+func RunAll(ids []string, size Size, parallel int, emit func(*Report)) ([]*Report, error) {
 	exps := make([]*Experiment, len(ids))
 	for i, id := range ids {
 		e, ok := Lookup(id)
@@ -187,7 +192,7 @@ func RunAll(ids []string, parallel int, emit func(*Report)) ([]*Report, error) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				reports[i] = RunReport(exps[i])
+				reports[i] = RunReport(exps[i], size)
 				ready <- i
 			}
 		}()

@@ -1,11 +1,44 @@
 package bench
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
 	"gimbal/internal/ssd"
 )
+
+// cell is the named column of one row of res.
+func cell(t *testing.T, res *Result, row []string, name string) string {
+	t.Helper()
+	for i, h := range res.Header {
+		if h == name {
+			return row[i]
+		}
+	}
+	t.Fatalf("no column %q in %v", name, res.Header)
+	return ""
+}
+
+// cellF parses one numeric table cell.
+func cellF(t *testing.T, s string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		t.Fatalf("non-numeric cell %q: %v", s, err)
+	}
+	return v
+}
+
+// cellInt is cell parsed as an integer.
+func cellInt(t *testing.T, res *Result, row []string, name string) int {
+	t.Helper()
+	v, err := strconv.Atoi(cell(t, res, row, name))
+	if err != nil {
+		t.Fatalf("non-numeric %s cell in %v", name, row)
+	}
+	return v
+}
 
 func TestResultTableRendering(t *testing.T) {
 	r := &Result{
@@ -83,7 +116,7 @@ func TestStandaloneMaxMemoized(t *testing.T) {
 	params.UsableBytes = 512 << 20
 	params.Name = "memo-test"
 	p := read4K()
-	cx := NewCtx()
+	cx := NewCtx(Test)
 	v1 := cx.StandaloneMax(p, ssd.Clean, params)
 	v2 := cx.StandaloneMax(p, ssd.Clean, params)
 	if v1 != v2 {

@@ -1,20 +1,6 @@
 package bench
 
-import (
-	"bytes"
-	"strconv"
-	"testing"
-)
-
-// cellF parses one numeric table cell.
-func cellF(t *testing.T, s string) float64 {
-	t.Helper()
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		t.Fatalf("non-numeric cell %q: %v", s, err)
-	}
-	return v
-}
+import "testing"
 
 // TestSLOAttribTable is the acceptance assertion for the attribution
 // experiment: under the brownout timeline the table must separate the two
@@ -25,7 +11,7 @@ func TestSLOAttribTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full brownout timeline with full tracing; skipped in -short")
 	}
-	res := runSLOAttribExp(NewCtx())
+	res := runSLOAttribExp(NewCtx(Full))
 	if len(res) != 1 {
 		t.Fatalf("slo-attrib produced %d results", len(res))
 	}
@@ -95,23 +81,5 @@ func TestSLOAttribDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the timeline several times; skipped in -short")
 	}
-	shrinkChaosUnit(t)
-
-	e, ok := Lookup("slo-attrib")
-	if !ok {
-		t.Fatal("slo-attrib not registered")
-	}
-	serial := renderReport(t, RunReport(e))
-	if again := renderReport(t, RunReport(e)); !bytes.Equal(serial, again) {
-		t.Fatal("two serial same-seed slo-attrib runs differ")
-	}
-	reports, err := RunAll([]string{"slo-attrib", "slo-attrib"}, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rp := range reports {
-		if got := renderReport(t, rp); !bytes.Equal(serial, got) {
-			t.Fatalf("parallel slo-attrib run %d differs from serial run", i)
-		}
-	}
+	checkDeterministic(t, 2, "slo-attrib")
 }

@@ -7,21 +7,21 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"gimbal/internal/sim"
 )
 
 var updateSweepGolden = flag.Bool("update-sweep-golden", false, "rewrite testdata/sweep_golden.json from this tree")
 
-// sweepGoldenIDs is every experiment with a shrink hook, plus tab1a/tab1b,
-// whose CPU-bound runs take seconds at full size.
+// sweepGoldenIDs is every experiment TestSweepGolden runs at Test size:
+// each one with a Test row in the size table, plus those that are cheap at
+// Full and read no row (fig18's 3-simulated-second trace, tab1a/tab1b's
+// Full CPU windows).
 var sweepGoldenIDs = []string{
-	"fig6", "fig7", "fig8", "fig58",
+	"fig6", "fig7", "fig8", "fig58", "fig18",
 	"ablate-thresh", "ablate-bucket", "ablate-writecost", "ablate-vslot", "ablate-credit",
 	"chaos-brownout", "chaos-fabric", "chaos-disconnect", "slo-attrib",
 	"volume-churn",
 	"fig4", "fig15", "fig19", "fig21", "fig22",
-	"tab1a", "tab1b",
+	"fig3", "fig16", "tab1a", "tab1b",
 	"tenant-scale", "fig2", "fig14", "fig20", "fig23",
 }
 
@@ -29,15 +29,12 @@ var sweepGoldenIDs = []string{
 // These are diffed full-size between parent and change when the harness
 // moves. Run times are full-size, -parallel 1, on a 2-core x86-64 box.
 var fullSizeOnly = map[string]string{
-	"fig3":  "no shrink hook (cpuSweepCfg fixes its windows); 21 s",
-	"fig16": "no shrink hook (cpuSweepCfg fixes its windows); 2.6 s",
-	"fig9":  "no shrink hook (a fixed 90-simulated-second timeline); 10 s",
-	"fig17": "no shrink hook (a fixed 20-simulated-second run); 11 s",
-	"fig18": "no shrink hook (a fixed 3-simulated-second trace); 0.1 s",
-	"fig10": "no shrink hook (the YCSB rack); 7 min",
-	"fig11": "no shrink hook (the YCSB rack); 8 min",
-	"fig12": "no shrink hook (the YCSB rack); 8 min",
-	"fig13": "no shrink hook (the YCSB rack); 56 s",
+	"fig9":  "no Test row (a fixed 90-simulated-second timeline); 10 s",
+	"fig17": "no Test row (a fixed 20-simulated-second run); 11 s",
+	"fig10": "no Test row (the YCSB rack); 7 min",
+	"fig11": "no Test row (the YCSB rack); 8 min",
+	"fig12": "no Test row (the YCSB rack); 8 min",
+	"fig13": "no Test row (the YCSB rack); 56 s",
 }
 
 // TestEveryExperimentPinnedOrNamed: a registered experiment is either
@@ -64,34 +61,20 @@ func TestEveryExperimentPinnedOrNamed(t *testing.T) {
 	}
 }
 
-func shrinkMicroWindows(t *testing.T) {
-	t.Helper()
-	savedWarm, savedDur := microWarm, microDur
-	microWarm = 10 * sim.Millisecond
-	microDur = 30 * sim.Millisecond
-	t.Cleanup(func() { microWarm, microDur = savedWarm, savedDur })
-}
-
 // sweepGoldenEntry is one experiment's tables in testdata/sweep_golden.json.
 type sweepGoldenEntry struct {
 	Experiment string    `json:"experiment"`
 	Results    []*Result `json:"results"`
 }
 
-// TestSweepGolden pins the printed rows of every shrinkable simulated
-// experiment at test-sized windows: the harness may be rearranged freely as
-// long as no cell of this file moves.
+// TestSweepGolden pins the printed rows of every experiment in
+// sweepGoldenIDs at Test size: the harness may be rearranged freely as long
+// as no cell of this file moves.
 func TestSweepGolden(t *testing.T) {
 	if testing.Short() || raceEnabled {
-		t.Skip("runs twenty-six experiments; skipped in -short and under -race")
+		t.Skip("runs twenty-nine experiments; skipped in -short and under -race")
 	}
-	shrinkEvalWindows(t)
-	shrinkMicroWindows(t)
-	shrinkChaosUnit(t)
-	shrinkVolumeChurn(t)
-	shrinkTenantScale(t)
-
-	reports, err := RunAll(sweepGoldenIDs, 2, nil)
+	reports, err := RunAll(sweepGoldenIDs, Test, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

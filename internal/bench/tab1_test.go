@@ -20,7 +20,7 @@ func TestTab1bMatchesPaper(t *testing.T) {
 	}
 	const paper, tol = -0.124, 0.01
 	for _, cores := range []int{1, 4} {
-		cx := NewCtx()
+		cx := NewCtx(Full)
 		v := cpuBoundKIOPS(cx, fabric.SchemeVanilla, cores)
 		g := cpuBoundKIOPS(cx, fabric.SchemeGimbal, cores)
 		if d := g/v - 1; math.Abs(d-paper) > tol {

@@ -109,6 +109,30 @@ func TestRetryExhaustionTimesOut(t *testing.T) {
 	}
 }
 
+// TestBackoffDelaySaturates: the doubled backoff never wraps. Uncapped, or
+// capped above 2^62 ns, every delay over attempts 1–100 is positive and none
+// is shorter than the one before (a wrapped delay reads as "reissue now").
+// The default policy keeps its 250µs…4ms ladder.
+func TestBackoffDelaySaturates(t *testing.T) {
+	for _, limit := range []int64{0, 1<<62 + 1} {
+		rp := RetryPolicy{Backoff: 250 * sim.Microsecond, BackoffCap: limit}
+		prev := int64(0)
+		for attempt := 1; attempt <= 100; attempt++ {
+			d := rp.backoffDelay(attempt)
+			if d <= 0 || d < prev {
+				t.Fatalf("cap %d: attempt %d waits %d ns after %d ns", limit, attempt, d, prev)
+			}
+			prev = d
+		}
+	}
+	def := DefaultRetryPolicy()
+	for i, want := range []int64{250e3, 500e3, 1e6, 2e6, 4e6, 4e6} {
+		if got := def.backoffDelay(i + 1); got != want {
+			t.Errorf("default policy, attempt %d: %d ns, want %d", i+1, got, want)
+		}
+	}
+}
+
 // TestDuplicateFramesDeduped arms aggressive duplication and asserts each
 // logical IO completes exactly once, with the extras counted as late
 // replies.

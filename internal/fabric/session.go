@@ -37,23 +37,26 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
+// maxBackoff bounds every backoff delay, capped or not: 2^62 ns is 146
+// years, so a clock short of that age adds it to its now without wrapping.
+const maxBackoff = int64(1) << 62
+
 // backoffDelay returns the wait before reissue number attempt (1-based
-// count of attempts already made).
+// count of attempts already made): Backoff doubled per earlier attempt,
+// saturating at BackoffCap (none when zero) and at maxBackoff.
 func (rp RetryPolicy) backoffDelay(attempt int) int64 {
 	d := rp.Backoff
 	if d <= 0 {
 		return 0
 	}
-	for i := 1; i < attempt; i++ {
-		d <<= 1
-		if rp.BackoffCap > 0 && d >= rp.BackoffCap {
-			return rp.BackoffCap
-		}
+	ceil := maxBackoff
+	if rp.BackoffCap > 0 && rp.BackoffCap < ceil {
+		ceil = rp.BackoffCap
 	}
-	if rp.BackoffCap > 0 && d > rp.BackoffCap {
-		d = rp.BackoffCap
+	for i := 1; i < attempt && d < ceil; i++ {
+		d <<= 1 // d < ceil <= 2^62, so this cannot wrap
 	}
-	return d
+	return min(d, ceil)
 }
 
 // Gater is the client-side flow controller of a session: Gimbal's credit
