@@ -71,10 +71,6 @@ type ftl struct {
 	// identical op sequences, asserting identical states.
 	victimOracle func(die int) (uint32, bool)
 
-	// touched keeps the l2p words prefetchL2P loads live: a load whose
-	// value nothing uses compiles to its bounds check alone.
-	touched uint32
-
 	// Cumulative counters.
 	hostPages   uint64 // pages written by the host
 	gcMoved     uint64 // pages relocated by GC
@@ -248,17 +244,6 @@ func (f *ftl) invalidate(logical uint32) {
 	f.dieVer[die]++
 }
 
-// prefetchL2P loads the l2p word of every page in a batch about to be
-// written, so the batch's cache misses overlap. The loaded words feed
-// touched; the mapping itself is untouched.
-func (f *ftl) prefetchL2P(logical []uint32) {
-	var x uint32
-	for _, l := range logical {
-		x ^= f.l2p[l]
-	}
-	f.touched = x
-}
-
 // writePage maps a logical page to a freshly allocated physical page on
 // die, invalidating any previous mapping, and reports the GC work incurred.
 // The caller has checked canAlloc(die, n) for the n pages it writes there.
@@ -378,9 +363,10 @@ func (f *ftl) pickVictimSlow(die int) (uint32, bool) {
 
 // reclaim relocates the victim's valid pages into the die's GC open block
 // and erases it, in one pass over the victim's p2l slice with the GC open
-// block's cursor held in locals. When the GC open block fills it closes,
-// becoming a victim candidate like any other full block, and the next free
-// block takes its place (never recursing into GC). The free list cannot be
+// block's cursor and its count of pages moved in held in locals. When the
+// GC open block fills it closes, becoming a victim candidate like any other
+// full block, and the next free block takes its place (never recursing
+// into GC). The free list cannot be
 // empty then: collect only reclaims a victim whose valid pages fit the GC
 // open block's slack plus the free pool, and every reclaim returns its
 // victim to the free list before the GC open block can fill again.
@@ -388,11 +374,13 @@ func (f *ftl) reclaim(die int, victim uint32) gcWork {
 	ds := &f.dies[die]
 	f.bucketDel(die, victim)
 	ppb := uint32(f.ppb)
+	l2p, p2l, shift := f.l2p, f.p2l, f.blockShift
 	dstBlk := ds.gcOpen
 	wp := uint32(f.writePtr[dstBlk])
+	added := uint16(0) // pages moved into dstBlk, not yet in valid
 	moved := 0
-	start := victim << f.blockShift
-	pages := f.p2l[start : start+ppb]
+	start := victim << shift
+	pages := p2l[start : start+ppb]
 	for i, logical := range pages {
 		if logical == invalidPage {
 			continue
@@ -402,19 +390,22 @@ func (f *ftl) reclaim(die int, victim uint32) gcWork {
 				panic("ssd: GC starved of free blocks (feasibility guard bypassed)")
 			}
 			f.writePtr[dstBlk] = uint16(wp)
+			f.valid[dstBlk] += added
 			f.bucketAdd(die, dstBlk)
 			dstBlk = ds.free[len(ds.free)-1]
 			ds.free = ds.free[:len(ds.free)-1]
 			wp = uint32(f.writePtr[dstBlk])
+			added = 0
 		}
-		dst := dstBlk<<f.blockShift | wp
+		dst := dstBlk<<shift | wp
 		wp++
 		pages[i] = invalidPage
-		f.l2p[logical] = dst
-		f.p2l[dst] = logical
-		f.valid[dstBlk]++
+		l2p[logical] = dst
+		p2l[dst] = logical
+		added++
 		moved++
 	}
+	f.valid[dstBlk] += added
 	f.writePtr[dstBlk] = uint16(wp)
 	ds.gcOpen = dstBlk
 	f.valid[victim] = 0

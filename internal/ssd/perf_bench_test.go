@@ -146,11 +146,13 @@ func BenchmarkDeviceWriteFlush(b *testing.B) {
 
 // BenchmarkDevicePrecondition measures a full Fragmented pre-conditioning
 // pass — the sequential fill plus 1.5x-capacity random overwrite that
-// dominates experiment setup — on a 256MB drive. One iteration is one
-// complete pass.
+// dominates experiment setup — on a 1 GiB drive, where every die takes its
+// round-robin turn and the overwrites go die by die (at 256 MiB some die
+// skips a turn and the pass takes the per-page fallback). One iteration is
+// one complete pass.
 func BenchmarkDevicePrecondition(b *testing.B) {
 	p := DCT983()
-	p.UsableBytes = 256 << 20
+	p.UsableBytes = 1 << 30
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		loop := sim.NewLoop()
