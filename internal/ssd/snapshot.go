@@ -19,6 +19,15 @@ import (
 // on a hit cannot perturb any other random stream, and the restored arrays
 // are deep copies of state produced by the exact code path a miss runs.
 // Experiment output is therefore byte-identical with the cache on or off.
+//
+// A miss runs preconditionUncached: the fill, then the overwrite pass die
+// by die (diepass.go). GC never moves a page to another die, and on every
+// device of 1 GiB and up each die takes its round-robin turn, so each die
+// replays its own host writes and invalidations in a map sized to the die,
+// the dies on up to GOMAXPROCS goroutines. Where some die would skip a
+// turn (the 256 and 512 MiB test devices), the pass starts over from the
+// fill through the per-page loop. Both paths leave the same state, so a
+// miss captures what the per-page loop would.
 
 // precondKey identifies one reachable post-precondition state. Clean ignores
 // the RNG, so its seed is normalized to 0 to widen sharing. tag carries the
