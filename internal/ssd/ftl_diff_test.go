@@ -8,6 +8,7 @@ package ssd
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"gimbal/internal/sim"
@@ -26,37 +27,31 @@ func diffParams() Params {
 	return p
 }
 
-// compareFTL asserts every piece of externally observable FTL state matches.
+// compareFTL asserts every piece of FTL state but the dies' writable memos
+// matches: the maps, each die's whole state and the counters.
 func compareFTL(fast, slow *ftl) error {
-	for l := range fast.l2p {
-		if fast.l2p[l] != slow.l2p[l] {
-			return fmt.Errorf("l2p[%d]: fast %d, slow %d", l, fast.l2p[l], slow.l2p[l])
-		}
+	if err := compareSlice("l2p", fast.l2p, slow.l2p); err != nil {
+		return err
 	}
-	for b := range fast.valid {
-		if fast.valid[b] != slow.valid[b] {
-			return fmt.Errorf("valid[%d]: fast %d, slow %d", b, fast.valid[b], slow.valid[b])
-		}
-		if fast.writePtr[b] != slow.writePtr[b] {
-			return fmt.Errorf("writePtr[%d]: fast %d, slow %d", b, fast.writePtr[b], slow.writePtr[b])
-		}
-		if fast.erases[b] != slow.erases[b] {
-			return fmt.Errorf("erases[%d]: fast %d, slow %d", b, fast.erases[b], slow.erases[b])
-		}
-	}
-	for d := range fast.dies {
-		fd, sd := &fast.dies[d], &slow.dies[d]
-		if fd.open != sd.open || fd.gcOpen != sd.gcOpen {
-			return fmt.Errorf("die %d open/gcOpen: fast (%d,%d), slow (%d,%d)",
-				d, fd.open, fd.gcOpen, sd.open, sd.gcOpen)
-		}
-		if len(fd.free) != len(sd.free) {
-			return fmt.Errorf("die %d free count: fast %d, slow %d", d, len(fd.free), len(sd.free))
-		}
-		for i := range fd.free {
-			if fd.free[i] != sd.free[i] {
-				return fmt.Errorf("die %d free[%d]: fast %d, slow %d", d, i, fd.free[i], sd.free[i])
+	for i, fd := range fast.dies {
+		sd := slow.dies[i]
+		for _, err := range []error{
+			compareSlice("p2l", fd.p2l, sd.p2l),
+			compareSlice("valid", fd.valid, sd.valid),
+			compareSlice("writePtr", fd.writePtr, sd.writePtr),
+			compareSlice("erases", fd.erases, sd.erases),
+			compareSlice("free", fd.free, sd.free),
+			compareSlice("bucketHead", fd.bucketHead, sd.bucketHead),
+			compareSlice("bNext", fd.bNext, sd.bNext),
+			compareSlice("bPrev", fd.bPrev, sd.bPrev),
+		} {
+			if err != nil {
+				return fmt.Errorf("die %d %v", i, err)
 			}
+		}
+		if fd.open != sd.open || fd.gcOpen != sd.gcOpen || fd.minValid != sd.minValid {
+			return fmt.Errorf("die %d open/gcOpen/minValid: fast (%d,%d,%d), slow (%d,%d,%d)",
+				i, fd.open, fd.gcOpen, fd.minValid, sd.open, sd.gcOpen, sd.minValid)
 		}
 	}
 	if fast.hostPages != slow.hostPages || fast.gcMoved != slow.gcMoved ||
@@ -69,70 +64,102 @@ func compareFTL(fast, slow *ftl) error {
 	return nil
 }
 
+// compareSlice reports the first element where fast and slow differ.
+func compareSlice[T comparable](name string, fast, slow []T) error {
+	if len(fast) != len(slow) {
+		return fmt.Errorf("%s length: fast %d, slow %d", name, len(fast), len(slow))
+	}
+	for i := range fast {
+		if fast[i] != slow[i] {
+			return fmt.Errorf("%s[%d]: fast %v, slow %v", name, i, fast[i], slow[i])
+		}
+	}
+	return nil
+}
+
 // TestFTLDifferentialVictims drives the bucketed FTL and the naive-scan
 // reference through an identical randomized write/trim sequence and asserts
-// they make identical victim choices — hence identical mappings, free
-// lists, and write-amplification counters — at every step.
+// they make identical victim choices — hence identical mappings, die states
+// and write-amplification counters — at every step. With trims every victim
+// GC picks is already empty; with overwrites alone GC relocates pages into
+// the GC open block, and writes invalidate some of them there.
 func TestFTLDifferentialVictims(t *testing.T) {
-	p := diffParams()
-	fast := newFTL(p)
-	slow := newFTL(p)
-	slow.victimOracle = slow.pickVictimSlow
-	rng := sim.NewRNG(42)
-	n := p.LogicalPages()
-	dies := p.Dies()
-
-	pickDie := func() int {
-		d := rng.Intn(dies)
-		fw, sw := fast.dieWritable(d), slow.dieWritable(d)
-		if fw != sw {
-			t.Fatalf("dieWritable(%d): fast %v, slow %v", d, fw, sw)
-		}
-		if fw {
-			return d
-		}
-		best := -1
-		for i := 0; i < dies; i++ {
-			if fast.canAlloc(i, 1) && (best < 0 || fast.freeOf(i) > fast.freeOf(best)) {
-				best = i
+	for _, tc := range []struct {
+		name   string
+		writes int // in ten steps; the rest trim
+	}{{"trims", 8}, {"overwrites", 10}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := diffParams()
+			fast := newFTL(p)
+			slow := newFTL(p)
+			for _, d := range slow.dies {
+				d.victimOracle = d.pickVictimSlow
 			}
-		}
-		if best < 0 {
-			t.Fatal("no die can allocate")
-		}
-		return best
-	}
+			rng := sim.NewRNG(42)
+			n := p.LogicalPages()
+			dies := p.Dies()
 
-	const steps = 120000
-	for step := 0; step < steps; step++ {
-		if rng.Intn(10) < 8 {
-			l := uint32(rng.Intn(n))
-			d := pickDie()
-			wf := fast.writePage(l, d)
-			ws := slow.writePage(l, d)
-			if wf != ws {
-				t.Fatalf("step %d: gc work mismatch: fast %+v, slow %+v", step, wf, ws)
+			pickDie := func() int {
+				d := rng.Intn(dies)
+				fw, sw := fast.dieWritable(d), slow.dieWritable(d)
+				if fw != sw {
+					t.Fatalf("dieWritable(%d): fast %v, slow %v", d, fw, sw)
+				}
+				if fw {
+					return d
+				}
+				best := -1
+				for i := 0; i < dies; i++ {
+					fa, sa := fast.canAlloc(i, 1), slow.canAlloc(i, 1)
+					if fa != sa {
+						t.Fatalf("canAlloc(%d): fast %v, slow %v", i, fa, sa)
+					}
+					if fa && (best < 0 || fast.freeOf(i) > fast.freeOf(best)) {
+						best = i
+					}
+				}
+				if best < 0 {
+					t.Fatal("no die can allocate")
+				}
+				return best
 			}
-		} else {
-			span := 1 + rng.Intn(256)
-			first := uint32(rng.Intn(n - span))
-			fast.trim(first, uint32(span))
-			slow.trim(first, uint32(span))
-		}
-		if step%20000 == 19999 {
+
+			const steps = 120000
+			for step := 0; step < steps; step++ {
+				if rng.Intn(10) < tc.writes {
+					l := uint32(rng.Intn(n))
+					d := pickDie()
+					wf := fast.writePage(l, d)
+					ws := slow.writePage(l, d)
+					if wf != ws {
+						t.Fatalf("step %d: gc work mismatch: fast %+v, slow %+v", step, wf, ws)
+					}
+				} else {
+					span := 1 + rng.Intn(256)
+					first := uint32(rng.Intn(n - span))
+					fast.trim(first, uint32(span))
+					slow.trim(first, uint32(span))
+				}
+				if step%20000 == 19999 {
+					if err := compareFTL(fast, slow); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+					if err := fast.checkInvariants(); err != nil {
+						t.Fatalf("step %d: fast invariants: %v", step, err)
+					}
+					if err := slow.checkInvariants(); err != nil {
+						t.Fatalf("step %d: slow invariants: %v", step, err)
+					}
+				}
+			}
 			if err := compareFTL(fast, slow); err != nil {
-				t.Fatalf("step %d: %v", step, err)
+				t.Fatal(err)
 			}
-			if err := fast.checkInvariants(); err != nil {
-				t.Fatalf("step %d: fast invariants: %v", step, err)
+
+			if tc.writes == 10 && fast.gcMoved == 0 {
+				t.Fatal("GC relocated no page")
 			}
-			if err := slow.checkInvariants(); err != nil {
-				t.Fatalf("step %d: slow invariants: %v", step, err)
-			}
-		}
-	}
-	if err := compareFTL(fast, slow); err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 
@@ -209,6 +236,50 @@ func TestPreconditionSnapshotIdentical(t *testing.T) {
 		}
 		if err := dev.FTLCheck(); err != nil {
 			t.Fatalf("%s path: %v", name, err)
+		}
+	}
+}
+
+// TestRestoredDevicesShareNoArray restores two devices from one cache entry
+// on two goroutines, drives one through random writes until GC has run, and
+// checks that the other, and a third restore, still hold the uncached
+// reference state: no restore may leave a device sharing an array with the
+// snapshot, or with another device restored from it.
+func TestRestoredDevicesShareNoArray(t *testing.T) {
+	p := DCT983()
+	p.Name = "snap-alias-test" // unique cache key for this test
+	p.UsableBytes = 64 << 20
+	ref := New(sim.NewLoop(), p)
+	ref.preconditionUncached(Fragmented, sim.NewRNG(78))
+	want := ftlDigest(ref)
+	New(sim.NewLoop(), p).Precondition(Fragmented, sim.NewRNG(78)) // fills the cache entry
+
+	var devs [2]*SSD
+	var wg sync.WaitGroup
+	for i := range devs {
+		devs[i] = New(sim.NewLoop(), p)
+		wg.Add(1)
+		go func(dev *SSD, writes int) {
+			defer wg.Done()
+			dev.Precondition(Fragmented, sim.NewRNG(78))
+			rng := sim.NewRNG(79)
+			for range writes {
+				dev.ftl.writePage(uint32(rng.Intn(p.LogicalPages())), dev.preconditionDie(1))
+			}
+		}(devs[i], (1-i)*4*p.LogicalPages())
+	}
+	wg.Wait()
+	if devs[0].ftl.gcErases == 0 {
+		t.Fatal("the written device ran no GC")
+	}
+	third := New(sim.NewLoop(), p)
+	third.Precondition(Fragmented, sim.NewRNG(78))
+	for name, dev := range map[string]*SSD{"unwritten": devs[1], "third": third} {
+		if err := compareFTL(dev.ftl, ref.ftl); err != nil {
+			t.Fatalf("%s restore: %v", name, err)
+		}
+		if got := ftlDigest(dev); got != want {
+			t.Fatalf("%s restore: digest %#016x, reference %#016x", name, got, want)
 		}
 	}
 }

@@ -12,7 +12,9 @@ import (
 
 // ftlDigest is an FNV-64 digest of everything a pre-conditioning pass
 // leaves behind: both maps, the per-block metadata, the per-die allocator
-// state, the GC bucket lists and the device's flush cursor.
+// state, the GC bucket lists and the device's flush cursor. It reads the
+// dies' state in the device's block ids, die-major, and each block's
+// bucket membership as the byte it once stored.
 func ftlDigest(s *SSD) uint64 {
 	f := s.ftl
 	h := fnv.New64a()
@@ -22,31 +24,55 @@ func ftlDigest(s *SSD) uint64 {
 			buf = binary.LittleEndian.AppendUint32(buf, v)
 		}
 	}
-	u32(f.l2p...)
-	u32(f.p2l...)
-	for _, v := range f.valid {
-		buf = binary.LittleEndian.AppendUint16(buf, v)
-	}
-	for _, v := range f.writePtr {
-		buf = binary.LittleEndian.AppendUint16(buf, v)
-	}
-	u32(f.erases...)
-	for d := range f.dies {
-		ds := &f.dies[d]
-		u32(uint32(len(ds.free)))
-		u32(ds.free...)
-		u32(ds.open, ds.gcOpen, uint32(f.minValid[d]))
-	}
-	for _, ls := range [][]int32{f.bucketHead, f.bNext, f.bPrev} {
-		for _, v := range ls {
-			u32(uint32(v))
+	u16 := func(vs []uint16) {
+		for _, v := range vs {
+			buf = binary.LittleEndian.AppendUint16(buf, v)
 		}
 	}
-	for _, in := range f.inBucket {
-		if in {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
+	// first returns the device id of the die's block 0.
+	first := func(i int) uint32 { return uint32(i * f.blocksPerDie) }
+	u32(f.l2p...)
+	u32(f.p2l...)
+	for _, d := range f.dies {
+		u16(d.valid)
+	}
+	for _, d := range f.dies {
+		u16(d.writePtr)
+	}
+	for _, d := range f.dies {
+		u32(d.erases...)
+	}
+	for i, d := range f.dies {
+		u32(uint32(len(d.free)))
+		for _, b := range d.free {
+			u32(first(i) + b)
+		}
+		u32(first(i)+d.open, first(i)+d.gcOpen, uint32(d.minValid))
+	}
+	links := func(i int, bs []int32) {
+		for _, b := range bs {
+			if b != noBlock {
+				b += int32(first(i))
+			}
+			u32(uint32(b))
+		}
+	}
+	for i, d := range f.dies {
+		links(i, d.bucketHead)
+	}
+	for i, d := range f.dies {
+		links(i, d.bNext)
+	}
+	for i, d := range f.dies {
+		links(i, d.bPrev)
+	}
+	for _, d := range f.dies {
+		for b, wp := range d.writePtr {
+			if wp == uint16(d.ppb) && uint32(b) != d.open && uint32(b) != d.gcOpen {
+				buf = append(buf, 1)
+			} else {
+				buf = append(buf, 0)
+			}
 		}
 	}
 	u32(uint32(f.mappedPages), uint32(s.flushDie))
@@ -245,19 +271,19 @@ func TestOverwriteByDieMatchesOracle(t *testing.T) {
 	}
 }
 
-// compareMemo checks dieWritable's memo state, which the digest does not
+// compareMemo checks each die's writable memo, which the digest does not
 // read, against the oracle's: each die's mutation version must match, since
 // both ran the same mutations on it, and a memo still current must hold
-// the verdict dieWritableSlow derives. The memo versions themselves may
-// differ, since the die pass asks dieWritable less often. It may advance
+// the verdict writableSlow derives. The memo versions themselves may
+// differ, since the die pass asks writable less often. It may advance
 // the minimum-bucket hints.
 func compareMemo(f, oracle *ftl) error {
-	for d := range f.dies {
-		if f.dieVer[d] != oracle.dieVer[d] {
-			return fmt.Errorf("die %d: dieVer %d, oracle %d", d, f.dieVer[d], oracle.dieVer[d])
+	for i, d := range f.dies {
+		if o := oracle.dies[i]; d.ver != o.ver {
+			return fmt.Errorf("die %d: ver %d, oracle %d", i, d.ver, o.ver)
 		}
-		if f.writableVer[d] == f.dieVer[d]+1 && f.writableOK[d] != f.dieWritableSlow(d) {
-			return fmt.Errorf("die %d: dieWritable memo %v is current but wrong", d, f.writableOK[d])
+		if d.writableVer == d.ver+1 && d.writableOK != d.writableSlow() {
+			return fmt.Errorf("die %d: writable memo %v is current but wrong", i, d.writableOK)
 		}
 	}
 	return nil

@@ -17,9 +17,12 @@ import (
 //
 // Correctness of the shortcut: callers hand Precondition a throwaway RNG
 // (harness code forks one per device and discards it), so skipping the draws
-// on a hit cannot perturb any other random stream, and the restored arrays
-// are deep copies of state produced by the exact code path a miss runs.
+// on a hit cannot perturb any other random stream, and the restored state
+// is a deep copy of state produced by the exact code path a miss runs.
 // Experiment output is therefore byte-identical with the cache on or off.
+// A snapshot is the two maps plus a copy of each die's state, and capture
+// and restore copy a die the one way, die.copyTo: the type that declares a
+// die's state is the one place that lists it.
 //
 // A miss runs preconditionUncached: the fill, then the overwrite pass die
 // by die (diepass.go). GC never moves a page to another die, and on every
@@ -42,25 +45,15 @@ type precondKey struct {
 	tag    uint64
 }
 
-// ftlSnapshot is a deep copy of everything Precondition mutates: the mapping
-// tables, per-block metadata, per-die allocator state, the GC bucket lists,
-// and the device's flush cursor. Immutable once published.
+// ftlSnapshot is a deep copy of everything Precondition mutates: the
+// mapping tables, each die's state and the device's flush cursor.
+// Immutable once published.
 type ftlSnapshot struct {
-	l2p        []uint32
-	p2l        []uint32
-	valid      []uint16
-	writePtr   []uint16
-	erases     []uint32
-	freeLists  [][]uint32
-	open       []uint32
-	gcOpen     []uint32
-	bucketHead []int32
-	bNext      []int32
-	bPrev      []int32
-	inBucket   []bool
-	minValid   []int32
-	mapped     uint64
-	flushDie   int
+	l2p      []uint32
+	p2l      []uint32
+	dies     []*die
+	mapped   uint64
+	flushDie int
 }
 
 // precondCacheCap bounds retained snapshots; a snapshot is O(device pages),
@@ -73,43 +66,28 @@ var precondCache = struct {
 	order []precondKey // FIFO eviction
 }{m: make(map[precondKey]*ftlSnapshot)}
 
-func cloneU32(s []uint32) []uint32 { return append([]uint32(nil), s...) }
-func cloneU16(s []uint16) []uint16 { return append([]uint16(nil), s...) }
-func cloneI32(s []int32) []int32   { return append([]int32(nil), s...) }
-
 // capture deep-copies the device's post-precondition state.
 func (s *SSD) capture() *ftlSnapshot {
 	f := s.ftl
 	snap := &ftlSnapshot{
-		l2p:        cloneU32(f.l2p),
-		p2l:        cloneU32(f.p2l),
-		valid:      cloneU16(f.valid),
-		writePtr:   cloneU16(f.writePtr),
-		erases:     cloneU32(f.erases),
-		freeLists:  make([][]uint32, len(f.dies)),
-		open:       make([]uint32, len(f.dies)),
-		gcOpen:     make([]uint32, len(f.dies)),
-		bucketHead: cloneI32(f.bucketHead),
-		bNext:      cloneI32(f.bNext),
-		bPrev:      cloneI32(f.bPrev),
-		inBucket:   append([]bool(nil), f.inBucket...),
-		minValid:   cloneI32(f.minValid),
-		mapped:     f.mappedPages,
-		flushDie:   s.flushDie,
+		l2p:      slices.Clone(f.l2p),
+		p2l:      slices.Clone(f.p2l),
+		dies:     make([]*die, len(f.dies)),
+		mapped:   f.mappedPages,
+		flushDie: s.flushDie,
 	}
-	for d := range f.dies {
-		snap.freeLists[d] = cloneU32(f.dies[d].free)
-		snap.open[d] = f.dies[d].open
-		snap.gcOpen[d] = f.dies[d].gcOpen
+	for i, d := range f.dies {
+		snap.dies[i] = new(die)
+		d.copyTo(snap.dies[i], snap.p2l)
 	}
 	return snap
 }
 
 // restore copies a snapshot into the device (same Params, so all array
-// lengths match) and re-runs the post-precondition reset, leaving the device
-// indistinguishable from one that ran the full fill. The maps are fresh
-// copies: a device with no page mapped has blank maps, and those go to
-// the next device's newFTL.
+// lengths match) and re-runs the post-precondition reset, leaving the
+// device indistinguishable from one that ran the full fill. The maps are
+// fresh copies: a device with no page mapped has blank maps, and those go
+// to the next device's newFTL.
 func (s *SSD) restore(snap *ftlSnapshot) {
 	f := s.ftl
 	if f.mappedPages == 0 {
@@ -117,26 +95,10 @@ func (s *SSD) restore(snap *ftlSnapshot) {
 	}
 	f.l2p = slices.Clone(snap.l2p)
 	f.p2l = slices.Clone(snap.p2l)
-	copy(f.valid, snap.valid)
-	copy(f.writePtr, snap.writePtr)
-	copy(f.erases, snap.erases)
-	copy(f.bucketHead, snap.bucketHead)
-	copy(f.bNext, snap.bNext)
-	copy(f.bPrev, snap.bPrev)
-	copy(f.inBucket, snap.inBucket)
-	copy(f.minValid, snap.minValid)
+	for i, d := range snap.dies {
+		d.copyTo(f.dies[i], f.p2l)
+	}
 	f.mappedPages = snap.mapped
-	for d := range f.dies {
-		ds := &f.dies[d]
-		ds.free = append(ds.free[:0], snap.freeLists[d]...)
-		ds.open = snap.open[d]
-		ds.gcOpen = snap.gcOpen[d]
-	}
-	// Drop the dieWritable memo rather than snapshotting version counters;
-	// the next probe re-derives the same verdicts.
-	for d := range f.writableVer {
-		f.writableVer[d] = 0
-	}
 	s.flushDie = snap.flushDie
 	s.resetAfterPrecondition()
 }

@@ -221,7 +221,7 @@ func TestFTLSequentialOverwriteCheapGC(t *testing.T) {
 // victim) or listed there twice is reported.
 func TestFTLCheckPerDieSpace(t *testing.T) {
 	f := newFTL(testParams())
-	ds := &f.dies[3]
+	ds := f.dies[3]
 	blk := ds.free[len(ds.free)-1]
 	ds.free = ds.free[:len(ds.free)-1]
 	if err := f.checkInvariants(); err == nil || !strings.Contains(err.Error(), "accounts for") {
