@@ -425,7 +425,7 @@ func TestSwitchTracedSubmitAllocFree(t *testing.T) {
 		dev := fault.Wrap(loop, ssd.NewNull(loop, 8<<30, 100))
 		tgt := fabric.NewTarget(loop, []ssd.Device{dev}, fabric.DefaultTargetConfig(scheme))
 		hub := obs.NewHub(obs.NewRegistry())
-		hub.Tracer = obs.NewTracer(obs.TracerConfig{Capacity: 1024, Mode: obs.TraceFull})
+		hub.Tracer = obs.NewTracer(obs.TracerConfig{Capacity: 1024, SampleEvery: 1})
 		hub.Events = obs.NewEventLog(64)
 		hub.SLO = obs.NewSLOEngine(obs.SLO{LatencyTargetNs: sim.Millisecond, LatencyGoal: 0.99})
 		tgt.AttachObs(hub)
@@ -454,19 +454,17 @@ func TestSwitchTracedSubmitAllocFree(t *testing.T) {
 // benchObsOverhead is the observability-overhead ablation behind the
 // "sampled tracing costs ≲2% over plain metrics" claim: 8 tenants × QD32 of
 // 4KB reads through the switch over a NULL device, counters/histograms
-// attached throughout and only the span-capture policy varying (off /
-// tail-biased sampling / full), plus a fully unattached baseline isolating
-// the metrics cost itself.
-func benchObsOverhead(b *testing.B, mode obs.TraceMode, attach bool) {
+// attached throughout and only the tracer varying (none / tail-biased
+// sampling / every IO), plus a fully unattached baseline isolating the
+// metrics cost itself. trace nil attaches no tracer.
+func benchObsOverhead(b *testing.B, attach bool, trace *obs.TracerConfig) {
 	loop := sim.NewLoop()
 	dev := ssd.NewNull(loop, 8<<30, 100)
 	s := core.New(loop, dev, core.DefaultConfig())
 	if attach {
 		hub := obs.NewHub(obs.NewRegistry())
-		if mode != obs.TraceOff {
-			cfg := obs.DefaultTracerConfig()
-			cfg.Mode = mode
-			hub.Tracer = obs.NewTracer(cfg)
+		if trace != nil {
+			hub.Tracer = obs.NewTracer(*trace)
 		}
 		hub.Events = obs.NewEventLog(256)
 		s.AttachObs(hub, 0)
@@ -498,16 +496,27 @@ func benchObsOverhead(b *testing.B, mode obs.TraceMode, attach bool) {
 	loop.Run()
 }
 
-// BenchmarkObsOverhead: Unattached is the bare switch, Off has metrics but
-// no tracer, Sampled is the default deployment shape, Full the every-IO
+// BenchmarkObsOverhead: Unattached is the bare switch, Registry has metrics
+// but no tracer, Sampled is the default deployment shape, Every the every-IO
 // capture bound. Note this closed 256-deep loop over a 100ns NULL device is
 // deliberately congested: ~11% of IOs breach the 1ms SlowNs threshold, so
 // Sampled pays the capture path for the whole tail (by design) and lands
-// ~12% over Off here; the unsampled per-IO cost is one atomic add and two
-// compares. Deltas and the analysis are in EXPERIMENTS.md "History (pre-ledger)".
+// ~12% over Registry here; the unsampled per-IO cost is one atomic add and
+// two compares. Deltas and the analysis are in EXPERIMENTS.md "History
+// (pre-ledger)".
 func BenchmarkObsOverhead(b *testing.B) {
-	b.Run("Unattached", func(b *testing.B) { benchObsOverhead(b, obs.TraceOff, false) })
-	b.Run("Off", func(b *testing.B) { benchObsOverhead(b, obs.TraceOff, true) })
-	b.Run("Sampled", func(b *testing.B) { benchObsOverhead(b, obs.TraceSampled, true) })
-	b.Run("Full", func(b *testing.B) { benchObsOverhead(b, obs.TraceFull, true) })
+	sampled := obs.DefaultTracerConfig()
+	every := obs.TracerConfig{Capacity: sampled.Capacity, SampleEvery: 1}
+	for _, c := range []struct {
+		name   string
+		attach bool
+		trace  *obs.TracerConfig
+	}{
+		{"Unattached", false, nil},
+		{"Registry", true, nil},
+		{"Sampled", true, &sampled},
+		{"Every", true, &every},
+	} {
+		b.Run(c.name, func(b *testing.B) { benchObsOverhead(b, c.attach, c.trace) })
+	}
 }

@@ -75,13 +75,15 @@ func main() {
 		dur    = flag.Duration("dur", 10*time.Second, "run duration")
 	)
 	flag.Parse()
+	if err := checkLoad(*size, *span, *qd, *conns); err != nil {
+		fmt.Fprintf(os.Stderr, "gimbalcli: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	sch, err := fabric.ParseScheme(*scheme)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *conns < 1 {
-		log.Fatalf("-conns %d: need at least one connection", *conns)
 	}
 	clients := make([]*fabric.TCPClient, *conns)
 	for i := range clients {
@@ -159,6 +161,23 @@ func main() {
 	fmt.Printf("latency: avg %.0fus p50 %dus p99 %dus p99.9 %dus max %dus\n",
 		hist.Mean()/1e3, hist.P50()/1000, hist.P99()/1000, hist.P999()/1000, hist.Max()/1000)
 	fmt.Printf("errors: %d, credit headroom at exit: %d\n", errs.Load(), headroom)
+}
+
+// checkLoad rejects load flags the workers cannot run: every IO is a
+// positive number of 4 KiB blocks, the offset range holds at least one IO,
+// and there is at least one worker and one connection.
+func checkLoad(size int, span int64, qd, conns int) error {
+	switch {
+	case size <= 0 || size%4096 != 0:
+		return fmt.Errorf("-size %d: need a positive multiple of 4096", size)
+	case span < int64(size):
+		return fmt.Errorf("-span %d: need at least -size (%d)", span, size)
+	case qd < 1:
+		return fmt.Errorf("-qd %d: need at least 1", qd)
+	case conns < 1:
+		return fmt.Errorf("-conns %d: need at least one connection", conns)
+	}
+	return nil
 }
 
 // fetchStats GETs and decodes one /stats snapshot.

@@ -20,8 +20,9 @@
 //	/reactors       shard → SSD mapping and per-reactor capsule counts
 //	/debug/pprof/   the standard Go profiler
 //
-// Span capture policy is -trace-mode: "sampled" (default) captures every
-// IO slower than -trace-slow plus every -trace-nth IO; "full" captures all.
+// The span tracer captures every IO slower than -trace-slow plus every
+// -trace-nth IO (-trace-nth 1 captures all); -trace 0, or both triggers
+// off, attaches no tracer.
 // The SLO engine is armed with -slo-target/-slo-goal.
 //
 // Drive it with cmd/gimbalcli; `gimbalcli stats` renders /stats and
@@ -66,9 +67,8 @@ func main() {
 		cond      = flag.String("cond", "clean", "precondition: fresh|clean|fragmented")
 		capacity  = flag.Int64("capacity", 2<<30, "per-SSD usable bytes")
 		traceCap  = flag.Int("trace", 8192, "per-IO trace ring capacity (0 disables tracing)")
-		traceMode = flag.String("trace-mode", "sampled", "span capture policy: off|sampled|full (sampled = every slow IO + 1/N of the rest)")
-		traceSlow = flag.Duration("trace-slow", time.Millisecond, "sampled mode: always capture IOs at least this slow")
-		traceNth  = flag.Int("trace-nth", 64, "sampled mode: capture every Nth IO regardless of latency")
+		traceSlow = flag.Duration("trace-slow", time.Millisecond, "always capture IOs at least this slow (0 disables)")
+		traceNth  = flag.Int("trace-nth", 64, "capture every Nth IO regardless of latency (1 captures all, 0 disables)")
 		sloTarget = flag.Duration("slo-target", 0, "per-tenant latency objective (0 disables the SLO engine)")
 		sloGoal   = flag.Float64("slo-goal", 0.999, "fraction of IOs that must meet the latency objective")
 		drain     = flag.Duration("drain", 3*time.Second, "graceful shutdown drain timeout")
@@ -78,6 +78,11 @@ func main() {
 		token     = flag.String("admin-token", "", "bearer token required on mutating volume endpoints (empty leaves them open)")
 	)
 	flag.Parse()
+	if *ssds < 1 {
+		fmt.Fprintf(os.Stderr, "gimbald: -ssds %d: need at least one SSD\n", *ssds)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	sch, err := fabric.ParseScheme(*scheme)
 	if err != nil {
@@ -94,6 +99,9 @@ func main() {
 		}
 		classes = cs
 		tcfg.Gimbal.Sched.ClassWeights = cs.Compile().ClassWeights
+	}
+	if *recovery {
+		tcfg.Gimbal.Recovery = core.DefaultRecoveryConfig()
 	}
 	var condition ssd.Condition
 	switch *cond {
@@ -131,20 +139,10 @@ func main() {
 		log.Fatal(err)
 	}
 	target := st.Target
-	if *recovery && sch == fabric.SchemeGimbal {
-		for i := 0; i < *ssds; i++ {
-			if g := target.Pipeline(i).Gimbal; g != nil {
-				g.EnableRecovery(core.DefaultRecoveryConfig())
-			}
-		}
-	}
 	// Telemetry: the span tracer, the per-tenant SLO engine, and the shared
 	// event log the fault engine and the switch's recovery transitions both
 	// feed.
-	mode, err := obs.ParseTraceMode(*traceMode)
-	if err != nil {
-		log.Fatal(err)
-	}
+	//
 	// The hub registry keeps only atomic transport gauges (no GatherLock
 	// needed) and each reactor gets its own shard registry gathered under
 	// that shard's lock; /metrics joins them through an obs.Group, so a
@@ -159,13 +157,8 @@ func main() {
 	}
 	group := obs.NewGroup(members...)
 	hub := obs.NewHub(reg)
-	if *traceCap > 0 && mode != obs.TraceOff {
-		hub.Tracer = obs.NewTracer(obs.TracerConfig{
-			Capacity:    *traceCap,
-			Mode:        mode,
-			SlowNs:      int64(*traceSlow),
-			SampleEvery: *traceNth,
-		})
+	if tc := tracerConfig(*traceCap, *traceSlow, *traceNth); tc != nil {
+		hub.Tracer = obs.NewTracer(*tc)
 	}
 	hub.Events = obs.NewEventLog(1024)
 	if *sloTarget > 0 {
@@ -284,6 +277,15 @@ func main() {
 	}
 	shards.Stop()
 	log.Println("shutdown complete")
+}
+
+// tracerConfig is the span tracer the -trace, -trace-slow and -trace-nth
+// flags ask for, or nil when they ask for one that would capture nothing.
+func tracerConfig(capacity int, slow time.Duration, nth int) *obs.TracerConfig {
+	if capacity <= 0 || (slow <= 0 && nth <= 0) {
+		return nil
+	}
+	return &obs.TracerConfig{Capacity: capacity, SlowNs: int64(slow), SampleEvery: nth}
 }
 
 // loadFaultPlan reads a JSON fault schedule (see parseFaultPlan).

@@ -70,7 +70,7 @@ func runSLOAttribExp(cx *Ctx) []*Result {
 	// hopeless during the ×200 brownout — so the burn-rate columns separate
 	// the two tenant classes sharply.
 	cfg.SLO = &obs.SLO{LatencyTargetNs: 2 * sim.Millisecond, LatencyGoal: 0.999}
-	cfg.Trace = &obs.TracerConfig{Capacity: 1 << 17, Mode: obs.TraceFull}
+	cfg.Trace = &obs.TracerConfig{Capacity: 1 << 17, SampleEvery: 1}
 	// Burn-rate snapshot per tenant (Spec order), taken while the fault
 	// window is still the recent past.
 	burnAtFaultEnd := make([]float64, len(cfg.Specs))

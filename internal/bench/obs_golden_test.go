@@ -48,7 +48,7 @@ func obsGoldenRuns() []obsGoldenRun {
 		cfg.Scheme = scheme
 		if scheme == fabric.SchemeGimbal {
 			// The tracer adds the exemplar lines to the exposition.
-			cfg.Trace = &obs.TracerConfig{Capacity: 256, Mode: obs.TraceFull}
+			cfg.Trace = &obs.TracerConfig{Capacity: 256, SampleEvery: 1}
 		}
 		runs = append(runs, obsGoldenRun{scheme.String(), cfg})
 	}

@@ -47,7 +47,7 @@ func TestPhaseLaw(t *testing.T) {
 // trace; it returns the sessions' reissue count.
 func checkPhaseLaw(t *testing.T, name string, cfg FioConfig) (retries int64) {
 	t.Helper()
-	cfg.Trace = &obs.TracerConfig{Capacity: 1 << 17, Mode: obs.TraceFull}
+	cfg.Trace = &obs.TracerConfig{Capacity: 1 << 17, SampleEvery: 1}
 	run := NewCtx(Test).Execute(cfg)
 	ring := run.Hub.Ring()
 	if ring.Len() == 0 || int64(ring.Len()) != int64(run.Hub.Tracer.Captured()) {

@@ -18,7 +18,7 @@ func benchSwitchSubmit(b *testing.B, attach bool) {
 	sw := New(loop, dev, DefaultConfig())
 	if attach {
 		hub := obs.NewHub(obs.NewRegistry())
-		hub.Tracer = obs.NewTracer(obs.TracerConfig{Capacity: 1024, Mode: obs.TraceFull})
+		hub.Tracer = obs.NewTracer(obs.TracerConfig{Capacity: 1024, SampleEvery: 1})
 		sw.AttachObs(hub, 0)
 	}
 	tn := nvme.NewTenant(1, "bench")

@@ -36,7 +36,7 @@ func newObservedTarget(t *testing.T) (*sim.RealShards, *Target, *obs.Hub) {
 
 	hub := obs.NewHub(obs.NewRegistry())
 	hub.Reg.GatherLock = shards.Shard(0)
-	hub.Tracer = obs.NewTracer(obs.TracerConfig{Capacity: 1024, Mode: obs.TraceFull})
+	hub.Tracer = obs.NewTracer(obs.TracerConfig{Capacity: 1024, SampleEvery: 1})
 	hub.Events = obs.NewEventLog(64)
 	hub.SLO = obs.NewSLOEngine(obs.SLO{LatencyTargetNs: int64(time.Second), LatencyGoal: 0.999})
 	hub.SLO.SetEventLog(hub.Events)

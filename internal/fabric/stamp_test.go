@@ -105,7 +105,7 @@ func TestSendAtTimeZeroKeepsUplink(t *testing.T) {
 	loop := sim.NewLoop()
 	tgt := NewTarget(loop, []ssd.Device{ssd.NewNull(loop, 1<<30, stampDevNs)}, DefaultTargetConfig(SchemeGimbal))
 	hub := obs.NewHub(obs.NewRegistry())
-	hub.Tracer = obs.NewTracer(obs.TracerConfig{Capacity: 8, Mode: obs.TraceFull})
+	hub.Tracer = obs.NewTracer(obs.TracerConfig{Capacity: 8, SampleEvery: 1})
 	// The uplink and the device take 25 005 ns; the device alone 20 000.
 	hub.SLO = obs.NewSLOEngine(obs.SLO{LatencyTargetNs: 24 * sim.Microsecond, LatencyGoal: 0.99})
 	tgt.AttachObs(hub)

@@ -1,78 +1,34 @@
 package obs
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// TraceMode selects the tracer's capture policy.
-type TraceMode int
-
-const (
-	// TraceOff captures nothing; Sample is a single branch.
-	TraceOff TraceMode = iota
-	// TraceSampled captures every slow IO (latency ≥ SlowNs) plus every
-	// SampleEvery-th IO, so the tail is complete while the hot path stays
-	// allocation-free and cheap.
-	TraceSampled
-	// TraceFull captures every IO.
-	TraceFull
-)
-
-// String renders the mode the way ParseTraceMode reads it.
-func (m TraceMode) String() string {
-	switch m {
-	case TraceOff:
-		return "off"
-	case TraceSampled:
-		return "sampled"
-	case TraceFull:
-		return "full"
-	}
-	return fmt.Sprintf("TraceMode(%d)", int(m))
-}
-
-// ParseTraceMode parses off/sampled/full.
-func ParseTraceMode(s string) (TraceMode, error) {
-	switch s {
-	case "off":
-		return TraceOff, nil
-	case "sampled":
-		return TraceSampled, nil
-	case "full":
-		return TraceFull, nil
-	}
-	return TraceOff, fmt.Errorf("obs: unknown trace mode %q (off|sampled|full)", s)
-}
-
-// TracerConfig configures a Tracer.
+// TracerConfig configures a Tracer. A tracer captures every IO whose switch
+// residency reaches SlowNs, plus the first and then every SampleEvery-th IO
+// it observes; SampleEvery 1 captures every IO. Capturing nothing is having
+// no tracer: a nil *Tracer samples nothing.
 type TracerConfig struct {
 	// Capacity is the trace ring size (default 8192).
 	Capacity int
-	// Mode is the capture policy (default TraceSampled).
-	Mode TraceMode
-	// SlowNs, in sampled mode, always captures IOs whose switch residency
-	// (done − arrival) is at least this long. 0 disables the slow path
-	// trigger.
+	// SlowNs always captures IOs whose switch residency (done − arrival)
+	// is at least this long. 0 disables the slow trigger.
 	SlowNs int64
-	// SampleEvery, in sampled mode, captures the first and then every Nth
-	// observed IO regardless of latency, keeping an unbiased baseline next
-	// to the tail-complete slow captures. 0 disables periodic sampling.
+	// SampleEvery captures the first and then every Nth observed IO
+	// regardless of latency, keeping an unbiased baseline next to the
+	// tail-complete slow captures. 0 disables periodic sampling.
 	SampleEvery int
 }
 
 // DefaultTracerConfig is sampled tracing tuned for the simulated SSDs:
 // every IO slower than 1ms is captured, plus a 1-in-64 baseline.
 func DefaultTracerConfig() TracerConfig {
-	return TracerConfig{Capacity: 8192, Mode: TraceSampled, SlowNs: 1_000_000, SampleEvery: 64}
+	return TracerConfig{Capacity: 8192, SlowNs: 1_000_000, SampleEvery: 64}
 }
 
 // Tracer owns the span ring and the capture decision. Sample is called
 // once per completed IO from scheduler context, and Capture for the IOs it
-// keeps; neither allocates (traces travel by value), and in sampled mode
-// fast, unsampled IOs skip the ring entirely — tail-biased sampling means
-// every slow IO is captured while steady-state traffic pays two atomic
-// adds at most.
+// keeps; neither allocates (traces travel by value), and fast, unsampled
+// IOs skip the ring entirely — tail-biased sampling means every slow IO is
+// captured while steady-state traffic pays two atomic adds at most.
 type Tracer struct {
 	cfg   TracerConfig
 	ring  *TraceRing
@@ -80,7 +36,7 @@ type Tracer struct {
 	spans atomic.Uint64 // IOs captured; the last value is the newest span id
 }
 
-// NewTracer builds a tracer; zero config fields take their defaults.
+// NewTracer builds a tracer; a Capacity of 0 takes the default.
 func NewTracer(cfg TracerConfig) *Tracer {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultTracerConfig().Capacity
@@ -107,13 +63,10 @@ func (t *Tracer) Captured() uint64 { return t.spans.Load() }
 // assemble the trace record for IOs that will actually be kept: the
 // unsampled hot path is one atomic add and two compares.
 func (t *Tracer) Sample(latNs int64) bool {
-	if t == nil || t.cfg.Mode == TraceOff {
+	if t == nil {
 		return false
 	}
 	n := t.seen.Add(1)
-	if t.cfg.Mode == TraceFull {
-		return true
-	}
 	if t.cfg.SlowNs > 0 && latNs >= t.cfg.SlowNs {
 		return true
 	}

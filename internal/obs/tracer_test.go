@@ -14,82 +14,81 @@ func observe(t *Tracer, tr IOTrace) (uint64, bool) {
 	return t.Capture(tr), true
 }
 
-func TestTracerModes(t *testing.T) {
-	mk := func(mode TraceMode) *Tracer {
-		return NewTracer(TracerConfig{Capacity: 64, Mode: mode, SlowNs: 1000, SampleEvery: 10})
-	}
-
-	off := mk(TraceOff)
-	if _, ok := observe(off, IOTrace{Done: 5000}); ok {
-		t.Fatal("off tracer captured")
-	}
-
-	full := mk(TraceFull)
-	for i := 0; i < 5; i++ {
-		if _, ok := observe(full, IOTrace{Arrival: 0, Done: 1}); !ok {
-			t.Fatal("full tracer skipped")
-		}
-	}
-	if full.Captured() != 5 || full.Ring().Len() != 5 {
-		t.Fatalf("full captured=%d len=%d, want 5", full.Captured(), full.Ring().Len())
-	}
-
-	s := mk(TraceSampled)
-	// 100 fast IOs: the first plus every 10th → 10 captures.
-	for i := 0; i < 100; i++ {
-		observe(s, IOTrace{Arrival: 0, Done: 10})
-	}
-	if s.Captured() != 10 {
-		t.Fatalf("sampled captured %d fast IOs, want 10", s.Captured())
-	}
-	// Slow IOs are always captured regardless of the sampling phase.
-	before := s.Captured()
-	for i := 0; i < 7; i++ {
-		if _, ok := observe(s, IOTrace{Arrival: 0, Done: 1000}); !ok {
-			t.Fatal("sampled tracer skipped a slow IO")
-		}
-	}
-	if s.Captured() != before+7 {
-		t.Fatalf("slow captures = %d, want %d", s.Captured()-before, 7)
-	}
-	if s.Seen() != 107 {
-		t.Fatalf("seen = %d, want 107", s.Seen())
-	}
-}
-
-func TestTracerSpanIDsMonotone(t *testing.T) {
-	tr := NewTracer(TracerConfig{Capacity: 8, Mode: TraceFull})
-	for i := 1; i <= 5; i++ {
-		id, ok := observe(tr, IOTrace{})
-		if !ok || id != uint64(i) {
-			t.Fatalf("span id = %d ok=%v, want %d", id, ok, i)
-		}
-	}
-	snap := tr.Ring().Snapshot()
-	if snap[0].Span != 1 || snap[4].Span != 5 {
-		t.Fatalf("ring spans = %d..%d, want 1..5", snap[0].Span, snap[4].Span)
-	}
-}
-
+// TestTracerNilSafe: a tracer that would capture nothing is no tracer at
+// all, and a nil tracer captures nothing and has no ring.
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
-	if _, ok := observe(tr, IOTrace{}); ok {
-		t.Fatal("nil tracer captured")
+	for i := 0; i < 5; i++ {
+		if _, ok := observe(tr, IOTrace{Done: 5000}); ok {
+			t.Fatal("nil tracer captured")
+		}
 	}
 	if tr.Ring() != nil {
 		t.Fatal("nil tracer has a ring")
 	}
 }
 
-func TestParseTraceMode(t *testing.T) {
-	for _, m := range []TraceMode{TraceOff, TraceSampled, TraceFull} {
-		got, err := ParseTraceMode(m.String())
-		if err != nil || got != m {
-			t.Fatalf("round-trip %v: got %v err %v", m, got, err)
+// TestTracerSpanIDsMonotone: SampleEvery 1 captures every IO, with span ids
+// 1..n in capture order.
+func TestTracerSpanIDsMonotone(t *testing.T) {
+	tr := NewTracer(TracerConfig{Capacity: 8, SampleEvery: 1})
+	for i := 1; i <= 5; i++ {
+		id, ok := observe(tr, IOTrace{Arrival: 0, Done: 1})
+		if !ok || id != uint64(i) {
+			t.Fatalf("span id = %d ok=%v, want %d", id, ok, i)
 		}
 	}
-	if _, err := ParseTraceMode("bogus"); err == nil {
-		t.Fatal("bogus mode parsed")
+	snap := tr.Ring().Snapshot()
+	if tr.Seen() != 5 || tr.Captured() != 5 || len(snap) != 5 || snap[0].Span != 1 || snap[4].Span != 5 {
+		t.Fatalf("seen=%d captured=%d ring=%d, want 5/5 with spans 1..5", tr.Seen(), tr.Captured(), len(snap))
+	}
+}
+
+// TestTracerConfigs: the capture policy is SlowNs and SampleEvery alone;
+// either trigger works without the other.
+func TestTracerConfigs(t *testing.T) {
+	slow := NewTracer(TracerConfig{Capacity: 64, SlowNs: 1000})
+	for i := 0; i < 100; i++ {
+		if _, ok := observe(slow, IOTrace{Arrival: 0, Done: 999}); ok {
+			t.Fatal("slow-only tracer captured a fast IO")
+		}
+	}
+	for i := 0; i < 7; i++ {
+		if _, ok := observe(slow, IOTrace{Arrival: 0, Done: 1000}); !ok {
+			t.Fatal("slow-only tracer skipped a slow IO")
+		}
+	}
+	if slow.Seen() != 107 || slow.Captured() != 7 {
+		t.Fatalf("slow-only: seen=%d captured=%d, want 107/7", slow.Seen(), slow.Captured())
+	}
+
+	nth := NewTracer(TracerConfig{Capacity: 64, SampleEvery: 10})
+	for i := 0; i < 100; i++ {
+		_, ok := observe(nth, IOTrace{Arrival: 0, Done: int64(i) * 1_000_000})
+		if want := i%10 == 0; ok != want {
+			t.Fatalf("every-10th-only: IO %d captured=%v, want %v", i, ok, want)
+		}
+	}
+	if nth.Seen() != 100 || nth.Captured() != 10 {
+		t.Fatalf("every-10th-only: seen=%d captured=%d, want 100/10", nth.Seen(), nth.Captured())
+	}
+
+	// Both triggers: the first and every 10th fast IO, plus every slow one
+	// regardless of the sampling phase.
+	s := NewTracer(TracerConfig{Capacity: 64, SlowNs: 1000, SampleEvery: 10})
+	for i := 0; i < 100; i++ {
+		observe(s, IOTrace{Arrival: 0, Done: 10})
+	}
+	if s.Captured() != 10 {
+		t.Fatalf("sampled captured %d fast IOs, want 10", s.Captured())
+	}
+	for i := 0; i < 7; i++ {
+		if _, ok := observe(s, IOTrace{Arrival: 0, Done: 1000}); !ok {
+			t.Fatal("sampled tracer skipped a slow IO")
+		}
+	}
+	if s.Seen() != 107 || s.Captured() != 17 {
+		t.Fatalf("sampled: seen=%d captured=%d, want 107/17", s.Seen(), s.Captured())
 	}
 }
 

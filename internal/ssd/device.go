@@ -639,24 +639,23 @@ func (s *SSD) programBatch(batch []uint32) bool {
 // advances the round-robin stripe cursor, skipping dies whose free pool is
 // too depleted to accept writes safely (real FTL allocators weight channel
 // selection by free space; without this, valid data slowly concentrates on
-// unlucky dies until their GC has no room to operate). dieWritable
-// memoizes against the die's mutation version, so a round that probes many
-// unchanged dies re-derives nothing. When every die is tight it takes the
-// one with the most free blocks among those that can allocate, and reports
-// false when none can: the pages then wait in the buffer.
+// unlucky dies until their GC has no room to operate). When every die is
+// tight it takes the one with the most free blocks among those that can
+// allocate, and reports false when none can: the pages then wait in the
+// buffer.
 func (s *SSD) pickFlushDie(pages int) (int, bool) {
-	n := s.p.Dies()
-	for i := 0; i < n; i++ {
+	dies := s.ftl.dies
+	for range dies {
 		die := s.flushDie
-		s.flushDie = (s.flushDie + 1) % n
-		if s.ftl.dieWritable(die) && s.ftl.canAlloc(die, pages) {
+		s.flushDie = (s.flushDie + 1) % len(dies)
+		if dies[die].takes(pages) {
 			return die, true
 		}
 	}
 	best := -1
-	for d := 0; d < n; d++ {
-		if s.ftl.canAlloc(d, pages) && (best < 0 || s.ftl.freeOf(d) > s.ftl.freeOf(best)) {
-			best = d
+	for i, d := range dies {
+		if d.canAlloc(pages) && (best < 0 || len(d.free) > len(dies[best].free)) {
+			best = i
 		}
 	}
 	return best, best >= 0

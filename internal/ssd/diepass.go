@@ -24,12 +24,12 @@ import (
 // invalidation to the die that holds the page's previous copy. Each die
 // then replays its writes and invalidations on its own state, through the
 // die methods the device's writes use, with an l2p indexed by a die-local
-// page name, and the result is translated back. A replay checks writable
-// && canAlloc before every host write, exactly as pickFlushDie would; if
-// any die would skip its turn, the pass reports false and the caller
-// starts over from the fill through the per-page loop. Either way the
-// final state is the one the per-page loop leaves. Naming the fill's pages
-// and the replays write disjoint memory, so both run on up to GOMAXPROCS
+// page name, and the result is translated back. A replay asks the die's
+// takes before every host write, exactly as pickFlushDie would; if any die
+// would skip its turn, the pass reports false and the caller starts over
+// from the fill through the per-page loop. Either way the final state is
+// the one the per-page loop leaves. Naming the fill's pages and the
+// replays write disjoint memory, so both run on up to GOMAXPROCS
 // goroutines; the result does not depend on how many. A replay writes its
 // die's own allocations, its die's slice of p2l (148 KB a die at 4 GiB,
 // two lines of it shared) and the l2p words its pages translate back to;
@@ -179,9 +179,7 @@ func (f *ftl) replayDie(i int, st *dieStream, drawn []uint32, l2p *[]uint32) boo
 		if k >= len(drawn) {
 			break
 		}
-		// With three free blocks writable and canAlloc both hold and touch
-		// nothing but writable's memo.
-		if len(d.free) <= 2 && !(d.writable() && d.canAlloc(1)) {
+		if !d.takes(1) {
 			return false
 		}
 		phys, _ := d.allocHost(m)

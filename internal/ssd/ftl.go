@@ -79,16 +79,6 @@ type die struct {
 	bPrev      []int32
 	minValid   int32
 
-	// ver counts mutations that can change the die's GC feasibility
-	// (free-pool size, bucket contents, GC open block slack). writable
-	// memoizes its verdict against it, so a flush round re-derives
-	// feasibility only for dies whose state moved since the last batch.
-	// Being only a memo version, it needs one bump per mutation, not one
-	// per page the mutation moves.
-	ver         uint32
-	writableVer uint32 // ver+1 at memo time; 0 = no memo
-	writableOK  bool
-
 	// victimOracle, when non-nil, makes pickVictim's choice. Nothing outside
 	// ftl_diff_test.go sets it: the differential test installs the retained
 	// O(blocksPerDie) reference scan on a twin FTL and drives both through
@@ -229,7 +219,8 @@ func (f *ftl) invalidate(logical uint32) {
 
 // writePage maps a logical page to a freshly allocated physical page on
 // die, invalidating any previous mapping, and reports the GC work incurred.
-// The caller has checked canAlloc(die, n) for the n pages it writes there.
+// The caller has checked the die's canAlloc(n) for the n pages it writes
+// there.
 func (f *ftl) writePage(logical uint32, die int) gcWork {
 	d := f.dies[die]
 	phys, work := d.allocHost(f.l2p)
@@ -242,17 +233,6 @@ func (f *ftl) writePage(logical uint32, die int) gcWork {
 	f.gcReclaims += uint64(work.erases)
 	return work
 }
-
-// freeOf returns the die's free block count.
-func (f *ftl) freeOf(die int) int { return len(f.dies[die].free) }
-
-// dieWritable reports whether the die can accept new host writes without
-// risking allocation starvation (die.writable).
-func (f *ftl) dieWritable(die int) bool { return f.dies[die].writable() }
-
-// canAlloc reports whether n more host pages (n ≤ pagesPerBlock) can go to
-// the die now without taking its last free block (die.canAlloc).
-func (f *ftl) canAlloc(die, n int) bool { return f.dies[die].canAlloc(n) }
 
 // trim invalidates a span of logical pages (the blobstore frees blobs with
 // it). It reports nothing to charge: trims are metadata-only. The span
@@ -368,7 +348,6 @@ func (d *die) drop(b uint32, n uint16) {
 	} else {
 		d.valid[b] -= n
 	}
-	d.ver++
 }
 
 // program records that the die's page phys, which allocHost returned, holds
@@ -408,7 +387,6 @@ func (d *die) popFree(l2p []uint32) (uint32, gcWork) {
 	}
 	blk := d.free[len(d.free)-1]
 	d.free = d.free[:len(d.free)-1]
-	d.ver++
 	return blk, work
 }
 
@@ -528,27 +506,17 @@ func (d *die) reclaim(victim uint32, l2p []uint32) gcWork {
 	d.writePtr[victim] = 0
 	d.erases[victim]++
 	d.free = append(d.free, victim)
-	d.ver++
 	return gcWork{moved: moved, erases: 1}
 }
 
+// takes reports whether the die takes its round-robin turn for n host
+// pages: it is writable and can allocate them.
+func (d *die) takes(n int) bool { return d.writable() && d.canAlloc(n) }
+
 // writable reports whether the die can accept new host writes without
 // risking allocation starvation: either it has free headroom, or garbage
-// collection on it can still make progress. The verdict is memoized
-// against the die's mutation version, so a flush round probing the same
-// stalled die repeatedly pays one derivation.
+// collection on it can still make progress.
 func (d *die) writable() bool {
-	ver := d.ver + 1
-	if d.writableVer == ver {
-		return d.writableOK
-	}
-	ok := d.writableSlow()
-	d.writableVer = ver
-	d.writableOK = ok
-	return ok
-}
-
-func (d *die) writableSlow() bool {
 	if len(d.free) > 2 {
 		return true
 	}

@@ -27,8 +27,8 @@ func diffParams() Params {
 	return p
 }
 
-// compareFTL asserts every piece of FTL state but the dies' writable memos
-// matches: the maps, each die's whole state and the counters.
+// compareFTL asserts every piece of FTL state matches: the maps, each die's
+// whole state and the counters.
 func compareFTL(fast, slow *ftl) error {
 	if err := compareSlice("l2p", fast.l2p, slow.l2p); err != nil {
 		return err
@@ -101,20 +101,20 @@ func TestFTLDifferentialVictims(t *testing.T) {
 
 			pickDie := func() int {
 				d := rng.Intn(dies)
-				fw, sw := fast.dieWritable(d), slow.dieWritable(d)
+				fw, sw := fast.dies[d].writable(), slow.dies[d].writable()
 				if fw != sw {
-					t.Fatalf("dieWritable(%d): fast %v, slow %v", d, fw, sw)
+					t.Fatalf("writable(%d): fast %v, slow %v", d, fw, sw)
 				}
 				if fw {
 					return d
 				}
 				best := -1
 				for i := 0; i < dies; i++ {
-					fa, sa := fast.canAlloc(i, 1), slow.canAlloc(i, 1)
+					fa, sa := fast.dies[i].canAlloc(1), slow.dies[i].canAlloc(1)
 					if fa != sa {
 						t.Fatalf("canAlloc(%d): fast %v, slow %v", i, fa, sa)
 					}
-					if fa && (best < 0 || fast.freeOf(i) > fast.freeOf(best)) {
+					if fa && (best < 0 || len(fast.dies[i].free) > len(fast.dies[best].free)) {
 						best = i
 					}
 				}

@@ -260,31 +260,10 @@ func TestOverwriteByDieMatchesOracle(t *testing.T) {
 			if rng.State() != oracleRNG.State() {
 				t.Fatalf("%s procs %d (by die %v): rng ends at %#x, oracle %#x", name, procs, byDie, rng.State(), oracleRNG.State())
 			}
-			if err := compareMemo(dev.ftl, oracle.ftl); err != nil {
-				t.Fatalf("%s procs %d (by die %v): %v", name, procs, byDie, err)
-			}
 		}
 	}
 	t.Logf("die pass %d runs, per-page fallback %d runs", paths[true], paths[false])
 	if paths[true] == 0 || paths[false] == 0 {
 		t.Fatalf("die pass ran %d times and the fallback %d times, want both", paths[true], paths[false])
 	}
-}
-
-// compareMemo checks each die's writable memo, which the digest does not
-// read, against the oracle's: each die's mutation version must match, since
-// both ran the same mutations on it, and a memo still current must hold
-// the verdict writableSlow derives. The memo versions themselves may
-// differ, since the die pass asks writable less often. It may advance
-// the minimum-bucket hints.
-func compareMemo(f, oracle *ftl) error {
-	for i, d := range f.dies {
-		if o := oracle.dies[i]; d.ver != o.ver {
-			return fmt.Errorf("die %d: ver %d, oracle %d", i, d.ver, o.ver)
-		}
-		if d.writableVer == d.ver+1 && d.writableOK != d.writableSlow() {
-			return fmt.Errorf("die %d: writable memo %v is current but wrong", i, d.writableOK)
-		}
-	}
-	return nil
 }

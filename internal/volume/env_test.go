@@ -80,7 +80,7 @@ func newEnv(t *testing.T, nback, megas int) *env {
 		caps = append(caps, capacity)
 	}
 	e.local = blobstore.NewLocal(blobstore.NewGlobal(cfg, caps), bs)
-	e.m = NewManager(e.loop, DefaultConfig(), e.local, DefaultClasses(), e.router)
+	e.m = NewManager(e.loop, e.local, DefaultClasses(), e.router)
 	e.m.OnCopy = func(src, dst blobstore.Addr, n int64) {
 		d := e.devs[dst.Backend].disk[dst.Offset : dst.Offset+n]
 		if src.Backend < 0 {

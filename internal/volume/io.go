@@ -125,7 +125,7 @@ func (v *Volume) finishSeg(io *nvme.IO, st nvme.Status, done func(nvme.Status)) 
 		return
 	}
 	if v.m.loop != nil {
-		v.m.loop.After(v.m.cfg.ZeroReadLatency, func() { done(st) })
+		v.m.loop.After(zeroReadLatency, func() { done(st) })
 		return
 	}
 	done(st)
@@ -134,7 +134,7 @@ func (v *Volume) finishSeg(io *nvme.IO, st nvme.Status, done func(nvme.Status)) 
 // complete finishes a whole IO from the mapping layer.
 func (m *Manager) complete(io *nvme.IO, st nvme.Status) {
 	if m.loop != nil {
-		m.loop.After(m.cfg.ZeroReadLatency, func() { io.Done(io, nvme.Completion{Status: st}) })
+		m.loop.After(zeroReadLatency, func() { io.Done(io, nvme.Completion{Status: st}) })
 		return
 	}
 	io.Done(io, nvme.Completion{Status: st})

@@ -40,22 +40,16 @@ type Target interface{ Submit(io *nvme.IO) }
 // is charged to it by the scheduler.
 type Router func(backend int) Target
 
-// Config tunes the control plane.
-type Config struct {
-	// Overcommit is the thin-provisioning ratio: total logical bytes may
-	// reach Overcommit × physical capacity. <= 0 means the default 4×.
-	Overcommit float64
-	// ZeroReadLatency is the simulated service time of a read from an
+const (
+	// overcommit is the thin-provisioning ratio: total logical bytes may
+	// reach overcommit × physical capacity.
+	overcommit = 4
+	// zeroReadLatency is the simulated service time of a read from an
 	// unallocated extent (served from the mapping table, no device IO).
 	// Completions are always delivered asynchronously so closed-loop
-	// workers cannot recurse. <= 0 means the default 2µs.
-	ZeroReadLatency int64
-}
-
-// DefaultConfig returns the standard control-plane tuning.
-func DefaultConfig() Config {
-	return Config{Overcommit: 4, ZeroReadLatency: 2 * sim.Microsecond}
-}
+	// workers cannot recurse.
+	zeroReadLatency = 2 * sim.Microsecond
+)
 
 // Manager owns the volume, snapshot, and extent-reference state of one
 // JBOF. It is single-threaded like everything else in the simulation: all
@@ -64,7 +58,6 @@ func DefaultConfig() Config {
 // plane), in which case the IO path must not be used.
 type Manager struct {
 	loop    sim.Scheduler
-	cfg     Config
 	local   *blobstore.Local
 	classes *ClassSet
 	pool    Router // system path: TRIMs of dropped spans; nil = skip device trims
@@ -100,20 +93,13 @@ type Manager struct {
 // NewManager builds a control plane over the agent's backends. classes
 // may be nil for a single default class; pool may be nil to skip device
 // TRIMs (accounting still runs).
-func NewManager(loop sim.Scheduler, cfg Config, local *blobstore.Local, classes *ClassSet, pool Router) *Manager {
-	if cfg.Overcommit <= 0 {
-		cfg.Overcommit = 4
-	}
-	if cfg.ZeroReadLatency <= 0 {
-		cfg.ZeroReadLatency = 2 * sim.Microsecond
-	}
+func NewManager(loop sim.Scheduler, local *blobstore.Local, classes *ClassSet, pool Router) *Manager {
 	if classes == nil {
 		classes = SingleClass()
 	}
 	bc := local.Config()
 	m := &Manager{
 		loop:        loop,
-		cfg:         cfg,
 		local:       local,
 		classes:     classes,
 		pool:        pool,
@@ -140,8 +126,8 @@ type SSD struct {
 }
 
 // NewNodeManager builds the volume control plane of one storage node: a
-// single-replica allocator over its SSDs and a Manager on top, under the
-// default Config. loop may be nil for a provisioning-only plane.
+// single-replica allocator over its SSDs and a Manager on top. loop may be
+// nil for a provisioning-only plane.
 func NewNodeManager(loop sim.Scheduler, classes *ClassSet, ssds []SSD) *Manager {
 	bc := blobstore.DefaultConfig()
 	bc.Replicas = 1
@@ -156,7 +142,7 @@ func NewNodeManager(loop sim.Scheduler, classes *ClassSet, ssds []SSD) *Manager 
 		}
 	}
 	local = blobstore.NewLocal(blobstore.NewGlobal(bc, caps), backends)
-	return NewManager(loop, DefaultConfig(), local, classes, func(b int) Target { return ssds[b].System })
+	return NewManager(loop, local, classes, func(b int) Target { return ssds[b].System })
 }
 
 // Classes returns the manager's QoS class set.
@@ -235,7 +221,7 @@ func (m *Manager) extentCount(size int64) int {
 }
 
 func (m *Manager) overcommitBytes() int64 {
-	return int64(m.cfg.Overcommit * float64(m.capacityBytes))
+	return overcommit * m.capacityBytes
 }
 
 // Create provisions a volume. Thin volumes only consume logical budget;
