@@ -75,7 +75,7 @@ func main() {
 		dur    = flag.Duration("dur", 10*time.Second, "run duration")
 	)
 	flag.Parse()
-	if err := checkLoad(*size, *span, *qd, *conns); err != nil {
+	if err := checkLoad(*op, *size, *span, *qd, *conns); err != nil {
 		fmt.Fprintf(os.Stderr, "gimbalcli: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -163,11 +163,14 @@ func main() {
 	fmt.Printf("errors: %d, credit headroom at exit: %d\n", errs.Load(), headroom)
 }
 
-// checkLoad rejects load flags the workers cannot run: every IO is a
-// positive number of 4 KiB blocks, the offset range holds at least one IO,
-// and there is at least one worker and one connection.
-func checkLoad(size int, span int64, qd, conns int) error {
+// checkLoad rejects load flags the workers cannot run: the op is a read or
+// a write, every IO is a positive number of 4 KiB blocks, the offset range
+// holds at least one IO, and there is at least one worker and one
+// connection.
+func checkLoad(op string, size int, span int64, qd, conns int) error {
 	switch {
+	case op != "read" && op != "write":
+		return fmt.Errorf("-op %q: need read or write", op)
 	case size <= 0 || size%4096 != 0:
 		return fmt.Errorf("-size %d: need a positive multiple of 4096", size)
 	case span < int64(size):

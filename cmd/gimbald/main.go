@@ -78,8 +78,9 @@ func main() {
 		token     = flag.String("admin-token", "", "bearer token required on mutating volume endpoints (empty leaves them open)")
 	)
 	flag.Parse()
-	if *ssds < 1 {
-		fmt.Fprintf(os.Stderr, "gimbald: -ssds %d: need at least one SSD\n", *ssds)
+	params, err := deviceParams(*ssds, *capacity)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gimbald: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -130,8 +131,6 @@ func main() {
 	for i := range clks {
 		clks[i] = shards.Shard(i % R)
 	}
-	params := ssd.DCT983()
-	params.UsableBytes = *capacity
 	log.Printf("preconditioning %d x %s (%s)...", *ssds, params.Name, condition)
 	st, err := fabric.BuildStack(clks, sim.NewRNG(uint64(os.Getpid())),
 		fabric.StackConfig{Params: params, Cond: condition, Target: tcfg})
@@ -277,6 +276,22 @@ func main() {
 	}
 	shards.Stop()
 	log.Println("shutdown complete")
+}
+
+// deviceParams is the SSD model gimbald builds -ssds of, with -capacity
+// usable bytes each. It rejects the device flags the stack cannot be built
+// with, before anything is preconditioned: no SSD, or a capacity the model
+// refuses (below one page).
+func deviceParams(ssds int, capacity int64) (ssd.Params, error) {
+	p := ssd.DCT983()
+	p.UsableBytes = capacity
+	if ssds < 1 {
+		return p, fmt.Errorf("-ssds %d: need at least one SSD", ssds)
+	}
+	if err := p.Validate(); err != nil {
+		return p, fmt.Errorf("-capacity %d: %v", capacity, err)
+	}
+	return p, nil
 }
 
 // tracerConfig is the span tracer the -trace, -trace-slow and -trace-nth

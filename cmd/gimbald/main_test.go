@@ -5,7 +5,35 @@ import (
 	"time"
 
 	"gimbal/internal/obs"
+	"gimbal/internal/ssd"
 )
+
+// TestDeviceParams: -ssds below one and a -capacity below one page are
+// usage errors, found before the stack is built.
+func TestDeviceParams(t *testing.T) {
+	page := int64(ssd.DCT983().PageSize)
+	for _, c := range []struct {
+		ssds     int
+		capacity int64
+		ok       bool
+	}{
+		{4, 2 << 30, true}, // the defaults
+		{1, page, true},    // one page
+		{0, 2 << 30, false},
+		{-1, 2 << 30, false},
+		{1, 0, false}, // logged "preconditioning…", then failed in BuildStack
+		{1, page - 1, false},
+		{1, -page, false},
+	} {
+		p, err := deviceParams(c.ssds, c.capacity)
+		if (err == nil) != c.ok {
+			t.Errorf("deviceParams(%d, %d) = %v, want ok=%v", c.ssds, c.capacity, err, c.ok)
+		}
+		if err == nil && p.UsableBytes != c.capacity {
+			t.Errorf("deviceParams(%d, %d): UsableBytes %d", c.ssds, c.capacity, p.UsableBytes)
+		}
+	}
+}
 
 // TestTracerConfig: the trace flags attach a tracer only when it has a ring
 // and a trigger that can fire.

@@ -52,14 +52,14 @@ func DefaultConfig() Config {
 // writes).
 type Monitor struct {
 	cfg    Config
-	ewma   *stats.EWMA
+	ewma   stats.EWMA
 	thresh float64
 }
 
 // New returns a monitor with the threshold starting at ThreshMax (most
 // permissive; it decays toward observed latency within a few samples).
 func New(cfg Config) *Monitor {
-	return &Monitor{cfg: cfg, ewma: stats.NewEWMA(cfg.AlphaD), thresh: float64(cfg.ThreshMax)}
+	return &Monitor{cfg: cfg, ewma: *stats.NewEWMA(cfg.AlphaD), thresh: float64(cfg.ThreshMax)}
 }
 
 // Update folds in one device latency sample (ns) and returns the resulting

@@ -122,19 +122,19 @@ func (o *switchObs) event(at int64, kind string, active bool) {
 }
 
 // onComplete records the span histograms for one finished IO; doneAt is
-// when the completion left the switch. The phases are obs.IOTrace's, the
-// one definition the pipeline's trace capture (fabric) also reads; every
-// record is an array update.
+// when the completion left the switch. The phases are obs.Timeline's, the
+// one definition the pipeline's trace capture (fabric) also reads through
+// obs.IOTrace; every record is an array update.
 func (o *switchObs) onComplete(io *nvme.IO, doneAt int64) {
-	tr := obs.Stamps(io, doneAt)
-	ph := tr.Phases()
-	o.queueDelay.Record(ph[obs.PhaseQueue])
-	o.vslotWait.Record(ph[obs.PhaseVslot])
-	o.pacingStall.Record(ph[obs.PhasePacing])
-	o.gcStall.Record(ph[obs.PhaseGC])
+	var tl obs.Timeline
+	tl.Stamp(io, doneAt)
+	o.queueDelay.Record(tl.PhaseNs(obs.PhaseQueue))
+	o.vslotWait.Record(tl.PhaseNs(obs.PhaseVslot))
+	o.pacingStall.Record(tl.PhaseNs(obs.PhasePacing))
+	o.gcStall.Record(tl.PhaseNs(obs.PhaseGC))
 	if io.Op.IsWrite() {
-		o.writeDevLat.Record(ph[obs.PhaseDevice])
+		o.writeDevLat.Record(tl.PhaseNs(obs.PhaseDevice))
 	} else {
-		o.readDevLat.Record(ph[obs.PhaseDevice])
+		o.readDevLat.Record(tl.PhaseNs(obs.PhaseDevice))
 	}
 }

@@ -115,22 +115,49 @@ func TestPacerReschedulesInPlace(t *testing.T) {
 // when it returns a dispatchable IO at once; Admit on the copy) and checks
 // that the pass would have stopped, short of tokens, on the head the switch
 // recorded.
+//
+// It is also the clock the switch reads, and there it audits the passes
+// the switch does run: one that starts from the recorded head must start
+// from the IO Select would return (see Now).
 type skipAudit struct {
+	*sim.Loop
 	t                       *testing.T
 	sw                      *Switch
 	arrivals, skippedArr    int
 	completions, skippedCpl int
+	reused                  int // passes that started from the recorded head
 }
 
-func newSkipAudit(t *testing.T, sw *Switch) *skipAudit {
-	a := &skipAudit{t: t, sw: sw}
+// newAudited builds a switch over dev whose entries and clock go through a
+// skipAudit.
+func newAudited(t *testing.T, loop *sim.Loop, dev ssd.Device, cfg Config) (*Switch, *skipAudit) {
+	a := &skipAudit{Loop: loop, t: t}
+	sw := New(a, dev, cfg)
+	a.sw = sw
 	sw.devDoneFn = func(io *nvme.IO) {
 		a.completions++
 		if a.entry(func() { sw.onDeviceDone(io) }) {
 			a.skippedCpl++
 		}
 	}
-	return a
+	return sw, a
+}
+
+// Now implements sim.Scheduler for the audited switch. A pass reads the
+// clock before anything else, so a read that finds the switch pumping with
+// the stall record still standing is the start of a pass from the recorded
+// head — the only such read: the pass takes the record next, and records a
+// new one only as it ends. Select on the live state must return the
+// record's IO.
+func (a *skipAudit) Now() int64 {
+	if sw := a.sw; sw != nil && sw.pumping && sw.stall.io != nil {
+		a.reused++
+		if head := sw.drr.Select(); head != sw.stall.io {
+			a.t.Fatalf("t=%d: a pass starts from the recorded head %p (tenant %d), but Select returns %p",
+				a.Loop.Now(), sw.stall.io, sw.stall.io.Tenant.ID, head)
+		}
+	}
+	return a.Loop.Now()
 }
 
 // Submit implements workload.Target.
@@ -152,7 +179,7 @@ func (a *skipAudit) entry(fn func()) (skipped bool) {
 	if sw.stall.io == nil || sw.stats.PacingStalls != stalls {
 		return false
 	}
-	e := *sw.rate
+	e := sw.rate
 	cost := sw.cost.Cost()
 	e.Refill(sw.clk.Now(), cost)
 	head := sw.drr.Select()
@@ -177,8 +204,7 @@ func (a *skipAudit) entry(fn func()) (skipped bool) {
 func TestSkippedPassesWouldStall(t *testing.T) {
 	t.Run("paced-null", func(t *testing.T) {
 		loop := sim.NewLoop()
-		sw := New(loop, ssd.NewNull(loop, 8<<30, 100), DefaultConfig())
-		a := newSkipAudit(t, sw)
+		sw, a := newAudited(t, loop, ssd.NewNull(loop, 8<<30, 100), DefaultConfig())
 		runMix4k(loop, sw, a, 500*sim.Millisecond)
 		a.check(t)
 	})
@@ -187,8 +213,7 @@ func TestSkippedPassesWouldStall(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Sched.ClassWeights = []int{3, 1}
 		cfg.Rate.InitialRate, cfg.Rate.MaxRate = 100e6, 300e6
-		sw := New(loop, ssd.NewNull(loop, 8<<30, 20*sim.Microsecond), cfg)
-		a := newSkipAudit(t, sw)
+		sw, a := newAudited(t, loop, ssd.NewNull(loop, 8<<30, 20*sim.Microsecond), cfg)
 		rng := sim.NewRNG(7)
 		prio := rng.Fork()
 		target := prioTarget{a, prio}
@@ -209,6 +234,85 @@ func TestSkippedPassesWouldStall(t *testing.T) {
 	})
 }
 
+// TestPassesFromRecordedHead runs the recorded-head audit (skipAudit.Now)
+// where the two entries that can move the head come up: a cost tick, which
+// reweighs every write, and the teardown of the head's tenant. Both must
+// drop the record, so that the pass after them selects afresh. The first
+// rig is fragmented NAND under 128 KiB writers and 4 KiB readers in two
+// QoS classes, where the write cost moves on most cost ticks while the
+// pump waits for tokens; in the second, a tenant whose IO heads a stalled
+// pump leaves every 10 ms.
+func TestPassesFromRecordedHead(t *testing.T) {
+	t.Run("nand-cost-ticks", func(t *testing.T) {
+		loop := sim.NewLoop()
+		p := ssd.DCT983()
+		p.UsableBytes = 1 << 30
+		dev := ssd.New(loop, p)
+		dev.Precondition(ssd.Fragmented, sim.NewRNG(1))
+		cfg := DefaultConfig()
+		cfg.Sched.ClassWeights = []int{2, 1}
+		sw, a := newAudited(t, loop, dev, cfg)
+		rng := sim.NewRNG(5)
+		stop := 400 * sim.Millisecond
+		for i := 0; i < 8; i++ {
+			tn := nvme.NewTenant(i, "nand")
+			tn.Class = i % 2
+			sw.Register(tn)
+			prof := workload.Profile{Name: tn.Name, ReadRatio: 1, IOSize: 4096, QD: 16, Span: p.UsableBytes}
+			if i%2 == 1 {
+				prof.ReadRatio, prof.IOSize, prof.QD = 0, 128<<10, 4
+			}
+			workload.NewWorker(loop, rng.Fork(), prof, tn, a).Start(stop)
+		}
+		loop.RunUntil(stop)
+		loop.Run()
+		st := sw.Stats()
+		t.Logf("%d cost changes in %d ticks; %d stalled passes, %d from the recorded head",
+			st.CostChanges, st.CostTicks, st.PacingStalls, a.reused)
+		if st.CostChanges < st.CostTicks/2 {
+			t.Errorf("the write cost moved on %d of %d cost ticks: too few to audit", st.CostChanges, st.CostTicks)
+		}
+		a.checkReused(t)
+	})
+	t.Run("unregister-mid-stall", func(t *testing.T) {
+		loop := sim.NewLoop()
+		sw, a := newAudited(t, loop, ssd.NewNull(loop, 8<<30, 100), DefaultConfig())
+		rng := sim.NewRNG(61)
+		stop := 250 * sim.Millisecond
+		workers := map[*nvme.Tenant]*workload.Worker{}
+		for i := 0; i < 16; i++ {
+			tn := nvme.NewTenant(i, "churn")
+			sw.Register(tn)
+			prof := workload.Profile{Name: tn.Name, ReadRatio: 0.9, IOSize: 4096, QD: 32, Span: 8 << 30}
+			workers[tn] = workload.NewWorker(loop, rng.Fork(), prof, tn, a)
+			workers[tn].Start(stop)
+		}
+		left := 0
+		var leave func()
+		leave = func() {
+			if io := sw.stall.io; io != nil && sw.stalled(loop.Now()) {
+				tn := io.Tenant
+				workers[tn].Stop()
+				for _, o := range sw.Unregister(tn) {
+					o.Done(o, nvme.Completion{Status: nvme.StatusAborted})
+				}
+				left++
+			}
+			if loop.Now() < stop {
+				loop.After(10*sim.Millisecond, leave)
+			}
+		}
+		loop.After(10*sim.Millisecond, leave)
+		loop.RunUntil(stop)
+		loop.Run()
+		t.Logf("%d tenants left mid-stall; %d stalled passes, %d from the recorded head", left, sw.stats.PacingStalls, a.reused)
+		if left < 8 {
+			t.Errorf("only %d tenants left while their IO headed a stalled pump: the test shows little", left)
+		}
+		a.checkReused(t)
+	})
+}
+
 // prioTarget submits through the audit at a random priority.
 type prioTarget struct {
 	a   *skipAudit
@@ -220,13 +324,22 @@ func (p prioTarget) Submit(io *nvme.IO) {
 	p.a.Submit(io)
 }
 
-// check fails a rig whose switch skipped too little for the audit to mean
-// anything.
+// check fails a rig whose switch skipped too little, or started too few
+// passes from the recorded head, for the audit to mean anything.
 func (a *skipAudit) check(t *testing.T) {
-	t.Logf("skipped %d of %d arrivals and %d of %d completions; %d stalled passes",
-		a.skippedArr, a.arrivals, a.skippedCpl, a.completions, a.sw.stats.PacingStalls)
+	t.Logf("skipped %d of %d arrivals and %d of %d completions; %d stalled passes, %d from the recorded head",
+		a.skippedArr, a.arrivals, a.skippedCpl, a.completions, a.sw.stats.PacingStalls, a.reused)
 	if a.completions < 5_000 || a.skippedArr < a.arrivals/10 || a.skippedCpl < a.completions/10 {
 		t.Errorf("too few skipped passes to audit")
+	}
+	a.checkReused(t)
+}
+
+// checkReused fails a rig where fewer than half the passes that stalled
+// were followed by one that started from the recorded head.
+func (a *skipAudit) checkReused(t *testing.T) {
+	if a.reused == 0 || a.reused < int(a.sw.stats.PacingStalls)/2 {
+		t.Errorf("%d passes started from the recorded head, against %d stalled passes: too few to audit", a.reused, a.sw.stats.PacingStalls)
 	}
 }
 
@@ -289,7 +402,7 @@ func TestUnregisterCancelsPacingTimer(t *testing.T) {
 	if !sw.timer.Active() {
 		t.Fatal("pacing timer cancelled with another tenant's IO still queued")
 	}
-	rate := *sw.rate
+	rate := sw.rate
 	wait, ok := rate.Admit(false, waiting.Size, sw.cost.Cost())
 	if ok {
 		t.Fatal("the bucket covers the waiting IO already: the test shows nothing")

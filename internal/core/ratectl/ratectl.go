@@ -37,11 +37,20 @@ func DefaultConfig() Config {
 // Engine is the per-SSD rate controller. All methods take the current time
 // explicitly so the engine stays clock-agnostic.
 type Engine struct {
-	cfg        Config
+	// What every Refill and Admit reads comes first, to share cache lines.
 	targetRate float64 // bytes/sec
 	readTok    float64 // bytes
 	writeTok   float64
 	lastRefill int64
+
+	// The read and write buckets' shares of the refill, wc/(1+wc) and
+	// 1/(1+wc), at write cost shareCost (clamped to 1; 0 until the first
+	// stall): the cost moves a few times a cost period, and coverWait asks
+	// on every stalled pass.
+	shareCost             float64
+	readShare, writeShare float64
+
+	cfg Config
 
 	// Completion-rate measurement for the overloaded snap-down.
 	winStart int64
@@ -156,9 +165,12 @@ func (e *Engine) coverWait(isWrite bool, d, need, writeCost float64) int64 {
 		if writeCost < 1 {
 			writeCost = 1
 		}
-		share, other := writeCost/(1+writeCost), e.writeTok
+		if writeCost != e.shareCost {
+			e.shareCost, e.readShare, e.writeShare = writeCost, writeCost/(1+writeCost), 1/(1+writeCost)
+		}
+		share, other := e.readShare, e.writeTok
 		if isWrite {
-			share, other = 1/(1+writeCost), e.readTok
+			share, other = e.writeShare, e.readTok
 		}
 		d = min(d/share, d+max(float64(e.cfg.BucketMax)-other, 0))
 	}

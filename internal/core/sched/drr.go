@@ -59,7 +59,7 @@ type tenant struct {
 	prioBudget int
 
 	deficit int64
-	slots   *vslot.Tenant
+	slots   vslot.Tenant
 
 	// allotGen stamps the redistribution epoch whose global share this
 	// tenant's slot allotment reflects; reconcile applies the current
@@ -237,23 +237,21 @@ func (l *classList) moveToBack(c *class) {
 // DRR is the hierarchical fair scheduler. It owns queueing and fairness
 // only; the switch couples it to the rate controller and the device.
 type DRR struct {
-	cfg      Config
-	weighted func(io *nvme.IO) int64 // cost-weighted size (from writecost)
+	// What Select and Commit read comes first, to share cache lines.
 
-	tenants map[*nvme.Tenant]*tenant
-
-	// classes is the fixed QoS hierarchy; activeClasses rings the classes
-	// that currently hold tenants with queued work. flat marks the
+	// activeClasses rings the classes that currently hold tenants with
+	// queued work; classes is the fixed QoS hierarchy. flat marks the
 	// single-class degenerate case, where the class layer adds no deficit
 	// accounting and the scheduler is decision-identical to flat DRR.
-	classes       []*class
 	activeClasses classList
 	flat          bool
 
-	activeCount int // tenants on any class's active list
-	deferCount  int
+	// sel is the IO the last Select returned and selW its weighted size,
+	// which Commit charges: nothing moves the write cost between the two.
+	sel  *nvme.IO
+	selW int64
+
 	queuedTotal int
-	activeIO    int // tenants considered "contending" for slot distribution
 
 	// Lazy redistribution state: per is the current per-contender slot
 	// share and gen the epoch it belongs to. Every contend/release bumps
@@ -262,6 +260,21 @@ type DRR struct {
 	gen uint64
 	per int
 
+	weighted func(io *nvme.IO) int64 // cost-weighted size (from writecost)
+
+	// now, when set via SetClock, timestamps deferred-list residency so
+	// IOs carry their virtual-slot wait (nvme.IO.VslotWait). Nil disables
+	// the accounting (standalone scheduler tests).
+	now func() int64
+
+	cfg     Config
+	classes []*class
+	tenants map[*nvme.Tenant]*tenant
+
+	activeCount int // tenants on any class's active list
+	deferCount  int
+	activeIO    int // tenants considered "contending" for slot distribution
+
 	// afterRedistribute is a test seam, nil outside lazy_test.go, which
 	// installs the eager restamp-every-tenant loop as the oracle.
 	afterRedistribute func()
@@ -269,11 +282,6 @@ type DRR struct {
 	// freeTenants recycles per-tenant state across Unregister/Register so
 	// sustained tenant churn performs no steady-state allocation.
 	freeTenants []*tenant
-
-	// now, when set via SetClock, timestamps deferred-list residency so
-	// IOs carry their virtual-slot wait (nvme.IO.VslotWait). Nil disables
-	// the accounting (standalone scheduler tests).
-	now func() int64
 }
 
 // New returns a DRR scheduler. weighted computes the cost-weighted size of
@@ -323,7 +331,7 @@ func (d *DRR) Register(t *nvme.Tenant) {
 		d.freeTenants = d.freeTenants[:n-1]
 		ts.slots.Reset()
 	} else {
-		ts = &tenant{slots: vslot.NewTenant(d.cfg.Slots)}
+		ts = &tenant{slots: *vslot.NewTenant(d.cfg.Slots)}
 	}
 	ts.t = t
 	ts.prio = nvme.PriorityHigh
@@ -374,7 +382,7 @@ func (d *DRR) Slots(t *nvme.Tenant) *vslot.Tenant {
 		return nil
 	}
 	d.reconcile(ts)
-	return ts.slots
+	return &ts.slots
 }
 
 // Registered reports whether the tenant currently has scheduler state.
@@ -404,6 +412,9 @@ func (d *DRR) Unregister(t *nvme.Tenant) []*nvme.IO {
 	}
 	d.queuedTotal -= ts.queued
 	ts.queued = 0
+	if d.sel != nil && d.sel.Tenant == t {
+		d.sel = nil // an orphan now: Commit must not take it
+	}
 	if ts.where != idle {
 		d.idle_(ts) // leaves the lists and releases the slot share
 	}
@@ -570,6 +581,7 @@ func (d *DRR) Select() *nvme.IO {
 			continue
 		}
 		if d.flat || c.deficit >= w {
+			d.sel, d.selW = io, w
 			return io
 		}
 		// Class-level round: grant the class its weighted quantum and
@@ -577,17 +589,23 @@ func (d *DRR) Select() *nvme.IO {
 		c.deficit += d.cfg.Quantum * int64(c.weight)
 		d.activeClasses.moveToBack(c)
 	}
+	d.sel = nil
 	return nil
 }
 
-// Commit dequeues the IO returned by Select, charges its weighted size to
-// the tenant's (and class's) deficit, and places it in the tenant's current
-// virtual slot. If the slot closes with no replacement available, the
-// tenant moves to the deferred list. The IO's slot is recorded in io.Sched
-// for Complete.
+// Commit dequeues the IO the last Select returned, charges the weighted
+// size Select computed for it to the tenant's (and class's) deficit, and
+// places it in the tenant's current virtual slot. The caller keeps the
+// write cost still in between (the switch re-selects after a cost tick).
+// If the slot closes with no replacement available, the tenant moves to
+// the deferred list. The IO's slot is recorded in io.Sched for Complete.
 func (d *DRR) Commit(io *nvme.IO) {
+	if io != d.sel {
+		panic("sched: Commit of an IO the last Select did not return")
+	}
+	w := d.selW
+	d.sel = nil
 	ts := d.lookup(io.Tenant)
-	w := d.weighted(io)
 	ts.pop(io)
 	d.queuedTotal--
 	ts.deficit -= w

@@ -125,8 +125,11 @@ type Stats struct {
 	Completions int64 // device completions processed
 	// PacingStalls counts pump passes that stopped for want of tokens.
 	PacingStalls int64
-	CostTicks    int64 // write-cost recalibration periods
-	CostChanges  int64 // periods that moved the write cost
+	// Selects counts sched.DRR.Select calls: one per step of a pass, but
+	// none for the first of a pass that starts from the recorded head.
+	Selects     int64
+	CostTicks   int64 // write-cost recalibration periods
+	CostChanges int64 // periods that moved the write cost
 	// AbortedIOs completed with StatusAborted at the switch (teardown or
 	// late capsule); TenantTeardowns counts the teardowns.
 	AbortedIOs      int64
@@ -146,17 +149,37 @@ type Stats struct {
 // Switch is the Gimbal storage switch for one SSD. It implements
 // nvme.Scheduler.
 type Switch struct {
-	cfg  Config
-	clk  sim.Scheduler
-	sub  *nvme.Submitter
-	drr  *sched.DRR
-	rmon *latmon.Monitor
-	wmon *latmon.Monitor
-	rate *ratectl.Engine
-	cost *writecost.Estimator
+	// What every pass reads or writes comes first, the rate engine and the
+	// cost estimator held by value beside it, so that a pass touches a few
+	// adjacent cache lines instead of one per component.
+	pumping  bool
+	failed   bool // fail-fast latch
+	degraded bool // credit clamp active
+
+	// stall is what the last pass that stopped for want of tokens found:
+	// the head IO, and coverAt, when the refill covers it at the target
+	// rate and write cost that pass saw (ratectl.Engine.Admit's wait).
+	// Before coverAt a pass would stop on the same IO, so entries that move
+	// neither the rate, the buckets nor the cost run none (stalled). The
+	// next pass starts from io instead of selecting it again (see stalled
+	// for why Select would return it). Nil io: the next pass selects.
+	stall struct {
+		io      *nvme.IO
+		coverAt int64
+	}
+	// head is the IO the last pass selected and did not commit: Select
+	// returns it again until a Commit, and its Admit stamp stands.
+	head *nvme.IO
+
 	// timer is the pacing timer and armTimer what arms it: the clock's
 	// AtMovable, resolved once (sim.AtMovableFunc), since pump moves it.
 	timer    sim.Timer
+	clk      sim.Scheduler
+	drr      *sched.DRR
+	sub      *nvme.Submitter
+	rate     ratectl.Engine
+	cost     writecost.Estimator
+	stats    Stats
 	armTimer func(t int64, fn func()) sim.Timer
 
 	// Cached method-value closures: arming the pacing timer, the cost
@@ -166,22 +189,15 @@ type Switch struct {
 	costTickFn func()
 	devDoneFn  func(*nvme.IO)
 
-	writesInPeriod int
-	pumping        bool
+	rmon, wmon latmon.Monitor
+	monState   [2]latmon.State // last congestion state by IO class (0 read, 1 write)
 
-	// stall is what the last pass that stopped for want of tokens found:
-	// the head IO, and coverAt, when the refill covers it at the target
-	// rate and write cost that pass saw (ratectl.Engine.Admit's wait).
-	// Before coverAt a pass would stop on the same IO, so entries that move
-	// neither the rate, the buckets nor the cost run none (stalled). Nil io:
-	// the next entry runs a full pass.
-	stall struct {
-		io      *nvme.IO
-		coverAt int64
-	}
-	// head is the IO the last pass selected and did not commit: Select
-	// returns it again until a Commit, and its Admit stamp stands.
-	head *nvme.IO
+	// obs is the attached sink for what is pushed per IO — the span
+	// histograms — and the recovery event log; nil by default.
+	obs *switchObs
+
+	cfg            Config
+	writesInPeriod int
 
 	// costModel, when set, is polled each cost period to blend the write
 	// cost with a fast tier's absorption (SetCostModel).
@@ -189,19 +205,11 @@ type Switch struct {
 
 	// Recovery state (all zero and untouched unless cfg.Recovery enables
 	// the corresponding feature, keeping the healthy path branch-cheap).
-	consecErrs int  // consecutive media errors (fail-fast)
-	failed     bool // fail-fast latch
-	probeLeft  int  // rejects until the next probe is let through
-	degraded   bool // credit clamp active
-	sickTicks  int  // cost periods with EWMA latency above DegradeLatency
-	wellTicks  int  // cost periods back below it while degraded
-
-	stats    Stats
-	monState [2]latmon.State // last congestion state by IO class (0 read, 1 write)
-
-	// obs is the attached sink for what is pushed per IO — the span
-	// histograms — and the recovery event log; nil by default.
-	obs *switchObs
+	// failed and degraded are at the top.
+	consecErrs int // consecutive media errors (fail-fast)
+	probeLeft  int // rejects until the next probe is let through
+	sickTicks  int // cost periods with EWMA latency above DegradeLatency
+	wellTicks  int // cost periods back below it while degraded
 }
 
 // New builds a switch over the device.
@@ -210,10 +218,10 @@ func New(clk sim.Scheduler, dev ssd.Device, cfg Config) *Switch {
 		cfg:  cfg,
 		clk:  clk,
 		sub:  nvme.NewSubmitter(clk, dev),
-		rmon: latmon.New(cfg.Latency),
-		wmon: latmon.New(cfg.Latency),
-		rate: ratectl.New(cfg.Rate, clk.Now()),
-		cost: writecost.New(cfg.Cost),
+		rmon: *latmon.New(cfg.Latency),
+		wmon: *latmon.New(cfg.Latency),
+		rate: *ratectl.New(cfg.Rate, clk.Now()),
+		cost: *writecost.New(cfg.Cost),
 
 		armTimer: sim.AtMovableFunc(clk),
 	}
@@ -249,7 +257,8 @@ func (sw *Switch) Unregister(t *nvme.Tenant) []*nvme.IO {
 	}
 	switch {
 	case sw.stall.io != nil && sw.stall.io.Tenant == t:
-		sw.pump() // the stalled head left with t: stall on the next one, or cancel the timer
+		sw.stall.io = nil // the stalled head left with t: the pass selects the next one
+		sw.pump()         // and stalls on it, or cancels the timer
 	case sw.drr.Queued() == 0:
 		sw.timer.Cancel() // the queue emptied without a pump pass: nothing is left to pace
 	}
@@ -305,18 +314,23 @@ func (sw *Switch) Enqueue(io *nvme.IO) {
 
 // stalled reports whether a pass at now would stop, short of tokens, on
 // the head IO the last one stopped on. Nothing that could change that has
-// happened since: what moves the rate or a bucket (onDeviceDone) or the
-// write cost (costTick) clears the record or runs a pass itself. Nor can
-// what happened since change the head. sched.DRR.Select is idempotent once
-// it has found a dispatchable IO — it returns that IO again, granting no
-// deficit, until a Commit — and the calls an entry makes between passes
-// leave the front alone. Enqueue pushes to the back of a priority queue
-// (the head tenant keeps cycling the priority its budget is on), and
-// activate puts a tenant at the back of its class's active list and a
-// class at the back of the ring. Complete touches only a deferred tenant
-// (the head's tenant is active), which it activates or drops. Unregister
-// takes a tenant off the lists, and Unregister of the head's tenant runs
-// a pass.
+// happened since: what moves the rate or a bucket (onDeviceDone) makes the
+// record stale, and what moves the write cost (costTick) drops it or runs a
+// pass itself.
+//
+// Nor can what happened since change the head, which is why the next pass
+// starts from the record's IO unless an entry dropped it. sched.DRR.Select
+// is idempotent once it has found a dispatchable IO — it returns that IO
+// again, granting no deficit, until a Commit — and the calls an entry makes
+// between passes leave the front alone. Enqueue pushes to the back of a
+// priority queue (the head tenant keeps cycling the priority its budget is
+// on), and activate puts a tenant at the back of its class's active list
+// and a class at the back of the ring. Complete touches only a deferred
+// tenant (the head's tenant is active), which it activates or drops.
+// Unregister takes a tenant off the lists. Two entries can change the head,
+// and both drop the record before their pass: a cost tick, because Select
+// weighs a write by the write cost and a heavier head may no longer fit its
+// tenant's (or class's) deficit, and Unregister of the head's tenant.
 func (sw *Switch) stalled(now int64) bool {
 	return sw.stall.io != nil && now < sw.stall.coverAt
 }
@@ -343,15 +357,20 @@ func (sw *Switch) pump() {
 		return // no re-entrant pumping from nested completions
 	}
 	sw.pumping = true
-	sw.stall.io = nil
 	now := sw.clk.Now()
+	io := sw.stall.io // Select's answer until a Commit (see stalled)
+	sw.stall.io = nil
+	// Neither moves during the pass: the cost only on a cost tick, and the
+	// refill is done once now is reached.
+	cost := sw.cost.Cost()
+	sw.rate.Refill(now, cost)
 	for {
-		cost := sw.cost.Cost()
-		sw.rate.Refill(now, cost)
-		io := sw.drr.Select()
 		if io == nil {
-			sw.timer.Cancel()
-			break
+			sw.stats.Selects++
+			if io = sw.drr.Select(); io == nil {
+				sw.timer.Cancel()
+				break
+			}
 		}
 		if io != sw.head {
 			sw.head, io.Admit = io, now // won its DRR round; any further wait is pacing
@@ -375,6 +394,7 @@ func (sw *Switch) pump() {
 		sw.head = nil
 		sw.stats.Submits++
 		sw.sub.Submit(io, sw.devDoneFn)
+		io = nil
 	}
 	sw.pumping = false
 }
@@ -405,9 +425,9 @@ func (sw *Switch) onDeviceDone(io *nvme.IO) {
 		}
 	}
 	lat := io.DeviceLatency()
-	mon, class := sw.rmon, 0
+	mon, class := &sw.rmon, 0
 	if io.Op.IsWrite() {
-		mon, class = sw.wmon, 1
+		mon, class = &sw.wmon, 1
 		sw.writesInPeriod++
 	}
 	state := mon.Update(lat)
@@ -416,7 +436,9 @@ func (sw *Switch) onDeviceDone(io *nvme.IO) {
 		sw.stats.Transitions[class][state]++
 	}
 	if sw.rate.OnCompletion(now, io.Size, state) {
-		sw.stall.io = nil // the refill's pace or level moved: a pass may admit
+		// The refill's pace or level moved: a pass may admit. The record
+		// goes stale, not away: its head stands, its cover time does not.
+		sw.stall.coverAt = now
 	}
 	credit := sw.drr.Complete(io)
 	if sw.degraded && sw.cfg.Recovery.DegradedCredit > 0 && credit > sw.cfg.Recovery.DegradedCredit {
@@ -456,7 +478,7 @@ func (sw *Switch) costTick() {
 		// read-only periods. The mix may move the cost, which no stalled
 		// pass has seen.
 		sw.cost.SetTierMix(sw.costModel.WriteCostModel())
-		sw.stall.io = nil
+		sw.stall.io = nil // and the head with it (see stalled)
 	}
 	if sw.writesInPeriod == 0 || !sw.wmon.Initialized() {
 		return
@@ -468,7 +490,9 @@ func (sw *Switch) costTick() {
 	if sw.cost.Cost() != before {
 		sw.stats.CostChanges++
 	}
-	// A cost change shifts the DRR weighting, which may unblock work.
+	// A cost change shifts the DRR weighting, which may unblock work or
+	// move the head: the pass selects afresh.
+	sw.stall.io = nil
 	sw.pump()
 }
 
@@ -548,10 +572,10 @@ func (sw *Switch) Credit(t *nvme.Tenant) uint32 {
 }
 
 // Monitors exposes the read and write latency monitors (Fig 17/18 traces).
-func (sw *Switch) Monitors() (read, write *latmon.Monitor) { return sw.rmon, sw.wmon }
+func (sw *Switch) Monitors() (read, write *latmon.Monitor) { return &sw.rmon, &sw.wmon }
 
 // Rate exposes the rate engine (for harness instrumentation).
-func (sw *Switch) Rate() *ratectl.Engine { return sw.rate }
+func (sw *Switch) Rate() *ratectl.Engine { return &sw.rate }
 
 // WriteCost returns the current write-cost estimate.
 func (sw *Switch) WriteCost() float64 { return sw.cost.Cost() }

@@ -130,14 +130,16 @@ func TestTraceRing(t *testing.T) {
 	ring := NewTraceRing(4)
 	for i := 0; i < 6; i++ {
 		ring.Append(IOTrace{
-			Tenant:  "t",
-			Op:      "read",
-			Size:    4096,
-			Arrival: int64(i * 10),
-			Admit:   int64(i*10 + 1),
-			Submit:  int64(i*10 + 3),
-			DevDone: int64(i*10 + 8),
-			Done:    int64(i*10 + 9),
+			Tenant: "t",
+			Op:     "read",
+			Size:   4096,
+			Timeline: Timeline{
+				Arrival: int64(i * 10),
+				Admit:   int64(i*10 + 1),
+				Submit:  int64(i*10 + 3),
+				DevDone: int64(i*10 + 8),
+				Done:    int64(i*10 + 9),
+			},
 		})
 	}
 	if ring.Total() != 6 || ring.Len() != 4 {

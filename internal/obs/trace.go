@@ -8,8 +8,19 @@ import (
 	"gimbal/internal/nvme"
 )
 
-// IOTrace is the lifecycle record of one IO through a target pipeline,
-// one stamp per layer it crossed:
+// IOTrace is the lifecycle record of one IO through a target pipeline: who
+// it was (SSD, tenant, op, size) and its Timeline.
+type IOTrace struct {
+	Span   uint64 `json:"span,omitempty"` // tracer-assigned capture id
+	SSD    int    `json:"ssd"`
+	Tenant string `json:"tenant"`
+	Op     string `json:"op"`
+	Size   int    `json:"size"`
+
+	Timeline
+}
+
+// Timeline is an IO's stamps alone, one per layer it crossed:
 //
 //	Origin   — transport send (the fabric session's send, or the TCP
 //	           target's capsule receipt)
@@ -31,14 +42,9 @@ import (
 // All timestamps are nanoseconds on the owning scheduler's clock
 // (sim.Scheduler.Now()), so simulated runs trace deterministically and the
 // live daemon traces in wall-clock nanoseconds since process start. Zero
-// is a valid time, never "unset".
-type IOTrace struct {
-	Span   uint64 `json:"span,omitempty"` // tracer-assigned capture id
-	SSD    int    `json:"ssd"`
-	Tenant string `json:"tenant"`
-	Op     string `json:"op"`
-	Size   int    `json:"size"`
-
+// is a valid time, never "unset". A span histogram needs only this much of
+// an IO (the switch's records); a trace names the IO too.
+type Timeline struct {
 	Origin  int64 `json:"origin_ns"`
 	Arrival int64 `json:"arrival_ns"`
 	Admit   int64 `json:"admit_ns"`
@@ -50,19 +56,21 @@ type IOTrace struct {
 	GCNs    int64 `json:"gc_ns"`
 }
 
-// Stamps copies io's timeline, its completion handed back at done, into a
-// trace; the caller names the IO (SSD, Tenant, Op, Size) if it keeps it.
+// Stamp fills t with io's timeline, its completion handed back at done. It
+// writes field by field, into the caller's Timeline: the switch stamps one
+// per completion, and there a struct copy costs more than the phases.
+func (t *Timeline) Stamp(io *nvme.IO, done int64) {
+	t.Origin, t.Arrival, t.Admit = io.Origin, io.Arrival, io.Admit
+	t.Submit, t.DevDone, t.Done = io.DevSubmit, io.DevDone, done
+	t.VslotNs, t.GCNs = io.VslotWait, io.GCWait
+}
+
+// Stamps is io's trace with its timeline stamped (Timeline.Stamp); the
+// caller names the IO (SSD, Tenant, Op, Size) if it keeps it.
 func Stamps(io *nvme.IO, done int64) IOTrace {
-	return IOTrace{
-		Origin:  io.Origin,
-		Arrival: io.Arrival,
-		Admit:   io.Admit,
-		Submit:  io.DevSubmit,
-		DevDone: io.DevDone,
-		Done:    done,
-		VslotNs: io.VslotWait,
-		GCNs:    io.GCWait,
-	}
+	var tr IOTrace
+	tr.Stamp(io, done)
+	return tr
 }
 
 // TracePhases names the decomposed spans in pipeline order; the names are
@@ -82,32 +90,50 @@ const (
 	numPhases
 )
 
-// Phases is the one definition of the decomposition: the adjacent
-// differences of the timeline, with the vslot wait split out of
-// arrival → admit and the GC stall out of submit → device done. They sum
-// to Total by construction, and a layer that stamps in order keeps every
-// one non-negative (TestPhaseLaw checks both on every scheme).
-func (t *IOTrace) Phases() [numPhases]int64 {
-	return [numPhases]int64{
-		PhaseFabric:   t.Arrival - t.Origin,
-		PhaseQueue:    t.Admit - t.Arrival - t.VslotNs,
-		PhaseVslot:    t.VslotNs,
-		PhasePacing:   t.Submit - t.Admit,
-		PhaseDevice:   t.DevDone - t.Submit - t.GCNs,
-		PhaseGC:       t.GCNs,
-		PhaseComplete: t.Done - t.DevDone,
+// PhaseNs is the one definition of the decomposition, span i (a Phase
+// index) of the timeline: the adjacent differences of the stamps, with the
+// vslot wait split out of arrival → admit and the GC stall out of submit →
+// device done. The spans sum to Total by construction, and a layer that
+// stamps in order keeps every one non-negative (TestPhaseLaw checks both on
+// every scheme). It is 0 for an index out of range.
+func (t *Timeline) PhaseNs(i int) int64 {
+	switch i {
+	case PhaseFabric:
+		return t.Arrival - t.Origin
+	case PhaseQueue:
+		return t.Admit - t.Arrival - t.VslotNs
+	case PhaseVslot:
+		return t.VslotNs
+	case PhasePacing:
+		return t.Submit - t.Admit
+	case PhaseDevice:
+		return t.DevDone - t.Submit - t.GCNs
+	case PhaseGC:
+		return t.GCNs
+	case PhaseComplete:
+		return t.Done - t.DevDone
 	}
+	return 0
+}
+
+// Phases is every span (PhaseNs) in TracePhases order. An IOTrace has them
+// through its Timeline.
+func (t *Timeline) Phases() (ph [numPhases]int64) {
+	for i := range ph {
+		ph[i] = t.PhaseNs(i)
+	}
+	return ph
 }
 
 // Total is the IO's whole residency behind the transport: origin → done.
-func (t *IOTrace) Total() int64 { return t.Done - t.Origin }
+func (t *Timeline) Total() int64 { return t.Done - t.Origin }
 
 // Phase returns the named decomposed span (see TracePhases); ok is false
 // for an unknown name.
 func (t *IOTrace) Phase(name string) (ns int64, ok bool) {
 	for i, n := range TracePhases {
 		if n == name {
-			return t.Phases()[i], true
+			return t.PhaseNs(i), true
 		}
 	}
 	return 0, false

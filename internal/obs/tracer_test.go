@@ -19,7 +19,7 @@ func observe(t *Tracer, tr IOTrace) (uint64, bool) {
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
 	for i := 0; i < 5; i++ {
-		if _, ok := observe(tr, IOTrace{Done: 5000}); ok {
+		if _, ok := observe(tr, IOTrace{Timeline: Timeline{Done: 5000}}); ok {
 			t.Fatal("nil tracer captured")
 		}
 	}
@@ -33,7 +33,7 @@ func TestTracerNilSafe(t *testing.T) {
 func TestTracerSpanIDsMonotone(t *testing.T) {
 	tr := NewTracer(TracerConfig{Capacity: 8, SampleEvery: 1})
 	for i := 1; i <= 5; i++ {
-		id, ok := observe(tr, IOTrace{Arrival: 0, Done: 1})
+		id, ok := observe(tr, IOTrace{Timeline: Timeline{Arrival: 0, Done: 1}})
 		if !ok || id != uint64(i) {
 			t.Fatalf("span id = %d ok=%v, want %d", id, ok, i)
 		}
@@ -49,12 +49,12 @@ func TestTracerSpanIDsMonotone(t *testing.T) {
 func TestTracerConfigs(t *testing.T) {
 	slow := NewTracer(TracerConfig{Capacity: 64, SlowNs: 1000})
 	for i := 0; i < 100; i++ {
-		if _, ok := observe(slow, IOTrace{Arrival: 0, Done: 999}); ok {
+		if _, ok := observe(slow, IOTrace{Timeline: Timeline{Arrival: 0, Done: 999}}); ok {
 			t.Fatal("slow-only tracer captured a fast IO")
 		}
 	}
 	for i := 0; i < 7; i++ {
-		if _, ok := observe(slow, IOTrace{Arrival: 0, Done: 1000}); !ok {
+		if _, ok := observe(slow, IOTrace{Timeline: Timeline{Arrival: 0, Done: 1000}}); !ok {
 			t.Fatal("slow-only tracer skipped a slow IO")
 		}
 	}
@@ -64,7 +64,7 @@ func TestTracerConfigs(t *testing.T) {
 
 	nth := NewTracer(TracerConfig{Capacity: 64, SampleEvery: 10})
 	for i := 0; i < 100; i++ {
-		_, ok := observe(nth, IOTrace{Arrival: 0, Done: int64(i) * 1_000_000})
+		_, ok := observe(nth, IOTrace{Timeline: Timeline{Arrival: 0, Done: int64(i) * 1_000_000}})
 		if want := i%10 == 0; ok != want {
 			t.Fatalf("every-10th-only: IO %d captured=%v, want %v", i, ok, want)
 		}
@@ -77,13 +77,13 @@ func TestTracerConfigs(t *testing.T) {
 	// regardless of the sampling phase.
 	s := NewTracer(TracerConfig{Capacity: 64, SlowNs: 1000, SampleEvery: 10})
 	for i := 0; i < 100; i++ {
-		observe(s, IOTrace{Arrival: 0, Done: 10})
+		observe(s, IOTrace{Timeline: Timeline{Arrival: 0, Done: 10}})
 	}
 	if s.Captured() != 10 {
 		t.Fatalf("sampled captured %d fast IOs, want 10", s.Captured())
 	}
 	for i := 0; i < 7; i++ {
-		if _, ok := observe(s, IOTrace{Arrival: 0, Done: 1000}); !ok {
+		if _, ok := observe(s, IOTrace{Timeline: Timeline{Arrival: 0, Done: 1000}}); !ok {
 			t.Fatal("sampled tracer skipped a slow IO")
 		}
 	}
@@ -99,7 +99,7 @@ func TestTracerConfigs(t *testing.T) {
 func TestTraceRingCapacityBoundary(t *testing.T) {
 	r := NewTraceRing(4)
 	for i := 0; i < 4; i++ {
-		r.Append(IOTrace{Arrival: int64(i)})
+		r.Append(IOTrace{Timeline: Timeline{Arrival: int64(i)}})
 	}
 	snap := r.Snapshot()
 	if len(snap) != 4 {
@@ -110,7 +110,7 @@ func TestTraceRingCapacityBoundary(t *testing.T) {
 			t.Fatalf("snap[%d].Arrival = %d, want %d (oldest-first)", i, snap[i].Arrival, i)
 		}
 	}
-	r.Append(IOTrace{Arrival: 4})
+	r.Append(IOTrace{Timeline: Timeline{Arrival: 4}})
 	snap = r.Snapshot()
 	if snap[0].Arrival != 1 || snap[3].Arrival != 4 {
 		t.Fatalf("after eviction snap = %d..%d, want 1..4", snap[0].Arrival, snap[3].Arrival)
@@ -127,7 +127,7 @@ func TestWriteJSONLFuncFilters(t *testing.T) {
 		if i%2 == 1 {
 			tn = "b"
 		}
-		r.Append(IOTrace{Tenant: tn, Arrival: int64(i), Done: int64(i) + 100})
+		r.Append(IOTrace{Tenant: tn, Timeline: Timeline{Arrival: int64(i), Done: int64(i) + 100}})
 	}
 	var sb strings.Builder
 	if err := r.WriteJSONLFunc(&sb, func(t *IOTrace) bool { return t.Tenant == "b" }, 2); err != nil {
@@ -147,10 +147,10 @@ func TestWriteJSONLFuncFilters(t *testing.T) {
 // differences, the vslot wait split out of arrival → admit and the GC
 // stall out of submit → device done, and they sum to origin → done.
 func TestIOTracePhaseAccounting(t *testing.T) {
-	tr := IOTrace{
+	tr := IOTrace{Timeline: Timeline{
 		Origin: 100, Arrival: 150, Admit: 250, Submit: 300,
 		DevDone: 500, Done: 510, VslotNs: 60, GCNs: 120,
-	}
+	}}
 	want := [numPhases]int64{
 		PhaseFabric:   50,
 		PhaseQueue:    40, // 100 gross − 60 vslot
