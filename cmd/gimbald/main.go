@@ -84,6 +84,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	slo, err := sloObjective(*sloTarget, *sloGoal)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gimbald: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	sch, err := fabric.ParseScheme(*scheme)
 	if err != nil {
@@ -160,8 +166,8 @@ func main() {
 		hub.Tracer = obs.NewTracer(*tc)
 	}
 	hub.Events = obs.NewEventLog(1024)
-	if *sloTarget > 0 {
-		hub.SLO = obs.NewSLOEngine(obs.SLO{LatencyTargetNs: int64(*sloTarget), LatencyGoal: *sloGoal})
+	if slo != nil {
+		hub.SLO = obs.NewSLOEngine(*slo)
 		hub.SLO.SetEventLog(hub.Events)
 	}
 
@@ -292,6 +298,20 @@ func deviceParams(ssds int, capacity int64) (ssd.Params, error) {
 		return p, fmt.Errorf("-capacity %d: %v", capacity, err)
 	}
 	return p, nil
+}
+
+// sloObjective is the objective -slo-target and -slo-goal arm the SLO
+// engine with, or nil when -slo-target leaves it off. It rejects a goal
+// that is not a fraction strictly between 0 and 1, which the engine would
+// otherwise replace with its default without a word.
+func sloObjective(target time.Duration, goal float64) (*obs.SLO, error) {
+	if !(goal > 0 && goal < 1) {
+		return nil, fmt.Errorf("-slo-goal %v: need a fraction between 0 and 1, both excluded", goal)
+	}
+	if target <= 0 {
+		return nil, nil
+	}
+	return &obs.SLO{LatencyTargetNs: int64(target), LatencyGoal: goal}, nil
 }
 
 // tracerConfig is the span tracer the -trace, -trace-slow and -trace-nth

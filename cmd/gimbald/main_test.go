@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -31,6 +32,38 @@ func TestDeviceParams(t *testing.T) {
 		}
 		if err == nil && p.UsableBytes != c.capacity {
 			t.Errorf("deviceParams(%d, %d): UsableBytes %d", c.ssds, c.capacity, p.UsableBytes)
+		}
+	}
+}
+
+// TestSLOObjective: -slo-goal must be a fraction strictly between 0 and 1,
+// whether or not -slo-target arms the engine, and the engine is armed only
+// by a positive -slo-target.
+func TestSLOObjective(t *testing.T) {
+	for _, c := range []struct {
+		target time.Duration
+		goal   float64
+		ok     bool
+		armed  bool
+	}{
+		{0, 0.999, true, false}, // the defaults: no engine
+		{time.Millisecond, 0.999, true, true},
+		{time.Millisecond, 0.5, true, true},
+		{-time.Millisecond, 0.99, true, false},
+		{time.Millisecond, 1.5, false, false}, // ran with 0.999 in its place
+		{time.Millisecond, 1, false, false},
+		{time.Millisecond, 0, false, false},
+		{time.Millisecond, -0.5, false, false},
+		{time.Millisecond, math.NaN(), false, false},
+		{0, 1.5, false, false},
+	} {
+		slo, err := sloObjective(c.target, c.goal)
+		if (err == nil) != c.ok || (slo != nil) != c.armed {
+			t.Errorf("sloObjective(%v, %v) = %v, %v; want ok=%v armed=%v", c.target, c.goal, slo, err, c.ok, c.armed)
+			continue
+		}
+		if slo != nil && (slo.LatencyTargetNs != int64(c.target) || slo.LatencyGoal != c.goal) {
+			t.Errorf("sloObjective(%v, %v) = %+v", c.target, c.goal, *slo)
 		}
 	}
 }

@@ -29,11 +29,24 @@ type switchObs struct {
 
 	events *obs.EventLog
 	ssdTag string // preformatted "ssd=<n>" event detail
+
+	// The spans of the last n completions, not yet in the histograms, in
+	// the order they completed; nr of them reads and nw writes. A full
+	// stage, and every collection of a span histogram, folds them in
+	// (fold).
+	n, nr, nw                int
+	queue, vslot, pacing, gc [spanStage]int64
+	readDevice, writeDevice  [spanStage]int64
 }
+
+// spanStage is how many completions' spans the switch stages before it
+// folds them into the histograms.
+const spanStage = 256
 
 // AttachObs exports the switch into the hub's registry under an ssd label:
 // its counters and control-loop state as functions read at collection
-// time, its span histograms as instruments fed per completion. When the
+// time, its span histograms as instruments staged per completion and
+// folded in batches (switchObs.fold). When the
 // hub carries an event log, degrade and fail-fast transitions are appended
 // for SLO correlation. Call once, before traffic, from scheduler context.
 func (sw *Switch) AttachObs(h *obs.Hub, ssdIdx int) {
@@ -67,16 +80,13 @@ func (sw *Switch) AttachObs(h *obs.Hub, ssdIdx int) {
 				obs.L("ssd", idx, "op", op, "state", s.String()), func() int64 { return *v })
 		}
 	}
-	o := &switchObs{
-		queueDelay:  reg.Histogram("gimbal_queue_delay_ns", lb),
-		vslotWait:   reg.Histogram("gimbal_vslot_wait_ns", lb),
-		pacingStall: reg.Histogram("gimbal_pacing_stall_ns", lb),
-		readDevLat:  reg.Histogram("gimbal_device_latency_ns", rd),
-		writeDevLat: reg.Histogram("gimbal_device_latency_ns", wr),
-		gcStall:     reg.Histogram("gimbal_gc_stall_ns", lb),
-		events:      h.Events,
-		ssdTag:      "ssd=" + idx,
-	}
+	o := &switchObs{events: h.Events, ssdTag: "ssd=" + idx}
+	o.queueDelay = reg.StagedHistogram("gimbal_queue_delay_ns", lb, o.fold)
+	o.vslotWait = reg.StagedHistogram("gimbal_vslot_wait_ns", lb, o.fold)
+	o.pacingStall = reg.StagedHistogram("gimbal_pacing_stall_ns", lb, o.fold)
+	o.readDevLat = reg.StagedHistogram("gimbal_device_latency_ns", rd, o.fold)
+	o.writeDevLat = reg.StagedHistogram("gimbal_device_latency_ns", wr, o.fold)
+	o.gcStall = reg.StagedHistogram("gimbal_gc_stall_ns", lb, o.fold)
 
 	reg.Help("gimbal_pacing_stalls_total", "Submission-pump passes that stopped for want of rate-pacer tokens (an IO can stall several)")
 	reg.Help("gimbal_aborted_ios_total", "IOs completed with StatusAborted at the switch (teardown or late capsule)")
@@ -121,20 +131,41 @@ func (o *switchObs) event(at int64, kind string, active bool) {
 	}
 }
 
-// onComplete records the span histograms for one finished IO; doneAt is
-// when the completion left the switch. The phases are obs.Timeline's, the
-// one definition the pipeline's trace capture (fabric) also reads through
-// obs.IOTrace; every record is an array update.
+// onComplete stages the span histograms' samples for one finished IO;
+// doneAt is when the completion left the switch. The phases are
+// obs.Timeline's, the one definition the pipeline's trace capture (fabric)
+// also reads through obs.IOTrace.
 func (o *switchObs) onComplete(io *nvme.IO, doneAt int64) {
 	var tl obs.Timeline
 	tl.Stamp(io, doneAt)
-	o.queueDelay.Record(tl.PhaseNs(obs.PhaseQueue))
-	o.vslotWait.Record(tl.PhaseNs(obs.PhaseVslot))
-	o.pacingStall.Record(tl.PhaseNs(obs.PhasePacing))
-	o.gcStall.Record(tl.PhaseNs(obs.PhaseGC))
+	i := o.n
+	o.queue[i] = tl.PhaseNs(obs.PhaseQueue)
+	o.vslot[i] = tl.PhaseNs(obs.PhaseVslot)
+	o.pacing[i] = tl.PhaseNs(obs.PhasePacing)
+	o.gc[i] = tl.PhaseNs(obs.PhaseGC)
 	if io.Op.IsWrite() {
-		o.writeDevLat.Record(tl.PhaseNs(obs.PhaseDevice))
+		o.writeDevice[o.nw] = tl.PhaseNs(obs.PhaseDevice)
+		o.nw++
 	} else {
-		o.readDevLat.Record(tl.PhaseNs(obs.PhaseDevice))
+		o.readDevice[o.nr] = tl.PhaseNs(obs.PhaseDevice)
+		o.nr++
 	}
+	if o.n = i + 1; o.n == spanStage {
+		o.fold()
+	}
+}
+
+// fold records the staged spans into the histograms, each histogram's in
+// the order its IOs completed, and empties the stage. A histogram sees the
+// samples per-IO recording would have given it, in the same order, so its
+// counts, min, max and sum are the same bits (stats.Histogram.RecordAll).
+// The registry runs it before every collection of a span histogram.
+func (o *switchObs) fold() {
+	o.queueDelay.RecordAll(o.queue[:o.n])
+	o.vslotWait.RecordAll(o.vslot[:o.n])
+	o.pacingStall.RecordAll(o.pacing[:o.n])
+	o.gcStall.RecordAll(o.gc[:o.n])
+	o.readDevLat.RecordAll(o.readDevice[:o.nr])
+	o.writeDevLat.RecordAll(o.writeDevice[:o.nw])
+	o.n, o.nr, o.nw = 0, 0, 0
 }

@@ -5,7 +5,11 @@
 // write token buckets whose refill is split by the current write cost.
 package ratectl
 
-import "gimbal/internal/core/latmon"
+import (
+	"math"
+
+	"gimbal/internal/core/latmon"
+)
 
 // Config holds the rate-control parameters (§4.2).
 type Config struct {
@@ -43,12 +47,15 @@ type Engine struct {
 	writeTok   float64
 	lastRefill int64
 
-	// The read and write buckets' shares of the refill, wc/(1+wc) and
-	// 1/(1+wc), at write cost shareCost (clamped to 1; 0 until the first
-	// stall): the cost moves a few times a cost period, and coverWait asks
-	// on every stalled pass.
-	shareCost             float64
-	readShare, writeShare float64
+	// coverWait's reciprocals: of the read and write buckets' shares of
+	// the refill, (1+wc)/wc and 1+wc as 1/share, at write cost shareCost
+	// (clamped to 1; 0 until the first stall), and the nanoseconds per
+	// byte, 1e9/rate, at target rate nsRate. The cost moves a few times a
+	// cost period and the rate on some completions; coverWait asks on
+	// every stalled pass.
+	shareCost         float64
+	readInv, writeInv float64
+	nsRate, nsPerByte float64
 
 	cfg Config
 
@@ -160,19 +167,44 @@ func (e *Engine) Admit(isWrite bool, size int, writeCost float64) (wait int64, o
 // rows), so the time is checked against the refill Admit will see after
 // it, a nanosecond more while that lands short. A hair is 1e-6 ns, at
 // least 8e-9 bytes of refill at MinRate; the sums' rounding is ~1e-10.
+//
+// The quotient is first estimated with the cached reciprocals: two
+// multiplications in place of the two divisions. The estimate is
+// within 1e-15 of the quotient, relatively (a few roundings of 2^-53
+// each), so where it lies farther than coverBand from a whole nanosecond
+// and from the hair, the quotient truncates to the same nanosecond and
+// passes the same test, and the estimate's answer is the divisions'. Only
+// the rest take the divisions: almost never with arbitrary levels and
+// rates, but always where the quotient is a whole nanosecond (DESIGN §6).
 func (e *Engine) coverWait(isWrite bool, d, need, writeCost float64) int64 {
+	inv, room := 1.0, math.Inf(1)
 	if !e.cfg.SingleBucket {
 		if writeCost < 1 {
 			writeCost = 1
 		}
 		if writeCost != e.shareCost {
-			e.shareCost, e.readShare, e.writeShare = writeCost, writeCost/(1+writeCost), 1/(1+writeCost)
+			e.shareCost, e.readInv, e.writeInv = writeCost, 1/share(false, writeCost), 1/share(true, writeCost)
 		}
-		share, other := e.readShare, e.writeTok
+		other := e.writeTok
+		inv = e.readInv
 		if isWrite {
-			share, other = e.writeShare, e.readTok
+			inv, other = e.writeInv, e.readTok
 		}
-		d = min(d/share, d+max(float64(e.cfg.BucketMax)-other, 0))
+		room = d + max(float64(e.cfg.BucketMax)-other, 0)
+	}
+	if e.targetRate > 0 {
+		if e.targetRate != e.nsRate {
+			e.nsRate, e.nsPerByte = e.targetRate, 1e9/e.targetRate
+		}
+		est := min(d*inv, room) * e.nsPerByte
+		wait := int64(est) + 1
+		if band := est * coverBand; est-float64(wait-1) > band && float64(wait)-est > 1e-6+band {
+			return wait
+		}
+	}
+	// Too close to call: the divisions decide.
+	if !e.cfg.SingleBucket {
+		d = min(d/share(isWrite, writeCost), room)
 	}
 	if e.targetRate <= 0 {
 		return int64(d/e.cfg.MinRate*1e9) + 1 // no refill ever covers it: the pump polls at MinRate
@@ -193,6 +225,20 @@ func (e *Engine) coverWait(isWrite bool, d, need, writeCost float64) int64 {
 		}
 	}
 }
+
+// share is the class's share of the refill at write cost wc (at least 1):
+// wc/(1+wc) for reads, 1/(1+wc) for writes.
+func share(isWrite bool, wc float64) float64 {
+	if isWrite {
+		return 1 / (1 + wc)
+	}
+	return wc / (1 + wc)
+}
+
+// coverBand is how near, relative to itself, coverWait's estimate may lie
+// to a whole nanosecond or to the hair before the divisions decide: a
+// hundred times the estimate's error.
+const coverBand = 1e-13
 
 // OnCompletion applies Algorithm 1's Completion procedure: adjust the
 // target rate by the completed size according to the congestion state,

@@ -246,10 +246,12 @@ type DRR struct {
 	activeClasses classList
 	flat          bool
 
-	// sel is the IO the last Select returned and selW its weighted size,
-	// which Commit charges: nothing moves the write cost between the two.
-	sel  *nvme.IO
-	selW int64
+	// sel is the IO the last Select returned, selTs its tenant and selW
+	// its weighted size, which Commit charges: nothing moves the write
+	// cost between the two.
+	sel   *nvme.IO
+	selTs *tenant
+	selW  int64
 
 	queuedTotal int
 
@@ -412,8 +414,8 @@ func (d *DRR) Unregister(t *nvme.Tenant) []*nvme.IO {
 	}
 	d.queuedTotal -= ts.queued
 	ts.queued = 0
-	if d.sel != nil && d.sel.Tenant == t {
-		d.sel = nil // an orphan now: Commit must not take it
+	if d.selTs == ts {
+		d.sel, d.selTs = nil, nil // an orphan now: Commit must not take it
 	}
 	if ts.where != idle {
 		d.idle_(ts) // leaves the lists and releases the slot share
@@ -581,7 +583,7 @@ func (d *DRR) Select() *nvme.IO {
 			continue
 		}
 		if d.flat || c.deficit >= w {
-			d.sel, d.selW = io, w
+			d.sel, d.selTs, d.selW = io, ts, w
 			return io
 		}
 		// Class-level round: grant the class its weighted quantum and
@@ -589,12 +591,13 @@ func (d *DRR) Select() *nvme.IO {
 		c.deficit += d.cfg.Quantum * int64(c.weight)
 		d.activeClasses.moveToBack(c)
 	}
-	d.sel = nil
+	d.sel, d.selTs = nil, nil
 	return nil
 }
 
-// Commit dequeues the IO the last Select returned, charges the weighted
-// size Select computed for it to the tenant's (and class's) deficit, and
+// Commit dequeues the IO the last Select returned from the tenant Select
+// found it at, charges the weighted size Select computed for it to the
+// tenant's (and class's) deficit, and
 // places it in the tenant's current virtual slot. The caller keeps the
 // write cost still in between (the switch re-selects after a cost tick).
 // If the slot closes with no replacement available, the tenant moves to
@@ -603,9 +606,8 @@ func (d *DRR) Commit(io *nvme.IO) {
 	if io != d.sel {
 		panic("sched: Commit of an IO the last Select did not return")
 	}
-	w := d.selW
-	d.sel = nil
-	ts := d.lookup(io.Tenant)
+	ts, w := d.selTs, d.selW
+	d.sel, d.selTs = nil, nil
 	ts.pop(io)
 	d.queuedTotal--
 	ts.deficit -= w

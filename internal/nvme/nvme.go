@@ -196,12 +196,15 @@ type TenantRemover interface {
 type Submitter struct {
 	Sched sim.Scheduler
 	Dev   ssd.Device
-	Page  int64
 }
 
-// NewSubmitter returns a submitter for dev using 4KB pages.
+// page is the 4 KiB block Check aligns an IO's offset and size to. A
+// constant, so its two remainders compile to masks.
+const page = 4096
+
+// NewSubmitter returns a submitter for dev.
 func NewSubmitter(sched sim.Scheduler, dev ssd.Device) *Submitter {
-	return &Submitter{Sched: sched, Dev: dev, Page: 4096}
+	return &Submitter{Sched: sched, Dev: dev}
 }
 
 // Check validates an IO against device bounds, returning a failure status
@@ -212,7 +215,7 @@ func (s *Submitter) Check(io *IO) Status {
 		if io.Size <= 0 || io.Offset < 0 || io.Offset+int64(io.Size) > s.Dev.Capacity() {
 			return StatusInvalidLBA
 		}
-		if io.Offset%s.Page != 0 || int64(io.Size)%s.Page != 0 {
+		if io.Offset%page != 0 || io.Size%page != 0 {
 			return StatusInvalidLBA
 		}
 		return StatusOK

@@ -141,6 +141,7 @@ type instrument struct {
 	cfns    []func() int64 // summed: one source, or all an overflow series absorbed
 	fn      func() float64
 	hist    *stats.Histogram
+	folds   []func() // run before hist is read: its recorders' staged samples
 	ex      *ExemplarSlot
 
 	// Export-name cache, built lazily on first collection (under gatherMu)
@@ -337,6 +338,21 @@ func (r *Registry) Histogram(name string, labels Labels) *stats.Histogram {
 	}).hist
 }
 
+// StagedHistogram is Histogram for a recorder that stages its samples and
+// folds them into the histogram in batches: every collection runs fold
+// before it reads the histogram, so an export never misses a staged
+// sample. fold runs under GatherLock and gatherMu, as the recorder would
+// record; a histogram may have several (each registration adds one).
+func (r *Registry) StagedHistogram(name string, labels Labels, fold func()) *stats.Histogram {
+	in := r.lookup(name, labels, kindHistogram, func() *instrument {
+		return &instrument{hist: stats.NewHistogram()}
+	})
+	r.mu.Lock()
+	in.folds = append(in.folds, fold)
+	r.mu.Unlock()
+	return in.hist
+}
+
 // ExemplarSlot returns the exemplar slot attached to the histogram
 // registered under (name, labels), creating histogram and slot as needed.
 // The slot's exemplar is exported alongside the family by
@@ -422,6 +438,9 @@ func (in *instrument) appendSamples(out []Sample) []Sample {
 		return append(out, Sample{in.name, in.labels, float64(n)})
 	case kindGaugeFunc:
 		return append(out, Sample{in.name, in.labels, in.fn()})
+	}
+	for _, fold := range in.folds {
+		fold()
 	}
 	in.exportNames()
 	h := in.hist

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // invalidPage marks an unmapped logical or physical page.
@@ -121,38 +122,65 @@ func newFTL(p Params) *ftl {
 		p2l:          p2l,
 		dies:         make([]*die, n),
 	}
+	// The dies' arrays are carved from one allocation per array (a restored
+	// device overwrites them all, and a device of 32 dies would otherwise
+	// make 256 allocations for them).
+	dies := make([]die, n)
+	valid, writePtr := dieArrays[uint16](n, bpd), dieArrays[uint16](n, bpd)
+	erases, free := dieArrays[uint32](n, bpd), dieArrays[uint32](n, bpd)
+	heads := dieArrays[int32](n, ppb+1)
+	next, prev := dieArrays[int32](n, bpd), dieArrays[int32](n, bpd)
+	for _, links := range [][]int32{heads, next, prev} {
+		for j := range links {
+			links[j] = noBlock
+		}
+	}
 	for i := range f.dies {
 		base := i * pagesPerDie
 		// Block 0 is the host open block and block 1 the GC open block; the
 		// rest start free.
-		d := &die{
+		d := &dies[i]
+		*d = die{
 			ppb:        ppb,
 			shift:      f.blockShift,
 			gcTrigger:  trigger,
 			base:       uint32(base),
 			p2l:        p2l[base : base+pagesPerDie : base+pagesPerDie],
-			valid:      make([]uint16, bpd),
-			writePtr:   make([]uint16, bpd),
-			erases:     make([]uint32, bpd),
-			free:       make([]uint32, 0, bpd),
+			valid:      carve(valid, i, bpd),
+			writePtr:   carve(writePtr, i, bpd),
+			erases:     carve(erases, i, bpd),
+			free:       carve(free, i, bpd)[:0],
 			open:       0,
 			gcOpen:     1,
-			bucketHead: make([]int32, ppb+1),
-			bNext:      make([]int32, bpd),
-			bPrev:      make([]int32, bpd),
+			bucketHead: carve(heads, i, ppb+1),
+			bNext:      carve(next, i, bpd),
+			bPrev:      carve(prev, i, bpd),
 			minValid:   int32(ppb), // no bucketed blocks yet
 		}
 		for b := 2; b < bpd; b++ {
 			d.free = append(d.free, uint32(b))
 		}
-		for _, links := range [][]int32{d.bucketHead, d.bNext, d.bPrev} {
-			for j := range links {
-				links[j] = noBlock
-			}
-		}
 		f.dies[i] = d
 	}
 	return f
+}
+
+// dieArrays allocates n dies' arrays of l elements each in one buffer, a
+// cache line apart, so the die pass's goroutines, each writing its own
+// die's arrays, never write one line; carve hands them out.
+func dieArrays[T any](n, l int) []T { return make([]T, n*dieStride[T](l)) }
+
+// carve returns die i's array of length l (and capacity l) from a
+// dieArrays buffer.
+func carve[T any](buf []T, i, l int) []T {
+	at := i * dieStride[T](l)
+	return buf[at : at+l : at+l]
+}
+
+// dieStride is l elements of T and a 64-byte line after them.
+func dieStride[T any](l int) int {
+	var v T
+	return l + 64/int(unsafe.Sizeof(v))
 }
 
 // blank is the l2p and p2l of a device with no page mapped: every word

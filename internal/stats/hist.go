@@ -82,6 +82,38 @@ func (h *Histogram) Record(v int64) {
 	}
 }
 
+// RecordAll adds the samples in order, as Record would one by one: the
+// same counts, min and max, and the sum Record's float64 additions give,
+// so the histogram ends bit for bit where per-sample recording leaves it.
+// A recorder that stages samples folds them with it, one histogram at a
+// time.
+//
+// The sum is an integer sum while that is provably the same: the sum only
+// ever adds integers, so it is a whole number, and while every partial
+// sum stays below 2^53 each float64 addition is exact. When the batch's
+// integer total (exact: fewer than 2^10 samples, each below 2^53) added to
+// the sum stays below 2^53, so does every partial sum, and one addition
+// gives the bits the in-order additions would. Otherwise it makes them.
+func (h *Histogram) RecordAll(vs []int64) {
+	counts, lo, hi := h.counts, h.min, h.max
+	var total int64
+	for _, v := range vs {
+		v = max(v, 0)
+		counts[bucketIndex(v)]++
+		total += v
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	h.total += uint64(len(vs))
+	h.min, h.max = lo, hi
+	if sum := h.sum + float64(total); hi < 1<<53 && len(vs) < 1<<10 && sum < 1<<53 {
+		h.sum = sum
+		return
+	}
+	for _, v := range vs {
+		h.sum += float64(max(v, 0))
+	}
+}
+
 // Count returns the number of samples recorded.
 func (h *Histogram) Count() uint64 { return h.total }
 

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -197,5 +199,46 @@ func TestJainIndex(t *testing.T) {
 	}
 	if JainIndex(nil) != 0 {
 		t.Fatal("empty Jain should be 0")
+	}
+}
+
+// TestRecordAllMatchesRecord: folding a batch with RecordAll leaves every
+// field of the histogram, the sum's bits included, where recording the
+// batch sample by sample does. The batches run the sum across 2^53, where
+// float64 additions start to round and RecordAll must make them in order,
+// and include negative samples, samples past 2^53 and a batch of 2^10.
+func TestRecordAllMatchesRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, c := range []struct {
+		name      string
+		n, rounds int
+		sample    func() int64
+	}{
+		{"latencies", 256, 40, func() int64 { return rng.Int63n(5_000_000) - 1000 }},
+		{"across 2^53", 256, 12, func() int64 { return 1<<45 + rng.Int63n(1<<45) }},
+		{"odd past 2^53", 17, 8, func() int64 { return 1<<53 + 2*rng.Int63n(1<<40) + 1 }},
+		{"batch of 2^10", 1 << 10, 4, func() int64 { return rng.Int63n(1 << 44) }},
+		{"mixed", 100, 30, func() int64 {
+			if rng.Intn(50) == 0 {
+				return 1<<52 + rng.Int63n(1<<52)
+			}
+			return rng.Int63n(1000)
+		}},
+	} {
+		batch, one := NewHistogram(), NewHistogram()
+		for r := 0; r < c.rounds; r++ {
+			vs := make([]int64, rng.Intn(c.n)+1)
+			for i := range vs {
+				vs[i] = c.sample()
+				one.Record(vs[i])
+			}
+			batch.RecordAll(vs)
+			if math.Float64bits(batch.sum) != math.Float64bits(one.sum) || batch.total != one.total ||
+				batch.min != one.min || batch.max != one.max || !slices.Equal(batch.counts, one.counts) {
+				t.Fatalf("%s, batch %d: RecordAll leaves sum %v (%#x) n %d min %d max %d; Record %v (%#x) n %d min %d max %d",
+					c.name, r, batch.sum, math.Float64bits(batch.sum), batch.total, batch.min, batch.max,
+					one.sum, math.Float64bits(one.sum), one.total, one.min, one.max)
+			}
+		}
 	}
 }
