@@ -78,48 +78,21 @@ func main() {
 		token     = flag.String("admin-token", "", "bearer token required on mutating volume endpoints (empty leaves them open)")
 	)
 	flag.Parse()
-	params, err := deviceParams(*ssds, *capacity)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gimbald: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	slo, err := sloObjective(*sloTarget, *sloGoal)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gimbald: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	sch, err := fabric.ParseScheme(*scheme)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tcfg := fabric.DefaultTargetConfig(sch)
-	// -qos-classes is the one policy knob: it names the volume QoS menu AND
-	// compiles the scheduler's class weights.
-	classes := volume.DefaultClasses()
-	if *qosFlag != "" {
-		cs, err := volume.ParseClasses(*qosFlag)
+	checkUsage := func(err error) {
 		if err != nil {
-			log.Fatalf("-qos-classes: %v", err)
+			fmt.Fprintf(os.Stderr, "gimbald: %v\n", err)
+			flag.Usage()
+			os.Exit(2)
 		}
-		classes = cs
-		tcfg.Gimbal.Sched.ClassWeights = cs.Compile().ClassWeights
 	}
+	params, err := deviceParams(*ssds, *capacity)
+	checkUsage(err)
+	slo, err := sloObjective(*sloTarget, *sloGoal)
+	checkUsage(err)
+	tcfg, condition, classes, err := targetPolicy(*scheme, *cond, *qosFlag)
+	checkUsage(err)
 	if *recovery {
 		tcfg.Gimbal.Recovery = core.DefaultRecoveryConfig()
-	}
-	var condition ssd.Condition
-	switch *cond {
-	case "fresh":
-		condition = ssd.Fresh
-	case "clean":
-		condition = ssd.Clean
-	case "fragmented":
-		condition = ssd.Fragmented
-	default:
-		log.Fatalf("unknown condition %q", *cond)
 	}
 
 	// Datapath layout: the target is sharded into R per-SSD reactors (SSD i
@@ -243,7 +216,7 @@ func main() {
 	}
 
 	fmt.Printf("gimbald: %d x %s SSDs (%s) behind %q scheme, listening on %s (%d reactor shards)\n",
-		*ssds, condition, byteSize(*capacity), sch, srv.Addr(), R)
+		*ssds, condition, byteSize(*capacity), tcfg.Scheme, srv.Addr(), R)
 	if *admin != "" {
 		fmt.Printf("gimbald: observability on http://%s (/metrics /stats /trace /slo /volumes /snapshots /debug/pprof)\n", *admin)
 	}
@@ -298,6 +271,31 @@ func deviceParams(ssds int, capacity int64) (ssd.Params, error) {
 		return p, fmt.Errorf("-capacity %d: %v", capacity, err)
 	}
 	return p, nil
+}
+
+// targetPolicy is the target configuration, precondition and volume QoS
+// menu that -scheme, -cond and -qos-classes name, or an error naming the
+// flag it cannot parse. -qos-classes is the one policy knob: it names the
+// volume QoS menu AND compiles the scheduler's class weights; empty keeps
+// the default menu over a flat single-class DRR.
+func targetPolicy(scheme, cond, qos string) (fabric.TargetConfig, ssd.Condition, *volume.ClassSet, error) {
+	sch, err := fabric.ParseScheme(scheme)
+	if err != nil {
+		return fabric.TargetConfig{}, 0, nil, fmt.Errorf("-scheme: %v", err)
+	}
+	condition, err := ssd.ParseCondition(cond)
+	if err != nil {
+		return fabric.TargetConfig{}, 0, nil, fmt.Errorf("-cond: %v", err)
+	}
+	tcfg := fabric.DefaultTargetConfig(sch)
+	classes := volume.DefaultClasses()
+	if qos != "" {
+		if classes, err = volume.ParseClasses(qos); err != nil {
+			return fabric.TargetConfig{}, 0, nil, fmt.Errorf("-qos-classes: %v", err)
+		}
+		tcfg.Gimbal.Sched.ClassWeights = classes.Compile().ClassWeights
+	}
+	return tcfg, condition, classes, nil
 }
 
 // sloObjective is the objective -slo-target and -slo-goal arm the SLO

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"gimbal/internal/fabric"
 	"gimbal/internal/obs"
 	"gimbal/internal/ssd"
 )
@@ -32,6 +33,43 @@ func TestDeviceParams(t *testing.T) {
 		}
 		if err == nil && p.UsableBytes != c.capacity {
 			t.Errorf("deviceParams(%d, %d): UsableBytes %d", c.ssds, c.capacity, p.UsableBytes)
+		}
+	}
+}
+
+// TestTargetPolicy: an unknown -scheme or -cond and a -qos-classes that
+// does not parse are usage errors; a -qos-classes that parses names the
+// volume menu and compiles the scheduler's class weights.
+func TestTargetPolicy(t *testing.T) {
+	for _, c := range []struct {
+		scheme, cond, qos string
+		ok                bool
+		sch               fabric.Scheme
+		condition         ssd.Condition
+		classes           int
+	}{
+		{"gimbal", "clean", "", true, fabric.SchemeGimbal, ssd.Clean, 3}, // the defaults
+		{"reflex", "fragmented", "", true, fabric.SchemeReflex, ssd.Fragmented, 3},
+		{"gimbal", "fresh", "gold=2,bronze=1", true, fabric.SchemeGimbal, ssd.Fresh, 2},
+		{"gimbl", "clean", "", false, 0, 0, 0}, // log.Fatal, exit 1
+		{"gimbal", "fragmentd", "", false, 0, 0, 0},
+		{"gimbal", "", "", false, 0, 0, 0},
+		{"gimbal", "clean", "gold=x", false, 0, 0, 0},
+		{"gimbal", "clean", "gold=0", false, 0, 0, 0},
+	} {
+		tcfg, cond, classes, err := targetPolicy(c.scheme, c.cond, c.qos)
+		if (err == nil) != c.ok {
+			t.Errorf("targetPolicy(%q, %q, %q) = %v, want ok=%v", c.scheme, c.cond, c.qos, err, c.ok)
+			continue
+		}
+		if !c.ok {
+			continue
+		}
+		if tcfg.Scheme != c.sch || cond != c.condition || classes.Len() != c.classes {
+			t.Errorf("targetPolicy(%q, %q, %q) = %v, %v, %d classes", c.scheme, c.cond, c.qos, tcfg.Scheme, cond, classes.Len())
+		}
+		if weighted := tcfg.Gimbal.Sched.ClassWeights != nil; weighted != (c.qos != "") {
+			t.Errorf("targetPolicy(%q, %q, %q): class weights %v", c.scheme, c.cond, c.qos, tcfg.Gimbal.Sched.ClassWeights)
 		}
 	}
 }

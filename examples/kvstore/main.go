@@ -4,7 +4,7 @@
 // (internal/fabric), the hierarchical blob allocator with two-way
 // replication and credit-driven read balancing (internal/blobstore), the
 // LSM tree (internal/kvstore) — is the one gimbalbench's fig10–fig13 run:
-// bench.RunYCSB. This example is its parameters and its printing.
+// bench.Ctx.RunYCSB. This example is its parameters and its printing.
 //
 //	go run ./examples/kvstore
 package main
@@ -26,7 +26,7 @@ func main() {
 
 	fmt.Printf("loading %d records x %d instances, then YCSB-A for %.0fs...\n",
 		cfg.Records, cfg.Instances, float64(cfg.Dur)/1e9)
-	r, err := bench.RunYCSB(cfg, "A", 7)
+	r, err := bench.NewCtx(bench.Full).RunYCSB(cfg, "A", 7)
 	if err != nil {
 		panic(err)
 	}

@@ -101,15 +101,14 @@ const (
 )
 
 func (c Condition) internal() (ssd.Condition, error) {
-	switch c {
-	case "", Fresh:
+	if c == "" {
 		return ssd.Fresh, nil
-	case Clean:
-		return ssd.Clean, nil
-	case Fragmented:
-		return ssd.Fragmented, nil
 	}
-	return 0, fmt.Errorf("%w: %q", ErrUnknownCondition, string(c))
+	cond, err := ssd.ParseCondition(string(c))
+	if err != nil {
+		return 0, fmt.Errorf("%w: %q", ErrUnknownCondition, string(c))
+	}
+	return cond, nil
 }
 
 // Sim is a deterministic simulation universe with a virtual clock.

@@ -24,7 +24,7 @@ type Ctx struct {
 	runCache map[string]*FioRun
 
 	// ycsbCache memoizes YCSB runs shared between result tables.
-	ycsbCache map[string]YCSBResult
+	ycsbCache map[ycsbKey]YCSBResult
 }
 
 // NewCtx returns an empty context whose experiments run at size.
@@ -33,7 +33,7 @@ func NewCtx(size Size) *Ctx {
 		size:            size,
 		standaloneCache: map[string]float64{},
 		runCache:        map[string]*FioRun{},
-		ycsbCache:       map[string]YCSBResult{},
+		ycsbCache:       map[ycsbKey]YCSBResult{},
 	}
 }
 

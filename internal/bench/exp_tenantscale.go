@@ -46,29 +46,28 @@ func runTenantScale(cx *Ctx) []*Result {
 	return []*Result{res}
 }
 
-// warmTenantScale builds one population point at size, starts its scenario
-// and runs the warmup: what is left is the measured window, RunUntil(stop).
-func warmTenantScale(size Size, pop int, churnPS float64) (rig *FioRun, sc *workload.Scenario, stop int64) {
+// tenantScaleRig builds one population point at size: the rig with no
+// worker streams and the scenario engine, which registers its population at
+// the switch, as its one load. events are armed by Ctx.Run.
+func tenantScaleRig(size Size, pop int, churnPS float64, events ...TimedEvent) (*FioRun, *workload.Scenario) {
 	ts := size.scale().tenants
-	// The rig with no worker streams: the scenario engine registers its
-	// population at the switch and is its own load loop.
-	rig = NewFioRun(FioConfig{Scheme: fabric.SchemeGimbal, Cond: ssd.Clean, Seed: 11})
-	loop, reg := rig.Loop, rig.Reg
-	reg.SetMaxSeries(ts.series)
+	rig := NewFioRun(FioConfig{Scheme: fabric.SchemeGimbal, Cond: ssd.Clean, Seed: 11,
+		Warm: ts.window.warm, Dur: ts.window.dur, Events: events})
+	rig.Reg.SetMaxSeries(ts.series)
 
 	cfg := workload.DefaultScenarioConfig()
 	cfg.Tenants = pop
 	cfg.RateIOPS = ts.iops
 	cfg.ChurnPerSec = churnPS
 	cfg.Span = rig.Devices[0].Capacity()
-	sc = workload.NewScenario(loop, rig.RNG, cfg, rig.Target.Pipeline(0).Gimbal)
+	sc := workload.NewScenario(rig.Loop, rig.RNG, cfg, rig.Target.Pipeline(0).Gimbal)
 
 	// Per-tenant instruments, exactly as the fabric target creates them on
 	// session connect: at 100k tenants this blows through the series
 	// budget and the tail collapses into the overflow series.
 	counters := map[int]*obs.Counter{}
 	sc.OnRegister = func(t *nvme.Tenant) {
-		counters[t.ID] = reg.Counter("tenant_completed_ops_total",
+		counters[t.ID] = rig.Reg.Counter("tenant_completed_ops_total",
 			obs.L("ssd", "0", "tenant", strconv.Itoa(t.ID)))
 	}
 	sc.OnDone = func(io *nvme.IO, cpl nvme.Completion) {
@@ -76,20 +75,14 @@ func warmTenantScale(size Size, pop int, churnPS float64) (rig *FioRun, sc *work
 			counters[io.Tenant.ID].Add(1)
 		}
 	}
-
-	stop = loop.Now() + ts.window.warm + ts.window.dur
-	sc.Start(stop)
-	loop.RunUntil(loop.Now() + ts.window.warm)
-	sc.ResetStats()
-	return rig, sc, stop
+	rig.loads = append(rig.loads, sc)
+	return rig, sc
 }
 
 // tenantScaleRow runs one population point and appends its row.
 func tenantScaleRow(cx *Ctx, res *Result, pop int, churnPS float64) {
-	rig, sc, stop := warmTenantScale(cx.size, pop, churnPS)
-	rig.Loop.RunUntil(stop)
-	rig.Loop.Run() // drain in-flight completions
-	cx.recordObsRun(rig)
+	rig, sc := tenantScaleRig(cx.size, pop, churnPS)
+	cx.Run(rig)
 
 	series, overflow := countSeries(rig.Reg, "tenant_completed_ops_total")
 	f := sc.Fairness()

@@ -44,13 +44,13 @@ type volRig struct {
 	routers []volume.Router // per class
 }
 
-// newVolRig builds the rig. Tenant IDs are allocated densely per rig, so
-// two rigs are independent and identically seeded rigs are identical.
-// maxSlots > 0 overrides the per-switch virtual-slot ceiling (the fairness
-// phase raises it so the congestion-control rate gate — where the class
-// DRR arbitrates — is the binding resource, not the equal-per-contender
-// slot allotment).
-func newVolRig(nssd int, capacity int64, maxSlots int) *volRig {
+// newVolRig builds the rig, to be run for w. Tenant IDs are allocated
+// densely per rig, so two rigs are independent and identically seeded rigs
+// are identical. maxSlots > 0 overrides the per-switch virtual-slot ceiling
+// (the fairness phase raises it so the congestion-control rate gate — where
+// the class DRR arbitrates — is the binding resource, not the
+// equal-per-contender slot allotment).
+func newVolRig(nssd int, capacity int64, maxSlots int, w window) *volRig {
 	classes, err := volume.ParseClasses(volChurnClasses)
 	if err != nil {
 		panic(err)
@@ -60,6 +60,7 @@ func newVolRig(nssd int, capacity int64, maxSlots int) *volRig {
 	p.UsableBytes = capacity
 	r := &volRig{classes: classes, comp: comp, FioRun: NewFioRun(FioConfig{
 		Scheme: fabric.SchemeGimbal, Cond: ssd.Clean, Params: p, NumSSD: nssd, Seed: 23,
+		Warm: w.warm, Dur: w.dur,
 		GimbalCfg: func(tc *fabric.TargetConfig) {
 			tc.Gimbal.Sched.ClassWeights = comp.ClassWeights
 			if maxSlots > 0 {
@@ -94,35 +95,69 @@ func newVolRig(nssd int, capacity int64, maxSlots int) *volRig {
 // churnState drives the control plane and the data plane against one rig:
 // a target live-volume population maintained by create/delete churn with
 // snapshots, clones, and resizes mixed in, plus open-loop IO spread over
-// the live population.
+// the live population. It is the rig's one load.
 type churnState struct {
-	r      *volRig
-	target int
-	nextV  int
-	nextS  int
+	r          *volRig
+	vc         volChurnSize
+	target     int
+	nextV      int
+	nextS      int
+	rng, ioRNG *sim.RNG // control plane, data plane
 
 	live  []*volume.Volume
 	snaps []*volume.Snapshot
 
 	creates, deletes, snapCuts, snapDels, clones, resizes, rejected int64
 
-	issued, completed, aborted, errored, shed int64
-	writeBytes, readBytes                     int64
-	inflight                                  int
-	lat                                       *stats.Histogram
+	completed, aborted, errored, shed, writeBytes int64
+	inflight                                      int
+	lat                                           *stats.Histogram
 }
 
-func (cs *churnState) vsize(rng *sim.RNG) int64 {
-	return int64(4+rng.Intn(13)) << 20 // 4–16MB
+// Start prefills the population to the target, then arms the churn and IO
+// processes until stopAt.
+func (cs *churnState) Start(stopAt int64) {
+	for len(cs.live) < cs.target {
+		cs.create()
+	}
+	loop, churnGap := cs.r.Loop, int64(1e9/cs.vc.opsPS)
+	var churnTick, ioTick func()
+	churnTick = func() {
+		cs.step()
+		if loop.Now() < stopAt {
+			loop.After(churnGap, churnTick).MarkDaemon()
+		}
+	}
+	ioTick = func() {
+		cs.issueIO()
+		if loop.Now() < stopAt {
+			loop.After(int64(cs.ioRNG.Exp(1e9/cs.vc.iops))+1, ioTick).MarkDaemon()
+		}
+	}
+	loop.After(churnGap, churnTick).MarkDaemon()
+	loop.After(1, ioTick).MarkDaemon()
 }
 
-func (cs *churnState) create(rng *sim.RNG) {
+// ResetStats zeroes the row's counters (the prefill's creates among them).
+// The manager's COW and zero-read counts are not reset, so the churn rows
+// run with no warm-up.
+func (cs *churnState) ResetStats() {
+	cs.creates, cs.deletes, cs.snapCuts, cs.snapDels, cs.clones, cs.resizes, cs.rejected = 0, 0, 0, 0, 0, 0, 0
+	cs.completed, cs.aborted, cs.errored, cs.shed, cs.writeBytes = 0, 0, 0, 0, 0
+	cs.lat.Reset()
+}
+
+func (cs *churnState) vsize() int64 {
+	return int64(4+cs.rng.Intn(13)) << 20 // 4–16MB
+}
+
+func (cs *churnState) create() {
 	name := fmt.Sprintf("v%06d", cs.nextV)
 	cs.nextV++
 	v, err := cs.r.m.Create(volume.Spec{
 		Name:  name,
-		Size:  cs.vsize(rng),
-		Class: cs.r.classes.Spec(rng.Intn(cs.r.classes.Len())).Name,
+		Size:  cs.vsize(),
+		Class: cs.r.classes.Spec(cs.rng.Intn(cs.r.classes.Len())).Name,
 	})
 	if err != nil {
 		cs.rejected++
@@ -132,38 +167,33 @@ func (cs *churnState) create(rng *sim.RNG) {
 	cs.creates++
 }
 
-// removeLive drops index i by deterministic swap-remove.
-func (cs *churnState) removeLive(i int) {
-	cs.live[i] = cs.live[len(cs.live)-1]
-	cs.live = cs.live[:len(cs.live)-1]
-}
-
-func (cs *churnState) deleteVol(rng *sim.RNG) {
+func (cs *churnState) deleteVol() {
 	if len(cs.live) == 0 {
 		return
 	}
-	i := rng.Intn(len(cs.live))
+	i := cs.rng.Intn(len(cs.live))
 	if err := cs.r.m.Delete(cs.live[i].Name()); err != nil {
 		cs.rejected++
 		return
 	}
-	cs.removeLive(i)
+	cs.live[i] = cs.live[len(cs.live)-1] // swap-remove: deterministic
+	cs.live = cs.live[:len(cs.live)-1]
 	cs.deletes++
 }
 
 // step performs one control-plane operation, keeping the live population
 // at the target.
-func (cs *churnState) step(rng *sim.RNG) {
+func (cs *churnState) step() {
 	if len(cs.live) < cs.target {
-		cs.create(rng)
+		cs.create()
 		return
 	}
-	switch op := rng.Float64(); {
+	switch op := cs.rng.Float64(); {
 	case op < 0.45: // replace: delete one, create one
-		cs.deleteVol(rng)
-		cs.create(rng)
+		cs.deleteVol()
+		cs.create()
 	case op < 0.60: // snapshot a random live volume
-		v := cs.live[rng.Intn(len(cs.live))]
+		v := cs.live[cs.rng.Intn(len(cs.live))]
 		name := fmt.Sprintf("s%06d", cs.nextS)
 		cs.nextS++
 		s, err := cs.r.m.Snapshot(v.Name(), name)
@@ -175,25 +205,25 @@ func (cs *churnState) step(rng *sim.RNG) {
 		cs.snapCuts++
 	case op < 0.75: // clone a random snapshot, retiring a volume to hold the population
 		if len(cs.snaps) == 0 {
-			cs.create(rng)
+			cs.create()
 			return
 		}
-		s := cs.snaps[rng.Intn(len(cs.snaps))]
+		s := cs.snaps[cs.rng.Intn(len(cs.snaps))]
 		name := fmt.Sprintf("v%06d", cs.nextV)
 		cs.nextV++
-		v, err := cs.r.m.Clone(s.Name(), name, cs.r.classes.Spec(rng.Intn(cs.r.classes.Len())).Name)
+		v, err := cs.r.m.Clone(s.Name(), name, cs.r.classes.Spec(cs.rng.Intn(cs.r.classes.Len())).Name)
 		if err != nil {
 			cs.rejected++
 			return
 		}
 		cs.live = append(cs.live, v)
 		cs.clones++
-		cs.deleteVol(rng)
+		cs.deleteVol()
 	case op < 0.90: // delete a random snapshot (clones pin it: counted, skipped)
 		if len(cs.snaps) == 0 {
 			return
 		}
-		i := rng.Intn(len(cs.snaps))
+		i := cs.rng.Intn(len(cs.snaps))
 		if err := cs.r.m.DeleteSnapshot(cs.snaps[i].Name()); err != nil {
 			cs.rejected++
 			return
@@ -202,8 +232,8 @@ func (cs *churnState) step(rng *sim.RNG) {
 		cs.snaps = cs.snaps[:len(cs.snaps)-1]
 		cs.snapDels++
 	default: // resize a random live volume
-		v := cs.live[rng.Intn(len(cs.live))]
-		if err := cs.r.m.Resize(v.Name(), cs.vsize(rng)); err != nil {
+		v := cs.live[cs.rng.Intn(len(cs.live))]
+		if err := cs.r.m.Resize(v.Name(), cs.vsize()); err != nil {
 			cs.rejected++
 			return
 		}
@@ -213,7 +243,7 @@ func (cs *churnState) step(rng *sim.RNG) {
 
 // issueIO sends one open-loop IO at a random offset of a random live
 // volume through the mapping layer on the volume's class router.
-func (cs *churnState) issueIO(rng *sim.RNG) {
+func (cs *churnState) issueIO() {
 	const ioSize = 16 << 10
 	if len(cs.live) == 0 {
 		return
@@ -222,23 +252,22 @@ func (cs *churnState) issueIO(rng *sim.RNG) {
 		cs.shed++
 		return
 	}
-	v := cs.live[rng.Intn(len(cs.live))]
+	v := cs.live[cs.ioRNG.Intn(len(cs.live))]
 	if v.Size() < ioSize {
 		return
 	}
 	slots := (v.Size() - ioSize) / 4096
 	io := &nvme.IO{
-		Offset:   rng.Int63n(slots+1) * 4096,
+		Offset:   cs.ioRNG.Int63n(slots+1) * 4096,
 		Size:     ioSize,
 		Priority: cs.r.comp.Priorities[v.Class()],
 	}
-	if rng.Float64() < 0.6 {
+	if cs.ioRNG.Float64() < 0.6 {
 		io.Op = nvme.OpWrite
 	} else {
 		io.Op = nvme.OpRead
 	}
 	start := cs.r.Loop.Now()
-	cs.issued++
 	cs.inflight++
 	io.Done = func(io *nvme.IO, cpl nvme.Completion) {
 		cs.inflight--
@@ -248,8 +277,6 @@ func (cs *churnState) issueIO(rng *sim.RNG) {
 			cs.lat.Record(cs.r.Loop.Now() - start)
 			if io.Op == nvme.OpWrite {
 				cs.writeBytes += int64(io.Size)
-			} else {
-				cs.readBytes += int64(io.Size)
 			}
 		case nvme.StatusAborted:
 			cs.aborted++ // volume deleted with the IO in flight
@@ -297,38 +324,11 @@ func runVolumeChurn(cx *Ctx) []*Result {
 // everything down and verify the allocator drained to zero.
 func volumeChurnRow(cx *Ctx, res *Result, target int) {
 	vc := cx.scale().volumes
-	r := newVolRig(vc.ssds, vc.capacity, 0)
+	r := newVolRig(vc.ssds, vc.capacity, 0, window{dur: vc.churnDur})
 	rng := sim.NewRNG(uint64(37 + target))
-	churnRNG, ioRNG := rng.Fork(), rng.Fork()
-	cs := &churnState{r: r, target: target, lat: stats.NewHistogram()}
-
-	for len(cs.live) < target {
-		cs.create(churnRNG)
-	}
-	prefill := cs.creates
-	stop := r.Loop.Now() + vc.window.warm + vc.window.dur
-
-	churnGap := int64(1e9 / vc.opsPS)
-	var churnTick func()
-	churnTick = func() {
-		cs.step(churnRNG)
-		if r.Loop.Now() < stop {
-			r.Loop.After(churnGap, churnTick).MarkDaemon()
-		}
-	}
-	r.Loop.After(churnGap, churnTick).MarkDaemon()
-
-	var ioTick func()
-	ioTick = func() {
-		cs.issueIO(ioRNG)
-		if r.Loop.Now() < stop {
-			r.Loop.After(int64(ioRNG.Exp(1e9/vc.iops))+1, ioTick).MarkDaemon()
-		}
-	}
-	r.Loop.After(1, ioTick).MarkDaemon()
-
-	r.Loop.RunUntil(stop)
-	r.Loop.Run() // drain in-flight IO
+	cs := &churnState{r: r, vc: vc, target: target, rng: rng.Fork(), ioRNG: rng.Fork(), lat: stats.NewHistogram()}
+	r.loads = append(r.loads, cs)
+	cx.Run(r.FioRun)
 
 	u := r.m.Usage()
 	audit := "ok"
@@ -355,13 +355,12 @@ func volumeChurnRow(cx *Ctx, res *Result, target int) {
 		}
 	}
 	r.Loop.Run() // drain trims
-	cx.recordObsRun(r.FioRun)
 	end := r.m.Usage()
 
 	res.AddRow(
 		strconv.Itoa(target),
 		strconv.Itoa(vc.ssds),
-		strconv.FormatInt(cs.creates-prefill+cs.deletes+cs.snapCuts+cs.snapDels+cs.clones+cs.resizes, 10),
+		strconv.FormatInt(cs.creates+cs.deletes+cs.snapCuts+cs.snapDels+cs.clones+cs.resizes, 10),
 		strconv.FormatInt(cs.snapCuts, 10),
 		strconv.FormatInt(cs.clones, 10),
 		strconv.FormatInt(cs.rejected, 10),
@@ -382,14 +381,61 @@ func volumeChurnRow(cx *Ctx, res *Result, target int) {
 	)
 }
 
+// classWriter is one class's closed-loop writer in the fairness table:
+// fairQD random 64KB writes kept outstanding on the class's volume until
+// stopAt. The queue depth is far above the device's sustainable
+// outstanding set, so every class keeps a standing DRR backlog and the
+// class weights — not the closed loop — decide the dispatch ratio. bytes
+// counts completions from ResetStats to stopAt, not after: the ~fairQD
+// outstanding IOs per class complete then in equal numbers and would
+// dilute the measured ratio toward 1.
+type classWriter struct {
+	r             *volRig
+	v             *volume.Volume
+	class         int
+	rng           *sim.RNG
+	stopAt, bytes int64
+}
+
+const fairQD, fairIOSize = 256, 64 << 10
+
+func (w *classWriter) Start(stopAt int64) {
+	w.stopAt = stopAt
+	for i := 0; i < fairQD; i++ {
+		w.submit()
+	}
+}
+
+func (w *classWriter) ResetStats() { w.bytes = 0 }
+
+func (w *classWriter) submit() {
+	if w.r.Loop.Now() >= w.stopAt {
+		return
+	}
+	slots := (w.v.Size() - fairIOSize) / 4096
+	io := &nvme.IO{
+		Op:       nvme.OpWrite,
+		Offset:   w.rng.Int63n(slots+1) * 4096,
+		Size:     fairIOSize,
+		Priority: w.r.comp.Priorities[w.class],
+	}
+	io.Done = func(io *nvme.IO, cpl nvme.Completion) {
+		if cpl.Status == nvme.StatusOK && w.r.Loop.Now() <= w.stopAt {
+			w.bytes += int64(io.Size)
+		}
+		w.submit()
+	}
+	w.v.Route(io, w.r.routers[w.class])
+}
+
 // volumeFairnessRows saturates one SSD with a closed-loop writer per
 // class and reports each class's delivered share against its weight.
 func volumeFairnessRows(cx *Ctx, res *Result) {
 	vc := cx.scale().volumes
-	r := newVolRig(1, vc.capacity, 4096)
-	n := r.classes.Len()
-	vols := make([]*volume.Volume, n)
-	for c := 0; c < n; c++ {
+	r := newVolRig(1, vc.capacity, 4096, vc.fairWindow)
+	writers := make([]*classWriter, r.classes.Len())
+	rng := sim.NewRNG(53)
+	for c := range writers {
 		v, err := r.m.Create(volume.Spec{
 			Name:  "fair-" + r.classes.Spec(c).Name,
 			Size:  256 << 20,
@@ -398,72 +444,28 @@ func volumeFairnessRows(cx *Ctx, res *Result) {
 		if err != nil {
 			panic(err)
 		}
-		vols[c] = v
+		writers[c] = &classWriter{r: r, v: v, class: c, rng: rng.Fork()}
+		r.loads = append(r.loads, writers[c])
 	}
-
-	// The queue depth is far above the device's sustainable outstanding
-	// set, so every class keeps a standing DRR backlog and the class
-	// weights — not the closed loop — decide the dispatch ratio.
-	const qd, ioSize = 256, 64 << 10
-	bytes := make([]int64, n)
-	measuring := false
-	stop := r.Loop.Now() + vc.fairWindow.warm + vc.fairWindow.dur
-	rng := sim.NewRNG(53)
-	for c := 0; c < n; c++ {
-		c := c
-		wrng := rng.Fork()
-		var submit func()
-		submit = func() {
-			if r.Loop.Now() >= stop {
-				return
-			}
-			v := vols[c]
-			slots := (v.Size() - ioSize) / 4096
-			io := &nvme.IO{
-				Op:       nvme.OpWrite,
-				Offset:   wrng.Int63n(slots+1) * 4096,
-				Size:     ioSize,
-				Priority: r.comp.Priorities[c],
-			}
-			io.Done = func(io *nvme.IO, cpl nvme.Completion) {
-				if cpl.Status == nvme.StatusOK && measuring {
-					bytes[c] += int64(io.Size)
-				}
-				submit()
-			}
-			v.Route(io, r.routers[c])
-		}
-		for i := 0; i < qd; i++ {
-			submit()
-		}
-	}
-	r.Loop.RunUntil(r.Loop.Now() + vc.fairWindow.warm)
-	measuring = true
-	r.Loop.RunUntil(stop)
-	// Close the window before draining: the ~qd outstanding IOs per class
-	// complete after stop in equal numbers and would dilute the measured
-	// ratio toward 1 if counted.
-	measuring = false
-	r.Loop.Run()
-	cx.recordObsRun(r.FioRun)
+	cx.Run(r.FioRun)
 
 	var total int64
 	weightSum := 0
-	for c := 0; c < n; c++ {
-		total += bytes[c]
+	for c, w := range writers {
+		total += w.bytes
 		weightSum += r.classes.Spec(c).Weight
 	}
 	secs := float64(vc.fairWindow.dur) / 1e9
-	for c := 0; c < n; c++ {
+	for c, w := range writers {
 		share := 0.0
 		if total > 0 {
-			share = float64(bytes[c]) / float64(total)
+			share = float64(w.bytes) / float64(total)
 		}
 		want := float64(r.classes.Spec(c).Weight) / float64(weightSum)
 		res.AddRow(
 			r.classes.Spec(c).Name,
 			strconv.Itoa(r.classes.Spec(c).Weight),
-			f1(float64(bytes[c])/1e6/secs),
+			f1(float64(w.bytes)/1e6/secs),
 			f2(share),
 			f2(want),
 			f1((share-want)/want*100),

@@ -66,15 +66,22 @@ type YCSBResult struct {
 	SSD0View core.View
 }
 
+// ycsbKey is one cached rack run: the whole config, the workload and the
+// seed.
+type ycsbKey struct {
+	cfg      YCSBConfig
+	workload string
+	seed     uint64
+}
+
 // cachedYCSB memoizes runs shared between result tables (fig11 and fig12
 // report two views of the same scaling sweep).
 func (cx *Ctx) cachedYCSB(cfg YCSBConfig, workloadName string, seed uint64) YCSBResult {
-	key := fmt.Sprintf("%v|%d|%d|%v|%v|%s|%d", cfg.Scheme, cfg.Instances, cfg.JBOFs,
-		cfg.NoFlowControl, cfg.NoBalance, workloadName, seed)
+	key := ycsbKey{cfg, workloadName, seed}
 	if r, ok := cx.ycsbCache[key]; ok {
 		return r
 	}
-	r, err := RunYCSB(cfg, workloadName, seed)
+	r, err := cx.RunYCSB(cfg, workloadName, seed)
 	if err != nil {
 		panic(err) // experiment configs are code, not input
 	}
@@ -83,30 +90,21 @@ func (cx *Ctx) cachedYCSB(cfg YCSBConfig, workloadName string, seed uint64) YCSB
 }
 
 // RunYCSB builds the full rack — JBOFs of fragmented SSDs behind the
-// scheme's targets, one blobstore+DB per instance with sessions to every
-// SSD — loads it, and runs the measured window.
-func RunYCSB(cfg YCSBConfig, workloadName string, seed uint64) (YCSBResult, error) {
-	loop := sim.NewLoop()
-	rng := sim.NewRNG(seed)
-
+// scheme, one blobstore+DB per instance with sessions to every SSD — loads
+// it, runs the measured window, and records the rack's observability block.
+// The rack is one rig of JBOFs×SSDsPer pipelines, which share no state: SSD
+// d is JBOF d/SSDsPer's SSD d%SSDsPer. The stack forks the RNG once per SSD
+// in index order, so one stack draws what one stack per JBOF would.
+func (cx *Ctx) RunYCSB(cfg YCSBConfig, workloadName string, seed uint64) (YCSBResult, error) {
 	params := ssd.DCT983()
 	params.UsableBytes = 4 << 30
-
 	nDev := cfg.JBOFs * cfg.SSDsPer
-	clks := fabric.SharedClock(loop, cfg.SSDsPer)
-	var targets []*fabric.Target
-	capacities := make([]int64, 0, nDev)
-	for j := 0; j < cfg.JBOFs; j++ {
-		st, err := fabric.BuildStack(clks, rng, fabric.StackConfig{
-			Params: params, Cond: ssd.Fragmented, Target: fabric.DefaultTargetConfig(cfg.Scheme),
-		})
-		if err != nil {
-			return YCSBResult{}, err
-		}
-		for _, d := range st.SSDs {
-			capacities = append(capacities, d.Capacity())
-		}
-		targets = append(targets, st.Target)
+	rig := NewFioRun(FioConfig{Scheme: cfg.Scheme, Cond: ssd.Fragmented, Params: params,
+		NumSSD: nDev, Seed: seed})
+	loop, rng := rig.Loop, rig.RNG
+	capacities := make([]int64, nDev)
+	for d, dev := range rig.Devices {
+		capacities[d] = dev.Capacity()
 	}
 
 	bcfg := blobstore.DefaultConfig()
@@ -119,18 +117,17 @@ func RunYCSB(cfg YCSBConfig, workloadName string, seed uint64) (YCSBResult, erro
 	for i := 0; i < cfg.Instances; i++ {
 		var backends []*blobstore.Backend
 		for d := 0; d < nDev; d++ {
-			tgt := targets[d/cfg.SSDsPer]
 			tenant := nvme.NewTenant(i*nDev+d, fmt.Sprintf("db%d-ssd%d", i, d))
 			var sess *fabric.Session
 			if cfg.NoFlowControl {
-				sess = tgt.ConnectWithGater(tenant, d%cfg.SSDsPer, fabric.NopGater())
+				sess = rig.Target.ConnectWithGater(tenant, d, fabric.NopGater())
 			} else {
-				sess = tgt.Connect(tenant, d%cfg.SSDsPer)
+				sess = rig.Target.Connect(tenant, d)
 			}
 			backends = append(backends, &blobstore.Backend{
 				Target:   sess,
 				Headroom: sess.Headroom,
-				Capacity: params.UsableBytes,
+				Capacity: capacities[d],
 			})
 		}
 		fs := blobstore.NewFS(bcfg, blobstore.NewLocal(global, backends))
@@ -142,7 +139,6 @@ func RunYCSB(cfg YCSBConfig, workloadName string, seed uint64) (YCSBResult, erro
 		}
 		runners[i] = r
 		loaded[i] = &sim.Gate{}
-		i := i
 		loop.Spawn(fmt.Sprintf("load%d", i), func(p *sim.Proc) {
 			if err := kvstore.FastLoad(p, dbs[i], cfg.Records, cfg.ValueLen); err != nil {
 				panic(err)
@@ -157,7 +153,6 @@ func RunYCSB(cfg YCSBConfig, workloadName string, seed uint64) (YCSBResult, erro
 	stop := int64(0) // set after load + warm + dur
 	for i := 0; i < cfg.Instances; i++ {
 		for w := 0; w < cfg.Procs; w++ {
-			i := i
 			loop.Spawn(fmt.Sprintf("db%d-w%d", i, w), func(p *sim.Proc) {
 				loaded[i].Wait(p)
 				for stop == 0 || p.Now() < stop {
@@ -170,9 +165,10 @@ func RunYCSB(cfg YCSBConfig, workloadName string, seed uint64) (YCSBResult, erro
 	}
 
 	// Once every instance has loaded, run warmup, reset counters, and
-	// measure for Dur.
+	// measure for Dur. The rack keeps this coordinator rather than
+	// Ctx.Run: each instance starts serving when its own load finishes,
+	// which a fixed warm-up cannot express without moving figs 10–13.
 	res := YCSBResult{ReadLat: stats.NewHistogram(), WriteLat: stats.NewHistogram()}
-	var measuredNs int64
 	loop.Spawn("coordinator", func(p *sim.Proc) {
 		for _, g := range loaded {
 			g.Wait(p)
@@ -182,30 +178,25 @@ func RunYCSB(cfg YCSBConfig, workloadName string, seed uint64) (YCSBResult, erro
 		for _, r := range runners {
 			r.ResetStats()
 		}
-		start := p.Now()
 		p.Sleep(cfg.Dur)
 		stop = p.Now()
-		measuredNs = stop - start
 		for _, db := range dbs {
 			db.Close()
 		}
 	})
 	loop.Run()
+	cx.recordObsRun(rig)
 
 	var ops int64
 	for i, r := range runners {
-		st := dbs[i].Stats()
 		ops += r.Ops
 		res.ReadLat.Merge(r.ReadLat)
 		res.WriteLat.Merge(r.WriteLat)
 		res.Ops = append(res.Ops, r.Ops)
-		res.DBStats = append(res.DBStats, st)
+		res.DBStats = append(res.DBStats, dbs[i].Stats())
 	}
-	if measuredNs <= 0 {
-		measuredNs = cfg.Dur
-	}
-	res.KIOPS = float64(ops) / (float64(measuredNs) / 1e9) / 1e3
-	if g := targets[0].Pipeline(0).Gimbal; g != nil {
+	res.KIOPS = float64(ops) / (float64(cfg.Dur) / 1e9) / 1e3
+	if g := rig.Target.Pipeline(0).Gimbal; g != nil {
 		res.SSD0View = g.View()
 	}
 	return res, nil

@@ -63,10 +63,17 @@ type TimedEvent struct {
 	Do func(r *FioRun)
 }
 
-// FioRun is the one simulated rig — loop, stack, target, registry — and,
-// once Ctx.Run has driven it, the finished run. Experiments whose load is
-// not worker streams (tenant-scale's scenario engine, volume-churn's
-// control-plane driver) build it with zero Specs and drive Loop themselves.
+// load is what Ctx.Run drives: Start begins it (it issues nothing after
+// stopAt) and ResetStats ends the warm-up. workload.Worker and
+// workload.Scenario are loads.
+type load interface {
+	Start(stopAt int64)
+	ResetStats()
+}
+
+// FioRun is the one simulated rig — loop, stack, target, registry, loads —
+// and, once Ctx.Run has driven it, the finished run. Each Spec's worker is
+// a load; an experiment appends any other load before Ctx.Run.
 type FioRun struct {
 	Loop *sim.Loop
 	// RNG is the run's root generator after the stack's per-SSD forks and
@@ -85,7 +92,8 @@ type FioRun struct {
 	// (populated per FioConfig.Trace / FioConfig.SLO).
 	Hub *obs.Hub
 
-	cfg FioConfig
+	cfg   FioConfig
+	loads []load
 }
 
 // NewFioRun builds the rig: devices, target, sessions, and workers (not
@@ -171,23 +179,25 @@ func (r *FioRun) AddWorker(spec Spec, rng *sim.RNG, name string) *workload.Worke
 	w := workload.NewWorker(r.Loop, rng, p, tenant, sess)
 	r.Workers = append(r.Workers, w)
 	r.Sessions = append(r.Sessions, sess)
+	r.loads = append(r.loads, w)
 	return w
 }
 
 // Execute builds the rig and runs it.
 func (c *Ctx) Execute(cfg FioConfig) *FioRun { return c.Run(NewFioRun(cfg)) }
 
-// Run is the one run loop: start the workers, arm timed events and the
+// Run is the one run loop: start the loads, arm timed events and the
 // sampler, warm up, reset stats, run the measured window, drain, and record
 // the run's observability block in the context. An experiment that must
-// touch the rig first (fig17 hooks Worker.OnDone) calls NewFioRun, then Run.
+// touch the rig first (fig17 hooks Worker.OnDone, tenant-scale and
+// volume-churn add their own loads) calls NewFioRun, then Run.
 func (c *Ctx) Run(r *FioRun) *FioRun {
 	cfg := r.cfg
 	start := r.Loop.Now()
 	stop := start + cfg.Warm + cfg.Dur
 	r.StopAt = stop
-	for _, w := range r.Workers {
-		w.Start(stop)
+	for _, l := range r.loads {
+		l.Start(stop)
 	}
 	for _, ev := range cfg.Events {
 		r.Loop.At(ev.At, func() { ev.Do(r) })
@@ -203,8 +213,8 @@ func (c *Ctx) Run(r *FioRun) *FioRun {
 		r.Loop.After(cfg.SamplePeriod, tick).MarkDaemon()
 	}
 	r.Loop.RunUntil(start + cfg.Warm)
-	for _, w := range r.Workers {
-		w.ResetStats()
+	for _, l := range r.loads {
+		l.ResetStats()
 	}
 	if r.Hub.SLO != nil {
 		// The objective judges the measured window only, not warmup.

@@ -5,15 +5,16 @@
 //
 // There is one rig and one run loop, both in harness.go. NewFioRun builds
 // the rig — loop, fabric.BuildStack, target, registry, one worker per Spec
-// — and Ctx.Run drives it: start, arm events and the sampler, warm, reset,
-// measure, drain, record the observability block. Ctx.Execute is the two
-// composed, and what run-wide checks attach to. A new experiment is a
-// FioConfig (the data) and a function from the finished FioRun to rows,
-// registered in an exp_*.go file; one whose load is not worker streams
-// (tenant-scale, volume-churn) still builds its stack with NewFioRun, with
-// zero Specs, and drives FioRun.Loop itself. CI rejects an exp_*.go that
-// calls RunUntil or BuildStack on its own; RunYCSB's rack (a blobstore and
-// DB per instance over several JBOFs) is the one other assembly.
+// — and Ctx.Run drives its loads: start, arm events and the sampler, warm,
+// reset, measure, drain, record the observability block. Ctx.Execute is
+// the two composed, and what run-wide checks attach to. A new experiment is
+// a FioConfig (the data) and a function from the finished FioRun to rows,
+// registered in an exp_*.go file; a load that is not worker streams
+// (tenant-scale's scenario engine, volume-churn's drivers) is anything with
+// Start(stopAt) and ResetStats(), appended to the rig's loads. The YCSB
+// rack is one NewFioRun too, a pipeline per SSD of every JBOF. CI rejects a
+// non-test file here other than harness.go that calls RunUntil, and any
+// file here that calls BuildStack.
 //
 // An experiment's scale is one value, the Size its Ctx is made with:
 // cmd/gimbalbench runs Full, go test runs Test. Every number that differs

@@ -46,7 +46,7 @@ type volChurnSize struct {
 	targets    []int   // live-volume populations, one row each
 	opsPS      float64 // control-plane operations/s
 	iops       float64
-	window     window // the churn rows
+	churnDur   int64  // the churn rows, measured whole (no warm-up)
 	fairWindow window // the class-fairness table
 }
 
@@ -73,7 +73,7 @@ func (s Size) scale() scale {
 			targets:    pick(s, []int{500, 2500}, []int{300}),
 			opsPS:      pick(s, 2000.0, 1000),
 			iops:       pick(s, 25_000.0, 8000),
-			window:     pick(s, window{100 * ms, 900 * ms}, window{20 * ms, 180 * ms}),
+			churnDur:   pick(s, 1*sim.Second, 200*ms),
 			fairWindow: pick(s, window{200 * ms, 600 * ms}, window{100 * ms, 300 * ms}),
 		},
 	}

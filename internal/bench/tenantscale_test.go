@@ -60,20 +60,22 @@ func TestTenantScaleSimDeterministic(t *testing.T) {
 }
 
 // BenchmarkTenantScale prices the tenant dimension in host time: each
-// iteration builds and warms tenant-scale's full-size rig at one
-// population and times its measured window. ns/IO is that time over the
-// IOs the window completed. Every iteration also pays an untimed rig
-// build, so a few (-benchtime 5x) are enough.
+// iteration builds and runs tenant-scale's full-size rig at one population,
+// and two timed events start the timer at the end of the warm-up and stop
+// it at the end of the measured window. ns/IO is that time over the IOs the
+// window completed. Every iteration also pays an untimed rig build, so a
+// few (-benchtime 5x) are enough.
 func BenchmarkTenantScale(b *testing.B) {
+	w := Full.scale().tenants.window
 	for _, pop := range []int{100, 100_000} {
 		b.Run(fmt.Sprintf("tenants=%d", pop), func(b *testing.B) {
 			var ios int64
 			b.StopTimer()
 			for i := 0; i < b.N; i++ {
-				rig, sc, stop := warmTenantScale(Full, pop, 0)
-				b.StartTimer()
-				rig.Loop.RunUntil(stop)
-				b.StopTimer()
+				rig, sc := tenantScaleRig(Full, pop, 0,
+					TimedEvent{At: w.warm, Do: func(*FioRun) { b.StartTimer() }},
+					TimedEvent{At: w.warm + w.dur, Do: func(*FioRun) { b.StopTimer() }})
+				NewCtx(Full).Run(rig)
 				ios += sc.Completed
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ios), "ns/IO")

@@ -53,7 +53,7 @@ func TestYCSBRackShrunk(t *testing.T) {
 
 			run := func(cfg YCSBConfig) YCSBResult {
 				t.Helper()
-				r, err := RunYCSB(cfg, "A", 17)
+				r, err := NewCtx(Test).RunYCSB(cfg, "A", 17)
 				if err != nil {
 					t.Fatal(err)
 				}

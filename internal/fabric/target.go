@@ -26,40 +26,26 @@ const (
 	SchemeParda // vanilla target + client-side PARDA windows
 )
 
+var schemeNames = [...]string{SchemeVanilla: "vanilla", SchemeGimbal: "gimbal",
+	SchemeReflex: "reflex", SchemeFlashFQ: "flashfq", SchemeParda: "parda"}
+
 // String names the scheme as the paper's figures do.
 func (s Scheme) String() string {
-	switch s {
-	case SchemeVanilla:
-		return "vanilla"
-	case SchemeGimbal:
-		return "gimbal"
-	case SchemeReflex:
-		return "reflex"
-	case SchemeFlashFQ:
-		return "flashfq"
-	case SchemeParda:
-		return "parda"
-	default:
+	if s < 0 || int(s) >= len(schemeNames) {
 		return "scheme(?)"
 	}
+	return schemeNames[s]
 }
 
 // AllSchemes is the comparison set of the evaluation figures.
 var AllSchemes = []Scheme{SchemeReflex, SchemeFlashFQ, SchemeParda, SchemeGimbal}
 
-// ParseScheme resolves a scheme name.
+// ParseScheme resolves a scheme name, in any case.
 func ParseScheme(name string) (Scheme, error) {
-	switch strings.ToLower(name) {
-	case "vanilla":
-		return SchemeVanilla, nil
-	case "gimbal":
-		return SchemeGimbal, nil
-	case "reflex":
-		return SchemeReflex, nil
-	case "flashfq":
-		return SchemeFlashFQ, nil
-	case "parda":
-		return SchemeParda, nil
+	for s, n := range schemeNames {
+		if n == strings.ToLower(name) {
+			return Scheme(s), nil
+		}
 	}
 	return 0, fmt.Errorf("fabric: unknown scheme %q", name)
 }

@@ -43,6 +43,19 @@ func TestCounterGaugeRegistration(t *testing.T) {
 	}
 }
 
+// TestSumMetricDeterministic: a float sum over label sets is the same on
+// every call, whatever order the snapshot map iterates in. Summed left to
+// right, 0.1, 0.2 and 0.3 give 0.6000000000000001; summed another way, 0.6.
+func TestSumMetricDeterministic(t *testing.T) {
+	snap := map[string]float64{`wa{ssd="0"}`: 0.1, `wa{ssd="1"}`: 0.2, `wa{ssd="2"}`: 0.3, "other": 1}
+	want := SumMetric(snap, "wa")
+	for i := 0; i < 200; i++ {
+		if got := SumMetric(snap, "wa"); got != want {
+			t.Fatalf("SumMetric = %v, then %v", want, got)
+		}
+	}
+}
+
 func TestKindConflictPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x", "")

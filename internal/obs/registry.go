@@ -39,6 +39,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -465,13 +466,19 @@ func (r *Registry) Snapshot() map[string]float64 {
 	return out
 }
 
-// SumMetric sums a metric across all label sets in a Snapshot map.
+// SumMetric sums a metric across all label sets in a Snapshot map, in key
+// order: a float sum in map order could differ in its last bit call to call.
 func SumMetric(snap map[string]float64, name string) float64 {
-	var sum float64
-	for k, v := range snap {
+	var keys []string
+	for k := range snap {
 		if k == name || strings.HasPrefix(k, name+"{") {
-			sum += v
+			keys = append(keys, k)
 		}
+	}
+	sort.Strings(keys)
+	var sum float64
+	for _, k := range keys {
+		sum += snap[k]
 	}
 	return sum
 }

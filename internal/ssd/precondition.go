@@ -22,18 +22,24 @@ const (
 	Fragmented
 )
 
+var conditionNames = [...]string{Fresh: "fresh", Clean: "clean", Fragmented: "fragmented"}
+
 // String names the condition.
 func (c Condition) String() string {
-	switch c {
-	case Fresh:
-		return "fresh"
-	case Clean:
-		return "clean"
-	case Fragmented:
-		return "fragmented"
-	default:
+	if c < 0 || int(c) >= len(conditionNames) {
 		return "condition(?)"
 	}
+	return conditionNames[c]
+}
+
+// ParseCondition resolves a condition's name, as String spells it.
+func ParseCondition(name string) (Condition, error) {
+	for c, n := range conditionNames {
+		if n == name {
+			return Condition(c), nil
+		}
+	}
+	return 0, fmt.Errorf("ssd: unknown condition %q", name)
 }
 
 // Precondition fast-forwards the device into the requested state by running

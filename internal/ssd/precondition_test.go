@@ -267,3 +267,29 @@ func TestOverwriteByDieMatchesOracle(t *testing.T) {
 		t.Fatalf("die pass ran %d times and the fallback %d times, want both", paths[true], paths[false])
 	}
 }
+
+// TestParseCondition: each condition parses from the name String gives it,
+// and nothing else parses (not another case, not String's fallback).
+func TestParseCondition(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want Condition
+		ok   bool
+	}{
+		{"fresh", Fresh, true},
+		{"clean", Clean, true},
+		{"fragmented", Fragmented, true},
+		{"", 0, false},
+		{"fragmentd", 0, false},
+		{"Clean", 0, false},
+		{"condition(?)", 0, false},
+	} {
+		got, err := ParseCondition(c.name)
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("ParseCondition(%q) = %v, %v; want %v, ok=%v", c.name, got, err, c.want, c.ok)
+		}
+		if c.ok && got.String() != c.name {
+			t.Errorf("ParseCondition(%q).String() = %q", c.name, got.String())
+		}
+	}
+}
