@@ -75,15 +75,11 @@ func main() {
 		dur    = flag.Duration("dur", 10*time.Second, "run duration")
 	)
 	flag.Parse()
-	if err := checkLoad(*op, *size, *span, *qd, *conns); err != nil {
+	sch, err := checkLoad(*scheme, *op, *size, *span, *qd, *conns)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "gimbalcli: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	sch, err := fabric.ParseScheme(*scheme)
-	if err != nil {
-		log.Fatal(err)
 	}
 	clients := make([]*fabric.TCPClient, *conns)
 	for i := range clients {
@@ -163,24 +159,28 @@ func main() {
 	fmt.Printf("errors: %d, credit headroom at exit: %d\n", errs.Load(), headroom)
 }
 
-// checkLoad rejects load flags the workers cannot run: the op is a read or
-// a write, every IO is a positive number of 4 KiB blocks, the offset range
-// holds at least one IO, and there is at least one worker and one
+// checkLoad rejects load flags the workers cannot run and returns the
+// scheme's client gate: the scheme is one gimbald serves, the op is a read
+// or a write, every IO is a positive number of 4 KiB blocks, the offset
+// range holds at least one IO, and there is at least one worker and one
 // connection.
-func checkLoad(op string, size int, span int64, qd, conns int) error {
+func checkLoad(scheme, op string, size int, span int64, qd, conns int) (fabric.Scheme, error) {
+	sch, err := fabric.ParseScheme(scheme)
 	switch {
+	case err != nil:
+		return 0, fmt.Errorf("-scheme: %v", err)
 	case op != "read" && op != "write":
-		return fmt.Errorf("-op %q: need read or write", op)
+		return 0, fmt.Errorf("-op %q: need read or write", op)
 	case size <= 0 || size%4096 != 0:
-		return fmt.Errorf("-size %d: need a positive multiple of 4096", size)
+		return 0, fmt.Errorf("-size %d: need a positive multiple of 4096", size)
 	case span < int64(size):
-		return fmt.Errorf("-span %d: need at least -size (%d)", span, size)
+		return 0, fmt.Errorf("-span %d: need at least -size (%d)", span, size)
 	case qd < 1:
-		return fmt.Errorf("-qd %d: need at least 1", qd)
+		return 0, fmt.Errorf("-qd %d: need at least 1", qd)
 	case conns < 1:
-		return fmt.Errorf("-conns %d: need at least one connection", conns)
+		return 0, fmt.Errorf("-conns %d: need at least one connection", conns)
 	}
-	return nil
+	return sch, nil
 }
 
 // fetchStats GETs and decodes one /stats snapshot.

@@ -7,9 +7,9 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 
 	"gimbal/internal/nvme"
+	"gimbal/internal/sim"
 )
 
 // The TCP transport frames capsules with a 4-byte big-endian length prefix
@@ -134,32 +134,34 @@ func (f *capsuleReader) body(data *[]byte) error {
 // for the life of the client.
 const clientBufKeep = 1 << 20
 
-// TCPClient is the initiator side: it multiplexes async commands over one
-// connection and applies the scheme's client-side gate (credit or PARDA).
-// Commands reach the wire in the order the gate admitted them: Go encodes
-// each frame into a send queue under the client's lock, and one writer
-// goroutine writes everything queued since its last pass with a single
-// Write — a burst of submissions costs one syscall, not one each.
+// TCPClient is the initiator side: the initiator core, with the scheme's
+// gate, over one connection, on its own one-shard wall clock whose lock
+// guards every field below. Frames are encoded into a send queue in the
+// order the core sends them, and one writer goroutine writes all that is
+// queued with a single Write: one syscall per burst, not per call.
 type TCPClient struct {
-	conn net.Conn
+	initiator[*tcpCall]
+	conn   net.Conn
+	shards *sim.RealShards // the client's one shard, stopped by Close
+	sh     *sim.RealScheduler
 
-	mu      sync.Mutex
-	gate    Gater
-	pending map[uint16]*pendingCall
-	queue   []*pendingCall // gated locally
+	// calls is the flight table. A flight keeps its command id across
+	// attempts, so the first reply to any wins; an id not here is late.
+	calls   map[uint16]*tcpCall
 	nextCID uint16
 	err     error
 	sendq   []byte    // encoded frames the writer has not taken yet
-	kick    sync.Cond // on mu: sendq filled, or err set
+	kick    sync.Cond // on sh: sendq filled, or err set
 
 	loops sync.WaitGroup // readLoop and writeLoop
 }
 
-type pendingCall struct {
-	cmd    *CommandCapsule
-	sentAt time.Time // stamped by sendLocked: the gate's latency signal
-	done   chan callResult
-	rsp    ResponseCapsule // what done delivers a pointer to
+// tcpCall is a TCPClient's record of one logical command.
+type tcpCall struct {
+	flight[*tcpCall]
+	cmd *CommandCapsule
+	res chan callResult
+	rsp ResponseCapsule // what res delivers a pointer to
 }
 
 type callResult struct {
@@ -170,36 +172,34 @@ type callResult struct {
 // DialTCP connects to a target, applying the client-side controller for
 // the scheme (SchemeGimbal → credit gate, SchemeParda → PARDA window). The
 // socket asks for the congestion control the target's listener asks for: a
-// dialled socket inherits nothing from a listener.
+// dialled socket inherits nothing from a listener. No call has a deadline.
 func DialTCP(addr string, scheme Scheme) (*TCPClient, error) {
 	conn, err := (&net.Dialer{Control: windowCC}).Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c := &TCPClient{
-		conn:    conn,
-		gate:    NewGater(scheme),
-		pending: map[uint16]*pendingCall{},
-	}
-	c.kick.L = &c.mu
+	shards := sim.NewRealShards(1)
+	c := &TCPClient{conn: conn, shards: shards, sh: shards.Shard(0), calls: map[uint16]*tcpCall{}}
+	c.initiator = initiator[*tcpCall]{clk: c.sh, gate: NewGater(scheme), retry: &RetryPolicy{}, tx: c, maxFlights: 1 << 16}
+	c.kick.L = c.sh
 	c.loops.Add(2)
 	go c.readLoop()
 	go c.writeLoop()
 	return c, nil
 }
 
-// Close tears down the connection and waits for the client's two
-// goroutines: the reader's read fails, and fail() stops the writer.
-// Outstanding calls fail.
+// Close tears down the connection, waits for the reader (its read fails)
+// and the writer (fail stops it), and stops the shard. Outstanding calls fail.
 func (c *TCPClient) Close() error {
 	err := c.conn.Close()
 	c.loops.Wait()
+	c.shards.Stop()
 	return err
 }
 
-// readLoop completes calls. Each response's Data is a buffer of its own,
-// allocated for it and written once — by the socket read, for all of a large
-// payload but the page that came with its header.
+// readLoop hands every response to the core. Each response's Data is a
+// buffer of its own, allocated for it and written once — by the socket
+// read, for all of a large payload but the page that came with its header.
 func (c *TCPClient) readLoop() {
 	defer c.loops.Done()
 	fr := newCapsuleReader(c.conn, rxBufSize)
@@ -214,18 +214,13 @@ func (c *TCPClient) readLoop() {
 			c.fail(err)
 			return
 		}
-		c.mu.Lock()
-		call := c.pending[rsp.CID]
-		delete(c.pending, rsp.CID)
-		if call != nil {
-			c.gate.OnCompletion(rsp.Credit, int64(time.Since(call.sentAt)))
+		c.sh.Lock()
+		var f *flight[*tcpCall]
+		if call := c.calls[rsp.CID]; call != nil {
+			call.rsp, f = rsp, &call.flight
 		}
-		c.drainLocked()
-		c.mu.Unlock()
-		if call != nil {
-			call.rsp = rsp
-			call.done <- callResult{rsp: &call.rsp}
-		}
+		c.reply(f, nvme.Completion{Status: rsp.Status, Credit: rsp.Credit})
+		c.sh.Unlock()
 	}
 }
 
@@ -235,19 +230,19 @@ func (c *TCPClient) writeLoop() {
 	defer c.loops.Done()
 	var buf []byte
 	for {
-		c.mu.Lock()
+		c.sh.Lock()
 		for len(c.sendq) == 0 && c.err == nil {
 			c.kick.Wait()
 		}
 		if c.err != nil {
-			c.mu.Unlock()
+			c.sh.Unlock()
 			return
 		}
 		if cap(buf) > clientBufKeep {
 			buf = nil
 		}
 		buf, c.sendq = c.sendq, buf[:0]
-		c.mu.Unlock()
+		c.sh.Unlock()
 		if _, err := c.conn.Write(buf); err != nil {
 			c.fail(err)
 			return
@@ -255,47 +250,63 @@ func (c *TCPClient) writeLoop() {
 	}
 }
 
-// fail ends the client with its first error: every call outstanding or
-// gated fails with it, later ones are refused, the writer stops.
+// fail ends the client with its first error: every call held, in flight
+// or still to come fails with it, and the writer stops.
 func (c *TCPClient) fail(err error) {
-	c.mu.Lock()
+	c.sh.Lock()
 	if c.err == nil {
 		c.err = err
+		c.teardown()
+		for _, call := range c.calls {
+			c.end(&call.flight, nvme.Completion{Status: nvme.StatusAborted})
+		}
 	}
-	calls := make([]*pendingCall, 0, len(c.pending)+len(c.queue))
-	for cid, call := range c.pending {
-		delete(c.pending, cid)
-		calls = append(calls, call)
-	}
-	calls = append(calls, c.queue...)
-	c.queue = nil
 	c.kick.Signal()
-	c.mu.Unlock()
-	for _, call := range calls {
-		call.done <- callResult{err: err}
+	c.sh.Unlock()
+}
+
+func (c *TCPClient) start(call *tcpCall) { c.fly(&call.flight) }
+
+// send queues one attempt's frame for the writer. A flight takes a free
+// command id on its first attempt; the core admits none while all are taken.
+func (c *TCPClient) send(f *flight[*tcpCall]) {
+	call := f.req
+	if f.attempt == 1 {
+		c.nextCID++
+		for c.calls[c.nextCID] != nil {
+			c.nextCID++
+		}
+		call.cmd.CID = c.nextCID
+		c.calls[c.nextCID] = call
 	}
+	c.sendq = appendCommandFrame(c.sendq, call.cmd)
+	c.kick.Signal()
+}
+
+// complete frees the call's command id and delivers its one result.
+func (c *TCPClient) complete(call *tcpCall, cpl nvme.Completion, sent bool) {
+	if sent {
+		delete(c.calls, call.cmd.CID)
+	}
+	if cpl.Status == nvme.StatusAborted && c.err != nil {
+		call.res <- callResult{err: c.err}
+		return
+	}
+	call.rsp.CID, call.rsp.Status, call.rsp.Credit = call.cmd.CID, cpl.Status, cpl.Credit
+	call.res <- callResult{rsp: &call.rsp}
 }
 
 // Go issues a command asynchronously, respecting the flow-control gate;
-// the returned channel receives exactly one result. The command's Data is
-// copied before Go returns; a response's Data is the receiver's own.
+// the returned channel receives exactly one result. The command is encoded
+// when it leaves (and again for a reissue), so leave it be until then; a
+// response's Data is the receiver's own.
 func (c *TCPClient) Go(cmd *CommandCapsule) <-chan callResult {
-	call := &pendingCall{cmd: cmd, done: make(chan callResult, 1)}
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		call.done <- callResult{err: err}
-		return call.done
-	}
-	if !c.gate.CanSubmit() {
-		c.queue = append(c.queue, call)
-		c.mu.Unlock()
-		return call.done
-	}
-	c.sendLocked(call)
-	c.mu.Unlock()
-	return call.done
+	call := &tcpCall{cmd: cmd, res: make(chan callResult, 1)}
+	call.req = call
+	c.sh.Lock()
+	c.submit(call)
+	c.sh.Unlock()
+	return call.res
 }
 
 // Do issues a command and waits for its completion.
@@ -312,34 +323,9 @@ func (c *TCPClient) DoIO(op nvme.Opcode, nsid uint8, offset int64, size int, dat
 	})
 }
 
-// sendLocked assigns a CID and queues the frame for the writer; c.mu must
-// be held.
-func (c *TCPClient) sendLocked(call *pendingCall) {
-	for {
-		c.nextCID++
-		if _, busy := c.pending[c.nextCID]; !busy {
-			break
-		}
-	}
-	call.cmd.CID = c.nextCID
-	call.sentAt = time.Now()
-	c.pending[c.nextCID] = call
-	c.gate.OnSubmit()
-	c.sendq = appendCommandFrame(c.sendq, call.cmd)
-	c.kick.Signal()
-}
-
-func (c *TCPClient) drainLocked() {
-	for len(c.queue) > 0 && c.gate.CanSubmit() {
-		call := c.queue[0]
-		c.queue = c.queue[1:]
-		c.sendLocked(call)
-	}
-}
-
 // Headroom exposes the gate state (for CLI status output).
 func (c *TCPClient) Headroom() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.sh.Lock()
+	defer c.sh.Unlock()
 	return c.gate.Headroom()
 }

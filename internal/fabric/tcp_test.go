@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"gimbal/internal/core/credit"
 	"gimbal/internal/nvme"
 )
 
@@ -96,9 +97,9 @@ func TestTCPClientMeasuresLatency(t *testing.T) {
 	}
 	defer c.Close()
 	g := &recordingGater{}
-	c.mu.Lock()
+	c.sh.Lock()
 	c.gate = g
-	c.mu.Unlock()
+	c.sh.Unlock()
 
 	const n = 16
 	start := time.Now()
@@ -315,4 +316,173 @@ func TestTCPClientCloseFailsPendingOnce(t *testing.T) {
 		default:
 		}
 	}
+}
+
+// TestTCPClientHoldsCallPastFullCIDTable: with all 65,536 command ids in
+// flight against a peer that has not answered, the next Go returns at once
+// and its call waits in the core's pend (it used to spin for a free id
+// holding the client's lock, which the reader needs to free one). The
+// peer's reply to id 1 frees it, and the held call leaves behind every
+// other call, under that id.
+func TestTCPClientHoldsCallPastFullCIDTable(t *testing.T) {
+	const n = 1<<16 + 1
+	answer := make(chan struct{})
+	last := make(chan CommandCapsule, 1)
+	addr, stop := startPeer(t, func(conn net.Conn) {
+		<-answer
+		out := binary.BigEndian.AppendUint32(nil, uint32(ResponseWireLen(0)))
+		if _, err := conn.Write(AppendResponse(out, &ResponseCapsule{CID: 1})); err != nil {
+			return
+		}
+		fr := newCapsuleReader(conn, rxBufSize)
+		var cmd CommandCapsule
+		for i := 0; i < n; i++ {
+			if err := fr.readCommand(&cmd); err != nil {
+				return
+			}
+		}
+		last <- cmd
+	})
+	defer stop()
+	c, err := DialTCP(addr, SchemeVanilla)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	chans := make([]<-chan callResult, n)
+	submitted := make(chan struct{})
+	go func() {
+		defer close(submitted)
+		for i := range chans {
+			chans[i] = c.Go(&CommandCapsule{Opcode: nvme.OpRead, SLBA: uint64(i), Length: 4096})
+		}
+	}()
+	select {
+	case <-submitted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Go blocked with every command id in flight")
+	}
+	c.sh.Lock()
+	held, inFlight := len(c.pend), len(c.calls)
+	c.sh.Unlock()
+	if held != 1 || inFlight != 1<<16 {
+		t.Fatalf("%d calls held and %d in flight, want 1 and 65536", held, inFlight)
+	}
+	close(answer)
+	select {
+	case res := <-chans[0]:
+		if res.err != nil || res.rsp.Status != nvme.StatusOK {
+			t.Fatalf("first call: %v, %+v", res.err, res.rsp)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the reply to command id 1 completed nothing")
+	}
+	select {
+	case cmd := <-last:
+		if cmd.SLBA != n-1 || cmd.CID != 1 {
+			t.Fatalf("last frame: call %d under id %d, want the held call %d under id 1", cmd.SLBA, cmd.CID, n-1)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the held call never reached the wire")
+	}
+}
+
+// refreshCounter is the Gimbal credit gate, counting the credit refreshes
+// late replies bring.
+type refreshCounter struct {
+	*credit.Gate
+	refreshes int
+}
+
+func (g *refreshCounter) UpdateCredit(c uint32) {
+	g.refreshes++
+	g.Gate.UpdateCredit(c)
+}
+
+// TestTCPClientRidesOutPausedTarget: a client with deadlines armed, against
+// a reactor target whose serving is paused past them, reissues every call;
+// once serving resumes each call completes once and OK, every attempt
+// after the first that answered is a late reply whose credit refreshes the
+// gate, and Close leaves no credit held, no timer pending on the client's
+// shard and no goroutine behind.
+func TestTCPClientRidesOutPausedTarget(t *testing.T) {
+	const calls = 8
+	baseline := runtime.NumGoroutine()
+	srv, shards := startReactors(t, SchemeGimbal, 1, 1)
+	c, err := DialTCP(srv.Addr(), SchemeGimbal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &refreshCounter{Gate: credit.NewGate(32)}
+	c.sh.Lock()
+	c.gate = g
+	c.retry = &RetryPolicy{Timeout: int64(20 * time.Millisecond), MaxRetries: 1000, Backoff: int64(time.Millisecond), BackoffCap: int64(4 * time.Millisecond)}
+	c.sh.Unlock()
+	stats := func() (retries, late, inflight int64, pending int) {
+		c.sh.Lock()
+		defer c.sh.Unlock()
+		return c.Retries, c.LateReplies, c.Submitted - c.Completed, c.sh.Pending()
+	}
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("gave up waiting: %s", what)
+			}
+		}
+	}
+
+	shards.Lock() // the target serves nothing while its shard is held
+	chans := make([]<-chan callResult, calls)
+	for i := range chans {
+		chans[i] = c.Go(&CommandCapsule{Opcode: nvme.OpRead, SLBA: uint64(i), Length: 4096})
+	}
+	waitFor("every call sent twice", func() bool {
+		c.sh.Lock()
+		defer c.sh.Unlock()
+		for _, call := range c.calls {
+			if call.attempt < 2 {
+				return false
+			}
+		}
+		return len(c.calls) == calls
+	})
+	shards.Unlock()
+	for i, ch := range chans {
+		select {
+		case res := <-ch:
+			if res.err != nil || res.rsp.Status != nvme.StatusOK {
+				t.Fatalf("call %d: %v, %+v", i, res.err, res.rsp)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("call %d never completed", i)
+		}
+	}
+	// Every reply the target sent beyond one per call reaches the client as
+	// a late one: at least one per call, whose second attempt left first.
+	waitFor("a late reply for every extra attempt", func() bool {
+		_, late, _, _ := stats()
+		return late >= calls && late == srv.ReactorStats()[0].TxCapsules-calls
+	})
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	retries, late, inflight, pending := stats()
+	if retries < calls || late < calls || inflight != 0 || g.Inflight() != 0 || pending != 0 {
+		t.Fatalf("after Close: %d retries, %d late replies, %d calls and %d gate credits in flight, %d shard timers pending",
+			late, retries, inflight, g.Inflight(), pending)
+	}
+	if g.refreshes != int(late) {
+		t.Fatalf("%d credit refreshes from %d late replies", g.refreshes, late)
+	}
+	for i, ch := range chans {
+		select {
+		case res := <-ch:
+			t.Fatalf("call %d got a second result: %+v", i, res)
+		default:
+		}
+	}
+	srv.Close()
+	expectGoroutines(t, baseline)
 }
