@@ -11,18 +11,16 @@
 // where each connection lands on one shard: one connection serializes on a
 // single reactor, N connections exercise the sharded datapath.
 //
-// The stats subcommand renders the daemon's observability endpoint: it
-// samples /stats twice and reports per-tenant interval bandwidth, credit,
-// and the per-SSD control-loop state (write cost, target rate, latency
-// EWMAs). -tenant narrows the per-tenant rows to one name.
+// The top subcommand is the live view of the daemon's observability
+// endpoint: every interval it samples /stats and /slo and redraws the
+// per-SSD control-loop state (write cost, target and completion rates,
+// latency EWMAs, queued IOs, write amplification, GC pages) and a
+// per-tenant table (interval bandwidth and IOPS, credit, fair utilization,
+// SLO attainment, burn rate, errors). -n stops after that many frames;
+// -tenant narrows the tenant rows to one name. stats is top -n 1.
 //
+//	gimbalcli top   -admin 127.0.0.1:9420 -interval 1s [-n 10] [-tenant t0]
 //	gimbalcli stats -admin 127.0.0.1:9420 -interval 1s [-tenant t0]
-//
-// The top subcommand is the live view: it polls /stats and /slo together
-// and redraws a combined per-tenant table (interval bandwidth, credit,
-// SLO attainment, burn rate) every interval until interrupted.
-//
-//	gimbalcli top -admin 127.0.0.1:9420 -interval 1s [-n 10]
 //
 // The volume subcommand provisions against the daemon's CSI-shaped
 // control plane: create/list/resize volumes, cut snapshots, clone them,
@@ -32,12 +30,11 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
-	"net/http"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -50,17 +47,15 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "stats" {
-		statsMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "top" {
-		topMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "volume" {
-		volumeMain(os.Args[2:])
-		return
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "stats", "top":
+			topMain(os.Args[1], os.Args[2:])
+			return
+		case "volume":
+			volumeMain(os.Args[2:])
+			return
+		}
 	}
 	var (
 		addr   = flag.String("addr", "127.0.0.1:4420", "target address")
@@ -183,217 +178,131 @@ func checkLoad(scheme, op string, size int, span int64, qd, conns int) (fabric.S
 	return sch, nil
 }
 
-// fetchStats GETs and decodes one /stats snapshot.
-func fetchStats(url string) (*fabric.TargetStats, error) {
-	rsp, err := http.Get(url)
-	if err != nil {
-		return nil, err
+// topMain implements `gimbalcli top` and `gimbalcli stats`, which is top
+// with -n defaulting to one frame.
+func topMain(cmd string, args []string) {
+	frames := 0
+	if cmd == "stats" {
+		frames = 1
 	}
-	defer rsp.Body.Close()
-	if rsp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s", url, rsp.Status)
-	}
-	var ts fabric.TargetStats
-	if err := json.NewDecoder(rsp.Body).Decode(&ts); err != nil {
-		return nil, err
-	}
-	return &ts, nil
-}
-
-// statsMain implements `gimbalcli stats`: two /stats samples an interval
-// apart, rendered as per-SSD control-loop state plus per-tenant interval
-// bandwidth, IOPS, credit, and live fairness.
-func statsMain(args []string) {
-	fs := flag.NewFlagSet("stats", flag.ExitOnError)
+	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	var (
 		admin    = fs.String("admin", "127.0.0.1:9420", "gimbald observability address")
-		interval = fs.Duration("interval", time.Second, "bandwidth sampling interval")
+		interval = fs.Duration("interval", time.Second, "sampling interval")
+		n        = fs.Int("n", frames, "frames before exiting (0 = until interrupted)")
 		tenant   = fs.String("tenant", "", "show only this tenant's rows")
 	)
 	fs.Parse(args)
-	url := "http://" + *admin + "/stats"
-
-	before, err := fetchStats(url)
-	if err != nil {
+	if *interval <= 0 || *n < 0 {
+		fmt.Fprintf(os.Stderr, "gimbalcli %s: need -interval > 0 and -n >= 0\n", cmd)
+		fs.Usage()
+		os.Exit(2)
+	}
+	if err := top(os.Stdout, *admin, *interval, *n, *tenant); err != nil {
 		log.Fatal(err)
 	}
-	time.Sleep(*interval)
-	after, err := fetchStats(url)
-	if err != nil {
-		log.Fatal(err)
-	}
+}
 
-	// Index the first sample's per-tenant byte counts for interval rates.
+// top writes n frames (0 = until interrupted) of the live view of the
+// daemon whose observability endpoint is admin, one per interval, each
+// from the interval's pair of /stats samples and the /slo report at its
+// end. A view of more than one frame clears the screen before each.
+func top(w io.Writer, admin string, interval time.Duration, n int, tenant string) error {
+	var prev *fabric.TargetStats
+	for i := 0; n == 0 || i < n; {
+		if prev != nil {
+			time.Sleep(interval)
+		}
+		cur := new(fabric.TargetStats)
+		if err := adminDo("GET", "http://"+admin+"/stats", nil, cur); err != nil {
+			return err
+		}
+		if prev != nil {
+			// A daemon without the SLO engine serves "{}": an empty report.
+			slo := new(obs.SLOReport)
+			if err := adminDo("GET", "http://"+admin+"/slo", nil, slo); err != nil {
+				return err
+			}
+			if n != 1 {
+				fmt.Fprint(w, "\033[H\033[2J") // clear, cursor home
+			}
+			render(w, prev, cur, slo, tenant, interval)
+			i++
+		}
+		prev = cur
+	}
+	return nil
+}
+
+// render writes one frame of the live view: the target line, one line of
+// control-loop and device state per SSD, one row per tenant (interval
+// rates between prev and cur, credit, fair utilization, SLO standing,
+// errors) and the correlated events. The control-loop fields print only on
+// the Gimbal scheme, which sets them.
+func render(w io.Writer, prev, cur *fabric.TargetStats, slo *obs.SLOReport, tenant string, interval time.Duration) {
 	type key struct {
 		ssd    int
 		tenant string
 	}
-	prevBytes := map[key]int64{}
-	prevOps := map[key]int64{}
-	for _, s := range before.SSDs {
+	before := map[key]fabric.TenantStats{}
+	for _, s := range prev.SSDs {
 		for _, t := range s.Tenants {
-			prevBytes[key{t.SSD, t.Tenant}] = t.Bytes
-			prevOps[key{t.SSD, t.Tenant}] = t.Ops
+			before[key{t.SSD, t.Tenant}] = t
 		}
 	}
-	dt := float64(after.NowNs-before.NowNs) / 1e9
+	dt := float64(cur.NowNs-prev.NowNs) / 1e9
 	if dt <= 0 {
 		dt = interval.Seconds()
 	}
+	standing := map[string]obs.SLOTenantReport{}
+	for _, tr := range slo.Tenants {
+		standing[tr.Tenant] = tr
+	}
 
-	fmt.Printf("target: scheme=%s ssds=%d jain=%.3f (interval %.2fs)\n",
-		after.Scheme, len(after.SSDs), after.Jain, dt)
-	for _, s := range after.SSDs {
-		fmt.Printf("ssd %d:", s.SSD)
+	fmt.Fprintf(w, "target: scheme=%s ssds=%d jain=%.3f (interval %.2fs)\n",
+		cur.Scheme, len(cur.SSDs), cur.Jain, dt)
+	for _, s := range cur.SSDs {
+		fmt.Fprintf(w, "ssd %d:", s.SSD)
 		if s.WriteCost > 0 {
-			fmt.Printf(" write_cost=%.2f target=%.0fMB/s completion=%.0fMB/s ewma r/w=%.0f/%.0fus queued=%d",
+			fmt.Fprintf(w, " write_cost=%.2f target=%.0fMB/s completion=%.0fMB/s ewma r/w=%.0f/%.0fus queued=%d",
 				s.WriteCost, s.TargetRateMBps, s.CompletionRateMBps,
 				s.ReadEWMAUs, s.WriteEWMAUs, s.Queued)
 		}
 		if s.Device != nil {
-			fmt.Printf(" WA=%.2f gc_pages=%d", s.Device.WriteAmp, s.Device.GCMovedPages)
+			fmt.Fprintf(w, " WA=%.2f gc_pages=%d", s.Device.WriteAmp, s.Device.GCMovedPages)
 		}
-		fmt.Println()
-		rows := s.Tenants
-		if *tenant != "" {
-			rows = rows[:0:0]
-			for _, t := range s.Tenants {
-				if t.Tenant == *tenant {
-					rows = append(rows, t)
+		fmt.Fprintln(w)
+	}
+	fmt.Fprintf(w, "%-18s %4s %10s %10s %8s %8s %8s %8s %8s\n",
+		"tenant", "ssd", "MB/s", "IOPS", "credit", "f-util", "met%", "burn", "errors")
+	for _, s := range cur.SSDs {
+		for _, t := range s.Tenants {
+			if tenant != "" && t.Tenant != tenant {
+				continue
+			}
+			b := before[key{t.SSD, t.Tenant}]
+			met, burn := 100.0, 0.0
+			if tr, ok := standing[t.Tenant]; ok {
+				met = tr.MetFraction * 100
+				// The longest window's burn is the most stable signal.
+				if len(tr.Windows) > 0 {
+					burn = tr.Windows[len(tr.Windows)-1].BurnRate
 				}
 			}
-		}
-		if len(rows) == 0 {
-			continue
-		}
-		fmt.Printf("  %-18s %10s %10s %8s %8s %8s\n",
-			"tenant", "MB/s", "IOPS", "credit", "f-util", "errors")
-		for _, t := range rows {
-			k := key{t.SSD, t.Tenant}
-			dBytes := float64(t.Bytes - prevBytes[k])
-			dOps := float64(t.Ops - prevOps[k])
-			fmt.Printf("  %-18s %10.1f %10.0f %8d %8.2f %8d\n",
-				t.Tenant, dBytes/1e6/dt, dOps/dt, t.Credit, t.FUtil, t.Errors)
+			fmt.Fprintf(w, "%-18s %4d %10.1f %10.0f %8d %8.2f %8.2f %8.2f %8d\n",
+				t.Tenant, t.SSD, float64(t.Bytes-b.Bytes)/1e6/dt, float64(t.Ops-b.Ops)/dt,
+				t.Credit, t.FUtil, met, burn, t.Errors)
 		}
 	}
-}
-
-// fetchSLO GETs and decodes one /slo report. A daemon running without the
-// SLO engine serves "{}", which decodes to an empty report.
-func fetchSLO(url string) (*obs.SLOReport, error) {
-	rsp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer rsp.Body.Close()
-	if rsp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s", url, rsp.Status)
-	}
-	var rep obs.SLOReport
-	if err := json.NewDecoder(rsp.Body).Decode(&rep); err != nil {
-		return nil, err
-	}
-	return &rep, nil
-}
-
-// topMain implements `gimbalcli top`: a live per-tenant view joining
-// /stats (interval bandwidth, credit) with /slo (attainment, burn rate,
-// correlated events), redrawn every interval.
-func topMain(args []string) {
-	fs := flag.NewFlagSet("top", flag.ExitOnError)
-	var (
-		admin    = fs.String("admin", "127.0.0.1:9420", "gimbald observability address")
-		interval = fs.Duration("interval", time.Second, "refresh interval")
-		n        = fs.Int("n", 0, "iterations before exiting (0 = until interrupted)")
-		tenant   = fs.String("tenant", "", "show only this tenant's rows")
-	)
-	fs.Parse(args)
-	statsURL := "http://" + *admin + "/stats"
-	sloURL := "http://" + *admin + "/slo"
-
-	type key struct {
-		ssd    int
-		tenant string
-	}
-	var prev *fabric.TargetStats
-	for i := 0; *n == 0 || i < *n; i++ {
-		if prev != nil {
-			time.Sleep(*interval)
-		}
-		cur, err := fetchStats(statsURL)
-		if err != nil {
-			log.Fatal(err)
-		}
-		slo, err := fetchSLO(sloURL)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if prev == nil {
-			// The first sample only anchors the interval rates.
-			prev = cur
-			time.Sleep(*interval)
-			cur, err = fetchStats(statsURL)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if slo, err = fetchSLO(sloURL); err != nil {
-				log.Fatal(err)
-			}
-		}
-		prevBytes := map[key]int64{}
-		prevOps := map[key]int64{}
-		for _, s := range prev.SSDs {
-			for _, t := range s.Tenants {
-				prevBytes[key{t.SSD, t.Tenant}] = t.Bytes
-				prevOps[key{t.SSD, t.Tenant}] = t.Ops
-			}
-		}
-		dt := float64(cur.NowNs-prev.NowNs) / 1e9
-		if dt <= 0 {
-			dt = interval.Seconds()
-		}
-		sloRows := map[string]obs.SLOTenantReport{}
-		for _, tr := range slo.Tenants {
-			sloRows[tr.Tenant] = tr
-		}
-
-		fmt.Print("\033[H\033[2J") // clear, cursor home
-		fmt.Printf("gimbal top — scheme=%s ssds=%d jain=%.3f interval=%.1fs\n",
-			cur.Scheme, len(cur.SSDs), cur.Jain, dt)
-		fmt.Printf("%-18s %4s %10s %10s %8s %8s %8s %8s\n",
-			"tenant", "ssd", "MB/s", "IOPS", "credit", "met%", "burn", "errors")
-		for _, s := range cur.SSDs {
-			for _, t := range s.Tenants {
-				if *tenant != "" && t.Tenant != *tenant {
-					continue
-				}
-				k := key{t.SSD, t.Tenant}
-				met, burn := 100.0, 0.0
-				if tr, ok := sloRows[t.Tenant]; ok {
-					met = tr.MetFraction * 100
-					// The longest window's burn is the most stable signal.
-					if len(tr.Windows) > 0 {
-						burn = tr.Windows[len(tr.Windows)-1].BurnRate
-					}
-				}
-				fmt.Printf("%-18s %4d %10.1f %10.0f %8d %8.2f %8.2f %8d\n",
-					t.Tenant, t.SSD,
-					float64(t.Bytes-prevBytes[k])/1e6/dt,
-					float64(t.Ops-prevOps[k])/dt,
-					t.Credit, met, burn, t.Errors)
-			}
-		}
+	if len(slo.Events) > 0 {
 		active := 0
 		for _, ev := range slo.Events {
 			if ev.Active {
 				active++
 			}
 		}
-		if len(slo.Events) > 0 {
-			last := slo.Events[len(slo.Events)-1]
-			fmt.Printf("events: %d correlated (%d active), last: %s %s\n",
-				len(slo.Events), active, last.Kind, last.Detail)
-		}
-		prev = cur
+		last := slo.Events[len(slo.Events)-1]
+		fmt.Fprintf(w, "events: %d correlated (%d active), last: %s %s\n",
+			len(slo.Events), active, last.Kind, last.Detail)
 	}
 }

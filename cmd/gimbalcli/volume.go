@@ -18,35 +18,9 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+
+	"gimbal/internal/volume"
 )
-
-// volumeRow mirrors gimbald's volume wire shape.
-type volumeRow struct {
-	Name           string `json:"name"`
-	SizeBytes      int64  `json:"size_bytes"`
-	QoSClass       string `json:"qos_class"`
-	Thick          bool   `json:"thick"`
-	Parent         string `json:"parent"`
-	AllocatedBytes int64  `json:"allocated_bytes"`
-}
-
-// snapshotRow mirrors gimbald's snapshot wire shape.
-type snapshotRow struct {
-	Name      string `json:"name"`
-	Source    string `json:"source"`
-	SizeBytes int64  `json:"size_bytes"`
-	Clones    int    `json:"clones"`
-}
-
-type usageRow struct {
-	CapacityBytes  int64 `json:"capacity_bytes"`
-	AllocatedBytes int64 `json:"allocated_bytes"`
-	LogicalBytes   int64 `json:"logical_bytes"`
-	Volumes        int   `json:"volumes"`
-	Snapshots      int   `json:"snapshots"`
-	CowCopies      int64 `json:"cow_copies"`
-	Trims          int64 `json:"trims"`
-}
 
 // parseSize accepts plain bytes or a K/M/G/T-suffixed size ("1G", "256M").
 func parseSize(s string) (int64, error) {
@@ -81,10 +55,10 @@ func fmtSize(n int64) string {
 	}
 }
 
-// volumeDo issues one JSON request and decodes the reply into out (which
-// may be nil for 204 responses). Non-2xx replies surface the server's
-// error field.
-func volumeDo(method, url string, body, out any) error {
+// adminDo issues one JSON request to gimbald's admin endpoint and decodes
+// the reply into out (which may be nil for 204 responses). Non-2xx replies
+// surface the server's error field.
+func adminDo(method, url string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
@@ -148,22 +122,19 @@ func volumeMain(args []string) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var v volumeRow
+		var v volume.Info
 		req := map[string]any{"name": *name, "size_bytes": n, "qos_class": *class, "thick": *thick}
-		if err := volumeDo("POST", base+"/volumes", req, &v); err != nil {
+		if err := adminDo("POST", base+"/volumes", req, &v); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("created volume %s (%s, class %s)\n", v.Name, fmtSize(v.SizeBytes), v.QoSClass)
 	case "list":
-		var rsp struct {
-			Usage   usageRow    `json:"usage"`
-			Volumes []volumeRow `json:"volumes"`
-		}
-		if err := volumeDo("GET", base+"/volumes", nil, &rsp); err != nil {
+		var rsp volume.Listing
+		if err := adminDo("GET", base+"/volumes", nil, &rsp); err != nil {
 			log.Fatal(err)
 		}
-		var snaps []snapshotRow
-		if err := volumeDo("GET", base+"/snapshots", nil, &snaps); err != nil {
+		var snaps []volume.SnapshotInfo
+		if err := adminDo("GET", base+"/snapshots", nil, &snaps); err != nil {
 			log.Fatal(err)
 		}
 		u := rsp.Usage
@@ -190,8 +161,8 @@ func volumeMain(args []string) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var v volumeRow
-		if err := volumeDo("POST", base+"/volumes/"+*name+"/resize", map[string]any{"size_bytes": n}, &v); err != nil {
+		var v volume.Info
+		if err := adminDo("POST", base+"/volumes/"+*name+"/resize", map[string]any{"size_bytes": n}, &v); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("resized volume %s to %s\n", v.Name, fmtSize(v.SizeBytes))
@@ -199,8 +170,8 @@ func volumeMain(args []string) {
 		if *vol == "" || *name == "" {
 			log.Fatal("volume snapshot: -vol and -name are required")
 		}
-		var s snapshotRow
-		if err := volumeDo("POST", base+"/volumes/"+*vol+"/snapshots", map[string]any{"name": *name}, &s); err != nil {
+		var s volume.SnapshotInfo
+		if err := adminDo("POST", base+"/volumes/"+*vol+"/snapshots", map[string]any{"name": *name}, &s); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("snapshot %s of %s (%s)\n", s.Name, s.Source, fmtSize(s.SizeBytes))
@@ -208,21 +179,21 @@ func volumeMain(args []string) {
 		if *snap == "" || *name == "" {
 			log.Fatal("volume clone: -snap and -name are required")
 		}
-		var v volumeRow
+		var v volume.Info
 		req := map[string]any{"name": *name, "qos_class": *class}
-		if err := volumeDo("POST", base+"/snapshots/"+*snap+"/clones", req, &v); err != nil {
+		if err := adminDo("POST", base+"/snapshots/"+*snap+"/clones", req, &v); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("clone %s of snapshot %s (%s, class %s)\n", v.Name, v.Parent, fmtSize(v.SizeBytes), v.QoSClass)
 	case "delete":
 		switch {
 		case *name != "":
-			if err := volumeDo("DELETE", base+"/volumes/"+*name, nil, nil); err != nil {
+			if err := adminDo("DELETE", base+"/volumes/"+*name, nil, nil); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("deleted volume %s\n", *name)
 		case *snap != "":
-			if err := volumeDo("DELETE", base+"/snapshots/"+*snap, nil, nil); err != nil {
+			if err := adminDo("DELETE", base+"/snapshots/"+*snap, nil, nil); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("deleted snapshot %s\n", *snap)

@@ -25,8 +25,8 @@
 // off, attaches no tracer.
 // The SLO engine is armed with -slo-target/-slo-goal.
 //
-// Drive it with cmd/gimbalcli; `gimbalcli stats` renders /stats and
-// `gimbalcli top` joins /stats with /slo in a live view.
+// Drive it with cmd/gimbalcli; `gimbalcli top` renders /stats and /slo in
+// a live view, and `gimbalcli stats` is one frame of it.
 //
 // A scripted SSD fault schedule can be armed at startup with -faults; see
 // parseFaultPlan for the JSON shape. -recovery (default on) enables the
@@ -149,30 +149,15 @@ func main() {
 		if err != nil {
 			log.Fatalf("fault plan: %v", err)
 		}
-		// An engine schedules injections on one scheduler, and a device may
-		// only be mutated from its own shard's context — so the plan is
-		// partitioned per shard (event for SSD i → engine on shard i%R).
-		armed := 0
-		for j := 0; j < R; j++ {
-			sub := &fault.Plan{Seed: plan.Seed}
-			for _, ev := range plan.Events {
-				if ev.SSD%R == j {
-					sub.Events = append(sub.Events, ev)
-				}
-			}
-			if len(sub.Events) == 0 {
-				continue
-			}
-			eng := st.Engine(shards.Shard(j))
-			eng.OnEvent = func(ev fault.Event, active bool) {
-				hub.Events.Append(shards.Now(), ev.Kind.String(), fmt.Sprintf("ssd=%d", ev.SSD), active)
-			}
-			if err := eng.Arm(sub); err != nil {
-				log.Fatalf("fault plan: %v", err)
-			}
-			armed += eng.Armed
+		// The engine runs each SSD's events on that SSD's shard.
+		eng := st.Engine(shards.Shard(0))
+		eng.OnEvent = func(ev fault.Event, active bool) {
+			hub.Events.Append(shards.Now(), ev.Kind.String(), fmt.Sprintf("ssd=%d", ev.SSD), active)
 		}
-		log.Printf("armed %d fault events from %s", armed, *faults)
+		if err := eng.Arm(plan); err != nil {
+			log.Fatalf("fault plan: %v", err)
+		}
+		log.Printf("armed %d fault events from %s", eng.Armed, *faults)
 	}
 
 	pregs := make([]*obs.Registry, *ssds)

@@ -21,7 +21,10 @@
 // may retry a request whose reply it lost: a create, snapshot or clone
 // against a taken name returns 200 and the existing object when the
 // parameters are the ones that made it and 409 when they differ; DELETE of
-// an absent volume or snapshot is 204.
+// an absent volume or snapshot is 204. A mutation without the
+// -admin-token bearer token is 401, one while draining 503, and a method a
+// path does not serve 405. The mux cleans paths: one with an empty segment
+// ("/volumes//resize") is redirected (301) to its clean form.
 package main
 
 import (
@@ -73,23 +76,7 @@ func (vs *volumeServer) register(mux *http.ServeMux) {
 	mux.HandleFunc("/qos-classes", vs.handleClasses)
 }
 
-// Wire shapes.
-
-type volumeInfo struct {
-	Name           string `json:"name"`
-	SizeBytes      int64  `json:"size_bytes"`
-	QoSClass       string `json:"qos_class"`
-	Thick          bool   `json:"thick,omitempty"`
-	Parent         string `json:"parent,omitempty"`
-	AllocatedBytes int64  `json:"allocated_bytes"`
-}
-
-type snapshotInfo struct {
-	Name      string `json:"name"`
-	Source    string `json:"source"`
-	SizeBytes int64  `json:"size_bytes"`
-	Clones    int    `json:"clones"`
-}
+// Request bodies (replies are internal/volume's wire types).
 
 type createVolumeReq struct {
 	Name      string `json:"name"`
@@ -111,8 +98,8 @@ type cloneReq struct {
 	QoSClass string `json:"qos_class"`
 }
 
-func volInfo(v *volume.Volume) volumeInfo {
-	return volumeInfo{
+func volInfo(v *volume.Volume) volume.Info {
+	return volume.Info{
 		Name:           v.Name(),
 		SizeBytes:      v.Size(),
 		QoSClass:       v.ClassName(),
@@ -122,8 +109,8 @@ func volInfo(v *volume.Volume) volumeInfo {
 	}
 }
 
-func snapInfo(s *volume.Snapshot) snapshotInfo {
-	return snapshotInfo{Name: s.Name(), Source: s.Source(), SizeBytes: s.Size(), Clones: s.Clones()}
+func snapInfo(s *volume.Snapshot) volume.SnapshotInfo {
+	return volume.SnapshotInfo{Name: s.Name(), Source: s.Source(), SizeBytes: s.Size(), Clones: s.Clones()}
 }
 
 // volumeHTTPStatus maps the control plane's sentinel errors onto the CSI
@@ -194,10 +181,7 @@ func (vs *volumeServer) handleVolumes(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		vols := vs.m.List()
-		out := struct {
-			Usage   volume.Usage `json:"usage"`
-			Volumes []volumeInfo `json:"volumes"`
-		}{Usage: vs.m.Usage(), Volumes: make([]volumeInfo, 0, len(vols))}
+		out := volume.Listing{Usage: vs.m.Usage(), Volumes: make([]volume.Info, 0, len(vols))}
 		for _, v := range vols {
 			out.Volumes = append(out.Volumes, volInfo(v))
 		}
@@ -294,7 +278,7 @@ func (vs *volumeServer) handleSnapshots(w http.ResponseWriter, r *http.Request) 
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
 	snaps := vs.m.ListSnapshots()
-	out := make([]snapshotInfo, 0, len(snaps))
+	out := make([]volume.SnapshotInfo, 0, len(snaps))
 	for _, s := range snaps {
 		out = append(out, snapInfo(s))
 	}

@@ -60,7 +60,7 @@ func TestVolumeEndpoints(t *testing.T) {
 	_, srv := newTestVolumeAPI(t)
 	base := srv.URL
 
-	var v volumeInfo
+	var v volume.Info
 	if got := doJSON(t, "POST", base+"/volumes", createVolumeReq{Name: "v0", SizeBytes: 64 << 20, QoSClass: "gold"}, &v); got != http.StatusCreated {
 		t.Fatalf("create: %d", got)
 	}
@@ -79,11 +79,11 @@ func TestVolumeEndpoints(t *testing.T) {
 		t.Fatalf("over capacity: %d, want 507", got)
 	}
 
-	var s snapshotInfo
+	var s volume.SnapshotInfo
 	if got := doJSON(t, "POST", base+"/volumes/v0/snapshots", snapshotReq{Name: "s0"}, &s); got != http.StatusCreated {
 		t.Fatalf("snapshot: %d", got)
 	}
-	var c volumeInfo
+	var c volume.Info
 	if got := doJSON(t, "POST", base+"/snapshots/s0/clones", cloneReq{Name: "c0", QoSClass: "silver"}, &c); got != http.StatusCreated {
 		t.Fatalf("clone: %d", got)
 	}
@@ -98,10 +98,7 @@ func TestVolumeEndpoints(t *testing.T) {
 		t.Fatalf("resize: %d %+v", got, v)
 	}
 
-	var listing struct {
-		Usage   volume.Usage `json:"usage"`
-		Volumes []volumeInfo `json:"volumes"`
-	}
+	var listing volume.Listing
 	if got := doJSON(t, "GET", base+"/volumes", nil, &listing); got != http.StatusOK {
 		t.Fatalf("list: %d", got)
 	}
@@ -197,15 +194,13 @@ func TestVolumeAuth(t *testing.T) {
 	}
 
 	// The right token works end to end.
-	var v volumeInfo
+	var v volume.Info
 	if got := doJSONAuth(t, "POST", base+"/volumes", "Bearer s3cret",
 		createVolumeReq{Name: "v0", SizeBytes: 1 << 20, QoSClass: "gold"}, &v); got != http.StatusCreated {
 		t.Fatalf("authorized create: %d, want 201", got)
 	}
 	// Reads stay open without credentials.
-	var listing struct {
-		Volumes []volumeInfo `json:"volumes"`
-	}
+	var listing volume.Listing
 	if got := doJSON(t, "GET", base+"/volumes", nil, &listing); got != http.StatusOK || len(listing.Volumes) != 1 {
 		t.Fatalf("unauthenticated read: %d %+v", got, listing)
 	}
@@ -237,9 +232,7 @@ func TestVolumeDrain(t *testing.T) {
 			t.Errorf("%s %s while draining: %d, want 503", m.method, m.path, got)
 		}
 	}
-	var listing struct {
-		Volumes []volumeInfo `json:"volumes"`
-	}
+	var listing volume.Listing
 	if got := doJSON(t, "GET", base+"/volumes", nil, &listing); got != http.StatusOK || len(listing.Volumes) != 1 {
 		t.Fatalf("read while draining: %d %+v", got, listing)
 	}
@@ -289,17 +282,14 @@ func TestVolumeRetriesAreIdempotent(t *testing.T) {
 	}
 	// The retries created nothing: two volumes, no snapshots, and the
 	// retried create replied with the object the first attempt made.
-	var listing struct {
-		Usage   volume.Usage `json:"usage"`
-		Volumes []volumeInfo `json:"volumes"`
-	}
+	var listing volume.Listing
 	if got := doJSON(t, "GET", base+"/volumes", nil, &listing); got != http.StatusOK {
 		t.Fatalf("list: %d", got)
 	}
 	if len(listing.Volumes) != 2 || listing.Usage.Snapshots != 0 || listing.Usage.LogicalBytes != (64<<20)+(1<<20) {
 		t.Fatalf("state after retries: %+v", listing)
 	}
-	var v volumeInfo
+	var v volume.Info
 	if got := doJSON(t, "POST", base+"/volumes", createVolumeReq{Name: "v0", SizeBytes: 64 << 20, QoSClass: "gold"}, &v); got != http.StatusOK ||
 		v.Name != "v0" || v.SizeBytes != 64<<20 || v.QoSClass != "gold" {
 		t.Fatalf("retried create reply: %d %+v", got, v)

@@ -147,8 +147,8 @@ func TestFacadeFaultKinds(t *testing.T) {
 		t.Fatalf("kind past the last: %v, want ErrBadFaultPlan", err)
 	}
 	s.Run(10 * time.Millisecond)
-	if jbof.engine.Armed != len(seen) || jbof.engine.Fired < int64(len(seen)) {
-		t.Fatalf("engine armed %d and fired %d transitions for %d kinds", jbof.engine.Armed, jbof.engine.Fired, len(seen))
+	if jbof.engine.Armed != len(seen) || jbof.engine.Fired.Load() < int64(len(seen)) {
+		t.Fatalf("engine armed %d and fired %d transitions for %d kinds", jbof.engine.Armed, jbof.engine.Fired.Load(), len(seen))
 	}
 }
 

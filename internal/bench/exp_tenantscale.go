@@ -62,17 +62,20 @@ func tenantScaleRig(size Size, pop int, churnPS float64, events ...TimedEvent) (
 	cfg.Span = rig.Devices[0].Capacity()
 	sc := workload.NewScenario(rig.Loop, rig.RNG, cfg, rig.Target.Pipeline(0).Gimbal)
 
-	// Per-tenant instruments, exactly as the fabric target creates them on
-	// session connect: at 100k tenants this blows through the series
-	// budget and the tail collapses into the overflow series.
-	counters := map[int]*obs.Counter{}
+	// Per-tenant series, exactly as the fabric target registers them on
+	// session connect (a plain count read at scrape): at 100k tenants this
+	// blows through the series budget and the tail collapses into the
+	// overflow series.
+	completed := map[int]*int64{}
 	sc.OnRegister = func(t *nvme.Tenant) {
-		counters[t.ID] = rig.Reg.Counter("tenant_completed_ops_total",
-			obs.L("ssd", "0", "tenant", strconv.Itoa(t.ID)))
+		n := new(int64)
+		completed[t.ID] = n
+		rig.Reg.CounterFunc("tenant_completed_ops_total",
+			obs.L("ssd", "0", "tenant", strconv.Itoa(t.ID)), func() int64 { return *n })
 	}
 	sc.OnDone = func(io *nvme.IO, cpl nvme.Completion) {
 		if cpl.Status == nvme.StatusOK {
-			counters[io.Tenant.ID].Add(1)
+			*completed[io.Tenant.ID]++
 		}
 	}
 	rig.loads = append(rig.loads, sc)

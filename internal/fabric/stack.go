@@ -65,10 +65,9 @@ func SharedClock(clk sim.Scheduler, n int) []sim.Scheduler {
 	return clks
 }
 
-// Engine returns a fault engine over the stack's fault layers that
-// schedules on clk, with die stalls wired to the NAND models. Callers add
-// Fabric and OnEvent. An engine may only carry events for SSDs that run on
-// clk.
+// Engine returns a fault engine over the stack's fault layers, with die
+// stalls wired to the NAND models: SSD i's events run on clks[i], fabric
+// events on clk. Callers add Fabric and OnEvent.
 func (s *Stack) Engine(clk sim.Scheduler) *fault.Engine {
 	e := fault.NewEngine(clk, s.Wraps)
 	e.Stall = func(ssdIdx, die int, dur int64) error {

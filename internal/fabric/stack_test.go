@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"gimbal/internal/fault"
 	"gimbal/internal/nvme"
@@ -137,8 +138,8 @@ func TestStackEngineHooks(t *testing.T) {
 		t.Fatal(err)
 	}
 	loop.RunUntil(sim.Millisecond + 1)
-	if e.Fired != 1 {
-		t.Fatalf("die stall fired %d times, want 1", e.Fired)
+	if e.Fired.Load() != 1 {
+		t.Fatalf("die stall fired %d times, want 1", e.Fired.Load())
 	}
 	// The clean fill stripes 8-page batches across the dies in turn, so
 	// the first 64 KiB end on die 1.
@@ -147,5 +148,59 @@ func TestStackEngineHooks(t *testing.T) {
 	loop.Run()
 	if done < 2*sim.Millisecond {
 		t.Fatalf("read across the stalled die completed at %d, before the stall ends", done)
+	}
+}
+
+// TestStackEngineTwoShards: one engine arms a plan over a stack on two
+// wall-clock shards, and each SSD's fault engages and reverts on that
+// SSD's own shard: SSD 0's brownout runs its course while shard 1 is held,
+// and SSD 1's latency spike while shard 0 is.
+func TestStackEngineTwoShards(t *testing.T) {
+	p := ssd.DCT983()
+	p.UsableBytes = 64 << 20
+	shards := sim.NewRealShards(2)
+	defer shards.Stop()
+	st, err := BuildStack([]sim.Scheduler{shards.Shard(0), shards.Shard(1)}, sim.NewRNG(1),
+		StackConfig{Params: p, Cond: ssd.Clean, Target: DefaultTargetConfig(SchemeGimbal)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type transition struct {
+		ssd             int
+		active, faulted bool
+	}
+	seen := make(chan transition, 4)
+	e := st.Engine(shards.Shard(0))
+	e.OnEvent = func(ev fault.Event, active bool) {
+		seen <- transition{ev.SSD, active, st.Wraps[ev.SSD].Faulted()}
+	}
+	at := shards.Now() + 20*sim.Millisecond
+	if err := e.Arm(&fault.Plan{Events: []fault.Event{
+		{Kind: fault.SSDBrownout, At: at, Dur: 20 * sim.Millisecond, SSD: 0, Factor: 4},
+		{Kind: fault.SSDLatencySpike, At: at, Dur: 20 * sim.Millisecond, SSD: 1, Extra: sim.Millisecond},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		held := shards.Shard(1 - i)
+		held.Lock()
+		own := shards.Shard(i)
+		own.Lock() // a shard fires nothing before its first entry
+		own.Unlock()
+		for _, active := range []bool{true, false} {
+			select {
+			case got := <-seen:
+				if want := (transition{i, active, active}); got != want {
+					t.Errorf("transition %+v, want %+v", got, want)
+				}
+			case <-time.After(10 * time.Second):
+				held.Unlock() // shards.Stop takes every shard lock
+				t.Fatalf("SSD %d's fault (active=%v) did not run with shard %d held", i, active, 1-i)
+			}
+		}
+		held.Unlock()
+	}
+	if got := e.Fired.Load(); got != 4 {
+		t.Fatalf("Fired = %d, want 4", got)
 	}
 }

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"gimbal/internal/sim"
 )
@@ -9,8 +10,11 @@ import (
 // Engine arms a Plan onto a running deployment: it owns the fault layer of
 // every device and routes events it cannot apply itself (die stalls need
 // the concrete SSD; fabric faults live in the session layer above this
-// package) through caller-provided hooks. Timers are daemons, so an armed
-// plan never keeps the simulation alive past its workload.
+// package) through caller-provided hooks. An SSD event runs on the clock
+// its device was wrapped with, so one engine serves a sharded stack (each
+// device mutated only from its own shard); fabric events run on the
+// engine's clock. Timers are daemons, so an armed plan never keeps the
+// simulation alive past its workload.
 type Engine struct {
 	clk  sim.Scheduler
 	devs []*Device
@@ -21,15 +25,16 @@ type Engine struct {
 	// event on the addressed session.
 	Fabric func(ev Event, active bool)
 	// OnEvent, when set, observes every fault transition after it is
-	// applied (telemetry hook: the bench harness feeds the SLO engine's
-	// event log for burn-rate correlation).
+	// applied, on the clock the event ran on (telemetry hook: the bench
+	// harness feeds the SLO engine's event log for burn-rate correlation).
 	OnEvent func(ev Event, active bool)
 
-	Armed int   // events armed by Arm
-	Fired int64 // fault transitions executed so far
+	Armed int          // events armed by Arm
+	Fired atomic.Int64 // fault transitions executed so far, on any shard
 }
 
-// NewEngine builds an engine over the deployment's fault-wrapped devices.
+// NewEngine builds an engine over the deployment's fault-wrapped devices;
+// clk schedules the fabric events.
 func NewEngine(clk sim.Scheduler, devs []*Device) *Engine {
 	return &Engine{clk: clk, devs: devs}
 }
@@ -52,9 +57,13 @@ func (e *Engine) Arm(p *Plan) error {
 	}
 	for _, ev := range p.Events {
 		ev := ev
-		e.clk.At(ev.At, func() { e.apply(ev, true) }).MarkDaemon()
+		clk := e.clk
+		if !ev.Kind.IsFabric() {
+			clk = e.devs[ev.SSD].clk
+		}
+		clk.At(ev.At, func() { e.apply(ev, true) }).MarkDaemon()
 		if ev.Kind.windowed() && ev.Dur > 0 {
-			e.clk.At(ev.At+ev.Dur, func() { e.apply(ev, false) }).MarkDaemon()
+			clk.At(ev.At+ev.Dur, func() { e.apply(ev, false) }).MarkDaemon()
 		}
 		e.Armed++
 	}
@@ -62,7 +71,7 @@ func (e *Engine) Arm(p *Plan) error {
 }
 
 func (e *Engine) apply(ev Event, active bool) {
-	e.Fired++
+	e.Fired.Add(1)
 	switch ev.Kind {
 	case SSDLatencySpike:
 		if active {

@@ -177,8 +177,8 @@ func TestEngineAppliesWindows(t *testing.T) {
 			t.Fatalf("latency[%d] = %d, want %d (timeline %v)", i, latencies[i], w, latencies)
 		}
 	}
-	if e.Fired != 2 {
-		t.Fatalf("Fired = %d, want 2 (engage + revert)", e.Fired)
+	if e.Fired.Load() != 2 {
+		t.Fatalf("Fired = %d, want 2 (engage + revert)", e.Fired.Load())
 	}
 }
 

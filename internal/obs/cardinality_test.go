@@ -20,10 +20,10 @@ func TestRegistryCardinality100kTenants(t *testing.T) {
 	r := NewRegistry()
 	r.SetMaxSeries(budget)
 
-	counters := make([]*Counter, pop)
-	for i := range counters {
-		counters[i] = r.Counter("tenant_completed_ops_total", L("tenant", strconv.Itoa(i)))
-		counters[i].Add(1)
+	counts := make([]int64, pop)
+	for i := range counts {
+		r.CounterFunc("tenant_completed_ops_total", L("tenant", strconv.Itoa(i)), func() int64 { return counts[i] })
+		counts[i] = 1
 	}
 
 	series, overflowSeries := 0, 0
@@ -52,10 +52,10 @@ func TestRegistryCardinality100kTenants(t *testing.T) {
 		t.Fatalf("overflow absorbed %v increments, want %d", overflowVal, pop-budget)
 	}
 
-	// Every handle stays live: a tail tenant's increments land on the
+	// Every count stays live: a tail tenant's increments land on the
 	// shared overflow series, in-budget tenants keep their identity.
-	counters[pop-1].Add(5)
-	counters[0].Add(2)
+	counts[pop-1] += 5
+	counts[0] += 2
 	snap := r.Snapshot()
 	if v := snap[`tenant_completed_ops_total{overflow="true"}`]; v != pop-budget+5 {
 		t.Fatalf("overflow after tail Add(5) = %v, want %d", v, pop-budget+5)

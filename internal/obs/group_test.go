@@ -8,8 +8,8 @@ import (
 
 func TestGroupOneHeaderPerFamily(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
-	a.Counter("ops_total", L("shard", "0")).Add(3)
-	b.Counter("ops_total", L("shard", "1")).Add(4)
+	a.CounterFunc("ops_total", L("shard", "0"), func() int64 { return 3 })
+	b.CounterFunc("ops_total", L("shard", "1"), func() int64 { return 4 })
 	a.Help("ops_total", "operations")
 	a.GaugeFunc("depth", L("shard", "0"), func() float64 { return 7 })
 
@@ -44,9 +44,9 @@ func TestGroupOneHeaderPerFamily(t *testing.T) {
 
 func TestGroupSnapshotSumsDuplicates(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
-	a.Counter("ops_total", "").Add(10)
-	b.Counter("ops_total", "").Add(5)
-	b.Counter("errs_total", "").Add(2)
+	a.CounterFunc("ops_total", "", func() int64 { return 10 })
+	b.CounterFunc("ops_total", "", func() int64 { return 5 })
+	b.CounterFunc("errs_total", "", func() int64 { return 2 })
 	snap := NewGroup(a, b).Snapshot()
 	if snap["ops_total"] != 15 {
 		t.Fatalf("ops_total = %v, want 15 (summed across members)", snap["ops_total"])
@@ -71,8 +71,8 @@ func TestGroupHoldsEachMemberGatherLock(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
 	la, lb := &countingLocker{}, &countingLocker{}
 	a.GatherLock, b.GatherLock = la, lb
-	a.Counter("x_total", "").Add(1)
-	b.Counter("x_total", "").Add(1)
+	a.CounterFunc("x_total", "", func() int64 { return 1 })
+	b.CounterFunc("x_total", "", func() int64 { return 1 })
 	var sb strings.Builder
 	if err := NewGroup(a, b).WritePrometheus(&sb); err != nil {
 		t.Fatal(err)

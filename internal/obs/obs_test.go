@@ -8,28 +8,19 @@ import (
 
 func TestCounterGaugeRegistration(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("submits_total", L("ssd", "0"))
-	c.Add(1)
-	c.Add(2)
-	if again := r.Counter("submits_total", L("ssd", "0")); again != c {
-		t.Fatal("re-registration returned a different counter")
-	}
-	if c.Load() != 3 {
-		t.Fatalf("counter = %d, want 3", c.Load())
-	}
-	other := r.Counter("submits_total", L("ssd", "1"))
-	if other == c {
-		t.Fatal("different labels shared an instrument")
-	}
-
-	// A component's own plain field, read at collection time.
-	var done int64
+	// A component's own plain fields, read at collection time: registering
+	// again under one identity adds a source, other labels are another
+	// series.
+	var sub0, sub1, done int64
+	r.CounterFunc("submits_total", L("ssd", "0"), func() int64 { return sub0 })
+	r.CounterFunc("submits_total", L("ssd", "0"), func() int64 { return 2 })
+	r.CounterFunc("submits_total", L("ssd", "1"), func() int64 { return sub1 })
 	r.CounterFunc("completions_total", L("ssd", "0"), func() int64 { return done })
-	done = 41
+	sub0, done = 1, 41
 	r.GaugeFunc("queued", L("ssd", "0"), func() float64 { return 7 })
 
 	snap := r.Snapshot()
-	if snap[`submits_total{ssd="0"}`] != 3 {
+	if snap[`submits_total{ssd="0"}`] != 3 || snap[`submits_total{ssd="1"}`] != 0 {
 		t.Fatalf("snapshot counter: %v", snap)
 	}
 	if snap[`completions_total{ssd="0"}`] != 41 {
@@ -58,19 +49,19 @@ func TestSumMetricDeterministic(t *testing.T) {
 
 func TestKindConflictPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x", "")
+	r.CounterFunc("x", "", func() int64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on kind conflict")
 		}
 	}()
-	r.CounterFunc("x", "", func() int64 { return 0 })
+	r.GaugeFunc("x", "", func() float64 { return 0 })
 }
 
 func TestPrometheusOutput(t *testing.T) {
 	r := NewRegistry()
 	r.Help("io_total", "completed IOs")
-	r.Counter("io_total", L("ssd", "0", "tenant", "a")).Add(10)
+	r.CounterFunc("io_total", L("ssd", "0", "tenant", "a"), func() int64 { return 10 })
 	r.GaugeFunc("depth", "", func() float64 { return 4 })
 	r.CounterFunc("read_total", L("ssd", "0"), func() int64 { return 9 })
 	h := r.Histogram("lat_ns", L("ssd", "0"))
@@ -120,22 +111,23 @@ type lockerFunc struct{ lock, unlock func() }
 func (l lockerFunc) Lock()   { l.lock() }
 func (l lockerFunc) Unlock() { l.unlock() }
 
+// TestConcurrentCounters: sources registered under one identity from many
+// goroutines at once are all summed.
 func TestConcurrentCounters(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("n", "")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				c.Add(1)
+				r.CounterFunc("n", "", func() int64 { return 1 })
 			}
 		}()
 	}
 	wg.Wait()
-	if c.Load() != 8000 {
-		t.Fatalf("counter = %d, want 8000", c.Load())
+	if got := r.Snapshot()["n"]; got != 8000 {
+		t.Fatalf("counter = %v, want 8000", got)
 	}
 }
 

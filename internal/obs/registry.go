@@ -24,8 +24,6 @@
 //     per reactor); collection then runs as one more entry into the shard
 //     and sees every counter, histogram and gauge of the pipeline at one
 //     instant. The simulator gathers only between runs and needs none.
-//     Counter — the one pushed, atomic kind — is for counts that have no
-//     owning scheduler.
 //   - Registration is one map under one lock: the live plane registers per
 //     reactor into that reactor's own registry, so nothing contends for it.
 //     Label strings are interned so the many instruments of one tenant
@@ -43,7 +41,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"gimbal/internal/stats"
 )
@@ -67,17 +64,6 @@ func L(kv ...string) Labels {
 	}
 	return Labels(b.String())
 }
-
-// Counter is a monotonically increasing atomic counter, for counts with no
-// owning scheduler context; a component that has one keeps a plain field
-// and registers a CounterFunc over it.
-type Counter struct{ v atomic.Int64 }
-
-// Add adds n (n must be nonnegative for Prometheus semantics).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
 
 // Exemplar links one exported metric family to a captured trace span, so a
 // quantile in a scrape can be chased to the concrete IO behind it.
@@ -115,8 +101,7 @@ func (s *ExemplarSlot) Load() (Exemplar, bool) {
 type kind int
 
 const (
-	kindCounter kind = iota
-	kindCounterFunc
+	kindCounterFunc kind = iota
 	kindGaugeFunc
 	kindHistogram
 )
@@ -124,7 +109,7 @@ const (
 // typ is the kind's Prometheus TYPE.
 func (k kind) typ() string {
 	switch k {
-	case kindCounter, kindCounterFunc:
+	case kindCounterFunc:
 		return "counter"
 	case kindHistogram:
 		return "summary"
@@ -138,12 +123,11 @@ type instrument struct {
 	labels Labels
 	kind   kind
 
-	counter *Counter
-	cfns    []func() int64 // summed: one source, or all an overflow series absorbed
-	fn      func() float64
-	hist    *stats.Histogram
-	folds   []func() // run before hist is read: its recorders' staged samples
-	ex      *ExemplarSlot
+	cfns  []func() int64 // summed: one source, or all an overflow series absorbed
+	fn    func() float64
+	hist  *stats.Histogram
+	folds []func() // run before hist is read: its recorders' staged samples
+	ex    *ExemplarSlot
 
 	// Export-name cache, built lazily on first collection (under gatherMu)
 	// so steady-state scrapes of a histogram allocate nothing.
@@ -295,19 +279,12 @@ func (r *Registry) lookup(name string, labels Labels, k kind, mk func() *instrum
 	return in
 }
 
-// Counter returns the counter registered under (name, labels).
-func (r *Registry) Counter(name string, labels Labels) *Counter {
-	return r.lookup(name, labels, kindCounter, func() *instrument {
-		return &instrument{counter: &Counter{}}
-	}).counter
-}
-
 // CounterFunc registers fn as a counter sampled at collection time (under
 // GatherLock): the component keeps the count in a plain field of its own
 // and the hot path never sees the registry. Registering again under the
-// same identity adds a source — the series is the sum of its functions,
-// as two holders of one Counter add into it — which is also how the
-// overflow series keeps the total of everything it absorbed.
+// same identity adds a source — the series is the sum of its functions —
+// which is also how the overflow series keeps the total of everything it
+// absorbed.
 func (r *Registry) CounterFunc(name string, labels Labels, fn func() int64) {
 	in := r.lookup(name, labels, kindCounterFunc, func() *instrument {
 		return &instrument{}
@@ -429,8 +406,6 @@ func (r *Registry) gather() []Sample {
 // the text exposition both walk it. Callers hold gatherMu (and GatherLock).
 func (in *instrument) appendSamples(out []Sample) []Sample {
 	switch in.kind {
-	case kindCounter:
-		return append(out, Sample{in.name, in.labels, float64(in.counter.Load())})
 	case kindCounterFunc:
 		var n int64
 		for _, fn := range in.cfns {

@@ -21,7 +21,7 @@ func TestRegistryShardedConcurrentRegistration(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				r.Counter("reg_shared_total", L("tenant", strconv.Itoa(i))).Add(1)
+				r.CounterFunc("reg_shared_total", L("tenant", strconv.Itoa(i)), func() int64 { return 1 })
 				r.GaugeFunc(fmt.Sprintf("reg_g%d", g), L("i", strconv.Itoa(i)), func() float64 { return 1 })
 			}
 		}(g)
@@ -41,8 +41,8 @@ func TestRegistryLabelInterning(t *testing.T) {
 	if unsafe.StringData(string(l1)) == unsafe.StringData(string(l2)) {
 		t.Fatal("test setup: labels share storage")
 	}
-	r.Counter("intern_a_total", l1)
-	r.Counter("intern_b_total", l2)
+	r.CounterFunc("intern_a_total", l1, func() int64 { return 0 })
+	r.CounterFunc("intern_b_total", l2, func() int64 { return 0 })
 	got := r.Gather()
 	if len(got) != 2 || got[0].Labels != l1 || got[1].Labels != l2 {
 		t.Fatalf("gathered %+v, want the two counters with their labels", got)
@@ -55,29 +55,22 @@ func TestRegistryLabelInterning(t *testing.T) {
 func TestRegistryCardinalityOverflow(t *testing.T) {
 	r := NewRegistry()
 	r.SetMaxSeries(3)
-	var last *Counter
+	one := func() int64 { return 1 }
 	for i := 0; i < 10; i++ {
-		c := r.Counter("hot_total", L("tenant", strconv.Itoa(i)))
-		c.Add(1)
-		last = c
+		r.CounterFunc("hot_total", L("tenant", strconv.Itoa(i)), one)
 	}
-	// Tenants 3..9 share the single overflow series.
-	over := r.Counter("hot_total", Labels(`overflow="true"`))
-	_ = over // registered identity: the overflow series itself fits the map
+	// Tenants 3..9 share the single overflow series, and so does a later
+	// registration of an identity past the budget.
+	r.CounterFunc("hot_total", L("tenant", "9"), one)
 	snap := r.Snapshot()
-	if got := SumMetric(snap, "hot_total"); got != 10 {
-		t.Fatalf("total across series = %v, want 10", got)
+	if got := SumMetric(snap, "hot_total"); got != 11 {
+		t.Fatalf("total across series = %v, want 11", got)
 	}
-	if v, ok := snap[`hot_total{overflow="true"}`]; !ok || v != 7 {
-		t.Fatalf("overflow series = %v (ok=%v), want 7", v, ok)
+	if v, ok := snap[`hot_total{overflow="true"}`]; !ok || v != 8 {
+		t.Fatalf("overflow series = %v (ok=%v), want 8", v, ok)
 	}
-	// Lookups past the budget return the same shared instrument.
-	again := r.Counter("hot_total", L("tenant", "9"))
-	if again != last {
-		t.Fatal("overflowed identity did not resolve to the shared series")
-	}
-	// Counter functions lose no counts either: a series is the sum of the
-	// functions registered under it, the overflow series of all it absorbed.
+	// A series is the sum of the functions registered under it, the
+	// overflow series of all it absorbed.
 	for i := 0; i < 5; i++ {
 		r.CounterFunc("read_total", L("tenant", strconv.Itoa(i)), func() int64 { return 2 })
 	}
@@ -87,7 +80,8 @@ func TestRegistryCardinalityOverflow(t *testing.T) {
 		t.Fatalf("counter funcs: overflow = %v, tenant 0 = %v, want 4 and 5", over, t0)
 	}
 	// Other names still have their own budget.
-	if r.Counter("cold_total", L("tenant", "x")).Load() != 0 {
+	r.CounterFunc("cold_total", L("tenant", "x"), one)
+	if _, ok := r.Snapshot()[`cold_total{tenant="x"}`]; !ok {
 		t.Fatal("fresh name affected by another name's overflow")
 	}
 	// Kind conflicts still panic for in-budget series.
@@ -104,7 +98,7 @@ func TestRegistryCardinalityOverflow(t *testing.T) {
 func TestRegistryGatherReusesScratch(t *testing.T) {
 	r := NewRegistry()
 	for i := 0; i < 16; i++ {
-		r.Counter("scr_total", L("i", strconv.Itoa(i))).Add(int64(i))
+		r.CounterFunc("scr_total", L("i", strconv.Itoa(i)), func() int64 { return int64(i) })
 	}
 	h := r.Histogram("scr_lat_ns", "")
 	h.Record(100)
@@ -145,7 +139,7 @@ func TestRegistryExemplarExport(t *testing.T) {
 func BenchmarkGather(b *testing.B) {
 	r := NewRegistry()
 	for i := 0; i < 256; i++ {
-		r.Counter("bench_ops_total", L("tenant", strconv.Itoa(i))).Add(1)
+		r.CounterFunc("bench_ops_total", L("tenant", strconv.Itoa(i)), func() int64 { return 1 })
 	}
 	for i := 0; i < 16; i++ {
 		h := r.Histogram("bench_lat_ns", L("ssd", strconv.Itoa(i)))
@@ -163,8 +157,8 @@ func BenchmarkGather(b *testing.B) {
 	}
 }
 
-// BenchmarkRegistryRelookup re-resolves existing series in parallel: what a
-// caller that does not cache the instrument pointer pays per record.
+// BenchmarkRegistryRelookup re-resolves existing series in parallel: what
+// re-registering a gauge function under an identity it has pays.
 func BenchmarkRegistryRelookup(b *testing.B) {
 	r := NewRegistry()
 	labels := make([]Labels, 1024)
@@ -174,7 +168,7 @@ func BenchmarkRegistryRelookup(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			r.Counter("bench_reg_total", labels[i&1023]).Add(1)
+			r.GaugeFunc("bench_reg", labels[i&1023], func() float64 { return 1 })
 			i++
 		}
 	})

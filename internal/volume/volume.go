@@ -165,6 +165,31 @@ type Usage struct {
 	AllocFailures  int64 `json:"alloc_failures"`
 }
 
+// Info is a volume on the wire: what gimbald's volume endpoints reply
+// with and gimbalcli decodes.
+type Info struct {
+	Name           string `json:"name"`
+	SizeBytes      int64  `json:"size_bytes"`
+	QoSClass       string `json:"qos_class"`
+	Thick          bool   `json:"thick,omitempty"`
+	Parent         string `json:"parent,omitempty"`
+	AllocatedBytes int64  `json:"allocated_bytes"`
+}
+
+// SnapshotInfo is a snapshot on the wire.
+type SnapshotInfo struct {
+	Name      string `json:"name"`
+	Source    string `json:"source"`
+	SizeBytes int64  `json:"size_bytes"`
+	Clones    int    `json:"clones"`
+}
+
+// Listing is the volume list on the wire: usage and every volume.
+type Listing struct {
+	Usage   Usage  `json:"usage"`
+	Volumes []Info `json:"volumes"`
+}
+
 // Usage reports current accounting and data-path counters.
 func (m *Manager) Usage() Usage {
 	return Usage{
@@ -240,7 +265,7 @@ func (m *Manager) Create(spec Spec) (*Volume, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.logicalBytes+spec.Size > m.overcommitBytes() {
+	if spec.Size > m.overcommitBytes()-m.logicalBytes { // no sum to overflow
 		return nil, fmt.Errorf("%w: volume %q needs %d logical bytes, %d of %d provisioned",
 			ErrOutOfCapacity, spec.Name, spec.Size, m.logicalBytes, m.overcommitBytes())
 	}
@@ -402,7 +427,7 @@ func (m *Manager) Clone(snapName, volName, class string) (*Volume, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.logicalBytes+s.size > m.overcommitBytes() {
+	if s.size > m.overcommitBytes()-m.logicalBytes {
 		return nil, fmt.Errorf("%w: clone %q needs %d logical bytes, %d of %d provisioned",
 			ErrOutOfCapacity, volName, s.size, m.logicalBytes, m.overcommitBytes())
 	}
@@ -430,7 +455,7 @@ func (m *Manager) Resize(name string, newSize int64) error {
 		return fmt.Errorf("%w: volume %q: size %d must be > 0", ErrInvalid, name, newSize)
 	}
 	delta := newSize - v.size
-	if delta > 0 && m.logicalBytes+delta > m.overcommitBytes() {
+	if delta > 0 && delta > m.overcommitBytes()-m.logicalBytes { // no sum to overflow
 		return fmt.Errorf("%w: resize of %q needs %d more logical bytes, %d of %d provisioned",
 			ErrOutOfCapacity, name, delta, m.logicalBytes, m.overcommitBytes())
 	}
